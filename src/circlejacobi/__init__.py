@@ -6,7 +6,7 @@ companions, the pentadiagonal one-sided recurrence, the Dunkl-type
 differential operator and its eigenvalues, the reflection-based algebra
 those operators generate, the map down to monic Jacobi polynomials on
 [-2, 2], and the trigonometric moment functionals.  Floating point only
-enters for truncated spectra and quadrature cross-checks.
+enters for the eigenvalues of truncated matrices.
 """
 
 from .algebra import (

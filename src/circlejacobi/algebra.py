@@ -84,10 +84,14 @@ def canonicalize(g: AlgebraParams) -> CanonicalForm:
     beta = (splus - 1 - d) / 2
     nu = (splus - mu * g.g1) / 2
     # substituting back must reproduce the input exactly
-    assert (splus - 2 * nu) / mu == g.g1
-    assert -splus / mu == g.g2
-    assert (splus + 1 - 2 * nu) / mu == g.g3
-    assert d / mu == g.g4
+    if (splus - 2 * nu) / mu != g.g1:
+        raise AssertionError("canonical form does not reproduce g1")
+    if -splus / mu != g.g2:
+        raise AssertionError("canonical form does not reproduce g2")
+    if (splus + 1 - 2 * nu) / mu != g.g3:
+        raise AssertionError("canonical form does not reproduce g3")
+    if d / mu != g.g4:
+        raise AssertionError("canonical form does not reproduce g4")
     return CanonicalForm(alpha=alpha, beta=beta, mu=mu, nu=nu)
 
 

@@ -44,9 +44,9 @@ from .cmv import (
 from .dunkl import verify_bispectral
 from .errors import CircleJacobiError, ConvergenceFailure, ParamOutOfRange
 from .moments import (
-    MomentSeq,
     Weight,
     orthogonality_check,
+    sigma,
     verify_determinantal_match,
     verify_toeplitz_h,
 )
@@ -71,15 +71,6 @@ def rational(text: str) -> Fraction:
             f"expected an integer or p/q rational, got {text!r}"
         )
     return Fraction(text)
-
-
-def weight_for(p: JacobiParams) -> Weight:
-    """Exact moment functionals where they exist, quadrature otherwise."""
-    if (p.alpha, p.beta) == (Fraction(1, 2), Fraction(-1, 2)):
-        return Weight.single_moment(1)
-    if (p.alpha, p.beta) == (Fraction(-1, 2), Fraction(-1, 2)):
-        return Weight.lebesgue()
-    return Weight.jacobi(p.alpha, p.beta)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid-file",
         help="JSON file with a list of [alpha, beta] rational-string pairs",
     )
-    v.add_argument("--quad-order", type=int, default=64)
-    v.add_argument("--tol", type=float, default=1e-10)
     v.add_argument(
         "--corrupt-a",
         type=int,
@@ -138,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("moments", help="trigonometric moments sigma_0..sigma_n")
     add_common(m)
-    m.add_argument("--quad-order", type=int, default=64)
     return top
 
 
@@ -214,6 +202,21 @@ def cmd_gen(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _read_grid(path: str) -> list[tuple[Fraction, Fraction]]:
+    """Parse a grid file: a JSON list of [alpha, beta] rational-string pairs."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError("expected a JSON list of [alpha, beta] pairs")
+    grid = []
+    for entry in raw:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(v, str) for v in entry)):
+            raise ValueError(f"expected a pair of rational strings, got {entry!r}")
+        grid.append((rational(entry[0]), rational(entry[1])))
+    return grid
+
+
 def run_suite(p: JacobiParams, args) -> list:
     n = args.n
     if n < 3:
@@ -221,7 +224,7 @@ def run_suite(p: JacobiParams, args) -> list:
     if args.corrupt_a is not None:
         if not 0 <= args.corrupt_a < n:
             raise ValueError("--corrupt-a index out of range")
-        a = [verblunsky(p, k) for k in range(n)]
+        a = [verblunsky(p, k) for k in range(n + 1)]
         a[args.corrupt_a] += Fraction(1, 100)
         fam = family_from_verblunsky(a, params=p)
     else:
@@ -249,16 +252,11 @@ def run_suite(p: JacobiParams, args) -> list:
         reports.append(verify_classical_match(fam, (fam.size + 1) // 2))
         reports.append(verify_dep_and_pq_identity(fam, (fam.size + 1) // 2))
     if suite in ("moments", "all"):
-        w = weight_for(p)
-        reports.append(
-            orthogonality_check(
-                fam, w, min(n, 12), quad_order=args.quad_order, tol=args.tol
-            )
-        )
-        if w.exact:
-            m = min(n, 8)
-            reports.append(verify_toeplitz_h(fam, w, m))
-            reports.append(verify_determinantal_match(fam, w, m))
+        w = Weight.jacobi(p.alpha, p.beta)
+        m = min(n, 8)
+        reports.append(orthogonality_check(fam, w, min(n, 12)))
+        reports.append(verify_toeplitz_h(fam, w, m))
+        reports.append(verify_determinantal_match(fam, w, m))
     return reports
 
 
@@ -270,11 +268,9 @@ def cmd_verify(args) -> int:
         print("verify: --corrupt-a index out of range", file=sys.stderr)
         return 2
     if args.grid_file:
-        with open(args.grid_file) as fh:
-            raw = json.load(fh)
         try:
-            grid = [(Fraction(a), Fraction(b)) for a, b in raw]
-        except (ValueError, TypeError) as exc:
+            grid = _read_grid(args.grid_file)
+        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"verify: bad grid file: {exc}", file=sys.stderr)
             return 2
     else:
@@ -308,8 +304,6 @@ def cmd_verify(args) -> int:
                 "suite": args.suite,
                 "n": args.n,
                 "grid": [[str(a), str(b)] for a, b in grid],
-                "quad_order": args.quad_order,
-                "tol": args.tol,
                 "corrupt_a": args.corrupt_a,
             },
             "suite_results": [r.to_dict() for r in reports],
@@ -400,26 +394,23 @@ def cmd_moments(args) -> int:
     if args.n < 0:
         print("moments: --n must be >= 0", file=sys.stderr)
         return 2
-    ms = MomentSeq(weight_for(p), quad_order=args.quad_order)
-    vals = [ms.get(k) for k in range(args.n + 1)]
+    w = Weight.jacobi(p.alpha, p.beta)
+    vals = [sigma(w, k) for k in range(args.n + 1)]
     if args.format == "json":
         doc = {
             "alpha": str(p.alpha),
             "beta": str(p.beta),
-            "weight": ms.weight.kind,
-            "moments": [
-                {"n": k, "value": str(v.value), "provenance": v.provenance}
-                for k, v in enumerate(vals)
-            ],
+            "weight": w.kind,
+            "moments": [{"n": k, "value": str(v)} for k, v in enumerate(vals)],
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
     elif args.format == "csv":
-        rows = [(k, v.value, v.provenance) for k, v in enumerate(vals)]
-        _emit(args, _csv_text(rows, ("n", "sigma", "provenance")))
+        rows = list(enumerate(vals))
+        _emit(args, _csv_text(rows, ("n", "sigma")))
     else:
-        lines = [f"moments alpha={p.alpha} beta={p.beta} weight={ms.weight.kind}"]
+        lines = [f"moments alpha={p.alpha} beta={p.beta} weight={w.kind}"]
         for k, v in enumerate(vals):
-            lines.append(f"sigma_{k} = {v.value}  [{v.provenance}]")
+            lines.append(f"sigma_{k} = {v}")
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

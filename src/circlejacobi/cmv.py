@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadVerblunsky, ConvergenceFailure
 from .laurent import LaurentPoly
-from .opuc import OPUCFamily, verblunsky
+from .opuc import OPUCFamily, family_params, verblunsky
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
@@ -32,7 +32,7 @@ class BandedOperator:
     Products propagate this conservatively.
     """
 
-    __slots__ = ("size", "bandwidth", "valid_rows", "rows", "blocks")
+    __slots__ = ("size", "bandwidth", "valid_rows", "rows")
 
     def __init__(
         self,
@@ -40,13 +40,11 @@ class BandedOperator:
         rows: dict[int, dict[int, Fraction]],
         bandwidth: int,
         valid_rows: int,
-        blocks: tuple[tuple[int, int], ...] = (),
     ):
         self.size = size
         self.rows = rows
         self.bandwidth = bandwidth
         self.valid_rows = valid_rows
-        self.blocks = blocks
 
     # ------------------------------------------------------------- constructors
 
@@ -75,9 +73,6 @@ class BandedOperator:
     def max_band(self) -> int:
         """Largest |i - j| over stored entries (0 for the zero matrix)."""
         return max((abs(i - j) for i, j, _ in self.entries()), default=0)
-
-    def rows_are_zero(self, upto: int) -> bool:
-        return all(not self.rows.get(i) for i in range(upto))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BandedOperator):
@@ -198,7 +193,6 @@ def build_m1(a: Sequence[Fraction], size: int) -> BandedOperator:
         last = size - 1 if size % 2 == 0 else size - 2  # largest odd row index
         _check_coeffs(a, last + 1)
     rows: dict[int, dict[int, Fraction]] = {0: {0: Fraction(1)}}
-    blocks: list[tuple[int, int]] = [(0, 1)]
     r = 1
     cut = False
     while r < size:
@@ -209,14 +203,12 @@ def build_m1(a: Sequence[Fraction], size: int) -> BandedOperator:
         if r + 1 < size:
             rows[r] = {r: blk[0][0], r + 1: blk[0][1]}
             rows[r + 1] = {r: blk[1][0], r + 1: blk[1][1]}
-            blocks.append((r, 2))
         else:
             rows[r] = {r: blk[0][0]}  # cut block: partner column truncated away
-            blocks.append((r, 1))
             cut = True
         r += 2
     valid = size - 1 if cut else size
-    return BandedOperator(size, rows, 1, valid, tuple(blocks))
+    return BandedOperator(size, rows, 1, valid)
 
 
 def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
@@ -227,7 +219,6 @@ def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
     last = size - 2 if size % 2 == 0 else size - 1  # largest even row index
     _check_coeffs(a, last + 1)
     rows: dict[int, dict[int, Fraction]] = {}
-    blocks: list[tuple[int, int]] = []
     r = 0
     cut = False
     while r < size:
@@ -238,14 +229,12 @@ def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
         if r + 1 < size:
             rows[r] = {r: blk[0][0], r + 1: blk[0][1]}
             rows[r + 1] = {r: blk[1][0], r + 1: blk[1][1]}
-            blocks.append((r, 2))
         else:
             rows[r] = {r: blk[0][0]}
-            blocks.append((r, 1))
             cut = True
         r += 2
     valid = size - 1 if cut else size
-    return BandedOperator(size, rows, 1, valid, tuple(blocks))
+    return BandedOperator(size, rows, 1, valid)
 
 
 def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
@@ -255,10 +244,6 @@ def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
         raise AssertionError("CMV product escaped the pentadiagonal band")
     c.bandwidth = 2
     return c
-
-
-def _residual_text(poly: LaurentPoly) -> str:
-    return poly.text()
 
 
 def _reference_a(fam: OPUCFamily, count: int) -> list[Fraction]:
@@ -283,19 +268,19 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     rep = VerificationReport(
         identity="reflection-rows",
         relation="psi(1/z) = M1 psi(z) ; z psi(1/z) = M2 psi(z)",
-        params=_fam_params(fam, size=size),
+        params=family_params(fam, size=size),
     )
     for n in range(size):
         if n < m1.valid_rows:
             lhs = fam.psi[n].reflect()
             res = lhs - m1.apply_row(n, fam.psi)
-            rep.add(f"M1 row {n}", res.is_zero, "" if res.is_zero else _residual_text(res))
+            rep.add(f"M1 row {n}", res.is_zero, "" if res.is_zero else res.text())
         else:
             rep.skip(f"M1 row {n} (cut block)")
         if n < m2.valid_rows:
             lhs = fam.psi[n].reflect().shift(1)
             res = lhs - m2.apply_row(n, fam.psi)
-            rep.add(f"M2 row {n}", res.is_zero, "" if res.is_zero else _residual_text(res))
+            rep.add(f"M2 row {n}", res.is_zero, "" if res.is_zero else res.text())
         else:
             rep.skip(f"M2 row {n} (cut block)")
     return rep
@@ -314,18 +299,18 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     rep = VerificationReport(
         identity="cmv-rows",
         relation="M2 psi = z M1 psi ; (M1 M2) psi = z psi",
-        params=_fam_params(fam, size=size),
+        params=family_params(fam, size=size),
     )
     pencil_rows = min(m1.valid_rows, m2.valid_rows)
     for n in range(size):
         if n < pencil_rows:
             res = m2.apply_row(n, fam.psi) - m1.apply_row(n, fam.psi).shift(1)
-            rep.add(f"pencil row {n}", res.is_zero, "" if res.is_zero else _residual_text(res))
+            rep.add(f"pencil row {n}", res.is_zero, "" if res.is_zero else res.text())
         else:
             rep.skip(f"pencil row {n} (boundary)")
         if n < c.valid_rows:
             res = c.apply_row(n, fam.psi) - fam.psi[n].shift(1)
-            rep.add(f"C row {n}", res.is_zero, "" if res.is_zero else _residual_text(res))
+            rep.add(f"C row {n}", res.is_zero, "" if res.is_zero else res.text())
         else:
             rep.skip(f"C row {n} (boundary)")
     return rep
@@ -342,12 +327,3 @@ def truncated_spectrum(op: BandedOperator) -> list[complex]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise ConvergenceFailure(str(exc)) from exc
     return sorted(vals.tolist(), key=lambda v: (np.angle(v), abs(v)))
-
-
-def _fam_params(fam: OPUCFamily, **extra) -> dict:
-    d: dict = {}
-    if fam.params is not None:
-        d["alpha"] = fam.params.alpha
-        d["beta"] = fam.params.beta
-    d.update(extra)
-    return d

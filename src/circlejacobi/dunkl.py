@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly, ONE_MINUS_Z2
-from .opuc import JacobiParams, OPUCFamily
+from .moments import MomentSeq, Weight, inner_product
+from .opuc import JacobiParams, OPUCFamily, family_params
 from .report import VerificationReport
 
 _ONE_MINUS_Z = LaurentPoly({0: 1, 1: -1})
@@ -64,7 +65,7 @@ def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
     rep = VerificationReport(
         identity="bispectral-eigen",
         relation="K psi_n = lambda_n psi_n",
-        params={"alpha": p.alpha, "beta": p.beta, "n_max": fam.size},
+        params=family_params(fam, n_max=fam.size),
     )
     for n in range(fam.size + 1):
         res = apply_k(fam.psi[n], p) - fam.psi[n] * lambda_n(p, n)
@@ -72,16 +73,8 @@ def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
-def selfadjoint_residual(
-    f: LaurentPoly, g: LaurentPoly, p: JacobiParams, quad_order: int = 64
-) -> float:
-    """|<K f, g>_w - <f, K g>_w| in the weighted inner product
-    <u, v>_w = int u(e^it) v(e^-it) w(t) dt / int w(t) dt (numeric)."""
-    from .moments import MomentSeq, Weight, inner_product
-
-    if quad_order < 64:
-        raise ValueError("quad_order must be >= 64")
-    ms = MomentSeq(Weight.jacobi(p.alpha, p.beta), quad_order=quad_order)
-    kf = apply_k(f, p)
-    kg = apply_k(g, p)
-    return abs(float(inner_product(kf, g, ms)) - float(inner_product(f, kg, ms)))
+def selfadjoint_residual(f: LaurentPoly, g: LaurentPoly, p: JacobiParams) -> Fraction:
+    """<K f, g>_w - <f, K g>_w in the weighted inner product
+    <u, v>_w = int u(e^it) v(e^-it) w(t) dt / int w(t) dt, exact."""
+    ms = MomentSeq(Weight.jacobi(p.alpha, p.beta))
+    return inner_product(apply_k(f, p), g, ms) - inner_product(f, apply_k(g, p), ms)

@@ -43,9 +43,5 @@ class NonPositive(CircleJacobiError):
     genuine probability measure."""
 
 
-class QuadratureUnconverged(CircleJacobiError):
-    """Two successive quadrature orders disagree beyond tolerance."""
-
-
 class ConvergenceFailure(CircleJacobiError):
     """The dense eigenvalue routine did not converge."""

@@ -1,45 +1,37 @@
 """Trigonometric moments, Toeplitz determinants, and orthogonality checks.
 
-Moments are exact rationals whenever the weight permits (Lebesgue and
-the single-moment family); the general Jacobi weight goes through
-numerical quadrature.  The substitution x = cos t turns the n-th
-trigonometric moment into int T_n(x) (1-x)^alpha (1+x)^beta dx, which
-Gauss-Jacobi quadrature integrates exactly (to roundoff) once the rule
-degree covers n, for every alpha, beta > -1.  A periodic trapezoidal
-rule is kept alongside as an independent cross-check; it is only
-spectrally accurate when the circle weight is smooth, which fractional
-exponents break at t = 0 and t = pi, so Gauss-Jacobi is the default.
+Every moment is an exact rational.  The substitution x = cos t turns the
+n-th trigonometric moment of the Jacobi circle weight
+(1 - cos t)^(alpha+1/2) (1 + cos t)^(beta+1/2) into
+
+    sigma_n = int T_n(x) (1-x)^alpha (1+x)^beta dx / int (1-x)^alpha (1+x)^beta dx.
+
+With x = 1 - 2u, T_n(1 - 2u) = 2F1(-n, n; 1/2; u), and u follows the
+Beta(alpha+1, beta+1) law, whose k-th moment is the Beta-integral ratio
+(alpha+1)_k / (alpha+beta+2)_k.  Integrating the terminating series term
+by term gives
+
+    sigma_n = 3F2(-n, n, alpha+1; 1/2, alpha+beta+2; 1)
+
+(Andrews, Askey and Roy, *Special Functions*, ch. 2-3), a finite sum of
+rationals for every rational alpha, beta > -1.  The Lebesgue and
+single-moment weights keep their closed forms, which serve as independent
+oracles for the sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
-import numpy as np
-from scipy.special import roots_jacobi
-
-from .errors import (
-    NonPositive,
-    ParamOutOfRange,
-    QuadratureUnconverged,
-    SingularDelta,
-)
+from .errors import NonPositive, ParamOutOfRange, SingularDelta
 from .laurent import LaurentPoly
-from .opuc import OPUCFamily
+from .opuc import OPUCFamily, family_params
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-Provenance = Literal["exact", "quadrature"]
-
-
-@dataclass(frozen=True)
-class MomentValue:
-    value: Fraction | float
-    provenance: Provenance
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -69,69 +61,28 @@ class Weight:
     def lebesgue(cls) -> "Weight":
         return cls("lebesgue")
 
-    @property
-    def exact(self) -> bool:
-        return self.kind != "jacobi"
 
-    def density(self, theta: np.ndarray) -> np.ndarray:
-        """Unnormalized density as a function of the angle (float)."""
-        if self.kind == "lebesgue":
-            return np.ones_like(theta)
-        if self.kind == "single_moment":
-            return 1.0 - float(self.xi) * np.cos(theta)
-        a = float(self.alpha) + 0.5
-        b = float(self.beta) + 0.5
-        return (1.0 - np.cos(theta)) ** a * (1.0 + np.cos(theta)) ** b
-
-
-def _chebyshev_t(n: int, x: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.ones_like(x)
-    prev, cur = np.ones_like(x), x.copy()
-    for _ in range(n - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
-def gauss_jacobi_moment(alpha: Fraction, beta: Fraction, n: int, order: int) -> float:
-    """sigma_n of the normalized Jacobi circle weight via x = cos t."""
-    nodes, weights = roots_jacobi(order, float(alpha), float(beta))
-    num = float(np.dot(weights, _chebyshev_t(abs(n), nodes)))
-    den = float(np.sum(weights))
-    return num / den
-
-
-def trapezoid_moment(w: Weight, n: int, order: int) -> float:
-    """Periodic trapezoidal rule for sigma_n; cross-check utility."""
-    theta = 2.0 * np.pi * np.arange(order) / order
-    dens = w.density(theta)
-    return float(np.dot(np.cos(n * theta), dens) / np.sum(dens))
-
-
-_AGREEMENT = 1e-12
-
-
-def sigma(w: Weight, n: int, quad_order: int = 64) -> MomentValue:
+def sigma(w: Weight, n: int) -> Fraction:
     """The n-th trigonometric moment, normalized so sigma_0 = 1.
 
     Real symmetric weights give sigma_{-n} = sigma_n, which is baked in.
     """
     k = abs(n)
     if k == 0:
-        return MomentValue(_ONE, "exact")  # sigma_0 = 1 by normalization
+        return _ONE  # sigma_0 = 1 by normalization
     if w.kind == "lebesgue":
-        return MomentValue(_ZERO, "exact")
+        return _ZERO
     if w.kind == "single_moment":
-        return MomentValue(-w.xi / 2 if k == 1 else _ZERO, "exact")
-    # Jacobi weight: Gauss-Jacobi with an order-doubling agreement check.
-    order = max(quad_order, k // 2 + 2)
-    lo = gauss_jacobi_moment(w.alpha, w.beta, k, order)
-    hi = gauss_jacobi_moment(w.alpha, w.beta, k, 2 * order)
-    if abs(lo - hi) > _AGREEMENT * max(1.0, abs(hi)):
-        raise QuadratureUnconverged(
-            f"sigma_{n} at orders {order}/{2 * order}: {lo} vs {hi}"
-        )
-    return MomentValue(hi, "quadrature")
+        return -w.xi / 2 if k == 1 else _ZERO
+    # 3F2(-k, k, alpha+1; 1/2, alpha+beta+2; 1) as a running term ratio;
+    # the factor (j - k) ends the series after j = k - 1.
+    a1 = w.alpha + 1
+    b2 = w.alpha + w.beta + 2
+    term = total = _ONE
+    for j in range(k):
+        term *= (j - k) * (j + k) * (j + a1) / ((j + _HALF) * (j + 1) * (j + b2))
+        total += term
+    return total
 
 
 class MomentSeq:
@@ -141,22 +92,15 @@ class MomentSeq:
     verifications is safe.
     """
 
-    def __init__(self, weight: Weight, quad_order: int = 64):
+    def __init__(self, weight: Weight):
         self.weight = weight
-        self.quad_order = quad_order
-        self._cache: dict[int, MomentValue] = {}
+        self._cache: dict[int, Fraction] = {}
 
-    def get(self, n: int) -> MomentValue:
+    def value(self, n: int) -> Fraction:
         k = abs(n)
         if k not in self._cache:
-            self._cache[k] = sigma(self.weight, k, self.quad_order)
+            self._cache[k] = sigma(self.weight, k)
         return self._cache[k]
-
-    def value(self, n: int) -> Fraction | float:
-        return self.get(n).value
-
-    def all_exact(self, upto: int) -> bool:
-        return all(self.get(n).provenance == "exact" for n in range(upto + 1))
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -180,7 +124,7 @@ def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction | float:
+def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction:
     """Delta_n = det[sigma_{k-j}]_{j,k=0..n-1}, with Delta_0 = 1.
 
     Raises NonPositive when the determinant fails the positivity every
@@ -190,19 +134,8 @@ def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction | float:
         raise ValueError("order must be >= 0")
     if n == 0:
         return _ONE
-    vals = [ms.value(k) for k in range(-(n - 1), n)]
-    exact = all(isinstance(v, Fraction) for v in vals)
-    if exact:
-        rows = [[ms.value(k - j) for k in range(n)] for j in range(n)]
-        det: Fraction | float = _det_fraction(rows)
-        if det <= 0:
-            raise NonPositive(f"Delta_{n} = {det} <= 0")
-        return det
-    arr = np.array(
-        [[float(ms.value(k - j)) for k in range(n)] for j in range(n)], dtype=float
-    )
-    det = float(np.linalg.det(arr))
-    if det <= 1e-15:
+    det = _det_fraction([[ms.value(k - j) for k in range(n)] for j in range(n)])
+    if det <= 0:
         raise NonPositive(f"Delta_{n} = {det} <= 0")
     return det
 
@@ -212,12 +145,10 @@ def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
 
     The bordered matrix stacks rows [sigma_{k-j}]_{k=0..n} for
     j = 0..n-1 on top of the monomial row (1, z, ..., z^n); expansion
-    runs along that last row.  Exact moments are required.
+    runs along that last row.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    if not ms.all_exact(n):
-        raise ValueError("determinantal construction requires exact moments")
     if n == 0:
         return LaurentPoly.one()
     delta = toeplitz_delta(ms, n)
@@ -234,74 +165,41 @@ def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction | float:
-    """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1.
-
-    Exact (Fraction) whenever every referenced moment is exact.
-    """
-    needed: set[int] = set()
-    terms: list[tuple[int, Fraction]] = []
+def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction:
+    """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1, exact."""
+    tot = _ZERO
     for j, cf in f.items():
         for k, cg in g.items():
-            needed.add(abs(j - k))
-            terms.append((j - k, cf * cg))
-    exact = all(ms.get(d).provenance == "exact" for d in needed)
-    if exact:
-        tot = _ZERO
-        for d, c in terms:
-            tot += c * ms.value(d)
-        return tot
-    tot_f = 0.0
-    for d, c in terms:
-        tot_f += float(c) * float(ms.value(d))
-    return tot_f
+            tot += cf * cg * ms.value(j - k)
+    return tot
 
 
-def orthogonality_check(
-    fam: OPUCFamily,
-    w: Weight,
-    n_max: int,
-    quad_order: int = 64,
-    tol: float = 1e-10,
-) -> VerificationReport:
-    """<phi_n, phi_m>_w = h_n delta_{nm} for all m <= n <= n_max.
-
-    Exact weights yield zero-residual checks; quadrature weights are
-    held to |residual| < tol off the diagonal and relative tol on it.
-    """
+def orthogonality_check(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationReport:
+    """<phi_n, phi_m>_w = h_n delta_{nm} for all m <= n <= n_max, exactly."""
     if n_max > fam.size:
         raise ValueError("family too short for requested range")
-    ms = MomentSeq(w, quad_order=quad_order)
+    ms = MomentSeq(w)
     rep = VerificationReport(
         identity="orthogonality",
         relation="<phi_n, phi_m>_w = h_n delta_nm",
-        params={"weight": w.kind, "n_max": n_max, "tol": tol},
+        params=family_params(fam, weight=w.kind, n_max=n_max),
     )
     for n in range(n_max + 1):
         for m in range(n + 1):
             v = inner_product(fam.phi[n], fam.phi[m], ms)
-            if isinstance(v, Fraction):
-                target = fam.h[n] if m == n else _ZERO
-                ok = v == target
-                detail = "" if ok else f"<{n},{m}> = {v}, expected {target}"
-            elif m == n:
-                err = abs(v - float(fam.h[n])) / float(fam.h[n])
-                ok = err < tol
-                detail = "" if ok else f"diagonal n={n} relative error {err:.3e}"
-            else:
-                ok = abs(v) < tol
-                detail = "" if ok else f"<{n},{m}> = {v:.3e}"
-            rep.add(f"n={n},m={m}", ok, detail)
+            target = fam.h[n] if m == n else _ZERO
+            ok = v == target
+            rep.add(f"n={n},m={m}", ok, "" if ok else f"<{n},{m}> = {v}, expected {target}")
     return rep
 
 
 def verify_toeplitz_h(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationReport:
-    """Delta_{n+1}/Delta_n = h_n, exact; requires an exact weight."""
+    """Delta_{n+1}/Delta_n = h_n, exact."""
     ms = MomentSeq(w)
     rep = VerificationReport(
         identity="toeplitz-h",
         relation="Delta_{n+1} / Delta_n = h_n = prod_{k<n} (1 - a_k^2)",
-        params={"weight": w.kind, "n_max": n_max},
+        params=family_params(fam, weight=w.kind, n_max=n_max),
     )
     deltas = [toeplitz_delta(ms, n) for n in range(n_max + 2)]
     for n in range(n_max + 1):
@@ -319,7 +217,7 @@ def verify_determinantal_match(
     rep = VerificationReport(
         identity="determinantal-match",
         relation="bordered-Toeplitz phi_n = recurrence phi_n",
-        params={"weight": w.kind, "n_max": n_max},
+        params=family_params(fam, weight=w.kind, n_max=n_max),
     )
     for n in range(n_max + 1):
         res = determinantal_phi(ms, n) - fam.phi[n]

@@ -100,11 +100,6 @@ def chi_basis(n: int) -> LaurentPoly:
     return LaurentPoly.monomial(-(n // 2))
 
 
-def chi_star(n: int) -> LaurentPoly:
-    """chi_n(1/z)."""
-    return chi_basis(n).reflect()
-
-
 def chi_index(exponent: int) -> int:
     """Position of the monomial z^exponent in the chi ordering."""
     return 2 * exponent - 1 if exponent >= 1 else -2 * exponent
@@ -137,6 +132,16 @@ class OPUCFamily:
     def size(self) -> int:
         """Largest index N available for phi/psi."""
         return len(self.phi) - 1
+
+
+def family_params(fam: OPUCFamily, **extra) -> dict:
+    """Report params: the family's (alpha, beta), when it carries them, then extra."""
+    d: dict = {}
+    if fam.params is not None:
+        d["alpha"] = fam.params.alpha
+        d["beta"] = fam.params.beta
+    d.update(extra)
+    return d
 
 
 def _psi_from_phi(phi: LaurentPoly, n: int) -> LaurentPoly:

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import ParamOutOfRange
 from .laurent import LaurentPoly, Z_MINUS_ZINV, Z_PLUS_ZINV
-from .opuc import BOUNDARY_A, OPUCFamily
+from .opuc import BOUNDARY_A, OPUCFamily, family_params
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
@@ -252,15 +252,6 @@ def build_szego_pair(fam: OPUCFamily) -> SzegoPair:
 # --------------------------------------------------------------------------
 
 
-def _params_of(fam: OPUCFamily, **extra) -> dict:
-    d: dict = {}
-    if fam.params is not None:
-        d["alpha"] = fam.params.alpha
-        d["beta"] = fam.params.beta
-    d.update(extra)
-    return d
-
-
 def _x_times(f: LaurentPoly) -> LaurentPoly:
     return f.shift(1) + f.shift(-1)
 
@@ -270,7 +261,7 @@ def verify_three_term(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
     rep = VerificationReport(
         identity="three-term",
         relation="P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n (and Q with b~, u~)",
-        params=_params_of(fam),
+        params=family_params(fam),
     )
     coeff_top = len(pair.b) - 1
     for n in range(min(pair.p_top - 1, coeff_top) + 1):
@@ -315,7 +306,7 @@ def verify_recurrence_closure(fam: OPUCFamily, pair: SzegoPair) -> VerificationR
     rep = VerificationReport(
         identity="recurrence-closure",
         relation="fitted (b_n, u_n) and (b~_n, u~_n) = closed forms in a_k",
-        params=_params_of(fam),
+        params=family_params(fam),
     )
     coeff_top = len(pair.b) - 1
     bp, up, clean_p = fit_recurrence(pair.p)
@@ -344,7 +335,7 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
     rep = VerificationReport(
         identity="szego-transforms",
         relation="Christoffel / Geronimus / psi reconstruction / PQ extraction",
-        params=_params_of(fam),
+        params=family_params(fam),
     )
     z2 = Z_MINUS_ZINV * Z_MINUS_ZINV
     p, q, psi = pair.p, pair.q, fam.psi
@@ -444,7 +435,7 @@ def verify_classical_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
     rep = VerificationReport(
         identity="classical-match",
         relation="P_n = monic Jacobi(alpha, beta), Q_n = monic Jacobi(alpha+1, beta+1) on [-2, 2]",
-        params=_params_of(fam, n_max=n_max),
+        params=family_params(fam, n_max=n_max),
     )
     p_top = min(n_max, (fam.size + 1) // 2)
     for n in range(p_top + 1):
@@ -474,7 +465,7 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
     rep = VerificationReport(
         identity="hypergeometric-ode",
         relation="second-order ODE for P_n ; theta P_n = n (z - 1/z) Q_{n-1}",
-        params=_params_of(fam, n_max=n_max),
+        params=family_params(fam, n_max=n_max),
     )
     z2m1 = LaurentPoly({2: 1, 0: -1})
     drift = LaurentPoly({3: al + be + 2, 2: 2 * (al - be), 1: al + be})

@@ -170,15 +170,10 @@ def test_criterion_7_single_moment_closed_forms(family):
 
 
 def test_criterion_8_numeric_orthogonality(family):
-    with criterion(8, "orthogonality to 1e-10, n, m <= 12", 30.0) as c:
+    with criterion(8, "exact orthogonality, n, m <= 12", 30.0) as c:
         for alpha, beta in GRID:
-            if (alpha, beta) == (F(1, 2), F(-1, 2)):
-                w = Weight.single_moment(1)
-            elif (alpha, beta) == (F(-1, 2), F(-1, 2)):
-                w = Weight.lebesgue()
-            else:
-                w = Weight.jacobi(alpha, beta)
-            rep = orthogonality_check(family(alpha, beta, 12), w, 12, tol=1e-10)
+            w = Weight.jacobi(alpha, beta)
+            rep = orthogonality_check(family(alpha, beta, 12), w, 12)
             c.absorb(rep)
             c.check(
                 len(rep.checks) == 91,
@@ -193,10 +188,13 @@ def test_criterion_9_negative_control():
             a = [verblunsky(p, k) for k in range(12)]
             a[idx] += F(1, 100)
             fam = family_from_verblunsky(a, params=p)
+            w = Weight.jacobi(p.alpha, p.beta)
             for rep in (
                 verify_bispectral(fam),
                 verify_reflection_rows(fam),
                 verify_gevp_and_five_term(fam),
+                orthogonality_check(fam, w, fam.size),
+                verify_toeplitz_h(fam, w, 8),
             ):
                 c.check(
                     not rep.ok,

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from circlejacobi.cli import main, rational, weight_for
-from circlejacobi.opuc import JacobiParams
+from circlejacobi.cli import main, rational
 
 
 def run(capsys, *argv):
@@ -54,10 +53,18 @@ class TestArgumentParsing:
             main(["verify", "--alpha", "0", "--beta", "0", "--suite", "nope"])
         assert exc.value.code == 2
 
-    def test_weight_for_dispatch(self):
-        assert weight_for(JacobiParams(Fraction(1, 2), Fraction(-1, 2))).exact
-        assert weight_for(JacobiParams(Fraction(-1, 2), Fraction(-1, 2))).kind == "lebesgue"
-        assert weight_for(JacobiParams(1, 2)).kind == "jacobi"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--quad-order", "32"],
+            ["verify", "--tol", "1e-3"],
+            ["moments", "--quad-order", "32"],
+        ],
+    )
+    def test_quadrature_options_are_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--alpha", "0", "--beta", "0"])
+        assert exc.value.code == 2
 
 
 class TestGen:
@@ -187,6 +194,71 @@ class TestVerify:
         )
         assert code == 2 and "bad grid file" in err
 
+    def _grid_error(self, capsys, path):
+        code, out, err = run(capsys, "verify", "--grid-file", str(path), "--n", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("verify: bad grid file: ")
+        return err
+
+    def test_grid_file_rejects_decimals_and_numbers(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([["0.1", "0"]]))
+        assert "0.1" in self._grid_error(capsys, grid)
+        grid.write_text(json.dumps([["0", "0"], [0.5, 1]]))
+        assert "0.5" in self._grid_error(capsys, grid)
+        grid.write_text(json.dumps([["0", "0", "1"]]))
+        self._grid_error(capsys, grid)
+
+    def test_grid_file_must_be_a_list(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"alpha": "0", "beta": "0"}))
+        self._grid_error(capsys, grid)
+
+    def test_grid_file_missing(self, capsys, tmp_path):
+        self._grid_error(capsys, tmp_path / "absent.json")
+
+    def test_grid_file_not_json(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text("[[\"0\", \"0\"]")
+        self._grid_error(capsys, grid)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            ("1/2", "-1/2"), ("-1/2", "-1/2"), ("0", "0"), ("1", "2"),
+            ("3/2", "1/2"), ("-1/2", "3/2"),
+            ("-1/7", "-2/5"), ("11/7", "-2/5"), ("3/7", "-4/5"),
+        ],
+    )
+    def test_moments_suite_exact_at_every_point(self, capsys, alpha, beta):
+        code, out, _ = run(
+            capsys, "verify", "--alpha", alpha, "--beta", beta, "--n", "16",
+            "--suite", "moments", "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["summary"]["status"] == "pass"
+        assert [r["identity"] for r in doc["suite_results"]] == [
+            "orthogonality", "toeplitz-h", "determinantal-match",
+        ]
+        for r in doc["suite_results"]:
+            assert r["params"]["alpha"] == alpha and r["params"]["beta"] == beta
+            assert r["status"] == "pass"
+
+    def test_corrupted_family_fails_moments(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--alpha", "1", "--beta", "2", "--n", "8",
+            "--suite", "moments", "--corrupt-a", "1", "--format", "json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["summary"]["status"] == "fail"
+        reports = {r["identity"]: r for r in doc["suite_results"]}
+        for identity in ("orthogonality", "toeplitz-h"):
+            assert reports[identity]["status"] == "fail"
+            assert reports[identity]["failures"]
+            assert all(f["detail"] for f in reports[identity]["failures"])
+
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "5")
         assert code == 2 and "required" in err
@@ -294,23 +366,34 @@ class TestMoments:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["weight"] == "single_moment"
-        assert [m["value"] for m in doc["moments"]] == ["1", "-1/2", "0", "0"]
-        assert all(m["provenance"] == "exact" for m in doc["moments"])
+        assert doc["weight"] == "jacobi"
+        assert doc["moments"] == [
+            {"n": 0, "value": "1"},
+            {"n": 1, "value": "-1/2"},
+            {"n": 2, "value": "0"},
+            {"n": 3, "value": "0"},
+        ]
 
-    def test_quadrature_weight(self, capsys):
+    def test_jacobi_weight_is_exact(self, capsys):
         code, out, _ = run(
             capsys, "moments", "--alpha", "1", "--beta", "2", "--n", "2",
             "--format", "json",
         )
+        assert code == 0
         doc = json.loads(out)
-        assert doc["weight"] == "jacobi"
-        assert all(m["provenance"] == "quadrature" for m in doc["moments"][1:])
-        assert float(doc["moments"][1]["value"]) == pytest.approx(0.2, abs=1e-12)
+        assert [m["value"] for m in doc["moments"]] == ["1", "1/5", "-3/5"]
 
-    def test_text_lists_provenance(self, capsys):
+    def test_text_and_csv_list_values(self, capsys):
         code, out, _ = run(capsys, "moments", "--alpha", "-1/2", "--beta", "-1/2")
-        assert code == 0 and "[exact]" in out
+        assert code == 0
+        assert out.splitlines()[1:3] == ["sigma_0 = 1", "sigma_1 = 0"]
+        code, out, _ = run(
+            capsys, "moments", "--alpha", "1", "--beta", "2", "--n", "1",
+            "--format", "csv",
+        )
+        assert list(csv.reader(io.StringIO(out))) == [
+            ["n", "sigma"], ["0", "1"], ["1", "1/5"],
+        ]
 
 
 class TestEntryPoint:
@@ -322,6 +405,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["a"] == ["-1/2", "-1/3", "-1/4", "-1/5"]
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import circlejacobi.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
 
     def test_module_invocation_failure_code(self):
         proc = subprocess.run(

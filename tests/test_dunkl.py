@@ -141,11 +141,7 @@ class TestSelfAdjointness:
     def test_residual_small_on_weighted_circle(self):
         f = LaurentPoly({2: 1, 0: F(1, 3)})
         g = LaurentPoly({-1: 1, 1: F(1, 2)})
-        for alpha, beta in ((F(1, 2), F(-1, 2)), (F(0), F(0)), (F(1), F(2))):
-            assert selfadjoint_residual(f, g, JacobiParams(alpha, beta)) < 1e-10
-
-    def test_minimum_order_enforced(self):
-        with pytest.raises(ValueError):
-            selfadjoint_residual(
-                LaurentPoly.one(), LaurentPoly.one(), P_SM, quad_order=32
-            )
+        points = ((F(1, 2), F(-1, 2)), (F(0), F(0)), (F(1), F(2)), (F(3, 7), F(-2, 5)))
+        for alpha, beta in points:
+            res = selfadjoint_residual(f, g, JacobiParams(alpha, beta))
+            assert isinstance(res, Fraction) and res == 0

@@ -3,33 +3,71 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlejacobi.errors import NonPositive, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.moments import (
     MomentSeq,
-    MomentValue,
     Weight,
     determinantal_phi,
-    gauss_jacobi_moment,
     inner_product,
     orthogonality_check,
     sigma,
     toeplitz_delta,
-    trapezoid_moment,
     verify_determinantal_match,
     verify_toeplitz_h,
 )
+from circlejacobi.opuc import JacobiParams, build_family
 
 F = Fraction
 
 
+def _poly_mul(p: list, q: list) -> list:
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _integral(p: list) -> Fraction:
+    """int_{-1}^{1} sum_k p[k] x^k dx, exactly."""
+    return sum((F(2, k + 1) * c for k, c in enumerate(p) if k % 2 == 0), F(0))
+
+
+def _chebyshev_t(n: int) -> list:
+    prev, cur = [F(1)], [F(0), F(1)]
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        nxt = _poly_mul([F(0), F(2)], cur)
+        for k, c in enumerate(prev):
+            nxt[k] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _integer_jacobi_moment(alpha: int, beta: int, n: int) -> Fraction:
+    """int T_n(x) (1-x)^alpha (1+x)^beta dx / int (1-x)^alpha (1+x)^beta dx,
+    by exact polynomial integration."""
+    w = [F(1)]
+    for _ in range(alpha):
+        w = _poly_mul(w, [F(1), F(-1)])
+    for _ in range(beta):
+        w = _poly_mul(w, [F(1), F(1)])
+    return _integral(_poly_mul(_chebyshev_t(n), w)) / _integral(w)
+
+
 class TestWeight:
     def test_constructors_and_exactness(self):
-        assert Weight.lebesgue().exact
-        assert Weight.single_moment().exact
+        assert Weight.lebesgue().kind == "lebesgue"
+        assert Weight.single_moment().xi == 1
         assert Weight.single_moment("1/2").xi == F(1, 2)
-        assert not Weight.jacobi(1, 2).exact
+        w = Weight.jacobi(1, 2)
+        assert (w.kind, w.alpha, w.beta) == ("jacobi", 1, 2)
+        assert all(isinstance(sigma(w, n), Fraction) for n in range(6))
 
     def test_domain_guards(self):
         with pytest.raises(ParamOutOfRange):
@@ -43,53 +81,57 @@ class TestWeight:
 class TestSigma:
     def test_lebesgue(self):
         w = Weight.lebesgue()
-        assert sigma(w, 0) == MomentValue(F(1), "exact")
-        assert sigma(w, 5).value == 0
-        assert sigma(w, -3).value == 0
+        assert sigma(w, 0) == 1
+        assert sigma(w, 5) == 0
+        assert sigma(w, -3) == 0
 
     def test_single_moment_frozen(self):
         w = Weight.single_moment(1)
-        assert sigma(w, 0).value == 1
-        assert sigma(w, 1).value == F(-1, 2)
-        assert sigma(w, -1).value == F(-1, 2)
-        assert sigma(w, 2).value == 0
-        assert sigma(Weight.single_moment(F(1, 2)), 1).value == F(-1, 4)
+        assert sigma(w, 0) == 1
+        assert sigma(w, 1) == F(-1, 2)
+        assert sigma(w, -1) == F(-1, 2)
+        assert sigma(w, 2) == 0
+        assert sigma(Weight.single_moment(F(1, 2)), 1) == F(-1, 4)
 
     def test_jacobi_agrees_with_exact_twin(self):
-        # (1/2, -1/2) is the xi = 1 single-moment weight in disguise
-        v = sigma(Weight.jacobi(F(1, 2), F(-1, 2)), 1)
-        assert v.provenance == "quadrature"
-        assert abs(v.value - (-0.5)) < 1e-12
-        assert abs(sigma(Weight.jacobi(F(1, 2), F(-1, 2)), 2).value) < 1e-12
+        # (1/2, -1/2) is the xi = 1 single-moment weight in disguise, and
+        # (-1/2, -1/2) is the Lebesgue weight
+        for n in range(-12, 13):
+            assert sigma(Weight.jacobi(F(1, 2), F(-1, 2)), n) == sigma(
+                Weight.single_moment(1), n
+            )
+            assert sigma(Weight.jacobi(F(-1, 2), F(-1, 2)), n) == sigma(
+                Weight.lebesgue(), n
+            )
 
     def test_jacobi_first_moment_frozen(self):
         # sigma_1 equals the first recurrence coefficient of the family
-        assert abs(sigma(Weight.jacobi(1, 2), 1).value - 0.2) < 1e-12
+        assert sigma(Weight.jacobi(1, 2), 1) == F(1, 5)
 
     def test_sigma_zero_is_exact_for_every_weight(self):
         # the normalization makes sigma_0 = 1 by construction
-        v = sigma(Weight.jacobi(1, 2), 0)
-        assert v == MomentValue(F(1), "exact")
+        for w in (Weight.jacobi(1, 2), Weight.single_moment(F(1, 3)), Weight.lebesgue()):
+            v = sigma(w, 0)
+            assert isinstance(v, Fraction) and v == 1
 
-    def test_trapezoid_cross_check(self):
-        got = trapezoid_moment(Weight.jacobi(1, 2), 1, 4096)
-        want = gauss_jacobi_moment(F(1), F(2), 1, 64)
-        assert abs(got - want) < 1e-8
+    @pytest.mark.parametrize("alpha, beta", [(0, 0), (1, 2), (2, 0)])
+    def test_integer_points_match_polynomial_integration(self, alpha, beta):
+        w = Weight.jacobi(alpha, beta)
+        for n in range(11):
+            assert sigma(w, n) == _integer_jacobi_moment(alpha, beta, n)
 
-    def test_trapezoid_exact_for_smooth_density(self):
-        w = Weight.single_moment(1)  # density 1 - cos is a trig polynomial
-        assert abs(trapezoid_moment(w, 1, 64) - (-0.5)) < 1e-14
+    def test_symmetric_weight_has_vanishing_odd_moments(self):
+        # alpha = beta makes the weight even in x = cos t, and T_n is odd
+        for a in (F(-3, 4), F(0), F(2, 7), F(5, 2)):
+            w = Weight.jacobi(a, a)
+            assert all(sigma(w, n) == 0 for n in range(1, 14, 2))
 
 
 class TestMomentSeq:
     def test_caches_and_symmetrizes(self):
-        ms = MomentSeq(Weight.single_moment(1))
-        assert ms.get(3) is ms.get(-3)
-        assert ms.value(1) == F(-1, 2)
-
-    def test_all_exact(self):
-        assert MomentSeq(Weight.lebesgue()).all_exact(10)
-        assert not MomentSeq(Weight.jacobi(0, 0)).all_exact(2)
+        ms = MomentSeq(Weight.jacobi(F(3, 7), F(-2, 5)))
+        assert ms.value(3) is ms.value(-3)
+        assert MomentSeq(Weight.single_moment(1)).value(1) == F(-1, 2)
 
 
 class TestToeplitz:
@@ -105,9 +147,11 @@ class TestToeplitz:
         ms = MomentSeq(Weight.lebesgue())
         assert toeplitz_delta(ms, 6) == 1
 
-    def test_jacobi_goes_float(self):
+    def test_jacobi_is_exact(self, family):
         d = toeplitz_delta(MomentSeq(Weight.jacobi(1, 2)), 3)
-        assert isinstance(d, float) and d > 0
+        assert isinstance(d, Fraction) and d > 0
+        h = family(F(1), F(2), 3).h
+        assert d == h[0] * h[1] * h[2]
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
@@ -115,7 +159,7 @@ class TestToeplitz:
 
     def test_positivity_guard(self):
         ms = MomentSeq(Weight.lebesgue())
-        ms._cache[1] = MomentValue(F(2), "exact")  # |sigma_1| > sigma_0
+        ms._cache[1] = F(2)  # |sigma_1| > sigma_0
         with pytest.raises(NonPositive):
             toeplitz_delta(ms, 2)
 
@@ -126,9 +170,7 @@ class TestDeterminantalPhi:
         for n in range(6):
             assert determinantal_phi(ms, n) == LaurentPoly.monomial(n)
 
-    def test_requires_exact_moments(self):
-        with pytest.raises(ValueError):
-            determinantal_phi(MomentSeq(Weight.jacobi(0, 0)), 2)
+    def test_negative_index(self):
         with pytest.raises(ValueError):
             determinantal_phi(MomentSeq(Weight.lebesgue()), -1)
 
@@ -137,6 +179,8 @@ class TestDeterminantalPhi:
         rep = verify_determinantal_match(fam, Weight.single_moment(1), 8)
         assert rep.ok
         assert len(rep.checks) == 9
+        fam = family(F(1), F(2), 8)
+        assert verify_determinantal_match(fam, Weight.jacobi(1, 2), 8).ok
 
     def test_toeplitz_h_ratios(self, family):
         fam = family(F(1, 2), F(-1, 2), 9)
@@ -152,11 +196,10 @@ class TestInnerProduct:
         v = inner_product(phi1, phi1, ms)
         assert isinstance(v, Fraction) and v == F(3, 4)
 
-    def test_quadrature_value_goes_float(self):
+    def test_jacobi_value_is_exact(self):
         ms = MomentSeq(Weight.jacobi(1, 2))
         v = inner_product(LaurentPoly.monomial(1), LaurentPoly.one(), ms)
-        assert isinstance(v, float)
-        assert abs(v - 0.2) < 1e-12
+        assert isinstance(v, Fraction) and v == F(1, 5)
 
 
 class TestOrthogonality:
@@ -165,11 +208,14 @@ class TestOrthogonality:
         rep = orthogonality_check(fam, Weight.single_moment(1), 10)
         assert rep.ok
 
-    def test_quadrature_weight(self, family):
+    def test_jacobi_weight(self, family):
         fam = family(F(1), F(2), 12)
         rep = orthogonality_check(fam, Weight.jacobi(1, 2), 10)
         assert rep.ok
         assert len(rep.checks) == 66
+        assert rep.to_dict()["params"] == {
+            "alpha": "1", "beta": "2", "weight": "jacobi", "n_max": "10",
+        }
 
     def test_wrong_weight_fails(self, family):
         fam = family(F(1), F(2), 6)
@@ -181,3 +227,19 @@ class TestOrthogonality:
         fam = family(F(0), F(0), 4)
         with pytest.raises(ValueError):
             orthogonality_check(fam, Weight.jacobi(0, 0), 5)
+
+
+_PARAM = st.one_of(
+    st.fractions(min_value=F(-11, 12), max_value=3, max_denominator=12),
+    st.integers(min_value=51, max_value=500).map(lambda q: F(1, q) - 1),
+)
+
+
+class TestRandomRationalPoints:
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=_PARAM, beta=_PARAM)
+    def test_orthogonality_and_toeplitz_h_exact(self, alpha, beta):
+        fam = build_family(JacobiParams(alpha, beta), 6)
+        w = Weight.jacobi(alpha, beta)
+        assert orthogonality_check(fam, w, 6).ok
+        assert verify_toeplitz_h(fam, w, 6).ok
