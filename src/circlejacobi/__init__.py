@@ -71,6 +71,7 @@ from .szego import (
     build_p,
     build_q,
     build_szego_pair,
+    classical_jacobi_chain,
     classical_jacobi_oracle,
     rec_coeffs,
     verify_classical_match,
@@ -109,6 +110,7 @@ __all__ = [
     "build_xy",
     "build_xy_matrix",
     "canonicalize",
+    "classical_jacobi_chain",
     "classical_jacobi_oracle",
     "cmv_matrix",
     "commutator",

@@ -34,10 +34,6 @@ class InconsistentSystem(CircleJacobiError):
     """The entrywise representation equations admit no common solution."""
 
 
-class SingularDelta(CircleJacobiError):
-    """A Toeplitz determinant needed as a divisor vanishes."""
-
-
 class NonPositive(CircleJacobiError):
     """A Toeplitz determinant fails the positivity test expected of a
     genuine probability measure."""

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import NonPositive, ParamOutOfRange, SingularDelta
+from .errors import NonPositive, ParamOutOfRange
 from .laurent import LaurentPoly
 from .opuc import OPUCFamily, family_params
 from .report import VerificationReport
@@ -104,24 +105,35 @@ class MomentSeq:
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination with pivoting."""
+    """Exact determinant by Bareiss fraction-free elimination.
+
+    Each row is first scaled to integers by the lcm of its denominators;
+    Bareiss elimination (Math. Comp. 22, 1968) then keeps every entry an
+    integer minor of the scaled matrix, so each division by the previous
+    pivot is exact, and the scales are divided back out at the end.
+    """
     n = len(rows)
-    m = [list(r) for r in rows]
-    det = _ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return _ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = _ONE / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [vr - factor * vc for vr, vc in zip(m[r], m[col])]
-    return det
+    scale = 1
+    m: list[list[int]] = []
+    for row in rows:
+        d = lcm(*(v.denominator for v in row))
+        scale *= d
+        m.append([v.numerator * (d // v.denominator) for v in row])
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if pivot is None:
+                return _ZERO
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk, row_k = m[k][k], m[k]
+        for row in m[k + 1:]:
+            rk = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - rk * row_k[j]) // prev
+        prev = pk
+    return Fraction(sign * m[-1][-1], scale)
 
 
 def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction:
@@ -152,8 +164,6 @@ def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one()
     delta = toeplitz_delta(ms, n)
-    if delta == 0:
-        raise SingularDelta(f"Delta_{n} = 0")
     top = [[ms.value(k - j) for k in range(n + 1)] for j in range(n)]
     coeffs: dict[int, Fraction] = {}
     for col in range(n + 1):

@@ -15,6 +15,7 @@ in z; equality in x is decided as exact equality in z.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,6 @@ from .opuc import BOUNDARY_A, OPUCFamily, family_params
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # --------------------------------------------------------------------------
@@ -39,6 +39,11 @@ def x_power(k: int) -> LaurentPoly:
     if k < 0:
         raise ValueError("power must be >= 0")
     return Z_PLUS_ZINV**k
+
+
+def _x_times(f: LaurentPoly) -> LaurentPoly:
+    """x(z) f = z f + f / z."""
+    return f.shift(1) + f.shift(-1)
 
 
 @dataclass(frozen=True)
@@ -75,26 +80,22 @@ class SymmetricLaurent:
         return tuple(out)
 
 
-def from_x_coefficients(coeffs) -> SymmetricLaurent:
-    total = LaurentPoly.zero()
-    for k, c in enumerate(coeffs):
-        total = total + x_power(k) * Fraction(c)
-    return SymmetricLaurent(total)
-
-
 # --------------------------------------------------------------------------
 # Independent classical oracle (kept free of any circle-side input)
 # --------------------------------------------------------------------------
 
 
-def classical_jacobi_oracle(alpha, beta, n: int) -> SymmetricLaurent:
-    """Monic Jacobi polynomial of degree n with parameters (alpha, beta),
-    rescaled from [-1, 1] to [-2, 2] (argument x/2).
+def classical_jacobi_chain(alpha, beta, n: int) -> Iterator[SymmetricLaurent]:
+    """Yield the monic Jacobi polynomials P_0, ..., P_n with parameters
+    (alpha, beta), rescaled from [-1, 1] to [-2, 2] (argument x/2).
 
-    Uses the closed-form three-term recurrence for the monic chain; the
-    n = 1 step is taken in its cancelled form so parameter sums near -1
-    stay well-defined.  This is the oracle the circle construction is
-    matched against, so it deliberately shares none of that code path.
+    Runs the closed-form three-term recurrence for the monic chain once,
+    directly in z with x f = f.shift(1) + f.shift(-1), holding only the
+    two previous polynomials; the n = 1 step is taken in its cancelled
+    form so parameter sums near -1 stay well-defined.  This is the oracle
+    the circle construction is matched against, so it deliberately reads
+    no circle-side data.  The parameters are checked when iteration
+    starts.
     """
     alpha, beta = Fraction(alpha), Fraction(beta)
     if alpha <= -1 or beta <= -1:
@@ -116,20 +117,22 @@ def classical_jacobi_oracle(alpha, beta, n: int) -> SymmetricLaurent:
             / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
         )
 
-    # x-coefficient lists; multiplying by x prepends a zero.
-    prev: list[Fraction] = [_ONE]
+    prev = LaurentPoly.one()
+    yield SymmetricLaurent(prev)
     if n == 0:
-        return from_x_coefficients(prev)
-    cur: list[Fraction] = [-b_coeff(0), _ONE]
+        return
+    cur = Z_PLUS_ZINV - b_coeff(0)
+    yield SymmetricLaurent(cur)
     for k in range(1, n):
-        nxt = [_ZERO] + cur
-        bk, uk = b_coeff(k), u_coeff(k)
-        for i, c in enumerate(cur):
-            nxt[i] -= bk * c
-        for i, c in enumerate(prev):
-            nxt[i] -= uk * c
-        prev, cur = cur, nxt
-    return from_x_coefficients(cur)
+        prev, cur = cur, _x_times(cur) - cur * b_coeff(k) - prev * u_coeff(k)
+        yield SymmetricLaurent(cur)
+
+
+def classical_jacobi_oracle(alpha, beta, n: int) -> SymmetricLaurent:
+    """The degree-n member of classical_jacobi_chain(alpha, beta, n)."""
+    for poly in classical_jacobi_chain(alpha, beta, n):
+        pass
+    return poly
 
 
 # --------------------------------------------------------------------------
@@ -252,10 +255,6 @@ def build_szego_pair(fam: OPUCFamily) -> SzegoPair:
 # --------------------------------------------------------------------------
 
 
-def _x_times(f: LaurentPoly) -> LaurentPoly:
-    return f.shift(1) + f.shift(-1)
-
-
 def verify_three_term(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
     """P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n, and the Q analogue."""
     rep = VerificationReport(
@@ -282,19 +281,26 @@ def fit_recurrence(chain: list[SymmetricLaurent] | tuple[SymmetricLaurent, ...])
 
     Returns (b, u, clean) where clean means x p_n - p_{n+1} really lay
     in span(p_n, p_{n-1}) at every step.
+
+    The chain must be monic with deg p_n = n, which this checks, raising
+    ValueError that names the first bad index.  Then diff = x p_n - p_{n+1}
+    has degree <= n, and since x^k = z^k + k z^(k-2) + ..., b_n is the z^n
+    coefficient of diff and u_n the z^(n-1) coefficient of
+    diff - b_n p_n: two O(1) reads instead of a full x-expansion.
     """
+    for n, p in enumerate(chain):
+        if p.poly.coeff(n) != 1 or p.poly.max_exp != n:
+            raise ValueError(f"chain element {n} is not monic of degree {n}")
     b: list[Fraction] = []
     u: list[Fraction] = [_ZERO]
     clean = True
     for n in range(len(chain) - 1):
-        diff = SymmetricLaurent(_x_times(chain[n].poly) - chain[n + 1].poly)
-        dx = list(diff.x_coefficients()) + [_ZERO] * (n + 1)
-        bn = dx[n]
+        diff = _x_times(chain[n].poly) - chain[n + 1].poly
+        bn = diff.coeff(n)
         b.append(bn)
         if n >= 1:
-            rem = diff.poly - chain[n].poly * bn
-            rx = list(SymmetricLaurent(rem).x_coefficients()) + [_ZERO] * n
-            un = rx[n - 1]
+            rem = diff - chain[n].poly * bn
+            un = rem.coeff(n - 1)
             u.append(un)
             if rem != chain[n - 1].poly * un:
                 clean = False
@@ -438,15 +444,12 @@ def verify_classical_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
         params=family_params(fam, n_max=n_max),
     )
     p_top = min(n_max, (fam.size + 1) // 2)
-    for n in range(p_top + 1):
-        res = build_p(fam, n).poly - classical_jacobi_oracle(p.alpha, p.beta, n).poly
+    for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, p_top)):
+        res = build_p(fam, n).poly - oracle.poly
         rep.add(f"P n={n}", res.is_zero, "" if res.is_zero else res.text())
     q_top = min(n_max, (fam.size - 1) // 2)
-    for n in range(q_top + 1):
-        res = (
-            build_q(fam, n).poly
-            - classical_jacobi_oracle(p.alpha + 1, p.beta + 1, n).poly
-        )
+    for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, q_top)):
+        res = build_q(fam, n).poly - oracle.poly
         rep.add(f"Q n={n}", res.is_zero, "" if res.is_zero else res.text())
     return rep
 

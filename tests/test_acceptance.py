@@ -195,6 +195,10 @@ def test_criterion_9_negative_control():
                 verify_gevp_and_five_term(fam),
                 orthogonality_check(fam, w, fam.size),
                 verify_toeplitz_h(fam, w, 8),
+                verify_classical_match(fam, (fam.size + 1) // 2),
+                verify_dep_and_pq_identity(fam, (fam.size + 1) // 2),
+                y_eigencheck(fam),
+                verify_central_extension(fam, d=3, matrix_size=12),
             ):
                 c.check(
                     not rep.ok,

@@ -423,3 +423,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
+
+    def test_detection_survives_optimize_flag(self):
+        # python -O strips every assert, so detection must not rest on one
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "circlejacobi.cli", "verify", "--alpha", "1",
+             "--beta", "2", "--n", "16", "--corrupt-a", "1", "--suite", "szego",
+             "--format", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        failing = {r["identity"] for r in doc["suite_results"] if r["failures"]}
+        assert {"classical-match", "hypergeometric-ode"} <= failing

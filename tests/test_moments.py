@@ -1,5 +1,6 @@
 """Moments, Toeplitz determinants, and orthogonality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from circlejacobi.laurent import LaurentPoly
 from circlejacobi.moments import (
     MomentSeq,
     Weight,
+    _det_fraction,
     determinantal_phi,
     inner_product,
     orthogonality_check,
@@ -132,6 +134,55 @@ class TestMomentSeq:
         ms = MomentSeq(Weight.jacobi(F(3, 7), F(-2, 5)))
         assert ms.value(3) is ms.value(-3)
         assert MomentSeq(Weight.single_moment(1)).value(1) == F(-1, 2)
+
+
+def _cofactor_det(m: list) -> Fraction:
+    """Laplace expansion along the first row: slow, but obviously right."""
+    if len(m) == 1:
+        return F(m[0][0])
+    return sum(
+        (
+            (-1) ** j * m[0][j] * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+            for j in range(len(m))
+        ),
+        F(0),
+    )
+
+
+class TestBareiss:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[F(0), F(1, 2), F(3)], [F(2, 3), F(0), F(1)], [F(1), F(1), F(1)]],
+            # the second pivot vanishes after the first elimination step
+            [[F(1), F(1), F(1)], [F(1), F(1), F(2)], [F(1), F(2), F(3)]],
+            # singular: the second row is twice the first
+            [[F(1, 2), F(1, 3), F(1, 4)], [F(1), F(2, 3), F(1, 2)], [F(5), F(7), F(11, 3)]],
+            # singular with an all-zero column: no pivot at all
+            [[F(0), F(1, 5)], [F(0), F(-2, 7)]],
+            [[F(-3, 11)]],
+        ],
+    )
+    def test_matches_cofactor_expansion(self, rows):
+        assert _det_fraction(rows) == _cofactor_det(rows)
+
+    def test_singular_and_swap_cases_are_what_they_claim(self):
+        assert _det_fraction(
+            [[F(1, 2), F(1, 3), F(1, 4)], [F(1), F(2, 3), F(1, 2)], [F(5), F(7), F(11, 3)]]
+        ) == 0
+        assert _det_fraction(
+            [[F(0), F(1, 2), F(3)], [F(2, 3), F(0), F(1)], [F(1), F(1), F(1)]]
+        ) == F(13, 6)
+
+    def test_random_small_rational_matrices(self):
+        rng = random.Random(1968)
+        for size in range(1, 6):
+            for _ in range(20):
+                rows = [
+                    [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(size)]
+                    for _ in range(size)
+                ]
+                assert _det_fraction(rows) == _cofactor_det(rows)
 
 
 class TestToeplitz:

@@ -6,6 +6,7 @@ import pytest
 
 from circlejacobi.errors import ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
+from circlejacobi.opuc import JacobiParams, build_family
 from circlejacobi.szego import (
     SymmetricLaurent,
     b_coeff,
@@ -13,9 +14,9 @@ from circlejacobi.szego import (
     build_p,
     build_q,
     build_szego_pair,
+    classical_jacobi_chain,
     classical_jacobi_oracle,
     fit_recurrence,
-    from_x_coefficients,
     rec_coeffs,
     u_coeff,
     ut_coeff,
@@ -45,7 +46,8 @@ class TestSymmetricLaurent:
 
     def test_x_coefficients_roundtrip(self):
         coeffs = (F(3), F(-1, 2), F(0), F(2, 7))
-        s = from_x_coefficients(coeffs)
+        total = sum((x_power(k) * c for k, c in enumerate(coeffs)), LaurentPoly())
+        s = SymmetricLaurent(total)
         assert s.x_coefficients() == coeffs
         assert s.x_degree == 3
 
@@ -92,6 +94,14 @@ class TestClassicalOracle:
             classical_jacobi_oracle(-1, 0, 2)
         with pytest.raises(ValueError):
             classical_jacobi_oracle(0, 0, -1)
+
+    def test_chain_yields_every_degree_once(self):
+        chain = list(classical_jacobi_chain(F(3, 7), F(-2, 5), 6))
+        assert [p.x_degree for p in chain] == list(range(7))
+        assert all(
+            p.poly == classical_jacobi_oracle(F(3, 7), F(-2, 5), n).poly
+            for n, p in enumerate(chain)
+        )
 
     def test_three_term_internal_consistency(self):
         # the oracle chain satisfies its own recurrence when refit
@@ -200,3 +210,47 @@ class TestVerifications:
         ]
         _, _, clean = fit_recurrence(chain)
         assert not clean
+
+    def test_fit_rejects_non_monic_chain(self):
+        chain = [
+            SymmetricLaurent(LaurentPoly.one()),
+            SymmetricLaurent(x_power(1)),
+            SymmetricLaurent(x_power(2) * 2),
+        ]
+        with pytest.raises(ValueError, match="element 2 is not monic"):
+            fit_recurrence(chain)
+
+    def test_fit_rejects_wrong_degree_chain(self):
+        # x^2 + x has z-coefficient 1 at z^1, but its degree is 2
+        chain = [
+            SymmetricLaurent(LaurentPoly.one()),
+            SymmetricLaurent(x_power(2) + x_power(1)),
+            SymmetricLaurent(x_power(2)),
+        ]
+        with pytest.raises(ValueError, match="element 1 is not monic of degree 1"):
+            fit_recurrence(chain)
+
+
+class TestComplexity:
+    def test_closure_and_oracle_stay_quadratic(self, monkeypatch):
+        # Each chain step of closure + classical-match costs O(1)
+        # LaurentPoly operations, so doubling n about doubles the count;
+        # a per-step x-expansion (O(n^3) in total) pushes it toward 8.
+        calls = [0]
+        for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__neg__"):
+            orig = getattr(LaurentPoly, name)
+
+            def counted(*args, _orig=orig):
+                calls[0] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(LaurentPoly, name, counted)
+        counts = []
+        for n in (40, 80):
+            fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), n)
+            pair = build_szego_pair(fam)
+            calls[0] = 0
+            assert verify_recurrence_closure(fam, pair).ok
+            assert verify_classical_match(fam, (fam.size + 1) // 2).ok
+            counts.append(calls[0])
+        assert counts[1] / counts[0] <= 2.5, counts
