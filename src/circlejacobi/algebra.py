@@ -322,7 +322,7 @@ def verify_relations_functional(p: JacobiParams, d: int) -> VerificationReport:
             - f * p.d,
         }
         for name, res in checks.items():
-            rep.add(f"{name} k={k}", res.is_zero, "" if res.is_zero else res.text())
+            rep.residual(f"{name} k={k}", res)
     return rep
 
 
@@ -367,7 +367,7 @@ def verify_central_extension(
             - f * c_i,
         }
         for name, res in checks.items():
-            rep.add(f"{name} k={k}", res.is_zero, "" if res.is_zero else res.text())
+            rep.residual(f"{name} k={k}", res)
     if p.alpha == p.beta:
         f = LaurentPoly.monomial(1)
         res = jr2(f) - (x_op(y_op(f)) + y_op(x_op(f))) * 2 - x_op(f) * c_x
@@ -441,17 +441,14 @@ def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationRepor
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
     for n in range(min(n_max, fam.size) + 1):
-        res = y_op(fam.psi[n]) - fam.psi[n] * big_lambda(p, n)
-        rep.add(f"Y psi n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"Y psi n={n}", y_op(fam.psi[n]) - fam.psi[n] * big_lambda(p, n))
     for n in range(min(n_max, (fam.size + 1) // 2) + 1):
         pn = build_p(fam, n).poly
         lam2n = big_lambda(p, 2 * n)
-        res = y_op(pn) - pn * lam2n
-        rep.add(f"Y P n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"Y P n={n}", y_op(pn) - pn * lam2n)
         rep.add(f"R P n={n}", pn.reflect() == pn)
     for n in range(1, min(n_max, (fam.size - 1) // 2 + 1) + 1):
         fn = Z_MINUS_ZINV * build_q(fam, n - 1).poly
-        res = y_op(fn) - fn * big_lambda(p, 2 * n)
-        rep.add(f"Y F n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"Y F n={n}", y_op(fn) - fn * big_lambda(p, 2 * n))
         rep.add(f"R F n={n}", fn.reflect() == -fn)
     return rep

@@ -26,41 +26,11 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import (
-    verify_central_extension,
-    verify_relations_functional,
-    verify_relations_matrix,
-    verify_representation_derivation,
-    y_eigencheck,
-)
-from .cmv import (
-    build_m1,
-    build_m2,
-    cmv_matrix,
-    truncated_spectrum,
-    verify_gevp_and_five_term,
-    verify_reflection_rows,
-)
-from .dunkl import verify_bispectral
+from . import suites
+from .cmv import build_m1, build_m2, cmv_matrix, truncated_spectrum
 from .errors import CircleJacobiError, ConvergenceFailure, ParamOutOfRange
-from .moments import (
-    Weight,
-    orthogonality_check,
-    sigma,
-    verify_determinantal_match,
-    verify_toeplitz_h,
-)
-from .opuc import JacobiParams, build_family, family_from_verblunsky, verblunsky
-from .szego import (
-    build_szego_pair,
-    verify_classical_match,
-    verify_dep_and_pq_identity,
-    verify_recurrence_closure,
-    verify_three_term,
-    verify_transforms,
-)
-
-SUITES = ("bispectral", "cmv", "algebra", "szego", "moments", "all")
+from .moments import Weight, sigma
+from .opuc import JacobiParams, build_family, verblunsky
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
@@ -103,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification suites")
     add_common(v)
-    v.add_argument("--suite", choices=SUITES, default="all")
+    v.add_argument("--suite", choices=(*suites.SUITES, "all"), default="all")
     v.add_argument(
         "--grid-file",
         help="JSON file with a list of [alpha, beta] rational-string pairs",
@@ -138,11 +108,15 @@ def _require_params(args) -> JacobiParams:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"{args.command}: cannot write --out: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _csv_text(rows, header) -> str:
@@ -208,6 +182,8 @@ def _read_grid(path: str) -> list[tuple[Fraction, Fraction]]:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError("expected a JSON list of [alpha, beta] pairs")
+    if not raw:
+        raise ValueError("no points")
     grid = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 2
@@ -215,49 +191,6 @@ def _read_grid(path: str) -> list[tuple[Fraction, Fraction]]:
             raise ValueError(f"expected a pair of rational strings, got {entry!r}")
         grid.append((rational(entry[0]), rational(entry[1])))
     return grid
-
-
-def run_suite(p: JacobiParams, args) -> list:
-    n = args.n
-    if n < 3:
-        raise ValueError("verify: --n must be >= 3")
-    if args.corrupt_a is not None:
-        if not 0 <= args.corrupt_a < n:
-            raise ValueError("--corrupt-a index out of range")
-        a = [verblunsky(p, k) for k in range(n + 1)]
-        a[args.corrupt_a] += Fraction(1, 100)
-        fam = family_from_verblunsky(a, params=p)
-    else:
-        fam = build_family(p, n)
-    suite = args.suite
-    reports = []
-    if suite in ("bispectral", "all"):
-        reports.append(verify_bispectral(fam))
-    if suite in ("cmv", "all"):
-        reports.append(verify_reflection_rows(fam))
-        reports.append(verify_gevp_and_five_term(fam))
-    if suite in ("algebra", "all"):
-        d = min(10, max(3, n))
-        size = max(7, min(n + 1, 21))
-        reports.append(verify_representation_derivation(p, n))
-        reports.append(verify_relations_matrix(p, size))
-        reports.append(verify_relations_functional(p, d))
-        reports.append(verify_central_extension(fam, d=d, matrix_size=size))
-        reports.append(y_eigencheck(fam))
-    if suite in ("szego", "all"):
-        pair = build_szego_pair(fam)
-        reports.append(verify_three_term(fam, pair))
-        reports.append(verify_recurrence_closure(fam, pair))
-        reports.append(verify_transforms(fam, pair))
-        reports.append(verify_classical_match(fam, (fam.size + 1) // 2))
-        reports.append(verify_dep_and_pq_identity(fam, (fam.size + 1) // 2))
-    if suite in ("moments", "all"):
-        w = Weight.jacobi(p.alpha, p.beta)
-        m = min(n, 8)
-        reports.append(orthogonality_check(fam, w, min(n, 12)))
-        reports.append(verify_toeplitz_h(fam, w, m))
-        reports.append(verify_determinantal_match(fam, w, m))
-    return reports
 
 
 def cmd_verify(args) -> int:
@@ -289,7 +222,8 @@ def cmd_verify(args) -> int:
     error = None
     try:
         for p in points:
-            reports.extend(run_suite(p, args))
+            fam = suites.family(p, args.n, args.corrupt_a)
+            reports.extend(suites.run(args.suite, fam))
     except (CircleJacobiError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
 
@@ -320,11 +254,10 @@ def cmd_verify(args) -> int:
     elif args.format == "csv":
         rows = []
         for r in reports:
-            for c in r.checks:
-                rows.append(
-                    (r.identity, json.dumps(r.to_dict()["params"]), c.label,
-                     "pass" if c.ok else "fail", c.detail)
-                )
+            params = json.dumps(r.to_dict()["params"])
+            rows += [(r.identity, params, c.label, "pass" if c.ok else "fail", c.detail)
+                     for c in r.checks]
+            rows += [(r.identity, params, label, "skip", "") for label in r.skipped]
         _emit(args, _csv_text(rows, ("identity", "params", "check", "status", "detail")))
         if error:
             print(f"verify: {error}", file=sys.stderr)

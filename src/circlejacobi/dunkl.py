@@ -68,8 +68,7 @@ def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
         params=family_params(fam, n_max=fam.size),
     )
     for n in range(fam.size + 1):
-        res = apply_k(fam.psi[n], p) - fam.psi[n] * lambda_n(p, n)
-        rep.add(f"n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"n={n}", apply_k(fam.psi[n], p) - fam.psi[n] * lambda_n(p, n))
     return rep
 
 

@@ -230,6 +230,5 @@ def verify_determinantal_match(
         params=family_params(fam, weight=w.kind, n_max=n_max),
     )
     for n in range(n_max + 1):
-        res = determinantal_phi(ms, n) - fam.phi[n]
-        rep.add(f"n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"n={n}", determinantal_phi(ms, n) - fam.phi[n])
     return rep

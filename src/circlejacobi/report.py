@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .laurent import LaurentPoly
+
 
 @dataclass
 class Check:
@@ -35,6 +37,11 @@ class VerificationReport:
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append(Check(label, ok, detail))
+
+    def residual(self, label: str, res: LaurentPoly) -> None:
+        """Pass when res is the zero Laurent polynomial; a failure keeps
+        its canonical text, which is rendered only then."""
+        self.add(label, res.is_zero, "" if res.is_zero else res.text())
 
     def skip(self, label: str) -> None:
         self.skipped.append(label)

@@ -1,0 +1,92 @@
+"""The verify wiring: which identities each suite checks, and at what size.
+
+``SUITES`` maps a suite name to a function of one family that returns
+the suite's reports in order; ``run`` runs one suite, or every suite in
+that order for ``"all"``.  Each suite reads the parameter point from
+``fam.params`` and its size n from ``fam.size``.  The suite functions
+look the ``verify_*`` routines up by name at call time, so anything that
+swaps those names in their modules (a tracer, a test double) is seen here.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import algebra, cmv, dunkl, moments, szego
+from .opuc import (
+    JacobiParams,
+    OPUCFamily,
+    build_family,
+    family_from_verblunsky,
+    verblunsky,
+)
+from .report import VerificationReport
+
+
+def family(p: JacobiParams, n: int, corrupt_a: int | None = None) -> OPUCFamily:
+    """The family of size n at p.  With corrupt_a = k it is rebuilt from
+    a_0..a_n after a_k += 1/100, still tagged with p (a negative control)."""
+    if corrupt_a is None:
+        return build_family(p, n)
+    a = [verblunsky(p, k) for k in range(n + 1)]
+    a[corrupt_a] += Fraction(1, 100)
+    return family_from_verblunsky(a, params=p)
+
+
+def _bispectral(fam: OPUCFamily) -> list[VerificationReport]:
+    return [dunkl.verify_bispectral(fam)]
+
+
+def _cmv(fam: OPUCFamily) -> list[VerificationReport]:
+    return [cmv.verify_reflection_rows(fam), cmv.verify_gevp_and_five_term(fam)]
+
+
+def _algebra(fam: OPUCFamily) -> list[VerificationReport]:
+    p, n = fam.params, fam.size
+    d = min(10, max(3, n))
+    size = max(7, min(n + 1, 21))
+    return [
+        algebra.verify_representation_derivation(p, n),
+        algebra.verify_relations_matrix(p, size),
+        algebra.verify_relations_functional(p, d),
+        algebra.verify_central_extension(fam, d=d, matrix_size=size),
+        algebra.y_eigencheck(fam),
+    ]
+
+
+def _szego(fam: OPUCFamily) -> list[VerificationReport]:
+    pair = szego.build_szego_pair(fam)
+    half = (fam.size + 1) // 2
+    return [
+        szego.verify_three_term(fam, pair),
+        szego.verify_recurrence_closure(fam, pair),
+        szego.verify_transforms(fam, pair),
+        szego.verify_classical_match(fam, half),
+        szego.verify_dep_and_pq_identity(fam, half),
+    ]
+
+
+def _moments(fam: OPUCFamily) -> list[VerificationReport]:
+    p, n = fam.params, fam.size
+    w = moments.Weight.jacobi(p.alpha, p.beta)
+    m = min(n, 8)
+    return [
+        moments.orthogonality_check(fam, w, min(n, 12)),
+        moments.verify_toeplitz_h(fam, w, m),
+        moments.verify_determinantal_match(fam, w, m),
+    ]
+
+
+SUITES = {
+    "bispectral": _bispectral,
+    "cmv": _cmv,
+    "algebra": _algebra,
+    "szego": _szego,
+    "moments": _moments,
+}
+
+
+def run(suite: str, fam: OPUCFamily) -> list[VerificationReport]:
+    """The reports of one suite, or of every suite in order for "all"."""
+    names = SUITES if suite == "all" else (suite,)
+    return [rep for name in names for rep in SUITES[name](fam)]

@@ -267,12 +267,12 @@ def verify_three_term(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
         res = pair.p[n + 1].poly + pair.p[n].poly * pair.b[n] - _x_times(pair.p[n].poly)
         if n >= 1:
             res = res + pair.p[n - 1].poly * pair.u[n]
-        rep.add(f"P n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"P n={n}", res)
     for n in range(min(pair.q_top - 1, coeff_top) + 1):
         res = pair.q[n + 1].poly + pair.q[n].poly * pair.bt[n] - _x_times(pair.q[n].poly)
         if n >= 1:
             res = res + pair.q[n - 1].poly * pair.ut[n]
-        rep.add(f"Q n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"Q n={n}", res)
     return rep
 
 
@@ -359,7 +359,7 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
         res = z2 * q[n - 1].poly - (
             p[n + 1].poly + p[n].poly * c1 - p[n - 1].poly * c2
         )
-        rep.add(f"christoffel n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"christoffel n={n}", res)
 
     # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
     top = min(pair.p_top, pair.q_top + 1)
@@ -367,7 +367,7 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
         lead = _x_times(p[n].poly) + p[n].poly * (2 * _a(fam, 2 * n - 2))
         c2 = 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
         res = z2 * q[n - 1].poly - (lead - p[n - 1].poly * c2)
-        rep.add(f"christoffel' n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"christoffel' n={n}", res)
 
     # P_n = Q_n - (1 + a_{2n-1})(a_2n + a_{2n-2}) Q_{n-1}
     #       - (1 + a_{2n-1})(1 + a_{2n-3})(1 - a_{2n-2}^2) Q_{n-2}
@@ -380,8 +380,7 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
             c2 = lead * (1 + _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
             rhs = rhs - q[n - 2].poly * c2
         # at n = 1 the Q_{-1} coefficient carries the factor 1 + a_{-1} = 0
-        res = p[n].poly - rhs
-        rep.add(f"geronimus n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"geronimus n={n}", p[n].poly - rhs)
 
     # psi_{2n-1} = (P_n + (z - 1/z) Q_{n-1}) / 2
     # psi_2n     = ((1 - a_{2n-1}) P_n - (1 + a_{2n-1})(z - 1/z) Q_{n-1}) / 2
@@ -389,14 +388,13 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
     for n in range(1, top + 1):
         if 2 * n - 1 <= fam.size:
             res = psi[2 * n - 1] - (p[n].poly + Z_MINUS_ZINV * q[n - 1].poly) / 2
-            rep.add(f"psi(P,Q) n={2 * n - 1}", res.is_zero, "" if res.is_zero else res.text())
+            rep.residual(f"psi(P,Q) n={2 * n - 1}", res)
         if 2 * n <= fam.size:
             am = _a(fam, 2 * n - 1)
             rhs = (p[n].poly * (1 - am) - Z_MINUS_ZINV * q[n - 1].poly * (1 + am)) / 2
-            res = psi[2 * n] - rhs
-            rep.add(f"psi(P,Q) n={2 * n}", res.is_zero, "" if res.is_zero else res.text())
+            rep.residual(f"psi(P,Q) n={2 * n}", psi[2 * n] - rhs)
     res = psi[0] - p[0].poly  # n = 0 case: the Q term carries 1 + a_{-1} = 0
-    rep.add("psi(P,Q) n=0", res.is_zero, "" if res.is_zero else res.text())
+    rep.residual("psi(P,Q) n=0", res)
 
     # The same two functions out of P_n and P_{n-1} alone, via exact
     # division by z - 1/z:
@@ -409,13 +407,13 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
         c2 = (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
         num = czp * p[n].poly - p[n - 1].poly * c2
         res = psi[2 * n - 1] - num.div_exact(Z_MINUS_ZINV)
-        rep.add(f"psi(P,P) n={2 * n - 1}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"psi(P,P) n={2 * n - 1}", res)
         if 2 * n <= fam.size:
             am = _a(fam, 2 * n - 1)
             czm = LaurentPoly({1: am, -1: 1, 0: _a(fam, 2 * n - 2) * (1 + am)})
             num = p[n - 1].poly * ((1 + am) * c2) - czm * p[n].poly
             res = psi[2 * n] - num.div_exact(Z_MINUS_ZINV)
-            rep.add(f"psi(P,P) n={2 * n}", res.is_zero, "" if res.is_zero else res.text())
+            rep.residual(f"psi(P,P) n={2 * n}", res)
 
     # P_n = psi_2n + (1 + a_{2n-1}) psi_{2n-1}
     # (z - 1/z) Q_{n-1} = -psi_2n + (1 - a_{2n-1}) psi_{2n-1}
@@ -423,12 +421,12 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
     for n in range(1, top + 1):
         am = _a(fam, 2 * n - 1)
         res = p[n].poly - (psi[2 * n] + psi[2 * n - 1] * (1 + am))
-        rep.add(f"P from psi n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"P from psi n={n}", res)
         if n - 1 <= pair.q_top:
             res = Z_MINUS_ZINV * q[n - 1].poly - (
                 -psi[2 * n] + psi[2 * n - 1] * (1 - am)
             )
-            rep.add(f"Q from psi n={n}", res.is_zero, "" if res.is_zero else res.text())
+            rep.residual(f"Q from psi n={n}", res)
     return rep
 
 
@@ -445,12 +443,10 @@ def verify_classical_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
     )
     p_top = min(n_max, (fam.size + 1) // 2)
     for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, p_top)):
-        res = build_p(fam, n).poly - oracle.poly
-        rep.add(f"P n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"P n={n}", build_p(fam, n).poly - oracle.poly)
     q_top = min(n_max, (fam.size - 1) // 2)
     for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, q_top)):
-        res = build_q(fam, n).poly - oracle.poly
-        rep.add(f"Q n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"Q n={n}", build_q(fam, n).poly - oracle.poly)
     return rep
 
 
@@ -479,8 +475,7 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
         f2 = f1.deriv()
         lhs = z2m1 * f2.shift(2) + drift * f1
         rhs = z2m1 * f * (n * (n + al + be + 1))
-        res = lhs - rhs
-        rep.add(f"ODE n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"ODE n={n}", lhs - rhs)
     q_top = min(n_max, (fam.size - 1) // 2 + 1)
     for n in range(q_top + 1):
         lhs = build_p(fam, n).poly.theta() if n <= p_top else None
@@ -492,6 +487,5 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
             if n == 0
             else Z_MINUS_ZINV * build_q(fam, n - 1).poly * n
         )
-        res = lhs - rhs
-        rep.add(f"theta-PQ n={n}", res.is_zero, "" if res.is_zero else res.text())
+        rep.residual(f"theta-PQ n={n}", lhs - rhs)
     return rep

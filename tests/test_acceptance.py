@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from circlejacobi import suites
 from circlejacobi.algebra import (
     big_lambda,
     verify_central_extension,
@@ -26,12 +27,7 @@ from circlejacobi.moments import (
     verify_determinantal_match,
     verify_toeplitz_h,
 )
-from circlejacobi.opuc import (
-    JacobiParams,
-    family_from_verblunsky,
-    single_moment_phi,
-    verblunsky,
-)
+from circlejacobi.opuc import JacobiParams, single_moment_phi
 from circlejacobi.szego import (
     build_szego_pair,
     verify_classical_match,
@@ -87,7 +83,7 @@ def criterion(num: int, name: str, budget: float):
 def test_criterion_1_bispectrality(family):
     with criterion(1, "first-order eigenvalue equation, n <= 40, exact", 10.0) as c:
         for alpha, beta in GRID:
-            rep = verify_bispectral(family(alpha, beta, 40))
+            [rep] = suites.run("bispectral", family(alpha, beta, 40))
             c.absorb(rep)
             c.check(
                 len(rep.checks) == 41,
@@ -98,9 +94,8 @@ def test_criterion_1_bispectrality(family):
 def test_criterion_2_cmv_structure(family):
     with criterion(2, "pentadiagonal rows, N = 41, interior exact", 5.0) as c:
         for alpha, beta in GRID:
-            fam = family(alpha, beta, 40)
-            c.absorb(verify_reflection_rows(fam))
-            c.absorb(verify_gevp_and_five_term(fam))
+            for rep in suites.run("cmv", family(alpha, beta, 40)):
+                c.absorb(rep)
 
 
 def test_criterion_3_representation_derivation():
@@ -185,9 +180,7 @@ def test_criterion_9_negative_control():
     with criterion(9, "corrupted coefficient is detected exactly", 2.0) as c:
         p = JacobiParams(F(1), F(2))
         for idx in (0, 1, 5):
-            a = [verblunsky(p, k) for k in range(12)]
-            a[idx] += F(1, 100)
-            fam = family_from_verblunsky(a, params=p)
+            fam = suites.family(p, 11, corrupt_a=idx)
             w = Weight.jacobi(p.alpha, p.beta)
             for rep in (
                 verify_bispectral(fam),

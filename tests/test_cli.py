@@ -121,6 +121,14 @@ class TestGen:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 2
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--alpha", "0", "--beta", "0", "--n", "2",
+                  "--out", str(tmp_path / "absent" / "x.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gen: cannot write --out: ") and "absent" in err
+
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "gen", "--alpha", "0", "--beta", "0", "--n", "0")
         assert code == 2 and "must be >= 1" in err
@@ -213,6 +221,8 @@ class TestVerify:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"alpha": "0", "beta": "0"}))
         self._grid_error(capsys, grid)
+        grid.write_text("[]")
+        assert self._grid_error(capsys, grid) == "verify: bad grid file: no points\n"
 
     def test_grid_file_missing(self, capsys, tmp_path):
         self._grid_error(capsys, tmp_path / "absent.json")
@@ -284,7 +294,28 @@ class TestVerify:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["identity", "params", "check", "status", "detail"]
-        assert all(r[3] == "pass" for r in rows[1:])
+        statuses = [r[3] for r in rows[1:]]
+        assert set(statuses) == {"pass", "skip"}
+        assert all(r[4] == "" for r in rows[1:] if r[3] == "skip")
+
+    def test_csv_carries_skipped_rows(self, capsys):
+        argv = ["verify", "--alpha", "1", "--beta", "2", "--n", "4", "--suite", "cmv"]
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        _, doc, _ = run(capsys, *argv, "--format", "json")
+        summary = json.loads(doc)["summary"]
+        assert summary["skipped"] == 4
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == summary["checks"] + summary["skipped"]
+        assert [r[2] for r in rows if r[3] == "skip"] == [
+            label for r in json.loads(doc)["suite_results"] for label in r["skipped"]
+        ]
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--alpha", "0", "--beta", "0", "--n", "3",
+                  "--suite", "bispectral", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("verify: cannot write --out: ")
 
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run(

@@ -1,0 +1,138 @@
+"""The suite registry, the corruption rule and the golden verify reports."""
+
+import argparse
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from circlejacobi import cli, dunkl, suites
+from circlejacobi.opuc import JacobiParams, build_family
+
+F = Fraction
+P = JacobiParams(F(1), F(2))
+NAMES = ("bispectral", "cmv", "algebra", "szego", "moments")
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestRegistry:
+    def test_suite_order(self):
+        assert tuple(suites.SUITES) == NAMES
+
+    def test_all_is_every_suite_in_order(self, family):
+        fam = family(1, 2, 6)
+        each = [rep for name in suites.SUITES for rep in suites.run(name, fam)]
+        assert suites.run("all", fam) == each
+        assert len(each) == 16
+
+    # (identity, size parameters, checks) of run("all") at (1, 2); n = 3 and
+    # n = 24 sit on both sides of every clamp in the size rules.
+    SIZES = {
+        3: [
+            ("bispectral-eigen", {"n_max": "3"}, 4),
+            ("reflection-rows", {"size": "4"}, 7),
+            ("cmv-rows", {"size": "4"}, 6),
+            ("representation-derivation", {"n_max": "3"}, 8),
+            ("algebra-matrix", {"size": "7"}, 4),
+            ("algebra-functional", {"monomial_range": "3"}, 28),
+            ("central-extension", {"monomial_range": "3", "matrix_size": "7"}, 33),
+            ("y-eigen", {"n_max": "3"}, 18),
+            ("three-term", {}, 2),
+            ("recurrence-closure", {}, 4),
+            ("szego-transforms", {}, 13),
+            ("classical-match", {"n_max": "2"}, 5),
+            ("hypergeometric-ode", {"n_max": "2"}, 6),
+            ("orthogonality", {"weight": "jacobi", "n_max": "3"}, 10),
+            ("toeplitz-h", {"weight": "jacobi", "n_max": "3"}, 4),
+            ("determinantal-match", {"weight": "jacobi", "n_max": "3"}, 4),
+        ],
+        24: [
+            ("bispectral-eigen", {"n_max": "24"}, 25),
+            ("reflection-rows", {"size": "25"}, 49),
+            ("cmv-rows", {"size": "25"}, 47),
+            ("representation-derivation", {"n_max": "24"}, 50),
+            ("algebra-matrix", {"size": "21"}, 4),
+            ("algebra-functional", {"monomial_range": "10"}, 84),
+            ("central-extension", {"monomial_range": "10", "matrix_size": "21"}, 89),
+            ("y-eigen", {"n_max": "24"}, 100),
+            ("three-term", {}, 23),
+            ("recurrence-closure", {}, 46),
+            ("szego-transforms", {}, 107),
+            ("classical-match", {"n_max": "12"}, 25),
+            ("hypergeometric-ode", {"n_max": "12"}, 26),
+            ("orthogonality", {"weight": "jacobi", "n_max": "12"}, 91),
+            ("toeplitz-h", {"weight": "jacobi", "n_max": "8"}, 9),
+            ("determinantal-match", {"weight": "jacobi", "n_max": "8"}, 9),
+        ],
+    }
+
+    @pytest.mark.parametrize("n", sorted(SIZES))
+    def test_size_rules(self, n, family):
+        got = []
+        for rep in suites.run("all", family(1, 2, n)):
+            params = rep.to_dict()["params"]
+            sizes = {k: v for k, v in params.items() if k not in ("alpha", "beta")}
+            got.append((rep.identity, sizes, len(rep.checks)))
+        assert got == self.SIZES[n]
+
+    def test_cli_suite_choices(self):
+        sub = next(
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == (*suites.SUITES, "all")
+
+    def test_suites_look_routines_up_at_call_time(self, monkeypatch, family):
+        # A tracer swaps verify_* by name in its module's dict; the registry
+        # must pick the swapped function up.
+        sentinel = object()
+        monkeypatch.setattr(dunkl, "verify_bispectral", lambda fam: sentinel)
+        assert suites.run("bispectral", family(1, 2, 4)) == [sentinel]
+
+
+class TestFamily:
+    def test_clean_family_is_build_family(self):
+        assert suites.family(P, 9) == build_family(P, 9)
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_corruption_moves_one_coefficient(self, k):
+        clean, bad = build_family(P, 11), suites.family(P, 11, corrupt_a=k)
+        assert bad.size == clean.size == 11 and bad.params == P
+        assert [y - x for x, y in zip(clean.a, bad.a)] == [
+            F(1, 100) if i == k else 0 for i in range(12)
+        ]
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_corruption_failures_carry_residuals(name, k):
+    reports = suites.run(name, suites.family(P, 16, corrupt_a=k))
+    failures = [f"{r.identity}/{c.label}" for r in reports for c in r.failures]
+    assert failures, f"a_{k} corruption slipped past every {name} identity"
+    assert not [
+        f"{r.identity}/{c.label}" for r in reports for c in r.failures if not c.detail
+    ]
+
+
+GOLDEN_CASES = [
+    ("grid-n16-all.json",
+     ["--grid-file", str(GOLDEN / "grid.json"), "--n", "16", "--suite", "all"]),
+    *[
+        (f"corrupt-a1-n16-{name}.json",
+         ["--alpha", "1", "--beta", "2", "--n", "16", "--corrupt-a", "1",
+          "--suite", name])
+        for name in NAMES
+    ],
+]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_verify_json_matches_golden(golden, argv, tmp_path):
+    out = tmp_path / "out.json"
+    cli.main(["verify", *argv, "--format", "json", "--out", str(out)])
+    got = json.loads(out.read_text())
+    want = json.loads((GOLDEN / golden).read_text())
+    for key in ("suite_results", "summary"):
+        assert json.dumps(got[key], indent=2) == json.dumps(want[key], indent=2), key
