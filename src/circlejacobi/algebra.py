@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cmv import BandedOperator, anticommutator, build_m1, build_m2
+from .cmv import BandedOperator, anticommutator, build_m1, build_m2, commutator
 from .dunkl import apply_k, lambda_n
 from .errors import Degenerate, InconsistentSystem
 from .laurent import LaurentPoly, Z_MINUS_ZINV
@@ -100,53 +100,16 @@ def canonicalize(g: AlgebraParams) -> CanonicalForm:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Affine:
-    """const + slope * t for the single free parameter t = lambda_0."""
-
-    const: Fraction
-    slope: Fraction
-
-    def __neg__(self) -> "_Affine":
-        return _Affine(-self.const, -self.slope)
-
-    def __add__(self, other) -> "_Affine":
-        if isinstance(other, _Affine):
-            return _Affine(self.const + other.const, self.slope + other.slope)
-        return _Affine(self.const + Fraction(other), self.slope)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Affine":
-        return self + (-other if isinstance(other, _Affine) else -Fraction(other))
-
-    def __rsub__(self, other) -> "_Affine":
-        return (-self) + Fraction(other)
-
-    def scale(self, c) -> "_Affine":
-        return _Affine(self.const * c, self.slope * c)
-
-    def at(self, t: Fraction) -> Fraction:
-        return self.const + self.slope * t
-
-
-def _solve_zero(eq: _Affine, what: str) -> Fraction:
-    if eq.slope == 0:
-        if eq.const != 0:
-            raise InconsistentSystem(f"{what}: {eq.const} = 0 impossible")
-        raise Degenerate(f"{what}: parameter left undetermined")
-    return -eq.const / eq.slope
-
-
 def derive_representation(alpha, beta, n_max: int):
     """Force (lambda_n, a_n), n <= n_max, out of the canonical relations.
 
     K is taken diagonal and M1, M2 the block reflection matrices.  The
-    off-diagonal block entries (which equal 1 independently of the a_n)
-    chain the eigenvalues together, the leading 1x1 block of M1 pins
-    lambda_0, and each block diagonal then determines its a_n.  Every
-    block yields one extra diagonal equation, which must hold as a
-    consistency condition or the system has no such representation.
+    leading 1x1 block of M1 reads 2 lambda_0 = (alpha+beta+1)(1 - 1), so
+    lambda_0 = 0 for every (alpha, beta).  The off-diagonal block entries
+    (which equal 1 independently of the a_n) then chain the eigenvalues
+    together, and each block diagonal determines its a_n.  Every block
+    yields one extra diagonal equation, which must hold as a consistency
+    condition or the system has no such representation.
 
     Returns (lam, a), two tuples of Fractions of length n_max + 1.
     """
@@ -156,16 +119,11 @@ def derive_representation(alpha, beta, n_max: int):
     d = alpha - beta
 
     # off-diagonal entries: the (2n, 2n+1) entry of the M2 relation and
-    # the (2n+1, 2n+2) entry of the M1 relation both sit on a 1
-    sym: list[_Affine] = [_Affine(Fraction(0), Fraction(1))]
-    while len(sym) < n_max + 2:
-        k = len(sym) - 1
-        prev = sym[k]
-        sym.append((c2 - prev) if k % 2 == 0 else (splus - prev))
-
-    # leading 1x1 block of M1: 2 lambda_0 * 1 = splus * (1 - 1)
-    lam0 = _solve_zero(sym[0].scale(2), "leading diagonal entry")
-    lam = [s.at(lam0) for s in sym]
+    # the (2n+1, 2n+2) entry of the M1 relation both sit on a 1, so
+    # lambda_{k+1} = c - lambda_k with c = c2 (k even) or splus (k odd)
+    lam = [Fraction(0)]
+    for k in range(n_max + 1):
+        lam.append((c2 if k % 2 == 0 else splus) - lam[k])
 
     a: list[Fraction] = [Fraction(0)] * (n_max + 1)
     for n in range(0, n_max + 1, 2):
@@ -219,6 +177,14 @@ def verify_representation_derivation(p: JacobiParams, n_max: int) -> Verificatio
 # --------------------------------------------------------------------------
 
 
+def _representation(p: JacobiParams, size: int):
+    """(M1, M2, K): the block reflection matrices and the diagonal K of
+    the closed-form representation, truncated to size x size."""
+    a = [verblunsky(p, n) for n in range(size)]
+    k = BandedOperator.diagonal([lambda_n(p, n) for n in range(size)])
+    return build_m1(a, size), build_m2(a, size), k
+
+
 def _clean_row(row: dict) -> dict:
     return {j: c for j, c in row.items() if c != 0}
 
@@ -240,11 +206,7 @@ def verify_relations_matrix(p: JacobiParams, size: int) -> VerificationReport:
     between truncated matrices, on every row unaffected by truncation."""
     if size < 3:
         raise ValueError("need size >= 3")
-    a = [verblunsky(p, n) for n in range(size)]
-    lam = [lambda_n(p, n) for n in range(size)]
-    m1 = build_m1(a, size)
-    m2 = build_m2(a, size)
-    k = BandedOperator.diagonal(lam)
+    m1, m2, k = _representation(p, size)
     eye = BandedOperator.identity(size)
     rep = VerificationReport(
         identity="algebra-matrix",
@@ -291,15 +253,13 @@ def build_xy(p: JacobiParams) -> tuple[Operator, Operator]:
     return x_op, y_op
 
 
+def _xy_matrix(p: JacobiParams, m1, m2, k) -> tuple[BandedOperator, BandedOperator]:
+    return anticommutator(m2, m1), k @ k - k.scale(p.s)
+
+
 def build_xy_matrix(p: JacobiParams, size: int) -> tuple[BandedOperator, BandedOperator]:
     """The same pair in the block-matrix representation."""
-    a = [verblunsky(p, n) for n in range(size)]
-    m1 = build_m1(a, size)
-    m2 = build_m2(a, size)
-    k = BandedOperator.diagonal([lambda_n(p, n) for n in range(size)])
-    x = m2 @ m1 + m1 @ m2
-    y = k @ k - k.scale(p.s)
-    return x, y
+    return _xy_matrix(p, *_representation(p, size))
 
 
 def verify_relations_functional(p: JacobiParams, d: int) -> VerificationReport:
@@ -374,22 +334,18 @@ def verify_central_extension(
         rep.add("extension term drops at alpha=beta", res.is_zero)
 
     # matrix side
-    size = matrix_size
-    a = [verblunsky(p, n) for n in range(size)]
-    m1 = build_m1(a, size)
-    x, y = build_xy_matrix(p, size)
-    eye = BandedOperator.identity(size)
-
-    def com(am, bm):
-        return am @ bm - bm @ am
-
-    _rows_match(rep, "[X,M1] matrix", com(x, m1), eye.scale(0))
-    _rows_match(rep, "[Y,M1] matrix", com(y, m1), eye.scale(0))
-    _rows_match(rep, "JR1 matrix", com(x, com(x, y)), (x @ x).scale(2) - eye.scale(8))
+    m1, m2, k = _representation(p, matrix_size)
+    x, y = _xy_matrix(p, m1, m2, k)
+    eye = BandedOperator.identity(matrix_size)
+    _rows_match(rep, "[X,M1] matrix", commutator(x, m1), eye.scale(0))
+    _rows_match(rep, "[Y,M1] matrix", commutator(y, m1), eye.scale(0))
+    _rows_match(
+        rep, "JR1 matrix", commutator(x, commutator(x, y)), (x @ x).scale(2) - eye.scale(8)
+    )
     _rows_match(
         rep,
         "JR2 matrix",
-        com(y, com(y, x)),
+        commutator(y, commutator(y, x)),
         anticommutator(x, y).scale(2) + x.scale(c_x) + m1.scale(c_m1) + eye.scale(c_i),
     )
 

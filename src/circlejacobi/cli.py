@@ -58,21 +58,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(sp, with_n=True):
+    def add_command(name, func, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
         sp.add_argument("--alpha", type=rational, help="first parameter, > -1")
         sp.add_argument("--beta", type=rational, help="second parameter, > -1")
-        if with_n:
-            sp.add_argument("--n", type=int, default=16, help="family size (default 16)")
+        sp.add_argument("--n", type=int, default=16, help="family size (default 16)")
         sp.add_argument(
             "--format", choices=("text", "json", "csv"), default="text"
         )
         sp.add_argument("--out", help="write output to this file instead of stdout")
+        return sp
 
-    g = sub.add_parser("gen", help="tabulate one family")
-    add_common(g)
+    add_command("gen", cmd_gen, "tabulate one family")
 
-    v = sub.add_parser("verify", help="run verification suites")
-    add_common(v)
+    v = add_command("verify", cmd_verify, "run verification suites")
     v.add_argument("--suite", choices=(*suites.SUITES, "all"), default="all")
     v.add_argument(
         "--grid-file",
@@ -86,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="perturb a_INDEX by +1/100 before verifying (negative control)",
     )
 
-    s = sub.add_parser("spectrum", help="eigenvalues of a truncated matrix")
-    add_common(s)
+    s = add_command("spectrum", cmd_spectrum, "eigenvalues of a truncated matrix")
     s.add_argument(
         "--matrix",
         choices=("c", "m1", "m2"),
@@ -95,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which truncation to diagonalize (default: the pentadiagonal product)",
     )
 
-    m = sub.add_parser("moments", help="trigonometric moments sigma_0..sigma_n")
-    add_common(m)
+    add_command("moments", cmd_moments, "trigonometric moments sigma_0..sigma_n")
     return top
 
 
@@ -199,6 +197,14 @@ def cmd_verify(args) -> int:
         return 2
     if args.corrupt_a is not None and not 0 <= args.corrupt_a < args.n:
         print("verify: --corrupt-a index out of range", file=sys.stderr)
+        return 2
+    top = suites.reach(args.suite, args.n)
+    if args.corrupt_a is not None and args.corrupt_a > top:
+        print(
+            f"verify: --corrupt-a {args.corrupt_a} is beyond suite {args.suite}, "
+            f"which reads only a_0..a_{top} at --n {args.n}",
+            file=sys.stderr,
+        )
         return 2
     if args.grid_file:
         try:
@@ -351,18 +357,10 @@ def cmd_moments(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        if args.command == "moments":
-            return cmd_moments(args)
+        return args.func(args)
     except CircleJacobiError as exc:
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

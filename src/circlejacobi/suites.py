@@ -86,6 +86,20 @@ SUITES = {
 }
 
 
+def reach(suite: str, n: int) -> int:
+    """The highest index k whose a_k the suite reads at size n; moving a
+    later a_k changes nothing the suite checks.  phi_j reads a_0..a_{j-1}.
+    The Szegő oracle match and ODE stop at P_{(n+1)//2}, built from
+    phi_{2((n+1)//2)-1}; its other identities read fam.a itself.
+    Orthogonality stops at phi_{min(n, 12)}.  Every other suite, and so
+    "all", reads phi_n or psi_n."""
+    if suite == "szego":
+        return 2 * ((n + 1) // 2) - 2
+    if suite == "moments":
+        return min(n, 12) - 1
+    return n - 1
+
+
 def run(suite: str, fam: OPUCFamily) -> list[VerificationReport]:
     """The reports of one suite, or of every suite in order for "all"."""
     names = SUITES if suite == "all" else (suite,)

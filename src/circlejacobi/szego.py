@@ -476,12 +476,8 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
         lhs = z2m1 * f2.shift(2) + drift * f1
         rhs = z2m1 * f * (n * (n + al + be + 1))
         rep.residual(f"ODE n={n}", lhs - rhs)
-    q_top = min(n_max, (fam.size - 1) // 2 + 1)
-    for n in range(q_top + 1):
-        lhs = build_p(fam, n).poly.theta() if n <= p_top else None
-        if lhs is None or (n >= 1 and n - 1 > (fam.size - 1) // 2):
-            rep.skip(f"theta-PQ n={n} (family too short)")
-            continue
+    for n in range(p_top + 1):
+        lhs = build_p(fam, n).poly.theta()
         rhs = (
             LaurentPoly.zero()
             if n == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from circlejacobi import JacobiParams, build_family
 
@@ -16,6 +17,13 @@ GRID = (
     (F(1), F(2)),
     (F(3, 2), F(1, 2)),
     (F(-1, 2), F(3, 2)),
+)
+
+# A rational parameter in (-1, 3]: small denominators, or within 1/51 of
+# the endpoint -1 where the weight is barely integrable.
+PARAM = st.one_of(
+    st.fractions(min_value=F(-11, 12), max_value=3, max_denominator=12),
+    st.integers(min_value=51, max_value=500).map(lambda q: F(1, q) - 1),
 )
 
 _cache: dict = {}

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from circlejacobi.algebra import (
     AlgebraParams,
@@ -20,11 +21,12 @@ from circlejacobi.algebra import (
     verify_representation_derivation,
     y_eigencheck,
 )
+from circlejacobi.dunkl import lambda_n
 from circlejacobi.errors import Degenerate
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.opuc import JacobiParams, verblunsky
 
-from conftest import GRID
+from conftest import GRID, PARAM
 
 F = Fraction
 
@@ -67,6 +69,15 @@ class TestDerivation:
         rep = verify_representation_derivation(JacobiParams(alpha, beta), 25)
         assert rep.ok
         assert len(rep.checks) == 52
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=PARAM, beta=PARAM)
+    def test_matches_closed_forms_at_random_points(self, alpha, beta):
+        p = JacobiParams(alpha, beta)
+        assert derive_representation(alpha, beta, 12) == (
+            tuple(lambda_n(p, n) for n in range(13)),
+            tuple(verblunsky(p, n) for n in range(13)),
+        )
 
     def test_degenerate_parameter_sum(self):
         # alpha + beta = -2 makes the first diagonal pivot vanish

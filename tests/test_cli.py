@@ -1,14 +1,17 @@
 """Command line interface: argument handling, formats, exit codes."""
 
+import ast
 import csv
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from circlejacobi import suites
 from circlejacobi.cli import main, rational
 
 
@@ -286,6 +289,19 @@ class TestVerify:
         )
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("suite", [*suites.SUITES, "all"])
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    def test_corrupt_index_outside_suite_reach(self, capsys, suite, n):
+        top = suites.reach(suite, n)
+        for k in (-1, *range(top + 1, n + 2)):
+            code, out, err = run(
+                capsys, "verify", "--alpha", "1", "--beta", "2", "--n", str(n),
+                "--suite", suite, "--corrupt-a", str(k),
+            )
+            assert code == 2 and out == "", k
+            if 0 <= k < n:
+                assert f"suite {suite}," in err and f"a_0..a_{top} " in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--alpha", "0", "--beta", "0", "--n", "5",
@@ -454,6 +470,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
+
+    def test_package_holds_no_assert(self):
+        # python -O strips assert statements, so no invariant may rest on one
+        src = Path(suites.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
     def test_detection_survives_optimize_flag(self):
         # python -O strips every assert, so detection must not rest on one

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from circlejacobi.errors import NonPositive, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
@@ -22,6 +21,8 @@ from circlejacobi.moments import (
     verify_toeplitz_h,
 )
 from circlejacobi.opuc import JacobiParams, build_family
+
+from conftest import PARAM
 
 F = Fraction
 
@@ -280,15 +281,9 @@ class TestOrthogonality:
             orthogonality_check(fam, Weight.jacobi(0, 0), 5)
 
 
-_PARAM = st.one_of(
-    st.fractions(min_value=F(-11, 12), max_value=3, max_denominator=12),
-    st.integers(min_value=51, max_value=500).map(lambda q: F(1, q) - 1),
-)
-
-
 class TestRandomRationalPoints:
     @settings(max_examples=100, deadline=None)
-    @given(alpha=_PARAM, beta=_PARAM)
+    @given(alpha=PARAM, beta=PARAM)
     def test_orthogonality_and_toeplitz_h_exact(self, alpha, beta):
         fam = build_family(JacobiParams(alpha, beta), 6)
         w = Weight.jacobi(alpha, beta)

@@ -105,8 +105,30 @@ class TestFamily:
         ]
 
 
-@pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("k", [0, 1, 5])
+class TestReach:
+    # suite -> {n: highest a_k read}; n = 4 and 16 are even, where the
+    # Szegő half-size rule stops one short, and 16 is past the moments cap
+    TOPS = {
+        "szego": {3: 2, 4: 2, 7: 6, 16: 14},
+        "moments": {3: 2, 4: 3, 7: 6, 16: 11},
+    }
+
+    @pytest.mark.parametrize("name", (*NAMES, "all"))
+    @pytest.mark.parametrize("n", [3, 4, 7, 16])
+    def test_reach(self, name, n):
+        assert suites.reach(name, n) == self.TOPS.get(name, {}).get(n, n - 1)
+
+    @pytest.mark.parametrize(
+        "name, k", [("szego", 15), *[("moments", k) for k in range(12, 16)]]
+    )
+    def test_corruption_beyond_reach_changes_nothing(self, name, k):
+        reports = suites.run(name, suites.family(P, 16, corrupt_a=k))
+        assert all(r.ok for r in reports)
+
+
+@pytest.mark.parametrize(
+    "k, name", [(k, name) for name in NAMES for k in range(suites.reach(name, 16) + 1)]
+)
 def test_corruption_failures_carry_residuals(name, k):
     reports = suites.run(name, suites.family(P, 16, corrupt_a=k))
     failures = [f"{r.identity}/{c.label}" for r in reports for c in r.failures]
@@ -125,6 +147,9 @@ GOLDEN_CASES = [
           "--suite", name])
         for name in NAMES
     ],
+    # n = 24 is past both algebra caps: matrix size 21 and monomial range 10.
+    ("offgrid-n24-algebra.json",
+     ["--alpha", "3/7", "--beta", "-2/5", "--n", "24", "--suite", "algebra"]),
 ]
 
 

@@ -200,6 +200,17 @@ class TestVerifications:
         fam = family(alpha, beta, 13)
         assert verify_dep_and_pq_identity(fam, 6).ok
 
+    def test_theta_pq_reaches_every_p_row(self, family):
+        # theta P_n = n (z - 1/z) Q_{n-1} reads phi_{2n-1} on both sides, so
+        # every n <= (size + 1) // 2 is checked and none is skipped
+        for size in range(3, 21):
+            fam = family(1, 2, size)
+            half = (size + 1) // 2
+            for n_max in (1, 3, half, half + 5):
+                rep = verify_dep_and_pq_identity(fam, n_max)
+                assert rep.skipped == []
+                assert len(rep.checks) == 2 * (min(n_max, half) + 1)
+
     def test_fit_detects_broken_chain(self):
         # a chain that is not orthogonal: x p_n - p_{n+1} leaves the span
         chain = [
