@@ -13,7 +13,8 @@ quantity downstream is exact, and a float argument would silently
 poison that.
 
 Exit status: 0 all checks passed, 1 verification failures (or a
-computation error, reported with partial results), 2 bad usage.
+computation error at some grid point, reported with the results of the
+other points), 2 bad usage.
 """
 
 from __future__ import annotations
@@ -224,19 +225,33 @@ def cmd_verify(args) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
 
+    # A point that raises records one error, naming the stage that raised
+    # ("family" or a suite), keeps the reports made before it, and the
+    # run goes on with the next point.
     reports = []
-    error = None
-    try:
-        for p in points:
+    errors = []
+    for p in points:
+        stage = "family"
+        try:
             fam = suites.family(p, args.n, args.corrupt_a)
-            reports.extend(suites.run(args.suite, fam))
-    except (CircleJacobiError, ValueError) as exc:
-        error = f"{type(exc).__name__}: {exc}"
+            for stage in suites.names(args.suite):
+                reports.extend(suites.run(stage, fam))
+        except (CircleJacobiError, ValueError) as exc:
+            errors.append({
+                "alpha": str(p.alpha),
+                "beta": str(p.beta),
+                "suite": stage,
+                "message": f"{type(exc).__name__}: {exc}",
+            })
+    error_lines = [
+        f"alpha={e['alpha']} beta={e['beta']} suite={e['suite']}: {e['message']}"
+        for e in errors
+    ]
 
     n_checks = sum(len(r.checks) for r in reports)
     n_fail = sum(len(r.failures) for r in reports)
     n_skip = sum(len(r.skipped) for r in reports)
-    status = "error" if error else ("pass" if n_fail == 0 else "fail")
+    status = "error" if errors else ("pass" if n_fail == 0 else "fail")
 
     if args.format == "json":
         doc = {
@@ -254,8 +269,8 @@ def cmd_verify(args) -> int:
                 "status": status,
             },
         }
-        if error:
-            doc["error"] = error
+        if errors:
+            doc["error"] = errors
         _emit(args, json.dumps(doc, indent=2) + "\n")
     elif args.format == "csv":
         rows = []
@@ -265,23 +280,20 @@ def cmd_verify(args) -> int:
                      for c in r.checks]
             rows += [(r.identity, params, label, "skip", "") for label in r.skipped]
         _emit(args, _csv_text(rows, ("identity", "params", "check", "status", "detail")))
-        if error:
-            print(f"verify: {error}", file=sys.stderr)
+        for line in error_lines:
+            print(f"verify: {line}", file=sys.stderr)
     else:
         lines = [r.summary_line() for r in reports]
         for r in reports:
             for c in r.failures:
                 lines.append(f"    FAIL {c.label}: {c.detail}")
-        if error:
-            lines.append(f"ERROR {error}")
+        lines += [f"ERROR {line}" for line in error_lines]
         lines.append(
             f"{status.upper()}: {n_checks} checks, {n_fail} failures, {n_skip} skipped"
         )
         _emit(args, "\n".join(lines) + "\n")
 
-    if error:
-        return 1
-    return 0 if n_fail == 0 else 1
+    return 0 if status == "pass" else 1
 
 
 # --------------------------------------------------------------------------

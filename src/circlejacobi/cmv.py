@@ -11,14 +11,15 @@ rest as skipped.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BadVerblunsky, ConvergenceFailure
 from .laurent import LaurentPoly
 from .opuc import OPUCFamily, family_params, verblunsky
 from .report import VerificationReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ZERO = Fraction(0)
 
@@ -157,6 +158,8 @@ class BandedOperator:
         return out
 
     def to_float(self) -> np.ndarray:
+        import numpy as np  # only the float spectrum needs numpy
+
         arr = np.zeros((self.size, self.size), dtype=float)
         for i, j, v in self.entries():
             arr[i, j] = float(v)
@@ -291,8 +294,11 @@ def truncated_spectrum(op: BandedOperator) -> list[complex]:
     """Eigenvalues of the float image, sorted by argument then modulus.
 
     This is the single floating-point route in the operator layer and is
-    informational only; no exact verification consumes it.
+    informational only; no exact verification consumes it, so numpy is
+    imported here and not when the package loads.
     """
+    import numpy as np
+
     try:
         vals = np.linalg.eigvals(op.to_float())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here

@@ -1,22 +1,29 @@
 """Exact Laurent-polynomial arithmetic over the rationals.
 
-A Laurent polynomial is stored sparsely as a mapping from integer
-exponent to nonzero ``fractions.Fraction`` coefficient.  Every operation
-is exact, so equality of two polynomials is a decidable zero-residual
-test; this is the substrate every verification in the package computes
-over.  Instances are immutable: arithmetic always returns new objects.
+A Laurent polynomial c_lo z^lo + ... + c_hi z^hi is stored as its lowest
+exponent ``lo``, a dense tuple of integer numerators and one positive
+integer denominator ``den``, so that c_k = nums[k - lo] / den.  Every
+result is brought to one normal form: both end numerators are nonzero and
+gcd(den, *nums) = 1, i.e. a primitive integer part over the least common
+denominator (content and primitive part, Knuth, *TAOCP* vol. 2, §4.6.1;
+FLINT's ``fmpq_poly`` uses the same layout).  The form is unique, so
+equality and hashing compare plain tuples and a zero-residual test is an
+emptiness test.  Arithmetic runs on Python ints with one gcd per result,
+and exact division is integer long division; ``coeff``, ``items``,
+``evaluate`` and ``text`` hand out reduced ``Fraction`` values.  Instances
+are immutable: arithmetic always returns new objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NotDivisible, ZeroArgument
 
-# The scalar field of the whole package.  ``fractions.Fraction`` keeps
-# every value reduced with a positive denominator, which is exactly the
-# normal form the exact layer requires.
+# The scalar type of the whole package: every coefficient read out of a
+# polynomial, and every structural constant, is a reduced Fraction.
 Rational = Fraction
 
 Scalar = Union[int, str, Fraction]
@@ -29,30 +36,60 @@ def _fraction(value: Scalar) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _make(lo: int, nums: tuple[int, ...], den: int) -> "LaurentPoly":
+    """A polynomial from parts already in normal form."""
+    res = LaurentPoly.__new__(LaurentPoly)
+    res._lo = lo
+    res._num = nums
+    res._den = den
+    return res
+
+
+def _normal(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
+    """sum(nums[i] z^(lo + i)) / den, den > 0, in normal form: end zeros
+    trimmed, then numerators and denominator divided by their gcd."""
+    start, stop = 0, len(nums)
+    while stop and not nums[stop - 1]:
+        stop -= 1
+    while start < stop and not nums[start]:
+        start += 1
+    if start == stop:
+        return _make(0, (), 1)
+    g = gcd(den, *nums[start:stop])
+    if g == 1:
+        return _make(lo + start, tuple(nums[start:stop]), den)
+    return _make(lo + start, tuple([c // g for c in nums[start:stop]]), den // g)
+
+
 class LaurentPoly:
     """A Laurent polynomial sum(c_k * z^k) with rational coefficients.
 
-    The zero polynomial has empty support; zero coefficients are never
-    stored.  Coefficients are real rationals, so conjugation is the
-    identity throughout the package.
+    The zero polynomial has empty support (lo = 0, no numerators, den = 1).
+    Coefficients are real rationals, so conjugation is the identity
+    throughout the package.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_lo", "_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        store: dict[int, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for exp, val in items:
             c = _fraction(val)
-            if not c:
-                continue
-            k = int(exp)
-            acc = store.get(k, _ZERO) + c
-            if acc:
-                store[k] = acc
-            else:
-                del store[k]
-        self._coeffs = store
+            if c:
+                k = int(exp)
+                acc[k] = acc.get(k, _ZERO) + c
+        acc = {k: c for k, c in acc.items() if c}
+        self._lo, self._num, self._den = 0, (), 1
+        if acc:
+            # over the lcm of the reduced denominators the numerators
+            # already have no common factor with it
+            den = lcm(*(c.denominator for c in acc.values()))
+            lo = min(acc)
+            nums = [0] * (max(acc) - lo + 1)
+            for k, c in acc.items():
+                nums[k - lo] = c.numerator * (den // c.denominator)
+            self._lo, self._num, self._den = lo, tuple(nums), den
 
     # ---------------------------------------------------------------- constructors
 
@@ -77,42 +114,44 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def support(self) -> tuple[int, ...]:
         """Exponents carrying a nonzero coefficient, ascending."""
-        return tuple(sorted(self._coeffs))
+        return tuple(k for k, c in enumerate(self._num, self._lo) if c)
 
     @property
     def min_exp(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no support")
-        return min(self._coeffs)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("the zero polynomial has no support")
-        return max(self._coeffs)
+        return self._lo + len(self._num) - 1
 
     def coeff(self, exponent: int) -> Fraction:
         """Coefficient of z^exponent (0 if absent)."""
-        return self._coeffs.get(exponent, _ZERO)
+        i = exponent - self._lo
+        if 0 <= i < len(self._num) and self._num[i]:
+            return Fraction(self._num[i], self._den)
+        return _ZERO
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
-        for k in sorted(self._coeffs):
-            yield k, self._coeffs[k]
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        den = self._den
+        for k, c in enumerate(self._num, self._lo):
+            if c:
+                yield k, Fraction(c, den)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._num) - self._num.count(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     # ---------------------------------------------------------------- equality
 
@@ -120,76 +159,94 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly.constant(other)
+            return _make(0, (other.numerator,), other.denominator) if other else _make(0, (), 1)
         return None
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._coeffs == o._coeffs
+        return self._lo == o._lo and self._den == o._den and self._num == o._num
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self._lo, self._num, self._den))
 
     # ---------------------------------------------------------------- ring operations
+
+    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other over the common denominator."""
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        da, db = self._den, other._den
+        if da == db:
+            ma, mb, den = 1, sign, da
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+            den = da * ma
+        lo = min(self._lo, other._lo)
+        out = [0] * (max(self._lo + len(a), other._lo + len(b)) - lo)
+        i = self._lo - lo
+        out[i:i + len(a)] = a if ma == 1 else [c * ma for c in a]
+        i = other._lo - lo
+        out[i:i + len(b)] = [x + c * mb for x, c in zip(out[i:i + len(b)], b)]
+        return _normal(lo, out, den)
 
     def __add__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in o._coeffs.items():
-            acc = out.get(k, _ZERO) + c
-            if acc:
-                out[k] = acc
-            else:
-                del out[k]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = out
-        return res
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = {k: -c for k, c in self._coeffs.items()}
-        return res
+        return _make(self._lo, tuple([-c for c in self._num]), self._den)
 
     def __sub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._combine(self, -1)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            c = _fraction(other)
-            if not c:
-                return LaurentPoly.zero()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res._coeffs = {k: v * c for k, v in self._coeffs.items()}
-            return res
+            p, q = other.numerator, other.denominator
+            nums, den = self._num, self._den
+            if not p or not nums:
+                return _make(0, (), 1)
+            # gcd(den, nums) = 1 and gcd(p, q) = 1, so the product's common
+            # factor is gcd(den, p) * gcd(q, nums): two gcds against the
+            # scalar, which is usually far shorter than the polynomial
+            g = gcd(den, p)
+            if g > 1:
+                p, den = p // g, den // g
+            g = gcd(q, *nums)
+            if g > 1:
+                q, nums = q // g, [v // g for v in nums]
+            return _make(self._lo, tuple([v * p for v in nums]), den * q)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for ka, ca in self._coeffs.items():
-            for kb, cb in other._coeffs.items():
-                k = ka + kb
-                acc = out.get(k, _ZERO) + ca * cb
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = out
-        return res
+        a, b = self._num, other._num
+        if not a or not b:
+            return _make(0, (), 1)
+        if len(a) < len(b):
+            a, b = b, a
+        n = len(a)
+        out = [0] * (n + len(b) - 1)
+        for j, c in enumerate(b):
+            if c:
+                out[j:j + n] = [x + c * y for x, y in zip(out[j:j + n], a)]
+        return _normal(self._lo + other._lo, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -215,38 +272,41 @@ class LaurentPoly:
 
     def reflect(self) -> "LaurentPoly":
         """f(z) -> f(1/z): negate every exponent."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = {-k: c for k, c in self._coeffs.items()}
-        return res
+        if not self._num:
+            return self
+        return _make(1 - self._lo - len(self._num), self._num[::-1], self._den)
 
     def shift(self, power: int = 1) -> "LaurentPoly":
         """Multiply by z^power (exponent shift)."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = {k + power: c for k, c in self._coeffs.items()}
-        return res
+        if not self._num:
+            return self
+        return _make(self._lo + power, self._num, self._den)
 
     def theta(self) -> "LaurentPoly":
         """The Euler operator z d/dz: scales each coefficient by its exponent."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = {k: c * k for k, c in self._coeffs.items() if k}
-        return res
+        nums = [c * k for k, c in enumerate(self._num, self._lo)]
+        return _normal(self._lo, nums, self._den)
 
     def deriv(self) -> "LaurentPoly":
         """d/dz, valid on Laurent polynomials: z^k -> k z^(k-1)."""
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = {k - 1: c * k for k, c in self._coeffs.items() if k}
-        return res
+        nums = [c * k for k, c in enumerate(self._num, self._lo)]
+        return _normal(self._lo - 1, nums, self._den)
 
     # ---------------------------------------------------------------- division
 
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Return q with self == q * divisor, raising NotDivisible otherwise.
 
-        Both operands are normalized by their minimal exponent (a unit in
-        the Laurent ring), after which ordinary polynomial long division
-        decides divisibility: the normalization forces nonzero constant
-        terms, so the Laurent quotient exists exactly when the polynomial
-        remainder vanishes.
+        Dropping the lowest exponents (units of the Laurent ring) leaves
+        integer polynomials F and G with nonzero constant terms, so the
+        Laurent quotient exists exactly when G divides F.  Write
+        G = content * P with P primitive.  By Gauss's lemma P divides the
+        integer polynomial F over the rationals only if the quotient has
+        integer coefficients, so integer long division by P decides it:
+        each leading numerator must be an exact multiple of P's leading
+        coefficient (always so for the package's divisors 1 - z^2,
+        z - 1/z and 1 - z, whose leading coefficient is -1 or 1), and the
+        remainder must vanish.  No fraction arises on the way.
         """
         if not isinstance(divisor, LaurentPoly):
             raise TypeError("divisor must be a LaurentPoly")
@@ -254,32 +314,35 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly.zero()
-        f_shift = self.min_exp
-        d_shift = divisor.min_exp
-        rem = {k - f_shift: c for k, c in self._coeffs.items()}
-        den = {k - d_shift: c for k, c in divisor._coeffs.items()}
-        deg_d = max(den)
-        lead = den[deg_d]
-        quot: dict[int, Fraction] = {}
-        while rem:
-            deg_r = max(rem)
-            if deg_r < deg_d:
-                raise NotDivisible(
-                    f"({divisor.text()}) does not divide ({self.text()}) exactly"
-                )
-            q = rem[deg_r] / lead
-            k = deg_r - deg_d
-            quot[k] = q
-            for j, c in den.items():
-                t = j + k
-                acc = rem.get(t, _ZERO) - q * c
-                if acc:
-                    rem[t] = acc
-                else:
-                    rem.pop(t, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._coeffs = {k + f_shift - d_shift: c for k, c in quot.items()}
-        return res
+        content = gcd(*divisor._num)
+        prim = [c // content for c in divisor._num] if content > 1 else divisor._num
+        deg = len(prim) - 1
+        rem = list(self._num)
+        lead = prim[-1]
+        # the divisor's lower terms, as offsets below the leading one
+        taps = [(j - deg, c) for j, c in enumerate(prim[:-1]) if c]
+        quot = [0] * max(len(rem) - deg, 0)
+        for top in range(len(rem) - 1, deg - 1, -1):
+            r = rem[top]
+            if not r:
+                continue
+            if lead == 1:
+                q = r
+            elif lead == -1:
+                q = -r
+            else:
+                q, left = divmod(r, lead)
+                if left:
+                    break
+            quot[top - deg] = q
+            for off, c in taps:
+                rem[top + off] -= q * c
+        else:
+            if not any(rem[:deg]) and quot:
+                dg = divisor._den
+                nums = quot if dg == 1 else [q * dg for q in quot]
+                return _normal(self._lo - divisor._lo, nums, self._den * content)
+        raise NotDivisible(f"({divisor.text()}) does not divide ({self.text()}) exactly")
 
     # ---------------------------------------------------------------- evaluation
 
@@ -289,9 +352,9 @@ class LaurentPoly:
         if not x:
             raise ZeroArgument("Laurent polynomials cannot be evaluated at z = 0")
         total = _ZERO
-        for k, c in self._coeffs.items():
-            total += c * x**k
-        return total
+        for c in reversed(self._num):
+            total = total * x + c
+        return total * x**self._lo / self._den
 
     __call__ = evaluate
 
@@ -300,7 +363,7 @@ class LaurentPoly:
     def text(self) -> str:
         """Canonical text form with ascending exponents, e.g.
         "1/3*z^-1 + 2/3 + 1/3*z"."""
-        if not self._coeffs:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for k, c in self.items():

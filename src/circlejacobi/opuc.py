@@ -9,7 +9,7 @@ CMV Laurent functions psi_n obtained by reordering the monomial basis as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadSupport, BadVerblunsky, ParamOutOfRange
@@ -120,6 +120,11 @@ class OPUCFamily:
     the squared norms h_0..h_N (h_0 = 1, h_n = prod_{k<n} (1 - a_k^2)),
     and the CMV Laurent functions psi_0..psi_N.  Treat instances as
     immutable: nothing in the package mutates a built family.
+
+    ``derived`` keeps objects computed from this instance on first use
+    (the Szego P_n and Q_n), so every check that reads them shares one
+    build.  It belongs to the instance, never to its parameters: a
+    corrupted family tagged with the clean family's params has its own.
     """
 
     params: JacobiParams | None
@@ -127,6 +132,7 @@ class OPUCFamily:
     phi: tuple[LaurentPoly, ...]
     h: tuple[Fraction, ...]
     psi: tuple[LaurentPoly, ...]
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:

@@ -100,7 +100,11 @@ def reach(suite: str, n: int) -> int:
     return n - 1
 
 
+def names(suite: str) -> tuple[str, ...]:
+    """The suites that suite runs, in order: every suite for "all"."""
+    return tuple(SUITES) if suite == "all" else (suite,)
+
+
 def run(suite: str, fam: OPUCFamily) -> list[VerificationReport]:
     """The reports of one suite, or of every suite in order for "all"."""
-    names = SUITES if suite == "all" else (suite,)
-    return [rep for name in names for rep in SUITES[name](fam)]
+    return [rep for name in names(suite) for rep in SUITES[name](fam)]

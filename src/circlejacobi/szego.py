@@ -141,22 +141,32 @@ def classical_jacobi_oracle(alpha, beta, n: int) -> SymmetricLaurent:
 
 
 def build_p(fam: OPUCFamily, n: int) -> SymmetricLaurent:
-    """P_n = z^(1-n) phi_{2n-1}(z) + z^(n-1) phi_{2n-1}(1/z), P_0 = 1."""
-    if n == 0:
-        return SymmetricLaurent(LaurentPoly.one())
-    t = fam.phi[2 * n - 1]
-    return SymmetricLaurent(t.shift(1 - n) + t.reflect().shift(n - 1))
+    """P_n = z^(1-n) phi_{2n-1}(z) + z^(n-1) phi_{2n-1}(1/z), P_0 = 1.
+
+    Built once per family and kept in ``fam.derived``."""
+    key = ("P", n)
+    if key not in fam.derived:
+        if n == 0:
+            poly = LaurentPoly.one()
+        else:
+            t = fam.phi[2 * n - 1]
+            poly = t.shift(1 - n) + t.reflect().shift(n - 1)
+        fam.derived[key] = SymmetricLaurent(poly)
+    return fam.derived[key]
 
 
 def build_q(fam: OPUCFamily, n: int) -> SymmetricLaurent:
     """Q_n = (z^-n phi_{2n+1}(z) - z^n phi_{2n+1}(1/z)) / (z - 1/z).
 
     The numerator is antisymmetric, hence vanishes at z = +-1, so the
-    division is exact.
+    division is exact.  Built once per family and kept in ``fam.derived``.
     """
-    t = fam.phi[2 * n + 1]
-    num = t.shift(-n) - t.reflect().shift(n)
-    return SymmetricLaurent(num.div_exact(Z_MINUS_ZINV))
+    key = ("Q", n)
+    if key not in fam.derived:
+        t = fam.phi[2 * n + 1]
+        num = t.shift(-n) - t.reflect().shift(n)
+        fam.derived[key] = SymmetricLaurent(num.div_exact(Z_MINUS_ZINV))
+    return fam.derived[key]
 
 
 def _a(fam: OPUCFamily, k: int) -> Fraction:

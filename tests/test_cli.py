@@ -197,6 +197,55 @@ class TestVerify:
         assert doc["config"]["grid"] == [["1/2", "-1/2"], ["0", "0"]]
         assert len(doc["suite_results"]) == 2
 
+    def test_bad_point_does_not_stop_the_grid(self, capsys, tmp_path):
+        # a_0 + 1/100 = 20101/20100 at (-99/100, 1): that family cannot be
+        # built, and the point after it still runs
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([["-99/100", "1"], ["1", "2"]]))
+        argv = ["verify", "--grid-file", str(grid), "--n", "8", "--corrupt-a", "0",
+                "--suite", "cmv"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        [error] = doc["error"]
+        assert error["alpha"] == "-99/100" and error["beta"] == "1"
+        assert error["suite"] == "family"
+        assert error["message"].startswith("BadVerblunsky: a_0 = 20101/20100 ")
+        assert [(r["identity"], r["params"]["alpha"], r["params"]["beta"])
+                for r in doc["suite_results"]] == [
+            ("reflection-rows", "1", "2"), ("cmv-rows", "1", "2"),
+        ]
+        assert doc["summary"]["status"] == "error"
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "ERROR alpha=-99/100 beta=1 suite=family: BadVerblunsky: " in out
+        lines = out.splitlines()
+        assert sum(line.startswith("FAIL ") for line in lines) == 2
+        assert lines[-1].startswith("ERROR: ")
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 1 and "reflection-rows" in out
+        assert err.startswith("verify: alpha=-99/100 beta=1 suite=family: BadVerblunsky: ")
+
+    def test_suite_error_names_the_suite_and_goes_on(self, capsys, tmp_path, monkeypatch):
+        def broken(fam):
+            raise ValueError("broken suite")
+
+        monkeypatch.setitem(suites.SUITES, "cmv", broken)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([["0", "0"], ["1", "2"]]))
+        code, out, _ = run(
+            capsys, "verify", "--grid-file", str(grid), "--n", "5", "--suite", "all",
+            "--format", "json",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == [
+            {"alpha": a, "beta": b, "suite": "cmv", "message": "ValueError: broken suite"}
+            for a, b in (("0", "0"), ("1", "2"))
+        ]
+        # each point keeps the reports of the suites before the failing one
+        assert [r["identity"] for r in doc["suite_results"]] == ["bispectral-eigen"] * 2
+
     def test_bad_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([["spam", "eggs"]]))
@@ -454,13 +503,15 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["a"] == ["-1/2", "-1/3", "-1/4", "-1/5"]
 
     def test_cli_import_leaves_scipy_out(self):
+        # numpy too: only `spectrum` needs it, and it imports it on use
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import circlejacobi.cli, sys; print('scipy' in sys.modules)"],
+             "import circlejacobi.cli, sys; "
+             "print('scipy' in sys.modules, 'numpy' in sys.modules)"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
     def test_module_invocation_failure_code(self):
         proc = subprocess.run(

@@ -1,6 +1,7 @@
 """Exact Laurent arithmetic: frozen examples and algebraic properties."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +31,55 @@ def laurents(draw, max_terms=6, span=6):
 
 
 nonzero_laurents = laurents().filter(lambda f: not f.is_zero)
+
+
+@st.composite
+def divisors(draw):
+    """Integer polynomials of span >= 1 whose primitive part has a leading
+    coefficient other than 1 or -1, at a random (often negative) offset,
+    scaled by a random rational."""
+    lo = draw(st.integers(-5, 3))
+    span = draw(st.integers(1, 4))
+    body = [draw(st.integers(-9, 9)) for _ in range(span)]
+    lead = draw(st.integers(2, 9)) * draw(st.sampled_from((1, -1)))
+    if not body[0] or gcd(lead, *body) > 1:
+        # a nonzero constant term keeps the span, content 1 keeps lead
+        # the leading coefficient of the primitive part
+        body[0] = 1
+    scale = F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return LaurentPoly({lo + i: c for i, c in enumerate([*body, lead])}) * scale
+
+
+# A reference model: a Laurent polynomial as a dict exponent -> nonzero Fraction.
+
+def model(f: LaurentPoly) -> dict:
+    return dict(f.items())
+
+
+def model_add(f: dict, g: dict, sign=1) -> dict:
+    out = dict(f)
+    for k, c in g.items():
+        out[k] = out.get(k, F(0)) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def model_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for j, a in f.items():
+        for k, b in g.items():
+            out[j + k] = out.get(j + k, F(0)) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+def assert_normal(f: LaurentPoly) -> None:
+    """The stored form: positive denominator, nonzero end numerators, and
+    no factor common to the denominator and every numerator."""
+    assert f._den > 0
+    if f.is_zero:
+        assert (f._lo, f._num, f._den) == (0, (), 1)
+    else:
+        assert f._num[0] and f._num[-1]
+        assert gcd(f._den, *f._num) == 1
 
 
 class TestConstruction:
@@ -103,6 +153,45 @@ class TestArithmetic:
         assert f * g == g * f
 
 
+class TestNormalForm:
+    @given(laurents(), laurents(), laurents())
+    def test_operation_order_gives_one_form(self, f, g, h):
+        left, right = f * (g + h), f * g + f * h
+        assert left == right and hash(left) == hash(right)
+        back = (f + g) - g
+        assert back == f and hash(back) == hash(f)
+        assert hash(f * g) == hash(g * f)
+
+    @given(laurents(), laurents(), st.fractions(max_denominator=50))
+    def test_every_result_is_normal(self, f, g, c):
+        for r in (f + g, f - g, f * g, f * c, -f, f.theta(), f.deriv(),
+                  f.reflect(), f.shift(-3), 1 - f):
+            assert_normal(r)
+
+    def test_scaled_copies_share_one_form(self):
+        f = LaurentPoly({-1: F(2, 3), 2: F(4, 9)})
+        assert (f * 6) / 6 == f and hash((f * 6) / 6) == hash(f)
+        assert (f * F(3, 2)) * F(2, 3) == f
+        assert_normal(f * F(9, 2))
+
+    @given(laurents(), laurents(), st.fractions(max_denominator=50))
+    def test_matches_dict_model(self, f, g, c):
+        mf, mg = model(f), model(g)
+        assert model(f + g) == model_add(mf, mg)
+        assert model(f - g) == model_add(mf, mg, -1)
+        assert model(f * g) == model_mul(mf, mg)
+        assert model(f * c) == {k: v * c for k, v in mf.items() if v * c}
+        assert model(f.reflect()) == {-k: v for k, v in mf.items()}
+        assert model(f.shift(2)) == {k + 2: v for k, v in mf.items()}
+        assert model(f.theta()) == {k: k * v for k, v in mf.items() if k}
+        assert model(f.deriv()) == {k - 1: k * v for k, v in mf.items() if k}
+        h = f + g
+        for k in range(-14, 15):
+            assert h.coeff(k) == model_add(mf, mg).get(k, 0)
+        assert list(h.support) == sorted(model_add(mf, mg))
+        assert len(h) == len(model_add(mf, mg))
+
+
 class TestStructureMaps:
     def test_reflect_frozen(self):
         f = LaurentPoly({2: 1, -1: 2})
@@ -170,6 +259,36 @@ class TestDivision:
     @given(laurents(), nonzero_laurents)
     def test_mul_div_roundtrip(self, f, g):
         assert (f * g).div_exact(g) == f
+
+    @given(laurents(), divisors())
+    def test_non_unit_leading_coefficient(self, q, g):
+        assert (q * g).div_exact(g) == q
+
+    def test_non_unit_leading_coefficient_frozen(self):
+        # (1/2 + z/3)(3 - 2z^-1 + 5z) / (3 - 2z^-1 + 5z) = 1/2 + z/3
+        g = LaurentPoly({-1: -2, 0: 3, 1: 5})
+        q = LaurentPoly({0: F(1, 2), 1: F(1, 3)})
+        assert (q * g).div_exact(g) == q
+        assert (q * g).div_exact(q) == g
+
+    @given(laurents(), divisors(), st.data())
+    def test_remainder_raises(self, q, g, data):
+        # a nonzero r spanning fewer exponents than g is no multiple of g,
+        # so q g + r is not divisible by g
+        lo = data.draw(st.integers(-6, 6))
+        r = LaurentPoly({
+            lo + i: data.draw(st.fractions(max_denominator=9))
+            for i in range(g.max_exp - g.min_exp)
+        })
+        if r.is_zero:
+            r = LaurentPoly.monomial(lo)
+        with pytest.raises(NotDivisible, match=r"\) does not divide \("):
+            (q * g + r).div_exact(g)
+
+    def test_not_divisible_message(self):
+        with pytest.raises(NotDivisible) as exc:
+            LaurentPoly({0: 1, 2: 1}).div_exact(LaurentPoly({0: 2, 1: 3}))
+        assert str(exc.value) == "(2 + 3*z) does not divide (1 + z^2) exactly"
 
 
 class TestEvaluation:

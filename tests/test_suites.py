@@ -126,6 +126,21 @@ class TestReach:
         assert all(r.ok for r in reports)
 
 
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_parameter_blind_identities_pass_under_corruption(k):
+    # The first three Szegő identities take their coefficients from fam.a,
+    # not from fam.params, so they hold for any Verblunsky list and pass a
+    # corrupted one by design; the oracle match and the ODE catch it.
+    reports = suites.run("szego", suites.family(P, 16, corrupt_a=k))
+    assert [(r.identity, r.ok) for r in reports] == [
+        ("three-term", True),
+        ("recurrence-closure", True),
+        ("szego-transforms", True),
+        ("classical-match", False),
+        ("hypergeometric-ode", False),
+    ]
+
+
 @pytest.mark.parametrize(
     "k, name", [(k, name) for name in NAMES for k in range(suites.reach(name, 16) + 1)]
 )

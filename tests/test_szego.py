@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from circlejacobi import suites
 from circlejacobi.errors import ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.opuc import JacobiParams, build_family
@@ -130,6 +131,29 @@ class TestBuildPQ:
         for n in range(6):
             assert build_p(fam, n).x_coefficients()[-1] == 1
             assert build_q(fam, n).x_coefficients()[-1] == 1
+
+
+    def test_chains_are_built_once_per_family(self, family):
+        fam = family(F(1), F(2), 11)
+        assert build_p(fam, 3) is build_p(fam, 3)
+        assert build_q(fam, 2) is build_q(fam, 2)
+        pair = build_szego_pair(fam)
+        assert pair.p[3] is build_p(fam, 3) and pair.q[2] is build_q(fam, 2)
+
+    def test_memo_is_per_family_not_per_params(self, family):
+        # a corrupted family carries the clean family's params; it must
+        # build its own chains, never read the clean ones
+        clean = family(F(1), F(2), 16)
+        half = (clean.size + 1) // 2
+        assert verify_classical_match(clean, half).ok
+        bad = suites.family(clean.params, 16, corrupt_a=1)
+        assert bad.params == clean.params and not bad.derived
+        for n in range(2, half + 1):
+            assert build_p(bad, n) != build_p(clean, n)
+            assert build_q(bad, n - 1) != build_q(clean, n - 1)
+        assert not verify_classical_match(bad, half).ok
+        assert not verify_dep_and_pq_identity(bad, half).ok
+        assert verify_classical_match(clean, half).ok
 
 
 class TestRecurrenceCoefficients:
