@@ -185,13 +185,9 @@ def _representation(p: JacobiParams, size: int):
     return build_m1(a, size), build_m2(a, size), k
 
 
-def _clean_row(row: dict) -> dict:
-    return {j: c for j, c in row.items() if c != 0}
-
-
 def _rows_match(rep, label: str, lhs: BandedOperator, rhs: BandedOperator) -> None:
     n = min(lhs.valid_rows, rhs.valid_rows)
-    bad = [i for i in range(n) if _clean_row(lhs.row(i)) != _clean_row(rhs.row(i))]
+    bad = [i for i in range(n) if lhs.row(i) != rhs.row(i)]
     rep.add(
         label,
         not bad,

@@ -279,6 +279,8 @@ def cmd_verify(args) -> int:
             rows += [(r.identity, params, c.label, "pass" if c.ok else "fail", c.detail)
                      for c in r.checks]
             rows += [(r.identity, params, label, "skip", "") for label in r.skipped]
+        rows += [(e["suite"], json.dumps({"alpha": e["alpha"], "beta": e["beta"]}), "",
+                  "error", e["message"]) for e in errors]
         _emit(args, _csv_text(rows, ("identity", "params", "check", "status", "detail")))
         for line in error_lines:
             print(f"verify: {line}", file=sys.stderr)

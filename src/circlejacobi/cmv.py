@@ -21,11 +21,17 @@ from .report import VerificationReport
 if TYPE_CHECKING:
     import numpy as np
 
-_ZERO = Fraction(0)
+_ZERO_ROW = LaurentPoly.zero()
 
 
 class BandedOperator:
     """Exact banded matrix with row-validity metadata.
+
+    Row i is stored as its generating polynomial sum_j M[i, j] z^j, a
+    ``LaurentPoly`` keyed by i, and zero rows are not stored; the
+    polynomial's normal form makes that representation unique, so sums,
+    scalings and equality are ``LaurentPoly`` operations.  ``row``,
+    ``entry`` and ``entries`` read the entries back as ``Fraction``.
 
     ``valid_rows`` counts the leading rows whose entries coincide with
     the semi-infinite operator the truncation approximates, including
@@ -38,12 +44,12 @@ class BandedOperator:
     def __init__(
         self,
         size: int,
-        rows: dict[int, dict[int, Fraction]],
+        rows: dict[int, LaurentPoly],
         bandwidth: int,
         valid_rows: int,
     ):
         self.size = size
-        self.rows = rows
+        self.rows = {i: r for i, r in rows.items() if r}
         self.bandwidth = bandwidth
         self.valid_rows = valid_rows
 
@@ -51,24 +57,24 @@ class BandedOperator:
 
     @classmethod
     def identity(cls, size: int) -> "BandedOperator":
-        return cls(size, {i: {i: Fraction(1)} for i in range(size)}, 0, size)
+        return cls.diagonal([1] * size)
 
     @classmethod
     def diagonal(cls, values: Sequence[Fraction]) -> "BandedOperator":
-        rows = {i: {i: Fraction(v)} for i, v in enumerate(values) if v}
+        rows = {i: LaurentPoly.monomial(i, v) for i, v in enumerate(values)}
         return cls(len(values), rows, 0, len(values))
 
     # ------------------------------------------------------------- inspection
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows.get(i, {}).get(j, _ZERO)
+        return self.rows.get(i, _ZERO_ROW).coeff(j)
 
     def row(self, i: int) -> dict[int, Fraction]:
-        return dict(self.rows.get(i, {}))
+        return dict(self.rows.get(i, _ZERO_ROW).items())
 
     def entries(self):
         for i, row in sorted(self.rows.items()):
-            for j, v in sorted(row.items()):
+            for j, v in row.items():
                 yield i, j, v
 
     def max_band(self) -> int:
@@ -78,10 +84,7 @@ class BandedOperator:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BandedOperator):
             return NotImplemented
-        return self.size == other.size and self._clean() == other._clean()
-
-    def _clean(self) -> dict[int, dict[int, Fraction]]:
-        return {i: row for i, row in self.rows.items() if row}
+        return self.size == other.size and self.rows == other.rows
 
     # ------------------------------------------------------------- arithmetic
 
@@ -91,17 +94,10 @@ class BandedOperator:
 
     def __add__(self, other: "BandedOperator") -> "BandedOperator":
         self._check_size(other)
-        rows: dict[int, dict[int, Fraction]] = {}
-        for i in set(self.rows) | set(other.rows):
-            merged = dict(self.rows.get(i, {}))
-            for j, v in other.rows.get(i, {}).items():
-                acc = merged.get(j, _ZERO) + v
-                if acc:
-                    merged[j] = acc
-                else:
-                    merged.pop(j, None)
-            if merged:
-                rows[i] = merged
+        rows = {
+            i: self.rows.get(i, _ZERO_ROW) + other.rows.get(i, _ZERO_ROW)
+            for i in self.rows.keys() | other.rows.keys()
+        }
         return BandedOperator(
             self.size,
             rows,
@@ -110,7 +106,7 @@ class BandedOperator:
         )
 
     def __neg__(self) -> "BandedOperator":
-        rows = {i: {j: -v for j, v in row.items()} for i, row in self.rows.items()}
+        rows = {i: -r for i, r in self.rows.items()}
         return BandedOperator(self.size, rows, self.bandwidth, self.valid_rows)
 
     def __sub__(self, other: "BandedOperator") -> "BandedOperator":
@@ -120,29 +116,16 @@ class BandedOperator:
         c = Fraction(c)
         if not c:
             return BandedOperator(self.size, {}, 0, self.valid_rows)
-        rows = {i: {j: v * c for j, v in row.items()} for i, row in self.rows.items()}
+        rows = {i: r * c for i, r in self.rows.items()}
         return BandedOperator(self.size, rows, self.bandwidth, self.valid_rows)
 
     def __matmul__(self, other: "BandedOperator") -> "BandedOperator":
         self._check_size(other)
-        rows: dict[int, dict[int, Fraction]] = {}
-        for i, arow in self.rows.items():
-            out: dict[int, Fraction] = {}
-            for k, av in arow.items():
-                brow = other.rows.get(k)
-                if not brow:
-                    continue
-                for j, bv in brow.items():
-                    acc = out.get(j, _ZERO) + av * bv
-                    if acc:
-                        out[j] = acc
-                    else:
-                        out.pop(j, None)
-            if out:
-                rows[i] = out
-        # Row i of the product is trustworthy when row i of the left
-        # factor is, and every row it touches on the right (within the
-        # left bandwidth) is too.
+        # row i of the product is row i applied to the right factor's rows;
+        # it is trustworthy when row i of the left factor is, and every row
+        # it touches on the right (within the left bandwidth) is too
+        right = [other.rows.get(k, _ZERO_ROW) for k in range(other.size)]
+        rows = {i: self.apply_row(i, right) for i in self.rows}
         valid = min(self.valid_rows, other.valid_rows - self.bandwidth)
         return BandedOperator(
             self.size, rows, self.bandwidth + other.bandwidth, max(valid, 0)
@@ -152,8 +135,8 @@ class BandedOperator:
 
     def apply_row(self, i: int, vectors: Sequence[LaurentPoly]) -> LaurentPoly:
         """sum_j M[i, j] * vectors[j]."""
-        out = LaurentPoly.zero()
-        for j, v in self.rows.get(i, {}).items():
+        out = _ZERO_ROW
+        for j, v in self.rows.get(i, _ZERO_ROW).items():
             out = out + vectors[j] * v
         return out
 
@@ -193,14 +176,15 @@ def _reflection_blocks(
         raise ValueError("size must be >= 1")
     last = size - 1 - (size - 1 - first_row) % 2  # row of the last block
     _check_coeffs(a, last + 1)
-    rows = {r: {r: Fraction(1)} for r in range(first_row)}
+    rows = {r: LaurentPoly.monomial(r) for r in range(first_row)}
     for r in range(first_row, size, 2):
         av = Fraction(a[r])
         if r + 1 < size:
-            rows[r] = {r: av, r + 1: Fraction(1)}
-            rows[r + 1] = {r: 1 - av * av, r + 1: -av}
+            rows[r] = LaurentPoly({r: av, r + 1: 1})
+            rows[r + 1] = LaurentPoly({r: 1 - av * av, r + 1: -av})
         else:
-            rows[r] = {r: av}  # cut block: partner column truncated away
+            # cut block: partner column truncated away
+            rows[r] = LaurentPoly.monomial(r, av)
     cut = (size - first_row) % 2 == 1
     return BandedOperator(size, rows, 1, size - 1 if cut else size)
 
@@ -218,11 +202,11 @@ def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
 
 
 def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
-    """C = M1 M2, pentadiagonal by construction; the band is asserted."""
+    """C = M1 M2, pentadiagonal by construction: the two bandwidth-1
+    factors give bandwidth 2, and the stored band is checked against it."""
     c = build_m1(a, size) @ build_m2(a, size)
     if c.max_band() > 2:
         raise AssertionError("CMV product escaped the pentadiagonal band")
-    c.bandwidth = 2
     return c
 
 

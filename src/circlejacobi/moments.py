@@ -176,12 +176,11 @@ def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction:
-    """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1, exact."""
-    tot = _ZERO
-    for j, cf in f.items():
-        for k, cg in g.items():
-            tot += cf * cg * ms.value(j - k)
-    return tot
+    """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1, exact.
+
+    The coefficient of z^m in f(z) g(1/z) is sum_{j-k=m} f_j g_k, so the
+    double sum is one Laurent product paired with the moments."""
+    return sum((c * ms.value(m) for m, c in (f * g.reflect()).items()), _ZERO)
 
 
 def orthogonality_check(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationReport:

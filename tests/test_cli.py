@@ -225,6 +225,12 @@ class TestVerify:
         code, out, err = run(capsys, *argv, "--format", "csv")
         assert code == 1 and "reflection-rows" in out
         assert err.startswith("verify: alpha=-99/100 beta=1 suite=family: BadVerblunsky: ")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row for row in rows if row[3] == "error"] == [[
+            "family", json.dumps({"alpha": "-99/100", "beta": "1"}), "", "error",
+            error["message"],
+        ]]
+        assert rows[-1][3] == "error"
 
     def test_suite_error_names_the_suite_and_goes_on(self, capsys, tmp_path, monkeypatch):
         def broken(fam):

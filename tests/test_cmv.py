@@ -1,5 +1,6 @@
 """Block reflection matrices, the pentadiagonal product, truncations."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from circlejacobi.cmv import (
     verify_reflection_rows,
 )
 from circlejacobi.errors import BadVerblunsky
+from circlejacobi.laurent import LaurentPoly
 from circlejacobi.opuc import JacobiParams, verblunsky
 
 from conftest import GRID
@@ -112,12 +114,102 @@ class TestOperatorAlgebra:
         assert d.valid_rows == 3 and d.bandwidth == 0
 
     def test_apply_row(self):
-        from circlejacobi.laurent import LaurentPoly
-
         m2 = build_m2(SM, 3)
         vecs = [LaurentPoly.one(), LaurentPoly({1: 1}), LaurentPoly({-1: 1})]
         out = m2.apply_row(0, vecs)  # -1/2 * 1 + 1 * z
         assert out == LaurentPoly({0: F(-1, 2), 1: 1})
+
+
+def _random_dense(rng: random.Random, size: int) -> list[list[Fraction]]:
+    """A size x size matrix of small rationals, about half of them zero."""
+    return [
+        [F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else F(0)
+         for _ in range(size)]
+        for _ in range(size)
+    ]
+
+
+def _operator(dense, valid_rows: int) -> BandedOperator:
+    band = max((abs(i - j) for i, row in enumerate(dense) for j, v in enumerate(row) if v),
+               default=0)
+    rows = {i: LaurentPoly(enumerate(row)) for i, row in enumerate(dense)}
+    return BandedOperator(len(dense), rows, band, valid_rows)
+
+
+def _dense(op: BandedOperator) -> list[list[Fraction]]:
+    return [[op.entry(i, j) for j in range(op.size)] for i in range(op.size)]
+
+
+class TestReferenceModel:
+    """Every operation against dense lists of Fraction, on seeded random
+    small matrices with zero entries and zero rows."""
+
+    def _check(self, op: BandedOperator, want: list[list[Fraction]]) -> None:
+        assert _dense(op) == want
+        for i, row in enumerate(want):
+            assert op.row(i) == {j: v for j, v in enumerate(row) if v}
+        assert list(op.entries()) == [
+            (i, j, v) for i, row in enumerate(want) for j, v in enumerate(row) if v
+        ]
+        assert all(type(v) is Fraction for _, _, v in op.entries())
+        assert op == _operator(want, op.valid_rows)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_operations_match_dense_lists(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 6)
+        da, db = _random_dense(rng, size), _random_dense(rng, size)
+        a = _operator(da, rng.randint(0, size))
+        b = _operator(db, rng.randint(0, size))
+        self._check(a, da)
+        self._check(b, db)
+        idx = range(size)
+
+        s = a + b
+        self._check(s, [[da[i][j] + db[i][j] for j in idx] for i in idx])
+        assert s.bandwidth == max(a.bandwidth, b.bandwidth)
+        assert s.valid_rows == min(a.valid_rows, b.valid_rows)
+
+        d = a - b
+        self._check(d, [[da[i][j] - db[i][j] for j in idx] for i in idx])
+        assert (d.bandwidth, d.valid_rows) == (s.bandwidth, s.valid_rows)
+        self._check(-a, [[-v for v in row] for row in da])
+
+        c = F(rng.randint(-5, 5), rng.randint(1, 4))
+        for k in (c, 0, 1, -1):
+            sc = a.scale(k)
+            self._check(sc, [[v * k for v in row] for row in da])
+            assert sc.valid_rows == a.valid_rows
+            assert sc.bandwidth == (a.bandwidth if k else 0)
+
+        p = a @ b
+        self._check(p, [[sum((da[i][k] * db[k][j] for k in idx), F(0)) for j in idx]
+                        for i in idx])
+        assert p.bandwidth == a.bandwidth + b.bandwidth
+        assert p.valid_rows == max(min(a.valid_rows, b.valid_rows - a.bandwidth), 0)
+
+        assert (a - a) == a.scale(0)
+        assert not list((a - a).entries())
+        assert a == a + (b - b)
+        if da != db:
+            assert a != b
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 6])
+    def test_zero_coefficients_store_no_zero_entries(self, size):
+        # a_r = 0 puts zeros on the block diagonals; they are not stored,
+        # so the operator equals its product with the identity
+        zeros = [F(0)] * size
+        eye = BandedOperator.identity(size)
+        for m in (build_m1(zeros, size), build_m2(zeros, size), cmv_matrix(zeros, size)):
+            assert m == m @ eye == eye @ m
+            assert all(v for _, _, v in m.entries())
+            assert all(all(row.values()) for row in map(m.row, range(size)))
+
+    def test_equality_ignores_metadata_but_not_size(self):
+        m = build_m2(SM, 5)
+        assert m == BandedOperator(5, dict(m.rows), 3, 0)
+        assert m != build_m2(SM, 6)
+        assert BandedOperator.identity(3) != BandedOperator.diagonal([1, 1, 2])
 
 
 class TestSpectrum:

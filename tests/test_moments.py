@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from circlejacobi.errors import NonPositive, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
@@ -23,8 +23,15 @@ from circlejacobi.moments import (
 from circlejacobi.opuc import JacobiParams, build_family
 
 from conftest import PARAM
+from test_laurent import laurents
 
 F = Fraction
+
+WEIGHT = st.one_of(
+    st.builds(Weight.jacobi, PARAM, PARAM),
+    st.builds(Weight.single_moment, st.fractions(-1, 1, max_denominator=12)),
+    st.just(Weight.lebesgue()),
+)
 
 
 def _poly_mul(p: list, q: list) -> list:
@@ -252,6 +259,25 @@ class TestInnerProduct:
         ms = MomentSeq(Weight.jacobi(1, 2))
         v = inner_product(LaurentPoly.monomial(1), LaurentPoly.one(), ms)
         assert isinstance(v, Fraction) and v == F(1, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=laurents(), g=laurents(), w=WEIGHT)
+    def test_equals_the_double_sum(self, f, g, w):
+        want = sum(
+            (cf * cg * sigma(w, j - k) for j, cf in f.items() for k, cg in g.items()), F(0)
+        )
+        got = inner_product(f, g, MomentSeq(w))
+        assert type(got) is Fraction and got == want
+
+    def test_zero_input_is_a_fraction(self):
+        ms = MomentSeq(Weight.jacobi(1, 2))
+        f = LaurentPoly({-2: F(1, 3), 4: 5})
+        for v in (
+            inner_product(LaurentPoly.zero(), f, ms),
+            inner_product(f, LaurentPoly.zero(), ms),
+            inner_product(LaurentPoly.zero(), LaurentPoly.zero(), ms),
+        ):
+            assert type(v) is Fraction and v == 0
 
 
 class TestOrthogonality:

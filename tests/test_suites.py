@@ -6,9 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from circlejacobi import cli, dunkl, suites
-from circlejacobi.opuc import JacobiParams, build_family
+from circlejacobi.errors import BadVerblunsky
+from circlejacobi.opuc import JacobiParams, build_family, verblunsky
+
+from conftest import PARAM
 
 F = Fraction
 P = JacobiParams(F(1), F(2))
@@ -124,6 +128,32 @@ class TestReach:
     def test_corruption_beyond_reach_changes_nothing(self, name, k):
         reports = suites.run(name, suites.family(P, 16, corrupt_a=k))
         assert all(r.ok for r in reports)
+
+
+class TestRandomPointSweep:
+    # (alpha, beta) from PARAM, with alpha = beta drawn on its own, since
+    # every even a_k vanishes there
+    POINT = st.one_of(st.tuples(PARAM, PARAM), PARAM.map(lambda a: (a, a)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(point=POINT, n=st.integers(3, 8))
+    @example(point=(F(-99, 100), F(1)), n=3)  # a_0 + 1/100 > 1
+    def test_clean_passes_and_every_corruption_in_reach_fails(self, point, n):
+        p = JacobiParams(*point)
+        fam = build_family(p, n)
+        for name in ("cmv", "algebra", "moments"):
+            assert all(r.ok for r in suites.run(name, fam)), name
+            for k in range(suites.reach(name, n) + 1):
+                moved = verblunsky(p, k) + F(1, 100)
+                try:
+                    bad = suites.family(p, n, corrupt_a=k)
+                except BadVerblunsky:
+                    # a_k + 1/100 left (-1, 1): the family cannot be built
+                    assert not -1 < moved < 1, (name, k)
+                    continue
+                assert -1 < moved < 1
+                reports = suites.run(name, bad)
+                assert not all(r.ok for r in reports), f"{name} missed a_{k}"
 
 
 @pytest.mark.parametrize("k", [0, 1, 5])
