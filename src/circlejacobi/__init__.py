@@ -67,13 +67,10 @@ from .opuc import (
 from .report import Check, VerificationReport
 from .szego import (
     SymmetricLaurent,
-    SzegoPair,
     build_p,
     build_q,
-    build_szego_pair,
     classical_jacobi_chain,
     classical_jacobi_oracle,
-    rec_coeffs,
     verify_classical_match,
     verify_dep_and_pq_identity,
     verify_recurrence_closure,
@@ -94,7 +91,6 @@ __all__ = [
     "OPUCFamily",
     "Rational",
     "SymmetricLaurent",
-    "SzegoPair",
     "VerificationReport",
     "Weight",
     "anticommutator",
@@ -106,7 +102,6 @@ __all__ = [
     "build_m2",
     "build_p",
     "build_q",
-    "build_szego_pair",
     "build_xy",
     "build_xy_matrix",
     "canonicalize",
@@ -121,7 +116,6 @@ __all__ = [
     "lambda_n",
     "lambda_single_moment",
     "orthogonality_check",
-    "rec_coeffs",
     "selfadjoint_residual",
     "sigma",
     "single_moment_phi",

@@ -33,7 +33,7 @@ from .errors import Degenerate, InconsistentSystem
 from .laurent import LaurentPoly, Z_MINUS_ZINV
 from .opuc import JacobiParams, OPUCFamily, verblunsky
 from .report import VerificationReport
-from .szego import build_p, build_q
+from .szego import build_p, build_q, p_top, q_top
 
 Operator = Callable[[LaurentPoly], LaurentPoly]
 
@@ -394,12 +394,12 @@ def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationRepor
         rep.add(f"Lambda coherence n={n}", ok)
     for n in range(min(n_max, fam.size) + 1):
         rep.residual(f"Y psi n={n}", y_op(fam.psi[n]) - fam.psi[n] * big_lambda(p, n))
-    for n in range(min(n_max, (fam.size + 1) // 2) + 1):
+    for n in range(min(n_max, p_top(fam.size)) + 1):
         pn = build_p(fam, n).poly
         lam2n = big_lambda(p, 2 * n)
         rep.residual(f"Y P n={n}", y_op(pn) - pn * lam2n)
         rep.add(f"R P n={n}", pn.reflect() == pn)
-    for n in range(1, min(n_max, (fam.size - 1) // 2 + 1) + 1):
+    for n in range(1, min(n_max, q_top(fam.size) + 1) + 1):
         fn = Z_MINUS_ZINV * build_q(fam, n - 1).poly
         rep.residual(f"Y F n={n}", y_op(fn) - fn * big_lambda(p, 2 * n))
         rep.add(f"R F n={n}", fn.reflect() == -fn)

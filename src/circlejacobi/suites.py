@@ -55,12 +55,11 @@ def _algebra(fam: OPUCFamily) -> list[VerificationReport]:
 
 
 def _szego(fam: OPUCFamily) -> list[VerificationReport]:
-    pair = szego.build_szego_pair(fam)
-    half = (fam.size + 1) // 2
+    half = szego.p_top(fam.size)
     return [
-        szego.verify_three_term(fam, pair),
-        szego.verify_recurrence_closure(fam, pair),
-        szego.verify_transforms(fam, pair),
+        szego.verify_three_term(fam),
+        szego.verify_recurrence_closure(fam),
+        szego.verify_transforms(fam),
         szego.verify_classical_match(fam, half),
         szego.verify_dep_and_pq_identity(fam, half),
     ]
@@ -89,12 +88,12 @@ SUITES = {
 def reach(suite: str, n: int) -> int:
     """The highest index k whose a_k the suite reads at size n; moving a
     later a_k changes nothing the suite checks.  phi_j reads a_0..a_{j-1}.
-    The Szegő oracle match and ODE stop at P_{(n+1)//2}, built from
-    phi_{2((n+1)//2)-1}; its other identities read fam.a itself.
+    The Szegő oracle match and ODE stop at P_{p_top(n)}, built from
+    phi_{2 p_top(n) - 1}; its other identities read fam.a itself.
     Orthogonality stops at phi_{min(n, 12)}.  Every other suite, and so
     "all", reads phi_n or psi_n."""
     if suite == "szego":
-        return 2 * ((n + 1) // 2) - 2
+        return 2 * szego.p_top(n) - 2
     if suite == "moments":
         return min(n, 12) - 1
     return n - 1

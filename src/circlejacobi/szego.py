@@ -4,10 +4,15 @@ From the odd-index circle polynomials the symmetrization
 P_n = z^(1-n) phi_{2n-1}(z) + z^(n-1) phi_{2n-1}(1/z) and the exact
 quotient Q_n = (z^-n phi_{2n+1}(z) - z^n phi_{2n+1}(1/z)) / (z - 1/z)
 produce two monic chains in x(z) = z + 1/z.  This module builds both,
-derives their three-term recurrence coefficients from the Verblunsky
-data, checks the Christoffel/Geronimus transforms connecting them, and
-matches everything against an independently coded classical Jacobi
-recurrence.
+once per family, derives their three-term recurrence coefficients from
+the Verblunsky data, checks the Christoffel/Geronimus transforms
+connecting them, and matches everything against an independently coded
+classical Jacobi recurrence.
+
+Since P_n reads phi_{2n-1} and Q_n reads phi_{2n+1}, a family of size N
+carries P_0..P_{p_top(N)} and Q_0..Q_{q_top(N)}, and the recurrence
+coefficients, where b~_n reads a_{2n+2}, run to coeff_top(N).  Every
+P/Q size bound, here and in ``algebra`` and ``suites``, is one of these.
 
 Polynomials in x are stored as reflection-invariant Laurent polynomials
 in z; equality in x is decided as exact equality in z.
@@ -140,6 +145,22 @@ def classical_jacobi_oracle(alpha, beta, n: int) -> SymmetricLaurent:
 # --------------------------------------------------------------------------
 
 
+def p_top(size: int) -> int:
+    """The last n with P_n in a family of this size."""
+    return (size + 1) // 2
+
+
+def q_top(size: int) -> int:
+    """The last n with Q_n in a family of this size."""
+    return (size - 1) // 2
+
+
+def coeff_top(size: int) -> int:
+    """The last n with b_n, u_n, b~_n and u~_n in a family of this size
+    (b~_n reads a_{2n+2})."""
+    return (size - 2) // 2
+
+
 def build_p(fam: OPUCFamily, n: int) -> SymmetricLaurent:
     """P_n = z^(1-n) phi_{2n-1}(z) + z^(n-1) phi_{2n-1}(1/z), P_0 = 1.
 
@@ -169,6 +190,16 @@ def build_q(fam: OPUCFamily, n: int) -> SymmetricLaurent:
     return fam.derived[key]
 
 
+def _chains(fam: OPUCFamily) -> tuple[list[SymmetricLaurent], list[SymmetricLaurent]]:
+    """P_0..P_{p_top} and Q_0..Q_{q_top} of the family, out of its memo."""
+    if fam.size < 3:
+        raise ValueError("need a family of size >= 3")
+    return (
+        [build_p(fam, n) for n in range(p_top(fam.size) + 1)],
+        [build_q(fam, n) for n in range(q_top(fam.size) + 1)],
+    )
+
+
 def _a(fam: OPUCFamily, k: int) -> Fraction:
     """Extended coefficient accessor: a_{-1} = -1 by convention.
 
@@ -181,12 +212,19 @@ def _a(fam: OPUCFamily, k: int) -> Fraction:
     raise AssertionError(f"a_{k} must never be read")
 
 
+def _weight(n: int, w: Fraction) -> Fraction:
+    """w as the recurrence weight at n >= 1, which must be positive."""
+    if w <= 0:
+        raise AssertionError(f"recurrence weight at n={n} is not positive")
+    return w
+
+
 def u_coeff(fam: OPUCFamily, n: int) -> Fraction:
-    """u_n = (1 + a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2); u_0 = 0."""
-    lead = 1 + _a(fam, 2 * n - 1)
-    if lead == 0:
+    """u_n = (1 + a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) > 0; u_0 = 0."""
+    if n == 0:  # the factor 1 + a_{-1} = 0
         return _ZERO
-    return lead * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
+    lead = 1 + _a(fam, 2 * n - 1)
+    return _weight(n, lead * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2))
 
 
 def b_coeff(fam: OPUCFamily, n: int) -> Fraction:
@@ -199,11 +237,11 @@ def b_coeff(fam: OPUCFamily, n: int) -> Fraction:
 
 
 def ut_coeff(fam: OPUCFamily, n: int) -> Fraction:
-    """u~_n = (1 + a_{2n-1})(1 - a_{2n+1})(1 - a_{2n}^2); u~_0 = 0."""
-    lead = 1 + _a(fam, 2 * n - 1)
-    if lead == 0:
+    """u~_n = (1 + a_{2n-1})(1 - a_{2n+1})(1 - a_{2n}^2) > 0; u~_0 = 0."""
+    if n == 0:  # the factor 1 + a_{-1} = 0
         return _ZERO
-    return lead * (1 - _a(fam, 2 * n + 1)) * (1 - _a(fam, 2 * n) ** 2)
+    lead = 1 + _a(fam, 2 * n - 1)
+    return _weight(n, lead * (1 - _a(fam, 2 * n + 1)) * (1 - _a(fam, 2 * n) ** 2))
 
 
 def bt_coeff(fam: OPUCFamily, n: int) -> Fraction:
@@ -213,76 +251,34 @@ def bt_coeff(fam: OPUCFamily, n: int) -> Fraction:
     )
 
 
-@dataclass
-class SzegoPair:
-    """The P and Q chains of one family with their recurrence data."""
-
-    p: tuple[SymmetricLaurent, ...]
-    q: tuple[SymmetricLaurent, ...]
-    b: tuple[Fraction, ...]
-    u: tuple[Fraction, ...]
-    bt: tuple[Fraction, ...]
-    ut: tuple[Fraction, ...]
-
-    @property
-    def p_top(self) -> int:
-        return len(self.p) - 1
-
-    @property
-    def q_top(self) -> int:
-        return len(self.q) - 1
-
-
-def rec_coeffs(fam: OPUCFamily, upto: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """(b, u, b~, u~) for n = 0..upto; u_n, u~_n > 0 is checked for n >= 1."""
-    if 2 * upto + 2 > fam.size:
-        raise ValueError("family too short for requested coefficient range")
-    b = tuple(b_coeff(fam, n) for n in range(upto + 1))
-    u = tuple(u_coeff(fam, n) for n in range(upto + 1))
-    bt = tuple(bt_coeff(fam, n) for n in range(upto + 1))
-    ut = tuple(ut_coeff(fam, n) for n in range(upto + 1))
-    for n in range(1, upto + 1):
-        if u[n] <= 0 or ut[n] <= 0:
-            raise AssertionError(f"recurrence weight at n={n} is not positive")
-    return b, u, bt, ut
-
-
-def build_szego_pair(fam: OPUCFamily) -> SzegoPair:
-    """Build the maximal P/Q slice the family supports."""
-    if fam.size < 3:
-        raise ValueError("need a family of size >= 3")
-    p_top = (fam.size + 1) // 2
-    q_top = (fam.size - 1) // 2
-    coeff_top = (fam.size - 2) // 2
-    p = tuple(build_p(fam, n) for n in range(p_top + 1))
-    q = tuple(build_q(fam, n) for n in range(q_top + 1))
-    b, u, bt, ut = rec_coeffs(fam, coeff_top)
-    return SzegoPair(p=p, q=q, b=b, u=u, bt=bt, ut=ut)
-
-
 # --------------------------------------------------------------------------
 # Verifications
 # --------------------------------------------------------------------------
 
 
-def verify_three_term(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
+def _recurrences(fam: OPUCFamily):
+    """(name, label tilde, chain, b, u, last n) of the P and the Q
+    recurrence: P stops at coeff_top, Q one short of its chain's end."""
+    p, q = _chains(fam)
+    return (
+        ("P", "", p, b_coeff, u_coeff, coeff_top(fam.size)),
+        ("Q", "~", q, bt_coeff, ut_coeff, q_top(fam.size) - 1),
+    )
+
+
+def verify_three_term(fam: OPUCFamily) -> VerificationReport:
     """P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n, and the Q analogue."""
     rep = VerificationReport(
         identity="three-term",
         relation="P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n (and Q with b~, u~)",
         params=family_params(fam),
     )
-    coeff_top = len(pair.b) - 1
-    for n in range(min(pair.p_top - 1, coeff_top) + 1):
-        res = pair.p[n + 1].poly + pair.p[n].poly * pair.b[n] - _x_times(pair.p[n].poly)
-        if n >= 1:
-            res = res + pair.p[n - 1].poly * pair.u[n]
-        rep.residual(f"P n={n}", res)
-    for n in range(min(pair.q_top - 1, coeff_top) + 1):
-        res = pair.q[n + 1].poly + pair.q[n].poly * pair.bt[n] - _x_times(pair.q[n].poly)
-        if n >= 1:
-            res = res + pair.q[n - 1].poly * pair.ut[n]
-        rep.residual(f"Q n={n}", res)
+    for name, _, chain, b_of, u_of, top in _recurrences(fam):
+        for n in range(top + 1):
+            res = chain[n + 1].poly + chain[n].poly * b_of(fam, n) - _x_times(chain[n].poly)
+            if n >= 1:
+                res = res + chain[n - 1].poly * u_of(fam, n)
+            rep.residual(f"{name} n={n}", res)
     return rep
 
 
@@ -317,34 +313,25 @@ def fit_recurrence(chain: list[SymmetricLaurent] | tuple[SymmetricLaurent, ...])
     return tuple(b), tuple(u), clean
 
 
-def verify_recurrence_closure(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
+def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
     """Fitted recurrence coefficients equal the Verblunsky formulas."""
     rep = VerificationReport(
         identity="recurrence-closure",
         relation="fitted (b_n, u_n) and (b~_n, u~_n) = closed forms in a_k",
         params=family_params(fam),
     )
-    coeff_top = len(pair.b) - 1
-    bp, up, clean_p = fit_recurrence(pair.p)
-    rep.add("P chain in span", clean_p)
-    for n in range(min(len(bp) - 1, coeff_top) + 1):
-        ok = bp[n] == pair.b[n]
-        rep.add(f"b_{n}", ok, "" if ok else f"fit {bp[n]} != {pair.b[n]}")
-    for n in range(1, min(len(up) - 1, coeff_top) + 1):
-        ok = up[n] == pair.u[n]
-        rep.add(f"u_{n}", ok, "" if ok else f"fit {up[n]} != {pair.u[n]}")
-    bq, uq, clean_q = fit_recurrence(pair.q)
-    rep.add("Q chain in span", clean_q)
-    for n in range(min(len(bq) - 1, coeff_top) + 1):
-        ok = bq[n] == pair.bt[n]
-        rep.add(f"b~_{n}", ok, "" if ok else f"fit {bq[n]} != {pair.bt[n]}")
-    for n in range(1, min(len(uq) - 1, coeff_top) + 1):
-        ok = uq[n] == pair.ut[n]
-        rep.add(f"u~_{n}", ok, "" if ok else f"fit {uq[n]} != {pair.ut[n]}")
+    for name, tilde, chain, b_of, u_of, top in _recurrences(fam):
+        fit_b, fit_u, clean = fit_recurrence(chain)
+        rep.add(f"{name} chain in span", clean)
+        for sym, fit, formula, first in (("b", fit_b, b_of, 0), ("u", fit_u, u_of, 1)):
+            for n in range(first, top + 1):
+                want = formula(fam, n)
+                ok = fit[n] == want
+                rep.add(f"{sym}{tilde}_{n}", ok, "" if ok else f"fit {fit[n]} != {want}")
     return rep
 
 
-def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
+def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     """The Christoffel and Geronimus transforms between the chains plus
     the exact reconstruction of psi from (P, Q) or (P_n, P_{n-1}) and
     the extraction of (P, Q) back from psi."""
@@ -354,12 +341,12 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
         params=family_params(fam),
     )
     z2 = Z_MINUS_ZINV * Z_MINUS_ZINV
-    p, q, psi = pair.p, pair.q, fam.psi
+    (p, q), psi = _chains(fam), fam.psi
+    size = fam.size
 
     # (z - 1/z)^2 Q_{n-1} = P_{n+1} + (a_2n + a_{2n-2})(1 - a_{2n-1}) P_n
     #                       - (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
-    top = min(pair.p_top - 1, pair.q_top + 1, fam.size // 2)
-    for n in range(1, top + 1):
+    for n in range(1, q_top(size) + 1):
         c1 = (_a(fam, 2 * n) + _a(fam, 2 * n - 2)) * (1 - _a(fam, 2 * n - 1))
         c2 = (
             (1 - _a(fam, 2 * n - 1))
@@ -372,8 +359,7 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
         rep.residual(f"christoffel n={n}", res)
 
     # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
-    top = min(pair.p_top, pair.q_top + 1)
-    for n in range(1, top + 1):
+    for n in range(1, p_top(size) + 1):
         lead = _x_times(p[n].poly) + p[n].poly * (2 * _a(fam, 2 * n - 2))
         c2 = 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
         res = z2 * q[n - 1].poly - (lead - p[n - 1].poly * c2)
@@ -381,8 +367,7 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
 
     # P_n = Q_n - (1 + a_{2n-1})(a_2n + a_{2n-2}) Q_{n-1}
     #       - (1 + a_{2n-1})(1 + a_{2n-3})(1 - a_{2n-2}^2) Q_{n-2}
-    top = min(pair.p_top, pair.q_top, fam.size // 2)
-    for n in range(1, top + 1):
+    for n in range(1, q_top(size) + 1):
         lead = 1 + _a(fam, 2 * n - 1)
         c1 = lead * (_a(fam, 2 * n) + _a(fam, 2 * n - 2))
         rhs = q[n].poly - q[n - 1].poly * c1
@@ -394,12 +379,10 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
 
     # psi_{2n-1} = (P_n + (z - 1/z) Q_{n-1}) / 2
     # psi_2n     = ((1 - a_{2n-1}) P_n - (1 + a_{2n-1})(z - 1/z) Q_{n-1}) / 2
-    top = min(pair.p_top, pair.q_top + 1)
-    for n in range(1, top + 1):
-        if 2 * n - 1 <= fam.size:
-            res = psi[2 * n - 1] - (p[n].poly + Z_MINUS_ZINV * q[n - 1].poly) / 2
-            rep.residual(f"psi(P,Q) n={2 * n - 1}", res)
-        if 2 * n <= fam.size:
+    for n in range(1, p_top(size) + 1):
+        res = psi[2 * n - 1] - (p[n].poly + Z_MINUS_ZINV * q[n - 1].poly) / 2
+        rep.residual(f"psi(P,Q) n={2 * n - 1}", res)
+        if 2 * n <= size:
             am = _a(fam, 2 * n - 1)
             rhs = (p[n].poly * (1 - am) - Z_MINUS_ZINV * q[n - 1].poly * (1 + am)) / 2
             rep.residual(f"psi(P,Q) n={2 * n}", psi[2 * n] - rhs)
@@ -411,14 +394,13 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
     # psi_{2n-1} = ((z + a_{2n-2}) P_n - (1-a_{2n-3})(1-a_{2n-2}^2) P_{n-1}) / (z - 1/z)
     # psi_2n = ((1+a_{2n-1})(1-a_{2n-3})(1-a_{2n-2}^2) P_{n-1}
     #           - (a_{2n-1} z + 1/z + a_{2n-2}(1+a_{2n-1})) P_n) / (z - 1/z)
-    top = min(pair.p_top, (fam.size + 1) // 2)
-    for n in range(1, top + 1):
+    for n in range(1, p_top(size) + 1):
         czp = LaurentPoly({1: 1, 0: _a(fam, 2 * n - 2)})
         c2 = (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
         num = czp * p[n].poly - p[n - 1].poly * c2
         res = psi[2 * n - 1] - num.div_exact(Z_MINUS_ZINV)
         rep.residual(f"psi(P,P) n={2 * n - 1}", res)
-        if 2 * n <= fam.size:
+        if 2 * n <= size:
             am = _a(fam, 2 * n - 1)
             czm = LaurentPoly({1: am, -1: 1, 0: _a(fam, 2 * n - 2) * (1 + am)})
             num = p[n - 1].poly * ((1 + am) * c2) - czm * p[n].poly
@@ -427,16 +409,12 @@ def verify_transforms(fam: OPUCFamily, pair: SzegoPair) -> VerificationReport:
 
     # P_n = psi_2n + (1 + a_{2n-1}) psi_{2n-1}
     # (z - 1/z) Q_{n-1} = -psi_2n + (1 - a_{2n-1}) psi_{2n-1}
-    top = min(pair.p_top, fam.size // 2)
-    for n in range(1, top + 1):
+    for n in range(1, size // 2 + 1):
         am = _a(fam, 2 * n - 1)
         res = p[n].poly - (psi[2 * n] + psi[2 * n - 1] * (1 + am))
         rep.residual(f"P from psi n={n}", res)
-        if n - 1 <= pair.q_top:
-            res = Z_MINUS_ZINV * q[n - 1].poly - (
-                -psi[2 * n] + psi[2 * n - 1] * (1 - am)
-            )
-            rep.residual(f"Q from psi n={n}", res)
+        res = Z_MINUS_ZINV * q[n - 1].poly - (-psi[2 * n] + psi[2 * n - 1] * (1 - am))
+        rep.residual(f"Q from psi n={n}", res)
     return rep
 
 
@@ -451,11 +429,11 @@ def verify_classical_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
         relation="P_n = monic Jacobi(alpha, beta), Q_n = monic Jacobi(alpha+1, beta+1) on [-2, 2]",
         params=family_params(fam, n_max=n_max),
     )
-    p_top = min(n_max, (fam.size + 1) // 2)
-    for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, p_top)):
+    top = min(n_max, p_top(fam.size))
+    for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, top)):
         rep.residual(f"P n={n}", build_p(fam, n).poly - oracle.poly)
-    q_top = min(n_max, (fam.size - 1) // 2)
-    for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, q_top)):
+    top = min(n_max, q_top(fam.size))
+    for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, top)):
         rep.residual(f"Q n={n}", build_q(fam, n).poly - oracle.poly)
     return rep
 
@@ -478,15 +456,15 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
     )
     z2m1 = LaurentPoly({2: 1, 0: -1})
     drift = LaurentPoly({3: al + be + 2, 2: 2 * (al - be), 1: al + be})
-    p_top = min(n_max, (fam.size + 1) // 2)
-    for n in range(p_top + 1):
+    top = min(n_max, p_top(fam.size))
+    for n in range(top + 1):
         f = build_p(fam, n).poly
         f1 = f.deriv()
         f2 = f1.deriv()
         lhs = z2m1 * f2.shift(2) + drift * f1
         rhs = z2m1 * f * (n * (n + al + be + 1))
         rep.residual(f"ODE n={n}", lhs - rhs)
-    for n in range(p_top + 1):
+    for n in range(top + 1):
         lhs = build_p(fam, n).poly.theta()
         rhs = (
             LaurentPoly.zero()

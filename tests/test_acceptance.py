@@ -29,7 +29,6 @@ from circlejacobi.moments import (
 )
 from circlejacobi.opuc import JacobiParams, single_moment_phi
 from circlejacobi.szego import (
-    build_szego_pair,
     verify_classical_match,
     verify_dep_and_pq_identity,
     verify_recurrence_closure,
@@ -125,11 +124,10 @@ def test_criterion_5_szego_closure(family):
     with criterion(5, "interval pair: oracle match and transforms", 10.0) as c:
         for alpha, beta in GRID:
             fam = family(alpha, beta, 25)
-            pair = build_szego_pair(fam)
             c.absorb(verify_classical_match(fam, 12))
-            c.absorb(verify_three_term(fam, pair))
-            c.absorb(verify_recurrence_closure(fam, pair))
-            c.absorb(verify_transforms(fam, pair))
+            c.absorb(verify_three_term(fam))
+            c.absorb(verify_recurrence_closure(fam))
+            c.absorb(verify_transforms(fam))
             c.absorb(verify_dep_and_pq_identity(fam, 8))
 
 

@@ -18,6 +18,8 @@ F = Fraction
 P = JacobiParams(F(1), F(2))
 NAMES = ("bispectral", "cmv", "algebra", "szego", "moments")
 GOLDEN = Path(__file__).parent / "golden"
+# The Szegő identities that read fam.a, not (alpha, beta)
+PARAMETER_BLIND = ("three-term", "recurrence-closure", "szego-transforms")
 
 
 class TestRegistry:
@@ -141,7 +143,7 @@ class TestRandomPointSweep:
     def test_clean_passes_and_every_corruption_in_reach_fails(self, point, n):
         p = JacobiParams(*point)
         fam = build_family(p, n)
-        for name in ("cmv", "algebra", "moments"):
+        for name in NAMES:
             assert all(r.ok for r in suites.run(name, fam)), name
             for k in range(suites.reach(name, n) + 1):
                 moved = verblunsky(p, k) + F(1, 100)
@@ -152,8 +154,29 @@ class TestRandomPointSweep:
                     assert not -1 < moved < 1, (name, k)
                     continue
                 assert -1 < moved < 1
-                reports = suites.run(name, bad)
-                assert not all(r.ok for r in reports), f"{name} missed a_{k}"
+                ok = {r.identity: r.ok for r in suites.run(name, bad)}
+                if name == "szego":
+                    # the parameter-blind identities pass by design
+                    assert all(ok.pop(i) for i in PARAMETER_BLIND), k
+                assert not all(ok.values()), f"{name} missed a_{k}"
+
+    @settings(max_examples=25, deadline=None)
+    @given(point=POINT, n=st.integers(3, 14))
+    @example(point=(F(1), F(2)), n=14)  # a_12, a_13 and a_14 past moments
+    def test_corruption_beyond_reach_changes_nothing(self, point, n):
+        # a_n is part of the family too, so the range runs up to k = n
+        p = JacobiParams(*point)
+        fam = build_family(p, n)
+        for name in NAMES:
+            beyond = range(suites.reach(name, n) + 1, n + 1)
+            clean = [r.to_dict() for r in suites.run(name, fam)]
+            for k in beyond:
+                try:
+                    bad = suites.family(p, n, corrupt_a=k)
+                except BadVerblunsky:
+                    assert not -1 < verblunsky(p, k) + F(1, 100) < 1, (name, k)
+                    continue
+                assert [r.to_dict() for r in suites.run(name, bad)] == clean, (name, k)
 
 
 @pytest.mark.parametrize("k", [0, 1, 5])

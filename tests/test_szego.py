@@ -1,6 +1,7 @@
 """The symmetrization map to [-2, 2] and its exact closure."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,11 +15,12 @@ from circlejacobi.szego import (
     bt_coeff,
     build_p,
     build_q,
-    build_szego_pair,
     classical_jacobi_chain,
     classical_jacobi_oracle,
+    coeff_top,
     fit_recurrence,
-    rec_coeffs,
+    p_top,
+    q_top,
     u_coeff,
     ut_coeff,
     verify_classical_match,
@@ -135,10 +137,16 @@ class TestBuildPQ:
 
     def test_chains_are_built_once_per_family(self, family):
         fam = family(F(1), F(2), 11)
-        assert build_p(fam, 3) is build_p(fam, 3)
-        assert build_q(fam, 2) is build_q(fam, 2)
-        pair = build_szego_pair(fam)
-        assert pair.p[3] is build_p(fam, 3) and pair.q[2] is build_q(fam, 2)
+        p3, q2 = build_p(fam, 3), build_q(fam, 2)
+        assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
+        # the verifiers read the same memo, and it holds every P and Q the
+        # family carries, no more
+        for verify in (verify_three_term, verify_recurrence_closure, verify_transforms):
+            assert verify(fam).ok
+        assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
+        assert set(fam.derived) == {("P", n) for n in range(p_top(11) + 1)} | {
+            ("Q", n) for n in range(q_top(11) + 1)
+        }
 
     def test_memo_is_per_family_not_per_params(self, family):
         # a corrupted family carries the clean family's params; it must
@@ -173,35 +181,47 @@ class TestRecurrenceCoefficients:
         assert all(u_coeff(fam, n) == 1 for n in (2, 3))
         assert all(b_coeff(fam, n) == 0 for n in range(4))
 
-    def test_rec_coeffs_requires_depth(self, family):
+    def test_weights_are_positive(self, family):
         fam = family(F(0), F(0), 6)
-        with pytest.raises(ValueError):
-            rec_coeffs(fam, 3)  # needs a_8
-        b, u, bt, ut = rec_coeffs(fam, 2)
-        assert len(b) == len(u) == len(bt) == len(ut) == 3
-        assert all(x > 0 for x in u[1:]) and all(x > 0 for x in ut[1:])
+        top = coeff_top(fam.size)
+        assert top == 2  # b~_2 reads a_6, b~_3 would need a_8
+        assert all(u_coeff(fam, n) > 0 and ut_coeff(fam, n) > 0 for n in range(1, top + 1))
+
+    def test_weight_not_positive_raises(self):
+        # a_0 = 2 makes u_1 = (1 + a_1) 2 (1 - a_0^2) negative, and a_2 = 2
+        # does the same to u~_1; no Verblunsky family can hold either value
+        stub = SimpleNamespace(a=[F(2), F(0), F(0), F(0)])
+        with pytest.raises(AssertionError, match="weight at n=1 is not positive"):
+            u_coeff(stub, 1)
+        assert u_coeff(stub, 0) == ut_coeff(stub, 0) == 0
+        stub = SimpleNamespace(a=[F(0), F(0), F(2), F(0)])
+        with pytest.raises(AssertionError, match="weight at n=1 is not positive"):
+            ut_coeff(stub, 1)
+        assert u_coeff(stub, 1) == 2
 
     def test_pair_requires_size(self, family):
-        with pytest.raises(ValueError):
-            build_szego_pair(family(F(0), F(0), 2))
+        fam = family(F(0), F(0), 2)
+        for verify in (verify_three_term, verify_recurrence_closure, verify_transforms):
+            with pytest.raises(ValueError, match="size >= 3"):
+                verify(fam)
 
 
 class TestVerifications:
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_three_term(self, alpha, beta, family):
         fam = family(alpha, beta, 13)
-        assert verify_three_term(fam, build_szego_pair(fam)).ok
+        assert verify_three_term(fam).ok
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_recurrence_closure(self, alpha, beta, family):
         fam = family(alpha, beta, 13)
-        rep = verify_recurrence_closure(fam, build_szego_pair(fam))
+        rep = verify_recurrence_closure(fam)
         assert rep.ok
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_transforms(self, alpha, beta, family):
         fam = family(alpha, beta, 13)
-        rep = verify_transforms(fam, build_szego_pair(fam))
+        rep = verify_transforms(fam)
         assert rep.ok
         labels = {c.label.split(" ")[0] for c in rep.checks}
         assert {
@@ -283,9 +303,12 @@ class TestComplexity:
         counts = []
         for n in (40, 80):
             fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), n)
-            pair = build_szego_pair(fam)
+            for n_p in range(p_top(fam.size) + 1):  # warm the P/Q memo
+                build_p(fam, n_p)
+            for n_q in range(q_top(fam.size) + 1):
+                build_q(fam, n_q)
             calls[0] = 0
-            assert verify_recurrence_closure(fam, pair).ok
+            assert verify_recurrence_closure(fam).ok
             assert verify_classical_match(fam, (fam.size + 1) // 2).ok
             counts.append(calls[0])
         assert counts[1] / counts[0] <= 2.5, counts
