@@ -10,8 +10,11 @@ K psi_n = lambda_n psi_n with lambda_n = -n/2 for even n and
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
-from .laurent import LaurentPoly, ONE_MINUS_Z2
+from .errors import NotDivisible
+from .laurent import LaurentPoly, _normal
 from .moments import MomentSeq, Weight, inner_product
 from .opuc import JacobiParams, OPUCFamily, family_params
 from .report import VerificationReport
@@ -20,15 +23,40 @@ _ONE_MINUS_Z = LaurentPoly({0: 1, 1: -1})
 
 
 def apply_k(f: LaurentPoly, p: JacobiParams) -> LaurentPoly:
-    """Apply K at parameters p; exact, no remainder is ever discarded."""
-    refl = f.reflect() - f
-    out = f.theta()
-    if refl.is_zero:
-        return out
-    numer = LaurentPoly({2: p.s, 1: p.d}) * refl
-    if numer.is_zero:
-        return out
-    return out + numer.div_exact(ONE_MINUS_Z2)
+    """Apply K at parameters p in one pass over f's integer parts.
+
+    With f = sum c_k z^k over its denominator, padded to exponents
+    -m..m, the reflected difference r_k = c_{-k} - c_k is multiplied by
+    S z^2 + D z, where S/E = alpha + beta + 1 and D/E = alpha - beta
+    share the denominator E.  Division by 1 - z^2 is the running sum
+    q_k = numer_k + q_{k-2}, taken separately over even and odd k.
+    E k c_k (theta f) is added and the sum is normalized once over E
+    times f's denominator.  r vanishes at z = +-1, so the division is
+    exact; should the two top partial sums not vanish, NotDivisible is
+    raised and no remainder is ever discarded.
+    """
+    nums = f._num
+    if not nums:
+        return f
+    lo = f._lo
+    hi = lo + len(nums) - 1
+    m = max(hi, -lo)
+    c = [0] * (lo + m) + list(nums) + [0] * (m - hi)
+    r = [a - b for a, b in zip(reversed(c), c)]
+    if not any(r):
+        return f.theta()
+    s, d = p.s, p.d
+    e = lcm(s.denominator, d.denominator)
+    big_s, big_d = s.numerator * (e // s.denominator), d.numerator * (e // d.denominator)
+    # numer_k = S r_{k-2} + D r_{k-1} on exponents -m..m+2
+    numer = [big_s * a + big_d * b for a, b in zip([0, 0, *r], [0, *r, 0])]
+    q = numer[:]
+    q[0::2] = accumulate(numer[0::2])
+    q[1::2] = accumulate(numer[1::2])
+    if q[-1] or q[-2]:
+        raise NotDivisible(f"(1 - z^2) does not divide the K numerator of ({f.text()}) exactly")
+    out = [ek * a + b for ek, a, b in zip(range(-m * e, m * e + 1, e), c, q)]
+    return _normal(-m, out, f._den * e)
 
 
 def apply_k_single_moment(f: LaurentPoly) -> LaurentPoly:

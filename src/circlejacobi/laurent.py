@@ -304,8 +304,8 @@ class LaurentPoly:
         integer polynomial F over the rationals only if the quotient has
         integer coefficients, so integer long division by P decides it:
         each leading numerator must be an exact multiple of P's leading
-        coefficient (always so for the package's divisors 1 - z^2,
-        z - 1/z and 1 - z, whose leading coefficient is -1 or 1), and the
+        coefficient (always so for the package's divisors z - 1/z and
+        1 - z, whose leading coefficient is 1 or -1), and the
         remainder must vanish.  No fraction arises on the way.
         """
         if not isinstance(divisor, LaurentPoly):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadSupport, BadVerblunsky, ParamOutOfRange
 from .laurent import LaurentPoly
@@ -42,12 +43,14 @@ class JacobiParams:
                 f"need alpha > -1 and beta > -1, got ({self.alpha}, {self.beta})"
             )
 
-    @property
+    # cached_property writes __dict__ directly, which a frozen dataclass
+    # allows; ==, hash and repr still read the two fields alone
+    @cached_property
     def s(self) -> Fraction:
         """alpha + beta + 1, the combination entering most formulas."""
         return self.alpha + self.beta + 1
 
-    @property
+    @cached_property
     def d(self) -> Fraction:
         """alpha - beta."""
         return self.alpha - self.beta

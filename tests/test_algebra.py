@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from circlejacobi import algebra
 from circlejacobi.algebra import (
     AlgebraParams,
     CanonicalForm,
@@ -24,7 +25,7 @@ from circlejacobi.algebra import (
 from circlejacobi.dunkl import lambda_n
 from circlejacobi.errors import Degenerate
 from circlejacobi.laurent import LaurentPoly
-from circlejacobi.opuc import JacobiParams, verblunsky
+from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 
 from conftest import GRID, PARAM
 
@@ -129,6 +130,15 @@ class TestCentralExtension:
         rep = verify_central_extension(fam, d=4, matrix_size=9)
         assert any("drops" in c.label for c in rep.checks)
 
+    def test_failures_carry_residuals_at_symmetric_point(self, monkeypatch, family):
+        # a wrong K breaks the extension-term check too, which then keeps
+        # its residual text like every other failing check
+        orig = algebra.apply_k
+        monkeypatch.setattr(algebra, "apply_k", lambda f, p: orig(f, p) + f.shift(1))
+        rep = verify_central_extension(family(F(1), F(1), 9), d=4, matrix_size=9)
+        assert "extension term drops at alpha=beta" in [c.label for c in rep.failures]
+        assert all(c.detail for c in rep.failures)
+
     def test_xy_matrix_shapes(self):
         x, y = build_xy_matrix(JacobiParams(F(1, 2), F(-1, 2)), 9)
         assert x.size == y.size == 9
@@ -162,3 +172,23 @@ class TestAsVerblunskySource:
         p = JacobiParams(F(3, 2), F(1, 2))
         _, a = derive_representation(p.alpha, p.beta, 40)
         assert a == tuple(verblunsky(p, n) for n in range(41))
+
+
+class TestComplexity:
+    @pytest.mark.parametrize("alpha,beta", [(F(3, 2), F(1, 2)), (F(1), F(1))])
+    def test_central_extension_applies_k_once_per_image(self, monkeypatch, alpha, beta):
+        # JR1, JR2, [Y,M1] and the psi rows share their Y images; at
+        # (1, 1) the alpha = beta branch runs as well.  Recomputing
+        # each image costs 626 and 642 calls of apply_k.
+        calls = [0]
+        orig = algebra.apply_k
+
+        def counted(*args):
+            calls[0] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(algebra, "apply_k", counted)
+        fam = build_family(JacobiParams(alpha, beta), 40)
+        rep = verify_central_extension(fam, d=10, matrix_size=21)
+        assert rep.ok
+        assert calls[0] <= 300, calls[0]

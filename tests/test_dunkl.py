@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from circlejacobi.dunkl import (
     apply_k,
@@ -13,7 +13,7 @@ from circlejacobi.dunkl import (
     selfadjoint_residual,
     verify_bispectral,
 )
-from circlejacobi.laurent import LaurentPoly
+from circlejacobi.laurent import ONE_MINUS_Z2, LaurentPoly
 from circlejacobi.opuc import (
     JacobiParams,
     chi_basis,
@@ -22,10 +22,33 @@ from circlejacobi.opuc import (
 )
 
 from conftest import GRID
-from test_laurent import laurents
+from test_laurent import assert_normal, laurents
 
 F = Fraction
 P_SM = JacobiParams(F(1, 2), F(-1, 2))
+
+# Laurent inputs that include the zero polynomial, symmetric f (R f = f,
+# where K reduces to theta) and antisymmetric f (R f = -f).
+k_inputs = st.one_of(
+    laurents(),
+    laurents().map(lambda g: g + g.reflect()),
+    laurents().map(lambda g: g - g.reflect()),
+    st.just(LaurentPoly.zero()),
+)
+
+
+@st.composite
+def jacobi_params(draw):
+    """Rational (alpha, beta) > -1, with alpha = beta (so d = 0) drawn on
+    its own and denominators up to 10^12, so s can carry a large one."""
+
+    def rational():
+        den = draw(st.one_of(st.integers(1, 12), st.integers(1, 10**12)))
+        return F(draw(st.integers(1 - den, 4 * den)), den)
+
+    alpha = rational()
+    beta = alpha if draw(st.booleans()) else rational()
+    return JacobiParams(alpha, beta)
 
 
 class TestEigenvalues:
@@ -95,6 +118,21 @@ class TestApplyK:
     @given(laurents(max_terms=5))
     def test_specializations_coincide(self, f):
         assert apply_k(f, P_SM) == apply_k_single_moment(f)
+
+    @given(k_inputs, jacobi_params())
+    @example(LaurentPoly.zero(), JacobiParams(1, 2))
+    @example(LaurentPoly({2: 1, -2: 1, 0: 3}), JacobiParams(F(1, 3), F(-1, 7)))
+    @example(LaurentPoly({3: F(1, 2), -3: F(-1, 2)}), JacobiParams(F(2, 5), F(2, 5)))
+    @example(LaurentPoly({1: 4, -3: F(2, 9)}), JacobiParams(F(1, 10**12 - 1), F(-1, 10**11)))
+    def test_matches_composed_formula(self, f, p):
+        """The one-pass integer kernel equals the composed formula
+        theta f + ((s z^2 + d z)(R f - f)) / (1 - z^2), in normal form."""
+        want = f.theta() + (LaurentPoly({2: p.s, 1: p.d}) * (f.reflect() - f)).div_exact(
+            ONE_MINUS_Z2
+        )
+        got = apply_k(f, p)
+        assert got == want
+        assert_normal(got)
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_triangular_on_chi_flag(self, alpha, beta):

@@ -39,6 +39,13 @@ class TestParams:
         assert p.s == 3  # alpha + beta + 1
         assert p.d == 1  # alpha - beta
 
+    def test_cached_sums_leave_identity_to_the_fields(self):
+        p, q = JacobiParams(F(3, 2), F(1, 2)), JacobiParams(F(3, 2), F(1, 2))
+        assert (p.s, p.d) == (3, 1) and p.s is p.s
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert repr(p) == "JacobiParams(alpha=Fraction(3, 2), beta=Fraction(1, 2))"
+        assert p != JacobiParams(F(3, 2), F(-1, 2))
+
 
 class TestVerblunsky:
     def test_single_moment_column(self):
