@@ -29,9 +29,9 @@ from functools import cache
 from typing import Callable
 
 from .cmv import BandedOperator, anticommutator, build_m1, build_m2, commutator
-from .dunkl import apply_k, lambda_n
+from .dunkl import apply_k, build_k, lambda_n
 from .errors import Degenerate, InconsistentSystem
-from .laurent import LaurentPoly, Z_MINUS_ZINV
+from .laurent import LaurentPoly
 from .opuc import JacobiParams, OPUCFamily, verblunsky
 from .report import VerificationReport
 from .szego import build_p, build_q, p_top, q_top
@@ -232,8 +232,10 @@ def op_m2(f: LaurentPoly) -> LaurentPoly:
     return f.reflect().shift(1)
 
 
-def _commute(a: Operator, b: Operator) -> Operator:
-    return lambda f: a(b(f)) - b(a(f))
+def _y_terms(kf: LaurentPoly, p: JacobiParams) -> list[tuple[Fraction, LaurentPoly]]:
+    """Y f = K(K f) - (alpha+beta+1) K f as terms of ``LaurentPoly.lincomb``,
+    from K f."""
+    return [(1, apply_k(kf, p)), (-p.s, kf)]
 
 
 def build_xy(p: JacobiParams) -> tuple[Operator, Operator]:
@@ -241,11 +243,10 @@ def build_xy(p: JacobiParams) -> tuple[Operator, Operator]:
     Laurent polynomials."""
 
     def x_op(f: LaurentPoly) -> LaurentPoly:
-        return op_m2(op_m1(f)) + op_m1(op_m2(f))
+        return LaurentPoly.lincomb([(1, op_m2(op_m1(f))), (1, op_m1(op_m2(f)))])
 
     def y_op(f: LaurentPoly) -> LaurentPoly:
-        kf = apply_k(f, p)
-        return apply_k(kf, p) - kf * p.s
+        return LaurentPoly.lincomb(_y_terms(apply_k(f, p), p))
 
     return x_op, y_op
 
@@ -267,16 +268,18 @@ def verify_relations_functional(p: JacobiParams, d: int) -> VerificationReport:
         relation="relations on M1 = R, M2 = zR, K of Dunkl type",
         params={"alpha": p.alpha, "beta": p.beta, "monomial_range": d},
     )
+    # K z^k, K z^-k and K z^(1-k) meet every monomial's K image again, so
+    # each distinct image is computed once per call
+    k_op = cache(lambda f: apply_k(f, p))
+    lc = LaurentPoly.lincomb
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
+        m1f, m2f, kf = op_m1(f), op_m2(f), k_op(f)
         checks = {
-            "M1^2": op_m1(op_m1(f)) - f,
-            "M2^2": op_m2(op_m2(f)) - f,
-            "M1 rel": apply_k(op_m1(f), p) + op_m1(apply_k(f, p)) - (op_m1(f) - f) * p.s,
-            "M2 rel": apply_k(op_m2(f), p)
-            + op_m2(apply_k(f, p))
-            - op_m2(f) * (p.s + 1)
-            - f * p.d,
+            "M1^2": lc([(1, op_m1(m1f)), (-1, f)]),
+            "M2^2": lc([(1, op_m2(m2f)), (-1, f)]),
+            "M1 rel": lc([(1, k_op(m1f)), (1, op_m1(kf)), (-p.s, m1f), (p.s, f)]),
+            "M2 rel": lc([(1, k_op(m2f)), (1, op_m2(kf)), (-(p.s + 1), m2f), (-p.d, f)]),
         }
         for name, res in checks.items():
             rep.residual(f"{name} k={k}", res)
@@ -312,25 +315,32 @@ def verify_central_extension(
     c_x = (p.alpha + p.beta) * (p.alpha + p.beta + 2)
     c_m1 = 2 * (p.beta - p.alpha)
     c_i = 2 * p.d * p.s
-    jr1 = _commute(x_op, _commute(x_op, y_op))
-    jr2 = _commute(y_op, _commute(y_op, x_op))
+    lc = LaurentPoly.lincomb
+
+    def jr2_terms(f: LaurentPoly) -> list:
+        """[Y, [Y, X]] f - 2 {X, Y} f - c_x X f, with [Y, [Y, X]] expanded
+        to YYX - 2 YXY + XYY; what JR2 leaves when alpha = beta."""
+        xf, yf = x_op(f), y_op(f)
+        xyf, yxf = x_op(yf), y_op(xf)
+        return [(1, y_op(yxf)), (-2, y_op(xyf)), (1, x_op(y_op(yf))),
+                (-2, xyf), (-2, yxf), (-c_x, xf)]
+
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
+        m1f, xf, yf = op_m1(f), x_op(f), y_op(f)
+        xxf = x_op(xf)
         checks = {
-            "[X,M1]": x_op(op_m1(f)) - op_m1(x_op(f)),
-            "[Y,M1]": y_op(op_m1(f)) - op_m1(y_op(f)),
-            "JR1": jr1(f) - x_op(x_op(f)) * 2 + f * 8,
-            "JR2": jr2(f)
-            - (x_op(y_op(f)) + y_op(x_op(f))) * 2
-            - x_op(f) * c_x
-            - op_m1(f) * c_m1
-            - f * c_i,
+            "[X,M1]": lc([(1, x_op(m1f)), (-1, op_m1(xf))]),
+            "[Y,M1]": lc([(1, y_op(m1f)), (-1, op_m1(yf))]),
+            # [X, [X, Y]] = XXY - 2 XYX + YXX
+            "JR1": lc([(1, x_op(x_op(yf))), (-2, x_op(y_op(xf))), (1, y_op(xxf)),
+                       (-2, xxf), (8, f)]),
+            "JR2": lc([*jr2_terms(f), (-c_m1, m1f), (-c_i, f)]),
         }
         for name, res in checks.items():
             rep.residual(f"{name} k={k}", res)
     if p.alpha == p.beta:
-        f = LaurentPoly.monomial(1)
-        res = jr2(f) - (x_op(y_op(f)) + y_op(x_op(f))) * 2 - x_op(f) * c_x
+        res = lc(jr2_terms(LaurentPoly.monomial(1)))
         rep.residual("extension term drops at alpha=beta", res)
 
     # matrix side
@@ -356,7 +366,7 @@ def verify_central_extension(
         n
         for n in range(top)
         if x.apply_row(n, fam.psi) != x_op(fam.psi[n])
-        or y.apply_row(n, fam.psi) != y_op(fam.psi[n])
+        or y.apply_row(n, fam.psi) != lc(_y_terms(build_k(fam, n), p))
     ]
     rep.add(
         "matrix rows match functional action on psi",
@@ -391,20 +401,24 @@ def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationRepor
         relation="Y psi_n = Lambda_n psi_n; Y P_n = Lambda_{2n} P_n; Y F_n = Lambda_{2n} F_n",
         params={"alpha": p.alpha, "beta": p.beta, "n_max": n_max},
     )
-    _, y_op = build_xy(p)
+    lc = LaurentPoly.lincomb
     for n in range(min(n_max, fam.size) + 1):
         lam = lambda_n(p, n)
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
+    # Y f - Lambda f, one normalization each; K psi_n comes from the family
     for n in range(min(n_max, fam.size) + 1):
-        rep.residual(f"Y psi n={n}", y_op(fam.psi[n]) - fam.psi[n] * big_lambda(p, n))
+        res = lc([*_y_terms(build_k(fam, n), p), (-big_lambda(p, n), fam.psi[n])])
+        rep.residual(f"Y psi n={n}", res)
     for n in range(min(n_max, p_top(fam.size)) + 1):
         pn = build_p(fam, n).poly
-        lam2n = big_lambda(p, 2 * n)
-        rep.residual(f"Y P n={n}", y_op(pn) - pn * lam2n)
+        res = lc([*_y_terms(apply_k(pn, p), p), (-big_lambda(p, 2 * n), pn)])
+        rep.residual(f"Y P n={n}", res)
         rep.add(f"R P n={n}", pn.reflect() == pn)
     for n in range(1, min(n_max, q_top(fam.size) + 1) + 1):
-        fn = Z_MINUS_ZINV * build_q(fam, n - 1).poly
-        rep.residual(f"Y F n={n}", y_op(fn) - fn * big_lambda(p, 2 * n))
+        q = build_q(fam, n - 1).poly
+        fn = lc([(1, q.shift(1)), (-1, q.shift(-1))])  # (z - 1/z) Q_{n-1}
+        res = lc([*_y_terms(apply_k(fn, p), p), (-big_lambda(p, 2 * n), fn)])
+        rep.residual(f"Y F n={n}", res)
         rep.add(f"R F n={n}", fn.reflect() == -fn)
     return rep

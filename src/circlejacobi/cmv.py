@@ -133,12 +133,19 @@ class BandedOperator:
 
     # ------------------------------------------------------------- actions
 
+    def row_terms(
+        self, i: int, vectors: Sequence[LaurentPoly], sign: int = 1
+    ) -> list[tuple[Fraction, LaurentPoly]]:
+        """The pairs (sign * M[i, j], vectors[j]) of row i, as terms of
+        ``LaurentPoly.lincomb``."""
+        row = self.rows.get(i, _ZERO_ROW).items()
+        if sign < 0:
+            return [(-v, vectors[j]) for j, v in row]
+        return [(v, vectors[j]) for j, v in row]
+
     def apply_row(self, i: int, vectors: Sequence[LaurentPoly]) -> LaurentPoly:
-        """sum_j M[i, j] * vectors[j]."""
-        out = _ZERO_ROW
-        for j, v in self.rows.get(i, _ZERO_ROW).items():
-            out = out + vectors[j] * v
-        return out
+        """sum_j M[i, j] * vectors[j], normalized once."""
+        return LaurentPoly.lincomb(self.row_terms(i, vectors))
 
     def to_float(self) -> np.ndarray:
         import numpy as np  # only the float spectrum needs numpy
@@ -234,14 +241,16 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
         relation="psi(1/z) = M1 psi(z) ; z psi(1/z) = M2 psi(z)",
         params=family_params(fam, size=size),
     )
+    psi = fam.psi
     for n in range(size):
         if n < m1.valid_rows:
-            rep.residual(f"M1 row {n}", fam.psi[n].reflect() - m1.apply_row(n, fam.psi))
+            res = LaurentPoly.lincomb([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
+            rep.residual(f"M1 row {n}", res)
         else:
             rep.skip(f"M1 row {n} (cut block)")
         if n < m2.valid_rows:
-            lhs = fam.psi[n].reflect().shift(1)
-            rep.residual(f"M2 row {n}", lhs - m2.apply_row(n, fam.psi))
+            res = LaurentPoly.lincomb([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
+            rep.residual(f"M2 row {n}", res)
         else:
             rep.skip(f"M2 row {n} (cut block)")
     return rep
@@ -260,15 +269,18 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
         relation="M2 psi = z M1 psi ; (M1 M2) psi = z psi",
         params=family_params(fam, size=size),
     )
+    psi = fam.psi
+    z_psi = [f.shift(1) for f in psi]
     pencil_rows = min(m1.valid_rows, m2.valid_rows)
     for n in range(size):
         if n < pencil_rows:
-            res = m2.apply_row(n, fam.psi) - m1.apply_row(n, fam.psi).shift(1)
+            res = LaurentPoly.lincomb([*m2.row_terms(n, psi), *m1.row_terms(n, z_psi, -1)])
             rep.residual(f"pencil row {n}", res)
         else:
             rep.skip(f"pencil row {n} (boundary)")
         if n < c.valid_rows:
-            rep.residual(f"C row {n}", c.apply_row(n, fam.psi) - fam.psi[n].shift(1))
+            res = LaurentPoly.lincomb([*c.row_terms(n, psi), (-1, z_psi[n])])
+            rep.residual(f"C row {n}", res)
         else:
             rep.skip(f"C row {n} (boundary)")
     return rep

@@ -69,6 +69,17 @@ def apply_k_single_moment(f: LaurentPoly) -> LaurentPoly:
     return out + refl.shift(1).div_exact(_ONE_MINUS_Z)
 
 
+def build_k(fam: OPUCFamily, n: int) -> LaurentPoly:
+    """K psi_n at the family's parameters.
+
+    Built once per family and kept in ``fam.derived``, so the bispectral
+    check and the Y eigencheck share one application of K to psi_n."""
+    key = ("K", n)
+    if key not in fam.derived:
+        fam.derived[key] = apply_k(fam.psi[n], fam.params)
+    return fam.derived[key]
+
+
 def lambda_n(p: JacobiParams, n: int) -> Fraction:
     """Eigenvalue of K on psi_n."""
     if n < 0:
@@ -96,7 +107,8 @@ def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
         params=family_params(fam, n_max=fam.size),
     )
     for n in range(fam.size + 1):
-        rep.residual(f"n={n}", apply_k(fam.psi[n], p) - fam.psi[n] * lambda_n(p, n))
+        res = LaurentPoly.lincomb([(1, build_k(fam, n)), (-lambda_n(p, n), fam.psi[n])])
+        rep.residual(f"n={n}", res)
     return rep
 
 

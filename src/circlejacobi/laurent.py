@@ -9,9 +9,17 @@ denominator (content and primitive part, Knuth, *TAOCP* vol. 2, §4.6.1;
 FLINT's ``fmpq_poly`` uses the same layout).  The form is unique, so
 equality and hashing compare plain tuples and a zero-residual test is an
 emptiness test.  Arithmetic runs on Python ints with one gcd per result,
-and exact division is integer long division; ``coeff``, ``items``,
-``evaluate`` and ``text`` hand out reduced ``Fraction`` values.  Instances
-are immutable: arithmetic always returns new objects.
+and exact division is integer long division; ``coeff``, ``items`` and
+``evaluate`` hand out reduced ``Fraction`` values.  Instances are
+immutable: arithmetic always returns new objects.
+
+An identity residual is a short linear combination sum c_j f_j with
+rational scalars.  ``LaurentPoly.lincomb`` forms it in one pass: every
+term is brought over one common denominator, the integer numerators are
+summed in one dense list, and the result is normalized once, so a zero
+residual costs no gcd at all.  Multiplying by a small fixed polynomial
+such as z - 1/z or z + 1/z becomes shifted terms, since ``shift`` and
+``reflect`` are O(1).  ``+``, ``-`` and ``*`` normalize after each step.
 """
 
 from __future__ import annotations
@@ -173,33 +181,31 @@ class LaurentPoly:
 
     # ---------------------------------------------------------------- ring operations
 
-    def _combine(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
-        """self + sign * other over the common denominator."""
-        a, b = self._num, other._num
-        if not b:
-            return self
-        if not a:
-            return other if sign > 0 else -other
-        da, db = self._den, other._den
-        if da == db:
-            ma, mb, den = 1, sign, da
-        else:
-            g = gcd(da, db)
-            ma, mb = db // g, sign * (da // g)
-            den = da * ma
-        lo = min(self._lo, other._lo)
-        out = [0] * (max(self._lo + len(a), other._lo + len(b)) - lo)
-        i = self._lo - lo
-        out[i:i + len(a)] = a if ma == 1 else [c * ma for c in a]
-        i = other._lo - lo
-        out[i:i + len(b)] = [x + c * mb for x, c in zip(out[i:i + len(b)], b)]
+    @staticmethod
+    def lincomb(terms: Iterable[tuple[int | Fraction, "LaurentPoly"]]) -> "LaurentPoly":
+        """sum(c * f for c, f in terms), with int or Fraction scalars c.
+
+        The terms share one common denominator, the lcm of their distinct
+        denominators; their integer numerators are summed in one dense
+        list, which is normalized once.
+        """
+        live = [(c.numerator, c.denominator * f._den, f) for c, f in terms if c and f._num]
+        if not live:
+            return _make(0, (), 1)
+        den = lcm(*{d for _, d, _ in live})
+        lo = min(f._lo for _, _, f in live)
+        out = [0] * (max(f._lo + len(f._num) for _, _, f in live) - lo)
+        for p, d, f in live:
+            m = p if d == den else p * (den // d)
+            i, nums = f._lo - lo, f._num
+            out[i:i + len(nums)] = [x + m * y for x, y in zip(out[i:i + len(nums)], nums)]
         return _normal(lo, out, den)
 
     def __add__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, 1)
+        return LaurentPoly.lincomb(((1, self), (1, o)))
 
     __radd__ = __add__
 
@@ -210,13 +216,13 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, -1)
+        return LaurentPoly.lincomb(((1, self), (-1, o)))
 
     def __rsub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._combine(self, -1)
+        return LaurentPoly.lincomb(((1, o), (-1, self)))
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -365,18 +371,27 @@ class LaurentPoly:
         "1/3*z^-1 + 2/3 + 1/3*z"."""
         if not self._num:
             return "0"
+        den = self._den
         parts: list[str] = []
-        for k, c in self.items():
-            mag = abs(c)
+        for k, c in enumerate(self._num, self._lo):
+            if not c:
+                continue
+            # c/den in lowest terms as the magnitude p/q and a sign
+            g = gcd(c, den)
+            p, q = c // g, den // g
+            neg = p < 0
+            if neg:
+                p = -p
+            mag = str(p) if q == 1 else f"{p}/{q}"
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "z" if k == 1 else f"z^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == "1" else f"{mag}*{var}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(f"-{body}" if neg else body)
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"- {body}" if neg else f"+ {body}")
         return " ".join(parts)
 
     def __str__(self) -> str:

@@ -125,9 +125,10 @@ class OPUCFamily:
     immutable: nothing in the package mutates a built family.
 
     ``derived`` keeps objects computed from this instance on first use
-    (the Szego P_n and Q_n), so every check that reads them shares one
-    build.  It belongs to the instance, never to its parameters: a
-    corrupted family tagged with the clean family's params has its own.
+    (the Szego P_n and Q_n, and K psi_n), so every check that reads them
+    shares one build.  It belongs to the instance, never to its
+    parameters: a corrupted family tagged with the clean family's params
+    has its own.
     """
 
     params: JacobiParams | None

@@ -31,6 +31,7 @@ from .opuc import BOUNDARY_A, OPUCFamily, family_params
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 # --------------------------------------------------------------------------
@@ -46,9 +47,23 @@ def x_power(k: int) -> LaurentPoly:
     return Z_PLUS_ZINV**k
 
 
-def _x_times(f: LaurentPoly) -> LaurentPoly:
-    """x(z) f = z f + f / z."""
-    return f.shift(1) + f.shift(-1)
+# A product by a fixed polynomial in z, as shifted terms of
+# LaurentPoly.lincomb, which normalizes the whole residual once.
+
+
+def _x_terms(f: LaurentPoly, c=1) -> list:
+    """c x(z) f = c z f + c f / z."""
+    return [(c, f.shift(1)), (c, f.shift(-1))]
+
+
+def _d_terms(f: LaurentPoly, c=1) -> list:
+    """c (z - 1/z) f."""
+    return [(c, f.shift(1)), (-c, f.shift(-1))]
+
+
+def _d2_terms(f: LaurentPoly) -> list:
+    """(z - 1/z)^2 f = z^2 f - 2 f + f / z^2."""
+    return [(1, f.shift(2)), (-2, f), (1, f.shift(-2))]
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,8 @@ def classical_jacobi_chain(alpha, beta, n: int) -> Iterator[SymmetricLaurent]:
     cur = Z_PLUS_ZINV - b_coeff(0)
     yield SymmetricLaurent(cur)
     for k in range(1, n):
-        prev, cur = cur, _x_times(cur) - cur * b_coeff(k) - prev * u_coeff(k)
+        step = [*_x_terms(cur), (-b_coeff(k), cur), (-u_coeff(k), prev)]
+        prev, cur = cur, LaurentPoly.lincomb(step)
         yield SymmetricLaurent(cur)
 
 
@@ -275,10 +291,11 @@ def verify_three_term(fam: OPUCFamily) -> VerificationReport:
     )
     for name, _, chain, b_of, u_of, top in _recurrences(fam):
         for n in range(top + 1):
-            res = chain[n + 1].poly + chain[n].poly * b_of(fam, n) - _x_times(chain[n].poly)
+            terms = [(1, chain[n + 1].poly), (b_of(fam, n), chain[n].poly),
+                     *_x_terms(chain[n].poly, -1)]
             if n >= 1:
-                res = res + chain[n - 1].poly * u_of(fam, n)
-            rep.residual(f"{name} n={n}", res)
+                terms.append((u_of(fam, n), chain[n - 1].poly))
+            rep.residual(f"{name} n={n}", LaurentPoly.lincomb(terms))
     return rep
 
 
@@ -292,7 +309,8 @@ def fit_recurrence(chain: list[SymmetricLaurent] | tuple[SymmetricLaurent, ...])
     ValueError that names the first bad index.  Then diff = x p_n - p_{n+1}
     has degree <= n, and since x^k = z^k + k z^(k-2) + ..., b_n is the z^n
     coefficient of diff and u_n the z^(n-1) coefficient of
-    diff - b_n p_n: two O(1) reads instead of a full x-expansion.
+    diff - b_n p_n: two O(1) reads instead of a full x-expansion.  The
+    step is clean when diff - b_n p_n - u_n p_{n-1} is zero.
     """
     for n, p in enumerate(chain):
         if p.poly.coeff(n) != 1 or p.poly.max_exp != n:
@@ -301,14 +319,14 @@ def fit_recurrence(chain: list[SymmetricLaurent] | tuple[SymmetricLaurent, ...])
     u: list[Fraction] = [_ZERO]
     clean = True
     for n in range(len(chain) - 1):
-        diff = _x_times(chain[n].poly) - chain[n + 1].poly
+        pn = chain[n].poly
+        diff = LaurentPoly.lincomb([*_x_terms(pn), (-1, chain[n + 1].poly)])
         bn = diff.coeff(n)
         b.append(bn)
         if n >= 1:
-            rem = diff - chain[n].poly * bn
-            un = rem.coeff(n - 1)
+            un = diff.coeff(n - 1) - bn * pn.coeff(n - 1)
             u.append(un)
-            if rem != chain[n - 1].poly * un:
+            if LaurentPoly.lincomb([(1, diff), (-bn, pn), (-un, chain[n - 1].poly)]):
                 clean = False
     return tuple(b), tuple(u), clean
 
@@ -340,7 +358,7 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
         relation="Christoffel / Geronimus / psi reconstruction / PQ extraction",
         params=family_params(fam),
     )
-    z2 = Z_MINUS_ZINV * Z_MINUS_ZINV
+    lc = LaurentPoly.lincomb
     (p, q), psi = _chains(fam), fam.psi
     size = fam.size
 
@@ -353,16 +371,15 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
             * (1 - _a(fam, 2 * n - 3))
             * (1 - _a(fam, 2 * n - 2) ** 2)
         )
-        res = z2 * q[n - 1].poly - (
-            p[n + 1].poly + p[n].poly * c1 - p[n - 1].poly * c2
-        )
+        res = lc([*_d2_terms(q[n - 1].poly), (-1, p[n + 1].poly), (-c1, p[n].poly),
+                  (c2, p[n - 1].poly)])
         rep.residual(f"christoffel n={n}", res)
 
     # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
     for n in range(1, p_top(size) + 1):
-        lead = _x_times(p[n].poly) + p[n].poly * (2 * _a(fam, 2 * n - 2))
         c2 = 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
-        res = z2 * q[n - 1].poly - (lead - p[n - 1].poly * c2)
+        res = lc([*_d2_terms(q[n - 1].poly), *_x_terms(p[n].poly, -1),
+                  (-2 * _a(fam, 2 * n - 2), p[n].poly), (c2, p[n - 1].poly)])
         rep.residual(f"christoffel' n={n}", res)
 
     # P_n = Q_n - (1 + a_{2n-1})(a_2n + a_{2n-2}) Q_{n-1}
@@ -370,23 +387,24 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     for n in range(1, q_top(size) + 1):
         lead = 1 + _a(fam, 2 * n - 1)
         c1 = lead * (_a(fam, 2 * n) + _a(fam, 2 * n - 2))
-        rhs = q[n].poly - q[n - 1].poly * c1
+        terms = [(1, p[n].poly), (-1, q[n].poly), (c1, q[n - 1].poly)]
         if n >= 2:
             c2 = lead * (1 + _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
-            rhs = rhs - q[n - 2].poly * c2
+            terms.append((c2, q[n - 2].poly))
         # at n = 1 the Q_{-1} coefficient carries the factor 1 + a_{-1} = 0
-        rep.residual(f"geronimus n={n}", p[n].poly - rhs)
+        rep.residual(f"geronimus n={n}", lc(terms))
 
     # psi_{2n-1} = (P_n + (z - 1/z) Q_{n-1}) / 2
     # psi_2n     = ((1 - a_{2n-1}) P_n - (1 + a_{2n-1})(z - 1/z) Q_{n-1}) / 2
     for n in range(1, p_top(size) + 1):
-        res = psi[2 * n - 1] - (p[n].poly + Z_MINUS_ZINV * q[n - 1].poly) / 2
+        res = lc([(1, psi[2 * n - 1]), (-_HALF, p[n].poly), *_d_terms(q[n - 1].poly, -_HALF)])
         rep.residual(f"psi(P,Q) n={2 * n - 1}", res)
         if 2 * n <= size:
             am = _a(fam, 2 * n - 1)
-            rhs = (p[n].poly * (1 - am) - Z_MINUS_ZINV * q[n - 1].poly * (1 + am)) / 2
-            rep.residual(f"psi(P,Q) n={2 * n}", psi[2 * n] - rhs)
-    res = psi[0] - p[0].poly  # n = 0 case: the Q term carries 1 + a_{-1} = 0
+            res = lc([(1, psi[2 * n]), ((am - 1) / 2, p[n].poly),
+                      *_d_terms(q[n - 1].poly, (1 + am) / 2)])
+            rep.residual(f"psi(P,Q) n={2 * n}", res)
+    res = lc([(1, psi[0]), (-1, p[0].poly)])  # n = 0: the Q term carries 1 + a_{-1} = 0
     rep.residual("psi(P,Q) n=0", res)
 
     # The same two functions out of P_n and P_{n-1} alone, via exact
@@ -395,25 +413,26 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     # psi_2n = ((1+a_{2n-1})(1-a_{2n-3})(1-a_{2n-2}^2) P_{n-1}
     #           - (a_{2n-1} z + 1/z + a_{2n-2}(1+a_{2n-1})) P_n) / (z - 1/z)
     for n in range(1, p_top(size) + 1):
-        czp = LaurentPoly({1: 1, 0: _a(fam, 2 * n - 2)})
-        c2 = (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
-        num = czp * p[n].poly - p[n - 1].poly * c2
-        res = psi[2 * n - 1] - num.div_exact(Z_MINUS_ZINV)
+        pn, prev = p[n].poly, p[n - 1].poly
+        a2 = _a(fam, 2 * n - 2)
+        c2 = (1 - _a(fam, 2 * n - 3)) * (1 - a2 ** 2)
+        num = lc([(1, pn.shift(1)), (a2, pn), (-c2, prev)])
+        res = lc([(1, psi[2 * n - 1]), (-1, num.div_exact(Z_MINUS_ZINV))])
         rep.residual(f"psi(P,P) n={2 * n - 1}", res)
         if 2 * n <= size:
             am = _a(fam, 2 * n - 1)
-            czm = LaurentPoly({1: am, -1: 1, 0: _a(fam, 2 * n - 2) * (1 + am)})
-            num = p[n - 1].poly * ((1 + am) * c2) - czm * p[n].poly
-            res = psi[2 * n] - num.div_exact(Z_MINUS_ZINV)
+            num = lc([((1 + am) * c2, prev), (-am, pn.shift(1)), (-1, pn.shift(-1)),
+                      (-a2 * (1 + am), pn)])
+            res = lc([(1, psi[2 * n]), (-1, num.div_exact(Z_MINUS_ZINV))])
             rep.residual(f"psi(P,P) n={2 * n}", res)
 
     # P_n = psi_2n + (1 + a_{2n-1}) psi_{2n-1}
     # (z - 1/z) Q_{n-1} = -psi_2n + (1 - a_{2n-1}) psi_{2n-1}
     for n in range(1, size // 2 + 1):
         am = _a(fam, 2 * n - 1)
-        res = p[n].poly - (psi[2 * n] + psi[2 * n - 1] * (1 + am))
+        res = lc([(1, p[n].poly), (-1, psi[2 * n]), (-1 - am, psi[2 * n - 1])])
         rep.residual(f"P from psi n={n}", res)
-        res = Z_MINUS_ZINV * q[n - 1].poly - (-psi[2 * n] + psi[2 * n - 1] * (1 - am))
+        res = lc([*_d_terms(q[n - 1].poly), (1, psi[2 * n]), (am - 1, psi[2 * n - 1])])
         rep.residual(f"Q from psi n={n}", res)
     return rep
 
@@ -454,22 +473,22 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
         relation="second-order ODE for P_n ; theta P_n = n (z - 1/z) Q_{n-1}",
         params=family_params(fam, n_max=n_max),
     )
-    z2m1 = LaurentPoly({2: 1, 0: -1})
-    drift = LaurentPoly({3: al + be + 2, 2: 2 * (al - be), 1: al + be})
+    lc = LaurentPoly.lincomb
+    # the drift (a+b+2) z^3 + 2(a-b) z^2 + (a+b) z as (coefficient, power);
+    # products by it and by z^2 - 1 become shifted terms
+    drift = ((al + be + 2, 3), (2 * (al - be), 2), (al + be, 1))
     top = min(n_max, p_top(fam.size))
     for n in range(top + 1):
         f = build_p(fam, n).poly
         f1 = f.deriv()
         f2 = f1.deriv()
-        lhs = z2m1 * f2.shift(2) + drift * f1
-        rhs = z2m1 * f * (n * (n + al + be + 1))
-        rep.residual(f"ODE n={n}", lhs - rhs)
+        ev = n * (n + al + be + 1)
+        terms = [(1, f2.shift(4)), (-1, f2.shift(2)), (-ev, f.shift(2)), (ev, f)]
+        terms += [(c, f1.shift(k)) for c, k in drift]
+        rep.residual(f"ODE n={n}", lc(terms))
     for n in range(top + 1):
-        lhs = build_p(fam, n).poly.theta()
-        rhs = (
-            LaurentPoly.zero()
-            if n == 0
-            else Z_MINUS_ZINV * build_q(fam, n - 1).poly * n
-        )
-        rep.residual(f"theta-PQ n={n}", lhs - rhs)
+        terms = [(1, build_p(fam, n).poly.theta())]
+        if n:
+            terms += _d_terms(build_q(fam, n - 1).poly, -n)
+        rep.residual(f"theta-PQ n={n}", lc(terms))
     return rep

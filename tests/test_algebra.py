@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from circlejacobi import algebra
+from circlejacobi import algebra, dunkl
 from circlejacobi.algebra import (
     AlgebraParams,
     CanonicalForm,
@@ -22,10 +22,11 @@ from circlejacobi.algebra import (
     verify_representation_derivation,
     y_eigencheck,
 )
-from circlejacobi.dunkl import lambda_n
+from circlejacobi.dunkl import lambda_n, verify_bispectral
 from circlejacobi.errors import Degenerate
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.opuc import JacobiParams, build_family, verblunsky
+from circlejacobi.szego import p_top, q_top
 
 from conftest import GRID, PARAM
 
@@ -192,3 +193,33 @@ class TestComplexity:
         rep = verify_central_extension(fam, d=10, matrix_size=21)
         assert rep.ok
         assert calls[0] <= 300, calls[0]
+
+    def test_y_eigencheck_reads_k_psi_from_the_family(self, monkeypatch):
+        # K psi_n is built once per family: the bispectral check makes it
+        # and the Y check reads it back, so every psi_n, P_n and F_n costs
+        # two applications of K.  Recomputing K psi_n costs one more per n.
+        calls = [0]
+        for mod in (algebra, dunkl):
+            def counted(*args, _orig=mod.apply_k):
+                calls[0] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(mod, "apply_k", counted)
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        assert verify_bispectral(fam).ok and y_eigencheck(fam).ok
+        assert calls[0] == 2 * (41 + p_top(40) + 1 + q_top(40) + 1), calls[0]
+
+    def test_relations_functional_applies_k_once_per_monomial(self, monkeypatch):
+        # K z^-k and K z^(1-k) meet other monomials' K images: at d = 10
+        # the distinct inputs are z^-10 .. z^11.  Applying K afresh at
+        # every use costs 84 calls.
+        calls = [0]
+        orig = algebra.apply_k
+
+        def counted(*args):
+            calls[0] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(algebra, "apply_k", counted)
+        assert verify_relations_functional(JacobiParams(F(3, 2), F(1, 2)), 10).ok
+        assert calls[0] == 22, calls[0]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from circlejacobi import dunkl
 from circlejacobi.cmv import (
     BandedOperator,
     anticommutator,
@@ -19,7 +20,7 @@ from circlejacobi.cmv import (
 )
 from circlejacobi.errors import BadVerblunsky
 from circlejacobi.laurent import LaurentPoly
-from circlejacobi.opuc import JacobiParams, verblunsky
+from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 
 from conftest import GRID
 
@@ -277,3 +278,22 @@ class TestRowVerifications:
         bad = family_from_verblunsky(a, params=p)
         assert not verify_reflection_rows(bad).ok
         assert not verify_gevp_and_five_term(bad).ok
+
+
+class TestOneNormalizationPerResidual:
+    @pytest.mark.parametrize(
+        "check", [verify_reflection_rows, verify_gevp_and_five_term, dunkl.verify_bispectral]
+    )
+    def test_residuals_use_no_chained_ring_operations(self, monkeypatch, check):
+        # every row and eigen residual is one LaurentPoly.lincomb, so the
+        # pairwise operators, each of which normalizes, are never reached
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            def counted(*args, _orig=getattr(LaurentPoly, name), _name=name):
+                calls.append(_name)
+                return _orig(*args)
+
+            monkeypatch.setattr(LaurentPoly, name, counted)
+        assert check(fam).ok
+        assert calls == []

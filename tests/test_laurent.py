@@ -192,6 +192,59 @@ class TestNormalForm:
         assert len(h) == len(model_add(mf, mg))
 
 
+@st.composite
+def lincomb_terms(draw, max_terms=5):
+    """(scalar, polynomial) pairs: int and Fraction scalars, zero among
+    them, over shifted and reflected polynomials of unequal supports."""
+    scalars = st.one_of(
+        st.integers(-6, 6), st.fractions(max_denominator=40), st.just(F(0))
+    )
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        f = draw(laurents())
+        f = draw(st.sampled_from([f, f.shift(3), f.shift(-5), f.reflect()]))
+        terms.append((draw(scalars), f))
+    return terms
+
+
+class TestLincomb:
+    @given(lincomb_terms())
+    def test_matches_operator_sum(self, terms):
+        want = LaurentPoly.zero()
+        for c, f in terms:
+            want = want + f * c
+        got = LaurentPoly.lincomb(terms)
+        assert got == want and hash(got) == hash(want)
+        assert_normal(got)
+
+    @given(lincomb_terms())
+    def test_cancelling_terms_give_zero(self, terms):
+        got = LaurentPoly.lincomb([*terms, *((-c, f) for c, f in terms)])
+        assert (got._lo, got._num, got._den) == (0, (), 1)
+
+    def test_empty_and_zero_terms(self):
+        f = LaurentPoly({-1: F(1, 3), 2: 5})
+        cancel = [(F(1, 2), f), (F(1, 3), f), (F(-5, 6), f), (2, f.shift(1)), (-2, f.shift(1))]
+        for terms in ([], [(0, f)], [(F(0), f)], [(3, LaurentPoly.zero())], cancel):
+            got = LaurentPoly.lincomb(terms)
+            assert (got._lo, got._num, got._den) == (0, (), 1)
+        assert LaurentPoly.lincomb([(1, f)]) == f
+        assert LaurentPoly.lincomb(iter([(2, f), (F(-1, 2), f)])) == f * F(3, 2)
+
+    def test_shifted_terms_multiply_by_fixed_polynomials(self):
+        f = LaurentPoly({-2: F(2, 7), 0: -1, 3: F(5, 3)})
+        assert LaurentPoly.lincomb([(1, f.shift(1)), (-1, f.shift(-1))]) == Z_MINUS_ZINV * f
+        assert LaurentPoly.lincomb([(1, f.shift(1)), (1, f.shift(-1))]) == Z_PLUS_ZINV * f
+        d2 = [(1, f.shift(2)), (-2, f), (1, f.shift(-2))]
+        assert LaurentPoly.lincomb(d2) == Z_MINUS_ZINV * Z_MINUS_ZINV * f
+
+    def test_wide_denominators_frozen(self):
+        # 1/6 z + 1/10 z = 4/15 z over the lcm 30, not the product 60
+        got = LaurentPoly.lincomb([(F(1, 2), LaurentPoly({1: F(1, 3)})),
+                                   (F(1, 5), LaurentPoly({1: F(1, 2)}))])
+        assert (got._lo, got._num, got._den) == (1, (4,), 15)
+
+
 class TestStructureMaps:
     def test_reflect_frozen(self):
         f = LaurentPoly({2: 1, -1: 2})
@@ -307,7 +360,41 @@ class TestEvaluation:
         assert (f + g)(z0) == f(z0) + g(z0)
 
 
+def fraction_text(f: LaurentPoly) -> str:
+    """The canonical text built term by term from reduced Fractions."""
+    parts: list[str] = []
+    for k, c in f.items():
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "z" if k == 1 else f"z^{k}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+@st.composite
+def wide_laurents(draw):
+    """Numerators and denominators far past one machine word, with the
+    +-1 coefficients, the constant term and negative leading terms that
+    the text form treats specially."""
+    coeff = st.one_of(
+        st.sampled_from([F(1), F(-1), F(2), F(-1, 2)]),
+        st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+    )
+    return LaurentPoly(draw(st.dictionaries(st.integers(-4, 4), coeff, max_size=6)))
+
+
 class TestText:
+    @given(st.one_of(laurents(), wide_laurents()))
+    def test_matches_fraction_built_text(self, f):
+        assert f.text() == fraction_text(f)
+        assert (-f).text() == fraction_text(-f)
+
     def test_canonical_forms(self):
         assert LaurentPoly.zero().text() == "0"
         assert LaurentPoly({-1: F(1, 3), 0: F(2, 3), 1: F(1, 3)}).text() == (

@@ -292,7 +292,7 @@ class TestComplexity:
         # LaurentPoly operations, so doubling n about doubles the count;
         # a per-step x-expansion (O(n^3) in total) pushes it toward 8.
         calls = [0]
-        for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__neg__"):
+        for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__neg__", "lincomb"):
             orig = getattr(LaurentPoly, name)
 
             def counted(*args, _orig=orig):
