@@ -347,16 +347,18 @@ def verify_central_extension(
     m1, m2, k = _representation(p, matrix_size)
     x, y = _xy_matrix(p, m1, m2, k)
     eye = BandedOperator.identity(matrix_size)
+    # XY and YX once: [X,Y] is their difference, [Y,X] its negation and
+    # {X,Y} their sum
+    xy, yx = x @ y, y @ x
+    xy_comm = xy - yx
     _rows_match(rep, "[X,M1] matrix", commutator(x, m1), eye.scale(0))
     _rows_match(rep, "[Y,M1] matrix", commutator(y, m1), eye.scale(0))
-    _rows_match(
-        rep, "JR1 matrix", commutator(x, commutator(x, y)), (x @ x).scale(2) - eye.scale(8)
-    )
+    _rows_match(rep, "JR1 matrix", commutator(x, xy_comm), (x @ x).scale(2) - eye.scale(8))
     _rows_match(
         rep,
         "JR2 matrix",
-        commutator(y, commutator(y, x)),
-        anticommutator(x, y).scale(2) + x.scale(c_x) + m1.scale(c_m1) + eye.scale(c_i),
+        commutator(y, -xy_comm),
+        (xy + yx).scale(2) + x.scale(c_x) + m1.scale(c_m1) + eye.scale(c_i),
     )
 
     # the matrix rows reproduce the functional action on the psi basis;

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import suites
 from .cmv import build_m1, build_m2, cmv_matrix, truncated_spectrum
 from .errors import CircleJacobiError, ConvergenceFailure, ParamOutOfRange
-from .moments import Weight, sigma
+from .moments import MomentSeq, Weight
 from .opuc import JacobiParams, build_family, verblunsky
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
@@ -224,6 +224,19 @@ def cmd_verify(args) -> int:
     except ParamOutOfRange as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
+    # a corruption that moves a_k out of (-1, 1) leaves no family to
+    # verify; every point is checked before any point runs
+    if args.corrupt_a is not None:
+        k = args.corrupt_a
+        for p in points:
+            v = suites.corrupted_a(p, k)
+            if not -1 < v < 1:
+                print(
+                    f"verify: --corrupt-a {k} moves a_{k} to {v} at alpha={p.alpha} "
+                    f"beta={p.beta}, outside (-1, 1)",
+                    file=sys.stderr,
+                )
+                return 2
 
     # A point that raises records one error, naming the stage that raised
     # ("family" or a suite), keeps the reports made before it, and the
@@ -348,7 +361,8 @@ def cmd_moments(args) -> int:
         print("moments: --n must be >= 0", file=sys.stderr)
         return 2
     w = Weight.jacobi(p.alpha, p.beta)
-    vals = [sigma(w, k) for k in range(args.n + 1)]
+    ms = MomentSeq(w)
+    vals = [ms.value(k) for k in range(args.n + 1)]
     if args.format == "json":
         doc = {
             "alpha": str(p.alpha),

@@ -208,13 +208,18 @@ def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
     return _reflection_blocks(a, size, 0)
 
 
-def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
+def _pentadiagonal(m1: BandedOperator, m2: BandedOperator) -> BandedOperator:
     """C = M1 M2, pentadiagonal by construction: the two bandwidth-1
     factors give bandwidth 2, and the stored band is checked against it."""
-    c = build_m1(a, size) @ build_m2(a, size)
+    c = m1 @ m2
     if c.max_band() > 2:
         raise AssertionError("CMV product escaped the pentadiagonal band")
     return c
+
+
+def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
+    """C = M1 M2 from the coefficients a, checked to be pentadiagonal."""
+    return _pentadiagonal(build_m1(a, size), build_m2(a, size))
 
 
 def _reference_a(fam: OPUCFamily, count: int) -> list[Fraction]:
@@ -229,13 +234,23 @@ def _reference_a(fam: OPUCFamily, count: int) -> list[Fraction]:
     return list(fam.a[:count])
 
 
+def family_operators(fam: OPUCFamily) -> tuple[BandedOperator, BandedOperator, BandedOperator]:
+    """M1, M2 and C = M1 M2 at size fam.size + 1, built from
+    ``_reference_a`` once per family (C with its band check) and kept in
+    ``fam.derived``, so both row verifications read one build."""
+    if "cmv" not in fam.derived:
+        size = fam.size + 1
+        a = _reference_a(fam, size)
+        m1, m2 = build_m1(a, size), build_m2(a, size)
+        fam.derived["cmv"] = (m1, m2, _pentadiagonal(m1, m2))
+    return fam.derived["cmv"]
+
+
 def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     """Row-wise checks psi_n(1/z) = sum_m (M1)_{nm} psi_m and
     z psi_n(1/z) = sum_m (M2)_{nm} psi_m on rows with complete blocks."""
     size = fam.size + 1
-    a = _reference_a(fam, size)
-    m1 = build_m1(a, size)
-    m2 = build_m2(a, size)
+    m1, m2, _ = family_operators(fam)
     rep = VerificationReport(
         identity="reflection-rows",
         relation="psi(1/z) = M1 psi(z) ; z psi(1/z) = M2 psi(z)",
@@ -260,10 +275,7 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     """Row-wise checks of M2 psi = z M1 psi and of the five-term
     recurrence C psi = z psi on interior rows."""
     size = fam.size + 1
-    a = _reference_a(fam, size)
-    m1 = build_m1(a, size)
-    m2 = build_m2(a, size)
-    c = cmv_matrix(a, size)
+    m1, m2, c = family_operators(fam)
     rep = VerificationReport(
         identity="cmv-rows",
         relation="M2 psi = z M1 psi ; (M1 M2) psi = z psi",

@@ -14,9 +14,17 @@ by term gives
     sigma_n = 3F2(-n, n, alpha+1; 1/2, alpha+beta+2; 1)
 
 (Andrews, Askey and Roy, *Special Functions*, ch. 2-3), a finite sum of
-rationals for every rational alpha, beta > -1.  The Lebesgue and
+rationals for every rational alpha, beta > -1.  ``sigma`` sums it in
+Horner form, innermost term first, on one integer numerator and one
+integer denominator, and reduces once at the end.  The Lebesgue and
 single-moment weights keep their closed forms, which serve as independent
 oracles for the sum.
+
+A ``MomentSeq`` keeps each sigma_k of one weight once, and also as integer
+numerators over one common denominator, so ``inner_product`` is an
+integer dot product followed by one ``Fraction``.  The moments suite reads
+one ``MomentSeq`` per family and weight out of ``fam.derived``
+(``family_moments``).
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from .report import VerificationReport
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -75,33 +82,67 @@ def sigma(w: Weight, n: int) -> Fraction:
         return _ZERO
     if w.kind == "single_moment":
         return -w.xi / 2 if k == 1 else _ZERO
-    # 3F2(-k, k, alpha+1; 1/2, alpha+beta+2; 1) as a running term ratio;
-    # the factor (j - k) ends the series after j = k - 1.
+    # 3F2(-k, k, alpha+1; 1/2, alpha+beta+2; 1) = 1 + r_0 (1 + r_1 (1 + ...
+    # (1 + r_{k-1}))) with the term ratios
+    # r_j = (j-k)(j+k)(j+alpha+1) / ((j+1/2)(j+1)(j+alpha+beta+2)) = rn/rd
+    # in integers, summed innermost first as num/den; the factor (j - k)
+    # ends the series after j = k - 1
     a1 = w.alpha + 1
     b2 = w.alpha + w.beta + 2
-    term = total = _ONE
-    for j in range(k):
-        term *= (j - k) * (j + k) * (j + a1) / ((j + _HALF) * (j + 1) * (j + b2))
-        total += term
-    return total
+    p1, q1 = a1.numerator, a1.denominator
+    p2, q2 = b2.numerator, b2.denominator
+    num = den = 1
+    for j in range(k - 1, -1, -1):
+        rn = 2 * (j - k) * (j + k) * (j * q1 + p1) * q2
+        rd = (2 * j + 1) * (j + 1) * (j * q2 + p2) * q1
+        num, den = rd * den + rn * num, rd * den
+    return Fraction(num, den)
 
 
 class MomentSeq:
-    """Lazy cache of moments for one weight.
+    """The moments of one weight, each computed once.
 
-    The cache is write-once per index, so sharing a MomentSeq across
-    verifications is safe.
+    ``value(k)`` is sigma_k as a ``Fraction``.  ``integer_view(top)`` is
+    sigma_0..sigma_top as integer numerators over one common denominator,
+    the lcm of theirs, built from ``value`` and extended on demand.  Both
+    are write-once per index, so sharing a MomentSeq across verifications
+    is safe.
     """
 
     def __init__(self, weight: Weight):
         self.weight = weight
         self._cache: dict[int, Fraction] = {}
+        self._nums: tuple[int, ...] = ()
+        self._den = 1
 
     def value(self, n: int) -> Fraction:
         k = abs(n)
         if k not in self._cache:
             self._cache[k] = sigma(self.weight, k)
         return self._cache[k]
+
+    def integer_view(self, top: int) -> tuple[tuple[int, ...], int]:
+        """(nums, den) with sigma_k = nums[k] / den for every k < len(nums),
+        and len(nums) > top."""
+        if len(self._nums) <= top:
+            new = [self.value(k) for k in range(len(self._nums), top + 1)]
+            den = lcm(self._den, *(v.denominator for v in new))
+            scale = den // self._den
+            self._nums = (
+                *(c * scale for c in self._nums),
+                *(v.numerator * (den // v.denominator) for v in new),
+            )
+            self._den = den
+        return self._nums, self._den
+
+
+def family_moments(fam: OPUCFamily, w: Weight) -> MomentSeq:
+    """The MomentSeq of w for this family, made once and kept in
+    ``fam.derived``, so every moment report of the family shares it."""
+    key = ("moments", w)
+    if key not in fam.derived:
+        fam.derived[key] = MomentSeq(w)
+    return fam.derived[key]
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -179,15 +220,22 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction:
     """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1, exact.
 
     The coefficient of z^m in f(z) g(1/z) is sum_{j-k=m} f_j g_k, so the
-    double sum is one Laurent product paired with the moments."""
-    return sum((c * ms.value(m) for m, c in (f * g.reflect()).items()), _ZERO)
+    double sum is one Laurent product paired with the moments: the
+    product's integer numerators dotted with the moment numerators of
+    ``ms.integer_view``, over the product of the two denominators."""
+    prod = f * g.reflect()
+    nums, lo = prod._num, prod._lo
+    if not nums:
+        return _ZERO
+    sig, den = ms.integer_view(max(-lo, lo + len(nums) - 1))
+    return Fraction(sum(c * sig[abs(m)] for m, c in enumerate(nums, lo)), prod._den * den)
 
 
 def orthogonality_check(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationReport:
     """<phi_n, phi_m>_w = h_n delta_{nm} for all m <= n <= n_max, exactly."""
     if n_max > fam.size:
         raise ValueError("family too short for requested range")
-    ms = MomentSeq(w)
+    ms = family_moments(fam, w)
     rep = VerificationReport(
         identity="orthogonality",
         relation="<phi_n, phi_m>_w = h_n delta_nm",
@@ -204,7 +252,7 @@ def orthogonality_check(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationR
 
 def verify_toeplitz_h(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationReport:
     """Delta_{n+1}/Delta_n = h_n, exact."""
-    ms = MomentSeq(w)
+    ms = family_moments(fam, w)
     rep = VerificationReport(
         identity="toeplitz-h",
         relation="Delta_{n+1} / Delta_n = h_n = prod_{k<n} (1 - a_k^2)",
@@ -222,7 +270,7 @@ def verify_determinantal_match(
     fam: OPUCFamily, w: Weight, n_max: int
 ) -> VerificationReport:
     """Determinantal phi_n equals the Szego-recurrence phi_n, exact."""
-    ms = MomentSeq(w)
+    ms = family_moments(fam, w)
     rep = VerificationReport(
         identity="determinantal-match",
         relation="bordered-Toeplitz phi_n = recurrence phi_n",

@@ -124,11 +124,19 @@ class OPUCFamily:
     and the CMV Laurent functions psi_0..psi_N.  Treat instances as
     immutable: nothing in the package mutates a built family.
 
-    ``derived`` keeps objects computed from this instance on first use
-    (the Szego P_n and Q_n, and K psi_n), so every check that reads them
-    shares one build.  It belongs to the instance, never to its
-    parameters: a corrupted family tagged with the clean family's params
-    has its own.
+    ``derived`` keeps objects computed from this instance on first use,
+    so every check that reads them shares one build:
+
+    - ``("P", n)`` and ``("Q", n)``: the Szego chains (``szego.build_p``,
+      ``szego.build_q``);
+    - ``("K", n)``: K psi_n (``dunkl.build_k``);
+    - ``"cmv"``: M1, M2 and C = M1 M2 at size N + 1
+      (``cmv.family_operators``);
+    - ``("moments", w)``: the ``MomentSeq`` of weight w
+      (``moments.family_moments``).
+
+    It belongs to the instance, never to its parameters: a corrupted
+    family tagged with the clean family's params has its own.
     """
 
     params: JacobiParams | None

@@ -23,13 +23,19 @@ from .opuc import (
 from .report import VerificationReport
 
 
+def corrupted_a(p: JacobiParams, k: int) -> Fraction:
+    """a_k at p after the negative-control shift a_k += 1/100."""
+    return verblunsky(p, k) + Fraction(1, 100)
+
+
 def family(p: JacobiParams, n: int, corrupt_a: int | None = None) -> OPUCFamily:
     """The family of size n at p.  With corrupt_a = k it is rebuilt from
-    a_0..a_n after a_k += 1/100, still tagged with p (a negative control)."""
+    a_0..a_n with a_k replaced by ``corrupted_a(p, k)``, still tagged with
+    p (a negative control)."""
     if corrupt_a is None:
         return build_family(p, n)
     a = [verblunsky(p, k) for k in range(n + 1)]
-    a[corrupt_a] += Fraction(1, 100)
+    a[corrupt_a] = corrupted_a(p, corrupt_a)
     return family_from_verblunsky(a, params=p)
 
 

@@ -10,9 +10,11 @@ connecting them, and matches everything against an independently coded
 classical Jacobi recurrence.
 
 Since P_n reads phi_{2n-1} and Q_n reads phi_{2n+1}, a family of size N
-carries P_0..P_{p_top(N)} and Q_0..Q_{q_top(N)}, and the recurrence
-coefficients, where b~_n reads a_{2n+2}, run to coeff_top(N).  Every
-P/Q size bound, here and in ``algebra`` and ``suites``, is one of these.
+carries P_0..P_{p_top(N)} and Q_0..Q_{q_top(N)}.  Each three-term
+recurrence runs to the step that reads its chain's last member, n =
+p_top(N) - 1 for P and q_top(N) - 1 for Q; the coefficients those steps
+read are all in the family.  Every P/Q size bound, here and in
+``algebra`` and ``suites``, is one of these.
 
 Polynomials in x are stored as reflection-invariant Laurent polynomials
 in z; equality in x is decided as exact equality in z.
@@ -171,12 +173,6 @@ def q_top(size: int) -> int:
     return (size - 1) // 2
 
 
-def coeff_top(size: int) -> int:
-    """The last n with b_n, u_n, b~_n and u~_n in a family of this size
-    (b~_n reads a_{2n+2})."""
-    return (size - 2) // 2
-
-
 def build_p(fam: OPUCFamily, n: int) -> SymmetricLaurent:
     """P_n = z^(1-n) phi_{2n-1}(z) + z^(n-1) phi_{2n-1}(1/z), P_0 = 1.
 
@@ -274,10 +270,10 @@ def bt_coeff(fam: OPUCFamily, n: int) -> Fraction:
 
 def _recurrences(fam: OPUCFamily):
     """(name, label tilde, chain, b, u, last n) of the P and the Q
-    recurrence: P stops at coeff_top, Q one short of its chain's end."""
+    recurrence: each stops one short of its chain's end."""
     p, q = _chains(fam)
     return (
-        ("P", "", p, b_coeff, u_coeff, coeff_top(fam.size)),
+        ("P", "", p, b_coeff, u_coeff, p_top(fam.size) - 1),
         ("Q", "~", q, bt_coeff, ut_coeff, q_top(fam.size) - 1),
     )
 

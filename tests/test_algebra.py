@@ -22,6 +22,7 @@ from circlejacobi.algebra import (
     verify_representation_derivation,
     y_eigencheck,
 )
+from circlejacobi.cmv import BandedOperator
 from circlejacobi.dunkl import lambda_n, verify_bispectral
 from circlejacobi.errors import Degenerate
 from circlejacobi.laurent import LaurentPoly
@@ -208,6 +209,22 @@ class TestComplexity:
         fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
         assert verify_bispectral(fam).ok and y_eigencheck(fam).ok
         assert calls[0] == 2 * (41 + p_top(40) + 1 + q_top(40) + 1), calls[0]
+
+    def test_central_extension_forms_xy_and_yx_once(self, monkeypatch):
+        # 3 products build X and Y, 4 the commutators with M1, 2 form XY
+        # and YX, 2 each the outer commutators of JR1 and JR2, and 1 X^2.
+        # Forming XY and YX again for [Y,X] and {X,Y} costs 4 more.
+        calls = [0]
+        orig = BandedOperator.__matmul__
+
+        def counted(*args):
+            calls[0] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(BandedOperator, "__matmul__", counted)
+        fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
+        assert verify_central_extension(fam, d=10, matrix_size=21).ok
+        assert calls[0] <= 14, calls[0]
 
     def test_relations_functional_applies_k_once_per_monomial(self, monkeypatch):
         # K z^-k and K z^(1-k) meet other monomials' K images: at d = 10

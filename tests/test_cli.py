@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from circlejacobi import suites
+from circlejacobi.errors import BadVerblunsky
 from circlejacobi.cli import main, rational
 
 
@@ -197,12 +198,20 @@ class TestVerify:
         assert doc["config"]["grid"] == [["1/2", "-1/2"], ["0", "0"]]
         assert len(doc["suite_results"]) == 2
 
-    def test_bad_point_does_not_stop_the_grid(self, capsys, tmp_path):
-        # a_0 + 1/100 = 20101/20100 at (-99/100, 1): that family cannot be
-        # built, and the point after it still runs
+    def test_bad_point_does_not_stop_the_grid(self, capsys, tmp_path, monkeypatch):
+        # the family at (-99/100, 1) cannot be built, and the point after
+        # it still runs
+        build = suites.family
+
+        def family(p, n, corrupt_a=None):
+            if p.alpha == Fraction(-99, 100):
+                raise BadVerblunsky("a_0 = 20101/20100 lies outside (-1, 1)")
+            return build(p, n, corrupt_a)
+
+        monkeypatch.setattr(suites, "family", family)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([["-99/100", "1"], ["1", "2"]]))
-        argv = ["verify", "--grid-file", str(grid), "--n", "8", "--corrupt-a", "0",
+        argv = ["verify", "--grid-file", str(grid), "--n", "8", "--corrupt-a", "1",
                 "--suite", "cmv"]
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 1
@@ -231,6 +240,31 @@ class TestVerify:
             error["message"],
         ]]
         assert rows[-1][3] == "error"
+
+    def test_corruption_that_breaks_the_family_is_usage_error(self, capsys, tmp_path):
+        # a_0 + 1/100 = 1020001/1010100 at (-99/100, 100) is no Verblunsky
+        # coefficient; that is found before any point runs, wherever the
+        # point sits in the grid
+        want = ("verify: --corrupt-a 0 moves a_0 to 1020001/1010100 at "
+                "alpha=-99/100 beta=100, outside (-1, 1)\n")
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run(
+                capsys, "verify", "--alpha", "-99/100", "--beta", "100", "--n", "4",
+                "--corrupt-a", "0", "--suite", "cmv", "--format", fmt,
+            )
+            assert (code, out, err) == (2, "", want)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([["1", "2"], ["-99/100", "100"]]))
+        code, out, err = run(
+            capsys, "verify", "--grid-file", str(grid), "--n", "4", "--corrupt-a", "0",
+        )
+        assert (code, out, err) == (2, "", want)
+        # a_1 at that point stays inside (-1, 1) after the shift
+        code, out, _ = run(
+            capsys, "verify", "--grid-file", str(grid), "--n", "4", "--corrupt-a", "1",
+            "--suite", "cmv",
+        )
+        assert code == 1 and "FAIL" in out
 
     def test_suite_error_names_the_suite_and_goes_on(self, capsys, tmp_path, monkeypatch):
         def broken(fam):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circlejacobi import dunkl
+from circlejacobi import cmv, dunkl, suites
 from circlejacobi.cmv import (
     BandedOperator,
     anticommutator,
@@ -14,6 +14,7 @@ from circlejacobi.cmv import (
     build_m2,
     cmv_matrix,
     commutator,
+    family_operators,
     truncated_spectrum,
     verify_gevp_and_five_term,
     verify_reflection_rows,
@@ -297,3 +298,32 @@ class TestOneNormalizationPerResidual:
             monkeypatch.setattr(LaurentPoly, name, counted)
         assert check(fam).ok
         assert calls == []
+
+
+class TestOneBuildPerFamily:
+    def test_cmv_suite_builds_each_factor_once(self, monkeypatch):
+        # both row checks read M1, M2 and C from the family; building them
+        # per check costs three builds of each factor
+        calls = {"build_m1": 0, "build_m2": 0}
+        for name in calls:
+            def counted(*args, _orig=getattr(cmv, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(cmv, name, counted)
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        assert all(rep.ok for rep in suites.run("cmv", fam))
+        assert calls == {"build_m1": 1, "build_m2": 1}
+
+    @pytest.mark.parametrize("size", [6, 7])
+    def test_operators_come_from_the_parameter_point(self, size):
+        # a corrupted family tagged with p is checked against the matrices
+        # p dictates, built at size n + 1
+        p = JacobiParams(F(3, 7), F(-2, 5))
+        a = [verblunsky(p, k) for k in range(size + 1)]
+        bad = suites.family(p, size, corrupt_a=1)
+        want = (build_m1(a, size + 1), build_m2(a, size + 1), cmv_matrix(a, size + 1))
+        got = family_operators(bad)
+        assert got is family_operators(bad)
+        assert got == want
+        assert [m.valid_rows for m in got] == [m.valid_rows for m in want]

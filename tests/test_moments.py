@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlejacobi import moments, suites
 from circlejacobi.errors import NonPositive, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.moments import (
@@ -13,6 +15,7 @@ from circlejacobi.moments import (
     Weight,
     _det_fraction,
     determinantal_phi,
+    family_moments,
     inner_product,
     orthogonality_check,
     sigma,
@@ -68,6 +71,33 @@ def _integer_jacobi_moment(alpha: int, beta: int, n: int) -> Fraction:
     for _ in range(beta):
         w = _poly_mul(w, [F(1), F(1)])
     return _integral(_poly_mul(_chebyshev_t(n), w)) / _integral(w)
+
+
+def _sigma_running_sum(w: Weight, n: int) -> Fraction:
+    """The reference model: 3F2(-k, k, alpha+1; 1/2, alpha+beta+2; 1),
+    k = |n|, summed outermost first as a running Fraction term ratio."""
+    k = abs(n)
+    a1 = w.alpha + 1
+    b2 = w.alpha + w.beta + 2
+    term = total = F(1)
+    for j in range(k):
+        term *= (j - k) * (j + k) * (j + a1) / ((j + F(1, 2)) * (j + 1) * (j + b2))
+        total += term
+    return total
+
+
+# points of both signs, on the symmetric line, and within 1/100 or 1/1000
+# of the endpoint alpha, beta = -1
+MODEL_POINTS = [
+    (F(3, 7), F(-2, 5)),
+    (F(-1, 7), F(-2, 5)),
+    (F(0), F(0)),
+    (F(1), F(2)),
+    (F(-99, 100), F(100)),
+    (F(5, 2), F(-999, 1000)),
+    (F(-999, 1000), F(-999, 1000)),
+    (F(11, 3), F(7, 5)),
+]
 
 
 class TestWeight:
@@ -137,11 +167,60 @@ class TestSigma:
             assert all(sigma(w, n) == 0 for n in range(1, 14, 2))
 
 
+class TestSigmaReferenceModel:
+    @pytest.mark.parametrize("alpha, beta", MODEL_POINTS)
+    def test_horner_sum_equals_running_sum(self, alpha, beta):
+        w = Weight.jacobi(alpha, beta)
+        for n in range(-3, 61):
+            got = sigma(w, n)
+            assert type(got) is Fraction and got == _sigma_running_sum(w, n), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=PARAM, beta=PARAM, n=st.integers(-40, 40))
+    def test_random_points(self, alpha, beta, n):
+        w = Weight.jacobi(alpha, beta)
+        assert sigma(w, n) == _sigma_running_sum(w, n)
+
+
 class TestMomentSeq:
     def test_caches_and_symmetrizes(self):
         ms = MomentSeq(Weight.jacobi(F(3, 7), F(-2, 5)))
         assert ms.value(3) is ms.value(-3)
         assert MomentSeq(Weight.single_moment(1)).value(1) == F(-1, 2)
+
+    @pytest.mark.parametrize("w", [
+        *(Weight.jacobi(a, b) for a, b in MODEL_POINTS),
+        Weight.single_moment(F(1, 3)),
+        Weight.lebesgue(),
+    ])
+    def test_integer_view_reproduces_values(self, w):
+        # grown in uneven steps, the view stays over the least common
+        # denominator and reproduces value(k) at every index
+        ms = MomentSeq(w)
+        for top in (0, 3, 2, 11, 24):
+            nums, den = ms.integer_view(top)
+            assert len(nums) > top and den > 0
+            assert all(type(c) is int for c in nums)
+            assert [F(c, den) for c in nums] == [ms.value(k) for k in range(len(nums))]
+            assert den == lcm(*(ms.value(k).denominator for k in range(len(nums))))
+
+    def test_moments_suite_computes_each_moment_once(self, monkeypatch):
+        # the three reports share one MomentSeq out of the family: at n = 40
+        # they read sigma_0 .. sigma_12, and each report making its own
+        # costs 13 + 9 + 9 calls
+        calls = []
+        orig = moments.sigma
+
+        def counted(w, n):
+            calls.append(n)
+            return orig(w, n)
+
+        monkeypatch.setattr(moments, "sigma", counted)
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        assert all(rep.ok for rep in suites.run("moments", fam))
+        assert sorted(calls) == list(range(13))
+        w = Weight.jacobi(F(3, 7), F(-2, 5))
+        assert family_moments(fam, w) is fam.derived[("moments", w)]
 
 
 def _cofactor_det(m: list) -> Fraction:

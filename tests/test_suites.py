@@ -44,8 +44,8 @@ class TestRegistry:
             ("algebra-functional", {"monomial_range": "3"}, 28),
             ("central-extension", {"monomial_range": "3", "matrix_size": "7"}, 33),
             ("y-eigen", {"n_max": "3"}, 18),
-            ("three-term", {}, 2),
-            ("recurrence-closure", {}, 4),
+            ("three-term", {}, 3),
+            ("recurrence-closure", {}, 6),
             ("szego-transforms", {}, 13),
             ("classical-match", {"n_max": "2"}, 5),
             ("hypergeometric-ode", {"n_max": "2"}, 6),

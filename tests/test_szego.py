@@ -17,7 +17,6 @@ from circlejacobi.szego import (
     build_q,
     classical_jacobi_chain,
     classical_jacobi_oracle,
-    coeff_top,
     fit_recurrence,
     p_top,
     q_top,
@@ -183,8 +182,8 @@ class TestRecurrenceCoefficients:
 
     def test_weights_are_positive(self, family):
         fam = family(F(0), F(0), 6)
-        top = coeff_top(fam.size)
-        assert top == 2  # b~_2 reads a_6, b~_3 would need a_8
+        top = q_top(fam.size)
+        assert top == 2  # the last P step; b~_2 reads a_6, b~_3 would need a_8
         assert all(u_coeff(fam, n) > 0 and ut_coeff(fam, n) > 0 for n in range(1, top + 1))
 
     def test_weight_not_positive_raises(self):
@@ -284,6 +283,55 @@ class TestVerifications:
         ]
         with pytest.raises(ValueError, match="element 1 is not monic of degree 1"):
             fit_recurrence(chain)
+
+
+def _step_held(fam, name: str, n: int) -> bool:
+    """Whether the family holds all that step n of the P (or Q) recurrence
+    reads: the next chain member and both closed-form coefficients."""
+    build, b_of, u_of = {
+        "P": (build_p, b_coeff, u_coeff), "Q": (build_q, bt_coeff, ut_coeff),
+    }[name]
+    try:
+        build(fam, n + 1)
+        b_of(fam, n)
+        u_of(fam, n)
+    except IndexError:
+        return False
+    return True
+
+
+class TestEveryHeldInstance:
+    # The last step each recurrence report forms, read off its labels:
+    # "P n=4" in three-term, "b_4"/"u~_3" in recurrence-closure.
+    LAST = {
+        "three-term": lambda label: (label[0], int(label.split("=")[1])),
+        "recurrence-closure": lambda label: (
+            "Q" if "~" in label else "P", int(label.split("_")[1])),
+    }
+
+    @pytest.mark.parametrize("verify", [verify_three_term, verify_recurrence_closure])
+    def test_one_step_past_the_last_is_not_held(self, verify):
+        for size in range(3, 26):
+            fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
+            rep = verify(fam)
+            parse = self.LAST[rep.identity]
+            last = {}
+            for c in rep.checks:
+                if "chain in span" not in c.label:
+                    name, n = parse(c.label)
+                    last[name] = max(last.get(name, -1), n)
+            for name, n in last.items():
+                assert _step_held(fam, name, n), (size, name, n)
+                assert not _step_held(fam, name, n + 1), (size, name, n)
+
+    def test_odd_sizes_reach_the_last_p_step(self):
+        # at N = 2m + 1 the step P_{m+1} + b_m P_m + u_m P_{m-1} = x P_m
+        # reads a_{2m-3} .. a_{2m}, all held
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 25)
+        three, closure = verify_three_term(fam), verify_recurrence_closure(fam)
+        assert three.ok and closure.ok
+        assert [c.label for c in three.checks][12:14] == ["P n=12", "Q n=0"]
+        assert {"b_12", "u_12"} <= {c.label for c in closure.checks}
 
 
 class TestComplexity:
