@@ -25,11 +25,9 @@ from .algebra import (
 )
 from .cmv import (
     BandedOperator,
-    anticommutator,
     build_m1,
     build_m2,
     cmv_matrix,
-    commutator,
     truncated_spectrum,
     verify_gevp_and_five_term,
     verify_reflection_rows,
@@ -93,7 +91,6 @@ __all__ = [
     "SymmetricLaurent",
     "VerificationReport",
     "Weight",
-    "anticommutator",
     "apply_k",
     "apply_k_single_moment",
     "big_lambda",
@@ -108,7 +105,6 @@ __all__ = [
     "classical_jacobi_chain",
     "classical_jacobi_oracle",
     "cmv_matrix",
-    "commutator",
     "derive_representation",
     "determinantal_phi",
     "family_from_verblunsky",

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .cmv import BandedOperator, anticommutator, build_m1, build_m2, commutator
+from .cmv import BandedOperator, build_m1, build_m2
 from .dunkl import apply_k, build_k, lambda_n
 from .errors import Degenerate, InconsistentSystem
 from .laurent import LaurentPoly
@@ -186,16 +186,19 @@ def _representation(p: JacobiParams, size: int):
     return build_m1(a, size), build_m2(a, size), k
 
 
-def _rows_match(rep, label: str, lhs: BandedOperator, rhs: BandedOperator) -> None:
-    n = min(lhs.valid_rows, rhs.valid_rows)
-    bad = [i for i in range(n) if lhs.row(i) != rhs.row(i)]
+def _rows_match(rep, label: str, terms: list[tuple[Fraction, BandedOperator]]) -> None:
+    """The matrix identity sum c * A = 0, given as its signed terms: every
+    valid row of the residual must be absent; later rows are skipped."""
+    res = BandedOperator.lincomb(terms)
+    n = res.valid_rows
+    bad = [i for i in res.rows if i < n]
     rep.add(
         label,
         not bad,
         f"rows {bad[:4]} differ" if bad else f"{n} rows agree",
     )
-    if n < lhs.size:
-        rep.skip(f"{label}: rows {n}..{lhs.size - 1} (truncation boundary)")
+    if n < res.size:
+        rep.skip(f"{label}: rows {n}..{res.size - 1} (truncation boundary)")
 
 
 def verify_relations_matrix(p: JacobiParams, size: int) -> VerificationReport:
@@ -210,11 +213,11 @@ def verify_relations_matrix(p: JacobiParams, size: int) -> VerificationReport:
         relation="{K, M1} = (a+b+1)(M1 - I); {K, M2} = (a+b+2) M2 + (a-b) I",
         params={"alpha": p.alpha, "beta": p.beta, "size": size},
     )
-    _rows_match(rep, "M1^2 = I", m1 @ m1, eye)
-    _rows_match(rep, "M2^2 = I", m2 @ m2, eye)
-    _rows_match(rep, "M1 relation", anticommutator(k, m1), (m1 - eye).scale(p.s))
+    _rows_match(rep, "M1^2 = I", [(1, m1 @ m1), (-1, eye)])
+    _rows_match(rep, "M2^2 = I", [(1, m2 @ m2), (-1, eye)])
+    _rows_match(rep, "M1 relation", [(1, k @ m1), (1, m1 @ k), (-p.s, m1), (p.s, eye)])
     _rows_match(
-        rep, "M2 relation", anticommutator(k, m2), m2.scale(p.s + 1) + eye.scale(p.d)
+        rep, "M2 relation", [(1, k @ m2), (1, m2 @ k), (-(p.s + 1), m2), (-p.d, eye)]
     )
     return rep
 
@@ -252,7 +255,8 @@ def build_xy(p: JacobiParams) -> tuple[Operator, Operator]:
 
 
 def _xy_matrix(p: JacobiParams, m1, m2, k) -> tuple[BandedOperator, BandedOperator]:
-    return anticommutator(m2, m1), k @ k - k.scale(p.s)
+    lc = BandedOperator.lincomb
+    return lc([(1, m2 @ m1), (1, m1 @ m2)]), lc([(1, k @ k), (-p.s, k)])
 
 
 def build_xy_matrix(p: JacobiParams, size: int) -> tuple[BandedOperator, BandedOperator]:
@@ -347,18 +351,20 @@ def verify_central_extension(
     m1, m2, k = _representation(p, matrix_size)
     x, y = _xy_matrix(p, m1, m2, k)
     eye = BandedOperator.identity(matrix_size)
-    # XY and YX once: [X,Y] is their difference, [Y,X] its negation and
-    # {X,Y} their sum
+    # XY and YX once: [X,Y] is their difference, and {X,Y} enters JR2 as
+    # the two terms; [Y,[Y,X]] = -Y[X,Y] + [X,Y]Y
     xy, yx = x @ y, y @ x
-    xy_comm = xy - yx
-    _rows_match(rep, "[X,M1] matrix", commutator(x, m1), eye.scale(0))
-    _rows_match(rep, "[Y,M1] matrix", commutator(y, m1), eye.scale(0))
-    _rows_match(rep, "JR1 matrix", commutator(x, xy_comm), (x @ x).scale(2) - eye.scale(8))
+    xy_comm = BandedOperator.lincomb([(1, xy), (-1, yx)])
+    _rows_match(rep, "[X,M1] matrix", [(1, x @ m1), (-1, m1 @ x)])
+    _rows_match(rep, "[Y,M1] matrix", [(1, y @ m1), (-1, m1 @ y)])
     _rows_match(
-        rep,
-        "JR2 matrix",
-        commutator(y, -xy_comm),
-        (xy + yx).scale(2) + x.scale(c_x) + m1.scale(c_m1) + eye.scale(c_i),
+        rep, "JR1 matrix",
+        [(1, x @ xy_comm), (-1, xy_comm @ x), (-2, x @ x), (8, eye)],
+    )
+    _rows_match(
+        rep, "JR2 matrix",
+        [(-1, y @ xy_comm), (1, xy_comm @ y), (-2, xy), (-2, yx),
+         (-c_x, x), (-c_m1, m1), (-c_i, eye)],
     )
 
     # the matrix rows reproduce the functional action on the psi basis;

@@ -29,9 +29,10 @@ class BandedOperator:
 
     Row i is stored as its generating polynomial sum_j M[i, j] z^j, a
     ``LaurentPoly`` keyed by i, and zero rows are not stored; the
-    polynomial's normal form makes that representation unique, so sums,
-    scalings and equality are ``LaurentPoly`` operations.  ``row``,
-    ``entry`` and ``entries`` read the entries back as ``Fraction``.
+    polynomial's normal form makes that representation unique, so a
+    matrix identity holds on row i exactly when row i of its residual
+    ``lincomb`` is absent.  ``entries`` reads the entries back as
+    ``Fraction``.
 
     ``valid_rows`` counts the leading rows whose entries coincide with
     the semi-infinite operator the truncation approximates, including
@@ -66,12 +67,6 @@ class BandedOperator:
 
     # ------------------------------------------------------------- inspection
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows.get(i, _ZERO_ROW).coeff(j)
-
-    def row(self, i: int) -> dict[int, Fraction]:
-        return dict(self.rows.get(i, _ZERO_ROW).items())
-
     def entries(self):
         for i, row in sorted(self.rows.items()):
             for j, v in row.items():
@@ -81,43 +76,32 @@ class BandedOperator:
         """Largest |i - j| over stored entries (0 for the zero matrix)."""
         return max((abs(i - j) for i, j, _ in self.entries()), default=0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BandedOperator):
-            return NotImplemented
-        return self.size == other.size and self.rows == other.rows
-
     # ------------------------------------------------------------- arithmetic
 
     def _check_size(self, other: "BandedOperator") -> None:
         if self.size != other.size:
             raise ValueError("operator size mismatch")
 
-    def __add__(self, other: "BandedOperator") -> "BandedOperator":
-        self._check_size(other)
+    @staticmethod
+    def lincomb(terms: Sequence[tuple[Fraction | int, "BandedOperator"]]) -> "BandedOperator":
+        """sum(c * A for c, A in terms), one ``LaurentPoly.lincomb`` per row.
+
+        The sum is valid on the rows every term is valid on, zero scalars
+        included; its bandwidth is the largest among the terms with c != 0.
+        """
+        first = terms[0][1]
+        for _, a in terms:
+            first._check_size(a)
         rows = {
-            i: self.rows.get(i, _ZERO_ROW) + other.rows.get(i, _ZERO_ROW)
-            for i in self.rows.keys() | other.rows.keys()
+            i: LaurentPoly.lincomb([(c, a.rows.get(i, _ZERO_ROW)) for c, a in terms])
+            for i in range(first.size)
         }
         return BandedOperator(
-            self.size,
+            first.size,
             rows,
-            max(self.bandwidth, other.bandwidth),
-            min(self.valid_rows, other.valid_rows),
+            max((a.bandwidth for c, a in terms if c), default=0),
+            min(a.valid_rows for _, a in terms),
         )
-
-    def __neg__(self) -> "BandedOperator":
-        rows = {i: -r for i, r in self.rows.items()}
-        return BandedOperator(self.size, rows, self.bandwidth, self.valid_rows)
-
-    def __sub__(self, other: "BandedOperator") -> "BandedOperator":
-        return self + (-other)
-
-    def scale(self, c: Fraction | int) -> "BandedOperator":
-        c = Fraction(c)
-        if not c:
-            return BandedOperator(self.size, {}, 0, self.valid_rows)
-        rows = {i: r * c for i, r in self.rows.items()}
-        return BandedOperator(self.size, rows, self.bandwidth, self.valid_rows)
 
     def __matmul__(self, other: "BandedOperator") -> "BandedOperator":
         self._check_size(other)
@@ -154,14 +138,6 @@ class BandedOperator:
         for i, j, v in self.entries():
             arr[i, j] = float(v)
         return arr
-
-
-def anticommutator(a: BandedOperator, b: BandedOperator) -> BandedOperator:
-    return (a @ b) + (b @ a)
-
-
-def commutator(a: BandedOperator, b: BandedOperator) -> BandedOperator:
-    return (a @ b) - (b @ a)
 
 
 def _check_coeffs(a: Sequence[Fraction], needed: int) -> None:

@@ -177,6 +177,13 @@ def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
     return Fraction(sign * m[-1][-1], scale)
 
 
+def _positive_delta(n: int, det: Fraction) -> Fraction:
+    """det as Delta_n, which must be positive."""
+    if det <= 0:
+        raise NonPositive(f"Delta_{n} = {det} <= 0")
+    return det
+
+
 def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction:
     """Delta_n = det[sigma_{k-j}]_{j,k=0..n-1}, with Delta_0 = 1.
 
@@ -188,9 +195,7 @@ def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction:
     if n == 0:
         return _ONE
     det = _det_fraction([[ms.value(k - j) for k in range(n)] for j in range(n)])
-    if det <= 0:
-        raise NonPositive(f"Delta_{n} = {det} <= 0")
-    return det
+    return _positive_delta(n, det)
 
 
 def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
@@ -198,17 +203,19 @@ def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
 
     The bordered matrix stacks rows [sigma_{k-j}]_{k=0..n} for
     j = 0..n-1 on top of the monomial row (1, z, ..., z^n); expansion
-    runs along that last row.
+    runs along that last row.  The minor of column n is Delta_n's
+    Toeplitz matrix, so its cofactor is Delta_n itself and z^n gets
+    coefficient 1.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return LaurentPoly.one()
-    delta = toeplitz_delta(ms, n)
     top = [[ms.value(k - j) for k in range(n + 1)] for j in range(n)]
-    coeffs: dict[int, Fraction] = {}
-    for col in range(n + 1):
-        minor = [[row[k] for k in range(n + 1) if k != col] for row in top]
+    delta = _positive_delta(n, _det_fraction([row[:n] for row in top]))
+    coeffs: dict[int, Fraction] = {n: _ONE}
+    for col in range(n):
+        minor = [row[:col] + row[col + 1:] for row in top]
         sign = -1 if (n + col) % 2 else 1
         c = sign * _det_fraction(minor) / delta
         if c:

@@ -120,6 +120,57 @@ class TestFunctionalRealization:
             verify_relations_matrix(JacobiParams(0, 0), 2)
 
 
+class TestMatrixIdentityFailures:
+    """A moved eigenvalue lambda_5 breaks exactly the matrix identities
+    that contain K, on the rows its blocks reach; the details and skips
+    below were recorded before the identities became residuals."""
+
+    @pytest.fixture(autouse=True)
+    def move_lambda_5(self, monkeypatch):
+        orig = algebra.lambda_n
+        monkeypatch.setattr(
+            algebra, "lambda_n", lambda p, n: orig(p, n) + (1 if n == 5 else 0)
+        )
+
+    @staticmethod
+    def _details(rep, labels):
+        by_label = {c.label: (c.ok, c.detail) for c in rep.checks}
+        return [by_label[label] for label in labels]
+
+    def test_relations_matrix(self):
+        rep = verify_relations_matrix(JacobiParams(F(3, 7), F(-2, 5)), 9)
+        assert self._details(rep, ["M1^2 = I", "M2^2 = I", "M1 relation", "M2 relation"]) == [
+            (True, "8 rows agree"),
+            (True, "7 rows agree"),
+            (False, "rows [5, 6] differ"),
+            (False, "rows [4, 5] differ"),
+        ]
+        assert rep.skipped == [
+            "M1^2 = I: rows 8..8 (truncation boundary)",
+            "M2^2 = I: rows 7..8 (truncation boundary)",
+            "M1 relation: rows 8..8 (truncation boundary)",
+            "M2 relation: rows 8..8 (truncation boundary)",
+        ]
+
+    def test_central_extension_matrix_side(self):
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 12)
+        rep = verify_central_extension(fam, d=4, matrix_size=9)
+        labels = ["[X,M1] matrix", "[Y,M1] matrix", "JR1 matrix", "JR2 matrix"]
+        # at most four bad rows are named
+        assert self._details(rep, labels) == [
+            (True, "6 rows agree"),
+            (False, "rows [5, 6] differ"),
+            (False, "rows [1, 2, 3, 4] differ"),
+            (False, "rows [3, 4, 5, 6] differ"),
+        ]
+        assert rep.skipped == [
+            "[X,M1] matrix: rows 6..8 (truncation boundary)",
+            "[Y,M1] matrix: rows 8..8 (truncation boundary)",
+            "JR1 matrix: rows 5..8 (truncation boundary)",
+            "JR2 matrix: rows 7..8 (truncation boundary)",
+        ]
+
+
 class TestCentralExtension:
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_closure(self, alpha, beta, family):

@@ -222,6 +222,22 @@ class TestMomentSeq:
         w = Weight.jacobi(F(3, 7), F(-2, 5))
         assert family_moments(fam, w) is fam.derived[("moments", w)]
 
+    def test_moments_suite_computes_each_delta_once(self, monkeypatch):
+        # Toeplitz-h computes Delta_0 .. Delta_9; the determinantal phi_n,
+        # n = 1 .. 8, reads Delta_n as the cofactor of its last column, so
+        # its n + 1 minors are all the determinants it needs.  Calling
+        # toeplitz_delta again costs 8 more calls of each.
+        calls = {"toeplitz_delta": 0, "_det_fraction": 0}
+        for name in calls:
+            def counted(*args, _orig=getattr(moments, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(moments, name, counted)
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        assert all(rep.ok for rep in suites.run("moments", fam))
+        assert calls == {"toeplitz_delta": 10, "_det_fraction": 9 + sum(range(2, 10))}
+
 
 def _cofactor_det(m: list) -> Fraction:
     """Laplace expansion along the first row: slow, but obviously right."""
@@ -300,6 +316,9 @@ class TestToeplitz:
         ms._cache[1] = F(2)  # |sigma_1| > sigma_0
         with pytest.raises(NonPositive):
             toeplitz_delta(ms, 2)
+        # determinantal phi_2 divides by the same Delta_2 = 1 - 2^2
+        with pytest.raises(NonPositive, match=r"^Delta_2 = -3 <= 0$"):
+            determinantal_phi(ms, 2)
 
 
 class TestDeterminantalPhi:

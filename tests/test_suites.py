@@ -229,3 +229,11 @@ def test_verify_json_matches_golden(golden, argv, tmp_path):
     want = json.loads((GOLDEN / golden).read_text())
     for key in ("suite_results", "summary"):
         assert json.dumps(got[key], indent=2) == json.dumps(want[key], indent=2), key
+
+
+def test_verify_csv_matches_golden(tmp_path):
+    # CSV carries the pass details and the skipped rows the JSON goldens drop
+    out = tmp_path / "out.csv"
+    cli.main(["verify", "--alpha", "3/7", "--beta", "-2/5", "--n", "24",
+              "--suite", "algebra", "--format", "csv", "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / "offgrid-n24-algebra.csv").read_bytes()
