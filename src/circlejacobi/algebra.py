@@ -29,7 +29,7 @@ from functools import cache
 from typing import Callable
 
 from .cmv import BandedOperator, build_m1, build_m2
-from .dunkl import apply_k, build_k, lambda_n
+from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate, InconsistentSystem
 from .laurent import LaurentPoly
 from .opuc import JacobiParams, OPUCFamily, verblunsky
@@ -186,6 +186,16 @@ def _representation(p: JacobiParams, size: int):
     return build_m1(a, size), build_m2(a, size), k
 
 
+def family_representation(fam: OPUCFamily, size: int):
+    """``_representation`` at the family's parameters, built once per
+    family and size and kept in ``fam.derived``, so the matrix relations
+    and the central extension read one build."""
+    key = ("representation", size)
+    if key not in fam.derived:
+        fam.derived[key] = _representation(fam.params, size)
+    return fam.derived[key]
+
+
 def _rows_match(rep, label: str, terms: list[tuple[Fraction, BandedOperator]]) -> None:
     """The matrix identity sum c * A = 0, given as its signed terms: every
     valid row of the residual must be absent; later rows are skipped."""
@@ -201,12 +211,14 @@ def _rows_match(rep, label: str, terms: list[tuple[Fraction, BandedOperator]]) -
         rep.skip(f"{label}: rows {n}..{res.size - 1} (truncation boundary)")
 
 
-def verify_relations_matrix(p: JacobiParams, size: int) -> VerificationReport:
+def verify_relations_matrix(fam: OPUCFamily, size: int) -> VerificationReport:
     """Both defining relations and both involutions as exact identities
-    between truncated matrices, on every row unaffected by truncation."""
+    between truncated matrices at the family's parameters, on every row
+    unaffected by truncation."""
     if size < 3:
         raise ValueError("need size >= 3")
-    m1, m2, k = _representation(p, size)
+    p = fam.params
+    m1, m2, k = family_representation(fam, size)
     eye = BandedOperator.identity(size)
     rep = VerificationReport(
         identity="algebra-matrix",
@@ -239,6 +251,20 @@ def _y_terms(kf: LaurentPoly, p: JacobiParams) -> list[tuple[Fraction, LaurentPo
     """Y f = K(K f) - (alpha+beta+1) K f as terms of ``LaurentPoly.lincomb``,
     from K f."""
     return [(1, apply_k(kf, p)), (-p.s, kf)]
+
+
+def _y_psi_terms(fam: OPUCFamily, n: int, shift: Fraction | int = 0) -> list:
+    """Y psi_n - shift psi_n as terms of ``LaurentPoly.lincomb``, out of
+    r_n = ``k_residual(fam, n)``.  K is linear and K psi_n = lambda_n
+    psi_n + r_n, so
+
+        Y psi_n = (lambda_n^2 - s lambda_n) psi_n + (lambda_n - s) r_n + K r_n
+
+    with s = alpha + beta + 1, for every psi_n; on an eigenfunction r_n
+    is zero and K r_n costs nothing."""
+    p = fam.params
+    lam, r = lambda_n(p, n), k_residual(fam, n)
+    return [(lam * lam - p.s * lam - shift, fam.psi[n]), (lam - p.s, r), (1, apply_k(r, p))]
 
 
 def build_xy(p: JacobiParams) -> tuple[Operator, Operator]:
@@ -301,7 +327,11 @@ def verify_central_extension(
 
     checked both functionally on monomials z^k, |k| <= d, and as banded
     matrix identities at the given truncation size, with the two
-    realizations tied together on the Laurent eigenfunctions.
+    realizations tied together on the Laurent eigenfunctions: row n of X
+    and Y applied to psi must equal X psi_n = (z + 1/z) psi_n and
+    Y psi_n = (lambda_n^2 - s lambda_n) psi_n + (lambda_n - s) r_n + K r_n,
+    the latter formed from r_n = K psi_n - lambda_n psi_n
+    (``_y_psi_terms``).
     """
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
@@ -348,7 +378,7 @@ def verify_central_extension(
         rep.residual("extension term drops at alpha=beta", res)
 
     # matrix side
-    m1, m2, k = _representation(p, matrix_size)
+    m1, m2, k = family_representation(fam, matrix_size)
     x, y = _xy_matrix(p, m1, m2, k)
     eye = BandedOperator.identity(matrix_size)
     # XY and YX once: [X,Y] is their difference, and {X,Y} enters JR2 as
@@ -374,7 +404,7 @@ def verify_central_extension(
         n
         for n in range(top)
         if x.apply_row(n, fam.psi) != x_op(fam.psi[n])
-        or y.apply_row(n, fam.psi) != lc(_y_terms(build_k(fam, n), p))
+        or y.apply_row(n, fam.psi) != lc(_y_psi_terms(fam, n))
     ]
     rep.add(
         "matrix rows match functional action on psi",
@@ -398,7 +428,17 @@ def big_lambda(p: JacobiParams, n: int) -> Fraction:
 def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationReport:
     """Y psi_n = Lambda_n psi_n with the paired eigenvalues, and the
     symmetric/antisymmetric eigenfunctions P_n, F_n = (z - 1/z) Q_{n-1}
-    distinguished only by the reflection sign."""
+    distinguished only by the reflection sign.
+
+    "Y psi n" follows from the bispectral residual r_n = K psi_n -
+    lambda_n psi_n (``dunkl.k_residual``) by linearity of K:
+
+        Y psi_n - Lambda_n psi_n = (lambda_n^2 - s lambda_n - Lambda_n) psi_n
+                                   + (lambda_n - s) r_n + K r_n,
+
+    s = alpha + beta + 1, the same Laurent polynomial as the direct
+    K(K psi_n) - s K psi_n - Lambda_n psi_n for any psi_n.  Y P_n and
+    Y F_n are formed directly."""
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
     p = fam.params
@@ -414,10 +454,9 @@ def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationRepor
         lam = lambda_n(p, n)
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
-    # Y f - Lambda f, one normalization each; K psi_n comes from the family
+    # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n
     for n in range(min(n_max, fam.size) + 1):
-        res = lc([*_y_terms(build_k(fam, n), p), (-big_lambda(p, n), fam.psi[n])])
-        rep.residual(f"Y psi n={n}", res)
+        rep.residual(f"Y psi n={n}", lc(_y_psi_terms(fam, n, big_lambda(p, n))))
     for n in range(min(n_max, p_top(fam.size)) + 1):
         pn = build_p(fam, n).poly
         res = lc([*_y_terms(apply_k(pn, p), p), (-big_lambda(p, 2 * n), pn)])

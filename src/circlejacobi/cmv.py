@@ -6,6 +6,13 @@ finite truncation can cut the final 2x2 block, so every operator tracks
 how many leading rows agree with the semi-infinite matrix
 (``valid_rows``); verifications only assert on those rows and report the
 rest as skipped.
+
+The reflection residuals A_n = psi_n(1/z) - (M1 psi)_n and
+B_n = z psi_n(1/z) - (M2 psi)_n are built once per family
+(``reflection_residuals``).  The pencil and the five-term recurrence
+follow from them by ring algebra, so their rows are formed as short
+combinations of A and B: the same Laurent polynomials as the direct
+formulas for any psi, and zero at no arithmetic cost on a clean family.
 """
 
 from __future__ import annotations
@@ -222,26 +229,41 @@ def family_operators(fam: OPUCFamily) -> tuple[BandedOperator, BandedOperator, B
     return fam.derived["cmv"]
 
 
+def reflection_residuals(fam: OPUCFamily) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+    """(A, B) with A_n = psi_n(1/z) - (M1 psi)_n on the valid rows of M1
+    and B_n = z psi_n(1/z) - (M2 psi)_n on the valid rows of M2, built
+    once per family and kept in ``fam.derived``."""
+    if "reflection" not in fam.derived:
+        m1, m2, _ = family_operators(fam)
+        psi, lc = fam.psi, LaurentPoly.lincomb
+        fam.derived["reflection"] = (
+            [lc([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
+             for n in range(m1.valid_rows)],
+            [lc([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
+             for n in range(m2.valid_rows)],
+        )
+    return fam.derived["reflection"]
+
+
 def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     """Row-wise checks psi_n(1/z) = sum_m (M1)_{nm} psi_m and
-    z psi_n(1/z) = sum_m (M2)_{nm} psi_m on rows with complete blocks."""
+    z psi_n(1/z) = sum_m (M2)_{nm} psi_m on rows with complete blocks:
+    the residuals A_n and B_n of ``reflection_residuals``."""
     size = fam.size + 1
     m1, m2, _ = family_operators(fam)
+    res_m1, res_m2 = reflection_residuals(fam)
     rep = VerificationReport(
         identity="reflection-rows",
         relation="psi(1/z) = M1 psi(z) ; z psi(1/z) = M2 psi(z)",
         params=family_params(fam, size=size),
     )
-    psi = fam.psi
     for n in range(size):
         if n < m1.valid_rows:
-            res = LaurentPoly.lincomb([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
-            rep.residual(f"M1 row {n}", res)
+            rep.residual(f"M1 row {n}", res_m1[n])
         else:
             rep.skip(f"M1 row {n} (cut block)")
         if n < m2.valid_rows:
-            res = LaurentPoly.lincomb([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
-            rep.residual(f"M2 row {n}", res)
+            rep.residual(f"M2 row {n}", res_m2[n])
         else:
             rep.skip(f"M2 row {n} (cut block)")
     return rep
@@ -249,25 +271,33 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
 
 def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     """Row-wise checks of M2 psi = z M1 psi and of the five-term
-    recurrence C psi = z psi on interior rows."""
+    recurrence C psi = z psi on interior rows, formed from the reflection
+    residuals A, B of ``reflection_residuals``:
+
+        (M2 psi)_n - z (M1 psi)_n = z A_n - B_n,
+        (C psi)_n - z psi_n = -z A_n(1/z) - sum_m (M1)_{nm} B_m.
+
+    The second holds because C = M1 M2 (``family_operators``): its row n
+    is sum_m (M1)_{nm} (M2 psi)_m, and sum_m (M1)_{nm} psi_m(1/z) is
+    (M1 psi)_n evaluated at 1/z.  Every m that M1 row n reaches for
+    n < C.valid_rows is a valid row of M2."""
     size = fam.size + 1
     m1, m2, c = family_operators(fam)
+    res_m1, res_m2 = reflection_residuals(fam)
     rep = VerificationReport(
         identity="cmv-rows",
         relation="M2 psi = z M1 psi ; (M1 M2) psi = z psi",
         params=family_params(fam, size=size),
     )
-    psi = fam.psi
-    z_psi = [f.shift(1) for f in psi]
+    lc = LaurentPoly.lincomb
     pencil_rows = min(m1.valid_rows, m2.valid_rows)
     for n in range(size):
         if n < pencil_rows:
-            res = LaurentPoly.lincomb([*m2.row_terms(n, psi), *m1.row_terms(n, z_psi, -1)])
-            rep.residual(f"pencil row {n}", res)
+            rep.residual(f"pencil row {n}", lc([(1, res_m1[n].shift(1)), (-1, res_m2[n])]))
         else:
             rep.skip(f"pencil row {n} (boundary)")
         if n < c.valid_rows:
-            res = LaurentPoly.lincomb([*c.row_terms(n, psi), (-1, z_psi[n])])
+            res = lc([(-1, res_m1[n].reflect().shift(1)), *m1.row_terms(n, res_m2, -1)])
             rep.residual(f"C row {n}", res)
         else:
             rep.skip(f"C row {n} (boundary)")

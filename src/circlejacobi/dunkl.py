@@ -5,6 +5,11 @@ R the reflection f(z) -> f(1/z).  On Laurent polynomials the divided
 term is exact: (R - I)f vanishes at z = +-1, so 1 - z^2 always divides.
 K psi_n = lambda_n psi_n with lambda_n = -n/2 for even n and
 (n+1)/2 + alpha + beta + 1 for odd n.
+
+The residual r_n = K psi_n - lambda_n psi_n of that eigenproblem has
+one home, ``k_residual``, built once per family.  K is linear, so every
+identity that follows from it (Y psi_n in ``algebra``) is formed from
+r_n and equals the direct formula for any psi_n.
 """
 
 from __future__ import annotations
@@ -69,14 +74,16 @@ def apply_k_single_moment(f: LaurentPoly) -> LaurentPoly:
     return out + refl.shift(1).div_exact(_ONE_MINUS_Z)
 
 
-def build_k(fam: OPUCFamily, n: int) -> LaurentPoly:
-    """K psi_n at the family's parameters.
+def k_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
+    """r_n = K psi_n - lambda_n psi_n at the family's parameters.
 
-    Built once per family and kept in ``fam.derived``, so the bispectral
-    check and the Y eigencheck share one application of K to psi_n."""
+    Built once per family and kept in ``fam.derived``: the bispectral
+    check reports it, and the Y eigencheck and the central extension form
+    Y psi_n out of it, since K psi_n = lambda_n psi_n + r_n."""
     key = ("K", n)
     if key not in fam.derived:
-        fam.derived[key] = apply_k(fam.psi[n], fam.params)
+        p, psi = fam.params, fam.psi[n]
+        fam.derived[key] = LaurentPoly.lincomb([(1, apply_k(psi, p)), (-lambda_n(p, n), psi)])
     return fam.derived[key]
 
 
@@ -100,15 +107,13 @@ def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
     """Exact check of K psi_n = lambda_n psi_n for every n in the family."""
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
-    p = fam.params
     rep = VerificationReport(
         identity="bispectral-eigen",
         relation="K psi_n = lambda_n psi_n",
         params=family_params(fam, n_max=fam.size),
     )
     for n in range(fam.size + 1):
-        res = LaurentPoly.lincomb([(1, build_k(fam, n)), (-lambda_n(p, n), fam.psi[n])])
-        rep.residual(f"n={n}", res)
+        rep.residual(f"n={n}", k_residual(fam, n))
     return rep
 
 

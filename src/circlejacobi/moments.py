@@ -284,5 +284,6 @@ def verify_determinantal_match(
         params=family_params(fam, weight=w.kind, n_max=n_max),
     )
     for n in range(n_max + 1):
-        rep.residual(f"n={n}", determinantal_phi(ms, n) - fam.phi[n])
+        res = LaurentPoly.lincomb([(1, determinantal_phi(ms, n)), (-1, fam.phi[n])])
+        rep.residual(f"n={n}", res)
     return rep

@@ -91,7 +91,7 @@ def szego_advance(phi: LaurentPoly, a: Fraction, n: int) -> LaurentPoly:
         raise ValueError(f"phi must be monic of degree {n}")
     if not -1 < a < 1:
         raise BadVerblunsky(f"coefficient {a} lies outside (-1, 1)")
-    return phi.shift(1) - star(phi, n) * a
+    return LaurentPoly.lincomb([(1, phi.shift(1)), (-a, star(phi, n))])
 
 
 def chi_basis(n: int) -> LaurentPoly:
@@ -129,9 +129,16 @@ class OPUCFamily:
 
     - ``("P", n)`` and ``("Q", n)``: the Szego chains (``szego.build_p``,
       ``szego.build_q``);
-    - ``("K", n)``: K psi_n (``dunkl.build_k``);
+    - ``"three-term"``: the P three-term residuals T_n
+      (``szego.three_term_residuals``);
+    - ``("K", n)``: the bispectral residual K psi_n - lambda_n psi_n
+      (``dunkl.k_residual``);
     - ``"cmv"``: M1, M2 and C = M1 M2 at size N + 1
       (``cmv.family_operators``);
+    - ``"reflection"``: the reflection residuals A_n and B_n of M1 and
+      M2 (``cmv.reflection_residuals``);
+    - ``("representation", size)``: M1, M2 and the diagonal K of the
+      algebra at the family's parameters (``algebra.family_representation``);
     - ``("moments", w)``: the ``MomentSeq`` of weight w
       (``moments.family_moments``).
 

@@ -53,7 +53,7 @@ def _algebra(fam: OPUCFamily) -> list[VerificationReport]:
     size = max(7, min(n + 1, 21))
     return [
         algebra.verify_representation_derivation(p, n),
-        algebra.verify_relations_matrix(p, size),
+        algebra.verify_relations_matrix(fam, size),
         algebra.verify_relations_functional(p, d),
         algebra.verify_central_extension(fam, d=d, matrix_size=size),
         algebra.y_eigencheck(fam),

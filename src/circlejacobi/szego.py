@@ -143,7 +143,7 @@ def classical_jacobi_chain(alpha, beta, n: int) -> Iterator[SymmetricLaurent]:
     yield SymmetricLaurent(prev)
     if n == 0:
         return
-    cur = Z_PLUS_ZINV - b_coeff(0)
+    cur = LaurentPoly.lincomb([(1, Z_PLUS_ZINV), (-b_coeff(0), prev)])
     yield SymmetricLaurent(cur)
     for k in range(1, n):
         step = [*_x_terms(cur), (-b_coeff(k), cur), (-u_coeff(k), prev)]
@@ -183,7 +183,7 @@ def build_p(fam: OPUCFamily, n: int) -> SymmetricLaurent:
             poly = LaurentPoly.one()
         else:
             t = fam.phi[2 * n - 1]
-            poly = t.shift(1 - n) + t.reflect().shift(n - 1)
+            poly = LaurentPoly.lincomb([(1, t.shift(1 - n)), (1, t.reflect().shift(n - 1))])
         fam.derived[key] = SymmetricLaurent(poly)
     return fam.derived[key]
 
@@ -197,7 +197,7 @@ def build_q(fam: OPUCFamily, n: int) -> SymmetricLaurent:
     key = ("Q", n)
     if key not in fam.derived:
         t = fam.phi[2 * n + 1]
-        num = t.shift(-n) - t.reflect().shift(n)
+        num = LaurentPoly.lincomb([(1, t.shift(-n)), (-1, t.reflect().shift(n))])
         fam.derived[key] = SymmetricLaurent(num.div_exact(Z_MINUS_ZINV))
     return fam.derived[key]
 
@@ -278,6 +278,28 @@ def _recurrences(fam: OPUCFamily):
     )
 
 
+def _three_term_residual(fam: OPUCFamily, chain, b_of, u_of, n: int) -> LaurentPoly:
+    """chain_{n+1} + b_n chain_n + u_n chain_{n-1} - x chain_n."""
+    terms = [(1, chain[n + 1].poly), (b_of(fam, n), chain[n].poly),
+             *_x_terms(chain[n].poly, -1)]
+    if n >= 1:
+        terms.append((u_of(fam, n), chain[n - 1].poly))
+    return LaurentPoly.lincomb(terms)
+
+
+def three_term_residuals(fam: OPUCFamily) -> list[LaurentPoly]:
+    """T_n = P_{n+1} + b_n P_n + u_n P_{n-1} - x P_n for n = 0 ..
+    p_top(N) - 1, built once per family and kept in ``fam.derived``: the
+    three-term check reports them and the Christoffel transform is
+    formed from them."""
+    if "three-term" not in fam.derived:
+        p, _ = _chains(fam)
+        fam.derived["three-term"] = [
+            _three_term_residual(fam, p, b_coeff, u_coeff, n) for n in range(p_top(fam.size))
+        ]
+    return fam.derived["three-term"]
+
+
 def verify_three_term(fam: OPUCFamily) -> VerificationReport:
     """P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n, and the Q analogue."""
     rep = VerificationReport(
@@ -285,13 +307,11 @@ def verify_three_term(fam: OPUCFamily) -> VerificationReport:
         relation="P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n (and Q with b~, u~)",
         params=family_params(fam),
     )
-    for name, _, chain, b_of, u_of, top in _recurrences(fam):
-        for n in range(top + 1):
-            terms = [(1, chain[n + 1].poly), (b_of(fam, n), chain[n].poly),
-                     *_x_terms(chain[n].poly, -1)]
-            if n >= 1:
-                terms.append((u_of(fam, n), chain[n - 1].poly))
-            rep.residual(f"{name} n={n}", LaurentPoly.lincomb(terms))
+    _, q = _chains(fam)
+    for n, res in enumerate(three_term_residuals(fam)):
+        rep.residual(f"P n={n}", res)
+    for n in range(q_top(fam.size)):
+        rep.residual(f"Q n={n}", _three_term_residual(fam, q, bt_coeff, ut_coeff, n))
     return rep
 
 
@@ -348,7 +368,24 @@ def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
 def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     """The Christoffel and Geronimus transforms between the chains plus
     the exact reconstruction of psi from (P, Q) or (P_n, P_{n-1}) and
-    the extraction of (P, Q) back from psi."""
+    the extraction of (P, Q) back from psi.
+
+    Three of the identities follow from others by ring algebra and are
+    formed out of their residuals, which equals the direct formula for
+    any psi, P and Q.  With T_n the P three-term residuals
+    (``three_term_residuals``) and C'_n the "christoffel'" residuals,
+
+        christoffel_n = C'_n - T_n - e1 P_n - e2 P_{n-1},
+        e1 = c1 - 2 a_{2n-2} - b_n,
+        e2 = 2(1 - a_{2n-3})(1 - a_{2n-2}^2) - c2 - u_n,
+
+    where c1, c2 are the christoffel coefficients; e1 and e2 vanish
+    identically in the a's.  With E_k the "psi(P,Q)" residuals and
+    a = a_{2n-1},
+
+        P from psi_n = -E_{2n} - (1 + a) E_{2n-1},
+        Q from psi_n = E_{2n} + (a - 1) E_{2n-1}.
+    """
     rep = VerificationReport(
         identity="szego-transforms",
         relation="Christoffel / Geronimus / psi reconstruction / PQ extraction",
@@ -358,24 +395,27 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     (p, q), psi = _chains(fam), fam.psi
     size = fam.size
 
-    # (z - 1/z)^2 Q_{n-1} = P_{n+1} + (a_2n + a_{2n-2})(1 - a_{2n-1}) P_n
-    #                       - (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
-    for n in range(1, q_top(size) + 1):
-        c1 = (_a(fam, 2 * n) + _a(fam, 2 * n - 2)) * (1 - _a(fam, 2 * n - 1))
-        c2 = (
-            (1 - _a(fam, 2 * n - 1))
-            * (1 - _a(fam, 2 * n - 3))
-            * (1 - _a(fam, 2 * n - 2) ** 2)
-        )
-        res = lc([*_d2_terms(q[n - 1].poly), (-1, p[n + 1].poly), (-c1, p[n].poly),
-                  (c2, p[n - 1].poly)])
-        rep.residual(f"christoffel n={n}", res)
-
-    # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
+    # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1},
+    # formed first: the christoffel residual is built from it
+    christoffel_prime = {}
     for n in range(1, p_top(size) + 1):
         c2 = 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
-        res = lc([*_d2_terms(q[n - 1].poly), *_x_terms(p[n].poly, -1),
-                  (-2 * _a(fam, 2 * n - 2), p[n].poly), (c2, p[n - 1].poly)])
+        christoffel_prime[n] = lc([*_d2_terms(q[n - 1].poly), *_x_terms(p[n].poly, -1),
+                                   (-2 * _a(fam, 2 * n - 2), p[n].poly), (c2, p[n - 1].poly)])
+
+    # (z - 1/z)^2 Q_{n-1} = P_{n+1} + (a_2n + a_{2n-2})(1 - a_{2n-1}) P_n
+    #                       - (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
+    three_term = three_term_residuals(fam)
+    for n in range(1, q_top(size) + 1):
+        a0, a1, a3 = _a(fam, 2 * n - 2), _a(fam, 2 * n - 1), _a(fam, 2 * n - 3)
+        c1 = (_a(fam, 2 * n) + a0) * (1 - a1)
+        c2 = (1 - a1) * (1 - a3) * (1 - a0 ** 2)
+        e1 = c1 - 2 * a0 - b_coeff(fam, n)
+        e2 = 2 * (1 - a3) * (1 - a0 ** 2) - c2 - u_coeff(fam, n)
+        res = lc([(1, christoffel_prime[n]), (-1, three_term[n]), (-e1, p[n].poly),
+                  (-e2, p[n - 1].poly)])
+        rep.residual(f"christoffel n={n}", res)
+    for n, res in christoffel_prime.items():
         rep.residual(f"christoffel' n={n}", res)
 
     # P_n = Q_n - (1 + a_{2n-1})(a_2n + a_{2n-2}) Q_{n-1}
@@ -392,14 +432,16 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
 
     # psi_{2n-1} = (P_n + (z - 1/z) Q_{n-1}) / 2
     # psi_2n     = ((1 - a_{2n-1}) P_n - (1 + a_{2n-1})(z - 1/z) Q_{n-1}) / 2
+    psi_pq = {}  # E_k, the residual of psi_k
     for n in range(1, p_top(size) + 1):
-        res = lc([(1, psi[2 * n - 1]), (-_HALF, p[n].poly), *_d_terms(q[n - 1].poly, -_HALF)])
-        rep.residual(f"psi(P,Q) n={2 * n - 1}", res)
+        k = 2 * n - 1
+        psi_pq[k] = lc([(1, psi[k]), (-_HALF, p[n].poly), *_d_terms(q[n - 1].poly, -_HALF)])
+        rep.residual(f"psi(P,Q) n={k}", psi_pq[k])
         if 2 * n <= size:
             am = _a(fam, 2 * n - 1)
-            res = lc([(1, psi[2 * n]), ((am - 1) / 2, p[n].poly),
-                      *_d_terms(q[n - 1].poly, (1 + am) / 2)])
-            rep.residual(f"psi(P,Q) n={2 * n}", res)
+            psi_pq[2 * n] = lc([(1, psi[2 * n]), ((am - 1) / 2, p[n].poly),
+                                *_d_terms(q[n - 1].poly, (1 + am) / 2)])
+            rep.residual(f"psi(P,Q) n={2 * n}", psi_pq[2 * n])
     res = lc([(1, psi[0]), (-1, p[0].poly)])  # n = 0: the Q term carries 1 + a_{-1} = 0
     rep.residual("psi(P,Q) n=0", res)
 
@@ -424,12 +466,12 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
 
     # P_n = psi_2n + (1 + a_{2n-1}) psi_{2n-1}
     # (z - 1/z) Q_{n-1} = -psi_2n + (1 - a_{2n-1}) psi_{2n-1}
+    # both inverting the psi(P,Q) pair, so formed from its residuals
     for n in range(1, size // 2 + 1):
         am = _a(fam, 2 * n - 1)
-        res = lc([(1, p[n].poly), (-1, psi[2 * n]), (-1 - am, psi[2 * n - 1])])
-        rep.residual(f"P from psi n={n}", res)
-        res = lc([*_d_terms(q[n - 1].poly), (1, psi[2 * n]), (am - 1, psi[2 * n - 1])])
-        rep.residual(f"Q from psi n={n}", res)
+        even, odd = psi_pq[2 * n], psi_pq[2 * n - 1]
+        rep.residual(f"P from psi n={n}", lc([(-1, even), (-1 - am, odd)]))
+        rep.residual(f"Q from psi n={n}", lc([(1, even), (am - 1, odd)]))
     return rep
 
 
@@ -446,10 +488,10 @@ def verify_classical_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
     )
     top = min(n_max, p_top(fam.size))
     for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, top)):
-        rep.residual(f"P n={n}", build_p(fam, n).poly - oracle.poly)
+        rep.residual(f"P n={n}", LaurentPoly.lincomb([(1, build_p(fam, n).poly), (-1, oracle.poly)]))
     top = min(n_max, q_top(fam.size))
     for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, top)):
-        rep.residual(f"Q n={n}", build_q(fam, n).poly - oracle.poly)
+        rep.residual(f"Q n={n}", LaurentPoly.lincomb([(1, build_q(fam, n).poly), (-1, oracle.poly)]))
     return rep
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from circlejacobi import algebra, dunkl
+from circlejacobi import algebra, dunkl, suites
 from circlejacobi.algebra import (
     AlgebraParams,
     CanonicalForm,
@@ -113,11 +113,27 @@ class TestFunctionalRealization:
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_matrix_relations(self, alpha, beta):
-        assert verify_relations_matrix(JacobiParams(alpha, beta), 14).ok
+        assert verify_relations_matrix(build_family(JacobiParams(alpha, beta), 3), 14).ok
 
     def test_matrix_relations_requires_size(self):
         with pytest.raises(ValueError):
-            verify_relations_matrix(JacobiParams(0, 0), 2)
+            verify_relations_matrix(build_family(JacobiParams(0, 0), 3), 2)
+
+    def test_algebra_suite_builds_one_representation(self, monkeypatch):
+        # the matrix relations and the central extension read one build
+        # out of the family
+        sizes = []
+        orig = algebra._representation
+
+        def counted(p, size):
+            sizes.append(size)
+            return orig(p, size)
+
+        monkeypatch.setattr(algebra, "_representation", counted)
+        fam = build_family(JacobiParams(F(1), F(2)), 24)
+        assert all(rep.ok for rep in suites.run("algebra", fam))
+        assert sizes == [21]
+        assert algebra.family_representation(fam, 21) is fam.derived[("representation", 21)]
 
 
 class TestMatrixIdentityFailures:
@@ -138,7 +154,7 @@ class TestMatrixIdentityFailures:
         return [by_label[label] for label in labels]
 
     def test_relations_matrix(self):
-        rep = verify_relations_matrix(JacobiParams(F(3, 7), F(-2, 5)), 9)
+        rep = verify_relations_matrix(build_family(JacobiParams(F(3, 7), F(-2, 5)), 3), 9)
         assert self._details(rep, ["M1^2 = I", "M2^2 = I", "M1 relation", "M2 relation"]) == [
             (True, "8 rows agree"),
             (True, "7 rows agree"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from circlejacobi import algebra, cmv, dunkl, suites
+from circlejacobi import algebra, cmv, dunkl, moments, suites, szego
 from circlejacobi.cmv import (
     BandedOperator,
     build_m1,
@@ -267,6 +267,19 @@ class TestRowVerifications:
         assert not verify_gevp_and_five_term(bad).ok
 
 
+@pytest.fixture
+def ring_operator_calls(monkeypatch):
+    """The names of the pairwise LaurentPoly operators called from now on."""
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        def counted(*args, _orig=getattr(LaurentPoly, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+
+        monkeypatch.setattr(LaurentPoly, name, counted)
+    return calls
+
+
 class TestOneNormalizationPerResidual:
     @pytest.mark.parametrize(
         "check",
@@ -274,25 +287,31 @@ class TestOneNormalizationPerResidual:
             verify_reflection_rows,
             verify_gevp_and_five_term,
             dunkl.verify_bispectral,
-            pytest.param(lambda fam: algebra.verify_relations_matrix(fam.params, 21),
+            pytest.param(lambda fam: algebra.verify_relations_matrix(fam, 21),
                          id="verify_relations_matrix"),
             algebra.verify_central_extension,
+            pytest.param(lambda fam: szego.verify_classical_match(fam, 20),
+                         id="verify_classical_match"),
+            pytest.param(
+                lambda fam: moments.verify_determinantal_match(
+                    fam, moments.Weight.jacobi(fam.params.alpha, fam.params.beta), 8),
+                id="verify_determinantal_match"),
         ],
     )
-    def test_residuals_use_no_chained_ring_operations(self, monkeypatch, check):
+    def test_residuals_use_no_chained_ring_operations(self, request, check):
         # every row and eigen residual is one LaurentPoly.lincomb, and every
         # matrix identity one BandedOperator.lincomb, so the pairwise
         # operators, each of which normalizes, are never reached
         fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
-        calls = []
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
-            def counted(*args, _orig=getattr(LaurentPoly, name), _name=name):
-                calls.append(_name)
-                return _orig(*args)
-
-            monkeypatch.setattr(LaurentPoly, name, counted)
+        calls = request.getfixturevalue("ring_operator_calls")
         assert check(fam).ok
         assert calls == []
+
+    def test_family_build_uses_no_chained_ring_operations(self, ring_operator_calls):
+        # each Szego step z phi_n - a_n phi_n^* is one lincomb
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        assert fam.size == 40
+        assert ring_operator_calls == []
 
 
 class TestOneBuildPerFamily:

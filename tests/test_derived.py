@@ -1,0 +1,315 @@
+"""Identities formed out of other identities' residuals.
+
+The verifier builds each base residual once per family (K psi_n -
+lambda_n psi_n, the reflection rows A_n and B_n, the P three-term rows
+T_n, the psi(P,Q) rows E_k) and forms every identity that follows from
+them as a short combination of those residuals.  The direct formulas
+live here as the reference model: on clean, corrupted and perturbed
+families every rewritten check must read exactly what the direct formula
+gives, and raise where it raises.
+"""
+
+import copy
+import random
+from fractions import Fraction
+
+import pytest
+
+from circlejacobi import algebra, cmv, dunkl, suites, szego
+from circlejacobi.dunkl import apply_k, lambda_n
+from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV
+from circlejacobi.opuc import (
+    JacobiParams,
+    OPUCFamily,
+    build_family,
+    family_from_verblunsky,
+)
+from circlejacobi.report import Check
+from circlejacobi.szego import SymmetricLaurent, build_p, build_q, p_top, q_top
+
+F = Fraction
+lc = LaurentPoly.lincomb
+
+
+# --------------------------------------------------------------------------
+# Direct formulas: label -> residual, or the tie-in check itself
+# --------------------------------------------------------------------------
+
+
+def direct_bispectral(fam):
+    p = fam.params
+    return {f"n={n}": lc([(1, apply_k(f, p)), (-lambda_n(p, n), f)])
+            for n, f in enumerate(fam.psi)}
+
+
+def _y_direct(f, p):
+    kf = apply_k(f, p)
+    return [(1, apply_k(kf, p)), (-p.s, kf)]
+
+
+def direct_y_psi(fam, n_max=None):
+    p = fam.params
+    top = fam.size if n_max is None else min(n_max, fam.size)
+    return {f"Y psi n={n}": lc([*_y_direct(fam.psi[n], p),
+                                (-algebra.big_lambda(p, n), fam.psi[n])])
+            for n in range(top + 1)}
+
+
+def direct_tie_in(fam, matrix_size):
+    """The last check of the central extension, from K applied twice to psi_n."""
+    p = fam.params
+    x, y = algebra.build_xy_matrix(p, matrix_size)
+    x_op, _ = algebra.build_xy(p)
+    top = min(fam.size + 1 - x.bandwidth, x.valid_rows, y.valid_rows)
+    bad = [n for n in range(top)
+           if x.apply_row(n, fam.psi) != x_op(fam.psi[n])
+           or y.apply_row(n, fam.psi) != lc(_y_direct(fam.psi[n], p))]
+    return Check("matrix rows match functional action on psi", not bad,
+                 f"rows {bad[:4]}" if bad else f"{top} rows agree")
+
+
+def direct_reflection(fam):
+    m1, m2, _ = cmv.family_operators(fam)
+    psi, out = fam.psi, {}
+    for n in range(m1.valid_rows):
+        out[f"M1 row {n}"] = lc([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
+    for n in range(m2.valid_rows):
+        out[f"M2 row {n}"] = lc([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
+    return out
+
+
+def direct_cmv_rows(fam):
+    m1, m2, c = cmv.family_operators(fam)
+    psi = fam.psi
+    z_psi = [f.shift(1) for f in psi]
+    out = {}
+    for n in range(min(m1.valid_rows, m2.valid_rows)):
+        out[f"pencil row {n}"] = lc([*m2.row_terms(n, psi), *m1.row_terms(n, z_psi, -1)])
+    for n in range(c.valid_rows):
+        out[f"C row {n}"] = lc([*c.row_terms(n, psi), (-1, z_psi[n])])
+    return out
+
+
+def direct_three_term(fam):
+    if fam.size < 3:
+        raise ValueError("need a family of size >= 3")
+    out = {}
+    for n in range(p_top(fam.size)):
+        pn = build_p(fam, n).poly
+        terms = [(1, build_p(fam, n + 1).poly), (szego.b_coeff(fam, n), pn),
+                 (-1, pn.shift(1)), (-1, pn.shift(-1))]
+        if n >= 1:
+            terms.append((szego.u_coeff(fam, n), build_p(fam, n - 1).poly))
+        out[f"P n={n}"] = lc(terms)
+    return out
+
+
+def direct_transforms(fam):
+    if fam.size < 3:
+        raise ValueError("need a family of size >= 3")
+    a = szego._a
+    psi, out = fam.psi, {}
+    P = [build_p(fam, n).poly for n in range(p_top(fam.size) + 1)]
+    Q = [build_q(fam, n).poly for n in range(q_top(fam.size) + 1)]
+    for n in range(1, q_top(fam.size) + 1):
+        c1 = (a(fam, 2 * n) + a(fam, 2 * n - 2)) * (1 - a(fam, 2 * n - 1))
+        c2 = (1 - a(fam, 2 * n - 1)) * (1 - a(fam, 2 * n - 3)) * (1 - a(fam, 2 * n - 2) ** 2)
+        d2q = Q[n - 1].shift(2) - 2 * Q[n - 1] + Q[n - 1].shift(-2)
+        out[f"christoffel n={n}"] = d2q - P[n + 1] - c1 * P[n] + c2 * P[n - 1]
+    for n in range(1, fam.size // 2 + 1):
+        am = a(fam, 2 * n - 1)
+        dq = Z_MINUS_ZINV * Q[n - 1]
+        out[f"P from psi n={n}"] = P[n] - psi[2 * n] - (1 + am) * psi[2 * n - 1]
+        out[f"Q from psi n={n}"] = dq + psi[2 * n] + (am - 1) * psi[2 * n - 1]
+    return out
+
+
+# --------------------------------------------------------------------------
+# Families
+# --------------------------------------------------------------------------
+
+
+def _rational(rng, top=5):
+    return F(rng.randint(-top, top), rng.randint(1, 7))
+
+
+def _point(rng):
+    return JacobiParams(F(rng.randint(-9, 30), 10), F(rng.randint(-9, 30), 10))
+
+
+def corrupted_family(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    return suites.family(_point(rng), n, corrupt_a=rng.randint(0, n - 1))
+
+
+def perturbed_family(seed, tagged=True):
+    """A family whose psi_n, P_n and Q_n are moved at random: psi by
+    rational monomials, Q_n by a symmetric polynomial, and P_n by a
+    symmetric multiple of (z - 1/z)^2, which keeps the psi(P,P) divisions
+    exact.  Untagged families carry random coefficients and no params."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 14)
+    if tagged:
+        base = build_family(_point(rng), n)
+    else:
+        base = family_from_verblunsky([F(rng.randint(-9, 9), 10) for _ in range(n + 1)])
+    psi = tuple(
+        f + LaurentPoly.monomial(rng.randint(-k // 2 - 1, k // 2 + 1), _rational(rng))
+        if rng.random() < 0.5 else f
+        for k, f in enumerate(base.psi)
+    )
+    fam = OPUCFamily(params=base.params, a=base.a, phi=base.phi, h=base.h, psi=psi)
+    x = LaurentPoly({-1: 1, 1: 1})
+    d2 = Z_MINUS_ZINV * Z_MINUS_ZINV
+    for k in range(p_top(n) + 1):
+        move = d2 * x ** rng.randint(0, 2) * _rational(rng) if rng.random() < 0.5 else 0
+        fam.derived[("P", k)] = SymmetricLaurent(build_p(base, k).poly + move)
+    for k in range(q_top(n) + 1):
+        move = x ** rng.randint(0, 2) * _rational(rng) if rng.random() < 0.5 else 0
+        fam.derived[("Q", k)] = SymmetricLaurent(build_q(base, k).poly + move)
+    return fam
+
+
+SEEDS = range(20)
+
+
+def _families(seed):
+    return [corrupted_family(seed), perturbed_family(seed), perturbed_family(seed, tagged=False)]
+
+
+# --------------------------------------------------------------------------
+# Comparison
+# --------------------------------------------------------------------------
+
+
+def _with_direct(rep, direct):
+    """rep with every check named in direct replaced by the direct verdict."""
+    labels = [c.label for c in rep.checks]
+    assert set(direct) <= set(labels)
+    want = copy.deepcopy(rep)
+    want.checks = [
+        Check(c.label, direct[c.label].is_zero,
+              "" if direct[c.label].is_zero else direct[c.label].text())
+        if c.label in direct else c
+        for c in rep.checks
+    ]
+    return want
+
+
+def assert_matches_direct(verify, direct, fam):
+    """verify(fam) reads what the direct formulas read, or raises as they do."""
+    try:
+        want = direct(fam)
+    except Exception as exc:  # the rewrite must raise the same error
+        with pytest.raises(type(exc)):
+            verify(fam)
+        return
+    rep = verify(fam)
+    assert rep.to_dict() == _with_direct(rep, want).to_dict()
+
+
+# (report, direct formulas, whether the report needs the family's params)
+CASES = [
+    pytest.param(dunkl.verify_bispectral, direct_bispectral, True, id="bispectral"),
+    pytest.param(algebra.y_eigencheck, direct_y_psi, True, id="y_eigencheck"),
+    pytest.param(lambda fam: algebra.y_eigencheck(fam, 5),
+                 lambda fam: direct_y_psi(fam, 5), True, id="y_eigencheck-n_max"),
+    pytest.param(cmv.verify_reflection_rows, direct_reflection, False, id="reflection_rows"),
+    pytest.param(cmv.verify_gevp_and_five_term, direct_cmv_rows, False,
+                 id="gevp_and_five_term"),
+    pytest.param(szego.verify_three_term, direct_three_term, False, id="three_term"),
+    pytest.param(szego.verify_transforms, direct_transforms, False, id="transforms"),
+]
+
+
+class TestReferenceModel:
+    @pytest.mark.parametrize("verify,direct,needs_params", CASES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rewritten_reports_equal_direct_formulas(self, verify, direct, needs_params, seed):
+        for fam in _families(seed):
+            if fam.params is not None or not needs_params:
+                assert_matches_direct(verify, direct, fam)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_central_extension_tie_in(self, seed):
+        for fam in _families(seed)[:2]:
+            rep = algebra.verify_central_extension(fam, d=2, matrix_size=9)
+            assert rep.checks[-1] == direct_tie_in(fam, 9)
+
+    def test_perturbed_families_exercise_every_rewrite(self):
+        # the comparison above shows something only if the base residuals
+        # and the checks formed from them are nonzero on these families
+        failing = set()
+        for seed in SEEDS:
+            fam = perturbed_family(seed)
+            for verify in (dunkl.verify_bispectral, algebra.y_eigencheck,
+                           cmv.verify_reflection_rows, cmv.verify_gevp_and_five_term,
+                           szego.verify_three_term, szego.verify_transforms):
+                failing |= {c.label for c in verify(fam).failures}
+        for prefix in ("n=", "Y psi n=", "M1 row", "M2 row", "pencil row", "C row", "P n=",
+                       "christoffel n=", "christoffel' n=", "psi(P,Q) n=", "P from psi n=",
+                       "Q from psi n="):
+            assert any(label.startswith(prefix) for label in failing), prefix
+
+    def test_small_family_raises_as_direct(self):
+        fam = build_family(JacobiParams(F(1), F(2)), 2)
+        for verify, direct in ((szego.verify_three_term, direct_three_term),
+                               (szego.verify_transforms, direct_transforms)):
+            with pytest.raises(ValueError):
+                direct(fam)
+            assert_matches_direct(verify, direct, fam)
+
+
+class TestCleanFamilyCost:
+    def test_cmv_rows_pass_no_nonzero_term(self, monkeypatch):
+        # after the reflection rows, the pencil and C rows of a clean
+        # family are combinations of zero residuals
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        assert cmv.verify_reflection_rows(fam).ok
+        live = []
+        orig = LaurentPoly.lincomb
+
+        def counted(terms):
+            terms = list(terms)
+            live.extend(f for c, f in terms if c and f)
+            return orig(terms)
+
+        monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(counted))
+        rep = cmv.verify_gevp_and_five_term(fam)
+        assert rep.ok and rep.checks
+        assert live == []
+
+    def test_y_psi_takes_no_psi_image_through_k(self, monkeypatch):
+        # Y psi_n is formed from r_n, which is zero on a clean family, so
+        # after the bispectral check K meets neither psi_n nor K psi_n again
+        # (psi_0 = 1 = P_0 and K psi_1 = K z are left out: Y P_0 and the
+        # functional relations on z^k take them through K as well)
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 24)
+        assert dunkl.verify_bispectral(fam).ok
+        images = set(fam.psi[2:]) | {apply_k(f, fam.params) for f in fam.psi[2:]}
+        seen = []
+
+        def counted(f, p):
+            if f in images:
+                seen.append(f)
+            return apply_k(f, p)
+
+        for module in (dunkl, algebra):
+            monkeypatch.setattr(module, "apply_k", counted)
+        assert algebra.verify_central_extension(fam, d=2, matrix_size=21).ok
+        assert algebra.y_eigencheck(fam).ok
+        assert seen == []
+
+
+class TestMemo:
+    def test_all_suites_leave_only_documented_keys(self):
+        fam = build_family(JacobiParams(F(1), F(2)), 24)
+        suites.run("all", fam)
+        doc = OPUCFamily.__doc__
+        kinds = {k[0] if isinstance(k, tuple) else k for k in fam.derived}
+        assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term",
+                         "representation", "moments"}
+        for key in fam.derived:
+            shown = f'``("{key[0]}",' if isinstance(key, tuple) else f'``"{key}"``'
+            assert shown in doc, key

@@ -145,7 +145,7 @@ class TestBuildPQ:
         assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
         assert set(fam.derived) == {("P", n) for n in range(p_top(11) + 1)} | {
             ("Q", n) for n in range(q_top(11) + 1)
-        }
+        } | {"three-term"}
 
     def test_memo_is_per_family_not_per_params(self, family):
         # a corrupted family carries the clean family's params; it must
