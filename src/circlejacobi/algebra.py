@@ -34,7 +34,7 @@ from .errors import Degenerate, InconsistentSystem
 from .laurent import LaurentPoly
 from .opuc import JacobiParams, OPUCFamily, verblunsky
 from .report import VerificationReport
-from .szego import build_p, build_q, p_top, q_top
+from .szego import build_p, build_q, p_top, psi_pq_residuals, q_top
 
 Operator = Callable[[LaurentPoly], LaurentPoly]
 
@@ -425,6 +425,37 @@ def big_lambda(p: JacobiParams, n: int) -> Fraction:
     return m * (p.alpha + p.beta + m + 1)
 
 
+def _y_pair_residual(fam: OPUCFamily, n: int, sign: int, f_terms: list,
+                     y_psi: list[LaurentPoly], e: dict[int, LaurentPoly]) -> LaurentPoly:
+    """(Y - Lambda_2n) f for f = P_n (sign 1) or F_n (sign -1), given as
+    terms of ``LaurentPoly.lincomb``, out of the "Y psi" residuals y_psi
+    and the psi(P,Q) residuals E_k = e[k] (``szego.psi_pq_residuals``).
+
+    With c = 1 + sign a_{2n-1} (c = 0 at n = 0, where a_{-1} = -1),
+    f = sign psi_2n + c psi_{2n-1} + g with g = -sign E_2n - c E_{2n-1},
+    the "P from psi" or "Q from psi" residual.  Lambda_2n = Lambda_{2n-1}
+    and Y is linear, so
+
+        (Y - Lambda_2n) f = sign y_psi[2n] + c y_psi[2n-1] + (Y - Lambda_2n) g,
+
+    for any psi, P and Q; on a clean family g is zero and K never meets
+    f.  At odd N the top n has no psi_2n, and g = f - c psi_{2n-1}."""
+    p = fam.params
+    terms, g_terms = [], []
+    if 2 * n <= fam.size:
+        terms.append((sign, y_psi[2 * n]))
+        g_terms.append((-sign, e[2 * n]))
+    else:
+        g_terms.extend(f_terms)
+    if n:
+        c = 1 + sign * fam.a[2 * n - 1]
+        terms.append((c, y_psi[2 * n - 1]))
+        g_terms.append((-c, e[2 * n - 1] if 2 * n <= fam.size else fam.psi[2 * n - 1]))
+    g = LaurentPoly.lincomb(g_terms)
+    return LaurentPoly.lincomb(
+        [*terms, *_y_terms(apply_k(g, p), p), (-big_lambda(p, 2 * n), g)])
+
+
 def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationReport:
     """Y psi_n = Lambda_n psi_n with the paired eigenvalues, and the
     symmetric/antisymmetric eigenfunctions P_n, F_n = (z - 1/z) Q_{n-1}
@@ -437,8 +468,11 @@ def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationRepor
                                    + (lambda_n - s) r_n + K r_n,
 
     s = alpha + beta + 1, the same Laurent polynomial as the direct
-    K(K psi_n) - s K psi_n - Lambda_n psi_n for any psi_n.  Y P_n and
-    Y F_n are formed directly."""
+    K(K psi_n) - s K psi_n - Lambda_n psi_n for any psi_n.  "Y P n" and
+    "Y F n" follow in turn from the "Y psi" residuals at 2n and 2n - 1
+    and the psi(P,Q) residuals (``_y_pair_residual``).  "R F n" reads
+    Q_{n-1} = Q_{n-1}(1/z), the same verdict as F_n(1/z) = -F_n, since
+    z - 1/z reflects to its negative and is no zero divisor."""
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
     p = fam.params
@@ -454,18 +488,21 @@ def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationRepor
         lam = lambda_n(p, n)
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
-    # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n
+    # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n,
+    # for every n the report reads, Y P_n and Y F_n reaching 2n
+    top = min(n_max, p_top(fam.size))
+    y_psi = [lc(_y_psi_terms(fam, n, big_lambda(p, n)))
+             for n in range(min(fam.size, 2 * top) + 1)]
     for n in range(min(n_max, fam.size) + 1):
-        rep.residual(f"Y psi n={n}", lc(_y_psi_terms(fam, n, big_lambda(p, n))))
-    for n in range(min(n_max, p_top(fam.size)) + 1):
+        rep.residual(f"Y psi n={n}", y_psi[n])
+    e = psi_pq_residuals(fam)
+    for n in range(top + 1):
         pn = build_p(fam, n).poly
-        res = lc([*_y_terms(apply_k(pn, p), p), (-big_lambda(p, 2 * n), pn)])
-        rep.residual(f"Y P n={n}", res)
+        rep.residual(f"Y P n={n}", _y_pair_residual(fam, n, 1, [(1, pn)], y_psi, e))
         rep.add(f"R P n={n}", pn.reflect() == pn)
     for n in range(1, min(n_max, q_top(fam.size) + 1) + 1):
         q = build_q(fam, n - 1).poly
-        fn = lc([(1, q.shift(1)), (-1, q.shift(-1))])  # (z - 1/z) Q_{n-1}
-        res = lc([*_y_terms(apply_k(fn, p), p), (-big_lambda(p, 2 * n), fn)])
-        rep.residual(f"Y F n={n}", res)
-        rep.add(f"R F n={n}", fn.reflect() == -fn)
+        fn = [(1, q.shift(1)), (-1, q.shift(-1))]  # (z - 1/z) Q_{n-1}
+        rep.residual(f"Y F n={n}", _y_pair_residual(fam, n, -1, fn, y_psi, e))
+        rep.add(f"R F n={n}", q.reflect() == q)
     return rep

@@ -129,8 +129,10 @@ class OPUCFamily:
 
     - ``("P", n)`` and ``("Q", n)``: the Szego chains (``szego.build_p``,
       ``szego.build_q``);
-    - ``"three-term"``: the P three-term residuals T_n
-      (``szego.three_term_residuals``);
+    - ``("three-term", "P")`` and ``("three-term", "Q")``: the P and Q
+      three-term residuals (``szego.three_term_residuals``);
+    - ``"psi(P,Q)"``: the residuals E_k of psi_k out of (P, Q)
+      (``szego.psi_pq_residuals``);
     - ``("K", n)``: the bispectral residual K psi_n - lambda_n psi_n
       (``dunkl.k_residual``);
     - ``"cmv"``: M1, M2 and C = M1 M2 at size N + 1

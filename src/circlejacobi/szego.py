@@ -9,6 +9,17 @@ the Verblunsky data, checks the Christoffel/Geronimus transforms
 connecting them, and matches everything against an independently coded
 classical Jacobi recurrence.
 
+Two families of residuals are built once per family and kept in
+``fam.derived``: the three-term residuals of both chains
+(``three_term_residuals``) and the residuals E_k of psi_k out of (P, Q)
+(``psi_pq_residuals``).  The identities that follow from them by ring
+algebra are formed out of them, the same Laurent polynomial as the
+direct formula for any input: the recurrence closure's span test
+(-T_n + (b^_n - b_n) p_n + (u^_n - u_n) p_{n-1}, with the fitted and the
+closed-form coefficients), the Christoffel row, P and Q from psi, and
+the psi(P,P) rows (E_k plus a multiple of C'_n / (z - 1/z)); so are
+Y P_n and Y F_n in ``algebra.y_eigencheck``.
+
 Since P_n reads phi_{2n-1} and Q_n reads phi_{2n+1}, a family of size N
 carries P_0..P_{p_top(N)} and Q_0..Q_{q_top(N)}.  Each three-term
 recurrence runs to the step that reads its chain's last member, n =
@@ -268,14 +279,14 @@ def bt_coeff(fam: OPUCFamily, n: int) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _recurrences(fam: OPUCFamily):
-    """(name, label tilde, chain, b, u, last n) of the P and the Q
+def _recurrences(fam: OPUCFamily) -> dict:
+    """name -> (label tilde, chain, b, u, last n) of the P and the Q
     recurrence: each stops one short of its chain's end."""
     p, q = _chains(fam)
-    return (
-        ("P", "", p, b_coeff, u_coeff, p_top(fam.size) - 1),
-        ("Q", "~", q, bt_coeff, ut_coeff, q_top(fam.size) - 1),
-    )
+    return {
+        "P": ("", p, b_coeff, u_coeff, p_top(fam.size) - 1),
+        "Q": ("~", q, bt_coeff, ut_coeff, q_top(fam.size) - 1),
+    }
 
 
 def _three_term_residual(fam: OPUCFamily, chain, b_of, u_of, n: int) -> LaurentPoly:
@@ -287,17 +298,20 @@ def _three_term_residual(fam: OPUCFamily, chain, b_of, u_of, n: int) -> LaurentP
     return LaurentPoly.lincomb(terms)
 
 
-def three_term_residuals(fam: OPUCFamily) -> list[LaurentPoly]:
+def three_term_residuals(fam: OPUCFamily, name: str = "P") -> list[LaurentPoly]:
     """T_n = P_{n+1} + b_n P_n + u_n P_{n-1} - x P_n for n = 0 ..
-    p_top(N) - 1, built once per family and kept in ``fam.derived``: the
-    three-term check reports them and the Christoffel transform is
-    formed from them."""
-    if "three-term" not in fam.derived:
-        p, _ = _chains(fam)
-        fam.derived["three-term"] = [
-            _three_term_residual(fam, p, b_coeff, u_coeff, n) for n in range(p_top(fam.size))
+    p_top(N) - 1, or with name "Q" the Q residuals with (b~_n, u~_n) for
+    n = 0 .. q_top(N) - 1, built once per family and kept in
+    ``fam.derived``: the three-term check reports them, and the
+    Christoffel transform and the closure's span test are formed from
+    them."""
+    key = ("three-term", name)
+    if key not in fam.derived:
+        _, chain, b_of, u_of, top = _recurrences(fam)[name]
+        fam.derived[key] = [
+            _three_term_residual(fam, chain, b_of, u_of, n) for n in range(top + 1)
         ]
-    return fam.derived["three-term"]
+    return fam.derived[key]
 
 
 def verify_three_term(fam: OPUCFamily) -> VerificationReport:
@@ -307,62 +321,101 @@ def verify_three_term(fam: OPUCFamily) -> VerificationReport:
         relation="P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n (and Q with b~, u~)",
         params=family_params(fam),
     )
-    _, q = _chains(fam)
-    for n, res in enumerate(three_term_residuals(fam)):
-        rep.residual(f"P n={n}", res)
-    for n in range(q_top(fam.size)):
-        rep.residual(f"Q n={n}", _three_term_residual(fam, q, bt_coeff, ut_coeff, n))
+    for name in ("P", "Q"):
+        for n, res in enumerate(three_term_residuals(fam, name)):
+            rep.residual(f"{name} n={n}", res)
     return rep
 
 
 def fit_recurrence(chain: list[SymmetricLaurent] | tuple[SymmetricLaurent, ...]):
     """Read (b_n, u_n) off a monic chain by exact coefficient matching.
 
-    Returns (b, u, clean) where clean means x p_n - p_{n+1} really lay
-    in span(p_n, p_{n-1}) at every step.
+    Returns (b, u) with u_0 = 0.  The chain must be monic with
+    deg p_n = n, which this checks, raising ValueError that names the
+    first bad index.  Then x p_n - p_{n+1} has degree <= n, and since
+    x^k = z^k + k z^(k-2) + ..., its z^n and z^(n-1) coefficients give
 
-    The chain must be monic with deg p_n = n, which this checks, raising
-    ValueError that names the first bad index.  Then diff = x p_n - p_{n+1}
-    has degree <= n, and since x^k = z^k + k z^(k-2) + ..., b_n is the z^n
-    coefficient of diff and u_n the z^(n-1) coefficient of
-    diff - b_n p_n: two O(1) reads instead of a full x-expansion.  The
-    step is clean when diff - b_n p_n - u_n p_{n-1} is zero.
+        b_n = [z^(n-1)] p_n - [z^n] p_{n+1},
+        u_n = [z^(n-2)] p_n + 1 - [z^(n-1)] p_{n+1} - b_n [z^(n-1)] p_n,
+
+    O(1) reads per step.  Whether x p_n - p_{n+1} really lies in
+    span(p_n, p_{n-1}) is not decided here (``verify_recurrence_closure``).
     """
     for n, p in enumerate(chain):
         if p.poly.coeff(n) != 1 or p.poly.max_exp != n:
             raise ValueError(f"chain element {n} is not monic of degree {n}")
     b: list[Fraction] = []
     u: list[Fraction] = [_ZERO]
-    clean = True
     for n in range(len(chain) - 1):
-        pn = chain[n].poly
-        diff = LaurentPoly.lincomb([*_x_terms(pn), (-1, chain[n + 1].poly)])
-        bn = diff.coeff(n)
+        pn, nxt = chain[n].poly, chain[n + 1].poly
+        bn = pn.coeff(n - 1) - nxt.coeff(n)
         b.append(bn)
         if n >= 1:
-            un = diff.coeff(n - 1) - bn * pn.coeff(n - 1)
-            u.append(un)
-            if LaurentPoly.lincomb([(1, diff), (-bn, pn), (-un, chain[n - 1].poly)]):
-                clean = False
-    return tuple(b), tuple(u), clean
+            u.append(pn.coeff(n - 2) + 1 - nxt.coeff(n - 1) - bn * pn.coeff(n - 1))
+    return tuple(b), tuple(u)
 
 
 def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
-    """Fitted recurrence coefficients equal the Verblunsky formulas."""
+    """Fitted recurrence coefficients equal the Verblunsky formulas, and
+    each chain closes: x p_n - p_{n+1} lies in span(p_n, p_{n-1}).
+
+    With (b_n, u_n) fitted by ``fit_recurrence``, (b^_n, u^_n) the closed
+    forms and T_n the three-term residuals (``three_term_residuals``),
+    the span residual of step n >= 1 is
+
+        x p_n - p_{n+1} - b_n p_n - u_n p_{n-1}
+            = -T_n + (b^_n - b_n) p_n + (u^_n - u_n) p_{n-1},
+
+    the same Laurent polynomial for any chain; "chain in span" holds when
+    it is zero at every step.
+    """
     rep = VerificationReport(
         identity="recurrence-closure",
         relation="fitted (b_n, u_n) and (b~_n, u~_n) = closed forms in a_k",
         params=family_params(fam),
     )
-    for name, tilde, chain, b_of, u_of, top in _recurrences(fam):
-        fit_b, fit_u, clean = fit_recurrence(chain)
+    for name, (tilde, chain, b_of, u_of, top) in _recurrences(fam).items():
+        fit_b, fit_u = fit_recurrence(chain)
+        want_b = [b_of(fam, n) for n in range(top + 1)]
+        want_u = [u_of(fam, n) for n in range(top + 1)]
+        three_term = three_term_residuals(fam, name)
+        clean = not any(
+            LaurentPoly.lincomb([(-1, three_term[n]), (want_b[n] - fit_b[n], chain[n].poly),
+                                 (want_u[n] - fit_u[n], chain[n - 1].poly)])
+            for n in range(1, top + 1)
+        )
         rep.add(f"{name} chain in span", clean)
-        for sym, fit, formula, first in (("b", fit_b, b_of, 0), ("u", fit_u, u_of, 1)):
+        for sym, fit, want, first in (("b", fit_b, want_b, 0), ("u", fit_u, want_u, 1)):
             for n in range(first, top + 1):
-                want = formula(fam, n)
-                ok = fit[n] == want
-                rep.add(f"{sym}{tilde}_{n}", ok, "" if ok else f"fit {fit[n]} != {want}")
+                ok = fit[n] == want[n]
+                rep.add(f"{sym}{tilde}_{n}", ok, "" if ok else f"fit {fit[n]} != {want[n]}")
     return rep
+
+
+def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
+    """E_k, the residual of psi_k out of (P, Q), for k = 0 .. N:
+
+        E_{2n-1} = psi_{2n-1} - (P_n + (z - 1/z) Q_{n-1}) / 2,
+        E_2n = psi_2n - ((1 - a) P_n - (1 + a)(z - 1/z) Q_{n-1}) / 2,
+
+    a = a_{2n-1}, and E_0 = psi_0 - P_0 (the Q term carries
+    1 + a_{-1} = 0).  Built once per family and kept in ``fam.derived``:
+    the transforms report them and form P and Q from psi and the
+    psi(P,P) rows out of them, and the Y eigencheck forms Y P_n and
+    Y F_n out of them.
+    """
+    if "psi(P,Q)" not in fam.derived:
+        lc, psi = LaurentPoly.lincomb, fam.psi
+        out = {0: lc([(1, psi[0]), (-1, build_p(fam, 0).poly)])}
+        for n in range(1, p_top(fam.size) + 1):
+            pn, q = build_p(fam, n).poly, build_q(fam, n - 1).poly
+            out[2 * n - 1] = lc([(1, psi[2 * n - 1]), (-_HALF, pn), *_d_terms(q, -_HALF)])
+            if 2 * n <= fam.size:
+                am = _a(fam, 2 * n - 1)
+                out[2 * n] = lc([(1, psi[2 * n]), ((am - 1) / 2, pn),
+                                 *_d_terms(q, (1 + am) / 2)])
+        fam.derived["psi(P,Q)"] = out
+    return fam.derived["psi(P,Q)"]
 
 
 def verify_transforms(fam: OPUCFamily) -> VerificationReport:
@@ -370,7 +423,7 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     the exact reconstruction of psi from (P, Q) or (P_n, P_{n-1}) and
     the extraction of (P, Q) back from psi.
 
-    Three of the identities follow from others by ring algebra and are
+    Four of the identities follow from others by ring algebra and are
     formed out of their residuals, which equals the direct formula for
     any psi, P and Q.  With T_n the P three-term residuals
     (``three_term_residuals``) and C'_n the "christoffel'" residuals,
@@ -380,11 +433,18 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
         e2 = 2(1 - a_{2n-3})(1 - a_{2n-2}^2) - c2 - u_n,
 
     where c1, c2 are the christoffel coefficients; e1 and e2 vanish
-    identically in the a's.  With E_k the "psi(P,Q)" residuals and
-    a = a_{2n-1},
+    identically in the a's.  With E_k the "psi(P,Q)" residuals
+    (``psi_pq_residuals``), a = a_{2n-1} and D = z - 1/z,
 
         P from psi_n = -E_{2n} - (1 + a) E_{2n-1},
-        Q from psi_n = E_{2n} + (a - 1) E_{2n-1}.
+        Q from psi_n = E_{2n} + (a - 1) E_{2n-1},
+        psi(P,P)_{2n-1} = E_{2n-1} + C'_n / (2 D),
+        psi(P,P)_2n = E_2n - (1 + a) C'_n / (2 D).
+
+    D times a psi(P,P) residual is D psi_k minus its numerator, and
+    differs from D E_k only by the C'_n term, so the numerator is
+    divisible by D exactly when C'_n is: NotDivisible is raised in the
+    same cases, naming C'_n.
     """
     rep = VerificationReport(
         identity="szego-transforms",
@@ -392,7 +452,7 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
         params=family_params(fam),
     )
     lc = LaurentPoly.lincomb
-    (p, q), psi = _chains(fam), fam.psi
+    p, q = _chains(fam)
     size = fam.size
 
     # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1},
@@ -432,37 +492,25 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
 
     # psi_{2n-1} = (P_n + (z - 1/z) Q_{n-1}) / 2
     # psi_2n     = ((1 - a_{2n-1}) P_n - (1 + a_{2n-1})(z - 1/z) Q_{n-1}) / 2
-    psi_pq = {}  # E_k, the residual of psi_k
+    psi_pq = psi_pq_residuals(fam)  # E_k, the residual of psi_k
     for n in range(1, p_top(size) + 1):
-        k = 2 * n - 1
-        psi_pq[k] = lc([(1, psi[k]), (-_HALF, p[n].poly), *_d_terms(q[n - 1].poly, -_HALF)])
-        rep.residual(f"psi(P,Q) n={k}", psi_pq[k])
+        rep.residual(f"psi(P,Q) n={2 * n - 1}", psi_pq[2 * n - 1])
         if 2 * n <= size:
-            am = _a(fam, 2 * n - 1)
-            psi_pq[2 * n] = lc([(1, psi[2 * n]), ((am - 1) / 2, p[n].poly),
-                                *_d_terms(q[n - 1].poly, (1 + am) / 2)])
             rep.residual(f"psi(P,Q) n={2 * n}", psi_pq[2 * n])
-    res = lc([(1, psi[0]), (-1, p[0].poly)])  # n = 0: the Q term carries 1 + a_{-1} = 0
-    rep.residual("psi(P,Q) n=0", res)
+    rep.residual("psi(P,Q) n=0", psi_pq[0])
 
     # The same two functions out of P_n and P_{n-1} alone, via exact
     # division by z - 1/z:
     # psi_{2n-1} = ((z + a_{2n-2}) P_n - (1-a_{2n-3})(1-a_{2n-2}^2) P_{n-1}) / (z - 1/z)
     # psi_2n = ((1+a_{2n-1})(1-a_{2n-3})(1-a_{2n-2}^2) P_{n-1}
     #           - (a_{2n-1} z + 1/z + a_{2n-2}(1+a_{2n-1})) P_n) / (z - 1/z)
+    # formed from E_k and C'_n / (z - 1/z)
     for n in range(1, p_top(size) + 1):
-        pn, prev = p[n].poly, p[n - 1].poly
-        a2 = _a(fam, 2 * n - 2)
-        c2 = (1 - _a(fam, 2 * n - 3)) * (1 - a2 ** 2)
-        num = lc([(1, pn.shift(1)), (a2, pn), (-c2, prev)])
-        res = lc([(1, psi[2 * n - 1]), (-1, num.div_exact(Z_MINUS_ZINV))])
-        rep.residual(f"psi(P,P) n={2 * n - 1}", res)
+        c = christoffel_prime[n].div_exact(Z_MINUS_ZINV)
+        rep.residual(f"psi(P,P) n={2 * n - 1}", lc([(1, psi_pq[2 * n - 1]), (_HALF, c)]))
         if 2 * n <= size:
-            am = _a(fam, 2 * n - 1)
-            num = lc([((1 + am) * c2, prev), (-am, pn.shift(1)), (-1, pn.shift(-1)),
-                      (-a2 * (1 + am), pn)])
-            res = lc([(1, psi[2 * n]), (-1, num.div_exact(Z_MINUS_ZINV))])
-            rep.residual(f"psi(P,P) n={2 * n}", res)
+            lead = 1 + _a(fam, 2 * n - 1)
+            rep.residual(f"psi(P,P) n={2 * n}", lc([(1, psi_pq[2 * n]), (-lead / 2, c)]))
 
     # P_n = psi_2n + (1 + a_{2n-1}) psi_{2n-1}
     # (z - 1/z) Q_{n-1} = -psi_2n + (1 - a_{2n-1}) psi_{2n-1}

@@ -1,8 +1,8 @@
 """Identities formed out of other identities' residuals.
 
 The verifier builds each base residual once per family (K psi_n -
-lambda_n psi_n, the reflection rows A_n and B_n, the P three-term rows
-T_n, the psi(P,Q) rows E_k) and forms every identity that follows from
+lambda_n psi_n, the reflection rows A_n and B_n, the P and Q three-term
+rows, the psi(P,Q) rows E_k) and forms every identity that follows from
 them as a short combination of those residuals.  The direct formulas
 live here as the reference model: on clean, corrupted and perturbed
 families every rewritten check must read exactly what the direct formula
@@ -17,7 +17,8 @@ import pytest
 
 from circlejacobi import algebra, cmv, dunkl, suites, szego
 from circlejacobi.dunkl import apply_k, lambda_n
-from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV
+from circlejacobi.errors import NotDivisible
+from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV, Z_PLUS_ZINV
 from circlejacobi.opuc import (
     JacobiParams,
     OPUCFamily,
@@ -53,6 +54,22 @@ def direct_y_psi(fam, n_max=None):
     return {f"Y psi n={n}": lc([*_y_direct(fam.psi[n], p),
                                 (-algebra.big_lambda(p, n), fam.psi[n])])
             for n in range(top + 1)}
+
+
+def direct_y_eigen(fam, n_max=None):
+    """Y psi_n, and Y P_n and Y F_n = Y (z - 1/z) Q_{n-1} from K applied
+    twice, with the reflection sign of F_n read on F_n itself."""
+    p = fam.params
+    top = fam.size if n_max is None else n_max
+    out = direct_y_psi(fam, n_max)
+    for n in range(min(top, p_top(fam.size)) + 1):
+        f = build_p(fam, n).poly
+        out[f"Y P n={n}"] = lc([*_y_direct(f, p), (-algebra.big_lambda(p, 2 * n), f)])
+    for n in range(1, min(top, q_top(fam.size) + 1) + 1):
+        f = Z_MINUS_ZINV * build_q(fam, n - 1).poly
+        out[f"Y F n={n}"] = lc([*_y_direct(f, p), (-algebra.big_lambda(p, 2 * n), f)])
+        out[f"R F n={n}"] = Check(f"R F n={n}", f.reflect() == -f)
+    return out
 
 
 def direct_tie_in(fam, matrix_size):
@@ -121,6 +138,44 @@ def direct_transforms(fam):
         dq = Z_MINUS_ZINV * Q[n - 1]
         out[f"P from psi n={n}"] = P[n] - psi[2 * n] - (1 + am) * psi[2 * n - 1]
         out[f"Q from psi n={n}"] = dq + psi[2 * n] + (am - 1) * psi[2 * n - 1]
+    for n in range(1, p_top(fam.size) + 1):
+        a2 = a(fam, 2 * n - 2)
+        c2 = (1 - a(fam, 2 * n - 3)) * (1 - a2 ** 2)
+        num = LaurentPoly({1: 1, 0: a2}) * P[n] - c2 * P[n - 1]
+        out[f"psi(P,P) n={2 * n - 1}"] = psi[2 * n - 1] - num.div_exact(Z_MINUS_ZINV)
+        if 2 * n <= fam.size:
+            am = a(fam, 2 * n - 1)
+            num = (1 + am) * c2 * P[n - 1] - LaurentPoly({1: am, 0: a2 * (1 + am), -1: 1}) * P[n]
+            out[f"psi(P,P) n={2 * n}"] = psi[2 * n] - num.div_exact(Z_MINUS_ZINV)
+    return out
+
+
+def direct_closure(fam):
+    """The fit by expanding x p_n - p_{n+1} at every step: b_n and u_n read
+    off it, and the span tested on what b_n p_n + u_n p_{n-1} leaves."""
+    if fam.size < 3:
+        raise ValueError("need a family of size >= 3")
+    out = {}
+    for name, tilde, build, b_of, u_of, top in (
+        ("P", "", build_p, szego.b_coeff, szego.u_coeff, p_top(fam.size) - 1),
+        ("Q", "~", build_q, szego.bt_coeff, szego.ut_coeff, q_top(fam.size) - 1),
+    ):
+        chain = [build(fam, n).poly for n in range(top + 2)]
+        for n, f in enumerate(chain):
+            if f.coeff(n) != 1 or f.max_exp != n:
+                raise ValueError(f"chain element {n} is not monic of degree {n}")
+        clean = True
+        for n in range(top + 1):
+            diff = Z_PLUS_ZINV * chain[n] - chain[n + 1]
+            fit = {"b": diff.coeff(n)}
+            if n >= 1:
+                fit["u"] = diff.coeff(n - 1) - fit["b"] * chain[n].coeff(n - 1)
+                clean &= (diff - fit["b"] * chain[n] - fit["u"] * chain[n - 1]).is_zero
+            for sym, got in fit.items():
+                want = (b_of if sym == "b" else u_of)(fam, n)
+                label = f"{sym}{tilde}_{n}"
+                out[label] = Check(label, got == want, "" if got == want else f"fit {got} != {want}")
+        out[f"{name} chain in span"] = Check(f"{name} chain in span", clean)
     return out
 
 
@@ -143,13 +198,16 @@ def corrupted_family(seed):
     return suites.family(_point(rng), n, corrupt_a=rng.randint(0, n - 1))
 
 
-def perturbed_family(seed, tagged=True):
+def perturbed_family(seed, tagged=True, odd=False):
     """A family whose psi_n, P_n and Q_n are moved at random: psi by
     rational monomials, Q_n by a symmetric polynomial, and P_n by a
     symmetric multiple of (z - 1/z)^2, which keeps the psi(P,P) divisions
-    exact.  Untagged families carry random coefficients and no params."""
+    exact.  Untagged families carry random coefficients and no params;
+    odd ones have an odd size, whose top P_n and F_n have no psi_2n."""
     rng = random.Random(seed)
     n = rng.randint(3, 14)
+    if odd:
+        n |= 1
     if tagged:
         base = build_family(_point(rng), n)
     else:
@@ -160,7 +218,7 @@ def perturbed_family(seed, tagged=True):
         for k, f in enumerate(base.psi)
     )
     fam = OPUCFamily(params=base.params, a=base.a, phi=base.phi, h=base.h, psi=psi)
-    x = LaurentPoly({-1: 1, 1: 1})
+    x = Z_PLUS_ZINV
     d2 = Z_MINUS_ZINV * Z_MINUS_ZINV
     for k in range(p_top(n) + 1):
         move = d2 * x ** rng.randint(0, 2) * _rational(rng) if rng.random() < 0.5 else 0
@@ -171,11 +229,26 @@ def perturbed_family(seed, tagged=True):
     return fam
 
 
+def shifted_family(seed):
+    """A family whose P_k and Q_j, k >= 2 and j >= 1 drawn at random, are
+    moved by rational constants: both chains stay monic, so the recurrence
+    fit reads them, but x P_k - P_{k+1} leaves span(P_k, P_{k-1}), and
+    (z - 1/z) no longer divides the psi(P,P) numerators of P_k."""
+    rng = random.Random(seed)
+    n = rng.randint(5, 14)
+    fam = build_family(_point(rng), n)
+    k, j = rng.randint(2, p_top(n)), rng.randint(1, q_top(n))
+    fam.derived[("P", k)] = SymmetricLaurent(build_p(fam, k).poly + rng.randint(1, 9))
+    fam.derived[("Q", j)] = SymmetricLaurent(build_q(fam, j).poly + _rational(rng) + 1)
+    return fam
+
+
 SEEDS = range(20)
 
 
 def _families(seed):
-    return [corrupted_family(seed), perturbed_family(seed), perturbed_family(seed, tagged=False)]
+    return [corrupted_family(seed), perturbed_family(seed), perturbed_family(seed, tagged=False),
+            perturbed_family(seed, odd=True), shifted_family(seed)]
 
 
 # --------------------------------------------------------------------------
@@ -187,13 +260,15 @@ def _with_direct(rep, direct):
     """rep with every check named in direct replaced by the direct verdict."""
     labels = [c.label for c in rep.checks]
     assert set(direct) <= set(labels)
+
+    def verdict(label):
+        res = direct[label]
+        if isinstance(res, Check):
+            return res
+        return Check(label, res.is_zero, "" if res.is_zero else res.text())
+
     want = copy.deepcopy(rep)
-    want.checks = [
-        Check(c.label, direct[c.label].is_zero,
-              "" if direct[c.label].is_zero else direct[c.label].text())
-        if c.label in direct else c
-        for c in rep.checks
-    ]
+    want.checks = [verdict(c.label) if c.label in direct else c for c in rep.checks]
     return want
 
 
@@ -212,14 +287,16 @@ def assert_matches_direct(verify, direct, fam):
 # (report, direct formulas, whether the report needs the family's params)
 CASES = [
     pytest.param(dunkl.verify_bispectral, direct_bispectral, True, id="bispectral"),
-    pytest.param(algebra.y_eigencheck, direct_y_psi, True, id="y_eigencheck"),
+    pytest.param(algebra.y_eigencheck, direct_y_eigen, True, id="y_eigencheck"),
     pytest.param(lambda fam: algebra.y_eigencheck(fam, 5),
-                 lambda fam: direct_y_psi(fam, 5), True, id="y_eigencheck-n_max"),
+                 lambda fam: direct_y_eigen(fam, 5), True, id="y_eigencheck-n_max"),
     pytest.param(cmv.verify_reflection_rows, direct_reflection, False, id="reflection_rows"),
     pytest.param(cmv.verify_gevp_and_five_term, direct_cmv_rows, False,
                  id="gevp_and_five_term"),
     pytest.param(szego.verify_three_term, direct_three_term, False, id="three_term"),
     pytest.param(szego.verify_transforms, direct_transforms, False, id="transforms"),
+    pytest.param(szego.verify_recurrence_closure, direct_closure, False,
+                 id="recurrence_closure"),
 ]
 
 
@@ -239,18 +316,45 @@ class TestReferenceModel:
 
     def test_perturbed_families_exercise_every_rewrite(self):
         # the comparison above shows something only if the base residuals
-        # and the checks formed from them are nonzero on these families
+        # and the checks formed from them are nonzero on these families;
+        # a perturbed chain may stop being monic, and a shifted one stops
+        # the psi(P,P) division, so those reports raise instead
         failing = set()
         for seed in SEEDS:
-            fam = perturbed_family(seed)
-            for verify in (dunkl.verify_bispectral, algebra.y_eigencheck,
-                           cmv.verify_reflection_rows, cmv.verify_gevp_and_five_term,
-                           szego.verify_three_term, szego.verify_transforms):
-                failing |= {c.label for c in verify(fam).failures}
-        for prefix in ("n=", "Y psi n=", "M1 row", "M2 row", "pencil row", "C row", "P n=",
-                       "christoffel n=", "christoffel' n=", "psi(P,Q) n=", "P from psi n=",
-                       "Q from psi n="):
+            for fam in (perturbed_family(seed), perturbed_family(seed, odd=True),
+                        shifted_family(seed)):
+                for verify in (dunkl.verify_bispectral, algebra.y_eigencheck,
+                               cmv.verify_reflection_rows, cmv.verify_gevp_and_five_term,
+                               szego.verify_three_term, szego.verify_transforms,
+                               szego.verify_recurrence_closure):
+                    try:
+                        failing |= {c.label for c in verify(fam).failures}
+                    except (ValueError, NotDivisible):
+                        pass
+        for prefix in ("n=", "Y psi n=", "Y P n=", "Y F n=", "M1 row", "M2 row", "pencil row",
+                       "C row", "P n=", "Q n=", "christoffel n=", "christoffel' n=",
+                       "psi(P,Q) n=", "psi(P,P) n=", "P from psi n=", "Q from psi n=",
+                       "P chain in span", "Q chain in span"):
             assert any(label.startswith(prefix) for label in failing), prefix
+
+    def test_odd_families_reach_the_top_pair(self):
+        # at odd N the top P_n and F_n are formed without psi_2n
+        for seed in SEEDS:
+            fam = perturbed_family(seed, odd=True)
+            top = p_top(fam.size)
+            assert fam.size % 2 and 2 * top > fam.size
+            labels = {c.label for c in algebra.y_eigencheck(fam).checks}
+            assert {f"Y P n={top}", f"Y F n={top}"} <= labels
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_psi_pp_division_fails_as_direct(self, seed):
+        # moving P_k by a constant leaves a numerator that z - 1/z does
+        # not divide; the report raises as the direct formula does
+        fam = shifted_family(seed)
+        with pytest.raises(NotDivisible):
+            direct_transforms(fam)
+        with pytest.raises(NotDivisible):
+            szego.verify_transforms(fam)
 
     def test_small_family_raises_as_direct(self):
         fam = build_family(JacobiParams(F(1), F(2)), 2)
@@ -261,21 +365,28 @@ class TestReferenceModel:
             assert_matches_direct(verify, direct, fam)
 
 
+def live_lincomb_terms(monkeypatch):
+    """The list that every later LaurentPoly.lincomb call appends its
+    nonzero terms to."""
+    live = []
+    orig = LaurentPoly.lincomb
+
+    def counted(terms):
+        terms = list(terms)
+        live.extend(f for c, f in terms if c and f)
+        return orig(terms)
+
+    monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(counted))
+    return live
+
+
 class TestCleanFamilyCost:
     def test_cmv_rows_pass_no_nonzero_term(self, monkeypatch):
         # after the reflection rows, the pencil and C rows of a clean
         # family are combinations of zero residuals
         fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
         assert cmv.verify_reflection_rows(fam).ok
-        live = []
-        orig = LaurentPoly.lincomb
-
-        def counted(terms):
-            terms = list(terms)
-            live.extend(f for c, f in terms if c and f)
-            return orig(terms)
-
-        monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(counted))
+        live = live_lincomb_terms(monkeypatch)
         rep = cmv.verify_gevp_and_five_term(fam)
         assert rep.ok and rep.checks
         assert live == []
@@ -301,6 +412,54 @@ class TestCleanFamilyCost:
         assert algebra.y_eigencheck(fam).ok
         assert seen == []
 
+    @pytest.mark.parametrize("size", [24, 25])
+    def test_y_pairs_take_no_p_or_f_through_k(self, size, monkeypatch):
+        # Y P_n and Y F_n are formed from the Y psi and psi(P,Q) residuals,
+        # zero on a clean family; only at odd N does the top index, which
+        # has no psi_2n, take a nonzero polynomial through K
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
+        assert dunkl.verify_bispectral(fam).ok and szego.verify_transforms(fam).ok
+        last = p_top(size) - size % 2
+        images = {build_p(fam, n).poly for n in range(last + 1)}
+        images |= {Z_MINUS_ZINV * build_q(fam, n - 1).poly for n in range(1, last + 1)}
+        seen = []
+
+        def counted(f, p):
+            if f in images:
+                seen.append(f)
+            return apply_k(f, p)
+
+        monkeypatch.setattr(algebra, "apply_k", counted)
+        assert algebra.y_eigencheck(fam).ok
+        assert seen == []
+
+    @pytest.mark.parametrize("size", [24, 25])
+    def test_transforms_divide_only_zero(self, size, monkeypatch):
+        # psi(P,P) divides C'_n, zero on a clean family, by z - 1/z
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
+        assert szego.verify_three_term(fam).ok  # builds the chains, whose Q divides
+        dividends = []
+        orig = LaurentPoly.div_exact
+
+        def counted(self, divisor):
+            dividends.append(self)
+            return orig(self, divisor)
+
+        monkeypatch.setattr(LaurentPoly, "div_exact", counted)
+        assert szego.verify_transforms(fam).ok
+        assert len(dividends) == p_top(size) and not any(dividends)
+
+    @pytest.mark.parametrize("size", [24, 25])
+    def test_closure_passes_no_nonzero_term(self, size, monkeypatch):
+        # after the three-term check, every span residual of a clean family
+        # is a combination of zero residuals with zero coefficients
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
+        assert szego.verify_three_term(fam).ok
+        live = live_lincomb_terms(monkeypatch)
+        rep = szego.verify_recurrence_closure(fam)
+        assert rep.ok and len(rep.checks) > 2
+        assert live == []
+
 
 class TestMemo:
     def test_all_suites_leave_only_documented_keys(self):
@@ -308,7 +467,7 @@ class TestMemo:
         suites.run("all", fam)
         doc = OPUCFamily.__doc__
         kinds = {k[0] if isinstance(k, tuple) else k for k in fam.derived}
-        assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term",
+        assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term", "psi(P,Q)",
                          "representation", "moments"}
         for key in fam.derived:
             shown = f'``("{key[0]}",' if isinstance(key, tuple) else f'``"{key}"``'

@@ -35,6 +35,16 @@ from conftest import GRID
 F = Fraction
 
 
+def span_residuals(chain, b, u):
+    """x p_n - p_{n+1} - b_n p_n - u_n p_{n-1} for n >= 1, from fitted b, u."""
+    return [
+        LaurentPoly.lincomb([(1, chain[n].poly.shift(1)), (1, chain[n].poly.shift(-1)),
+                             (-1, chain[n + 1].poly), (-b[n], chain[n].poly),
+                             (-u[n], chain[n - 1].poly)])
+        for n in range(1, len(chain) - 1)
+    ]
+
+
 class TestSymmetricLaurent:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -108,8 +118,8 @@ class TestClassicalOracle:
     def test_three_term_internal_consistency(self):
         # the oracle chain satisfies its own recurrence when refit
         chain = [classical_jacobi_oracle(F(1), F(2), n) for n in range(7)]
-        b, u, clean = fit_recurrence(chain)
-        assert clean
+        b, u = fit_recurrence(chain)
+        assert not any(span_residuals(chain, b, u))
         assert all(x > 0 for x in u[1:])
 
 
@@ -145,7 +155,7 @@ class TestBuildPQ:
         assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
         assert set(fam.derived) == {("P", n) for n in range(p_top(11) + 1)} | {
             ("Q", n) for n in range(q_top(11) + 1)
-        } | {"three-term"}
+        } | {("three-term", "P"), ("three-term", "Q"), "psi(P,Q)"}
 
     def test_memo_is_per_family_not_per_params(self, family):
         # a corrupted family carries the clean family's params; it must
@@ -262,8 +272,8 @@ class TestVerifications:
             SymmetricLaurent(x_power(2)),
             SymmetricLaurent(x_power(3) + x_power(0)),
         ]
-        _, _, clean = fit_recurrence(chain)
-        assert not clean
+        b, u = fit_recurrence(chain)
+        assert any(span_residuals(chain, b, u))
 
     def test_fit_rejects_non_monic_chain(self):
         chain = [
