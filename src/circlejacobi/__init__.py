@@ -64,7 +64,6 @@ from .opuc import (
 )
 from .report import Check, VerificationReport
 from .szego import (
-    SymmetricLaurent,
     build_p,
     build_q,
     classical_jacobi_chain,
@@ -88,7 +87,6 @@ __all__ = [
     "MomentSeq",
     "OPUCFamily",
     "Rational",
-    "SymmetricLaurent",
     "VerificationReport",
     "Weight",
     "apply_k",

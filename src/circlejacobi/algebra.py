@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .cmv import BandedOperator, build_m1, build_m2
+from .cmv import BandedOperator, build_m1, build_m2, family_operators
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate, InconsistentSystem
 from .laurent import LaurentPoly
@@ -187,13 +187,12 @@ def _representation(p: JacobiParams, size: int):
 
 
 def family_representation(fam: OPUCFamily, size: int):
-    """``_representation`` at the family's parameters, built once per
-    family and size and kept in ``fam.derived``, so the matrix relations
-    and the central extension read one build."""
-    key = ("representation", size)
-    if key not in fam.derived:
-        fam.derived[key] = _representation(fam.params, size)
-    return fam.derived[key]
+    """``_representation`` at the family's parameters.  M1 and M2 are
+    ``cmv.family_operators``, built once per family and size, so the
+    matrix relations, the central extension and, at size N + 1, the CMV
+    row checks read one build; the diagonal K is formed per call."""
+    m1, m2 = family_operators(fam, size)
+    return m1, m2, BandedOperator.diagonal([lambda_n(fam.params, n) for n in range(size)])
 
 
 def _rows_match(rep, label: str, terms: list[tuple[Fraction, BandedOperator]]) -> None:
@@ -456,10 +455,11 @@ def _y_pair_residual(fam: OPUCFamily, n: int, sign: int, f_terms: list,
         [*terms, *_y_terms(apply_k(g, p), p), (-big_lambda(p, 2 * n), g)])
 
 
-def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationReport:
+def y_eigencheck(fam: OPUCFamily) -> VerificationReport:
     """Y psi_n = Lambda_n psi_n with the paired eigenvalues, and the
     symmetric/antisymmetric eigenfunctions P_n, F_n = (z - 1/z) Q_{n-1}
-    distinguished only by the reflection sign.
+    distinguished only by the reflection sign, for every index the family
+    holds.
 
     "Y psi n" follows from the bispectral residual r_n = K psi_n -
     lambda_n psi_n (``dunkl.k_residual``) by linearity of K:
@@ -470,38 +470,35 @@ def y_eigencheck(fam: OPUCFamily, n_max: int | None = None) -> VerificationRepor
     s = alpha + beta + 1, the same Laurent polynomial as the direct
     K(K psi_n) - s K psi_n - Lambda_n psi_n for any psi_n.  "Y P n" and
     "Y F n" follow in turn from the "Y psi" residuals at 2n and 2n - 1
-    and the psi(P,Q) residuals (``_y_pair_residual``).  "R F n" reads
-    Q_{n-1} = Q_{n-1}(1/z), the same verdict as F_n(1/z) = -F_n, since
-    z - 1/z reflects to its negative and is no zero divisor."""
+    and the psi(P,Q) residuals (``_y_pair_residual``).  P_n and Q_{n-1}
+    are plain Laurent polynomials, so "R P n" and "R F n" certify their
+    parity.  "R F n" reads Q_{n-1} = Q_{n-1}(1/z), the same verdict as
+    F_n(1/z) = -F_n, since z - 1/z reflects to its negative and is no
+    zero divisor."""
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
     p = fam.params
-    if n_max is None:
-        n_max = fam.size
     rep = VerificationReport(
         identity="y-eigen",
         relation="Y psi_n = Lambda_n psi_n; Y P_n = Lambda_{2n} P_n; Y F_n = Lambda_{2n} F_n",
-        params={"alpha": p.alpha, "beta": p.beta, "n_max": n_max},
+        params={"alpha": p.alpha, "beta": p.beta, "n_max": fam.size},
     )
     lc = LaurentPoly.lincomb
-    for n in range(min(n_max, fam.size) + 1):
+    for n in range(fam.size + 1):
         lam = lambda_n(p, n)
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
-    # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n,
-    # for every n the report reads, Y P_n and Y F_n reaching 2n
-    top = min(n_max, p_top(fam.size))
-    y_psi = [lc(_y_psi_terms(fam, n, big_lambda(p, n)))
-             for n in range(min(fam.size, 2 * top) + 1)]
-    for n in range(min(n_max, fam.size) + 1):
-        rep.residual(f"Y psi n={n}", y_psi[n])
+    # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n
+    y_psi = [lc(_y_psi_terms(fam, n, big_lambda(p, n))) for n in range(fam.size + 1)]
+    for n, res in enumerate(y_psi):
+        rep.residual(f"Y psi n={n}", res)
     e = psi_pq_residuals(fam)
-    for n in range(top + 1):
-        pn = build_p(fam, n).poly
+    for n in range(p_top(fam.size) + 1):
+        pn = build_p(fam, n)
         rep.residual(f"Y P n={n}", _y_pair_residual(fam, n, 1, [(1, pn)], y_psi, e))
         rep.add(f"R P n={n}", pn.reflect() == pn)
-    for n in range(1, min(n_max, q_top(fam.size) + 1) + 1):
-        q = build_q(fam, n - 1).poly
+    for n in range(1, q_top(fam.size) + 2):
+        q = build_q(fam, n - 1)
         fn = [(1, q.shift(1)), (-1, q.shift(-1))]  # (z - 1/z) Q_{n-1}
         rep.residual(f"Y F n={n}", _y_pair_residual(fam, n, -1, fn, y_psi, e))
         rep.add(f"R F n={n}", q.reflect() == q)

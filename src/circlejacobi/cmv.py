@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import BadVerblunsky, ConvergenceFailure
 from .laurent import LaurentPoly
-from .opuc import OPUCFamily, family_params, verblunsky
+from .opuc import OPUCFamily, family_params, per_family, verblunsky
 from .report import VerificationReport
 
 if TYPE_CHECKING:
@@ -191,18 +191,14 @@ def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
     return _reflection_blocks(a, size, 0)
 
 
-def _pentadiagonal(m1: BandedOperator, m2: BandedOperator) -> BandedOperator:
-    """C = M1 M2, pentadiagonal by construction: the two bandwidth-1
-    factors give bandwidth 2, and the stored band is checked against it."""
-    c = m1 @ m2
+def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
+    """C = M1 M2 from the coefficients a, pentadiagonal by construction:
+    the two bandwidth-1 factors give bandwidth 2, and the stored band is
+    checked against it."""
+    c = build_m1(a, size) @ build_m2(a, size)
     if c.max_band() > 2:
         raise AssertionError("CMV product escaped the pentadiagonal band")
     return c
-
-
-def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
-    """C = M1 M2 from the coefficients a, checked to be pentadiagonal."""
-    return _pentadiagonal(build_m1(a, size), build_m2(a, size))
 
 
 def _reference_a(fam: OPUCFamily, count: int) -> list[Fraction]:
@@ -217,32 +213,28 @@ def _reference_a(fam: OPUCFamily, count: int) -> list[Fraction]:
     return list(fam.a[:count])
 
 
-def family_operators(fam: OPUCFamily) -> tuple[BandedOperator, BandedOperator, BandedOperator]:
-    """M1, M2 and C = M1 M2 at size fam.size + 1, built from
-    ``_reference_a`` once per family (C with its band check) and kept in
-    ``fam.derived``, so both row verifications read one build."""
-    if "cmv" not in fam.derived:
-        size = fam.size + 1
-        a = _reference_a(fam, size)
-        m1, m2 = build_m1(a, size), build_m2(a, size)
-        fam.derived["cmv"] = (m1, m2, _pentadiagonal(m1, m2))
-    return fam.derived["cmv"]
+@per_family("cmv")
+def family_operators(fam: OPUCFamily, size: int) -> tuple[BandedOperator, BandedOperator]:
+    """M1 and M2 at this size, built from ``_reference_a`` once per family
+    and size, so both row verifications (at size N + 1) and the algebra's
+    representation at the same size read one build."""
+    a = _reference_a(fam, size)
+    return build_m1(a, size), build_m2(a, size)
 
 
+@per_family("reflection")
 def reflection_residuals(fam: OPUCFamily) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """(A, B) with A_n = psi_n(1/z) - (M1 psi)_n on the valid rows of M1
     and B_n = z psi_n(1/z) - (M2 psi)_n on the valid rows of M2, built
-    once per family and kept in ``fam.derived``."""
-    if "reflection" not in fam.derived:
-        m1, m2, _ = family_operators(fam)
-        psi, lc = fam.psi, LaurentPoly.lincomb
-        fam.derived["reflection"] = (
-            [lc([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
-             for n in range(m1.valid_rows)],
-            [lc([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
-             for n in range(m2.valid_rows)],
-        )
-    return fam.derived["reflection"]
+    once per family."""
+    m1, m2 = family_operators(fam, fam.size + 1)
+    psi, lc = fam.psi, LaurentPoly.lincomb
+    return (
+        [lc([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
+         for n in range(m1.valid_rows)],
+        [lc([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
+         for n in range(m2.valid_rows)],
+    )
 
 
 def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
@@ -250,7 +242,7 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     z psi_n(1/z) = sum_m (M2)_{nm} psi_m on rows with complete blocks:
     the residuals A_n and B_n of ``reflection_residuals``."""
     size = fam.size + 1
-    m1, m2, _ = family_operators(fam)
+    m1, m2 = family_operators(fam, size)
     res_m1, res_m2 = reflection_residuals(fam)
     rep = VerificationReport(
         identity="reflection-rows",
@@ -277,13 +269,16 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
         (M2 psi)_n - z (M1 psi)_n = z A_n - B_n,
         (C psi)_n - z psi_n = -z A_n(1/z) - sum_m (M1)_{nm} B_m.
 
-    The second holds because C = M1 M2 (``family_operators``): its row n
-    is sum_m (M1)_{nm} (M2 psi)_m, and sum_m (M1)_{nm} psi_m(1/z) is
-    (M1 psi)_n evaluated at 1/z.  Every m that M1 row n reaches for
-    n < C.valid_rows is a valid row of M2."""
+    The second holds because C = M1 M2: its row n is
+    sum_m (M1)_{nm} (M2 psi)_m, and sum_m (M1)_{nm} psi_m(1/z) is
+    (M1 psi)_n evaluated at 1/z.  C itself is never built.  Its rows are
+    checked where the product ``M1 @ M2`` would be valid, n <
+    max(min(M1.valid_rows, M2.valid_rows - M1.bandwidth), 0); every m
+    that M1 row n reaches there is a valid row of M2."""
     size = fam.size + 1
-    m1, m2, c = family_operators(fam)
+    m1, m2 = family_operators(fam, size)
     res_m1, res_m2 = reflection_residuals(fam)
+    c_rows = max(min(m1.valid_rows, m2.valid_rows - m1.bandwidth), 0)
     rep = VerificationReport(
         identity="cmv-rows",
         relation="M2 psi = z M1 psi ; (M1 M2) psi = z psi",
@@ -296,7 +291,7 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
             rep.residual(f"pencil row {n}", lc([(1, res_m1[n].shift(1)), (-1, res_m2[n])]))
         else:
             rep.skip(f"pencil row {n} (boundary)")
-        if n < c.valid_rows:
+        if n < c_rows:
             res = lc([(-1, res_m1[n].reflect().shift(1)), *m1.row_terms(n, res_m2, -1)])
             rep.residual(f"C row {n}", res)
         else:

@@ -21,7 +21,7 @@ from math import lcm
 from .errors import NotDivisible
 from .laurent import LaurentPoly, _normal
 from .moments import MomentSeq, Weight, inner_product
-from .opuc import JacobiParams, OPUCFamily, family_params
+from .opuc import JacobiParams, OPUCFamily, family_params, per_family
 from .report import VerificationReport
 
 _ONE_MINUS_Z = LaurentPoly({0: 1, 1: -1})
@@ -74,17 +74,15 @@ def apply_k_single_moment(f: LaurentPoly) -> LaurentPoly:
     return out + refl.shift(1).div_exact(_ONE_MINUS_Z)
 
 
+@per_family("K")
 def k_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
     """r_n = K psi_n - lambda_n psi_n at the family's parameters.
 
-    Built once per family and kept in ``fam.derived``: the bispectral
-    check reports it, and the Y eigencheck and the central extension form
-    Y psi_n out of it, since K psi_n = lambda_n psi_n + r_n."""
-    key = ("K", n)
-    if key not in fam.derived:
-        p, psi = fam.params, fam.psi[n]
-        fam.derived[key] = LaurentPoly.lincomb([(1, apply_k(psi, p)), (-lambda_n(p, n), psi)])
-    return fam.derived[key]
+    Built once per family: the bispectral check reports it, and the Y
+    eigencheck and the central extension form Y psi_n out of it, since
+    K psi_n = lambda_n psi_n + r_n."""
+    p, psi = fam.params, fam.psi[n]
+    return LaurentPoly.lincomb([(1, apply_k(psi, p)), (-lambda_n(p, n), psi)])
 
 
 def lambda_n(p: JacobiParams, n: int) -> Fraction:

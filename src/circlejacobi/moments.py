@@ -23,8 +23,7 @@ oracles for the sum.
 A ``MomentSeq`` keeps each sigma_k of one weight once, and also as integer
 numerators over one common denominator, so ``inner_product`` is an
 integer dot product followed by one ``Fraction``.  The moments suite reads
-one ``MomentSeq`` per family and weight out of ``fam.derived``
-(``family_moments``).
+one ``MomentSeq`` per family and weight (``family_moments``).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from math import lcm
 
 from .errors import NonPositive, ParamOutOfRange
 from .laurent import LaurentPoly
-from .opuc import OPUCFamily, family_params
+from .opuc import OPUCFamily, family_params, per_family
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
@@ -136,13 +135,11 @@ class MomentSeq:
         return self._nums, self._den
 
 
+@per_family("moments")
 def family_moments(fam: OPUCFamily, w: Weight) -> MomentSeq:
-    """The MomentSeq of w for this family, made once and kept in
-    ``fam.derived``, so every moment report of the family shares it."""
-    key = ("moments", w)
-    if key not in fam.derived:
-        fam.derived[key] = MomentSeq(w)
-    return fam.derived[key]
+    """The MomentSeq of w for this family, made once per family, so every
+    moment report of the family shares it."""
+    return MomentSeq(w)
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:

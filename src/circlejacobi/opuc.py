@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .errors import BadSupport, BadVerblunsky, ParamOutOfRange
 from .laurent import LaurentPoly
@@ -125,7 +125,8 @@ class OPUCFamily:
     immutable: nothing in the package mutates a built family.
 
     ``derived`` keeps objects computed from this instance on first use,
-    so every check that reads them shares one build:
+    so every check that reads them shares one build.  Only
+    :func:`per_family` reads or writes it; its keys are:
 
     - ``("P", n)`` and ``("Q", n)``: the Szego chains (``szego.build_p``,
       ``szego.build_q``);
@@ -135,12 +136,11 @@ class OPUCFamily:
       (``szego.psi_pq_residuals``);
     - ``("K", n)``: the bispectral residual K psi_n - lambda_n psi_n
       (``dunkl.k_residual``);
-    - ``"cmv"``: M1, M2 and C = M1 M2 at size N + 1
-      (``cmv.family_operators``);
+    - ``("cmv", size)``: M1 and M2 at that size (``cmv.family_operators``),
+      read at size N + 1 by the row checks and at the algebra's own size
+      by ``algebra.family_representation``;
     - ``"reflection"``: the reflection residuals A_n and B_n of M1 and
       M2 (``cmv.reflection_residuals``);
-    - ``("representation", size)``: M1, M2 and the diagonal K of the
-      algebra at the family's parameters (``algebra.family_representation``);
     - ``("moments", w)``: the ``MomentSeq`` of weight w
       (``moments.family_moments``).
 
@@ -159,6 +159,25 @@ class OPUCFamily:
     def size(self) -> int:
         """Largest index N available for phi/psi."""
         return len(self.phi) - 1
+
+
+def per_family(name: str):
+    """Decorator: build(fam, *args) is computed once per family instance
+    and kept in ``fam.derived`` under the key (name, *args), or under
+    name alone when build takes nothing but the family."""
+
+    def decorate(build):
+        @wraps(build)
+        def memo(fam: OPUCFamily, *args):
+            key = (name, *args) if args else name
+            derived = fam.derived
+            if key not in derived:
+                derived[key] = build(fam, *args)
+            return derived[key]
+
+        return memo
+
+    return decorate
 
 
 def family_params(fam: OPUCFamily, **extra) -> dict:

@@ -61,13 +61,12 @@ def _algebra(fam: OPUCFamily) -> list[VerificationReport]:
 
 
 def _szego(fam: OPUCFamily) -> list[VerificationReport]:
-    half = szego.p_top(fam.size)
     return [
         szego.verify_three_term(fam),
         szego.verify_recurrence_closure(fam),
         szego.verify_transforms(fam),
-        szego.verify_classical_match(fam, half),
-        szego.verify_dep_and_pq_identity(fam, half),
+        szego.verify_classical_match(fam),
+        szego.verify_dep_and_pq_identity(fam),
     ]
 
 

@@ -9,8 +9,8 @@ the Verblunsky data, checks the Christoffel/Geronimus transforms
 connecting them, and matches everything against an independently coded
 classical Jacobi recurrence.
 
-Two families of residuals are built once per family and kept in
-``fam.derived``: the three-term residuals of both chains
+Two families of residuals are built once per family
+(``opuc.per_family``): the three-term residuals of both chains
 (``three_term_residuals``) and the residuals E_k of psi_k out of (P, Q)
 (``psi_pq_residuals``).  The identities that follow from them by ring
 algebra are formed out of them, the same Laurent polynomial as the
@@ -27,8 +27,10 @@ p_top(N) - 1 for P and q_top(N) - 1 for Q; the coefficients those steps
 read are all in the family.  Every P/Q size bound, here and in
 ``algebra`` and ``suites``, is one of these.
 
-Polynomials in x are stored as reflection-invariant Laurent polynomials
-in z; equality in x is decided as exact equality in z.
+Polynomials in x are plain Laurent polynomials in z, and equality in x
+is exact equality in z.  Nothing here assumes that P_n and Q_n are
+reflection-invariant: ``algebra.y_eigencheck`` checks their parity
+("R P n", "R F n").
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ParamOutOfRange
 from .laurent import LaurentPoly, Z_MINUS_ZINV, Z_PLUS_ZINV
-from .opuc import BOUNDARY_A, OPUCFamily, family_params
+from .opuc import BOUNDARY_A, OPUCFamily, family_params, per_family
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
@@ -50,15 +51,6 @@ _HALF = Fraction(1, 2)
 # --------------------------------------------------------------------------
 # The symmetrized variable x(z) = z + 1/z
 # --------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def x_power(k: int) -> LaurentPoly:
-    """(z + 1/z)^k."""
-    if k < 0:
-        raise ValueError("power must be >= 0")
-    return Z_PLUS_ZINV**k
-
 
 # A product by a fixed polynomial in z, as shifted terms of
 # LaurentPoly.lincomb, which normalizes the whole residual once.
@@ -79,46 +71,12 @@ def _d2_terms(f: LaurentPoly) -> list:
     return [(1, f.shift(2)), (-2, f), (1, f.shift(-2))]
 
 
-@dataclass(frozen=True)
-class SymmetricLaurent:
-    """A Laurent polynomial invariant under z -> 1/z.
-
-    Such polynomials are exactly the polynomials in x(z) = z + 1/z; the
-    peeled x-coefficients are available through x_coefficients().
-    """
-
-    poly: LaurentPoly
-
-    def __post_init__(self) -> None:
-        if self.poly.reflect() != self.poly:
-            raise ValueError(f"not reflection-invariant: {self.poly.text()}")
-
-    @property
-    def x_degree(self) -> int:
-        return 0 if self.poly.is_zero else self.poly.max_exp
-
-    def x_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients (c_0, ..., c_d) with poly = sum c_k x(z)^k."""
-        if self.poly.is_zero:
-            return ()
-        out = [_ZERO] * (self.x_degree + 1)
-        rem = self.poly
-        while not rem.is_zero:
-            d = rem.max_exp
-            if d < 0:
-                raise AssertionError("symmetric peel escaped into negative degrees")
-            c = rem.coeff(d)
-            out[d] = c
-            rem = rem - x_power(d) * c
-        return tuple(out)
-
-
 # --------------------------------------------------------------------------
 # Independent classical oracle (kept free of any circle-side input)
 # --------------------------------------------------------------------------
 
 
-def classical_jacobi_chain(alpha, beta, n: int) -> Iterator[SymmetricLaurent]:
+def classical_jacobi_chain(alpha, beta, n: int) -> Iterator[LaurentPoly]:
     """Yield the monic Jacobi polynomials P_0, ..., P_n with parameters
     (alpha, beta), rescaled from [-1, 1] to [-2, 2] (argument x/2).
 
@@ -151,18 +109,18 @@ def classical_jacobi_chain(alpha, beta, n: int) -> Iterator[SymmetricLaurent]:
         )
 
     prev = LaurentPoly.one()
-    yield SymmetricLaurent(prev)
+    yield prev
     if n == 0:
         return
     cur = LaurentPoly.lincomb([(1, Z_PLUS_ZINV), (-b_coeff(0), prev)])
-    yield SymmetricLaurent(cur)
+    yield cur
     for k in range(1, n):
         step = [*_x_terms(cur), (-b_coeff(k), cur), (-u_coeff(k), prev)]
         prev, cur = cur, LaurentPoly.lincomb(step)
-        yield SymmetricLaurent(cur)
+        yield cur
 
 
-def classical_jacobi_oracle(alpha, beta, n: int) -> SymmetricLaurent:
+def classical_jacobi_oracle(alpha, beta, n: int) -> LaurentPoly:
     """The degree-n member of classical_jacobi_chain(alpha, beta, n)."""
     for poly in classical_jacobi_chain(alpha, beta, n):
         pass
@@ -184,36 +142,30 @@ def q_top(size: int) -> int:
     return (size - 1) // 2
 
 
-def build_p(fam: OPUCFamily, n: int) -> SymmetricLaurent:
-    """P_n = z^(1-n) phi_{2n-1}(z) + z^(n-1) phi_{2n-1}(1/z), P_0 = 1.
-
-    Built once per family and kept in ``fam.derived``."""
-    key = ("P", n)
-    if key not in fam.derived:
-        if n == 0:
-            poly = LaurentPoly.one()
-        else:
-            t = fam.phi[2 * n - 1]
-            poly = LaurentPoly.lincomb([(1, t.shift(1 - n)), (1, t.reflect().shift(n - 1))])
-        fam.derived[key] = SymmetricLaurent(poly)
-    return fam.derived[key]
+@per_family("P")
+def build_p(fam: OPUCFamily, n: int) -> LaurentPoly:
+    """P_n = z^(1-n) phi_{2n-1}(z) + z^(n-1) phi_{2n-1}(1/z), P_0 = 1,
+    built once per family."""
+    if n == 0:
+        return LaurentPoly.one()
+    t = fam.phi[2 * n - 1]
+    return LaurentPoly.lincomb([(1, t.shift(1 - n)), (1, t.reflect().shift(n - 1))])
 
 
-def build_q(fam: OPUCFamily, n: int) -> SymmetricLaurent:
-    """Q_n = (z^-n phi_{2n+1}(z) - z^n phi_{2n+1}(1/z)) / (z - 1/z).
+@per_family("Q")
+def build_q(fam: OPUCFamily, n: int) -> LaurentPoly:
+    """Q_n = (z^-n phi_{2n+1}(z) - z^n phi_{2n+1}(1/z)) / (z - 1/z),
+    built once per family.
 
     The numerator is antisymmetric, hence vanishes at z = +-1, so the
-    division is exact.  Built once per family and kept in ``fam.derived``.
+    division is exact.
     """
-    key = ("Q", n)
-    if key not in fam.derived:
-        t = fam.phi[2 * n + 1]
-        num = LaurentPoly.lincomb([(1, t.shift(-n)), (-1, t.reflect().shift(n))])
-        fam.derived[key] = SymmetricLaurent(num.div_exact(Z_MINUS_ZINV))
-    return fam.derived[key]
+    t = fam.phi[2 * n + 1]
+    num = LaurentPoly.lincomb([(1, t.shift(-n)), (-1, t.reflect().shift(n))])
+    return num.div_exact(Z_MINUS_ZINV)
 
 
-def _chains(fam: OPUCFamily) -> tuple[list[SymmetricLaurent], list[SymmetricLaurent]]:
+def _chains(fam: OPUCFamily) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """P_0..P_{p_top} and Q_0..Q_{q_top} of the family, out of its memo."""
     if fam.size < 3:
         raise ValueError("need a family of size >= 3")
@@ -291,27 +243,21 @@ def _recurrences(fam: OPUCFamily) -> dict:
 
 def _three_term_residual(fam: OPUCFamily, chain, b_of, u_of, n: int) -> LaurentPoly:
     """chain_{n+1} + b_n chain_n + u_n chain_{n-1} - x chain_n."""
-    terms = [(1, chain[n + 1].poly), (b_of(fam, n), chain[n].poly),
-             *_x_terms(chain[n].poly, -1)]
+    terms = [(1, chain[n + 1]), (b_of(fam, n), chain[n]), *_x_terms(chain[n], -1)]
     if n >= 1:
-        terms.append((u_of(fam, n), chain[n - 1].poly))
+        terms.append((u_of(fam, n), chain[n - 1]))
     return LaurentPoly.lincomb(terms)
 
 
-def three_term_residuals(fam: OPUCFamily, name: str = "P") -> list[LaurentPoly]:
+@per_family("three-term")
+def three_term_residuals(fam: OPUCFamily, name: str) -> list[LaurentPoly]:
     """T_n = P_{n+1} + b_n P_n + u_n P_{n-1} - x P_n for n = 0 ..
-    p_top(N) - 1, or with name "Q" the Q residuals with (b~_n, u~_n) for
-    n = 0 .. q_top(N) - 1, built once per family and kept in
-    ``fam.derived``: the three-term check reports them, and the
-    Christoffel transform and the closure's span test are formed from
-    them."""
-    key = ("three-term", name)
-    if key not in fam.derived:
-        _, chain, b_of, u_of, top = _recurrences(fam)[name]
-        fam.derived[key] = [
-            _three_term_residual(fam, chain, b_of, u_of, n) for n in range(top + 1)
-        ]
-    return fam.derived[key]
+    p_top(N) - 1 (name "P"), or the Q residuals with (b~_n, u~_n) for
+    n = 0 .. q_top(N) - 1 (name "Q"), built once per family: the
+    three-term check reports them, and the Christoffel transform and the
+    closure's span test are formed from them."""
+    _, chain, b_of, u_of, top = _recurrences(fam)[name]
+    return [_three_term_residual(fam, chain, b_of, u_of, n) for n in range(top + 1)]
 
 
 def verify_three_term(fam: OPUCFamily) -> VerificationReport:
@@ -327,7 +273,7 @@ def verify_three_term(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
-def fit_recurrence(chain: list[SymmetricLaurent] | tuple[SymmetricLaurent, ...]):
+def fit_recurrence(chain: list[LaurentPoly] | tuple[LaurentPoly, ...]):
     """Read (b_n, u_n) off a monic chain by exact coefficient matching.
 
     Returns (b, u) with u_0 = 0.  The chain must be monic with
@@ -342,12 +288,12 @@ def fit_recurrence(chain: list[SymmetricLaurent] | tuple[SymmetricLaurent, ...])
     span(p_n, p_{n-1}) is not decided here (``verify_recurrence_closure``).
     """
     for n, p in enumerate(chain):
-        if p.poly.coeff(n) != 1 or p.poly.max_exp != n:
+        if p.coeff(n) != 1 or p.max_exp != n:
             raise ValueError(f"chain element {n} is not monic of degree {n}")
     b: list[Fraction] = []
     u: list[Fraction] = [_ZERO]
     for n in range(len(chain) - 1):
-        pn, nxt = chain[n].poly, chain[n + 1].poly
+        pn, nxt = chain[n], chain[n + 1]
         bn = pn.coeff(n - 1) - nxt.coeff(n)
         b.append(bn)
         if n >= 1:
@@ -380,8 +326,8 @@ def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
         want_u = [u_of(fam, n) for n in range(top + 1)]
         three_term = three_term_residuals(fam, name)
         clean = not any(
-            LaurentPoly.lincomb([(-1, three_term[n]), (want_b[n] - fit_b[n], chain[n].poly),
-                                 (want_u[n] - fit_u[n], chain[n - 1].poly)])
+            LaurentPoly.lincomb([(-1, three_term[n]), (want_b[n] - fit_b[n], chain[n]),
+                                 (want_u[n] - fit_u[n], chain[n - 1])])
             for n in range(1, top + 1)
         )
         rep.add(f"{name} chain in span", clean)
@@ -392,6 +338,7 @@ def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
+@per_family("psi(P,Q)")
 def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     """E_k, the residual of psi_k out of (P, Q), for k = 0 .. N:
 
@@ -399,23 +346,19 @@ def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
         E_2n = psi_2n - ((1 - a) P_n - (1 + a)(z - 1/z) Q_{n-1}) / 2,
 
     a = a_{2n-1}, and E_0 = psi_0 - P_0 (the Q term carries
-    1 + a_{-1} = 0).  Built once per family and kept in ``fam.derived``:
-    the transforms report them and form P and Q from psi and the
-    psi(P,P) rows out of them, and the Y eigencheck forms Y P_n and
-    Y F_n out of them.
+    1 + a_{-1} = 0).  Built once per family: the transforms report them
+    and form P and Q from psi and the psi(P,P) rows out of them, and the
+    Y eigencheck forms Y P_n and Y F_n out of them.
     """
-    if "psi(P,Q)" not in fam.derived:
-        lc, psi = LaurentPoly.lincomb, fam.psi
-        out = {0: lc([(1, psi[0]), (-1, build_p(fam, 0).poly)])}
-        for n in range(1, p_top(fam.size) + 1):
-            pn, q = build_p(fam, n).poly, build_q(fam, n - 1).poly
-            out[2 * n - 1] = lc([(1, psi[2 * n - 1]), (-_HALF, pn), *_d_terms(q, -_HALF)])
-            if 2 * n <= fam.size:
-                am = _a(fam, 2 * n - 1)
-                out[2 * n] = lc([(1, psi[2 * n]), ((am - 1) / 2, pn),
-                                 *_d_terms(q, (1 + am) / 2)])
-        fam.derived["psi(P,Q)"] = out
-    return fam.derived["psi(P,Q)"]
+    lc, psi = LaurentPoly.lincomb, fam.psi
+    out = {0: lc([(1, psi[0]), (-1, build_p(fam, 0))])}
+    for n in range(1, p_top(fam.size) + 1):
+        pn, q = build_p(fam, n), build_q(fam, n - 1)
+        out[2 * n - 1] = lc([(1, psi[2 * n - 1]), (-_HALF, pn), *_d_terms(q, -_HALF)])
+        if 2 * n <= fam.size:
+            am = _a(fam, 2 * n - 1)
+            out[2 * n] = lc([(1, psi[2 * n]), ((am - 1) / 2, pn), *_d_terms(q, (1 + am) / 2)])
+    return out
 
 
 def verify_transforms(fam: OPUCFamily) -> VerificationReport:
@@ -460,20 +403,19 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     christoffel_prime = {}
     for n in range(1, p_top(size) + 1):
         c2 = 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
-        christoffel_prime[n] = lc([*_d2_terms(q[n - 1].poly), *_x_terms(p[n].poly, -1),
-                                   (-2 * _a(fam, 2 * n - 2), p[n].poly), (c2, p[n - 1].poly)])
+        christoffel_prime[n] = lc([*_d2_terms(q[n - 1]), *_x_terms(p[n], -1),
+                                   (-2 * _a(fam, 2 * n - 2), p[n]), (c2, p[n - 1])])
 
     # (z - 1/z)^2 Q_{n-1} = P_{n+1} + (a_2n + a_{2n-2})(1 - a_{2n-1}) P_n
     #                       - (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
-    three_term = three_term_residuals(fam)
+    three_term = three_term_residuals(fam, "P")
     for n in range(1, q_top(size) + 1):
         a0, a1, a3 = _a(fam, 2 * n - 2), _a(fam, 2 * n - 1), _a(fam, 2 * n - 3)
         c1 = (_a(fam, 2 * n) + a0) * (1 - a1)
         c2 = (1 - a1) * (1 - a3) * (1 - a0 ** 2)
         e1 = c1 - 2 * a0 - b_coeff(fam, n)
         e2 = 2 * (1 - a3) * (1 - a0 ** 2) - c2 - u_coeff(fam, n)
-        res = lc([(1, christoffel_prime[n]), (-1, three_term[n]), (-e1, p[n].poly),
-                  (-e2, p[n - 1].poly)])
+        res = lc([(1, christoffel_prime[n]), (-1, three_term[n]), (-e1, p[n]), (-e2, p[n - 1])])
         rep.residual(f"christoffel n={n}", res)
     for n, res in christoffel_prime.items():
         rep.residual(f"christoffel' n={n}", res)
@@ -483,10 +425,10 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     for n in range(1, q_top(size) + 1):
         lead = 1 + _a(fam, 2 * n - 1)
         c1 = lead * (_a(fam, 2 * n) + _a(fam, 2 * n - 2))
-        terms = [(1, p[n].poly), (-1, q[n].poly), (c1, q[n - 1].poly)]
+        terms = [(1, p[n]), (-1, q[n]), (c1, q[n - 1])]
         if n >= 2:
             c2 = lead * (1 + _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
-            terms.append((c2, q[n - 2].poly))
+            terms.append((c2, q[n - 2]))
         # at n = 1 the Q_{-1} coefficient carries the factor 1 + a_{-1} = 0
         rep.residual(f"geronimus n={n}", lc(terms))
 
@@ -523,29 +465,29 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
-def verify_classical_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
+def verify_classical_match(fam: OPUCFamily) -> VerificationReport:
     """P_n equals the classical oracle at (alpha, beta) and Q_n equals it
-    at (alpha + 1, beta + 1), exactly."""
+    at (alpha + 1, beta + 1), exactly, for every P_n and Q_n the family
+    holds."""
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
     p = fam.params
     rep = VerificationReport(
         identity="classical-match",
         relation="P_n = monic Jacobi(alpha, beta), Q_n = monic Jacobi(alpha+1, beta+1) on [-2, 2]",
-        params=family_params(fam, n_max=n_max),
+        params=family_params(fam, n_max=p_top(fam.size)),
     )
-    top = min(n_max, p_top(fam.size))
-    for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, top)):
-        rep.residual(f"P n={n}", LaurentPoly.lincomb([(1, build_p(fam, n).poly), (-1, oracle.poly)]))
-    top = min(n_max, q_top(fam.size))
-    for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, top)):
-        rep.residual(f"Q n={n}", LaurentPoly.lincomb([(1, build_q(fam, n).poly), (-1, oracle.poly)]))
+    for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, p_top(fam.size))):
+        rep.residual(f"P n={n}", LaurentPoly.lincomb([(1, build_p(fam, n)), (-1, oracle)]))
+    for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, q_top(fam.size))):
+        rep.residual(f"Q n={n}", LaurentPoly.lincomb([(1, build_q(fam, n)), (-1, oracle)]))
     return rep
 
 
-def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationReport:
+def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
     """Two differential identities for the P chain, exact after clearing
-    the z^2 - 1 denominator using d/dz = (1/z) theta:
+    the z^2 - 1 denominator using d/dz = (1/z) theta, for every P_n the
+    family holds:
 
       (z^2-1) z^2 P_n'' + z((a+b+2) z^2 + 2(a-b) z + a+b) P_n'
           = n(n+a+b+1) (z^2-1) P_n
@@ -554,18 +496,18 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
     al, be = fam.params.alpha, fam.params.beta
+    top = p_top(fam.size)
     rep = VerificationReport(
         identity="hypergeometric-ode",
         relation="second-order ODE for P_n ; theta P_n = n (z - 1/z) Q_{n-1}",
-        params=family_params(fam, n_max=n_max),
+        params=family_params(fam, n_max=top),
     )
     lc = LaurentPoly.lincomb
     # the drift (a+b+2) z^3 + 2(a-b) z^2 + (a+b) z as (coefficient, power);
     # products by it and by z^2 - 1 become shifted terms
     drift = ((al + be + 2, 3), (2 * (al - be), 2), (al + be, 1))
-    top = min(n_max, p_top(fam.size))
     for n in range(top + 1):
-        f = build_p(fam, n).poly
+        f = build_p(fam, n)
         f1 = f.deriv()
         f2 = f1.deriv()
         ev = n * (n + al + be + 1)
@@ -573,8 +515,8 @@ def verify_dep_and_pq_identity(fam: OPUCFamily, n_max: int) -> VerificationRepor
         terms += [(c, f1.shift(k)) for c, k in drift]
         rep.residual(f"ODE n={n}", lc(terms))
     for n in range(top + 1):
-        terms = [(1, build_p(fam, n).poly.theta())]
+        terms = [(1, build_p(fam, n).theta())]
         if n:
-            terms += _d_terms(build_q(fam, n - 1).poly, -n)
+            terms += _d_terms(build_q(fam, n - 1), -n)
         rep.residual(f"theta-PQ n={n}", lc(terms))
     return rep

@@ -122,11 +122,11 @@ def test_criterion_5_szego_closure(family):
     with criterion(5, "interval pair: oracle match and transforms", 10.0) as c:
         for alpha, beta in GRID:
             fam = family(alpha, beta, 25)
-            c.absorb(verify_classical_match(fam, 12))
+            c.absorb(verify_classical_match(fam))
             c.absorb(verify_three_term(fam))
             c.absorb(verify_recurrence_closure(fam))
             c.absorb(verify_transforms(fam))
-            c.absorb(verify_dep_and_pq_identity(fam, 8))
+            c.absorb(verify_dep_and_pq_identity(fam))
 
 
 def test_criterion_6_second_order_eigenproblem(family):
@@ -139,7 +139,7 @@ def test_criterion_6_second_order_eigenproblem(family):
                     big_lambda(p, 2 * n) == want and big_lambda(p, 2 * n - 1) == want,
                     f"({alpha},{beta}) n={n}: paired eigenvalue mismatch",
                 )
-            c.absorb(y_eigencheck(family(alpha, beta, 22), 10))
+            c.absorb(y_eigencheck(family(alpha, beta, 22)))
 
 
 def test_criterion_7_single_moment_closed_forms(family):
@@ -184,8 +184,8 @@ def test_criterion_9_negative_control():
                 verify_gevp_and_five_term(fam),
                 orthogonality_check(fam, w, fam.size),
                 verify_toeplitz_h(fam, w, 8),
-                verify_classical_match(fam, (fam.size + 1) // 2),
-                verify_dep_and_pq_identity(fam, (fam.size + 1) // 2),
+                verify_classical_match(fam),
+                verify_dep_and_pq_identity(fam),
                 y_eigencheck(fam),
                 verify_central_extension(fam, d=3, matrix_size=12),
             ):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from circlejacobi import algebra, dunkl, suites
+from circlejacobi import algebra, cmv, dunkl, suites, szego
 from circlejacobi.algebra import (
     AlgebraParams,
     CanonicalForm,
@@ -25,7 +25,7 @@ from circlejacobi.algebra import (
 from circlejacobi.cmv import BandedOperator
 from circlejacobi.dunkl import lambda_n, verify_bispectral
 from circlejacobi.errors import Degenerate
-from circlejacobi.laurent import LaurentPoly
+from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV
 from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 from circlejacobi.szego import p_top, q_top
 
@@ -120,20 +120,20 @@ class TestFunctionalRealization:
             verify_relations_matrix(build_family(JacobiParams(0, 0), 3), 2)
 
     def test_algebra_suite_builds_one_representation(self, monkeypatch):
-        # the matrix relations and the central extension read one build
-        # out of the family
+        # the matrix relations and the central extension read one build of
+        # M1 and M2 out of the family, the one cmv.family_operators keeps
         sizes = []
-        orig = algebra._representation
+        orig = cmv.build_m1
 
-        def counted(p, size):
+        def counted(a, size):
             sizes.append(size)
-            return orig(p, size)
+            return orig(a, size)
 
-        monkeypatch.setattr(algebra, "_representation", counted)
+        monkeypatch.setattr(cmv, "build_m1", counted)
         fam = build_family(JacobiParams(F(1), F(2)), 24)
         assert all(rep.ok for rep in suites.run("algebra", fam))
         assert sizes == [21]
-        assert algebra.family_representation(fam, 21) is fam.derived[("representation", 21)]
+        assert algebra.family_representation(fam, 21)[:2] == fam.derived[("cmv", 21)]
 
 
 class TestMatrixIdentityFailures:
@@ -230,10 +230,30 @@ class TestYEigen:
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_y_eigenproblem(self, alpha, beta, family):
         fam = family(alpha, beta, 13)
-        rep = y_eigencheck(fam, 5)
+        rep = y_eigencheck(fam)
         assert rep.ok
         labels = {c.label.split(" ")[0] for c in rep.checks}
         assert {"Lambda", "Y", "R"} <= labels
+
+    @pytest.mark.parametrize("size", [12, 13])
+    def test_parity_checks_catch_an_antisymmetric_move(self, size):
+        # P_k moved by z - 1/z loses its symmetry: exactly its Y and R
+        # checks fail.  Q_{k-1} moved the same way breaks F_k alike.  At
+        # k = 1 the move of P_1 is F_1 itself, whose eigenvalue Lambda_2 is
+        # P_1's, so only the parity check sees it.
+        p = JacobiParams(F(3, 7), F(-2, 5))
+        for label, chain, build, first, top in (
+            ("P", "P", szego.build_p, 0, p_top(size)),
+            ("F", "Q", szego.build_q, 1, q_top(size) + 1),
+        ):
+            for k in range(first, top + 1):
+                fam = build_family(p, size)
+                j = k - first  # F_k reads Q_{k-1}
+                fam.derived[(chain, j)] = build(fam, j) + Z_MINUS_ZINV
+                want = {f"R {label} n={k}"}
+                if (label, k) != ("P", 1):
+                    want.add(f"Y {label} n={k}")
+                assert {c.label for c in y_eigencheck(fam).failures} == want
 
 
 class TestAsVerblunskySource:

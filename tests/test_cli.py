@@ -573,6 +573,27 @@ class TestEntryPoint:
         ]
         assert found == []
 
+    def test_only_per_family_touches_the_family_memo(self):
+        # every per-family build goes through opuc.per_family, so the key
+        # layout and the once-per-instance rule live in one place
+        src = Path(suites.__file__).parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = {
+                id(node)
+                for top in tree.body
+                if path.name == "opuc.py" and getattr(top, "name", None) == "per_family"
+                for node in ast.walk(top)
+            }
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "derived"
+                and id(node) not in allowed
+            ]
+        assert found == []
+
     def test_detection_survives_optimize_flag(self):
         # python -O strips every assert, so detection must not rest on one
         proc = subprocess.run(

@@ -13,6 +13,7 @@ from circlejacobi.opuc import (
     chi_basis,
     chi_index,
     family_from_verblunsky,
+    per_family,
     single_moment_phi,
     single_moment_verblunsky,
     star,
@@ -195,3 +196,48 @@ def test_structural_identities_hold_for_any_coefficients(a):
     assert verify_gevp_and_five_term(fam).ok
     for n in range(fam.size + 1):
         assert fam.h[n] > 0
+
+
+class TestPerFamily:
+    def test_builds_once_per_instance_and_args(self):
+        calls = []
+
+        @per_family("probe")
+        def probe(fam, *args):
+            calls.append((id(fam), args))
+            return [fam.a[0], *args]
+
+        p = JacobiParams(F(1), F(2))
+        fam = build_family(p, 4)
+        first = probe(fam)
+        assert probe(fam) is first
+        assert probe(fam, 3) is probe(fam, 3)
+        assert probe(fam, 3, "Q") is not probe(fam, 3)
+        assert calls == [(id(fam), ()), (id(fam), (3,)), (id(fam), (3, "Q"))]
+        # the key is the name alone without args, else (name, *args)
+        assert fam.derived == {"probe": first, ("probe", 3): [fam.a[0], 3],
+                               ("probe", 3, "Q"): [fam.a[0], 3, "Q"]}
+
+    def test_memo_belongs_to_the_instance_not_the_params(self):
+        @per_family("a0")
+        def a0(fam):
+            return fam.a[0]
+
+        p = JacobiParams(F(1), F(2))
+        clean = build_family(p, 4)
+        bad = family_from_verblunsky([clean.a[0] + F(1, 100), *clean.a[1:]], params=p)
+        assert bad.params == clean.params
+        assert a0(clean) == clean.a[0]
+        assert a0(bad) == clean.a[0] + F(1, 100)
+        assert clean.derived == {"a0": clean.a[0]}
+        assert bad.derived == {"a0": clean.a[0] + F(1, 100)}
+
+    def test_a_failed_build_leaves_no_entry(self):
+        @per_family("top")
+        def top(fam, n):
+            return fam.phi[n]
+
+        fam = build_family(JacobiParams(F(1), F(2)), 4)
+        with pytest.raises(IndexError):
+            top(fam, 9)
+        assert fam.derived == {}

@@ -7,10 +7,9 @@ import pytest
 
 from circlejacobi import suites
 from circlejacobi.errors import ParamOutOfRange
-from circlejacobi.laurent import LaurentPoly
+from circlejacobi.laurent import LaurentPoly, Z_PLUS_ZINV
 from circlejacobi.opuc import JacobiParams, build_family
 from circlejacobi.szego import (
-    SymmetricLaurent,
     b_coeff,
     bt_coeff,
     build_p,
@@ -27,79 +26,38 @@ from circlejacobi.szego import (
     verify_recurrence_closure,
     verify_three_term,
     verify_transforms,
-    x_power,
 )
 
 from conftest import GRID
 
 F = Fraction
+x = Z_PLUS_ZINV  # x(z) = z + 1/z
 
 
 def span_residuals(chain, b, u):
     """x p_n - p_{n+1} - b_n p_n - u_n p_{n-1} for n >= 1, from fitted b, u."""
     return [
-        LaurentPoly.lincomb([(1, chain[n].poly.shift(1)), (1, chain[n].poly.shift(-1)),
-                             (-1, chain[n + 1].poly), (-b[n], chain[n].poly),
-                             (-u[n], chain[n - 1].poly)])
+        LaurentPoly.lincomb([(1, chain[n].shift(1)), (1, chain[n].shift(-1)),
+                             (-1, chain[n + 1]), (-b[n], chain[n]), (-u[n], chain[n - 1])])
         for n in range(1, len(chain) - 1)
     ]
-
-
-class TestSymmetricLaurent:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymmetricLaurent(LaurentPoly({1: 1}))
-
-    def test_x_power(self):
-        assert x_power(0) == LaurentPoly.one()
-        assert x_power(2) == LaurentPoly({-2: 1, 0: 2, 2: 1})
-        with pytest.raises(ValueError):
-            x_power(-1)
-
-    def test_x_coefficients_roundtrip(self):
-        coeffs = (F(3), F(-1, 2), F(0), F(2, 7))
-        total = sum((x_power(k) * c for k, c in enumerate(coeffs)), LaurentPoly())
-        s = SymmetricLaurent(total)
-        assert s.x_coefficients() == coeffs
-        assert s.x_degree == 3
-
-    def test_x_coefficients_frozen(self):
-        # z^2 + 1/z^2 = x^2 - 2
-        s = SymmetricLaurent(LaurentPoly({2: 1, -2: 1}))
-        assert s.x_coefficients() == (F(-2), F(0), F(1))
 
 
 class TestClassicalOracle:
     def test_legendre_frozen(self):
         # monic Legendre rescaled to [-2, 2]: p2 = x^2 - 4/3
-        assert classical_jacobi_oracle(0, 0, 0).x_coefficients() == (F(1),)
-        assert classical_jacobi_oracle(0, 0, 1).x_coefficients() == (F(0), F(1))
-        assert classical_jacobi_oracle(0, 0, 2).x_coefficients() == (
-            F(-4, 3),
-            F(0),
-            F(1),
-        )
+        assert classical_jacobi_oracle(0, 0, 0) == 1
+        assert classical_jacobi_oracle(0, 0, 1) == x
+        assert classical_jacobi_oracle(0, 0, 2) == x**2 - F(4, 3)
 
     def test_chebyshev_frozen(self):
         # the parameter sum -1 case exercises the cancelled n = 1 weight
-        assert classical_jacobi_oracle(F(-1, 2), F(-1, 2), 2).x_coefficients() == (
-            F(-2),
-            F(0),
-            F(1),
-        )
-        assert classical_jacobi_oracle(F(-1, 2), F(-1, 2), 3).x_coefficients() == (
-            F(0),
-            F(-3),
-            F(0),
-            F(1),
-        )
+        assert classical_jacobi_oracle(F(-1, 2), F(-1, 2), 2) == x**2 - 2
+        assert classical_jacobi_oracle(F(-1, 2), F(-1, 2), 3) == x**3 - 3 * x
 
     def test_asymmetric_frozen(self):
         # alpha = 3/2, beta = 1/2: first moment is -1/2
-        assert classical_jacobi_oracle(F(3, 2), F(1, 2), 1).x_coefficients() == (
-            F(1, 2),
-            F(1),
-        )
+        assert classical_jacobi_oracle(F(3, 2), F(1, 2), 1) == x + F(1, 2)
 
     def test_domain_guard(self):
         with pytest.raises(ParamOutOfRange):
@@ -109,10 +67,9 @@ class TestClassicalOracle:
 
     def test_chain_yields_every_degree_once(self):
         chain = list(classical_jacobi_chain(F(3, 7), F(-2, 5), 6))
-        assert [p.x_degree for p in chain] == list(range(7))
+        assert [p.max_exp for p in chain] == list(range(7))
         assert all(
-            p.poly == classical_jacobi_oracle(F(3, 7), F(-2, 5), n).poly
-            for n, p in enumerate(chain)
+            p == classical_jacobi_oracle(F(3, 7), F(-2, 5), n) for n, p in enumerate(chain)
         )
 
     def test_three_term_internal_consistency(self):
@@ -126,22 +83,25 @@ class TestClassicalOracle:
 class TestBuildPQ:
     def test_single_moment_frozen(self, family):
         fam = family(F(1, 2), F(-1, 2), 7)
-        assert build_p(fam, 0).x_coefficients() == (F(1),)
-        assert build_p(fam, 1).x_coefficients() == (F(1), F(1))  # x + 1
-        assert build_p(fam, 2).x_coefficients() == (F(-1), F(1), F(1))  # x^2+x-1
-        assert build_q(fam, 0).x_coefficients() == (F(1),)
-        assert build_q(fam, 1).x_coefficients() == (F(1, 2), F(1))  # x + 1/2
+        assert build_p(fam, 0) == 1
+        assert build_p(fam, 1) == x + 1
+        assert build_p(fam, 2) == x**2 + x - 1
+        assert build_q(fam, 0) == 1
+        assert build_q(fam, 1) == x + F(1, 2)
 
     def test_free_point_is_chebyshev(self, family):
         fam = family(F(-1, 2), F(-1, 2), 9)
-        assert build_p(fam, 2).x_coefficients() == (F(-2), F(0), F(1))
-        assert build_p(fam, 4).x_coefficients() == (F(2), F(0), F(-4), F(0), F(1))
+        # monic Chebyshev on [-2, 2]: P_n = z^n + z^-n
+        assert build_p(fam, 2) == x**2 - 2 == LaurentPoly({2: 1, -2: 1})
+        assert build_p(fam, 4) == x**4 - 4 * x**2 + 2 == LaurentPoly({4: 1, -4: 1})
 
     def test_monic_in_x(self, family):
         fam = family(F(1), F(2), 11)
+        # a symmetric Laurent polynomial's leading x-coefficient is its top
+        # z-coefficient
         for n in range(6):
-            assert build_p(fam, n).x_coefficients()[-1] == 1
-            assert build_q(fam, n).x_coefficients()[-1] == 1
+            for f in (build_p(fam, n), build_q(fam, n)):
+                assert f.reflect() == f and f.max_exp == n and f.coeff(n) == 1
 
 
     def test_chains_are_built_once_per_family(self, family):
@@ -162,15 +122,15 @@ class TestBuildPQ:
         # build its own chains, never read the clean ones
         clean = family(F(1), F(2), 16)
         half = (clean.size + 1) // 2
-        assert verify_classical_match(clean, half).ok
+        assert verify_classical_match(clean).ok
         bad = suites.family(clean.params, 16, corrupt_a=1)
         assert bad.params == clean.params and not bad.derived
         for n in range(2, half + 1):
             assert build_p(bad, n) != build_p(clean, n)
             assert build_q(bad, n - 1) != build_q(clean, n - 1)
-        assert not verify_classical_match(bad, half).ok
-        assert not verify_dep_and_pq_identity(bad, half).ok
-        assert verify_classical_match(clean, half).ok
+        assert not verify_classical_match(bad).ok
+        assert not verify_dep_and_pq_identity(bad).ok
+        assert verify_classical_match(clean).ok
 
 
 class TestRecurrenceCoefficients:
@@ -246,51 +206,36 @@ class TestVerifications:
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_classical_match(self, alpha, beta, family):
         fam = family(alpha, beta, 13)
-        assert verify_classical_match(fam, 6).ok
+        assert verify_classical_match(fam).ok
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_differential_identities(self, alpha, beta, family):
         fam = family(alpha, beta, 13)
-        assert verify_dep_and_pq_identity(fam, 6).ok
+        assert verify_dep_and_pq_identity(fam).ok
 
     def test_theta_pq_reaches_every_p_row(self, family):
         # theta P_n = n (z - 1/z) Q_{n-1} reads phi_{2n-1} on both sides, so
         # every n <= (size + 1) // 2 is checked and none is skipped
         for size in range(3, 21):
             fam = family(1, 2, size)
-            half = (size + 1) // 2
-            for n_max in (1, 3, half, half + 5):
-                rep = verify_dep_and_pq_identity(fam, n_max)
-                assert rep.skipped == []
-                assert len(rep.checks) == 2 * (min(n_max, half) + 1)
+            rep = verify_dep_and_pq_identity(fam)
+            assert rep.skipped == []
+            assert len(rep.checks) == 2 * ((size + 1) // 2 + 1)
 
     def test_fit_detects_broken_chain(self):
         # a chain that is not orthogonal: x p_n - p_{n+1} leaves the span
-        chain = [
-            SymmetricLaurent(LaurentPoly.one()),
-            SymmetricLaurent(x_power(1)),
-            SymmetricLaurent(x_power(2)),
-            SymmetricLaurent(x_power(3) + x_power(0)),
-        ]
+        chain = [x**0, x, x**2, x**3 + 1]
         b, u = fit_recurrence(chain)
         assert any(span_residuals(chain, b, u))
 
     def test_fit_rejects_non_monic_chain(self):
-        chain = [
-            SymmetricLaurent(LaurentPoly.one()),
-            SymmetricLaurent(x_power(1)),
-            SymmetricLaurent(x_power(2) * 2),
-        ]
+        chain = [x**0, x, x**2 * 2]
         with pytest.raises(ValueError, match="element 2 is not monic"):
             fit_recurrence(chain)
 
     def test_fit_rejects_wrong_degree_chain(self):
         # x^2 + x has z-coefficient 1 at z^1, but its degree is 2
-        chain = [
-            SymmetricLaurent(LaurentPoly.one()),
-            SymmetricLaurent(x_power(2) + x_power(1)),
-            SymmetricLaurent(x_power(2)),
-        ]
+        chain = [x**0, x**2 + x, x**2]
         with pytest.raises(ValueError, match="element 1 is not monic of degree 1"):
             fit_recurrence(chain)
 
@@ -367,6 +312,6 @@ class TestComplexity:
                 build_q(fam, n_q)
             calls[0] = 0
             assert verify_recurrence_closure(fam).ok
-            assert verify_classical_match(fam, (fam.size + 1) // 2).ok
+            assert verify_classical_match(fam).ok
             counts.append(calls[0])
         assert counts[1] / counts[0] <= 2.5, counts
