@@ -66,8 +66,6 @@ from .report import Check, VerificationReport
 from .szego import (
     build_p,
     build_q,
-    classical_jacobi_chain,
-    classical_jacobi_oracle,
     verify_classical_match,
     verify_dep_and_pq_identity,
     verify_recurrence_closure,
@@ -100,8 +98,6 @@ __all__ = [
     "build_xy",
     "build_xy_matrix",
     "canonicalize",
-    "classical_jacobi_chain",
-    "classical_jacobi_oracle",
     "cmv_matrix",
     "derive_representation",
     "determinantal_phi",

@@ -62,7 +62,7 @@ def _normal(lo: int, nums: Sequence[int], den: int) -> "LaurentPoly":
     while start < stop and not nums[start]:
         start += 1
     if start == stop:
-        return _make(0, (), 1)
+        return _ZERO_POLY
     g = gcd(den, *nums[start:stop])
     if g == 1:
         return _make(lo + start, tuple(nums[start:stop]), den)
@@ -191,7 +191,7 @@ class LaurentPoly:
         """
         live = [(c.numerator, c.denominator * f._den, f) for c, f in terms if c and f._num]
         if not live:
-            return _make(0, (), 1)
+            return _ZERO_POLY
         den = lcm(*{d for _, d, _ in live})
         lo = min(f._lo for _, _, f in live)
         out = [0] * (max(f._lo + len(f._num) for _, _, f in live) - lo)
@@ -400,6 +400,10 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()})"
 
+
+#: The zero polynomial that every zero sum shares (_normal, lincomb):
+#: instances are immutable, and a family holds hundreds of zero residuals.
+_ZERO_POLY = _make(0, (), 1)
 
 #: The monomial z, for building expressions.
 Z = LaurentPoly.monomial(1)

@@ -132,8 +132,15 @@ class OPUCFamily:
       ``szego.build_q``);
     - ``("three-term", "P")`` and ``("three-term", "Q")``: the P and Q
       three-term residuals (``szego.three_term_residuals``);
+    - ``("coefficients", "P")`` and ``("coefficients", "Q")``: the
+      closed-form (b_n, u_n) and (b~_n, u~_n) of both recurrences
+      (``szego.recurrence_coefficients``);
     - ``"psi(P,Q)"``: the residuals E_k of psi_k out of (P, Q)
       (``szego.psi_pq_residuals``);
+    - ``"christoffel'"``: the residuals C'_n of (z - 1/z)^2 Q_{n-1} out
+      of P_n and P_{n-1} (``szego.christoffel_prime_residuals``);
+    - ``"raising"``: the Jacobi raising residuals H_n of the ODE
+      (``szego.raising_residuals``);
     - ``("K", n)``: the bispectral residual K psi_n - lambda_n psi_n
       (``dunkl.k_residual``);
     - ``("cmv", size)``: M1 and M2 at that size (``cmv.family_operators``),

@@ -94,7 +94,9 @@ def reach(suite: str, n: int) -> int:
     """The highest index k whose a_k the suite reads at size n; moving a
     later a_k changes nothing the suite checks.  phi_j reads a_0..a_{j-1}.
     The Szegő oracle match and ODE stop at P_{p_top(n)}, built from
-    phi_{2 p_top(n) - 1}; its other identities read fam.a itself.
+    phi_{2 p_top(n) - 1}, which reads a_0..a_{2 p_top(n) - 2}; the
+    three-term, christoffel' and raising residuals they are formed from
+    read no later a_k.  Its other identities read fam.a itself.
     Orthogonality stops at phi_{min(n, 12)}.  Every other suite, and so
     "all", reads phi_n or psi_n."""
     if suite == "szego":

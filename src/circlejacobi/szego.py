@@ -6,19 +6,29 @@ quotient Q_n = (z^-n phi_{2n+1}(z) - z^n phi_{2n+1}(1/z)) / (z - 1/z)
 produce two monic chains in x(z) = z + 1/z.  This module builds both,
 once per family, derives their three-term recurrence coefficients from
 the Verblunsky data, checks the Christoffel/Geronimus transforms
-connecting them, and matches everything against an independently coded
-classical Jacobi recurrence.
+connecting them, and matches them against the classical Jacobi
+recurrence, whose coefficients (``jacobi_b``, ``jacobi_u``) read only
+(alpha, beta).
 
-Two families of residuals are built once per family
-(``opuc.per_family``): the three-term residuals of both chains
-(``three_term_residuals``) and the residuals E_k of psi_k out of (P, Q)
-(``psi_pq_residuals``).  The identities that follow from them by ring
+Five families of residuals and coefficients are built once per family
+(``opuc.per_family``): the closed-form recurrence coefficients of both
+chains (``recurrence_coefficients``), their three-term residuals T_n
+and T~_n (``three_term_residuals``), the residuals E_k of psi_k out of
+(P, Q) (``psi_pq_residuals``), the christoffel' residuals C'_n
+(``christoffel_prime_residuals``) and the raising residuals H_n
+(``raising_residuals``).  The identities that follow from them by ring
 algebra are formed out of them, the same Laurent polynomial as the
 direct formula for any input: the recurrence closure's span test
 (-T_n + (b^_n - b_n) p_n + (u^_n - u_n) p_{n-1}, with the fitted and the
-closed-form coefficients), the Christoffel row, P and Q from psi, and
-the psi(P,P) rows (E_k plus a multiple of C'_n / (z - 1/z)); so are
-Y P_n and Y F_n in ``algebra.y_eigencheck``.
+closed-form coefficients), the Christoffel row, P and Q from psi, the
+psi(P,P) rows (E_k plus a multiple of C'_n / (z - 1/z)), the classical
+match (P_n - O_n from T_n and the two coefficient sets), H_n from
+T_n, T~_{n-1} and C'_n, and the ODE from the direct theta-PQ residual
+and H_n; so are Y P_n and Y F_n in ``algebra.y_eigencheck``.  On a
+clean family these residuals are zero and the combinations cost next
+to nothing.  The classical match and the ODE still fail under a
+corrupted a_k: the oracle's (beta_n, upsilon_n), and mu_n, f3 and f4 of
+H_n, come from (alpha, beta), not from the family.
 
 Since P_n reads phi_{2n-1} and Q_n reads phi_{2n+1}, a family of size N
 carries P_0..P_{p_top(N)} and Q_0..Q_{q_top(N)}.  Each three-term
@@ -35,12 +45,9 @@ reflection-invariant: ``algebra.y_eigencheck`` checks their parity
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParamOutOfRange
-from .laurent import LaurentPoly, Z_MINUS_ZINV, Z_PLUS_ZINV
+from .laurent import LaurentPoly, Z_MINUS_ZINV
 from .opuc import BOUNDARY_A, OPUCFamily, family_params, per_family
 from .report import VerificationReport
 
@@ -72,59 +79,33 @@ def _d2_terms(f: LaurentPoly) -> list:
 
 
 # --------------------------------------------------------------------------
-# Independent classical oracle (kept free of any circle-side input)
+# The classical Jacobi recurrence (kept free of any circle-side input)
 # --------------------------------------------------------------------------
 
 
-def classical_jacobi_chain(alpha, beta, n: int) -> Iterator[LaurentPoly]:
-    """Yield the monic Jacobi polynomials P_0, ..., P_n with parameters
-    (alpha, beta), rescaled from [-1, 1] to [-2, 2] (argument x/2).
-
-    Runs the closed-form three-term recurrence for the monic chain once,
-    directly in z with x f = f.shift(1) + f.shift(-1), holding only the
-    two previous polynomials; the n = 1 step is taken in its cancelled
-    form so parameter sums near -1 stay well-defined.  This is the oracle
-    the circle construction is matched against, so it deliberately reads
-    no circle-side data.  The parameters are checked when iteration
-    starts.
-    """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if alpha <= -1 or beta <= -1:
-        raise ParamOutOfRange("oracle needs alpha > -1 and beta > -1")
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+def jacobi_b(alpha: Fraction, beta: Fraction, k: int) -> Fraction:
+    """beta_k of the monic Jacobi recurrence O_{k+1} = (x - beta_k) O_k -
+    upsilon_k O_{k-1} at (alpha, beta), rescaled from [-1, 1] to [-2, 2]
+    (argument x/2): 2(beta^2 - alpha^2) / ((2k + s)(2k + s + 2)) with
+    s = alpha + beta, taken at k = 0 in its cancelled form so s = 0
+    stays well-defined."""
     s = alpha + beta
-
-    def b_coeff(k: int) -> Fraction:
-        if k == 0:
-            return 2 * (beta - alpha) / (s + 2)
-        return 2 * (beta**2 - alpha**2) / ((2 * k + s) * (2 * k + s + 2))
-
-    def u_coeff(k: int) -> Fraction:
-        if k == 1:
-            return 16 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
-        return (
-            16 * k * (k + alpha) * (k + beta) * (k + s)
-            / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
-        )
-
-    prev = LaurentPoly.one()
-    yield prev
-    if n == 0:
-        return
-    cur = LaurentPoly.lincomb([(1, Z_PLUS_ZINV), (-b_coeff(0), prev)])
-    yield cur
-    for k in range(1, n):
-        step = [*_x_terms(cur), (-b_coeff(k), cur), (-u_coeff(k), prev)]
-        prev, cur = cur, LaurentPoly.lincomb(step)
-        yield cur
+    if k == 0:
+        return 2 * (beta - alpha) / (s + 2)
+    return 2 * (beta**2 - alpha**2) / ((2 * k + s) * (2 * k + s + 2))
 
 
-def classical_jacobi_oracle(alpha, beta, n: int) -> LaurentPoly:
-    """The degree-n member of classical_jacobi_chain(alpha, beta, n)."""
-    for poly in classical_jacobi_chain(alpha, beta, n):
-        pass
-    return poly
+def jacobi_u(alpha: Fraction, beta: Fraction, k: int) -> Fraction:
+    """upsilon_k (k >= 1) of the same recurrence:
+    16 k (k + alpha)(k + beta)(k + s) / ((2k + s)^2 (2k + s + 1)(2k + s - 1)),
+    taken at k = 1 in its cancelled form so s = -1 stays well-defined."""
+    s = alpha + beta
+    if k == 1:
+        return 16 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
+    return (
+        16 * k * (k + alpha) * (k + beta) * (k + s)
+        / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -167,12 +148,16 @@ def build_q(fam: OPUCFamily, n: int) -> LaurentPoly:
 
 def _chains(fam: OPUCFamily) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
     """P_0..P_{p_top} and Q_0..Q_{q_top} of the family, out of its memo."""
-    if fam.size < 3:
-        raise ValueError("need a family of size >= 3")
     return (
         [build_p(fam, n) for n in range(p_top(fam.size) + 1)],
         [build_q(fam, n) for n in range(q_top(fam.size) + 1)],
     )
+
+
+def _need_pair(fam: OPUCFamily) -> None:
+    """The three-term, closure and transforms reports need size >= 3."""
+    if fam.size < 3:
+        raise ValueError("need a family of size >= 3")
 
 
 def _a(fam: OPUCFamily, k: int) -> Fraction:
@@ -226,27 +211,39 @@ def bt_coeff(fam: OPUCFamily, n: int) -> Fraction:
     )
 
 
+_CLOSED_FORMS = {"P": (b_coeff, u_coeff, p_top), "Q": (bt_coeff, ut_coeff, q_top)}
+
+
+@per_family("coefficients")
+def recurrence_coefficients(fam: OPUCFamily, name: str) -> tuple[tuple, tuple]:
+    """(b_0..b_m, u_0..u_m) of the P recurrence (name "P", m = p_top(N) - 1)
+    or (b~, u~) of the Q recurrence ("Q", m = q_top(N) - 1), the closed
+    forms of every step that reads its chain's last member, computed once
+    per family: every recurrence, transform, classical and raising
+    residual reads them."""
+    b_of, u_of, top = _CLOSED_FORMS[name]
+    steps = range(top(fam.size))
+    return tuple(b_of(fam, n) for n in steps), tuple(u_of(fam, n) for n in steps)
+
+
+def _c2(fam: OPUCFamily, n: int) -> Fraction:
+    """2(1 - a_{2n-3})(1 - a_{2n-2}^2), the P_{n-1} weight of C'_n."""
+    return 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
+
+
 # --------------------------------------------------------------------------
 # Verifications
 # --------------------------------------------------------------------------
 
 
 def _recurrences(fam: OPUCFamily) -> dict:
-    """name -> (label tilde, chain, b, u, last n) of the P and the Q
-    recurrence: each stops one short of its chain's end."""
+    """name -> (label tilde, chain, b, u) of the P and the Q recurrence:
+    each stops one short of its chain's end."""
     p, q = _chains(fam)
     return {
-        "P": ("", p, b_coeff, u_coeff, p_top(fam.size) - 1),
-        "Q": ("~", q, bt_coeff, ut_coeff, q_top(fam.size) - 1),
+        "P": ("", p, *recurrence_coefficients(fam, "P")),
+        "Q": ("~", q, *recurrence_coefficients(fam, "Q")),
     }
-
-
-def _three_term_residual(fam: OPUCFamily, chain, b_of, u_of, n: int) -> LaurentPoly:
-    """chain_{n+1} + b_n chain_n + u_n chain_{n-1} - x chain_n."""
-    terms = [(1, chain[n + 1]), (b_of(fam, n), chain[n]), *_x_terms(chain[n], -1)]
-    if n >= 1:
-        terms.append((u_of(fam, n), chain[n - 1]))
-    return LaurentPoly.lincomb(terms)
 
 
 @per_family("three-term")
@@ -254,14 +251,22 @@ def three_term_residuals(fam: OPUCFamily, name: str) -> list[LaurentPoly]:
     """T_n = P_{n+1} + b_n P_n + u_n P_{n-1} - x P_n for n = 0 ..
     p_top(N) - 1 (name "P"), or the Q residuals with (b~_n, u~_n) for
     n = 0 .. q_top(N) - 1 (name "Q"), built once per family: the
-    three-term check reports them, and the Christoffel transform and the
-    closure's span test are formed from them."""
-    _, chain, b_of, u_of, top = _recurrences(fam)[name]
-    return [_three_term_residual(fam, chain, b_of, u_of, n) for n in range(top + 1)]
+    three-term check reports them, and the Christoffel transform, the
+    closure's span test, the classical match and the raising residuals
+    are formed from them."""
+    _, chain, b, u = _recurrences(fam)[name]
+    out = []
+    for n in range(len(b)):
+        terms = [(1, chain[n + 1]), (b[n], chain[n]), *_x_terms(chain[n], -1)]
+        if n >= 1:
+            terms.append((u[n], chain[n - 1]))
+        out.append(LaurentPoly.lincomb(terms))
+    return out
 
 
 def verify_three_term(fam: OPUCFamily) -> VerificationReport:
     """P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n, and the Q analogue."""
+    _need_pair(fam)
     rep = VerificationReport(
         identity="three-term",
         relation="P_{n+1} + b_n P_n + u_n P_{n-1} = x P_n (and Q with b~, u~)",
@@ -315,15 +320,15 @@ def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
     the same Laurent polynomial for any chain; "chain in span" holds when
     it is zero at every step.
     """
+    _need_pair(fam)
     rep = VerificationReport(
         identity="recurrence-closure",
         relation="fitted (b_n, u_n) and (b~_n, u~_n) = closed forms in a_k",
         params=family_params(fam),
     )
-    for name, (tilde, chain, b_of, u_of, top) in _recurrences(fam).items():
+    for name, (tilde, chain, want_b, want_u) in _recurrences(fam).items():
         fit_b, fit_u = fit_recurrence(chain)
-        want_b = [b_of(fam, n) for n in range(top + 1)]
-        want_u = [u_of(fam, n) for n in range(top + 1)]
+        top = len(want_b) - 1
         three_term = three_term_residuals(fam, name)
         clean = not any(
             LaurentPoly.lincomb([(-1, three_term[n]), (want_b[n] - fit_b[n], chain[n]),
@@ -361,6 +366,22 @@ def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     return out
 
 
+@per_family("christoffel'")
+def christoffel_prime_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
+    """C'_n = (z - 1/z)^2 Q_{n-1} - (x + 2 a_{2n-2}) P_n + c2_n P_{n-1}
+    for n = 1 .. p_top(N), c2_n = 2(1 - a_{2n-3})(1 - a_{2n-2}^2), built
+    once per family: the transforms report them and form the christoffel
+    and psi(P,P) rows out of them, and the raising residuals read them."""
+    out = {}
+    for n in range(1, p_top(fam.size) + 1):
+        pn = build_p(fam, n)
+        out[n] = LaurentPoly.lincomb([
+            *_d2_terms(build_q(fam, n - 1)), *_x_terms(pn, -1),
+            (-2 * _a(fam, 2 * n - 2), pn), (_c2(fam, n), build_p(fam, n - 1)),
+        ])
+    return out
+
+
 def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     """The Christoffel and Geronimus transforms between the chains plus
     the exact reconstruction of psi from (P, Q) or (P_n, P_{n-1}) and
@@ -369,7 +390,8 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     Four of the identities follow from others by ring algebra and are
     formed out of their residuals, which equals the direct formula for
     any psi, P and Q.  With T_n the P three-term residuals
-    (``three_term_residuals``) and C'_n the "christoffel'" residuals,
+    (``three_term_residuals``) and C'_n the "christoffel'" residuals
+    (``christoffel_prime_residuals``),
 
         christoffel_n = C'_n - T_n - e1 P_n - e2 P_{n-1},
         e1 = c1 - 2 a_{2n-2} - b_n,
@@ -389,6 +411,7 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     divisible by D exactly when C'_n is: NotDivisible is raised in the
     same cases, naming C'_n.
     """
+    _need_pair(fam)
     rep = VerificationReport(
         identity="szego-transforms",
         relation="Christoffel / Geronimus / psi reconstruction / PQ extraction",
@@ -397,24 +420,19 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     lc = LaurentPoly.lincomb
     p, q = _chains(fam)
     size = fam.size
-
-    # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1},
-    # formed first: the christoffel residual is built from it
-    christoffel_prime = {}
-    for n in range(1, p_top(size) + 1):
-        c2 = 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
-        christoffel_prime[n] = lc([*_d2_terms(q[n - 1]), *_x_terms(p[n], -1),
-                                   (-2 * _a(fam, 2 * n - 2), p[n]), (c2, p[n - 1])])
+    # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
+    christoffel_prime = christoffel_prime_residuals(fam)
 
     # (z - 1/z)^2 Q_{n-1} = P_{n+1} + (a_2n + a_{2n-2})(1 - a_{2n-1}) P_n
     #                       - (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
     three_term = three_term_residuals(fam, "P")
+    b, u = recurrence_coefficients(fam, "P")
     for n in range(1, q_top(size) + 1):
         a0, a1, a3 = _a(fam, 2 * n - 2), _a(fam, 2 * n - 1), _a(fam, 2 * n - 3)
         c1 = (_a(fam, 2 * n) + a0) * (1 - a1)
         c2 = (1 - a1) * (1 - a3) * (1 - a0 ** 2)
-        e1 = c1 - 2 * a0 - b_coeff(fam, n)
-        e2 = 2 * (1 - a3) * (1 - a0 ** 2) - c2 - u_coeff(fam, n)
+        e1 = c1 - 2 * a0 - b[n]
+        e2 = _c2(fam, n) - c2 - u[n]
         res = lc([(1, christoffel_prime[n]), (-1, three_term[n]), (-e1, p[n]), (-e2, p[n - 1])])
         rep.residual(f"christoffel n={n}", res)
     for n, res in christoffel_prime.items():
@@ -465,23 +483,105 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
+def _oracle_gaps(fam: OPUCFamily, name: str, alpha: Fraction, beta: Fraction) -> list:
+    """D_n = chain_n - O_n for every member of the P chain (name "P") or
+    the Q chain ("Q"), with O_n the monic Jacobi polynomial at
+    (alpha, beta) on [-2, 2].  O_n obeys O_{n+1} = (x - beta_n) O_n -
+    upsilon_n O_{n-1} (``jacobi_b``, ``jacobi_u``), so with T_n the held
+    three-term residuals and (b_n, u_n) the chain's closed forms
+
+        D_{n+1} = T_n + (x - beta_n) D_n - upsilon_n D_{n-1}
+                  + (beta_n - b_n) chain_n + (upsilon_n - u_n) chain_{n-1},
+
+    from D_0 = chain_0 - 1; the upsilon terms drop at n = 0.  That is the
+    same Laurent polynomial as chain_n minus the oracle for any chain.
+    """
+    _, chain, b, u = _recurrences(fam)[name]
+    gaps = [LaurentPoly.lincomb([(1, chain[0]), (-1, LaurentPoly.one())])]
+    for n, res in enumerate(three_term_residuals(fam, name)):
+        gap, cb = gaps[n], jacobi_b(alpha, beta, n)
+        terms = [(1, res), *_x_terms(gap), (-cb, gap), (cb - b[n], chain[n])]
+        if n >= 1:
+            cu = jacobi_u(alpha, beta, n)
+            terms += [(-cu, gaps[n - 1]), (cu - u[n], chain[n - 1])]
+        gaps.append(LaurentPoly.lincomb(terms))
+    return gaps
+
+
 def verify_classical_match(fam: OPUCFamily) -> VerificationReport:
     """P_n equals the classical oracle at (alpha, beta) and Q_n equals it
     at (alpha + 1, beta + 1), exactly, for every P_n and Q_n the family
-    holds."""
+    holds.  Each residual P_n - O_n is formed from the three-term
+    residuals (``_oracle_gaps``), so on a clean family every term is
+    zero; the oracle's (beta_n, upsilon_n) come from (alpha, beta) alone,
+    so a corrupted a_k still fails it."""
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
-    p = fam.params
+    if fam.size < 1:
+        raise ValueError("need a family of size >= 1")
+    al, be = fam.params.alpha, fam.params.beta
     rep = VerificationReport(
         identity="classical-match",
         relation="P_n = monic Jacobi(alpha, beta), Q_n = monic Jacobi(alpha+1, beta+1) on [-2, 2]",
         params=family_params(fam, n_max=p_top(fam.size)),
     )
-    for n, oracle in enumerate(classical_jacobi_chain(p.alpha, p.beta, p_top(fam.size))):
-        rep.residual(f"P n={n}", LaurentPoly.lincomb([(1, build_p(fam, n)), (-1, oracle)]))
-    for n, oracle in enumerate(classical_jacobi_chain(p.alpha + 1, p.beta + 1, q_top(fam.size))):
-        rep.residual(f"Q n={n}", LaurentPoly.lincomb([(1, build_q(fam, n)), (-1, oracle)]))
+    for name, shift in (("P", 0), ("Q", 1)):
+        for n, res in enumerate(_oracle_gaps(fam, name, al + shift, be + shift)):
+            rep.residual(f"{name} n={n}", res)
     return rep
+
+
+@per_family("raising")
+def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
+    """H_n = D theta Q_{n-1} + (sigma x + delta) Q_{n-1} - mu_n P_n for
+    n = 1 .. p_top(N), built once per family: the Jacobi raising relation
+    (Szego, Orthogonal Polynomials, 1939, sec. 4.21) with D = z - 1/z,
+    sigma = alpha + beta + 2, delta = 2(alpha - beta) and
+    mu_n = n + alpha + beta + 1.
+
+    H_1 is formed directly.  With L f = D theta f + (sigma x + delta) f,
+    L(x f) = x L f + D^2 f, so the Q three-term step, C'_n
+    (``christoffel_prime_residuals``) and the P three-term step give
+
+        H_{n+1} = (x - b~_{n-1}) H_n - u~_{n-1} H_{n-1} + L T~_{n-1} + C'_n
+                  - mu_{n+1} T_n + f3 P_n + f4 P_{n-1},
+        f3 = 2 a_{2n-2} - mu_n b~_{n-1} + mu_{n+1} b_n,
+        f4 = -c2_n - mu_{n-1} u~_{n-1} + mu_{n+1} u_n,
+
+    the same Laurent polynomial as the direct formula for any chains.  f3
+    and f4 vanish on Jacobi data but not on a corrupted family, since the
+    mu_n come from (alpha, beta).
+    """
+    if fam.params is None:
+        raise ValueError("family carries no (alpha, beta) parameters")
+    al, be = fam.params.alpha, fam.params.beta
+    sigma, delta = al + be + 2, 2 * (al - be)
+
+    def mu(n: int) -> Fraction:
+        return n + al + be + 1
+
+    def raise_terms(f: LaurentPoly) -> list:
+        return [*_d_terms(f.theta()), *_x_terms(f, sigma), (delta, f)]
+
+    top = p_top(fam.size)
+    if top < 1:
+        return {}
+    lc = LaurentPoly.lincomb
+    out = {1: lc([*raise_terms(build_q(fam, 0)), (-mu(1), build_p(fam, 1))])}
+    b, u = recurrence_coefficients(fam, "P")
+    bt, ut = recurrence_coefficients(fam, "Q")
+    t, tt = three_term_residuals(fam, "P"), three_term_residuals(fam, "Q")
+    cp = christoffel_prime_residuals(fam)
+    for n in range(1, top):
+        f3 = 2 * _a(fam, 2 * n - 2) - mu(n) * bt[n - 1] + mu(n + 1) * b[n]
+        f4 = -_c2(fam, n) - mu(n - 1) * ut[n - 1] + mu(n + 1) * u[n]
+        h = out[n]
+        terms = [*_x_terms(h), (-bt[n - 1], h), *raise_terms(tt[n - 1]), (1, cp[n]),
+                 (-mu(n + 1), t[n]), (f3, build_p(fam, n)), (f4, build_p(fam, n - 1))]
+        if n >= 2:  # u~_0 = 0
+            terms.append((-ut[n - 1], out[n - 1]))
+        out[n + 1] = lc(terms)
+    return out
 
 
 def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
@@ -492,6 +592,16 @@ def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
       (z^2-1) z^2 P_n'' + z((a+b+2) z^2 + 2(a-b) z + a+b) P_n'
           = n(n+a+b+1) (z^2-1) P_n
       theta P_n = n (z - 1/z) Q_{n-1}
+
+    The theta-PQ residual G_n = theta P_n - n (z - 1/z) Q_{n-1} is formed
+    directly, once for both rows.  With z^2 P'' = theta^2 P - theta P,
+    theta P_n = G_n + n D Q_{n-1} and the raising residuals H_n
+    (``raising_residuals``), the ODE residual is
+
+        (z^2 - 1) theta G_n + ((a+b+1)(z^2 + 1) + 2(a-b) z) G_n
+            + n (z^2 - 1) H_n,
+
+    the same Laurent polynomial as the direct formula for any chains.
     """
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
@@ -503,20 +613,20 @@ def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
         params=family_params(fam, n_max=top),
     )
     lc = LaurentPoly.lincomb
-    # the drift (a+b+2) z^3 + 2(a-b) z^2 + (a+b) z as (coefficient, power);
-    # products by it and by z^2 - 1 become shifted terms
-    drift = ((al + be + 2, 3), (2 * (al - be), 2), (al + be, 1))
-    for n in range(top + 1):
-        f = build_p(fam, n)
-        f1 = f.deriv()
-        f2 = f1.deriv()
-        ev = n * (n + al + be + 1)
-        terms = [(1, f2.shift(4)), (-1, f2.shift(2)), (-ev, f.shift(2)), (ev, f)]
-        terms += [(c, f1.shift(k)) for c, k in drift]
-        rep.residual(f"ODE n={n}", lc(terms))
+    theta_pq = []
     for n in range(top + 1):
         terms = [(1, build_p(fam, n).theta())]
         if n:
             terms += _d_terms(build_q(fam, n - 1), -n)
-        rep.residual(f"theta-PQ n={n}", lc(terms))
+        theta_pq.append(lc(terms))
+    raising = raising_residuals(fam)
+    s1, delta = al + be + 1, 2 * (al - be)
+    for n, g in enumerate(theta_pq):
+        tg = g.theta()
+        terms = [(1, tg.shift(2)), (-1, tg), (s1, g.shift(2)), (s1, g), (delta, g.shift(1))]
+        if n:
+            terms += [(n, raising[n].shift(2)), (-n, raising[n])]
+        rep.residual(f"ODE n={n}", lc(terms))
+    for n, g in enumerate(theta_pq):
+        rep.residual(f"theta-PQ n={n}", g)
     return rep

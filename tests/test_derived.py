@@ -2,7 +2,8 @@
 
 The verifier builds each base residual once per family (K psi_n -
 lambda_n psi_n, the reflection rows A_n and B_n, the P and Q three-term
-rows, the psi(P,Q) rows E_k) and forms every identity that follows from
+rows, the psi(P,Q) rows E_k, the christoffel' rows C'_n, the raising
+rows H_n) and forms every identity that follows from
 them as a short combination of those residuals.  The direct formulas
 live here as the reference model: on clean, corrupted and perturbed
 families every rewritten check must read exactly what the direct formula
@@ -24,9 +25,11 @@ from circlejacobi.opuc import (
     OPUCFamily,
     build_family,
     family_from_verblunsky,
+    verblunsky,
 )
 from circlejacobi.report import Check
 from circlejacobi.szego import build_p, build_q, p_top, q_top
+from classical_oracle import classical_jacobi_chain
 
 F = Fraction
 lc = LaurentPoly.lincomb
@@ -172,6 +175,44 @@ def direct_closure(fam):
     return out
 
 
+def direct_classical(fam):
+    """P_n and Q_n against the oracle chain walked step by step, at
+    (alpha, beta) and (alpha + 1, beta + 1)."""
+    p, out = fam.params, {}
+    for name, build, top, shift in (("P", build_p, p_top(fam.size), 0),
+                                    ("Q", build_q, q_top(fam.size), 1)):
+        for n, oracle in enumerate(classical_jacobi_chain(p.alpha + shift, p.beta + shift, top)):
+            out[f"{name} n={n}"] = lc([(1, build(fam, n)), (-1, oracle)])
+    return out
+
+
+def direct_ode(fam):
+    """The z-form ODE from P_n' and P_n'', and theta P_n - n (z - 1/z) Q_{n-1}."""
+    al, be = fam.params.alpha, fam.params.beta
+    z2 = LaurentPoly.monomial(2)
+    drift = LaurentPoly({3: al + be + 2, 2: 2 * (al - be), 1: al + be})
+    out = {}
+    for n in range(p_top(fam.size) + 1):
+        f = build_p(fam, n)
+        f1 = f.deriv()
+        ev = n * (n + al + be + 1)
+        out[f"ODE n={n}"] = (z2 - 1) * z2 * f1.deriv() + drift * f1 - ev * (z2 - 1) * f
+        theta = f.theta()
+        out[f"theta-PQ n={n}"] = theta - n * Z_MINUS_ZINV * build_q(fam, n - 1) if n else theta
+    return out
+
+
+def direct_raising(fam):
+    """H_n = (z - 1/z) theta Q_{n-1} + (sigma x + delta) Q_{n-1} - mu_n P_n."""
+    al, be = fam.params.alpha, fam.params.beta
+    out = {}
+    for n in range(1, p_top(fam.size) + 1):
+        q = build_q(fam, n - 1)
+        out[n] = (Z_MINUS_ZINV * q.theta() + ((al + be + 2) * Z_PLUS_ZINV + 2 * (al - be)) * q
+                  - (n + al + be + 1) * build_p(fam, n))
+    return out
+
+
 # --------------------------------------------------------------------------
 # Families
 # --------------------------------------------------------------------------
@@ -288,6 +329,8 @@ CASES = [
     pytest.param(szego.verify_transforms, direct_transforms, False, id="transforms"),
     pytest.param(szego.verify_recurrence_closure, direct_closure, False,
                  id="recurrence_closure"),
+    pytest.param(szego.verify_classical_match, direct_classical, True, id="classical_match"),
+    pytest.param(szego.verify_dep_and_pq_identity, direct_ode, True, id="dep_and_pq"),
 ]
 
 
@@ -300,6 +343,12 @@ class TestReferenceModel:
                 assert_matches_direct(verify, direct, fam)
 
     @pytest.mark.parametrize("seed", SEEDS)
+    def test_raising_residuals_equal_direct(self, seed):
+        for fam in _families(seed):
+            if fam.params is not None:
+                assert szego.raising_residuals(fam) == direct_raising(fam)
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_central_extension_tie_in(self, seed):
         for fam in _families(seed)[:2]:
             rep = algebra.verify_central_extension(fam, d=2, matrix_size=9)
@@ -310,23 +359,33 @@ class TestReferenceModel:
         # and the checks formed from them are nonzero on these families;
         # a perturbed chain may stop being monic, and a shifted one stops
         # the psi(P,P) division, so those reports raise instead
-        failing = set()
+        failing, raising = {}, set()
         for seed in SEEDS:
             for fam in (perturbed_family(seed), perturbed_family(seed, odd=True),
                         shifted_family(seed)):
                 for verify in (dunkl.verify_bispectral, algebra.y_eigencheck,
                                cmv.verify_reflection_rows, cmv.verify_gevp_and_five_term,
                                szego.verify_three_term, szego.verify_transforms,
-                               szego.verify_recurrence_closure):
+                               szego.verify_recurrence_closure, szego.verify_classical_match,
+                               szego.verify_dep_and_pq_identity):
                     try:
-                        failing |= {c.label for c in verify(fam).failures}
+                        rep = verify(fam)
                     except (ValueError, NotDivisible):
-                        pass
+                        continue
+                    failing.setdefault(rep.identity, set()).update(c.label for c in rep.failures)
+                raising |= {n for n, h in szego.raising_residuals(fam).items() if h}
+        labels = set().union(*failing.values())
         for prefix in ("n=", "Y psi n=", "Y P n=", "Y F n=", "M1 row", "M2 row", "pencil row",
                        "C row", "P n=", "Q n=", "christoffel n=", "christoffel' n=",
                        "psi(P,Q) n=", "psi(P,P) n=", "P from psi n=", "Q from psi n=",
                        "P chain in span", "Q chain in span"):
-            assert any(label.startswith(prefix) for label in failing), prefix
+            assert any(label.startswith(prefix) for label in labels), prefix
+        for identity, prefix in (("classical-match", "P n="), ("classical-match", "Q n="),
+                                 ("hypergeometric-ode", "ODE n="),
+                                 ("hypergeometric-ode", "theta-PQ n=")):
+            assert any(label.startswith(prefix) for label in failing[identity]), prefix
+        # H_1 is formed directly; the derived steps must see nonzero H_n too
+        assert raising - {1}
 
     def test_odd_families_reach_the_top_pair(self):
         # at odd N the top P_n and F_n are formed without psi_2n
@@ -348,12 +407,24 @@ class TestReferenceModel:
             szego.verify_transforms(fam)
 
     def test_small_family_raises_as_direct(self):
-        fam = build_family(JacobiParams(F(1), F(2)), 2)
+        # the recurrence reports need size >= 3; the classical match and the
+        # ODE read no recurrence step they do not hold and run at sizes 1
+        # and 2 (at size 0 there is no Q_0, and the match raises as the
+        # oracle chain does)
+        p = JacobiParams(F(1), F(2))
+        fam = build_family(p, 2)
         for verify, direct in ((szego.verify_three_term, direct_three_term),
                                (szego.verify_transforms, direct_transforms)):
             with pytest.raises(ValueError):
                 direct(fam)
             assert_matches_direct(verify, direct, fam)
+        for fam in (family_from_verblunsky([verblunsky(p, 0)], params=p),
+                    build_family(p, 1), build_family(p, 2)):
+            for verify, direct in ((szego.verify_classical_match, direct_classical),
+                                   (szego.verify_dep_and_pq_identity, direct_ode)):
+                assert_matches_direct(verify, direct, fam)
+                if fam.size:
+                    assert verify(fam).ok
 
 
 def live_lincomb_terms(monkeypatch):
@@ -452,6 +523,22 @@ class TestCleanFamilyCost:
         assert live == []
 
 
+    @pytest.mark.parametrize("size", [24, 25])
+    def test_classical_and_raising_pass_only_seed_terms(self, size, monkeypatch):
+        # with the three-term and christoffel' residuals held, P_n - O_n and
+        # H_n of a clean family are combinations of zero residuals with zero
+        # coefficients; only the seeds P_0 - 1, Q_0 - 1 and the direct H_1,
+        # all of degree <= 1, give lincomb a nonzero term
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
+        assert szego.verify_three_term(fam).ok and szego.verify_transforms(fam).ok
+        live = live_lincomb_terms(monkeypatch)
+        rep = szego.verify_classical_match(fam)
+        raising = szego.raising_residuals(fam)
+        assert rep.ok and len(rep.checks) == p_top(size) + q_top(size) + 2
+        assert len(raising) == p_top(size) and not any(raising.values())
+        assert live and all(-1 <= f.min_exp and f.max_exp <= 1 for f in live)
+
+
 class TestMemo:
     def test_all_suites_leave_only_documented_keys(self):
         fam = build_family(JacobiParams(F(1), F(2)), 24)
@@ -459,7 +546,7 @@ class TestMemo:
         doc = OPUCFamily.__doc__
         kinds = {k[0] if isinstance(k, tuple) else k for k in fam.derived}
         assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term", "psi(P,Q)",
-                         "moments"}
+                         "moments", "coefficients", "christoffel'", "raising"}
         for key in fam.derived:
             shown = f'``("{key[0]}",' if isinstance(key, tuple) else f'``"{key}"``'
             assert shown in doc, key

@@ -218,6 +218,11 @@ GOLDEN_CASES = [
     # n = 24 is past both algebra caps: matrix size 21 and monomial range 10.
     ("offgrid-n24-algebra.json",
      ["--alpha", "3/7", "--beta", "-2/5", "--n", "24", "--suite", "algebra"]),
+    # a late corrupted index on an odd size: the classical match fails only
+    # from P_12 and Q_11 on, the ODE and theta-PQ only from P_12 on
+    ("offgrid-n25-corrupt-a22-szego.json",
+     ["--alpha", "3/7", "--beta", "-2/5", "--n", "25", "--corrupt-a", "22",
+      "--suite", "szego"]),
 ]
 
 

@@ -14,8 +14,6 @@ from circlejacobi.szego import (
     bt_coeff,
     build_p,
     build_q,
-    classical_jacobi_chain,
-    classical_jacobi_oracle,
     fit_recurrence,
     p_top,
     q_top,
@@ -28,6 +26,7 @@ from circlejacobi.szego import (
     verify_transforms,
 )
 
+from classical_oracle import classical_jacobi_chain, classical_jacobi_oracle
 from conftest import GRID
 
 F = Fraction
@@ -110,12 +109,14 @@ class TestBuildPQ:
         assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
         # the verifiers read the same memo, and it holds every P and Q the
         # family carries, no more
-        for verify in (verify_three_term, verify_recurrence_closure, verify_transforms):
+        for verify in (verify_three_term, verify_recurrence_closure, verify_transforms,
+                       verify_classical_match, verify_dep_and_pq_identity):
             assert verify(fam).ok
         assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
         assert set(fam.derived) == {("P", n) for n in range(p_top(11) + 1)} | {
             ("Q", n) for n in range(q_top(11) + 1)
-        } | {("three-term", "P"), ("three-term", "Q"), "psi(P,Q)"}
+        } | {("three-term", "P"), ("three-term", "Q"), "psi(P,Q)", ("coefficients", "P"),
+             ("coefficients", "Q"), "christoffel'", "raising"}
 
     def test_memo_is_per_family_not_per_params(self, family):
         # a corrupted family carries the clean family's params; it must
