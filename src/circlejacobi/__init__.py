@@ -10,12 +10,8 @@ enters for the eigenvalues of truncated matrices.
 """
 
 from .algebra import (
-    AlgebraParams,
-    CanonicalForm,
     big_lambda,
     build_xy,
-    build_xy_matrix,
-    canonicalize,
     derive_representation,
     verify_central_extension,
     verify_relations_functional,
@@ -76,9 +72,7 @@ from .szego import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraParams",
     "BandedOperator",
-    "CanonicalForm",
     "Check",
     "JacobiParams",
     "LaurentPoly",
@@ -96,8 +90,6 @@ __all__ = [
     "build_p",
     "build_q",
     "build_xy",
-    "build_xy_matrix",
-    "canonicalize",
     "cmv_matrix",
     "derive_representation",
     "determinantal_phi",

@@ -1,12 +1,7 @@
 """The circle Jacobi algebra and its representations.
 
 The algebra has three generators: two involutions M1, M2 and one more
-generator K, subject to the anticommutation relations
-
-    {K, M1} = g1 M1 + g2 I,    {K, M2} = g3 M2 + g4 I.
-
-A nondegenerate quadruple (g1, g2, g3, g4) can be brought by an affine
-substitution K -> mu K + nu to the canonical form
+generator K, subject to the canonical anticommutation relations
 
     {K, M1} = (alpha + beta + 1)(M1 - I),
     {K, M2} = (alpha + beta + 2) M2 + (alpha - beta) I.
@@ -18,82 +13,27 @@ that construction from the matrix entries.  The module also checks the
 functional realization (M1 = R, M2 = z R, K the Dunkl-type operator)
 and the pair X = M1 M2 + M2 M1, Y = K^2 - (alpha+beta+1) K, which
 closes into a centrally extended quadratic algebra with M1 as the
-extension element.
+extension element.  That closure lies in the two-sided ideal of the
+defining relations, so on monomials it is formed from the relation
+residuals (``verify_central_extension``), which are the zero polynomial
+whenever the relations hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable
 
-from .cmv import BandedOperator, build_m1, build_m2, family_operators
+from .cmv import BandedOperator, family_operators
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate, InconsistentSystem
-from .laurent import LaurentPoly
+from .laurent import _ZERO_POLY, LaurentPoly
 from .opuc import JacobiParams, OPUCFamily, verblunsky
 from .report import VerificationReport
 from .szego import build_p, build_q, p_top, psi_pq_residuals, q_top
 
 Operator = Callable[[LaurentPoly], LaurentPoly]
-
-
-# --------------------------------------------------------------------------
-# Canonical form
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AlgebraParams:
-    """Structure constants (g1, g2, g3, g4) of the defining relations."""
-
-    g1: Fraction
-    g2: Fraction
-    g3: Fraction
-    g4: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("g1", "g2", "g3", "g4"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Parameters (alpha, beta) of the canonical relations together with
-    the substitution K -> mu K + nu that produced them."""
-
-    alpha: Fraction
-    beta: Fraction
-    mu: Fraction
-    nu: Fraction
-
-
-def canonicalize(g: AlgebraParams) -> CanonicalForm:
-    """Reduce (g1, g2, g3, g4) to canonical (alpha, beta, mu, nu).
-
-    Requires g3 != g1 and g2 != 0; otherwise the quadruple is degenerate
-    and no substitution reaches the canonical form with both parameters
-    free.
-    """
-    if g.g3 == g.g1 or g.g2 == 0:
-        raise Degenerate(f"degenerate structure constants {g}")
-    mu = Fraction(1) / (g.g3 - g.g1)
-    splus = -g.g2 * mu  # alpha + beta + 1
-    d = g.g4 * mu  # alpha - beta
-    alpha = (splus - 1 + d) / 2
-    beta = (splus - 1 - d) / 2
-    nu = (splus - mu * g.g1) / 2
-    # substituting back must reproduce the input exactly
-    if (splus - 2 * nu) / mu != g.g1:
-        raise AssertionError("canonical form does not reproduce g1")
-    if -splus / mu != g.g2:
-        raise AssertionError("canonical form does not reproduce g2")
-    if (splus + 1 - 2 * nu) / mu != g.g3:
-        raise AssertionError("canonical form does not reproduce g3")
-    if d / mu != g.g4:
-        raise AssertionError("canonical form does not reproduce g4")
-    return CanonicalForm(alpha=alpha, beta=beta, mu=mu, nu=nu)
 
 
 # --------------------------------------------------------------------------
@@ -178,19 +118,12 @@ def verify_representation_derivation(p: JacobiParams, n_max: int) -> Verificatio
 # --------------------------------------------------------------------------
 
 
-def _representation(p: JacobiParams, size: int):
-    """(M1, M2, K): the block reflection matrices and the diagonal K of
-    the closed-form representation, truncated to size x size."""
-    a = [verblunsky(p, n) for n in range(size)]
-    k = BandedOperator.diagonal([lambda_n(p, n) for n in range(size)])
-    return build_m1(a, size), build_m2(a, size), k
-
-
 def family_representation(fam: OPUCFamily, size: int):
-    """``_representation`` at the family's parameters.  M1 and M2 are
-    ``cmv.family_operators``, built once per family and size, so the
-    matrix relations, the central extension and, at size N + 1, the CMV
-    row checks read one build; the diagonal K is formed per call."""
+    """(M1, M2, K) truncated to size x size at the family's parameters:
+    the block reflection matrices and the diagonal K = diag(lambda_n).
+    M1 and M2 are ``cmv.family_operators``, built once per family and
+    size, so the matrix relations, the central extension and, at size
+    N + 1, the CMV row checks read one build; K is formed per call."""
     m1, m2 = family_operators(fam, size)
     return m1, m2, BandedOperator.diagonal([lambda_n(fam.params, n) for n in range(size)])
 
@@ -279,14 +212,17 @@ def build_xy(p: JacobiParams) -> tuple[Operator, Operator]:
     return x_op, y_op
 
 
-def _xy_matrix(p: JacobiParams, m1, m2, k) -> tuple[BandedOperator, BandedOperator]:
-    lc = BandedOperator.lincomb
-    return lc([(1, m2 @ m1), (1, m1 @ m2)]), lc([(1, k @ k), (-p.s, k)])
+def _relation_residuals(f: LaurentPoly, k_op: Operator, p: JacobiParams):
+    """(r3 f, r4 f): the defining relations' residuals on f,
 
+        r3 = K M1 + M1 K - s (M1 - I),    r4 = K M2 + M2 K - (s+1) M2 - d I,
 
-def build_xy_matrix(p: JacobiParams, size: int) -> tuple[BandedOperator, BandedOperator]:
-    """The same pair in the block-matrix representation."""
-    return _xy_matrix(p, *_representation(p, size))
+    with s = alpha + beta + 1, d = alpha - beta and K applied by k_op: the
+    "M1 rel" and "M2 rel" checks, and what the central extension reads."""
+    lc = LaurentPoly.lincomb
+    m1f, m2f, kf = op_m1(f), op_m2(f), k_op(f)
+    return (lc([(1, k_op(m1f)), (1, op_m1(kf)), (-p.s, m1f), (p.s, f)]),
+            lc([(1, k_op(m2f)), (1, op_m2(kf)), (-(p.s + 1), m2f), (-p.d, f)]))
 
 
 def verify_relations_functional(p: JacobiParams, d: int) -> VerificationReport:
@@ -303,16 +239,46 @@ def verify_relations_functional(p: JacobiParams, d: int) -> VerificationReport:
     lc = LaurentPoly.lincomb
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
-        m1f, m2f, kf = op_m1(f), op_m2(f), k_op(f)
-        checks = {
-            "M1^2": lc([(1, op_m1(m1f)), (-1, f)]),
-            "M2^2": lc([(1, op_m2(m2f)), (-1, f)]),
-            "M1 rel": lc([(1, k_op(m1f)), (1, op_m1(kf)), (-p.s, m1f), (p.s, f)]),
-            "M2 rel": lc([(1, k_op(m2f)), (1, op_m2(kf)), (-(p.s + 1), m2f), (-p.d, f)]),
-        }
-        for name, res in checks.items():
+        involutions = [lc([(1, op(op(f))), (-1, f)]) for op in (op_m1, op_m2)]
+        for name, res in zip(("M1^2", "M2^2", "M1 rel", "M2 rel"),
+                             (*involutions, *_relation_residuals(f, k_op, p))):
             rep.residual(f"{name} k={k}", res)
     return rep
+
+
+def _closure_residuals(p: JacobiParams, k_op: Operator, rel) -> Operator:
+    """f -> ([Y, M1] f, JR1 f, JR2 f) by the expansions in ``verify_central_extension``,
+    r3 and r4 extended from rel(j) = (r3 z^j, r4 z^j) by linearity."""
+    lc = LaurentPoly.lincomb
+    x_op, y_op = build_xy(p)
+
+    def r(i, g):  # r3 (i = 0) or r4 (i = 1) on g
+        return lc([(c, rel(j)[i]) for j, c in g.items()])
+
+    def eps(sign, g):  # eps1 (sign 1) and eps2 (sign -1)
+        return lc([(1, op_m1(r(1, g))), (-sign, r(1, op_m1(g))),
+                   (sign, op_m2(r(0, g))), (-1, r(0, op_m2(g)))])
+
+    def c_op(g):  # C = M1 M2 - M2 M1
+        return lc([(1, op_m1(op_m2(g))), (-1, op_m2(op_m1(g)))])
+
+    def h(g):
+        return lc([(1, x_op(eps(1, g))), (-1, eps(1, x_op(g)))])
+
+    def sigma(g):
+        return lc([(2 * p.d, r(0, g)), (2 * p.s, r(1, g)), (1, k_op(eps(-1, g))),
+                   (1, eps(-1, k_op(g))), (-p.s, eps(-1, g)),
+                   (-1, y_op(eps(1, g))), (1, eps(1, y_op(g)))])
+
+    def residuals(f):
+        kf, e1f, hf, sf = k_op(f), eps(1, f), h(f), sigma(f)
+        return (lc([(1, k_op(r(0, f))), (-1, r(0, kf))]),
+                lc([(2, c_op(e1f)), (2, eps(1, c_op(f))), (2, eps(1, e1f)),
+                    (1, h(kf)), (1, k_op(hf)), (-p.s, hf)]),
+                lc([(-1, eps(-1, f)), (1, k_op(e1f)), (-1, eps(1, kf)), (2 * p.s, r(1, f)),
+                    (1, sigma(kf)), (1, k_op(sf)), (-p.s, sf)]))
+
+    return residuals
 
 
 def verify_central_extension(
@@ -321,8 +287,8 @@ def verify_central_extension(
     """The closure of X and Y into the extended quadratic algebra:
 
         [X, M1] = [Y, M1] = 0
-        [X, [X, Y]] = 2 X^2 - 8 I
-        [Y, [Y, X]] = 2 {X, Y} + (a+b)(a+b+2) X + 2(b-a) M1 + 2(a-b)(a+b+1) I
+        [X, [X, Y]] = 2 X^2 - 8 I                                      (JR1)
+        [Y, [Y, X]] = 2 {X, Y} + (a+b)(a+b+2) X + 2(b-a) M1 + 2(a-b)(a+b+1) I  (JR2)
 
     checked both functionally on monomials z^k, |k| <= d, and as banded
     matrix identities at the given truncation size, with the two
@@ -331,6 +297,30 @@ def verify_central_extension(
     Y psi_n = (lambda_n^2 - s lambda_n) psi_n + (lambda_n - s) r_n + K r_n,
     the latter formed from r_n = K psi_n - lambda_n psi_n
     (``_y_psi_terms``).
+
+    [X, M1] reads no K and is formed directly.  The other monomial checks
+    lie in the ideal of the defining relations and are formed from their
+    residuals r3, r4 (``_relation_residuals``).  With A = M1, B = M2,
+    s = a+b+1, d = a-b, X = AB + BA (multiplication by z + 1/z),
+    C = AB - BA (by 1/z - z), eps1 = A r4 - r4 A + B r3 - r3 B and
+    eps2 = A r4 + r4 A - B r3 - r3 B, the free algebra on A, B, K gives
+    [X, K] = C + eps1, [C, K] = X + 2d A + 2s B + eps2, and
+
+        [Y, M1] = K r3 - r3 K,
+        JR1 = 2 (C eps1 + eps1 C + eps1^2) + H K + K H - s H,   H = [X, eps1],
+        JR2 = -eps2 + [K, eps1] + 2s r4 + sigma K + K sigma - s sigma,
+        sigma = 2d r3 + 2s r4 + K eps2 + eps2 K - s eps2 - [Y, eps1],
+
+    less the terms in A^2 - I and B^2 - I, which R and zR make zero.  So
+    each is the Laurent polynomial the direct formula gives, for every
+    linear K.  Degree count: write V_m = span{z^i : |i| <= m}.  A keeps
+    V_m, and B, X and C map it into V_(m+1).  If K keeps V_d, the
+    expansions on z^k, |k| <= d, read r3 only on V_(d+2) (eps1 X K z^k
+    reads r3 B X K z^k) and r4 only on V_(d+1); at alpha = beta the JR2
+    check on z reads V_2.  So r3 and r4 are held on the monomials of
+    V_(d+2); when they are all zero and every held K z^j lies in V_|j|,
+    every residual the expansions read vanishes, and the three checks
+    are the zero polynomial without being formed.
     """
     if fam.params is None:
         raise ValueError("family carries no (alpha, beta) parameters")
@@ -341,49 +331,40 @@ def verify_central_extension(
         params={"alpha": p.alpha, "beta": p.beta, "monomial_range": d,
                 "matrix_size": matrix_size},
     )
-    x_op, y_op = build_xy(p)
-    # a LaurentPoly has one normal form and a tuple hash, so each distinct
-    # Y image is computed once per call and read back by every check
-    y_op = cache(y_op)
-    c_x = (p.alpha + p.beta) * (p.alpha + p.beta + 2)
-    c_m1 = 2 * (p.beta - p.alpha)
-    c_i = 2 * p.d * p.s
+    x_op, _ = build_xy(p)
+    # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1)
+    c_x, c_m1, c_i = (p.s - 1) * (p.s + 1), -2 * p.d, 2 * p.d * p.s
     lc = LaurentPoly.lincomb
+    # a LaurentPoly has one normal form and a tuple hash, so each distinct
+    # K image and relation residual is computed once per call
+    k_op = cache(lambda f: apply_k(f, p))
+    rel = cache(lambda j: _relation_residuals(LaurentPoly.monomial(j), k_op, p))
 
-    def jr2_terms(f: LaurentPoly) -> list:
-        """[Y, [Y, X]] f - 2 {X, Y} f - c_x X f, with [Y, [Y, X]] expanded
-        to YYX - 2 YXY + XYY; what JR2 leaves when alpha = beta."""
-        xf, yf = x_op(f), y_op(f)
-        xyf, yxf = x_op(yf), y_op(xf)
-        return [(1, y_op(yxf)), (-2, y_op(xyf)), (1, x_op(y_op(yf))),
-                (-2, xyf), (-2, yxf), (-c_x, xf)]
+    def holds(j: int) -> bool:
+        """r3 z^j = r4 z^j = 0 and K z^j lies in V_|j|."""
+        kz = k_op(LaurentPoly.monomial(j))
+        return not any(rel(j)) and (not kz or max(kz.max_exp, -kz.min_exp) <= abs(j))
 
+    clean = all(holds(j) for j in range(-d - 2, d + 3))
+    derived = (lambda f: (_ZERO_POLY,) * 3) if clean else cache(_closure_residuals(p, k_op, rel))
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
-        m1f, xf, yf = op_m1(f), x_op(f), y_op(f)
-        xxf = x_op(xf)
-        checks = {
-            "[X,M1]": lc([(1, x_op(m1f)), (-1, op_m1(xf))]),
-            "[Y,M1]": lc([(1, y_op(m1f)), (-1, op_m1(yf))]),
-            # [X, [X, Y]] = XXY - 2 XYX + YXX
-            "JR1": lc([(1, x_op(x_op(yf))), (-2, x_op(y_op(xf))), (1, y_op(xxf)),
-                       (-2, xxf), (8, f)]),
-            "JR2": lc([*jr2_terms(f), (-c_m1, m1f), (-c_i, f)]),
-        }
-        for name, res in checks.items():
+        x_m1 = lc([(1, x_op(op_m1(f))), (-1, op_m1(x_op(f)))])
+        for name, res in zip(("[X,M1]", "[Y,M1]", "JR1", "JR2"), (x_m1, *derived(f))):
             rep.residual(f"{name} k={k}", res)
     if p.alpha == p.beta:
-        res = lc(jr2_terms(LaurentPoly.monomial(1)))
-        rep.residual("extension term drops at alpha=beta", res)
+        # c_m1 and c_i vanish, so JR2 on z is what the extension term leaves
+        rep.residual("extension term drops at alpha=beta", derived(LaurentPoly.monomial(1))[2])
 
     # matrix side
     m1, m2, k = family_representation(fam, matrix_size)
-    x, y = _xy_matrix(p, m1, m2, k)
+    lcb = BandedOperator.lincomb
+    x, y = lcb([(1, m2 @ m1), (1, m1 @ m2)]), lcb([(1, k @ k), (-p.s, k)])
     eye = BandedOperator.identity(matrix_size)
     # XY and YX once: [X,Y] is their difference, and {X,Y} enters JR2 as
     # the two terms; [Y,[Y,X]] = -Y[X,Y] + [X,Y]Y
     xy, yx = x @ y, y @ x
-    xy_comm = BandedOperator.lincomb([(1, xy), (-1, yx)])
+    xy_comm = lcb([(1, xy), (-1, yx)])
     _rows_match(rep, "[X,M1] matrix", [(1, x @ m1), (-1, m1 @ x)])
     _rows_match(rep, "[Y,M1] matrix", [(1, y @ m1), (-1, m1 @ y)])
     _rows_match(

@@ -110,13 +110,31 @@ class BandedOperator:
             min(a.valid_rows for _, a in terms),
         )
 
+    def _diagonal(self) -> LaurentPoly:
+        """sum_i d_i z^i over the entries of a bandwidth-0 operator; a
+        stored entry off the diagonal raises ValueError."""
+        for i, row in self.rows.items():
+            if row.min_exp != i or row.max_exp != i:
+                raise ValueError(f"bandwidth-0 operator holds an off-diagonal entry in row {i}")
+        return LaurentPoly.lincomb([(1, row) for row in self.rows.values()])
+
     def __matmul__(self, other: "BandedOperator") -> "BandedOperator":
         self._check_size(other)
         # row i of the product is row i applied to the right factor's rows;
         # it is trustworthy when row i of the left factor is, and every row
-        # it touches on the right (within the left bandwidth) is too
-        right = [other.rows.get(k, _ZERO_ROW) for k in range(other.size)]
-        rows = {i: self.apply_row(i, right) for i in self.rows}
+        # it touches on the right (within the left bandwidth) is too.  A
+        # diagonal factor scales row i by d_i on the left, and the entry in
+        # column j by d_j on the right
+        if self.bandwidth == 0:
+            diag = self._diagonal()
+            rows = {i: LaurentPoly.lincomb([(diag.coeff(i), row)])
+                    for i, row in other.rows.items()}
+        elif other.bandwidth == 0:
+            diag = other._diagonal()
+            rows = {i: row.hadamard(diag) for i, row in self.rows.items()}
+        else:
+            right = [other.rows.get(k, _ZERO_ROW) for k in range(other.size)]
+            rows = {i: self.apply_row(i, right) for i in self.rows}
         valid = min(self.valid_rows, other.valid_rows - self.bandwidth)
         return BandedOperator(
             self.size, rows, self.bandwidth + other.bandwidth, max(valid, 0)

@@ -116,7 +116,8 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
         """c * z^exponent (the exponent may be negative)."""
-        return cls({exponent: coeff})
+        c = _fraction(coeff)
+        return _make(exponent, (c.numerator,), c.denominator) if c else _ZERO_POLY
 
     # ---------------------------------------------------------------- inspection
 
@@ -255,6 +256,12 @@ class LaurentPoly:
         return _normal(self._lo + other._lo, out, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def hadamard(self, other: "LaurentPoly") -> "LaurentPoly":
+        """sum(a_k * b_k * z^k): the coefficientwise product, normalized once."""
+        lo = max(self._lo, other._lo)
+        nums = zip(self._num[lo - self._lo:], other._num[lo - other._lo:])
+        return _normal(lo, [a * b for a, b in nums], self._den * other._den)
 
     def __truediv__(self, other) -> "LaurentPoly":
         """Division by a nonzero scalar only; use div_exact for polynomials."""

@@ -7,12 +7,8 @@ from hypothesis import given, settings
 
 from circlejacobi import algebra, cmv, dunkl, suites, szego
 from circlejacobi.algebra import (
-    AlgebraParams,
-    CanonicalForm,
     big_lambda,
     build_xy,
-    build_xy_matrix,
-    canonicalize,
     derive_representation,
     op_m1,
     op_m2,
@@ -29,6 +25,7 @@ from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV
 from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 from circlejacobi.szego import p_top, q_top
 
+from algebra_oracle import AlgebraParams, CanonicalForm, build_xy_matrix, canonicalize
 from conftest import GRID, PARAM
 
 F = Fraction
@@ -266,9 +263,11 @@ class TestAsVerblunskySource:
 class TestComplexity:
     @pytest.mark.parametrize("alpha,beta", [(F(3, 2), F(1, 2)), (F(1), F(1))])
     def test_central_extension_applies_k_once_per_image(self, monkeypatch, alpha, beta):
-        # JR1, JR2, [Y,M1] and the psi rows share their Y images; at
-        # (1, 1) the alpha = beta branch runs as well.  Recomputing
-        # each image costs 626 and 642 calls of apply_k.
+        # the monomial checks read K z^j once for each j in -12 .. 13, which
+        # the relation residuals on z^-12 .. z^12 meet, and the psi rows
+        # apply K once to each r_n of rows 0 .. 18; at (1, 1) the
+        # alpha = beta branch runs as well.  Forming the checks from Y
+        # images, each computed once, costs 265 calls of apply_k.
         calls = [0]
         orig = algebra.apply_k
 
@@ -280,7 +279,7 @@ class TestComplexity:
         fam = build_family(JacobiParams(alpha, beta), 40)
         rep = verify_central_extension(fam, d=10, matrix_size=21)
         assert rep.ok
-        assert calls[0] <= 300, calls[0]
+        assert calls[0] == 26 + 19, calls[0]
 
     def test_y_eigencheck_reads_k_psi_from_the_family(self, monkeypatch):
         # K psi_n is built once per family: the bispectral check makes it

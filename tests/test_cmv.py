@@ -200,6 +200,49 @@ class TestReferenceModel:
             assert all(m.rows.values())
 
 
+def _general_product(a: BandedOperator, b: BandedOperator) -> BandedOperator:
+    """a @ b by the general rule: row i of a applied to the rows of b."""
+    right = [b.rows.get(k, LaurentPoly.zero()) for k in range(b.size)]
+    rows = {i: a.apply_row(i, right) for i in a.rows}
+    valid = max(min(a.valid_rows, b.valid_rows - a.bandwidth), 0)
+    return BandedOperator(a.size, rows, a.bandwidth + b.bandwidth, valid)
+
+
+class TestDiagonalFactor:
+    """A bandwidth-0 factor scales rows (on the left) or entries (on the
+    right); the product must be the general one, row for row."""
+
+    @staticmethod
+    def _same(p: BandedOperator, q: BandedOperator) -> None:
+        assert p.rows == q.rows
+        assert (p.size, p.bandwidth, p.valid_rows) == (q.size, q.bandwidth, q.valid_rows)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_products_equal_general_rule(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 9)
+        a = [F(rng.randint(-9, 9), 10) for _ in range(size)]
+        dense = _random_dense(rng, size)
+        # odd and even sizes cut the last block of M1 or M2
+        others = [build_m1(a, size), build_m2(a, size), cmv_matrix(a, size),
+                  _operator(dense, rng.randint(0, size))]
+        values = [rng.choice([0, 1, F(rng.randint(-9, 9), rng.randint(1, 7))])
+                  for _ in range(size)]
+        diag = BandedOperator.diagonal(values)
+        diag.valid_rows = rng.randint(0, size)
+        for op in [*others, diag]:
+            self._same(diag @ op, _general_product(diag, op))
+            self._same(op @ diag, _general_product(op, diag))
+
+    def test_off_diagonal_entry_raises(self):
+        bad = BandedOperator(3, {0: L.monomial(0), 1: L({1: 2, 2: 1})}, 0, 3)
+        m1 = build_m1(SM, 3)
+        with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
+            bad @ m1
+        with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
+            m1 @ bad
+
+
 class TestSpectrum:
     def test_size_one_is_a0(self):
         for alpha, beta in GRID:

@@ -3,16 +3,22 @@
 The verifier builds each base residual once per family (K psi_n -
 lambda_n psi_n, the reflection rows A_n and B_n, the P and Q three-term
 rows, the psi(P,Q) rows E_k, the christoffel' rows C'_n, the raising
-rows H_n) and forms every identity that follows from
-them as a short combination of those residuals.  The direct formulas
+rows H_n, and the algebra's relation residuals on monomials) and forms
+every identity that follows from them as a short combination of those
+residuals.  The direct formulas
 live here as the reference model: on clean, corrupted and perturbed
 families every rewritten check must read exactly what the direct formula
 gives, and raise where it raises.
 """
 
 import copy
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 
@@ -29,7 +35,9 @@ from circlejacobi.opuc import (
 )
 from circlejacobi.report import Check
 from circlejacobi.szego import build_p, build_q, p_top, q_top
+from algebra_oracle import build_xy_matrix
 from classical_oracle import classical_jacobi_chain
+from conftest import GRID
 
 F = Fraction
 lc = LaurentPoly.lincomb
@@ -70,7 +78,7 @@ def direct_y_eigen(fam):
 def direct_tie_in(fam, matrix_size):
     """The last check of the central extension, from K applied twice to psi_n."""
     p = fam.params
-    x, y = algebra.build_xy_matrix(p, matrix_size)
+    x, y = build_xy_matrix(p, matrix_size)
     x_op, _ = algebra.build_xy(p)
     top = min(fam.size + 1 - x.bandwidth, x.valid_rows, y.valid_rows)
     bad = [n for n in range(top)
@@ -78,6 +86,41 @@ def direct_tie_in(fam, matrix_size):
            or y.apply_row(n, fam.psi) != lc(_y_direct(fam.psi[n], p))]
     return Check("matrix rows match functional action on psi", not bad,
                  f"rows {bad[:4]}" if bad else f"{top} rows agree")
+
+
+def direct_central_functional(fam, d):
+    """The central extension's monomial checks from X and Y applied
+    directly, each distinct Y image computed once."""
+    p = fam.params
+    x_op, y_op = algebra.build_xy(p)
+    y_op = cache(y_op)
+    m1 = algebra.op_m1
+    c_x = (p.alpha + p.beta) * (p.alpha + p.beta + 2)
+    c_m1 = 2 * (p.beta - p.alpha)
+    c_i = 2 * p.d * p.s
+
+    def jr2_terms(f):
+        """[Y, [Y, X]] f - 2 {X, Y} f - c_x X f, with [Y, [Y, X]] expanded
+        to YYX - 2 YXY + XYY; what JR2 leaves when alpha = beta."""
+        xf, yf = x_op(f), y_op(f)
+        xyf, yxf = x_op(yf), y_op(xf)
+        return [(1, y_op(yxf)), (-2, y_op(xyf)), (1, x_op(y_op(yf))),
+                (-2, xyf), (-2, yxf), (-c_x, xf)]
+
+    out = {}
+    for k in range(-d, d + 1):
+        f = LaurentPoly.monomial(k)
+        xf, yf = x_op(f), y_op(f)
+        xxf = x_op(xf)
+        out[f"[X,M1] k={k}"] = lc([(1, x_op(m1(f))), (-1, m1(xf))])
+        out[f"[Y,M1] k={k}"] = lc([(1, y_op(m1(f))), (-1, m1(yf))])
+        # [X, [X, Y]] = XXY - 2 XYX + YXX
+        out[f"JR1 k={k}"] = lc([(1, x_op(x_op(yf))), (-2, x_op(y_op(xf))), (1, y_op(xxf)),
+                                (-2, xxf), (8, f)])
+        out[f"JR2 k={k}"] = lc([*jr2_terms(f), (-c_m1, m1(f)), (-c_i, f)])
+    if p.alpha == p.beta:
+        out["extension term drops at alpha=beta"] = lc(jr2_terms(LaurentPoly.monomial(1)))
+    return out
 
 
 def direct_reflection(fam):
@@ -331,6 +374,8 @@ CASES = [
                  id="recurrence_closure"),
     pytest.param(szego.verify_classical_match, direct_classical, True, id="classical_match"),
     pytest.param(szego.verify_dep_and_pq_identity, direct_ode, True, id="dep_and_pq"),
+    pytest.param(partial(algebra.verify_central_extension, d=3, matrix_size=9),
+                 partial(direct_central_functional, d=3), True, id="central_extension"),
 ]
 
 
@@ -427,6 +472,194 @@ class TestReferenceModel:
                     assert verify(fam).ok
 
 
+# --------------------------------------------------------------------------
+# The free algebra behind the central extension's monomial checks
+# --------------------------------------------------------------------------
+
+
+def _mat(rng):
+    return [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(5)] for _ in range(5)]
+
+
+def _mul(*factors):
+    out = factors[0]
+    for b in factors[1:]:
+        out = [[sum(r[k] * b[k][j] for k in range(5)) for j in range(5)] for r in out]
+    return out
+
+
+def _sum(*terms):
+    """sum(c * M for c, M in terms)."""
+    return [[sum(c * m[i][j] for c, m in terms) for j in range(5)] for i in range(5)]
+
+
+def _comm(a, b):
+    return _sum((1, _mul(a, b)), (-1, _mul(b, a)))
+
+
+class TestFreeAlgebra:
+    """Random exact matrices obey no relation, so an identity that holds
+    for them holds in the free algebra on A = M1, B = M2 and K.  These
+    are the expansions verify_central_extension forms its monomial
+    checks from."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_expansions(self, seed):
+        rng = random.Random(seed)
+        a, b, k = _mat(rng), _mat(rng), _mat(rng)
+        s, d = F(rng.randint(-9, 9), 7), F(rng.randint(-9, 9), 5)
+        eye = [[F(i == j) for j in range(5)] for i in range(5)]
+        r1 = _sum((1, _mul(a, a)), (-1, eye))
+        r2 = _sum((1, _mul(b, b)), (-1, eye))
+        r3 = _sum((1, _mul(k, a)), (1, _mul(a, k)), (-s, a), (s, eye))
+        r4 = _sum((1, _mul(k, b)), (1, _mul(b, k)), (-(s + 1), b), (-d, eye))
+        x = _sum((1, _mul(a, b)), (1, _mul(b, a)))
+        c = _sum((1, _mul(a, b)), (-1, _mul(b, a)))
+        y = _sum((1, _mul(k, k)), (-s, k))
+        e1 = _sum((1, _mul(a, r4)), (-1, _mul(r4, a)), (1, _mul(b, r3)), (-1, _mul(r3, b)))
+        e2 = _sum((1, _mul(a, r4)), (1, _mul(r4, a)), (-1, _mul(b, r3)), (-1, _mul(r3, b)))
+        assert r1 != _sum() and r3 != _sum()  # the relations do not hold
+
+        assert _comm(x, a) == _sum((1, _mul(b, r1)), (-1, _mul(r1, b)))
+        assert _comm(y, a) == _sum((1, _mul(k, r3)), (-1, _mul(r3, k)))
+        assert _comm(x, k) == _sum((1, c), (1, e1))
+        assert _comm(c, k) == _sum((1, x), (2 * d, a), (2 * s, b), (1, e2))
+
+        jr1 = _sum((1, _comm(x, _comm(x, y))), (-2, _mul(x, x)), (8, eye))
+        h = _sum((-2, r1), (2, r2), (-2, _mul(a, r2, a)), (2, _mul(b, r1, b)), (1, _comm(x, e1)))
+        assert jr1 == _sum(
+            (-4, r1), (-4, r2), (-4, _mul(a, r2, a)), (-4, _mul(b, r1, b)),
+            (2, _mul(c, e1)), (2, _mul(e1, c)), (2, _mul(e1, e1)),
+            (1, _mul(h, k)), (1, _mul(k, h)), (-s, h))
+
+        # c_x = (a+b)(a+b+2) = s^2 - 1, c_m1 = 2(b-a) = -2d, c_i = 2ds
+        jr2 = _sum((1, _comm(y, _comm(y, x))), (-2, _mul(x, y)), (-2, _mul(y, x)),
+                   (-(s * s - 1), x), (2 * d, a), (-2 * d * s, eye))
+        sigma = _sum((2 * d, r3), (2 * s, r4), (1, _mul(k, e2)), (1, _mul(e2, k)), (-s, e2),
+                     (-1, _comm(y, e1)))
+        assert jr2 == _sum((-1, e2), (1, _comm(k, e1)), (2 * s, r4),
+                           (1, _mul(sigma, k)), (1, _mul(k, sigma)), (-s, sigma))
+
+    def test_functional_x_and_c(self):
+        # X = M1 M2 + M2 M1 multiplies by z + 1/z, and C = M1 M2 - M2 M1 by 1/z - z
+        m1, m2 = algebra.op_m1, algebra.op_m2
+        f = LaurentPoly({-2: F(1, 3), 0: 2, 5: -1})
+        assert lc([(1, m1(m2(f))), (1, m2(m1(f)))]) == Z_PLUS_ZINV * f
+        assert lc([(1, m1(m2(f))), (-1, m2(m1(f)))]) == -Z_MINUS_ZINV * f
+
+
+# --------------------------------------------------------------------------
+# The central extension's monomial checks under a wrong K
+# --------------------------------------------------------------------------
+
+
+def wrong_k(kind, d):
+    """A linear K that breaks the defining relations.  "shift" adds
+    (1/97) z f - (3/11) theta f and "z-theta" adds (1/50) z theta f.
+    "window" adds (1/7)(z - 1/z) times the part of f in V_(d+3): an
+    antisymmetric multiplier anticommutes with R and z R, so both
+    relations still hold on V_(d+2), but K no longer keeps levels.
+    "edge" adds 1/5 of f's z^-(d+2) term, which keeps levels and leaves
+    both relations intact on V_(d+1)."""
+    extra = {
+        "shift": lambda f: [(F(1, 97), f.shift(1)), (F(-3, 11), f.theta())],
+        "z-theta": lambda f: [(F(1, 50), f.theta().shift(1))],
+        "window": lambda f: [(F(1, 7), Z_MINUS_ZINV * LaurentPoly(
+            (k, c) for k, c in f.items() if abs(k) <= d + 3))],
+        "edge": lambda f: [(F(1, 5) * f.coeff(-d - 2), LaurentPoly.monomial(-d - 2))],
+    }[kind]
+    return lambda f, p: lc([(1, apply_k(f, p)), *extra(f)])
+
+
+def central_comparison(alpha, beta, d, kind=None):
+    """The monomial checks of verify_central_extension and of
+    direct_central_functional as [label, ok, detail] lists, under
+    ``wrong_k(kind, d)`` or, without a kind, the true K."""
+    fam = build_family(JacobiParams(F(alpha), F(beta)), 12)
+    orig = algebra.apply_k
+    if kind:
+        algebra.apply_k = wrong_k(kind, d)
+    try:
+        rep = algebra.verify_central_extension(fam, d=d, matrix_size=9)
+        want = direct_central_functional(fam, d)
+    finally:
+        algebra.apply_k = orig
+    got = [[c.label, c.ok, c.detail] for c in rep.checks if c.label in want]
+    return got, [[label, res.is_zero, "" if res.is_zero else res.text()]
+                 for label, res in want.items()]
+
+
+def _failing(checks):
+    return {label.split(" ")[0] for label, ok, _ in checks if not ok}
+
+
+class TestCentralExtensionMonomials:
+    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("alpha,beta", [*GRID, (F(3, 7), F(-2, 5)), (F(2, 3), F(2, 3))])
+    def test_clean_points_equal_direct(self, alpha, beta, d):
+        got, want = central_comparison(alpha, beta, d)
+        assert got == want
+        assert not _failing(got)
+        assert ("extension term drops at alpha=beta" in [c[0] for c in got]) == (alpha == beta)
+
+    @pytest.mark.parametrize("d", [3, 10])
+    @pytest.mark.parametrize("alpha,beta", [(F(1), F(2)), (F(3, 7), F(-2, 5)), (F(1), F(1))])
+    @pytest.mark.parametrize("kind", ["shift", "z-theta"])
+    def test_wrong_k_equals_direct(self, kind, alpha, beta, d):
+        got, want = central_comparison(alpha, beta, d, kind)
+        assert got == want
+        assert {"[Y,M1]", "JR1", "JR2"} <= _failing(got)
+        assert "[X,M1]" not in _failing(got)
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_level_guard_decides_the_window_k(self, d):
+        # every relation residual held on V_(d+2) is zero under the window
+        # K, yet JR2 fails: only the guard that K keeps levels sends it down
+        # the path that forms the checks
+        p = JacobiParams(F(3, 7), F(-2, 5))
+        orig = algebra.apply_k
+        algebra.apply_k = wrong_k("window", d)
+        try:
+            assert algebra.verify_relations_functional(p, d + 2).ok
+        finally:
+            algebra.apply_k = orig
+        got, want = central_comparison(p.alpha, p.beta, d, "window")
+        assert got == want
+        assert "JR2" in _failing(got)
+
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_window_reaches_every_level_the_checks_read(self, d):
+        # the edge K is wrong only on z^-(d+2), which JR1 reads through
+        # Y X X z^-d; a window of held residuals narrower than V_(d+2)
+        # would not see it
+        p = JacobiParams(F(3, 7), F(-2, 5))
+        orig = algebra.apply_k
+        algebra.apply_k = wrong_k("edge", d)
+        try:
+            assert algebra.verify_relations_functional(p, d + 1).ok
+            assert not algebra.verify_relations_functional(p, d + 2).ok
+        finally:
+            algebra.apply_k = orig
+        got, want = central_comparison(p.alpha, p.beta, d, "edge")
+        assert got == want
+        assert "JR1" in _failing(got)
+
+    def test_detection_survives_optimize_flag(self):
+        # python -O strips every assert, so neither the zero short-circuit
+        # nor its guard may rest on one
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(here), "src"), here]))
+        code = ("import json, test_derived as t; "
+                "print(json.dumps(t.central_comparison(1, 1, 3, 'shift')))")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, cwd=here, env=env)
+        assert proc.returncode == 0, proc.stderr
+        got, want = json.loads(proc.stdout)
+        assert got == want
+        assert {"[Y,M1]", "JR1", "JR2", "extension"} <= _failing(got)
+
+
 def live_lincomb_terms(monkeypatch):
     """The list that every later LaurentPoly.lincomb call appends its
     nonzero terms to."""
@@ -473,6 +706,25 @@ class TestCleanFamilyCost:
         assert algebra.verify_central_extension(fam, d=2, matrix_size=21).ok
         assert algebra.y_eigencheck(fam).ok
         assert seen == []
+
+    def test_central_extension_monomials_take_only_monomials_through_k(self, monkeypatch):
+        # on a clean point the relation residuals held on z^-12 .. z^12 are
+        # zero and K keeps every level, so [Y,M1], JR1 and JR2 are not
+        # formed: K meets only the monomials those residuals read, and the
+        # tie-in's K r_n, with every r_n zero
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 24)
+        assert dunkl.verify_bispectral(fam).ok
+        seen = []
+
+        def counted(f, p):
+            seen.append(f)
+            return apply_k(f, p)
+
+        monkeypatch.setattr(algebra, "apply_k", counted)
+        assert algebra.verify_central_extension(fam, d=10, matrix_size=21).ok
+        monomials = [f for f in seen if f]
+        assert sorted(f.min_exp for f in monomials) == list(range(-12, 14))
+        assert all(f == LaurentPoly.monomial(f.min_exp) for f in monomials)
 
     @pytest.mark.parametrize("size", [24, 25])
     def test_y_pairs_take_no_p_or_f_through_k(self, size, monkeypatch):
