@@ -30,16 +30,12 @@ from .cmv import (
 )
 from .dunkl import (
     apply_k,
-    apply_k_single_moment,
     lambda_n,
-    lambda_single_moment,
-    selfadjoint_residual,
     verify_bispectral,
 )
 from .laurent import LaurentPoly, Rational
 from .moments import (
     MomentSeq,
-    Weight,
     determinantal_phi,
     inner_product,
     orthogonality_check,
@@ -53,8 +49,6 @@ from .opuc import (
     OPUCFamily,
     build_family,
     family_from_verblunsky,
-    single_moment_phi,
-    single_moment_verblunsky,
     star,
     verblunsky,
 )
@@ -80,9 +74,7 @@ __all__ = [
     "OPUCFamily",
     "Rational",
     "VerificationReport",
-    "Weight",
     "apply_k",
-    "apply_k_single_moment",
     "big_lambda",
     "build_family",
     "build_m1",
@@ -96,12 +88,8 @@ __all__ = [
     "family_from_verblunsky",
     "inner_product",
     "lambda_n",
-    "lambda_single_moment",
     "orthogonality_check",
-    "selfadjoint_residual",
     "sigma",
-    "single_moment_phi",
-    "single_moment_verblunsky",
     "star",
     "toeplitz_delta",
     "truncated_spectrum",

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import suites
 from .cmv import build_m1, build_m2, cmv_matrix, truncated_spectrum
 from .errors import CircleJacobiError, ConvergenceFailure, ParamOutOfRange
-from .moments import MomentSeq, Weight
+from .moments import MomentSeq
 from .opuc import JacobiParams, build_family, verblunsky
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
@@ -106,6 +106,15 @@ def _require_params(args) -> JacobiParams:
     return JacobiParams(args.alpha, args.beta)
 
 
+def _render_in_full() -> None:
+    """Lift Python's limit on int -> str digits (3.11 and later), so the
+    program's own exact values render in full however long they grow.
+    A command calls this once its inputs are read, so an input over the
+    limit is still rejected; ``main`` puts the caller's limit back."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _emit(args, text: str) -> None:
     if not args.out:
         sys.stdout.write(text)
@@ -138,6 +147,7 @@ def cmd_gen(args) -> int:
     if args.n < 1:
         print("gen: --n must be >= 1", file=sys.stderr)
         return 2
+    _render_in_full()
     fam = build_family(p, args.n)
     lam = [lambda_n(p, k) for k in range(args.n + 1)]
     if args.format == "json":
@@ -218,6 +228,7 @@ def cmd_verify(args) -> int:
         if args.alpha is None or args.beta is None:
             print("verify: --alpha and --beta (or --grid-file) required", file=sys.stderr)
             return 2
+    _render_in_full()
 
     try:
         points = [JacobiParams(alpha, beta) for alpha, beta in grid]
@@ -360,14 +371,14 @@ def cmd_moments(args) -> int:
     if args.n < 0:
         print("moments: --n must be >= 0", file=sys.stderr)
         return 2
-    w = Weight.jacobi(p.alpha, p.beta)
-    ms = MomentSeq(w)
+    _render_in_full()
+    ms = MomentSeq(p)
     vals = [ms.value(k) for k in range(args.n + 1)]
     if args.format == "json":
         doc = {
             "alpha": str(p.alpha),
             "beta": str(p.beta),
-            "weight": w.kind,
+            "weight": "jacobi",
             "moments": [{"n": k, "value": str(v)} for k, v in enumerate(vals)],
         }
         _emit(args, json.dumps(doc, indent=2) + "\n")
@@ -375,7 +386,7 @@ def cmd_moments(args) -> int:
         rows = list(enumerate(vals))
         _emit(args, _csv_text(rows, ("n", "sigma")))
     else:
-        lines = [f"moments alpha={p.alpha} beta={p.beta} weight={w.kind}"]
+        lines = [f"moments alpha={p.alpha} beta={p.beta} weight=jacobi"]
         for k, v in enumerate(vals):
             lines.append(f"sigma_{k} = {v}")
         _emit(args, "\n".join(lines) + "\n")
@@ -384,11 +395,15 @@ def cmd_moments(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         return args.func(args)
     except CircleJacobiError as exc:
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ The residual r_n = K psi_n - lambda_n psi_n of that eigenproblem has
 one home, ``k_residual``, built once per family.  K is linear, so every
 identity that follows from it (Y psi_n in ``algebra``) is formed from
 r_n and equals the direct formula for any psi_n.
+
+The closed forms at the single-moment point (alpha, beta) = (1/2, -1/2),
+K = z d/dz + z/(1 - z) (R - I) and its eigenvalues, and the symmetry of
+K in the weighted inner product, live in ``tests/circle_oracle.py`` as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -20,11 +25,8 @@ from math import lcm
 
 from .errors import NotDivisible
 from .laurent import LaurentPoly, _normal
-from .moments import MomentSeq, Weight, inner_product
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family
 from .report import VerificationReport
-
-_ONE_MINUS_Z = LaurentPoly({0: 1, 1: -1})
 
 
 def apply_k(f: LaurentPoly, p: JacobiParams) -> LaurentPoly:
@@ -64,16 +66,6 @@ def apply_k(f: LaurentPoly, p: JacobiParams) -> LaurentPoly:
     return _normal(-m, out, f._den * e)
 
 
-def apply_k_single_moment(f: LaurentPoly) -> LaurentPoly:
-    """Independent code path for the single-moment specialization
-    K = z d/dz + z/(1 - z) (R - I)."""
-    refl = f.reflect() - f
-    out = f.theta()
-    if refl.is_zero:
-        return out
-    return out + refl.shift(1).div_exact(_ONE_MINUS_Z)
-
-
 @per_family("K")
 def k_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
     """r_n = K psi_n - lambda_n psi_n at the family's parameters.
@@ -94,13 +86,6 @@ def lambda_n(p: JacobiParams, n: int) -> Fraction:
     return Fraction(n + 1, 2) + p.s
 
 
-def lambda_single_moment(n: int) -> Fraction:
-    """Single-moment eigenvalues: -n/2 for even n, (n+3)/2 for odd n."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return Fraction(-n, 2) if n % 2 == 0 else Fraction(n + 3, 2)
-
-
 def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
     """Exact check of K psi_n = lambda_n psi_n for every n in the family."""
     if fam.params is None:
@@ -113,10 +98,3 @@ def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
     for n in range(fam.size + 1):
         rep.residual(f"n={n}", k_residual(fam, n))
     return rep
-
-
-def selfadjoint_residual(f: LaurentPoly, g: LaurentPoly, p: JacobiParams) -> Fraction:
-    """<K f, g>_w - <f, K g>_w in the weighted inner product
-    <u, v>_w = int u(e^it) v(e^-it) w(t) dt / int w(t) dt, exact."""
-    ms = MomentSeq(Weight.jacobi(p.alpha, p.beta))
-    return inner_product(apply_k(f, p), g, ms) - inner_product(f, apply_k(g, p), ms)

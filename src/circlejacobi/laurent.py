@@ -110,10 +110,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def constant(cls, c: Scalar) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
         """c * z^exponent (the exponent may be negative)."""
         c = _fraction(coeff)

@@ -16,78 +16,48 @@ by term gives
 (Andrews, Askey and Roy, *Special Functions*, ch. 2-3), a finite sum of
 rationals for every rational alpha, beta > -1.  ``sigma`` sums it in
 Horner form, innermost term first, on one integer numerator and one
-integer denominator, and reduces once at the end.  The Lebesgue and
-single-moment weights keep their closed forms, which serve as independent
-oracles for the sum.
+integer denominator, and reduces once at the end.  The single-moment
+weight (1 - cos t)/(2 pi) is the point (1/2, -1/2) of the family and
+Lebesgue measure the point (-1/2, -1/2); their closed-form moments live
+in ``tests/circle_oracle.py``, as independent oracles for the sum.
 
-A ``MomentSeq`` keeps each sigma_k of one weight once, and also as integer
-numerators over one common denominator, so ``inner_product`` is an
-integer dot product followed by one ``Fraction``.  The moments suite reads
-one ``MomentSeq`` per family and weight (``family_moments``).
+A ``MomentSeq`` keeps each sigma_k of one parameter point once, and also
+as integer numerators over one common denominator, so ``inner_product``
+is an integer dot product followed by one ``Fraction``.  The moments
+suite reads one ``MomentSeq`` per family (``family_moments``), at the
+family's own (alpha, beta).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import NonPositive, ParamOutOfRange
+from .errors import NonPositive
 from .laurent import LaurentPoly
-from .opuc import OPUCFamily, family_params, per_family
+from .opuc import JacobiParams, OPUCFamily, family_params, per_family
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A normalized probability weight on the unit circle."""
-
-    kind: str  # "jacobi" | "single_moment" | "lebesgue"
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
-    xi: Fraction | None = None
-
-    @classmethod
-    def jacobi(cls, alpha, beta) -> "Weight":
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        if alpha <= -1 or beta <= -1:
-            raise ParamOutOfRange("jacobi weight needs alpha > -1 and beta > -1")
-        return cls("jacobi", alpha=alpha, beta=beta)
-
-    @classmethod
-    def single_moment(cls, xi=1) -> "Weight":
-        xi = Fraction(xi)
-        if not -1 <= xi <= 1:
-            raise ParamOutOfRange("single-moment weight needs |xi| <= 1")
-        return cls("single_moment", xi=xi)
-
-    @classmethod
-    def lebesgue(cls) -> "Weight":
-        return cls("lebesgue")
-
-
-def sigma(w: Weight, n: int) -> Fraction:
-    """The n-th trigonometric moment, normalized so sigma_0 = 1.
+def sigma(p: JacobiParams, n: int) -> Fraction:
+    """The n-th trigonometric moment of the weight at p, normalized so
+    sigma_0 = 1.
 
     Real symmetric weights give sigma_{-n} = sigma_n, which is baked in.
     """
     k = abs(n)
     if k == 0:
         return _ONE  # sigma_0 = 1 by normalization
-    if w.kind == "lebesgue":
-        return _ZERO
-    if w.kind == "single_moment":
-        return -w.xi / 2 if k == 1 else _ZERO
     # 3F2(-k, k, alpha+1; 1/2, alpha+beta+2; 1) = 1 + r_0 (1 + r_1 (1 + ...
     # (1 + r_{k-1}))) with the term ratios
     # r_j = (j-k)(j+k)(j+alpha+1) / ((j+1/2)(j+1)(j+alpha+beta+2)) = rn/rd
     # in integers, summed innermost first as num/den; the factor (j - k)
     # ends the series after j = k - 1
-    a1 = w.alpha + 1
-    b2 = w.alpha + w.beta + 2
+    a1 = p.alpha + 1
+    b2 = p.alpha + p.beta + 2
     p1, q1 = a1.numerator, a1.denominator
     p2, q2 = b2.numerator, b2.denominator
     num = den = 1
@@ -99,7 +69,7 @@ def sigma(w: Weight, n: int) -> Fraction:
 
 
 class MomentSeq:
-    """The moments of one weight, each computed once.
+    """The moments of the weight at one parameter point, each computed once.
 
     ``value(k)`` is sigma_k as a ``Fraction``.  ``integer_view(top)`` is
     sigma_0..sigma_top as integer numerators over one common denominator,
@@ -108,8 +78,8 @@ class MomentSeq:
     is safe.
     """
 
-    def __init__(self, weight: Weight):
-        self.weight = weight
+    def __init__(self, params: JacobiParams):
+        self.params = params
         self._cache: dict[int, Fraction] = {}
         self._nums: tuple[int, ...] = ()
         self._den = 1
@@ -117,7 +87,7 @@ class MomentSeq:
     def value(self, n: int) -> Fraction:
         k = abs(n)
         if k not in self._cache:
-            self._cache[k] = sigma(self.weight, k)
+            self._cache[k] = sigma(self.params, k)
         return self._cache[k]
 
     def integer_view(self, top: int) -> tuple[tuple[int, ...], int]:
@@ -136,10 +106,12 @@ class MomentSeq:
 
 
 @per_family("moments")
-def family_moments(fam: OPUCFamily, w: Weight) -> MomentSeq:
-    """The MomentSeq of w for this family, made once per family, so every
-    moment report of the family shares it."""
-    return MomentSeq(w)
+def family_moments(fam: OPUCFamily) -> MomentSeq:
+    """The MomentSeq at the family's (alpha, beta), made once per family,
+    so every moment report of the family shares it."""
+    if fam.params is None:
+        raise ValueError("family carries no (alpha, beta) parameters")
+    return MomentSeq(fam.params)
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
@@ -235,15 +207,15 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction:
     return Fraction(sum(c * sig[abs(m)] for m, c in enumerate(nums, lo)), prod._den * den)
 
 
-def orthogonality_check(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationReport:
+def orthogonality_check(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """<phi_n, phi_m>_w = h_n delta_{nm} for all m <= n <= n_max, exactly."""
     if n_max > fam.size:
         raise ValueError("family too short for requested range")
-    ms = family_moments(fam, w)
+    ms = family_moments(fam)
     rep = VerificationReport(
         identity="orthogonality",
         relation="<phi_n, phi_m>_w = h_n delta_nm",
-        params=family_params(fam, weight=w.kind, n_max=n_max),
+        params=family_params(fam, weight="jacobi", n_max=n_max),
     )
     for n in range(n_max + 1):
         for m in range(n + 1):
@@ -254,13 +226,13 @@ def orthogonality_check(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationR
     return rep
 
 
-def verify_toeplitz_h(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationReport:
+def verify_toeplitz_h(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """Delta_{n+1}/Delta_n = h_n, exact."""
-    ms = family_moments(fam, w)
+    ms = family_moments(fam)
     rep = VerificationReport(
         identity="toeplitz-h",
         relation="Delta_{n+1} / Delta_n = h_n = prod_{k<n} (1 - a_k^2)",
-        params=family_params(fam, weight=w.kind, n_max=n_max),
+        params=family_params(fam, weight="jacobi", n_max=n_max),
     )
     deltas = [toeplitz_delta(ms, n) for n in range(n_max + 2)]
     for n in range(n_max + 1):
@@ -270,15 +242,13 @@ def verify_toeplitz_h(fam: OPUCFamily, w: Weight, n_max: int) -> VerificationRep
     return rep
 
 
-def verify_determinantal_match(
-    fam: OPUCFamily, w: Weight, n_max: int
-) -> VerificationReport:
+def verify_determinantal_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """Determinantal phi_n equals the Szego-recurrence phi_n, exact."""
-    ms = family_moments(fam, w)
+    ms = family_moments(fam)
     rep = VerificationReport(
         identity="determinantal-match",
         relation="bordered-Toeplitz phi_n = recurrence phi_n",
-        params=family_params(fam, weight=w.kind, n_max=n_max),
+        params=family_params(fam, weight="jacobi", n_max=n_max),
     )
     for n in range(n_max + 1):
         res = LaurentPoly.lincomb([(1, determinantal_phi(ms, n)), (-1, fam.phi[n])])

@@ -68,11 +68,6 @@ def verblunsky(p: JacobiParams, n: int) -> Fraction:
     return a
 
 
-def single_moment_verblunsky(n: int) -> Fraction:
-    """a_n = -1/(n+2) for the single-moment measure (1 - cos t)/(2 pi)."""
-    return Fraction(-1, n + 2)
-
-
 def star(f: LaurentPoly, n: int) -> LaurentPoly:
     """The degree-n reversal z^n f(1/z); real coefficients need no conjugation."""
     if f.is_zero:
@@ -101,18 +96,6 @@ def chi_basis(n: int) -> LaurentPoly:
     if n % 2:
         return LaurentPoly.monomial((n + 1) // 2)
     return LaurentPoly.monomial(-(n // 2))
-
-
-def chi_index(exponent: int) -> int:
-    """Position of the monomial z^exponent in the chi ordering."""
-    return 2 * exponent - 1 if exponent >= 1 else -2 * exponent
-
-
-def max_chi_index(f: LaurentPoly) -> int:
-    """Largest chi position present in f (-1 for the zero polynomial)."""
-    if f.is_zero:
-        return -1
-    return max(chi_index(k) for k in f.support)
 
 
 @dataclass
@@ -148,7 +131,7 @@ class OPUCFamily:
       by ``algebra.family_representation``;
     - ``"reflection"``: the reflection residuals A_n and B_n of M1 and
       M2 (``cmv.reflection_residuals``);
-    - ``("moments", w)``: the ``MomentSeq`` of weight w
+    - ``"moments"``: the ``MomentSeq`` at the family's (alpha, beta)
       (``moments.family_moments``).
 
     It belongs to the instance, never to its parameters: a corrupted
@@ -248,16 +231,3 @@ def build_family(p: JacobiParams, n_max: int) -> OPUCFamily:
         raise ValueError("n_max must be >= 1")
     a = [verblunsky(p, n) for n in range(n_max + 1)]
     return family_from_verblunsky(a, params=p)
-
-
-def single_moment_phi(n: int) -> LaurentPoly:
-    """Closed form for the single-moment measure:
-    phi_n = (1/(n+1)) sum_{k=0}^{n} (k+1) z^k.
-
-    Serves as an independent oracle for the recurrence construction at
-    (alpha, beta) = (1/2, -1/2).
-    """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    scale = Fraction(1, n + 1)
-    return LaurentPoly({k: scale * (k + 1) for k in range(n + 1)})

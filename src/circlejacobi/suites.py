@@ -71,13 +71,12 @@ def _szego(fam: OPUCFamily) -> list[VerificationReport]:
 
 
 def _moments(fam: OPUCFamily) -> list[VerificationReport]:
-    p, n = fam.params, fam.size
-    w = moments.Weight.jacobi(p.alpha, p.beta)
+    n = fam.size
     m = min(n, 8)
     return [
-        moments.orthogonality_check(fam, w, min(n, 12)),
-        moments.verify_toeplitz_h(fam, w, m),
-        moments.verify_determinantal_match(fam, w, m),
+        moments.orthogonality_check(fam, min(n, 12)),
+        moments.verify_toeplitz_h(fam, m),
+        moments.verify_determinantal_match(fam, m),
     ]
 
 

@@ -20,14 +20,14 @@ from circlejacobi.algebra import (
     y_eigencheck,
 )
 from circlejacobi.cmv import verify_gevp_and_five_term, verify_reflection_rows
-from circlejacobi.dunkl import lambda_n, lambda_single_moment, verify_bispectral
+from circlejacobi.dunkl import lambda_n, verify_bispectral
 from circlejacobi.moments import (
-    Weight,
+    family_moments,
     orthogonality_check,
     verify_determinantal_match,
     verify_toeplitz_h,
 )
-from circlejacobi.opuc import JacobiParams, single_moment_phi
+from circlejacobi.opuc import JacobiParams
 from circlejacobi.szego import (
     verify_classical_match,
     verify_dep_and_pq_identity,
@@ -36,10 +36,15 @@ from circlejacobi.szego import (
     verify_transforms,
 )
 
+from circle_oracle import (
+    SINGLE_MOMENT as SM,
+    lambda_single_moment,
+    single_moment_phi,
+    single_moment_sigma,
+)
 from conftest import ACCEPTANCE_LINES, GRID
 
 F = Fraction
-SM = JacobiParams(F(1, 2), F(-1, 2))
 
 
 class _Criterion:
@@ -155,16 +160,19 @@ def test_criterion_7_single_moment_closed_forms(family):
                 lambda_n(SM, n) == lambda_single_moment(n),
                 f"lambda_{n} mismatch between general and special forms",
             )
-        w = Weight.single_moment(1)
-        c.absorb(verify_determinantal_match(fam, w, 8))
-        c.absorb(verify_toeplitz_h(fam, w, 8))
+        # the reports pair with the family's 3F2 moments, which must be
+        # the closed forms of the weight (1 - cos t)/(2 pi)
+        ms = family_moments(fam)
+        for n in range(-40, 41):
+            c.check(ms.value(n) == single_moment_sigma(n), f"sigma_{n} != closed form")
+        c.absorb(verify_determinantal_match(fam, 8))
+        c.absorb(verify_toeplitz_h(fam, 8))
 
 
 def test_criterion_8_numeric_orthogonality(family):
     with criterion(8, "exact orthogonality, n, m <= 12", 30.0) as c:
         for alpha, beta in GRID:
-            w = Weight.jacobi(alpha, beta)
-            rep = orthogonality_check(family(alpha, beta, 12), w, 12)
+            rep = orthogonality_check(family(alpha, beta, 12), 12)
             c.absorb(rep)
             c.check(
                 len(rep.checks) == 91,
@@ -177,13 +185,13 @@ def test_criterion_9_negative_control():
         p = JacobiParams(F(1), F(2))
         for idx in (0, 1, 5):
             fam = suites.family(p, 11, corrupt_a=idx)
-            w = Weight.jacobi(p.alpha, p.beta)
             for rep in (
                 verify_bispectral(fam),
                 verify_reflection_rows(fam),
                 verify_gevp_and_five_term(fam),
-                orthogonality_check(fam, w, fam.size),
-                verify_toeplitz_h(fam, w, 8),
+                orthogonality_check(fam, fam.size),
+                verify_toeplitz_h(fam, 8),
+                verify_determinantal_match(fam, 8),
                 verify_classical_match(fam),
                 verify_dep_and_pq_identity(fam),
                 y_eigencheck(fam),

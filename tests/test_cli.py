@@ -2,10 +2,14 @@
 
 import ast
 import csv
+import importlib
+import inspect
 import io
 import json
+import pkgutil
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +18,12 @@ import pytest
 from circlejacobi import suites
 from circlejacobi.errors import BadVerblunsky
 from circlejacobi.cli import main, rational
+from circlejacobi.moments import MomentSeq
+from circlejacobi.opuc import JacobiParams, build_family
+
+from test_perfbench import literal
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -532,6 +542,117 @@ class TestMoments:
         ]
 
 
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt"), ("csv", "csv")])
+@pytest.mark.parametrize("point, alpha, beta, n", [
+    ("single-moment-n5", "1/2", "-1/2", "5"),
+    ("offgrid-n8", "3/7", "-2/5", "8"),
+])
+@pytest.mark.parametrize("command", ["gen", "moments"])
+def test_output_matches_golden(tmp_path, command, point, alpha, beta, n, fmt, ext):
+    out = tmp_path / f"out.{ext}"
+    code = main([command, "--alpha", alpha, "--beta", beta, "--n", n,
+                 "--format", fmt, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"{command}-{point}.{ext}").read_bytes()
+
+
+@contextmanager
+def int_digits(limit):
+    """Python's int <-> str digit limit set to limit for the block."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no int -> str digit limit")
+class TestPastTheDigitLimit:
+    """Exact values longer than Python's default 4300-digit int -> str
+    limit, at alpha = 1/77...7 with 2500 sevens."""
+
+    D = "7" * 2500
+    ARGS = ("--alpha", f"1/{D}", "--beta", "0", "--n", "3")
+    P = JacobiParams(Fraction(1, int(D)), 0)
+
+    def test_gen_renders_every_value_in_full(self, capsys):
+        code, out, err = run(capsys, "gen", *self.ARGS, "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        fam = build_family(self.P, 3)
+        assert max(len(v) for v in doc["h"]) > 4300
+        with int_digits(0):
+            assert [Fraction(v) for v in doc["a"]] == list(fam.a)
+            assert [Fraction(v) for v in doc["h"]] == list(fam.h)
+            assert doc["phi"] == [f.text() for f in fam.phi]
+        for fmt in ("text", "csv"):
+            code, out, err = run(capsys, "gen", *self.ARGS, "--format", fmt)
+            assert (code, err) == (0, "") and out
+
+    def test_moments_renders_every_value_in_full(self, capsys):
+        code, out, err = run(capsys, "moments", *self.ARGS, "--format", "json")
+        assert (code, err) == (0, "")
+        values = [m["value"] for m in json.loads(out)["moments"]]
+        assert max(len(v) for v in values) > 4300
+        ms = MomentSeq(self.P)
+        with int_digits(0):
+            assert [Fraction(v) for v in values] == [ms.value(k) for k in range(4)]
+        for fmt in ("text", "csv"):
+            code, out, err = run(capsys, "moments", *self.ARGS, "--format", fmt)
+            assert (code, err) == (0, "") and out
+
+    def test_verify_reports_the_failing_checks(self, capsys):
+        code, out, err = run(capsys, "verify", *self.ARGS, "--suite", "bispectral",
+                             "--corrupt-a", "1", "--format", "json")
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert "error" not in doc and doc["summary"]["status"] == "fail"
+        [rep] = doc["suite_results"]
+        assert rep["failures"] and all(f["detail"] for f in rep["failures"])
+        assert max(len(f["detail"]) for f in rep["failures"]) > 4300
+
+    def test_inputs_over_the_limit_are_rejected(self, capsys, tmp_path):
+        big = f"1/{'7' * 4301}"
+        for command in ("gen", "verify", "moments"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--alpha", big, "--beta", "0", "--n", "3"])
+            assert exc.value.code == 2
+            assert "invalid rational value" in capsys.readouterr().err
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([["0", "0"], [big, "0"]]))
+        code, out, err = run(capsys, "verify", "--grid-file", str(grid), "--n", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("verify: bad grid file: Exceeds the limit (4300 digits)")
+
+    def test_main_leaves_the_limit_as_found(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([[f"1/{self.D}", "0"]]))
+        runs = [
+            ["gen", *self.ARGS],
+            ["moments", *self.ARGS],
+            ["verify", *self.ARGS, "--suite", "bispectral", "--corrupt-a", "1"],
+            ["verify", "--grid-file", str(grid), "--n", "3", "--suite", "moments"],
+            ["spectrum", *self.ARGS],
+            ["gen", "--alpha", "-2", "--beta", "0"],
+        ]
+        for limit in (4300, 5000, 0):
+            with int_digits(limit):
+                for argv in runs:
+                    main(argv)
+                    assert sys.get_int_max_str_digits() == limit, argv
+        capsys.readouterr()
+
+    def test_runs_without_the_limit(self, capsys, monkeypatch):
+        # interpreters before 3.11 have neither function
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        code, out, _ = run(capsys, "gen", "--alpha", "1/2", "--beta", "-1/2", "--n", "5")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "gen-single-moment-n5.txt").read_bytes()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -593,6 +714,84 @@ class TestEntryPoint:
                 and id(node) not in allowed
             ]
         assert found == []
+
+    # Functions no CLI run reaches, each with the reason it stays in src/.
+    NOT_ON_A_CLI_PATH = {
+        **{
+            f"laurent.LaurentPoly.{attr}":
+                "a ring operator the benchmark tracer wraps (perfbench/spans.py)"
+            for attr in literal("LAURENT_METHODS").values()
+        },
+        "laurent.LaurentPoly.__len__": "Python protocol, for interactive use",
+        "laurent.LaurentPoly.__repr__": "Python protocol, for interactive use",
+        "laurent.LaurentPoly.__str__": "Python protocol, for interactive use",
+        "opuc.per_family": "runs at import, when each memoized build is decorated",
+        "algebra._closure_residuals":
+            "runs only when K breaks a defining relation; tests/test_derived.py drives it",
+    }
+
+    @staticmethod
+    def _package_functions() -> dict:
+        """Code object -> "module.qualname" of every function and method
+        defined in the package, decorators unwrapped."""
+        src = Path(suites.__file__).parent
+        found = {}
+        for info in pkgutil.iter_modules([str(src)]):
+            module = importlib.import_module(f"circlejacobi.{info.name}")
+            for obj in vars(module).values():
+                members = [obj]
+                if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                    members = [
+                        getattr(v, "__func__", None) or getattr(v, "fget", None)
+                        or getattr(v, "func", None) or v
+                        for v in vars(obj).values()
+                    ]
+                for fn in members:
+                    if not inspect.isfunction(fn):
+                        continue
+                    fn = inspect.unwrap(fn)
+                    if Path(fn.__code__.co_filename).parent == src:
+                        module_name = fn.__module__.rpartition(".")[2]
+                        found[fn.__code__] = f"{module_name}.{fn.__qualname__}"
+        return found
+
+    def test_every_package_function_is_reached_from_the_cli(self, capsys, tmp_path):
+        # what only tests call belongs in tests/, next to the reference
+        # models there; each exception is listed with its reason
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([["1", "2"], ["1/2", "-1/2"]]))
+        point = ["--alpha", "3/7", "--beta", "-2/5"]
+        runs = [
+            ["verify", *point, "--n", "12"],
+            ["verify", "--alpha", "1/3", "--beta", "1/3", "--n", "8"],
+            ["verify", "--alpha", "1", "--beta", "2", "--n", "8", "--corrupt-a", "1"],
+            ["verify", "--grid-file", str(grid), "--n", "5"],
+            ["gen", *point, "--n", "5"],
+            ["moments", *point, "--n", "5"],
+            *(["spectrum", *point, "--n", "6", "--matrix", m] for m in ("c", "m1", "m2")),
+        ]
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        previous = sys.getprofile()
+        for argv in runs:
+            for fmt in ("json", "text", "csv"):
+                sys.setprofile(profile)
+                try:
+                    main([*argv, "--format", fmt])
+                finally:
+                    sys.setprofile(previous)
+        capsys.readouterr()
+        defined = self._package_functions()
+        assert set(self.NOT_ON_A_CLI_PATH) <= set(defined.values())
+        unreached = sorted(
+            name for code, name in defined.items()
+            if code not in called and name not in self.NOT_ON_A_CLI_PATH
+        )
+        assert unreached == []
 
     def test_detection_survives_optimize_flag(self):
         # python -O strips every assert, so detection must not rest on one

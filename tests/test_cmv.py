@@ -335,8 +335,7 @@ class TestOneNormalizationPerResidual:
             algebra.verify_central_extension,
             pytest.param(szego.verify_classical_match, id="verify_classical_match"),
             pytest.param(
-                lambda fam: moments.verify_determinantal_match(
-                    fam, moments.Weight.jacobi(fam.params.alpha, fam.params.beta), 8),
+                lambda fam: moments.verify_determinantal_match(fam, 8),
                 id="verify_determinantal_match"),
         ],
     )

@@ -5,27 +5,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from circlejacobi.dunkl import (
-    apply_k,
-    apply_k_single_moment,
-    lambda_n,
-    lambda_single_moment,
-    selfadjoint_residual,
-    verify_bispectral,
-)
+from circlejacobi.dunkl import apply_k, lambda_n, verify_bispectral
 from circlejacobi.laurent import ONE_MINUS_Z2, LaurentPoly
-from circlejacobi.opuc import (
-    JacobiParams,
-    chi_basis,
-    family_from_verblunsky,
-    max_chi_index,
-)
+from circlejacobi.opuc import JacobiParams, chi_basis, family_from_verblunsky
 
+from circle_oracle import (
+    SINGLE_MOMENT as P_SM,
+    apply_k_single_moment,
+    constant,
+    lambda_single_moment,
+    max_chi_index,
+    selfadjoint_residual,
+)
 from conftest import GRID
 from test_laurent import assert_normal, laurents
 
 F = Fraction
-P_SM = JacobiParams(F(1, 2), F(-1, 2))
 
 # Laurent inputs that include the zero polynomial, symmetric f (R f = f,
 # where K reduces to theta) and antisymmetric f (R f = -f).
@@ -97,7 +92,7 @@ class TestApplyK:
         assert apply_k_single_moment(psi2) == -psi2
 
     def test_kills_constants(self):
-        assert apply_k(LaurentPoly.constant(5), JacobiParams(1, 2)).is_zero
+        assert apply_k(constant(5), JacobiParams(1, 2)).is_zero
         assert apply_k_single_moment(LaurentPoly.one()).is_zero
 
     def test_linear(self):

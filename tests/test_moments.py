@@ -12,7 +12,6 @@ from circlejacobi.errors import NonPositive, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.moments import (
     MomentSeq,
-    Weight,
     _det_fraction,
     determinantal_phi,
     family_moments,
@@ -23,18 +22,29 @@ from circlejacobi.moments import (
     verify_determinantal_match,
     verify_toeplitz_h,
 )
-from circlejacobi.opuc import JacobiParams, build_family
+from circlejacobi.opuc import JacobiParams, build_family, family_from_verblunsky
 
+from circle_oracle import LEBESGUE, SINGLE_MOMENT, lebesgue_sigma, single_moment_sigma
 from conftest import PARAM
 from test_laurent import laurents
 
 F = Fraction
 
-WEIGHT = st.one_of(
-    st.builds(Weight.jacobi, PARAM, PARAM),
-    st.builds(Weight.single_moment, st.fractions(-1, 1, max_denominator=12)),
-    st.just(Weight.lebesgue()),
+POINTS = st.one_of(
+    st.builds(JacobiParams, PARAM, PARAM),
+    st.just(SINGLE_MOMENT),
+    st.just(LEBESGUE),
 )
+
+
+def closed_form_moments(p: JacobiParams, top: int = 40) -> MomentSeq:
+    """The MomentSeq at the single-moment or the Lebesgue point, after
+    checking that its 3F2 moments sigma_{-top}..sigma_top are the
+    closed forms of that weight."""
+    want = {SINGLE_MOMENT: single_moment_sigma, LEBESGUE: lebesgue_sigma}[p]
+    ms = MomentSeq(p)
+    assert all(ms.value(n) == want(n) for n in range(-top, top + 1))
+    return ms
 
 
 def _poly_mul(p: list, q: list) -> list:
@@ -73,12 +83,12 @@ def _integer_jacobi_moment(alpha: int, beta: int, n: int) -> Fraction:
     return _integral(_poly_mul(_chebyshev_t(n), w)) / _integral(w)
 
 
-def _sigma_running_sum(w: Weight, n: int) -> Fraction:
+def _sigma_running_sum(p: JacobiParams, n: int) -> Fraction:
     """The reference model: 3F2(-k, k, alpha+1; 1/2, alpha+beta+2; 1),
     k = |n|, summed outermost first as a running Fraction term ratio."""
     k = abs(n)
-    a1 = w.alpha + 1
-    b2 = w.alpha + w.beta + 2
+    a1 = p.alpha + 1
+    b2 = p.alpha + p.beta + 2
     term = total = F(1)
     for j in range(k):
         term *= (j - k) * (j + k) * (j + a1) / ((j + F(1, 2)) * (j + 1) * (j + b2))
@@ -102,96 +112,91 @@ MODEL_POINTS = [
 
 class TestWeight:
     def test_constructors_and_exactness(self):
-        assert Weight.lebesgue().kind == "lebesgue"
-        assert Weight.single_moment().xi == 1
-        assert Weight.single_moment("1/2").xi == F(1, 2)
-        w = Weight.jacobi(1, 2)
-        assert (w.kind, w.alpha, w.beta) == ("jacobi", 1, 2)
-        assert all(isinstance(sigma(w, n), Fraction) for n in range(6))
+        # the weight is named by its parameter point, and its moments
+        # are exact at every point
+        for p in (JacobiParams(1, 2), SINGLE_MOMENT, LEBESGUE):
+            assert MomentSeq(p).params is p
+            assert all(type(sigma(p, n)) is Fraction for n in range(6))
+        assert (SINGLE_MOMENT.alpha, SINGLE_MOMENT.beta) == (F(1, 2), F(-1, 2))
+        assert (LEBESGUE.alpha, LEBESGUE.beta) == (F(-1, 2), F(-1, 2))
 
     def test_domain_guards(self):
         with pytest.raises(ParamOutOfRange):
-            Weight.jacobi(-1, 0)
+            JacobiParams(-1, 0)
         with pytest.raises(ParamOutOfRange):
-            Weight.jacobi(0, "-3/2")
-        with pytest.raises(ParamOutOfRange):
-            Weight.single_moment(2)
+            JacobiParams(0, "-3/2")
 
 
 class TestSigma:
     def test_lebesgue(self):
-        w = Weight.lebesgue()
-        assert sigma(w, 0) == 1
-        assert sigma(w, 5) == 0
-        assert sigma(w, -3) == 0
+        assert [lebesgue_sigma(n) for n in (0, 5, -3)] == [1, 0, 0]
+        assert sigma(LEBESGUE, 0) == 1
+        assert sigma(LEBESGUE, 5) == 0
+        assert sigma(LEBESGUE, -3) == 0
 
     def test_single_moment_frozen(self):
-        w = Weight.single_moment(1)
-        assert sigma(w, 0) == 1
-        assert sigma(w, 1) == F(-1, 2)
-        assert sigma(w, -1) == F(-1, 2)
-        assert sigma(w, 2) == 0
-        assert sigma(Weight.single_moment(F(1, 2)), 1) == F(-1, 4)
+        assert [single_moment_sigma(n) for n in (0, 1, -1, 2)] == [1, F(-1, 2), F(-1, 2), 0]
+        assert sigma(SINGLE_MOMENT, 0) == 1
+        assert sigma(SINGLE_MOMENT, 1) == F(-1, 2)
+        assert sigma(SINGLE_MOMENT, -1) == F(-1, 2)
+        assert sigma(SINGLE_MOMENT, 2) == 0
 
     def test_jacobi_agrees_with_exact_twin(self):
-        # (1/2, -1/2) is the xi = 1 single-moment weight in disguise, and
-        # (-1/2, -1/2) is the Lebesgue weight
+        # (1/2, -1/2) is the single-moment weight (1 - cos t)/(2 pi), and
+        # (-1/2, -1/2) is the Lebesgue weight: the 3F2 sum must give
+        # their closed forms
         for n in range(-12, 13):
-            assert sigma(Weight.jacobi(F(1, 2), F(-1, 2)), n) == sigma(
-                Weight.single_moment(1), n
-            )
-            assert sigma(Weight.jacobi(F(-1, 2), F(-1, 2)), n) == sigma(
-                Weight.lebesgue(), n
-            )
+            assert sigma(SINGLE_MOMENT, n) == single_moment_sigma(n)
+            assert sigma(LEBESGUE, n) == lebesgue_sigma(n)
 
     def test_jacobi_first_moment_frozen(self):
         # sigma_1 equals the first recurrence coefficient of the family
-        assert sigma(Weight.jacobi(1, 2), 1) == F(1, 5)
+        assert sigma(JacobiParams(1, 2), 1) == F(1, 5)
 
     def test_sigma_zero_is_exact_for_every_weight(self):
         # the normalization makes sigma_0 = 1 by construction
-        for w in (Weight.jacobi(1, 2), Weight.single_moment(F(1, 3)), Weight.lebesgue()):
-            v = sigma(w, 0)
+        for p in (JacobiParams(1, 2), SINGLE_MOMENT, LEBESGUE):
+            v = sigma(p, 0)
             assert isinstance(v, Fraction) and v == 1
 
     @pytest.mark.parametrize("alpha, beta", [(0, 0), (1, 2), (2, 0)])
     def test_integer_points_match_polynomial_integration(self, alpha, beta):
-        w = Weight.jacobi(alpha, beta)
+        p = JacobiParams(alpha, beta)
         for n in range(11):
-            assert sigma(w, n) == _integer_jacobi_moment(alpha, beta, n)
+            assert sigma(p, n) == _integer_jacobi_moment(alpha, beta, n)
 
     def test_symmetric_weight_has_vanishing_odd_moments(self):
         # alpha = beta makes the weight even in x = cos t, and T_n is odd
         for a in (F(-3, 4), F(0), F(2, 7), F(5, 2)):
-            w = Weight.jacobi(a, a)
-            assert all(sigma(w, n) == 0 for n in range(1, 14, 2))
+            p = JacobiParams(a, a)
+            assert all(sigma(p, n) == 0 for n in range(1, 14, 2))
 
 
 class TestSigmaReferenceModel:
     @pytest.mark.parametrize("alpha, beta", MODEL_POINTS)
     def test_horner_sum_equals_running_sum(self, alpha, beta):
-        w = Weight.jacobi(alpha, beta)
+        p = JacobiParams(alpha, beta)
         for n in range(-3, 61):
-            got = sigma(w, n)
-            assert type(got) is Fraction and got == _sigma_running_sum(w, n), n
+            got = sigma(p, n)
+            assert type(got) is Fraction and got == _sigma_running_sum(p, n), n
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=PARAM, beta=PARAM, n=st.integers(-40, 40))
     def test_random_points(self, alpha, beta, n):
-        w = Weight.jacobi(alpha, beta)
-        assert sigma(w, n) == _sigma_running_sum(w, n)
+        p = JacobiParams(alpha, beta)
+        assert sigma(p, n) == _sigma_running_sum(p, n)
 
 
 class TestMomentSeq:
     def test_caches_and_symmetrizes(self):
-        ms = MomentSeq(Weight.jacobi(F(3, 7), F(-2, 5)))
+        ms = MomentSeq(JacobiParams(F(3, 7), F(-2, 5)))
         assert ms.value(3) is ms.value(-3)
-        assert MomentSeq(Weight.single_moment(1)).value(1) == F(-1, 2)
+        assert closed_form_moments(SINGLE_MOMENT).value(1) == F(-1, 2)
 
     @pytest.mark.parametrize("w", [
-        *(Weight.jacobi(a, b) for a, b in MODEL_POINTS),
-        Weight.single_moment(F(1, 3)),
-        Weight.lebesgue(),
+        *(JacobiParams(a, b) for a, b in MODEL_POINTS),
+        SINGLE_MOMENT,
+        LEBESGUE,
     ])
     def test_integer_view_reproduces_values(self, w):
         # grown in uneven steps, the view stays over the least common
@@ -211,16 +216,16 @@ class TestMomentSeq:
         calls = []
         orig = moments.sigma
 
-        def counted(w, n):
+        def counted(p, n):
             calls.append(n)
-            return orig(w, n)
+            return orig(p, n)
 
         monkeypatch.setattr(moments, "sigma", counted)
         fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
         assert all(rep.ok for rep in suites.run("moments", fam))
         assert sorted(calls) == list(range(13))
-        w = Weight.jacobi(F(3, 7), F(-2, 5))
-        assert family_moments(fam, w) is fam.derived[("moments", w)]
+        assert family_moments(fam) is fam.derived["moments"]
+        assert family_moments(fam).params is fam.params
 
     def test_moments_suite_computes_each_delta_once(self, monkeypatch):
         # Toeplitz-h computes Delta_0 .. Delta_9; the determinantal phi_n,
@@ -292,27 +297,27 @@ class TestToeplitz:
     def test_single_moment_frozen_determinants(self):
         # tridiagonal Toeplitz with diagonal 1, off-diagonal -1/2:
         # Delta_n = (n + 1) / 2^n
-        ms = MomentSeq(Weight.single_moment(1))
+        ms = closed_form_moments(SINGLE_MOMENT)
         assert [toeplitz_delta(ms, n) for n in range(5)] == [
             F(1), F(1), F(3, 4), F(1, 2), F(5, 16),
         ]
 
     def test_lebesgue_is_identity(self):
-        ms = MomentSeq(Weight.lebesgue())
+        ms = closed_form_moments(LEBESGUE)
         assert toeplitz_delta(ms, 6) == 1
 
     def test_jacobi_is_exact(self, family):
-        d = toeplitz_delta(MomentSeq(Weight.jacobi(1, 2)), 3)
+        d = toeplitz_delta(MomentSeq(JacobiParams(1, 2)), 3)
         assert isinstance(d, Fraction) and d > 0
         h = family(F(1), F(2), 3).h
         assert d == h[0] * h[1] * h[2]
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
-            toeplitz_delta(MomentSeq(Weight.lebesgue()), -1)
+            toeplitz_delta(MomentSeq(LEBESGUE), -1)
 
     def test_positivity_guard(self):
-        ms = MomentSeq(Weight.lebesgue())
+        ms = MomentSeq(LEBESGUE)
         ms._cache[1] = F(2)  # |sigma_1| > sigma_0
         with pytest.raises(NonPositive):
             toeplitz_delta(ms, 2)
@@ -323,52 +328,55 @@ class TestToeplitz:
 
 class TestDeterminantalPhi:
     def test_lebesgue_gives_monomials(self):
-        ms = MomentSeq(Weight.lebesgue())
+        ms = closed_form_moments(LEBESGUE)
         for n in range(6):
             assert determinantal_phi(ms, n) == LaurentPoly.monomial(n)
 
     def test_negative_index(self):
         with pytest.raises(ValueError):
-            determinantal_phi(MomentSeq(Weight.lebesgue()), -1)
+            determinantal_phi(MomentSeq(LEBESGUE), -1)
 
     def test_matches_recurrence(self, family):
+        closed_form_moments(SINGLE_MOMENT)
         fam = family(F(1, 2), F(-1, 2), 8)
-        rep = verify_determinantal_match(fam, Weight.single_moment(1), 8)
+        rep = verify_determinantal_match(fam, 8)
         assert rep.ok
         assert len(rep.checks) == 9
         fam = family(F(1), F(2), 8)
-        assert verify_determinantal_match(fam, Weight.jacobi(1, 2), 8).ok
+        assert verify_determinantal_match(fam, 8).ok
 
     def test_toeplitz_h_ratios(self, family):
+        closed_form_moments(SINGLE_MOMENT)
+        closed_form_moments(LEBESGUE)
         fam = family(F(1, 2), F(-1, 2), 9)
-        assert verify_toeplitz_h(fam, Weight.single_moment(1), 8).ok
+        assert verify_toeplitz_h(fam, 8).ok
         free = family(F(-1, 2), F(-1, 2), 9)
-        assert verify_toeplitz_h(free, Weight.lebesgue(), 8).ok
+        assert verify_toeplitz_h(free, 8).ok
 
 
 class TestInnerProduct:
     def test_exact_value_and_type(self):
-        ms = MomentSeq(Weight.single_moment(1))
+        ms = closed_form_moments(SINGLE_MOMENT)
         phi1 = LaurentPoly({1: 1, 0: F(1, 2)})  # z + 1/2
         v = inner_product(phi1, phi1, ms)
         assert isinstance(v, Fraction) and v == F(3, 4)
 
     def test_jacobi_value_is_exact(self):
-        ms = MomentSeq(Weight.jacobi(1, 2))
+        ms = MomentSeq(JacobiParams(1, 2))
         v = inner_product(LaurentPoly.monomial(1), LaurentPoly.one(), ms)
         assert isinstance(v, Fraction) and v == F(1, 5)
 
     @settings(max_examples=200, deadline=None)
-    @given(f=laurents(), g=laurents(), w=WEIGHT)
-    def test_equals_the_double_sum(self, f, g, w):
+    @given(f=laurents(), g=laurents(), p=POINTS)
+    def test_equals_the_double_sum(self, f, g, p):
         want = sum(
-            (cf * cg * sigma(w, j - k) for j, cf in f.items() for k, cg in g.items()), F(0)
+            (cf * cg * sigma(p, j - k) for j, cf in f.items() for k, cg in g.items()), F(0)
         )
-        got = inner_product(f, g, MomentSeq(w))
+        got = inner_product(f, g, MomentSeq(p))
         assert type(got) is Fraction and got == want
 
     def test_zero_input_is_a_fraction(self):
-        ms = MomentSeq(Weight.jacobi(1, 2))
+        ms = MomentSeq(JacobiParams(1, 2))
         f = LaurentPoly({-2: F(1, 3), 4: 5})
         for v in (
             inner_product(LaurentPoly.zero(), f, ms),
@@ -380,13 +388,14 @@ class TestInnerProduct:
 
 class TestOrthogonality:
     def test_exact_weight(self, family):
+        closed_form_moments(SINGLE_MOMENT)
         fam = family(F(1, 2), F(-1, 2), 12)
-        rep = orthogonality_check(fam, Weight.single_moment(1), 10)
+        rep = orthogonality_check(fam, 10)
         assert rep.ok
 
     def test_jacobi_weight(self, family):
         fam = family(F(1), F(2), 12)
-        rep = orthogonality_check(fam, Weight.jacobi(1, 2), 10)
+        rep = orthogonality_check(fam, 10)
         assert rep.ok
         assert len(rep.checks) == 66
         assert rep.to_dict()["params"] == {
@@ -394,15 +403,26 @@ class TestOrthogonality:
         }
 
     def test_wrong_weight_fails(self, family):
-        fam = family(F(1), F(2), 6)
-        rep = orthogonality_check(fam, Weight.lebesgue(), 4)
+        # the (1, 2) polynomials tagged with the Lebesgue point are paired
+        # against the Lebesgue moments, which they are not orthogonal for
+        closed_form_moments(LEBESGUE)
+        fam = family_from_verblunsky(family(F(1), F(2), 6).a, params=LEBESGUE)
+        rep = orthogonality_check(fam, 4)
         assert not rep.ok
         assert rep.failures
 
     def test_range_guard(self, family):
         fam = family(F(0), F(0), 4)
         with pytest.raises(ValueError):
-            orthogonality_check(fam, Weight.jacobi(0, 0), 5)
+            orthogonality_check(fam, 5)
+
+    def test_reports_need_the_parameter_point(self):
+        fam = family_from_verblunsky([F(-1, 2), F(-1, 3), F(-1, 4)])
+        for report in (orthogonality_check, verify_toeplitz_h, verify_determinantal_match):
+            with pytest.raises(ValueError) as exc:
+                report(fam, 2)
+            assert str(exc.value) == "family carries no (alpha, beta) parameters"
+        assert fam.derived == {}
 
 
 class TestRandomRationalPoints:
@@ -410,6 +430,5 @@ class TestRandomRationalPoints:
     @given(alpha=PARAM, beta=PARAM)
     def test_orthogonality_and_toeplitz_h_exact(self, alpha, beta):
         fam = build_family(JacobiParams(alpha, beta), 6)
-        w = Weight.jacobi(alpha, beta)
-        assert orthogonality_check(fam, w, 6).ok
-        assert verify_toeplitz_h(fam, w, 6).ok
+        assert orthogonality_check(fam, 6).ok
+        assert verify_toeplitz_h(fam, 6).ok

@@ -11,16 +11,14 @@ from circlejacobi.opuc import (
     JacobiParams,
     build_family,
     chi_basis,
-    chi_index,
     family_from_verblunsky,
     per_family,
-    single_moment_phi,
-    single_moment_verblunsky,
     star,
     szego_advance,
     verblunsky,
 )
 
+from circle_oracle import chi_index, single_moment_phi, single_moment_verblunsky
 from conftest import GRID
 
 F = Fraction
