@@ -11,7 +11,6 @@ enters for the eigenvalues of truncated matrices.
 
 from .algebra import (
     big_lambda,
-    build_xy,
     derive_representation,
     verify_central_extension,
     verify_relations_functional,
@@ -81,7 +80,6 @@ __all__ = [
     "build_m2",
     "build_p",
     "build_q",
-    "build_xy",
     "cmv_matrix",
     "derive_representation",
     "determinantal_phi",

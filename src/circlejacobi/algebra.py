@@ -22,18 +22,14 @@ whenever the relations hold.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from typing import Callable
 
 from .cmv import BandedOperator, family_operators
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate, InconsistentSystem
 from .laurent import _ZERO_POLY, LaurentPoly
-from .opuc import JacobiParams, OPUCFamily, verblunsky
+from .opuc import JacobiParams, OPUCFamily, per_family, require_params, verblunsky
 from .report import VerificationReport
-from .szego import build_p, build_q, p_top, psi_pq_residuals, q_top
-
-Operator = Callable[[LaurentPoly], LaurentPoly]
+from .szego import _x_terms, build_p, build_q, p_top, psi_pq_residuals, q_top
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def verify_relations_matrix(fam: OPUCFamily, size: int) -> VerificationReport:
     unaffected by truncation."""
     if size < 3:
         raise ValueError("need size >= 3")
-    p = fam.params
+    p = require_params(fam)
     m1, m2, k = family_representation(fam, size)
     eye = BandedOperator.identity(size)
     rep = VerificationReport(
@@ -179,12 +175,6 @@ def op_m2(f: LaurentPoly) -> LaurentPoly:
     return f.reflect().shift(1)
 
 
-def _y_terms(kf: LaurentPoly, p: JacobiParams) -> list[tuple[Fraction, LaurentPoly]]:
-    """Y f = K(K f) - (alpha+beta+1) K f as terms of ``LaurentPoly.lincomb``,
-    from K f."""
-    return [(1, apply_k(kf, p)), (-p.s, kf)]
-
-
 def _y_psi_terms(fam: OPUCFamily, n: int, shift: Fraction | int = 0) -> list:
     """Y psi_n - shift psi_n as terms of ``LaurentPoly.lincomb``, out of
     r_n = ``k_residual(fam, n)``.  K is linear and K psi_n = lambda_n
@@ -199,61 +189,67 @@ def _y_psi_terms(fam: OPUCFamily, n: int, shift: Fraction | int = 0) -> list:
     return [(lam * lam - p.s * lam - shift, fam.psi[n]), (lam - p.s, r), (1, apply_k(r, p))]
 
 
-def build_xy(p: JacobiParams) -> tuple[Operator, Operator]:
-    """X = M2 M1 + M1 M2 and Y = K^2 - (alpha+beta+1) K as maps on
-    Laurent polynomials."""
-
-    def x_op(f: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly.lincomb([(1, op_m2(op_m1(f))), (1, op_m1(op_m2(f)))])
-
-    def y_op(f: LaurentPoly) -> LaurentPoly:
-        return LaurentPoly.lincomb(_y_terms(apply_k(f, p), p))
-
-    return x_op, y_op
+@per_family("K z")
+def k_monomial(fam: OPUCFamily, j: int) -> LaurentPoly:
+    """K z^j at the family's parameters, built once per family: the
+    relation residuals read it, and so does K on any Laurent polynomial
+    in ``_closure_residuals``, by linearity."""
+    return apply_k(LaurentPoly.monomial(j), fam.params)
 
 
-def _relation_residuals(f: LaurentPoly, k_op: Operator, p: JacobiParams):
-    """(r3 f, r4 f): the defining relations' residuals on f,
+@per_family("relations")
+def relation_residuals(fam: OPUCFamily, j: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """(r3 z^j, r4 z^j): the defining relations' residuals on z^j,
 
         r3 = K M1 + M1 K - s (M1 - I),    r4 = K M2 + M2 K - (s+1) M2 - d I,
 
-    with s = alpha + beta + 1, d = alpha - beta and K applied by k_op: the
-    "M1 rel" and "M2 rel" checks, and what the central extension reads."""
-    lc = LaurentPoly.lincomb
-    m1f, m2f, kf = op_m1(f), op_m2(f), k_op(f)
-    return (lc([(1, k_op(m1f)), (1, op_m1(kf)), (-p.s, m1f), (p.s, f)]),
-            lc([(1, k_op(m2f)), (1, op_m2(kf)), (-(p.s + 1), m2f), (-p.d, f)]))
+    with s = alpha + beta + 1 and d = alpha - beta, built once per family
+    out of the held K z^-j, K z^(1-j) and K z^j (M1 z^j = z^-j and
+    M2 z^j = z^(1-j)): the "M1 rel" and "M2 rel" checks, and what the
+    central extension reads."""
+    p, lc = fam.params, LaurentPoly.lincomb
+    f, kf = LaurentPoly.monomial(j), k_monomial(fam, j)
+    m1f, m2f = op_m1(f), op_m2(f)
+    return (lc([(1, k_monomial(fam, -j)), (1, op_m1(kf)), (-p.s, m1f), (p.s, f)]),
+            lc([(1, k_monomial(fam, 1 - j)), (1, op_m2(kf)), (-(p.s + 1), m2f), (-p.d, f)]))
 
 
-def verify_relations_functional(p: JacobiParams, d: int) -> VerificationReport:
+def verify_relations_functional(fam: OPUCFamily, d: int) -> VerificationReport:
     """Defining relations and involutions applied to the monomials z^k,
-    |k| <= d, in the functional realization."""
+    |k| <= d, in the functional realization at the family's parameters;
+    the relation checks report the family's ``relation_residuals``."""
+    p = require_params(fam)
     rep = VerificationReport(
         identity="algebra-functional",
         relation="relations on M1 = R, M2 = zR, K of Dunkl type",
         params={"alpha": p.alpha, "beta": p.beta, "monomial_range": d},
     )
-    # K z^k, K z^-k and K z^(1-k) meet every monomial's K image again, so
-    # each distinct image is computed once per call
-    k_op = cache(lambda f: apply_k(f, p))
     lc = LaurentPoly.lincomb
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
         involutions = [lc([(1, op(op(f))), (-1, f)]) for op in (op_m1, op_m2)]
         for name, res in zip(("M1^2", "M2^2", "M1 rel", "M2 rel"),
-                             (*involutions, *_relation_residuals(f, k_op, p))):
+                             (*involutions, *relation_residuals(fam, k))):
             rep.residual(f"{name} k={k}", res)
     return rep
 
 
-def _closure_residuals(p: JacobiParams, k_op: Operator, rel) -> Operator:
-    """f -> ([Y, M1] f, JR1 f, JR2 f) by the expansions in ``verify_central_extension``,
-    r3 and r4 extended from rel(j) = (r3 z^j, r4 z^j) by linearity."""
-    lc = LaurentPoly.lincomb
-    x_op, y_op = build_xy(p)
+def _closure_residuals(fam: OPUCFamily):
+    """f -> ([Y, M1] f, JR1 f, JR2 f) by the expansions in
+    ``verify_central_extension``, with K, r3 and r4 extended by linearity
+    from the family's K z^j (``k_monomial``) and (r3 z^j, r4 z^j)
+    (``relation_residuals``)."""
+    p, lc = fam.params, LaurentPoly.lincomb
+
+    def k_op(g):
+        return lc([(c, k_monomial(fam, j)) for j, c in g.items()])
+
+    def y_op(g):  # Y = K^2 - s K
+        kg = k_op(g)
+        return lc([(1, k_op(kg)), (-p.s, kg)])
 
     def r(i, g):  # r3 (i = 0) or r4 (i = 1) on g
-        return lc([(c, rel(j)[i]) for j, c in g.items()])
+        return lc([(c, relation_residuals(fam, j)[i]) for j, c in g.items()])
 
     def eps(sign, g):  # eps1 (sign 1) and eps2 (sign -1)
         return lc([(1, op_m1(r(1, g))), (-sign, r(1, op_m1(g))),
@@ -262,8 +258,8 @@ def _closure_residuals(p: JacobiParams, k_op: Operator, rel) -> Operator:
     def c_op(g):  # C = M1 M2 - M2 M1
         return lc([(1, op_m1(op_m2(g))), (-1, op_m2(op_m1(g)))])
 
-    def h(g):
-        return lc([(1, x_op(eps(1, g))), (-1, eps(1, x_op(g)))])
+    def h(g):  # [X, eps1], X the product by z + 1/z
+        return lc([*_x_terms(eps(1, g)), (-1, eps(1, lc(_x_terms(g))))])
 
     def sigma(g):
         return lc([(2 * p.d, r(0, g)), (2 * p.s, r(1, g)), (1, k_op(eps(-1, g))),
@@ -281,9 +277,7 @@ def _closure_residuals(p: JacobiParams, k_op: Operator, rel) -> Operator:
     return residuals
 
 
-def verify_central_extension(
-    fam: OPUCFamily, d: int = 10, matrix_size: int = 21
-) -> VerificationReport:
+def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> VerificationReport:
     """The closure of X and Y into the extended quadratic algebra:
 
         [X, M1] = [Y, M1] = 0
@@ -300,7 +294,9 @@ def verify_central_extension(
 
     [X, M1] reads no K and is formed directly.  The other monomial checks
     lie in the ideal of the defining relations and are formed from their
-    residuals r3, r4 (``_relation_residuals``).  With A = M1, B = M2,
+    residuals r3, r4, which the family holds on each monomial
+    (``relation_residuals``, also reported by
+    ``verify_relations_functional``).  With A = M1, B = M2,
     s = a+b+1, d = a-b, X = AB + BA (multiplication by z + 1/z),
     C = AB - BA (by 1/z - z), eps1 = A r4 - r4 A + B r3 - r3 B and
     eps2 = A r4 + r4 A - B r3 - r3 B, the free algebra on A, B, K gives
@@ -317,39 +313,35 @@ def verify_central_extension(
     V_m, and B, X and C map it into V_(m+1).  If K keeps V_d, the
     expansions on z^k, |k| <= d, read r3 only on V_(d+2) (eps1 X K z^k
     reads r3 B X K z^k) and r4 only on V_(d+1); at alpha = beta the JR2
-    check on z reads V_2.  So r3 and r4 are held on the monomials of
+    check on z reads V_2.  So r3 and r4 are read on the monomials of
     V_(d+2); when they are all zero and every held K z^j lies in V_|j|,
     every residual the expansions read vanishes, and the three checks
-    are the zero polynomial without being formed.
+    are the zero polynomial without being formed.  Otherwise they are
+    formed (``_closure_residuals``), with K on any Laurent polynomial the
+    linear extension of the held K z^j.
     """
-    if fam.params is None:
-        raise ValueError("family carries no (alpha, beta) parameters")
-    p = fam.params
+    p = require_params(fam)
     rep = VerificationReport(
         identity="central-extension",
         relation="X, Y close into an extended quadratic algebra over M1",
         params={"alpha": p.alpha, "beta": p.beta, "monomial_range": d,
                 "matrix_size": matrix_size},
     )
-    x_op, _ = build_xy(p)
     # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1)
     c_x, c_m1, c_i = (p.s - 1) * (p.s + 1), -2 * p.d, 2 * p.d * p.s
     lc = LaurentPoly.lincomb
-    # a LaurentPoly has one normal form and a tuple hash, so each distinct
-    # K image and relation residual is computed once per call
-    k_op = cache(lambda f: apply_k(f, p))
-    rel = cache(lambda j: _relation_residuals(LaurentPoly.monomial(j), k_op, p))
 
     def holds(j: int) -> bool:
         """r3 z^j = r4 z^j = 0 and K z^j lies in V_|j|."""
-        kz = k_op(LaurentPoly.monomial(j))
-        return not any(rel(j)) and (not kz or max(kz.max_exp, -kz.min_exp) <= abs(j))
+        kz = k_monomial(fam, j)
+        return not any(relation_residuals(fam, j)) and (
+            not kz or max(kz.max_exp, -kz.min_exp) <= abs(j))
 
     clean = all(holds(j) for j in range(-d - 2, d + 3))
-    derived = (lambda f: (_ZERO_POLY,) * 3) if clean else cache(_closure_residuals(p, k_op, rel))
+    derived = (lambda f: (_ZERO_POLY,) * 3) if clean else _closure_residuals(fam)
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
-        x_m1 = lc([(1, x_op(op_m1(f))), (-1, op_m1(x_op(f)))])
+        x_m1 = lc([*_x_terms(op_m1(f)), (-1, op_m1(lc(_x_terms(f))))])
         for name, res in zip(("[X,M1]", "[Y,M1]", "JR1", "JR2"), (x_m1, *derived(f))):
             rep.residual(f"{name} k={k}", res)
     if p.alpha == p.beta:
@@ -383,7 +375,7 @@ def verify_central_extension(
     bad = [
         n
         for n in range(top)
-        if x.apply_row(n, fam.psi) != x_op(fam.psi[n])
+        if x.apply_row(n, fam.psi) != lc(_x_terms(fam.psi[n]))
         or y.apply_row(n, fam.psi) != lc(_y_psi_terms(fam, n))
     ]
     rep.add(
@@ -432,8 +424,9 @@ def _y_pair_residual(fam: OPUCFamily, n: int, sign: int, f_terms: list,
         terms.append((c, y_psi[2 * n - 1]))
         g_terms.append((-c, e[2 * n - 1] if 2 * n <= fam.size else fam.psi[2 * n - 1]))
     g = LaurentPoly.lincomb(g_terms)
+    kg = apply_k(g, p)  # Y g = K(K g) - s K g
     return LaurentPoly.lincomb(
-        [*terms, *_y_terms(apply_k(g, p), p), (-big_lambda(p, 2 * n), g)])
+        [*terms, (1, apply_k(kg, p)), (-p.s, kg), (-big_lambda(p, 2 * n), g)])
 
 
 def y_eigencheck(fam: OPUCFamily) -> VerificationReport:

@@ -25,7 +25,7 @@ from math import lcm
 
 from .errors import NotDivisible
 from .laurent import LaurentPoly, _normal
-from .opuc import JacobiParams, OPUCFamily, family_params, per_family
+from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
 
@@ -88,8 +88,7 @@ def lambda_n(p: JacobiParams, n: int) -> Fraction:
 
 def verify_bispectral(fam: OPUCFamily) -> VerificationReport:
     """Exact check of K psi_n = lambda_n psi_n for every n in the family."""
-    if fam.params is None:
-        raise ValueError("family carries no (alpha, beta) parameters")
+    require_params(fam)
     rep = VerificationReport(
         identity="bispectral-eigen",
         relation="K psi_n = lambda_n psi_n",

@@ -35,7 +35,7 @@ from math import lcm
 
 from .errors import NonPositive
 from .laurent import LaurentPoly
-from .opuc import JacobiParams, OPUCFamily, family_params, per_family
+from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
@@ -109,9 +109,7 @@ class MomentSeq:
 def family_moments(fam: OPUCFamily) -> MomentSeq:
     """The MomentSeq at the family's (alpha, beta), made once per family,
     so every moment report of the family shares it."""
-    if fam.params is None:
-        raise ValueError("family carries no (alpha, beta) parameters")
-    return MomentSeq(fam.params)
+    return MomentSeq(require_params(fam))
 
 
 def _det_fraction(rows: list[list[Fraction]]) -> Fraction:

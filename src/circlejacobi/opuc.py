@@ -126,6 +126,9 @@ class OPUCFamily:
       (``szego.raising_residuals``);
     - ``("K", n)``: the bispectral residual K psi_n - lambda_n psi_n
       (``dunkl.k_residual``);
+    - ``("K z", j)``: the image K z^j of a monomial (``algebra.k_monomial``);
+    - ``("relations", j)``: the defining-relation residuals (r3 z^j, r4 z^j)
+      of the functional realization (``algebra.relation_residuals``);
     - ``("cmv", size)``: M1 and M2 at that size (``cmv.family_operators``),
       read at size N + 1 by the row checks and at the algebra's own size
       by ``algebra.family_representation``;
@@ -168,6 +171,13 @@ def per_family(name: str):
         return memo
 
     return decorate
+
+
+def require_params(fam: OPUCFamily) -> JacobiParams:
+    """The family's (alpha, beta), for a report that reads them."""
+    if fam.params is None:
+        raise ValueError("family carries no (alpha, beta) parameters")
+    return fam.params
 
 
 def family_params(fam: OPUCFamily, **extra) -> dict:

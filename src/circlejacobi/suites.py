@@ -18,6 +18,7 @@ from .opuc import (
     OPUCFamily,
     build_family,
     family_from_verblunsky,
+    require_params,
     verblunsky,
 )
 from .report import VerificationReport
@@ -48,13 +49,13 @@ def _cmv(fam: OPUCFamily) -> list[VerificationReport]:
 
 
 def _algebra(fam: OPUCFamily) -> list[VerificationReport]:
-    p, n = fam.params, fam.size
+    p, n = require_params(fam), fam.size
     d = min(10, max(3, n))
     size = max(7, min(n + 1, 21))
     return [
         algebra.verify_representation_derivation(p, n),
         algebra.verify_relations_matrix(fam, size),
-        algebra.verify_relations_functional(p, d),
+        algebra.verify_relations_functional(fam, d),
         algebra.verify_central_extension(fam, d=d, matrix_size=size),
         algebra.y_eigencheck(fam),
     ]
@@ -70,11 +71,15 @@ def _szego(fam: OPUCFamily) -> list[VerificationReport]:
     ]
 
 
+#: The last phi_n the moments suite's orthogonality check reaches.
+ORTHOGONALITY_CAP = 12
+
+
 def _moments(fam: OPUCFamily) -> list[VerificationReport]:
     n = fam.size
     m = min(n, 8)
     return [
-        moments.orthogonality_check(fam, min(n, 12)),
+        moments.orthogonality_check(fam, min(n, ORTHOGONALITY_CAP)),
         moments.verify_toeplitz_h(fam, m),
         moments.verify_determinantal_match(fam, m),
     ]
@@ -96,12 +101,12 @@ def reach(suite: str, n: int) -> int:
     phi_{2 p_top(n) - 1}, which reads a_0..a_{2 p_top(n) - 2}; the
     three-term, christoffel' and raising residuals they are formed from
     read no later a_k.  Its other identities read fam.a itself.
-    Orthogonality stops at phi_{min(n, 12)}.  Every other suite, and so
-    "all", reads phi_n or psi_n."""
+    Orthogonality stops at phi_{min(n, ORTHOGONALITY_CAP)}.  Every other
+    suite, and so "all", reads phi_n or psi_n."""
     if suite == "szego":
         return 2 * szego.p_top(n) - 2
     if suite == "moments":
-        return min(n, 12) - 1
+        return min(n, ORTHOGONALITY_CAP) - 1
     return n - 1
 
 

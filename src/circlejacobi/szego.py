@@ -48,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPoly, Z_MINUS_ZINV
-from .opuc import BOUNDARY_A, OPUCFamily, family_params, per_family
+from .opuc import BOUNDARY_A, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
 _ZERO = Fraction(0)
@@ -393,13 +393,13 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     (``three_term_residuals``) and C'_n the "christoffel'" residuals
     (``christoffel_prime_residuals``),
 
-        christoffel_n = C'_n - T_n - e1 P_n - e2 P_{n-1},
-        e1 = c1 - 2 a_{2n-2} - b_n,
-        e2 = 2(1 - a_{2n-3})(1 - a_{2n-2}^2) - c2 - u_n,
+        christoffel_n = C'_n - T_n,
 
-    where c1, c2 are the christoffel coefficients; e1 and e2 vanish
-    identically in the a's.  With E_k the "psi(P,Q)" residuals
-    (``psi_pq_residuals``), a = a_{2n-1} and D = z - 1/z,
+    since the christoffel weights (a_2n + a_{2n-2})(1 - a_{2n-1}) of P_n
+    and (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) of P_{n-1} equal
+    2 a_{2n-2} + b_n and c2_n - u_n identically in the a's, with
+    c2_n = 2(1 - a_{2n-3})(1 - a_{2n-2}^2).  With E_k the "psi(P,Q)"
+    residuals (``psi_pq_residuals``), a = a_{2n-1} and D = z - 1/z,
 
         P from psi_n = -E_{2n} - (1 + a) E_{2n-1},
         Q from psi_n = E_{2n} + (a - 1) E_{2n-1},
@@ -426,15 +426,8 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     # (z - 1/z)^2 Q_{n-1} = P_{n+1} + (a_2n + a_{2n-2})(1 - a_{2n-1}) P_n
     #                       - (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
     three_term = three_term_residuals(fam, "P")
-    b, u = recurrence_coefficients(fam, "P")
     for n in range(1, q_top(size) + 1):
-        a0, a1, a3 = _a(fam, 2 * n - 2), _a(fam, 2 * n - 1), _a(fam, 2 * n - 3)
-        c1 = (_a(fam, 2 * n) + a0) * (1 - a1)
-        c2 = (1 - a1) * (1 - a3) * (1 - a0 ** 2)
-        e1 = c1 - 2 * a0 - b[n]
-        e2 = _c2(fam, n) - c2 - u[n]
-        res = lc([(1, christoffel_prime[n]), (-1, three_term[n]), (-e1, p[n]), (-e2, p[n - 1])])
-        rep.residual(f"christoffel n={n}", res)
+        rep.residual(f"christoffel n={n}", lc([(1, christoffel_prime[n]), (-1, three_term[n])]))
     for n, res in christoffel_prime.items():
         rep.residual(f"christoffel' n={n}", res)
 
@@ -515,11 +508,10 @@ def verify_classical_match(fam: OPUCFamily) -> VerificationReport:
     residuals (``_oracle_gaps``), so on a clean family every term is
     zero; the oracle's (beta_n, upsilon_n) come from (alpha, beta) alone,
     so a corrupted a_k still fails it."""
-    if fam.params is None:
-        raise ValueError("family carries no (alpha, beta) parameters")
+    p = require_params(fam)
     if fam.size < 1:
         raise ValueError("need a family of size >= 1")
-    al, be = fam.params.alpha, fam.params.beta
+    al, be = p.alpha, p.beta
     rep = VerificationReport(
         identity="classical-match",
         relation="P_n = monic Jacobi(alpha, beta), Q_n = monic Jacobi(alpha+1, beta+1) on [-2, 2]",
@@ -552,9 +544,8 @@ def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     and f4 vanish on Jacobi data but not on a corrupted family, since the
     mu_n come from (alpha, beta).
     """
-    if fam.params is None:
-        raise ValueError("family carries no (alpha, beta) parameters")
-    al, be = fam.params.alpha, fam.params.beta
+    p = require_params(fam)
+    al, be = p.alpha, p.beta
     sigma, delta = al + be + 2, 2 * (al - be)
 
     def mu(n: int) -> Fraction:
@@ -603,9 +594,8 @@ def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
 
     the same Laurent polynomial as the direct formula for any chains.
     """
-    if fam.params is None:
-        raise ValueError("family carries no (alpha, beta) parameters")
-    al, be = fam.params.alpha, fam.params.beta
+    p = require_params(fam)
+    al, be = p.alpha, p.beta
     top = p_top(fam.size)
     rep = VerificationReport(
         identity="hypergeometric-ode",

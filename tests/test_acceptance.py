@@ -117,8 +117,8 @@ def test_criterion_3_representation_derivation():
 def test_criterion_4_algebra_relations(family):
     with criterion(4, "operator algebra, |k| <= 10 and N = 21", 5.0) as c:
         for alpha, beta in GRID:
-            p, fam = JacobiParams(alpha, beta), family(alpha, beta, 21)
-            c.absorb(verify_relations_functional(p, 10))
+            fam = family(alpha, beta, 21)
+            c.absorb(verify_relations_functional(fam, 10))
             c.absorb(verify_relations_matrix(fam, 21))
             c.absorb(verify_central_extension(fam, d=10, matrix_size=21))
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from circlejacobi import algebra, cmv, dunkl, suites, szego
 from circlejacobi.algebra import (
     big_lambda,
-    build_xy,
     derive_representation,
     op_m1,
     op_m2,
@@ -94,19 +93,22 @@ class TestFunctionalRealization:
         assert op_m2(op_m2(f)) == f
 
     def test_x_is_multiplication_by_x(self):
-        x_op, _ = build_xy(JacobiParams(1, 2))
+        # X = M2 M1 + M1 M2
         f = LaurentPoly({3: 2, 0: 1})
-        assert x_op(f) == f.shift(1) + f.shift(-1)
+        x_f = LaurentPoly.lincomb([(1, op_m2(op_m1(f))), (1, op_m1(op_m2(f)))])
+        assert x_f == f.shift(1) + f.shift(-1)
 
     def test_y_on_free_monomials(self):
-        # free point: K = theta, so Y z^k = (k^2 - 0) z^k
-        _, y_op = build_xy(JacobiParams(F(-1, 2), F(-1, 2)))
+        # free point: K = theta and s = 0, so Y z^k = K^2 z^k = k^2 z^k
+        p = JacobiParams(F(-1, 2), F(-1, 2))
+        assert p.s == 0
         for k in range(-4, 5):
-            assert y_op(LaurentPoly.monomial(k)) == LaurentPoly.monomial(k) * (k * k)
+            f = LaurentPoly.monomial(k)
+            assert dunkl.apply_k(dunkl.apply_k(f, p), p) == f * (k * k)
 
     @pytest.mark.parametrize("alpha,beta", GRID)
-    def test_defining_relations(self, alpha, beta):
-        assert verify_relations_functional(JacobiParams(alpha, beta), 8).ok
+    def test_defining_relations(self, alpha, beta, family):
+        assert verify_relations_functional(family(alpha, beta, 3), 8).ok
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_matrix_relations(self, alpha, beta):
@@ -196,12 +198,13 @@ class TestCentralExtension:
         rep = verify_central_extension(fam, d=4, matrix_size=9)
         assert any("drops" in c.label for c in rep.checks)
 
-    def test_failures_carry_residuals_at_symmetric_point(self, monkeypatch, family):
+    def test_failures_carry_residuals_at_symmetric_point(self, monkeypatch):
         # a wrong K breaks the extension-term check too, which then keeps
-        # its residual text like every other failing check
+        # its residual text like every other failing check; the family
+        # holds its K images, so it is built here, not shared
         orig = algebra.apply_k
         monkeypatch.setattr(algebra, "apply_k", lambda f, p: orig(f, p) + f.shift(1))
-        rep = verify_central_extension(family(F(1), F(1), 9), d=4, matrix_size=9)
+        rep = verify_central_extension(build_family(JacobiParams(1, 1), 9), d=4, matrix_size=9)
         assert "extension term drops at alpha=beta" in [c.label for c in rep.failures]
         assert all(c.detail for c in rep.failures)
 
@@ -261,13 +264,9 @@ class TestAsVerblunskySource:
 
 
 class TestComplexity:
-    @pytest.mark.parametrize("alpha,beta", [(F(3, 2), F(1, 2)), (F(1), F(1))])
-    def test_central_extension_applies_k_once_per_image(self, monkeypatch, alpha, beta):
-        # the monomial checks read K z^j once for each j in -12 .. 13, which
-        # the relation residuals on z^-12 .. z^12 meet, and the psi rows
-        # apply K once to each r_n of rows 0 .. 18; at (1, 1) the
-        # alpha = beta branch runs as well.  Forming the checks from Y
-        # images, each computed once, costs 265 calls of apply_k.
+    @staticmethod
+    def _count_apply_k(monkeypatch) -> list:
+        """The list whose one entry counts every later algebra.apply_k call."""
         calls = [0]
         orig = algebra.apply_k
 
@@ -276,6 +275,16 @@ class TestComplexity:
             return orig(*args)
 
         monkeypatch.setattr(algebra, "apply_k", counted)
+        return calls
+
+    @pytest.mark.parametrize("alpha,beta", [(F(3, 2), F(1, 2)), (F(1), F(1))])
+    def test_central_extension_applies_k_once_per_image(self, monkeypatch, alpha, beta):
+        # the monomial checks read K z^j once for each j in -12 .. 13, which
+        # the relation residuals on z^-12 .. z^12 meet, and the psi rows
+        # apply K once to each r_n of rows 0 .. 18; at (1, 1) the
+        # alpha = beta branch runs as well.  Forming the checks from Y
+        # images, each computed once, costs 265 calls of apply_k.
+        calls = self._count_apply_k(monkeypatch)
         fam = build_family(JacobiParams(alpha, beta), 40)
         rep = verify_central_extension(fam, d=10, matrix_size=21)
         assert rep.ok
@@ -316,13 +325,18 @@ class TestComplexity:
         # K z^-k and K z^(1-k) meet other monomials' K images: at d = 10
         # the distinct inputs are z^-10 .. z^11.  Applying K afresh at
         # every use costs 84 calls.
-        calls = [0]
-        orig = algebra.apply_k
-
-        def counted(*args):
-            calls[0] += 1
-            return orig(*args)
-
-        monkeypatch.setattr(algebra, "apply_k", counted)
-        assert verify_relations_functional(JacobiParams(F(3, 2), F(1, 2)), 10).ok
+        calls = self._count_apply_k(monkeypatch)
+        fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
+        assert verify_relations_functional(fam, 10).ok
         assert calls[0] == 22, calls[0]
+
+    def test_functional_reports_share_the_family_k_images(self, monkeypatch):
+        # the central extension reads the relation residuals and K z^j the
+        # functional relations left in the family, adding only z^-12,
+        # z^-11, z^12 and z^13, and the 19 K r_n of its psi rows.  With
+        # a K-image cache per report the two cost 22 + 26 + 19 = 67 calls.
+        calls = self._count_apply_k(monkeypatch)
+        fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
+        assert verify_relations_functional(fam, 10).ok
+        assert verify_central_extension(fam, d=10, matrix_size=21).ok
+        assert calls[0] == 26 + 19, calls[0]

@@ -715,6 +715,24 @@ class TestEntryPoint:
             ]
         assert found == []
 
+    def test_no_memo_besides_per_family(self):
+        # functools.cache or lru_cache would be a second memo rule next to
+        # opuc.per_family; cached_property and wraps stay allowed
+        src = Path(suites.__file__).parent
+        banned = {"cache", "lru_cache"}
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    names = {alias.name for alias in node.names}
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "functools"):
+                    names = {node.attr}
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & banned)]
+        assert found == []
+
     # Functions no CLI run reaches, each with the reason it stays in src/.
     NOT_ON_A_CLI_PATH = {
         **{
@@ -722,6 +740,8 @@ class TestEntryPoint:
                 "a ring operator the benchmark tracer wraps (perfbench/spans.py)"
             for attr in literal("LAURENT_METHODS").values()
         },
+        "laurent.LaurentPoly.__hash__": "Python protocol, kept with __eq__ so equal "
+                                        "polynomials hash alike",
         "laurent.LaurentPoly.__len__": "Python protocol, for interactive use",
         "laurent.LaurentPoly.__repr__": "Python protocol, for interactive use",
         "laurent.LaurentPoly.__str__": "Python protocol, for interactive use",

@@ -332,7 +332,8 @@ class TestOneNormalizationPerResidual:
             dunkl.verify_bispectral,
             pytest.param(lambda fam: algebra.verify_relations_matrix(fam, 21),
                          id="verify_relations_matrix"),
-            algebra.verify_central_extension,
+            pytest.param(lambda fam: algebra.verify_central_extension(fam, 10, 21),
+                         id="verify_central_extension"),
             pytest.param(szego.verify_classical_match, id="verify_classical_match"),
             pytest.param(
                 lambda fam: moments.verify_determinantal_match(fam, 8),

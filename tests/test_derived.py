@@ -79,10 +79,9 @@ def direct_tie_in(fam, matrix_size):
     """The last check of the central extension, from K applied twice to psi_n."""
     p = fam.params
     x, y = build_xy_matrix(p, matrix_size)
-    x_op, _ = algebra.build_xy(p)
     top = min(fam.size + 1 - x.bandwidth, x.valid_rows, y.valid_rows)
     bad = [n for n in range(top)
-           if x.apply_row(n, fam.psi) != x_op(fam.psi[n])
+           if x.apply_row(n, fam.psi) != Z_PLUS_ZINV * fam.psi[n]
            or y.apply_row(n, fam.psi) != lc(_y_direct(fam.psi[n], p))]
     return Check("matrix rows match functional action on psi", not bad,
                  f"rows {bad[:4]}" if bad else f"{top} rows agree")
@@ -90,10 +89,18 @@ def direct_tie_in(fam, matrix_size):
 
 def direct_central_functional(fam, d):
     """The central extension's monomial checks from X and Y applied
-    directly, each distinct Y image computed once."""
+    directly, each distinct Y image computed once.  K is looked up in
+    ``algebra`` at each call, so a wrong K patched in there reaches Y."""
     p = fam.params
-    x_op, y_op = algebra.build_xy(p)
-    y_op = cache(y_op)
+
+    def x_op(f):
+        return Z_PLUS_ZINV * f
+
+    @cache
+    def y_op(f):
+        kf = algebra.apply_k(f, p)
+        return lc([(1, algebra.apply_k(kf, p)), (-p.s, kf)])
+
     m1 = algebra.op_m1
     c_x = (p.alpha + p.beta) * (p.alpha + p.beta + 2)
     c_m1 = 2 * (p.beta - p.alpha)
@@ -620,7 +627,7 @@ class TestCentralExtensionMonomials:
         orig = algebra.apply_k
         algebra.apply_k = wrong_k("window", d)
         try:
-            assert algebra.verify_relations_functional(p, d + 2).ok
+            assert algebra.verify_relations_functional(build_family(p, 3), d + 2).ok
         finally:
             algebra.apply_k = orig
         got, want = central_comparison(p.alpha, p.beta, d, "window")
@@ -636,8 +643,9 @@ class TestCentralExtensionMonomials:
         orig = algebra.apply_k
         algebra.apply_k = wrong_k("edge", d)
         try:
-            assert algebra.verify_relations_functional(p, d + 1).ok
-            assert not algebra.verify_relations_functional(p, d + 2).ok
+            fam = build_family(p, 3)  # holds the wrong K's images
+            assert algebra.verify_relations_functional(fam, d + 1).ok
+            assert not algebra.verify_relations_functional(fam, d + 2).ok
         finally:
             algebra.apply_k = orig
         got, want = central_comparison(p.alpha, p.beta, d, "edge")
@@ -798,7 +806,8 @@ class TestMemo:
         doc = OPUCFamily.__doc__
         kinds = {k[0] if isinstance(k, tuple) else k for k in fam.derived}
         assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term", "psi(P,Q)",
-                         "moments", "coefficients", "christoffel'", "raising"}
+                         "moments", "coefficients", "christoffel'", "raising", "K z",
+                         "relations"}
         for key in fam.derived:
             shown = f'``("{key[0]}",' if isinstance(key, tuple) else f'``"{key}"``'
             assert shown in doc, key

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from circlejacobi import cli, dunkl, suites
+from circlejacobi import algebra, cli, dunkl, moments, suites, szego
 from circlejacobi.errors import BadVerblunsky
-from circlejacobi.opuc import JacobiParams, build_family, verblunsky
+from circlejacobi.opuc import JacobiParams, build_family, family_from_verblunsky, verblunsky
 
 from conftest import PARAM
 
@@ -20,6 +20,35 @@ NAMES = ("bispectral", "cmv", "algebra", "szego", "moments")
 GOLDEN = Path(__file__).parent / "golden"
 # The Szegő identities that read fam.a, not (alpha, beta)
 PARAMETER_BLIND = ("three-term", "recurrence-closure", "szego-transforms")
+
+
+# Every report that reads (alpha, beta) from the family, at sizes a
+# family of size 6 admits
+PARAMETER_READERS = [
+    pytest.param(dunkl.verify_bispectral, id="verify_bispectral"),
+    pytest.param(lambda fam: algebra.verify_relations_matrix(fam, 7),
+                 id="verify_relations_matrix"),
+    pytest.param(lambda fam: algebra.verify_relations_functional(fam, 3),
+                 id="verify_relations_functional"),
+    pytest.param(lambda fam: algebra.verify_central_extension(fam, 3, 7),
+                 id="verify_central_extension"),
+    pytest.param(algebra.y_eigencheck, id="y_eigencheck"),
+    pytest.param(szego.verify_classical_match, id="verify_classical_match"),
+    pytest.param(szego.verify_dep_and_pq_identity, id="verify_dep_and_pq_identity"),
+    pytest.param(lambda fam: moments.orthogonality_check(fam, 6), id="orthogonality_check"),
+    pytest.param(lambda fam: moments.verify_toeplitz_h(fam, 6), id="verify_toeplitz_h"),
+    pytest.param(lambda fam: moments.verify_determinantal_match(fam, 6),
+                 id="verify_determinantal_match"),
+]
+
+
+@pytest.mark.parametrize("report", PARAMETER_READERS)
+def test_untagged_family_is_refused_by_name(report):
+    # the same ValueError from every report, never an AttributeError on None
+    fam = family_from_verblunsky([verblunsky(P, k) for k in range(7)])
+    with pytest.raises(ValueError) as exc:
+        report(fam)
+    assert str(exc.value) == "family carries no (alpha, beta) parameters"
 
 
 class TestRegistry:
