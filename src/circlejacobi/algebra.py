@@ -4,8 +4,10 @@ The algebra has three generators: two involutions M1, M2 and one more
 generator K, subject to the canonical anticommutation relations
 
     {K, M1} = (alpha + beta + 1)(M1 - I),
-    {K, M2} = (alpha + beta + 2) M2 + (alpha - beta) I.
+    {K, M2} = (alpha + beta + 2) M2 + (alpha - beta) I,
 
+whose constants have one home, ``relation_constants``: the derivation,
+the matrix relations and the functional relation residuals all read it.
 Representing M1, M2 by the block reflection matrices of a CMV system
 and K by a diagonal, the relations alone force the eigenvalues lambda_n
 and the Verblunsky coefficients a_n; derive_representation performs
@@ -14,9 +16,9 @@ functional realization (M1 = R, M2 = z R, K the Dunkl-type operator)
 and the pair X = M1 M2 + M2 M1, Y = K^2 - (alpha+beta+1) K, which
 closes into a centrally extended quadratic algebra with M1 as the
 extension element.  That closure lies in the two-sided ideal of the
-defining relations, so on monomials it is formed from the relation
-residuals (``verify_central_extension``), which are the zero polynomial
-whenever the relations hold.
+defining relations, so on monomials it is the zero polynomial whenever
+the relation residuals vanish and K keeps each level; only otherwise
+is it formed, from its definition (``verify_central_extension``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .cmv import BandedOperator, family_operators
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate, InconsistentSystem
 from .laurent import _ZERO_POLY, LaurentPoly
-from .opuc import JacobiParams, OPUCFamily, per_family, require_params, verblunsky
+from .opuc import (JacobiParams, OPUCFamily, family_params, per_family, require_params,
+                   verblunsky)
 from .report import VerificationReport
 from .szego import _x_terms, build_p, build_q, p_top, psi_pq_residuals, q_top
 
@@ -35,6 +38,17 @@ from .szego import _x_terms, build_p, build_q, p_top, psi_pq_residuals, q_top
 # --------------------------------------------------------------------------
 # Representation on the block matrices: deriving lambda_n and a_n
 # --------------------------------------------------------------------------
+
+
+def relation_constants(alpha, beta) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(c, e) of {K, M1} and of {K, M2}, each relation written as
+    {K, M} = c M + e I: (s, -s) and (s + 1, alpha - beta), with
+    s = alpha + beta + 1.  The one home of the defining relations'
+    constants; it takes raw (alpha, beta), because
+    ``derive_representation`` accepts points ``JacobiParams`` rejects."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    s = alpha + beta + 1
+    return (s, -s), (s + 1, alpha - beta)
 
 
 def derive_representation(alpha, beta, n_max: int):
@@ -50,38 +64,23 @@ def derive_representation(alpha, beta, n_max: int):
 
     Returns (lam, a), two tuples of Fractions of length n_max + 1.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    splus = alpha + beta + 1  # coefficient in the M1 relation
-    c2 = alpha + beta + 2  # M2 block coefficient
-    d = alpha - beta
-
-    # off-diagonal entries: the (2n, 2n+1) entry of the M2 relation and
-    # the (2n+1, 2n+2) entry of the M1 relation both sit on a 1, so
-    # lambda_{k+1} = c - lambda_k with c = c2 (k even) or splus (k odd)
-    lam = [Fraction(0)]
-    for k in range(n_max + 1):
-        lam.append((c2 if k % 2 == 0 else splus) - lam[k])
-
-    a: list[Fraction] = [Fraction(0)] * (n_max + 1)
-    for n in range(0, n_max + 1, 2):
-        # M2 block on rows (n, n+1) with diagonal (a_n, -a_n):
-        #   2 lambda_n a_n = c2 a_n + d      (row n)
-        #  -2 lambda_{n+1} a_n = -c2 a_n + d (row n+1, consistency)
-        den = 2 * lam[n] - c2
+    m1_rel, m2_rel = relation_constants(alpha, beta)
+    lam: list[Fraction] = [Fraction(0)]
+    a: list[Fraction] = []
+    for n in range(n_max + 1):
+        # rows (n, n+1) hold the block of M2 (n even) or M1 (n odd), with
+        # diagonal (a_n, -a_n) and off-diagonal 1; its relation
+        # {K, M} = c M + e I reads
+        #   lambda_n + lambda_{n+1} = c        (off-diagonal)
+        #   2 lambda_n a_n = c a_n + e         (row n)
+        #  -2 lambda_{n+1} a_n = -c a_n + e    (row n+1, consistency)
+        c, e = m1_rel if n % 2 else m2_rel
+        lam.append(c - lam[n])
+        den = 2 * lam[n] - c
         if den == 0:
             raise Degenerate(f"a_{n} undetermined: vanishing diagonal pivot")
-        a[n] = d / den
-        if -2 * lam[n + 1] * a[n] != -c2 * a[n] + d:
-            raise InconsistentSystem(f"second diagonal equation fails at a_{n}")
-    for n in range(1, n_max + 1, 2):
-        # M1 block on rows (n, n+1) with diagonal (a_n, -a_n):
-        #   2 lambda_n a_n = splus (a_n - 1)
-        #  -2 lambda_{n+1} a_n = splus (-a_n - 1)  (consistency)
-        den = 2 * lam[n] - splus
-        if den == 0:
-            raise Degenerate(f"a_{n} undetermined: vanishing diagonal pivot")
-        a[n] = -splus / den
-        if -2 * lam[n + 1] * a[n] != splus * (-a[n] - 1):
+        a.append(e / den)
+        if -2 * lam[n + 1] * a[n] != -c * a[n] + e:
             raise InconsistentSystem(f"second diagonal equation fails at a_{n}")
     return tuple(lam[: n_max + 1]), tuple(a)
 
@@ -151,14 +150,13 @@ def verify_relations_matrix(fam: OPUCFamily, size: int) -> VerificationReport:
     rep = VerificationReport(
         identity="algebra-matrix",
         relation="{K, M1} = (a+b+1)(M1 - I); {K, M2} = (a+b+2) M2 + (a-b) I",
-        params={"alpha": p.alpha, "beta": p.beta, "size": size},
+        params=family_params(fam, size=size),
     )
     _rows_match(rep, "M1^2 = I", [(1, m1 @ m1), (-1, eye)])
     _rows_match(rep, "M2^2 = I", [(1, m2 @ m2), (-1, eye)])
-    _rows_match(rep, "M1 relation", [(1, k @ m1), (1, m1 @ k), (-p.s, m1), (p.s, eye)])
-    _rows_match(
-        rep, "M2 relation", [(1, k @ m2), (1, m2 @ k), (-(p.s + 1), m2), (-p.d, eye)]
-    )
+    for name, m, (c, e) in zip(("M1 relation", "M2 relation"), (m1, m2),
+                               relation_constants(p.alpha, p.beta)):
+        _rows_match(rep, name, [(1, k @ m), (1, m @ k), (-c, m), (-e, eye)])
     return rep
 
 
@@ -192,8 +190,8 @@ def _y_psi_terms(fam: OPUCFamily, n: int, shift: Fraction | int = 0) -> list:
 @per_family("K z")
 def k_monomial(fam: OPUCFamily, j: int) -> LaurentPoly:
     """K z^j at the family's parameters, built once per family: the
-    relation residuals read it, and so does K on any Laurent polynomial
-    in ``_closure_residuals``, by linearity."""
+    relation residuals read it, and the central extension's guard reads
+    whether it keeps V_|j|."""
     return apply_k(LaurentPoly.monomial(j), fam.params)
 
 
@@ -201,17 +199,19 @@ def k_monomial(fam: OPUCFamily, j: int) -> LaurentPoly:
 def relation_residuals(fam: OPUCFamily, j: int) -> tuple[LaurentPoly, LaurentPoly]:
     """(r3 z^j, r4 z^j): the defining relations' residuals on z^j,
 
-        r3 = K M1 + M1 K - s (M1 - I),    r4 = K M2 + M2 K - (s+1) M2 - d I,
+        r = K M + M K - c M - e I,
 
-    with s = alpha + beta + 1 and d = alpha - beta, built once per family
-    out of the held K z^-j, K z^(1-j) and K z^j (M1 z^j = z^-j and
-    M2 z^j = z^(1-j)): the "M1 rel" and "M2 rel" checks, and what the
+    with (c, e) of M1 and of M2 from ``relation_constants``, built once
+    per family out of the held K z^j and K z^m, z^m = M z^j (z^-j for
+    M1, z^(1-j) for M2): the "M1 rel" and "M2 rel" checks, and what the
     central extension reads."""
     p, lc = fam.params, LaurentPoly.lincomb
     f, kf = LaurentPoly.monomial(j), k_monomial(fam, j)
-    m1f, m2f = op_m1(f), op_m2(f)
-    return (lc([(1, k_monomial(fam, -j)), (1, op_m1(kf)), (-p.s, m1f), (p.s, f)]),
-            lc([(1, k_monomial(fam, 1 - j)), (1, op_m2(kf)), (-(p.s + 1), m2f), (-p.d, f)]))
+    residuals = []
+    for op, (c, e) in zip((op_m1, op_m2), relation_constants(p.alpha, p.beta)):
+        mf = op(f)  # the monomial z^m
+        residuals.append(lc([(1, k_monomial(fam, mf.max_exp)), (1, op(kf)), (-c, mf), (-e, f)]))
+    return tuple(residuals)
 
 
 def verify_relations_functional(fam: OPUCFamily, d: int) -> VerificationReport:
@@ -222,7 +222,7 @@ def verify_relations_functional(fam: OPUCFamily, d: int) -> VerificationReport:
     rep = VerificationReport(
         identity="algebra-functional",
         relation="relations on M1 = R, M2 = zR, K of Dunkl type",
-        params={"alpha": p.alpha, "beta": p.beta, "monomial_range": d},
+        params=family_params(fam, monomial_range=d),
     )
     lc = LaurentPoly.lincomb
     for k in range(-d, d + 1):
@@ -234,47 +234,28 @@ def verify_relations_functional(fam: OPUCFamily, d: int) -> VerificationReport:
     return rep
 
 
-def _closure_residuals(fam: OPUCFamily):
-    """f -> ([Y, M1] f, JR1 f, JR2 f) by the expansions in
-    ``verify_central_extension``, with K, r3 and r4 extended by linearity
-    from the family's K z^j (``k_monomial``) and (r3 z^j, r4 z^j)
-    (``relation_residuals``)."""
-    p, lc = fam.params, LaurentPoly.lincomb
+def _central_residuals(p: JacobiParams, jr2: tuple, f: LaurentPoly) -> tuple[LaurentPoly, ...]:
+    """([Y, M1] f, JR1 f, JR2 f) formed from their definitions, with
+    K = ``apply_k``, Y = K^2 - s K, X the product by z + 1/z and JR2's
+    constants jr2 = (c_x, c_m1, c_i) (``verify_central_extension``)."""
+    lc = LaurentPoly.lincomb
 
-    def k_op(g):
-        return lc([(c, k_monomial(fam, j)) for j, c in g.items()])
+    def x_op(g):
+        return lc(_x_terms(g))
 
-    def y_op(g):  # Y = K^2 - s K
-        kg = k_op(g)
-        return lc([(1, k_op(kg)), (-p.s, kg)])
+    def y_op(g):
+        kg = apply_k(g, p)
+        return lc([(1, apply_k(kg, p)), (-p.s, kg)])
 
-    def r(i, g):  # r3 (i = 0) or r4 (i = 1) on g
-        return lc([(c, relation_residuals(fam, j)[i]) for j, c in g.items()])
-
-    def eps(sign, g):  # eps1 (sign 1) and eps2 (sign -1)
-        return lc([(1, op_m1(r(1, g))), (-sign, r(1, op_m1(g))),
-                   (sign, op_m2(r(0, g))), (-1, r(0, op_m2(g)))])
-
-    def c_op(g):  # C = M1 M2 - M2 M1
-        return lc([(1, op_m1(op_m2(g))), (-1, op_m2(op_m1(g)))])
-
-    def h(g):  # [X, eps1], X the product by z + 1/z
-        return lc([*_x_terms(eps(1, g)), (-1, eps(1, lc(_x_terms(g))))])
-
-    def sigma(g):
-        return lc([(2 * p.d, r(0, g)), (2 * p.s, r(1, g)), (1, k_op(eps(-1, g))),
-                   (1, eps(-1, k_op(g))), (-p.s, eps(-1, g)),
-                   (-1, y_op(eps(1, g))), (1, eps(1, y_op(g)))])
-
-    def residuals(f):
-        kf, e1f, hf, sf = k_op(f), eps(1, f), h(f), sigma(f)
-        return (lc([(1, k_op(r(0, f))), (-1, r(0, kf))]),
-                lc([(2, c_op(e1f)), (2, eps(1, c_op(f))), (2, eps(1, e1f)),
-                    (1, h(kf)), (1, k_op(hf)), (-p.s, hf)]),
-                lc([(-1, eps(-1, f)), (1, k_op(e1f)), (-1, eps(1, kf)), (2 * p.s, r(1, f)),
-                    (1, sigma(kf)), (1, k_op(sf)), (-p.s, sf)]))
-
-    return residuals
+    c_x, c_m1, c_i = jr2
+    xf, yf = x_op(f), y_op(f)
+    xxf, xyf, yxf = x_op(xf), x_op(yf), y_op(xf)
+    return (lc([(1, y_op(op_m1(f))), (-1, op_m1(yf))]),
+            # [X, [X, Y]] = XXY - 2 XYX + YXX
+            lc([(1, x_op(xyf)), (-2, x_op(yxf)), (1, y_op(xxf)), (-2, xxf), (8, f)]),
+            # [Y, [Y, X]] = YYX - 2 YXY + XYY, {X, Y} = XY + YX
+            lc([(1, y_op(yxf)), (-2, y_op(xyf)), (1, x_op(y_op(yf))), (-2, xyf), (-2, yxf),
+                (-c_x, xf), (-c_m1, op_m1(f)), (-c_i, f)]))
 
 
 def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> VerificationReport:
@@ -293,10 +274,9 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     (``_y_psi_terms``).
 
     [X, M1] reads no K and is formed directly.  The other monomial checks
-    lie in the ideal of the defining relations and are formed from their
-    residuals r3, r4, which the family holds on each monomial
-    (``relation_residuals``, also reported by
-    ``verify_relations_functional``).  With A = M1, B = M2,
+    lie in the ideal of the defining relations, whose residuals r3, r4
+    the family holds on each monomial (``relation_residuals``, also
+    reported by ``verify_relations_functional``).  With A = M1, B = M2,
     s = a+b+1, d = a-b, X = AB + BA (multiplication by z + 1/z),
     C = AB - BA (by 1/z - z), eps1 = A r4 - r4 A + B r3 - r3 B and
     eps2 = A r4 + r4 A - B r3 - r3 B, the free algebra on A, B, K gives
@@ -308,8 +288,8 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
         sigma = 2d r3 + 2s r4 + K eps2 + eps2 K - s eps2 - [Y, eps1],
 
     less the terms in A^2 - I and B^2 - I, which R and zR make zero.  So
-    each is the Laurent polynomial the direct formula gives, for every
-    linear K.  Degree count: write V_m = span{z^i : |i| <= m}.  A keeps
+    for every linear K each check vanishes when the residuals its
+    expansion reads do.  Degree count: write V_m = span{z^i : |i| <= m}.  A keeps
     V_m, and B, X and C map it into V_(m+1).  If K keeps V_d, the
     expansions on z^k, |k| <= d, read r3 only on V_(d+2) (eps1 X K z^k
     reads r3 B X K z^k) and r4 only on V_(d+1); at alpha = beta the JR2
@@ -317,17 +297,17 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     V_(d+2); when they are all zero and every held K z^j lies in V_|j|,
     every residual the expansions read vanishes, and the three checks
     are the zero polynomial without being formed.  Otherwise they are
-    formed (``_closure_residuals``), with K on any Laurent polynomial the
-    linear extension of the held K z^j.
+    formed from their definitions with K = ``apply_k``
+    (``_central_residuals``).
     """
     p = require_params(fam)
     rep = VerificationReport(
         identity="central-extension",
         relation="X, Y close into an extended quadratic algebra over M1",
-        params={"alpha": p.alpha, "beta": p.beta, "monomial_range": d,
-                "matrix_size": matrix_size},
+        params=family_params(fam, monomial_range=d, matrix_size=matrix_size),
     )
-    # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1)
+    # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1), read by
+    # both realizations
     c_x, c_m1, c_i = (p.s - 1) * (p.s + 1), -2 * p.d, 2 * p.d * p.s
     lc = LaurentPoly.lincomb
 
@@ -338,7 +318,10 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
             not kz or max(kz.max_exp, -kz.min_exp) <= abs(j))
 
     clean = all(holds(j) for j in range(-d - 2, d + 3))
-    derived = (lambda f: (_ZERO_POLY,) * 3) if clean else _closure_residuals(fam)
+
+    def derived(f):
+        return (_ZERO_POLY,) * 3 if clean else _central_residuals(p, (c_x, c_m1, c_i), f)
+
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
         x_m1 = lc([*_x_terms(op_m1(f)), (-1, op_m1(lc(_x_terms(f))))])
@@ -449,13 +432,11 @@ def y_eigencheck(fam: OPUCFamily) -> VerificationReport:
     parity.  "R F n" reads Q_{n-1} = Q_{n-1}(1/z), the same verdict as
     F_n(1/z) = -F_n, since z - 1/z reflects to its negative and is no
     zero divisor."""
-    if fam.params is None:
-        raise ValueError("family carries no (alpha, beta) parameters")
-    p = fam.params
+    p = require_params(fam)
     rep = VerificationReport(
         identity="y-eigen",
         relation="Y psi_n = Lambda_n psi_n; Y P_n = Lambda_{2n} P_n; Y F_n = Lambda_{2n} F_n",
-        params={"alpha": p.alpha, "beta": p.beta, "n_max": fam.size},
+        params=family_params(fam, n_max=fam.size),
     )
     lc = LaurentPoly.lincomb
     for n in range(fam.size + 1):

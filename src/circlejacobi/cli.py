@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
     if args.grid_file:
         try:
             grid = _read_grid(args.grid_file)
-        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+        except (OSError, ValueError, RecursionError, argparse.ArgumentTypeError) as exc:
             print(f"verify: bad grid file: {exc}", file=sys.stderr)
             return 2
     else:

@@ -120,11 +120,9 @@ class BandedOperator:
 
     def __matmul__(self, other: "BandedOperator") -> "BandedOperator":
         self._check_size(other)
-        # row i of the product is row i applied to the right factor's rows;
-        # it is trustworthy when row i of the left factor is, and every row
-        # it touches on the right (within the left bandwidth) is too.  A
-        # diagonal factor scales row i by d_i on the left, and the entry in
-        # column j by d_j on the right
+        # row i of the product is row i applied to the right factor's rows.
+        # A diagonal factor scales row i by d_i on the left, and the entry
+        # in column j by d_j on the right
         if self.bandwidth == 0:
             diag = self._diagonal()
             rows = {i: LaurentPoly.lincomb([(diag.coeff(i), row)])
@@ -135,10 +133,14 @@ class BandedOperator:
         else:
             right = [other.rows.get(k, _ZERO_ROW) for k in range(other.size)]
             rows = {i: self.apply_row(i, right) for i in self.rows}
-        valid = min(self.valid_rows, other.valid_rows - self.bandwidth)
         return BandedOperator(
-            self.size, rows, self.bandwidth + other.bandwidth, max(valid, 0)
+            self.size, rows, self.bandwidth + other.bandwidth, self.product_valid_rows(other)
         )
+
+    def product_valid_rows(self, other: "BandedOperator") -> int:
+        """The valid rows of ``self @ other``: row i needs row i of self and
+        every row of other it reaches, up to i + self.bandwidth."""
+        return max(min(self.valid_rows, other.valid_rows - self.bandwidth), 0)
 
     # ------------------------------------------------------------- actions
 
@@ -291,12 +293,12 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     sum_m (M1)_{nm} (M2 psi)_m, and sum_m (M1)_{nm} psi_m(1/z) is
     (M1 psi)_n evaluated at 1/z.  C itself is never built.  Its rows are
     checked where the product ``M1 @ M2`` would be valid, n <
-    max(min(M1.valid_rows, M2.valid_rows - M1.bandwidth), 0); every m
-    that M1 row n reaches there is a valid row of M2."""
+    ``M1.product_valid_rows(M2)``; every m that M1 row n reaches there
+    is a valid row of M2."""
     size = fam.size + 1
     m1, m2 = family_operators(fam, size)
     res_m1, res_m2 = reflection_residuals(fam)
-    c_rows = max(min(m1.valid_rows, m2.valid_rows - m1.bandwidth), 0)
+    c_rows = m1.product_valid_rows(m2)
     rep = VerificationReport(
         identity="cmv-rows",
         relation="M2 psi = z M1 psi ; (M1 M2) psi = z psi",

@@ -205,11 +205,17 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction:
     return Fraction(sum(c * sig[abs(m)] for m, c in enumerate(nums, lo)), prod._den * den)
 
 
-def orthogonality_check(fam: OPUCFamily, n_max: int) -> VerificationReport:
-    """<phi_n, phi_m>_w = h_n delta_{nm} for all m <= n <= n_max, exactly."""
+def _family_moments_to(fam: OPUCFamily, n_max: int) -> MomentSeq:
+    """``family_moments(fam)``, for a report that reads the family's
+    phi_n and h_n up to n_max."""
     if n_max > fam.size:
         raise ValueError("family too short for requested range")
-    ms = family_moments(fam)
+    return family_moments(fam)
+
+
+def orthogonality_check(fam: OPUCFamily, n_max: int) -> VerificationReport:
+    """<phi_n, phi_m>_w = h_n delta_{nm} for all m <= n <= n_max, exactly."""
+    ms = _family_moments_to(fam, n_max)
     rep = VerificationReport(
         identity="orthogonality",
         relation="<phi_n, phi_m>_w = h_n delta_nm",
@@ -226,7 +232,7 @@ def orthogonality_check(fam: OPUCFamily, n_max: int) -> VerificationReport:
 
 def verify_toeplitz_h(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """Delta_{n+1}/Delta_n = h_n, exact."""
-    ms = family_moments(fam)
+    ms = _family_moments_to(fam, n_max)
     rep = VerificationReport(
         identity="toeplitz-h",
         relation="Delta_{n+1} / Delta_n = h_n = prod_{k<n} (1 - a_k^2)",
@@ -242,7 +248,7 @@ def verify_toeplitz_h(fam: OPUCFamily, n_max: int) -> VerificationReport:
 
 def verify_determinantal_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """Determinantal phi_n equals the Szego-recurrence phi_n, exact."""
-    ms = family_moments(fam)
+    ms = _family_moments_to(fam, n_max)
     rep = VerificationReport(
         identity="determinantal-match",
         relation="bordered-Toeplitz phi_n = recurrence phi_n",

@@ -20,7 +20,6 @@ from .laurent import LaurentPoly
 #: real-line map.  Indices <= -2 are never read anywhere in the package.
 BOUNDARY_A = Fraction(-1)
 
-_MINUS_ONE = Fraction(-1)
 _HALF = Fraction(1, 2)
 
 

@@ -84,6 +84,32 @@ class TestDerivation:
             derive_representation(F(-1, 2), F(-3, 2), 3)
 
 
+class TestRelationTable:
+    def test_constants(self):
+        # (alpha, beta) = (1, 2): {K,M1} = 4 M1 - 4 I, {K,M2} = 5 M2 - I
+        assert algebra.relation_constants(1, 2) == ((4, -4), (5, -1))
+        # raw values: the derivation reads points JacobiParams rejects
+        assert algebra.relation_constants(F(-1, 2), F(-3, 2)) == ((-1, 1), (0, 1))
+
+    def test_every_report_reads_the_table(self, monkeypatch):
+        # a wrong M2 entry in the one table fails exactly the M2 checks of
+        # all three reports, so none keeps its own copy of the constants
+        table = algebra.relation_constants
+
+        def wrong(alpha, beta):
+            m1_rel, (c, e) = table(alpha, beta)
+            return m1_rel, (c, e + F(1, 100))
+
+        monkeypatch.setattr(algebra, "relation_constants", wrong)
+        p = JacobiParams(F(3, 7), F(-2, 5))
+        fam = build_family(p, 12)  # holds the residuals under the wrong table
+        derivation = verify_representation_derivation(p, 12)
+        assert [c.label for c in derivation.failures] == [f"a n={n}" for n in range(0, 13, 2)]
+        assert [c.label for c in verify_relations_matrix(fam, 13).failures] == ["M2 relation"]
+        functional = verify_relations_functional(fam, 3)
+        assert [c.label for c in functional.failures] == [f"M2 rel k={k}" for k in range(-3, 4)]
+
+
 class TestFunctionalRealization:
     def test_m_ops(self):
         f = LaurentPoly({2: 1, -1: 3})

@@ -334,6 +334,13 @@ class TestVerify:
         grid.write_text("[[\"0\", \"0\"]")
         self._grid_error(capsys, grid)
 
+    def test_grid_file_nested_too_deep(self, capsys, tmp_path):
+        # json.load recurses once per array level and gives up with
+        # RecursionError
+        grid = tmp_path / "grid.json"
+        grid.write_text("[" * 100_000 + "]" * 100_000)
+        assert "recursion" in self._grid_error(capsys, grid)
+
     @pytest.mark.parametrize(
         "alpha, beta",
         [
@@ -746,7 +753,7 @@ class TestEntryPoint:
         "laurent.LaurentPoly.__repr__": "Python protocol, for interactive use",
         "laurent.LaurentPoly.__str__": "Python protocol, for interactive use",
         "opuc.per_family": "runs at import, when each memoized build is decorated",
-        "algebra._closure_residuals":
+        "algebra._central_residuals":
             "runs only when K breaks a defining relation; tests/test_derived.py drives it",
     }
 

@@ -411,10 +411,13 @@ class TestOrthogonality:
         assert not rep.ok
         assert rep.failures
 
-    def test_range_guard(self, family):
+    @pytest.mark.parametrize(
+        "report", [orthogonality_check, verify_toeplitz_h, verify_determinantal_match])
+    def test_range_guard(self, family, report):
         fam = family(F(0), F(0), 4)
-        with pytest.raises(ValueError):
-            orthogonality_check(fam, 5)
+        assert report(fam, 4).ok
+        with pytest.raises(ValueError, match="family too short for requested range"):
+            report(fam, 6)
 
     def test_reports_need_the_parameter_point(self):
         fam = family_from_verblunsky([F(-1, 2), F(-1, 3), F(-1, 4)])
