@@ -411,9 +411,14 @@ class TestOrthogonality:
         assert not rep.ok
         assert rep.failures
 
+    def test_range_guard(self, family):
+        fam = family(F(0), F(0), 4)
+        with pytest.raises(ValueError):
+            orthogonality_check(fam, 5)
+
     @pytest.mark.parametrize(
         "report", [orthogonality_check, verify_toeplitz_h, verify_determinantal_match])
-    def test_range_guard(self, family, report):
+    def test_range_guard_is_shared(self, family, report):
         fam = family(F(0), F(0), 4)
         assert report(fam, 4).ok
         with pytest.raises(ValueError, match="family too short for requested range"):
