@@ -17,8 +17,10 @@ and the pair X = M1 M2 + M2 M1, Y = K^2 - (alpha+beta+1) K, which
 closes into a centrally extended quadratic algebra with M1 as the
 extension element.  That closure lies in the two-sided ideal of the
 defining relations, so on monomials it is the zero polynomial whenever
-the relation residuals vanish and K keeps each level; only otherwise
-is it formed, from its definition (``verify_central_extension``).
+the relation residuals vanish and K keeps each level, and only
+otherwise is it formed, from its definition; as truncated matrices it
+is formed from the held relation residuals M1^2 - I, M2^2 - I and the
+two anticommutator residuals (``verify_central_extension``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from .cmv import BandedOperator, family_operators
 from .dunkl import apply_k, k_residual, lambda_n
-from .errors import Degenerate, InconsistentSystem
+from .errors import Degenerate
 from .laurent import _ZERO_POLY, LaurentPoly
 from .opuc import (JacobiParams, OPUCFamily, family_params, per_family, require_params,
                    verblunsky)
@@ -58,9 +60,12 @@ def derive_representation(alpha, beta, n_max: int):
     leading 1x1 block of M1 reads 2 lambda_0 = (alpha+beta+1)(1 - 1), so
     lambda_0 = 0 for every (alpha, beta).  The off-diagonal block entries
     (which equal 1 independently of the a_n) then chain the eigenvalues
-    together, and each block diagonal determines its a_n.  Every block
-    yields one extra diagonal equation, which must hold as a consistency
-    condition or the system has no such representation.
+    together, and each block diagonal determines its a_n.  The block's
+    second diagonal equation (row n+1) holds by construction: with
+    lambda_{n+1} = c - lambda_n it reads -2 (c - lambda_n) a_n = -c a_n + e,
+    which is the row n equation 2 lambda_n a_n = c a_n + e that a_n was
+    just solved from.  So every (alpha, beta) with nonvanishing pivots has
+    exactly one such representation.
 
     Returns (lam, a), two tuples of Fractions of length n_max + 1.
     """
@@ -73,15 +78,13 @@ def derive_representation(alpha, beta, n_max: int):
         # {K, M} = c M + e I reads
         #   lambda_n + lambda_{n+1} = c        (off-diagonal)
         #   2 lambda_n a_n = c a_n + e         (row n)
-        #  -2 lambda_{n+1} a_n = -c a_n + e    (row n+1, consistency)
+        #  -2 lambda_{n+1} a_n = -c a_n + e    (row n+1, the row n equation)
         c, e = m1_rel if n % 2 else m2_rel
         lam.append(c - lam[n])
         den = 2 * lam[n] - c
         if den == 0:
             raise Degenerate(f"a_{n} undetermined: vanishing diagonal pivot")
         a.append(e / den)
-        if -2 * lam[n + 1] * a[n] != -c * a[n] + e:
-            raise InconsistentSystem(f"second diagonal equation fails at a_{n}")
     return tuple(lam[: n_max + 1]), tuple(a)
 
 
@@ -123,12 +126,11 @@ def family_representation(fam: OPUCFamily, size: int):
     return m1, m2, BandedOperator.diagonal([lambda_n(fam.params, n) for n in range(size)])
 
 
-def _rows_match(rep, label: str, terms: list[tuple[Fraction, BandedOperator]]) -> None:
-    """The matrix identity sum c * A = 0, given as its signed terms: every
-    valid row of the residual must be absent; later rows are skipped."""
-    res = BandedOperator.lincomb(terms)
+def _rows_match(rep, label: str, res: BandedOperator) -> None:
+    """The matrix identity whose residual is res: every valid row of res
+    must be absent; later rows are skipped."""
     n = res.valid_rows
-    bad = [i for i in res.rows if i < n]
+    bad = sorted(i for i in res.rows if i < n)
     rep.add(
         label,
         not bad,
@@ -138,25 +140,41 @@ def _rows_match(rep, label: str, terms: list[tuple[Fraction, BandedOperator]]) -
         rep.skip(f"{label}: rows {n}..{res.size - 1} (truncation boundary)")
 
 
-def verify_relations_matrix(fam: OPUCFamily, size: int) -> VerificationReport:
-    """Both defining relations and both involutions as exact identities
-    between truncated matrices at the family's parameters, on every row
-    unaffected by truncation."""
-    if size < 3:
-        raise ValueError("need size >= 3")
+@per_family("matrix relations")
+def matrix_relation_residuals(fam: OPUCFamily, size: int) -> tuple[BandedOperator, ...]:
+    """(r1, r2, r3, r4) = (M1^2 - I, M2^2 - I, K M1 + M1 K - c M1 - e I,
+    K M2 + M2 K - c M2 - e I) on the truncated representation, with (c, e)
+    of M1 and of M2 from ``relation_constants``, built once per family and
+    size: the matrix relation checks, and what the central extension's
+    matrix side is formed from.  Each carries the valid rows of its
+    defining ``lincomb``."""
     p = require_params(fam)
     m1, m2, k = family_representation(fam, size)
     eye = BandedOperator.identity(size)
+    lcb = BandedOperator.lincomb
+    return (
+        lcb([(1, m1 @ m1), (-1, eye)]),
+        lcb([(1, m2 @ m2), (-1, eye)]),
+        *(lcb([(1, k @ m), (1, m @ k), (-c, m), (-e, eye)])
+          for m, (c, e) in zip((m1, m2), relation_constants(p.alpha, p.beta))),
+    )
+
+
+def verify_relations_matrix(fam: OPUCFamily, size: int) -> VerificationReport:
+    """Both involutions and both defining relations as exact identities
+    between truncated matrices at the family's parameters, on every row
+    unaffected by truncation: the family's held residuals r1 .. r4
+    (``matrix_relation_residuals``), each checked on its valid rows."""
+    if size < 3:
+        raise ValueError("need size >= 3")
     rep = VerificationReport(
         identity="algebra-matrix",
         relation="{K, M1} = (a+b+1)(M1 - I); {K, M2} = (a+b+2) M2 + (a-b) I",
         params=family_params(fam, size=size),
     )
-    _rows_match(rep, "M1^2 = I", [(1, m1 @ m1), (-1, eye)])
-    _rows_match(rep, "M2^2 = I", [(1, m2 @ m2), (-1, eye)])
-    for name, m, (c, e) in zip(("M1 relation", "M2 relation"), (m1, m2),
-                               relation_constants(p.alpha, p.beta)):
-        _rows_match(rep, name, [(1, k @ m), (1, m @ k), (-c, m), (-e, eye)])
+    for label, res in zip(("M1^2 = I", "M2^2 = I", "M1 relation", "M2 relation"),
+                          matrix_relation_residuals(fam, size)):
+        _rows_match(rep, label, res)
     return rep
 
 
@@ -234,7 +252,8 @@ def verify_relations_functional(fam: OPUCFamily, d: int) -> VerificationReport:
     return rep
 
 
-def _central_residuals(p: JacobiParams, jr2: tuple, f: LaurentPoly) -> tuple[LaurentPoly, ...]:
+def _central_residuals(p: JacobiParams, s: Fraction, jr2: tuple,
+                       f: LaurentPoly) -> tuple[LaurentPoly, ...]:
     """([Y, M1] f, JR1 f, JR2 f) formed from their definitions, with
     K = ``apply_k``, Y = K^2 - s K, X the product by z + 1/z and JR2's
     constants jr2 = (c_x, c_m1, c_i) (``verify_central_extension``)."""
@@ -245,7 +264,7 @@ def _central_residuals(p: JacobiParams, jr2: tuple, f: LaurentPoly) -> tuple[Lau
 
     def y_op(g):
         kg = apply_k(g, p)
-        return lc([(1, apply_k(kg, p)), (-p.s, kg)])
+        return lc([(1, apply_k(kg, p)), (-s, kg)])
 
     c_x, c_m1, c_i = jr2
     xf, yf = x_op(f), y_op(f)
@@ -256,6 +275,57 @@ def _central_residuals(p: JacobiParams, jr2: tuple, f: LaurentPoly) -> tuple[Lau
             # [Y, [Y, X]] = YYX - 2 YXY + XYY, {X, Y} = XY + YX
             lc([(1, y_op(yxf)), (-2, y_op(xyf)), (1, x_op(y_op(yf))), (-2, xyf), (-2, yxf),
                 (-c_x, xf), (-c_m1, op_m1(f)), (-c_i, f)]))
+
+
+def _central_matrix(m1: BandedOperator, x: BandedOperator, y: BandedOperator,
+                    eye: BandedOperator, jr2: tuple) -> list[BandedOperator]:
+    """[X,M1], [Y,M1], JR1 and JR2 as truncated matrices, formed from their
+    definitions out of M1, X, Y and I.  XY and YX are formed once: [X,Y]
+    is their difference, {X,Y} enters JR2 as the two terms, and
+    [Y,[Y,X]] = -Y[X,Y] + [X,Y]Y."""
+    lcb = BandedOperator.lincomb
+    c_x, c_m1, c_i = jr2
+    xy, yx = x @ y, y @ x
+    xy_comm = lcb([(1, xy), (-1, yx)])
+    return [
+        lcb([(1, x @ m1), (-1, m1 @ x)]),
+        lcb([(1, y @ m1), (-1, m1 @ y)]),
+        lcb([(1, x @ xy_comm), (-1, xy_comm @ x), (-2, x @ x), (8, eye)]),
+        lcb([(-1, y @ xy_comm), (1, xy_comm @ y), (-2, xy), (-2, yx),
+             (-c_x, x), (-c_m1, m1), (-c_i, eye)]),
+    ]
+
+
+def _central_matrix_derived(a: BandedOperator, b: BandedOperator, k: BandedOperator,
+                            x: BandedOperator, y: BandedOperator, ba: BandedOperator,
+                            r: tuple, s: Fraction, d: Fraction) -> list[BandedOperator]:
+    """The four matrices of ``_central_matrix``, out of the held residuals
+    r = (r1, r2, r3, r4) (``matrix_relation_residuals``) by the free-algebra
+    expansions of ``verify_central_extension``, with A = M1, B = M2 and
+    C = AB - BA = X - 2 BA.  These are identities between finite matrices,
+    so every row equals the definition's; on a clean family r3 and r4 are
+    zero, r1 and r2 hold at most the cut block's row, and products with
+    no stored row on one side form nothing."""
+    lcb = BandedOperator.lincomb
+    r1, r2, r3, r4 = r
+    ar4, r4a, br3, r3b = a @ r4, r4 @ a, b @ r3, r3 @ b
+    eps1 = lcb([(1, ar4), (-1, r4a), (1, br3), (-1, r3b)])
+    eps2 = lcb([(1, ar4), (1, r4a), (-1, br3), (-1, r3b)])
+    ar2a, br1b = a @ r2 @ a, b @ r1 @ b
+    xe, ex = x @ eps1, eps1 @ x
+    h = lcb([(-2, r1), (2, r2), (-2, ar2a), (2, br1b), (1, xe), (-1, ex)])
+    sigma = lcb([(2 * d, r3), (2 * s, r4), (1, k @ eps2), (1, eps2 @ k), (-s, eps2),
+                 (-1, y @ eps1), (1, eps1 @ y)])
+    return [
+        lcb([(1, b @ r1), (-1, r1 @ b)]),
+        lcb([(1, k @ r3), (-1, r3 @ k)]),
+        # C eps1 + eps1 C = X eps1 + eps1 X - 2 (BA eps1 + eps1 BA)
+        lcb([(-4, r1), (-4, r2), (-4, ar2a), (-4, br1b), (2, xe), (2, ex),
+             (-4, ba @ eps1), (-4, eps1 @ ba), (2, eps1 @ eps1), (1, h @ k), (1, k @ h),
+             (-s, h)]),
+        lcb([(-1, eps2), (1, k @ eps1), (-1, eps1 @ k), (2 * s, r4),
+             (1, sigma @ k), (1, k @ sigma), (-s, sigma)]),
+    ]
 
 
 def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> VerificationReport:
@@ -273,32 +343,54 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     the latter formed from r_n = K psi_n - lambda_n psi_n
     (``_y_psi_terms``).
 
-    [X, M1] reads no K and is formed directly.  The other monomial checks
-    lie in the ideal of the defining relations, whose residuals r3, r4
-    the family holds on each monomial (``relation_residuals``, also
-    reported by ``verify_relations_functional``).  With A = M1, B = M2,
-    s = a+b+1, d = a-b, X = AB + BA (multiplication by z + 1/z),
-    C = AB - BA (by 1/z - z), eps1 = A r4 - r4 A + B r3 - r3 B and
-    eps2 = A r4 + r4 A - B r3 - r3 B, the free algebra on A, B, K gives
-    [X, K] = C + eps1, [C, K] = X + 2d A + 2s B + eps2, and
+    Both realizations read their constants from ``relation_constants``:
+    s = a+b+1, the c of {K, M1}, and d = a-b, the e of {K, M2};
+    Y = K^2 - s K, and JR2's constants are (s-1)(s+1), -2d and 2ds.  With A = M1, B = M2, X = AB + BA,
+    C = AB - BA, the residuals r1 = A^2 - I, r2 = B^2 - I,
+    r3 = {K, A} - s A + s I and r4 = {K, B} - (s+1) B - d I,
+    eps1 = A r4 - r4 A + B r3 - r3 B and eps2 = A r4 + r4 A - B r3 - r3 B,
+    the free algebra on A, B, K gives [X, K] = C + eps1,
+    [C, K] = X + 2d A + 2s B + eps2, and
 
+        [X, M1] = B r1 - r1 B,
         [Y, M1] = K r3 - r3 K,
-        JR1 = 2 (C eps1 + eps1 C + eps1^2) + H K + K H - s H,   H = [X, eps1],
+        JR1 = -4 (r1 + r2 + A r2 A + B r1 B) + 2 (C eps1 + eps1 C + eps1^2)
+              + H K + K H - s H,
+        H = -2 r1 + 2 r2 - 2 A r2 A + 2 B r1 B + [X, eps1],
         JR2 = -eps2 + [K, eps1] + 2s r4 + sigma K + K sigma - s sigma,
-        sigma = 2d r3 + 2s r4 + K eps2 + eps2 K - s eps2 - [Y, eps1],
+        sigma = 2d r3 + 2s r4 + K eps2 + eps2 K - s eps2 - [Y, eps1].
 
-    less the terms in A^2 - I and B^2 - I, which R and zR make zero.  So
-    for every linear K each check vanishes when the residuals its
-    expansion reads do.  Degree count: write V_m = span{z^i : |i| <= m}.  A keeps
-    V_m, and B, X and C map it into V_(m+1).  If K keeps V_d, the
-    expansions on z^k, |k| <= d, read r3 only on V_(d+2) (eps1 X K z^k
-    reads r3 B X K z^k) and r4 only on V_(d+1); at alpha = beta the JR2
-    check on z reads V_2.  So r3 and r4 are read on the monomials of
-    V_(d+2); when they are all zero and every held K z^j lies in V_|j|,
-    every residual the expansions read vanishes, and the three checks
-    are the zero polynomial without being formed.  Otherwise they are
-    formed from their definitions with K = ``apply_k``
-    (``_central_residuals``).
+    These hold only while the table has the shape r3 and r4 take here
+    (e = -c for M1, c = s + 1 for M2); otherwise every check is formed
+    from its definition.
+
+    Functional side.  R and zR make r1 and r2 zero, and [X, M1] reads no
+    K and is formed directly.  The family holds r3, r4 on each monomial
+    (``relation_residuals``, also reported by
+    ``verify_relations_functional``), so for every linear K each other
+    check vanishes when the residuals its expansion reads do.  Degree
+    count: write V_m = span{z^i : |i| <= m}.  A keeps V_m, and B, X and
+    C map it into V_(m+1).  If K keeps V_d, the expansions on z^k,
+    |k| <= d, read r3 only on V_(d+2) (eps1 X K z^k reads r3 B X K z^k)
+    and r4 only on V_(d+1); at alpha = beta the JR2 check on z reads V_2.
+    So r3 and r4 are read on the monomials of V_(d+2); when they are all
+    zero and every held K z^j lies in V_|j|, every residual the
+    expansions read vanishes, and the three checks are the zero
+    polynomial without being formed.  Otherwise they are formed from
+    their definitions with K = ``apply_k`` (``_central_residuals``).
+
+    Matrix side.  Truncation breaks M1^2 = I or M2^2 = I at a cut block,
+    so the expansions keep their r1 and r2 terms.  The four checks are
+    formed (``_central_matrix_derived``) from the family's held r1 .. r4
+    at this size (``matrix_relation_residuals``, which
+    ``verify_relations_matrix`` reports): the same matrices as the
+    definitions (``_central_matrix``), row for row.  Each
+    check reads the valid rows its residual carries, which ``@`` and
+    ``lincomb`` propagate by ``product_valid_rows`` through the expansion
+    as through the definition.  The two counts agree at every size: each
+    is the size less a constant that depends on its parity alone once the
+    size passes the smallest ones, and the tests compare them through
+    size 120.
     """
     p = require_params(fam)
     rep = VerificationReport(
@@ -306,9 +398,13 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
         relation="X, Y close into an extended quadratic algebra over M1",
         params=family_params(fam, monomial_range=d, matrix_size=matrix_size),
     )
-    # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1), read by
-    # both realizations
-    c_x, c_m1, c_i = (p.s - 1) * (p.s + 1), -2 * p.d, 2 * p.d * p.s
+    # s = a+b+1 and delta = a-b, the d of the expansions (d here is the
+    # monomial range), and whether the table has the expansions' shape;
+    # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1), read by both
+    # realizations
+    (s, e1), (c2, delta) = relation_constants(p.alpha, p.beta)
+    shaped = e1 == -s and c2 == s + 1
+    jr2 = ((s - 1) * (s + 1), -2 * delta, 2 * delta * s)
     lc = LaurentPoly.lincomb
 
     def holds(j: int) -> bool:
@@ -317,10 +413,10 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
         return not any(relation_residuals(fam, j)) and (
             not kz or max(kz.max_exp, -kz.min_exp) <= abs(j))
 
-    clean = all(holds(j) for j in range(-d - 2, d + 3))
+    clean = shaped and all(holds(j) for j in range(-d - 2, d + 3))
 
     def derived(f):
-        return (_ZERO_POLY,) * 3 if clean else _central_residuals(p, (c_x, c_m1, c_i), f)
+        return (_ZERO_POLY,) * 3 if clean else _central_residuals(p, s, jr2, f)
 
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
@@ -334,23 +430,16 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     # matrix side
     m1, m2, k = family_representation(fam, matrix_size)
     lcb = BandedOperator.lincomb
-    x, y = lcb([(1, m2 @ m1), (1, m1 @ m2)]), lcb([(1, k @ k), (-p.s, k)])
-    eye = BandedOperator.identity(matrix_size)
-    # XY and YX once: [X,Y] is their difference, and {X,Y} enters JR2 as
-    # the two terms; [Y,[Y,X]] = -Y[X,Y] + [X,Y]Y
-    xy, yx = x @ y, y @ x
-    xy_comm = lcb([(1, xy), (-1, yx)])
-    _rows_match(rep, "[X,M1] matrix", [(1, x @ m1), (-1, m1 @ x)])
-    _rows_match(rep, "[Y,M1] matrix", [(1, y @ m1), (-1, m1 @ y)])
-    _rows_match(
-        rep, "JR1 matrix",
-        [(1, x @ xy_comm), (-1, xy_comm @ x), (-2, x @ x), (8, eye)],
-    )
-    _rows_match(
-        rep, "JR2 matrix",
-        [(-1, y @ xy_comm), (1, xy_comm @ y), (-2, xy), (-2, yx),
-         (-c_x, x), (-c_m1, m1), (-c_i, eye)],
-    )
+    ab, ba = m1 @ m2, m2 @ m1
+    x, y = lcb([(1, ba), (1, ab)]), lcb([(1, k @ k), (-s, k)])
+    if shaped:
+        held = matrix_relation_residuals(fam, matrix_size)
+        residuals = _central_matrix_derived(m1, m2, k, x, y, ba, held, s, delta)
+    else:
+        residuals = _central_matrix(m1, x, y, BandedOperator.identity(matrix_size), jr2)
+    for label, res in zip(("[X,M1] matrix", "[Y,M1] matrix", "JR1 matrix", "JR2 matrix"),
+                          residuals):
+        _rows_match(rep, label, res)
 
     # the matrix rows reproduce the functional action on the psi basis;
     # a row may reach bandwidth columns past its index

@@ -91,7 +91,8 @@ class BandedOperator:
 
     @staticmethod
     def lincomb(terms: Sequence[tuple[Fraction | int, "BandedOperator"]]) -> "BandedOperator":
-        """sum(c * A for c, A in terms), one ``LaurentPoly.lincomb`` per row.
+        """sum(c * A for c, A in terms), one ``LaurentPoly.lincomb`` per row
+        that some term with c != 0 stores, in ascending order.
 
         The sum is valid on the rows every term is valid on, zero scalars
         included; its bandwidth is the largest among the terms with c != 0.
@@ -99,9 +100,10 @@ class BandedOperator:
         first = terms[0][1]
         for _, a in terms:
             first._check_size(a)
+        live = [(c, a) for c, a in terms if c]
         rows = {
-            i: LaurentPoly.lincomb([(c, a.rows.get(i, _ZERO_ROW)) for c, a in terms])
-            for i in range(first.size)
+            i: LaurentPoly.lincomb([(c, a.rows.get(i, _ZERO_ROW)) for c, a in live])
+            for i in sorted(set().union(*(a.rows for _, a in live)))
         }
         return BandedOperator(
             first.size,
@@ -123,7 +125,9 @@ class BandedOperator:
         # row i of the product is row i applied to the right factor's rows.
         # A diagonal factor scales row i by d_i on the left, and the entry
         # in column j by d_j on the right
-        if self.bandwidth == 0:
+        if not (self.rows and other.rows):
+            rows = {}
+        elif self.bandwidth == 0:
             diag = self._diagonal()
             rows = {i: LaurentPoly.lincomb([(diag.coeff(i), row)])
                     for i, row in other.rows.items()}
@@ -131,8 +135,11 @@ class BandedOperator:
             diag = other._diagonal()
             rows = {i: row.hadamard(diag) for i, row in self.rows.items()}
         else:
-            right = [other.rows.get(k, _ZERO_ROW) for k in range(other.size)]
-            rows = {i: self.apply_row(i, right) for i in self.rows}
+            # row i is formed only when it reaches a stored row of other
+            stored = other.rows
+            right = [stored.get(k, _ZERO_ROW) for k in range(other.size)]
+            rows = {i: self.apply_row(i, right) for i, row in self.rows.items()
+                    if any(j in stored for j in row.support)}
         return BandedOperator(
             self.size, rows, self.bandwidth + other.bandwidth, self.product_valid_rows(other)
         )

@@ -30,10 +30,6 @@ class Degenerate(CircleJacobiError):
     """Structure constants violate the nondegeneracy conditions."""
 
 
-class InconsistentSystem(CircleJacobiError):
-    """The entrywise representation equations admit no common solution."""
-
-
 class NonPositive(CircleJacobiError):
     """A Toeplitz determinant fails the positivity test expected of a
     genuine probability measure."""

@@ -20,8 +20,6 @@ from .laurent import LaurentPoly
 #: real-line map.  Indices <= -2 are never read anywhere in the package.
 BOUNDARY_A = Fraction(-1)
 
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class JacobiParams:
@@ -56,12 +54,14 @@ class JacobiParams:
 
 
 def verblunsky(p: JacobiParams, n: int) -> Fraction:
-    """a_n = -(alpha + 1/2 + (-1)^(n+1) (beta + 1/2)) / (n + alpha + beta + 2)."""
+    """a_n = -(alpha + 1/2 + (-1)^(n+1) (beta + 1/2)) / (n + alpha + beta + 2).
+
+    The numerator is s = alpha + beta + 1 for odd n and d = alpha - beta
+    for even n, and the denominator is n + s + 1, so a_n costs two
+    operations on the cached ``p.s`` and ``p.d``."""
     if n < 0:
         raise ValueError("Verblunsky index must be >= 0")
-    sign = 1 if n % 2 else -1  # (-1)^(n+1)
-    num = p.alpha + _HALF + sign * (p.beta + _HALF)
-    a = -num / (n + p.alpha + p.beta + 2)
+    a = (p.s if n % 2 else p.d) / (-1 - n - p.s)
     if not -1 < a < 1:
         raise ParamOutOfRange(f"a_{n} = {a} has modulus >= 1")
     return a
@@ -128,6 +128,11 @@ class OPUCFamily:
     - ``("K z", j)``: the image K z^j of a monomial (``algebra.k_monomial``);
     - ``("relations", j)``: the defining-relation residuals (r3 z^j, r4 z^j)
       of the functional realization (``algebra.relation_residuals``);
+    - ``("matrix relations", size)``: the residuals r1 = M1^2 - I,
+      r2 = M2^2 - I and r3, r4 of the two defining relations on the
+      truncated representation at that size
+      (``algebra.matrix_relation_residuals``), reported by the matrix
+      relations and read by the central extension's matrix side;
     - ``("cmv", size)``: M1 and M2 at that size (``cmv.family_operators``),
       read at size N + 1 by the row checks and at the algebra's own size
       by ``algebra.family_representation``;

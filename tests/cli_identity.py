@@ -1,0 +1,102 @@
+"""Compare the CLI output of two source trees, invocation by invocation.
+
+Usage:
+
+    python3 tests/cli_identity.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src/`` directories, each holding the
+``circlejacobi`` package.  Every invocation of ``INVOCATIONS`` runs once
+per tree, as ``python -m circlejacobi.cli ...`` in a fresh interpreter
+with that tree first on ``PYTHONPATH``.  Each difference in stdout,
+stderr or exit status is printed, with the first line where the two
+outputs part.  The exit status is 1 if any invocation differs, else 0.
+
+This is a script, not a test: a change that claims byte-identical output
+runs it against a checkout of its parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GRID_FILE = str(Path(__file__).resolve().parent / "golden" / "grid.json")
+OFF_GRID = ["--alpha", "3/7", "--beta", "-2/5"]
+FORMATS = ("text", "json", "csv")
+
+
+def _invocations() -> list[list[str]]:
+    runs = []
+    for n in (16, 40):
+        runs += [["verify", "--grid-file", GRID_FILE, "--n", str(n), "--format", fmt]
+                 for fmt in FORMATS]
+    for n in (*range(3, 10), 21, 160):
+        runs += [["verify", *OFF_GRID, "--n", str(n), "--format", fmt] for fmt in FORMATS]
+    for n in (80, 81):
+        for k in (0, 1, n // 2, n - 1):
+            runs.append(["verify", *OFF_GRID, "--n", str(n), "--corrupt-a", str(k),
+                         "--format", "json"])
+        runs.append(["verify", *OFF_GRID, "--n", str(n), "--corrupt-a", "1",
+                     "--suite", "algebra", "--format", "text"])
+    for command in ("gen", "moments"):
+        runs += [[command, *OFF_GRID, "--n", "21", "--format", fmt] for fmt in FORMATS]
+    runs += [["spectrum", *OFF_GRID, "--n", "9", "--matrix", m] for m in ("c", "m1", "m2")]
+    # exit status 2: bad usage, caught before any verification
+    runs += [
+        ["verify", "--alpha", "1/2", "--n", "8"],
+        ["verify", "--alpha", "0.5", "--beta", "0", "--n", "8"],
+        ["verify", "--alpha", "-1", "--beta", "0", "--n", "8"],
+        ["verify", "--alpha", "0", "--beta", "0", "--n", "0"],
+        ["verify", *OFF_GRID, "--n", "8", "--corrupt-a", "9"],
+        ["verify", *OFF_GRID, "--n", "8", "--suite", "nosuch"],
+        ["verify", "--grid-file", os.devnull, "--n", "8"],
+        ["gen", "--alpha", "0", "--beta", "-3/2", "--n", "4"],
+    ]
+    return runs
+
+
+INVOCATIONS = _invocations()
+
+
+def run(src: str, argv: list[str]) -> tuple[str, str, int]:
+    """(stdout, stderr, exit status) of the CLI from the tree src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "circlejacobi.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def _first_difference(old: str, new: str) -> str:
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    for i, (a, b) in enumerate(zip(old_lines, new_lines)):
+        if a != b:
+            return f"line {i + 1}:\n    old: {a[:200]}\n    new: {b[:200]}"
+    return f"lengths differ: {len(old_lines)} vs {len(new_lines)} lines"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    args = parser.parse_args(argv)
+    differing = 0
+    for cli_argv in INVOCATIONS:
+        old, new = run(args.old_src, cli_argv), run(args.new_src, cli_argv)
+        diffs = [(name, a, b) for name, a, b in zip(("stdout", "stderr", "exit"), old, new)
+                 if a != b]
+        if diffs:
+            differing += 1
+            print("DIFFERS:", " ".join(cli_argv))
+            for name, a, b in diffs:
+                detail = f"{a} vs {b}" if name == "exit" else _first_difference(a, b)
+                print(f"  {name}: {detail}")
+    print(f"{len(INVOCATIONS)} invocations, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

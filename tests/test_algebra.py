@@ -92,8 +92,9 @@ class TestRelationTable:
         assert algebra.relation_constants(F(-1, 2), F(-3, 2)) == ((-1, 1), (0, 1))
 
     def test_every_report_reads_the_table(self, monkeypatch):
-        # a wrong M2 entry in the one table fails exactly the M2 checks of
-        # all three reports, so none keeps its own copy of the constants
+        # a wrong M2 entry in the one table fails exactly the checks that
+        # read it in all four reports, so none keeps its own copy of the
+        # constants
         table = algebra.relation_constants
 
         def wrong(alpha, beta):
@@ -108,6 +109,11 @@ class TestRelationTable:
         assert [c.label for c in verify_relations_matrix(fam, 13).failures] == ["M2 relation"]
         functional = verify_relations_functional(fam, 3)
         assert [c.label for c in functional.failures] == [f"M2 rel k={k}" for k in range(-3, 4)]
+        # the central extension reads d = alpha - beta as the table's e of
+        # {K, M2}: JR2's constants move, in both realizations
+        central = verify_central_extension(fam, d=3, matrix_size=13)
+        assert [c.label for c in central.failures] == [
+            *[f"JR2 k={k}" for k in range(-3, 4)], "JR2 matrix"]
 
 
 class TestFunctionalRealization:
@@ -332,9 +338,18 @@ class TestComplexity:
         assert calls[0] == 2 * (41 + p_top(40) + 1 + q_top(40) + 1), calls[0]
 
     def test_central_extension_forms_xy_and_yx_once(self, monkeypatch):
+        # a table whose {K, M1} entry has e != -c sends the matrix side
+        # down the path that forms the checks from their definitions:
         # 3 products build X and Y, 4 the commutators with M1, 2 form XY
         # and YX, 2 each the outer commutators of JR1 and JR2, and 1 X^2.
         # Forming XY and YX again for [Y,X] and {X,Y} costs 4 more.
+        table = algebra.relation_constants
+
+        def wrong(alpha, beta):
+            (c, e), m2_rel = table(alpha, beta)
+            return (c, e + F(1, 100)), m2_rel
+
+        monkeypatch.setattr(algebra, "relation_constants", wrong)
         calls = [0]
         orig = BandedOperator.__matmul__
 
@@ -346,6 +361,27 @@ class TestComplexity:
         fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
         assert verify_central_extension(fam, d=10, matrix_size=21).ok
         assert calls[0] <= 14, calls[0]
+
+    def test_central_extension_matrix_side_forms_few_rows(self, monkeypatch):
+        # with the held r1 .. r4 (built by the matrix relations), the
+        # matrix side forms by general products only the 42 rows of M1 M2
+        # and M2 M1, which X and the psi-row tie-in read, and the 2 + 2
+        # rows of M1 r2 M1 that reach the cut block of M2 at size 21; r1,
+        # r3 and r4 are zero.  Forming the checks from their definitions
+        # costs 147 rows.
+        fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
+        assert verify_relations_matrix(fam, 21).ok
+        rows = [0]
+        orig = BandedOperator.apply_row
+
+        def counted(self, i, vectors):
+            if vectors is not fam.psi:  # the tie-in applies rows to psi
+                rows[0] += 1
+            return orig(self, i, vectors)
+
+        monkeypatch.setattr(BandedOperator, "apply_row", counted)
+        assert verify_central_extension(fam, d=10, matrix_size=21).ok
+        assert rows[0] == 42 + 4, rows[0]
 
     def test_relations_functional_applies_k_once_per_monomial(self, monkeypatch):
         # K z^-k and K z^(1-k) meet other monomials' K images: at d = 10

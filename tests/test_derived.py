@@ -23,6 +23,7 @@ from functools import cache, partial
 import pytest
 
 from circlejacobi import algebra, cmv, dunkl, suites, szego
+from circlejacobi.cmv import BandedOperator
 from circlejacobi.dunkl import apply_k, lambda_n
 from circlejacobi.errors import NotDivisible
 from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV, Z_PLUS_ZINV
@@ -128,6 +129,48 @@ def direct_central_functional(fam, d):
     if p.alpha == p.beta:
         out["extension term drops at alpha=beta"] = lc(jr2_terms(LaurentPoly.monomial(1)))
     return out
+
+
+def _matrix_operands(fam, size):
+    """M1, M2, the diagonal K and I at this size, K read from the possibly
+    patched ``algebra.lambda_n``, and the table's (c, e) of M1 and M2."""
+    p = fam.params
+    m1, m2 = cmv.family_operators(fam, size)
+    k = BandedOperator.diagonal([algebra.lambda_n(p, n) for n in range(size)])
+    return m1, m2, k, BandedOperator.identity(size), algebra.relation_constants(p.alpha, p.beta)
+
+
+def direct_relations_matrix(fam, size):
+    """The four matrix relation residuals from their definitions."""
+    m1, m2, k, eye, rels = _matrix_operands(fam, size)
+    lcb = BandedOperator.lincomb
+    out = {"M1^2 = I": lcb([(1, m1 @ m1), (-1, eye)]), "M2^2 = I": lcb([(1, m2 @ m2), (-1, eye)])}
+    for name, m, (c, e) in zip(("M1 relation", "M2 relation"), (m1, m2), rels):
+        out[name] = lcb([(1, k @ m), (1, m @ k), (-c, m), (-e, eye)])
+    return out
+
+
+def direct_central_matrix(fam, size):
+    """The central extension's four matrix residuals from their
+    definitions, with s = alpha + beta + 1 and d = alpha - beta read from
+    the table as the c of {K, M1} and the e of {K, M2}."""
+    m1, m2, k, eye, ((s, _), (_, d)) = _matrix_operands(fam, size)
+    lcb = BandedOperator.lincomb
+
+    def comm(a, b):
+        return lcb([(1, a @ b), (-1, b @ a)])
+
+    x = lcb([(1, m1 @ m2), (1, m2 @ m1)])
+    y = lcb([(1, k @ k), (-s, k)])
+    # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1)
+    c_x, c_m1, c_i = (s - 1) * (s + 1), -2 * d, 2 * d * s
+    return {
+        "[X,M1] matrix": comm(x, m1),
+        "[Y,M1] matrix": comm(y, m1),
+        "JR1 matrix": lcb([(1, comm(x, comm(x, y))), (-2, x @ x), (8, eye)]),
+        "JR2 matrix": lcb([(1, comm(y, comm(y, x))), (-2, x @ y), (-2, y @ x),
+                           (-c_x, x), (-c_m1, m1), (-c_i, eye)]),
+    }
 
 
 def direct_reflection(fam):
@@ -668,6 +711,252 @@ class TestCentralExtensionMonomials:
         assert {"[Y,M1]", "JR1", "JR2", "extension"} <= _failing(got)
 
 
+# --------------------------------------------------------------------------
+# The algebra's matrix side: the held relation residuals and their expansions
+# --------------------------------------------------------------------------
+
+
+def _matrix_verdict(label, res):
+    """The check and the skipped rows a matrix residual reads as."""
+    n = res.valid_rows
+    bad = [i for i in sorted(res.rows) if i < n]
+    check = Check(label, not bad, f"rows {bad[:4]} differ" if bad else f"{n} rows agree")
+    return check, [f"{label}: rows {n}..{res.size - 1} (truncation boundary)"] if n < res.size else []
+
+
+def assert_matrix_checks_match_direct(monkeypatch, fam, size):
+    """The matrix relations and the central extension at this size against
+    their definitions: each check is formed from a residual equal to the
+    direct one on every row, valid on as many rows, and reads as it does."""
+    seen = {}
+    orig = algebra._rows_match
+
+    def record(rep, label, res):
+        seen[label] = (res.rows, res.valid_rows)
+        orig(rep, label, res)
+
+    monkeypatch.setattr(algebra, "_rows_match", record)
+    reps = [algebra.verify_relations_matrix(fam, size),
+            algebra.verify_central_extension(fam, d=2, matrix_size=size)]
+    monkeypatch.setattr(algebra, "_rows_match", orig)
+    direct = {**direct_relations_matrix(fam, size), **direct_central_matrix(fam, size)}
+    assert list(seen) == list(direct)
+    checks = {c.label: c for rep in reps for c in rep.checks}
+    skips = []
+    for label, res in direct.items():
+        assert seen[label] == (res.rows, res.valid_rows), label
+        check, skip = _matrix_verdict(label, res)
+        assert checks[label] == check
+        skips += skip
+    assert [line for rep in reps for line in rep.skipped] == skips
+    return checks
+
+
+MATRIX_POINTS = [*GRID, (F(3, 7), F(-2, 5)), (F(2, 3), F(2, 3))]
+
+
+class TestMatrixSideEqualsDefinitions:
+    @pytest.mark.parametrize("alpha,beta", MATRIX_POINTS)
+    def test_clean_points(self, monkeypatch, alpha, beta):
+        # sizes 7 and 8 cut the last block of M2 and of M1; every size
+        # from 3 to 23 meets both parities at both ends
+        fam = build_family(JacobiParams(alpha, beta), 24)
+        for size in range(3, 24):
+            checks = assert_matrix_checks_match_direct(monkeypatch, fam, size)
+            assert all(c.ok for c in checks.values())
+
+    @pytest.mark.parametrize("size", [7, 8, 9, 20, 21])
+    @pytest.mark.parametrize("entry,kept", [(("M2", "e"), True), (("M1", "e"), False),
+                                            (("M2", "c"), False), (("M1", "c"), False)])
+    def test_wrong_table_entry(self, monkeypatch, entry, kept, size):
+        # a wrong e of {K, M2} keeps the shape the expansions assume, and
+        # the matrix side is formed from the held residuals; any other
+        # wrong entry sends it to the definitions
+        table = algebra.relation_constants
+        which, slot = ("M1", "M2").index(entry[0]), ("c", "e").index(entry[1])
+
+        def wrong(alpha, beta):
+            rels = [list(rel) for rel in table(alpha, beta)]
+            rels[which][slot] += F(1, 100)
+            return tuple(tuple(rel) for rel in rels)
+
+        monkeypatch.setattr(algebra, "relation_constants", wrong)
+        definitions = []
+        orig = algebra._central_matrix
+
+        def spied(*args):
+            definitions.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(algebra, "_central_matrix", spied)
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 24)
+        checks = assert_matrix_checks_match_direct(monkeypatch, fam, size)
+        assert not checks[f"{entry[0]} relation"].ok
+        assert len(definitions) == (0 if kept else 1)
+
+    @pytest.mark.parametrize("size", [7, 8, 9, 20, 21])
+    @pytest.mark.parametrize("moved", [0, 5, 6, "last"])
+    @pytest.mark.parametrize("alpha,beta", [(F(3, 7), F(-2, 5)), (F(1), F(1))])
+    def test_wrong_k_diagonal(self, monkeypatch, alpha, beta, moved, size):
+        # lambda_n moved at one n breaks both relations on the rows its
+        # blocks reach, so r3 and r4 are nonzero and every expansion term
+        # is formed
+        moved = size - 1 if moved == "last" else moved
+        orig = algebra.lambda_n
+        monkeypatch.setattr(algebra, "lambda_n",
+                            lambda p, n: orig(p, n) + (F(1, 3) if n == moved else 0))
+        fam = build_family(JacobiParams(alpha, beta), 24)
+        checks = assert_matrix_checks_match_direct(monkeypatch, fam, size)
+        assert not (checks["M1 relation"].ok and checks["M2 relation"].ok)
+
+    @pytest.mark.parametrize("alpha,beta", [(F(3, 7), F(-2, 5)), (F(-1, 2), F(-1, 2)),
+                                            (F(1), F(1))])
+    def test_expansions_carry_the_definitions_valid_rows(self, alpha, beta):
+        # valid rows and bandwidths depend on the size, the scalars that
+        # vanish (s = 0 at the free point, d = 0 at alpha = beta) and which
+        # of M1, M2 the truncation cuts, never on the entries; so operators
+        # with the representation's metadata and no entries carry the
+        # counts both forms report, at sizes far past the row comparisons
+        p = JacobiParams(alpha, beta)
+        s, d = p.s, p.d
+        lcb = BandedOperator.lincomb
+        for size in range(3, 121):
+            m1 = BandedOperator(size, {}, 1, size - (size % 2 == 0))
+            m2 = BandedOperator(size, {}, 1, size - size % 2)
+            k, eye = (BandedOperator(size, {}, 0, size) for _ in range(2))
+            r = (lcb([(1, m1 @ m1), (-1, eye)]), lcb([(1, m2 @ m2), (-1, eye)]),
+                 lcb([(1, k @ m1), (1, m1 @ k), (-s, m1), (s, eye)]),
+                 lcb([(1, k @ m2), (1, m2 @ k), (-s - 1, m2), (-d, eye)]))
+            ba = m2 @ m1
+            x, y = lcb([(1, ba), (1, m1 @ m2)]), lcb([(1, k @ k), (-s, k)])
+            jr2 = ((s - 1) * (s + 1), -2 * d, 2 * d * s)
+            definitions = algebra._central_matrix(m1, x, y, eye, jr2)
+            expansions = algebra._central_matrix_derived(m1, m2, k, x, y, ba, r, s, d)
+            assert ([res.valid_rows for res in expansions]
+                    == [res.valid_rows for res in definitions]), size
+
+    def test_clean_family_holds_only_the_cut_rows(self):
+        # what makes the expansions cheap: r3 and r4 vanish on every row,
+        # the cut block of M1 or M2 among them, and r1, r2 hold only the
+        # cut block's row
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 24)
+        for size in (20, 21):
+            r1, r2, r3, r4 = algebra.matrix_relation_residuals(fam, size)
+            assert not r3.rows and not r4.rows
+            assert (list(r1.rows), list(r2.rows)) == (([size - 1], []) if size % 2 == 0
+                                                      else ([], [size - 1]))
+
+
+def _random_banded(rng, size, kind):
+    """A random size x size operator of one kind: "empty", "last" (only
+    the last row stored), "diagonal" (bandwidth 0, zeros among the
+    values) or "banded" (bandwidth 1 to 3, empty rows among the others)."""
+    if kind == "diagonal":
+        return BandedOperator.diagonal([rng.choice([0, F(rng.randint(-5, 5), rng.randint(1, 4))])
+                                        for _ in range(size)])
+    bandwidth = rng.randint(1, 3)
+    rows = {}
+    for i in range(size):
+        if kind == "empty" or (kind == "last" and i < size - 1) or rng.random() < 0.3:
+            continue
+        rows[i] = LaurentPoly({j: F(rng.randint(-4, 4), rng.randint(1, 3))
+                               for j in range(max(0, i - bandwidth), min(size, i + bandwidth + 1))})
+    return BandedOperator(size, rows, bandwidth, rng.randint(0, size))
+
+
+def _dense(op):
+    zero = LaurentPoly.zero()
+    return [[op.rows.get(i, zero).coeff(j) for j in range(op.size)] for i in range(op.size)]
+
+
+KINDS = ("empty", "last", "diagonal", "banded")
+
+
+class TestSparseKernel:
+    """``@`` and ``lincomb`` visit only stored rows; they must still equal
+    the dense products and sums of Fraction lists, row for row, with the
+    same metadata."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_products_equal_dense(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 9)
+        formed = [0]
+        orig = BandedOperator.apply_row
+
+        def counted(self, i, vectors):
+            formed[0] += 1
+            return orig(self, i, vectors)
+
+        monkeypatch.setattr(BandedOperator, "apply_row", counted)
+        for left in KINDS:
+            for right in KINDS:
+                a, b = _random_banded(rng, size, left), _random_banded(rng, size, right)
+                formed[0] = 0
+                prod = a @ b
+                da, db = _dense(a), _dense(b)
+                want = [[sum((da[i][k] * db[k][j] for k in range(size)), F(0))
+                         for j in range(size)] for i in range(size)]
+                assert _dense(prod) == want
+                assert sorted(prod.rows) == [i for i, row in enumerate(want) if any(row)]
+                assert (prod.size, prod.bandwidth, prod.valid_rows) == (
+                    size, a.bandwidth + b.bandwidth, a.product_valid_rows(b))
+                # the general path forms only the rows of a that reach a
+                # stored row of b
+                reach = [i for i, row in a.rows.items() if set(row.support) & set(b.rows)]
+                general = a.bandwidth and b.bandwidth
+                assert formed[0] == (len(reach) if general else 0), (left, right)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_lincombs_equal_dense(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(1, 9)
+        ops = [_random_banded(rng, size, rng.choice(KINDS)) for _ in range(rng.randint(1, 4))]
+        scalars = [rng.choice([0, 1, -1, F(rng.randint(-5, 5), rng.randint(1, 4))]) for _ in ops]
+        total = BandedOperator.lincomb(list(zip(scalars, ops)))
+        dense = [_dense(op) for op in ops]
+        want = [[sum((c * d[i][j] for c, d in zip(scalars, dense)), F(0)) for j in range(size)]
+                for i in range(size)]
+        assert _dense(total) == want
+        assert list(total.rows) == [i for i, row in enumerate(want) if any(row)]
+        assert total.valid_rows == min(op.valid_rows for op in ops)
+        assert total.bandwidth == max((op.bandwidth for c, op in zip(scalars, ops) if c),
+                                      default=0)
+
+
+# --------------------------------------------------------------------------
+# The closed-form Verblunsky coefficients
+# --------------------------------------------------------------------------
+
+
+def paper_verblunsky(alpha, beta, n):
+    """a_n = -(alpha + 1/2 + (-1)^(n+1) (beta + 1/2)) / (n + alpha + beta + 2)."""
+    half = F(1, 2)
+    return -(alpha + half + (-1) ** (n + 1) * (beta + half)) / (n + alpha + beta + 2)
+
+
+# the height-160 workload's off-grid points, and points near alpha = -1
+VERBLUNSKY_POINTS = [
+    *MATRIX_POINTS, (F(1), F(1)), (F(7, 3), F(7, 3)), (F(1, 51) - 1, F(1, 51) - 1),
+    (F(3, 7), F(-2, 5)), (F(5, 7), F(-2, 5)), (F(-2, 7), F(3, 5)), (F(10, 7), F(-1, 5)),
+    (F(4, 7), F(2, 5)), (F(5, 7), F(2, 5)), (F(9, 7), F(2, 5)), (F(3, 7), F(1, 5)),
+    (F(1, 500) - 1, F(3)),
+]
+
+
+class TestVerblunskyClosedForm:
+    @pytest.mark.parametrize("alpha,beta", VERBLUNSKY_POINTS)
+    def test_equals_the_paper_formula(self, alpha, beta):
+        p = JacobiParams(alpha, beta)
+        for n in range(201):
+            a = verblunsky(p, n)
+            assert type(a) is Fraction and a == paper_verblunsky(alpha, beta, n), n
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="Verblunsky index must be >= 0"):
+            verblunsky(JacobiParams(0, 0), -1)
+
+
 def live_lincomb_terms(monkeypatch):
     """The list that every later LaurentPoly.lincomb call appends its
     nonzero terms to."""
@@ -807,7 +1096,7 @@ class TestMemo:
         kinds = {k[0] if isinstance(k, tuple) else k for k in fam.derived}
         assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term", "psi(P,Q)",
                          "moments", "coefficients", "christoffel'", "raising", "K z",
-                         "relations"}
+                         "relations", "matrix relations"}
         for key in fam.derived:
             shown = f'``("{key[0]}",' if isinstance(key, tuple) else f'``"{key}"``'
             assert shown in doc, key

@@ -244,6 +244,13 @@ GOLDEN_CASES = [
           "--suite", name])
         for name in NAMES
     ],
+    # n = 7 and n = 3 give algebra matrix sizes 8 and 7, whose truncation
+    # cuts the last block of M1 and of M2
+    *[
+        (f"offgrid-n{n}-algebra.json",
+         ["--alpha", "3/7", "--beta", "-2/5", "--n", str(n), "--suite", "algebra"])
+        for n in (7, 3)
+    ],
     # n = 24 is past both algebra caps: matrix size 21 and monomial range 10.
     ("offgrid-n24-algebra.json",
      ["--alpha", "3/7", "--beta", "-2/5", "--n", "24", "--suite", "algebra"]),
