@@ -130,7 +130,7 @@ def _rows_match(rep, label: str, res: BandedOperator) -> None:
     """The matrix identity whose residual is res: every valid row of res
     must be absent; later rows are skipped."""
     n = res.valid_rows
-    bad = sorted(i for i in res.rows if i < n)
+    bad = [i for i in res.rows if i < n]
     rep.add(
         label,
         not bad,
@@ -277,35 +277,16 @@ def _central_residuals(p: JacobiParams, s: Fraction, jr2: tuple,
                 (-c_x, xf), (-c_m1, op_m1(f)), (-c_i, f)]))
 
 
-def _central_matrix(m1: BandedOperator, x: BandedOperator, y: BandedOperator,
-                    eye: BandedOperator, jr2: tuple) -> list[BandedOperator]:
-    """[X,M1], [Y,M1], JR1 and JR2 as truncated matrices, formed from their
-    definitions out of M1, X, Y and I.  XY and YX are formed once: [X,Y]
-    is their difference, {X,Y} enters JR2 as the two terms, and
-    [Y,[Y,X]] = -Y[X,Y] + [X,Y]Y."""
-    lcb = BandedOperator.lincomb
-    c_x, c_m1, c_i = jr2
-    xy, yx = x @ y, y @ x
-    xy_comm = lcb([(1, xy), (-1, yx)])
-    return [
-        lcb([(1, x @ m1), (-1, m1 @ x)]),
-        lcb([(1, y @ m1), (-1, m1 @ y)]),
-        lcb([(1, x @ xy_comm), (-1, xy_comm @ x), (-2, x @ x), (8, eye)]),
-        lcb([(-1, y @ xy_comm), (1, xy_comm @ y), (-2, xy), (-2, yx),
-             (-c_x, x), (-c_m1, m1), (-c_i, eye)]),
-    ]
-
-
 def _central_matrix_derived(a: BandedOperator, b: BandedOperator, k: BandedOperator,
                             x: BandedOperator, y: BandedOperator, ba: BandedOperator,
                             r: tuple, s: Fraction, d: Fraction) -> list[BandedOperator]:
-    """The four matrices of ``_central_matrix``, out of the held residuals
-    r = (r1, r2, r3, r4) (``matrix_relation_residuals``) by the free-algebra
-    expansions of ``verify_central_extension``, with A = M1, B = M2 and
-    C = AB - BA = X - 2 BA.  These are identities between finite matrices,
-    so every row equals the definition's; on a clean family r3 and r4 are
-    zero, r1 and r2 hold at most the cut block's row, and products with
-    no stored row on one side form nothing."""
+    """[X,M1], [Y,M1], JR1 and JR2 as truncated matrices, out of the held
+    residuals r = (r1, r2, r3, r4) (``matrix_relation_residuals``) by the
+    free-algebra expansions of ``verify_central_extension``, with A = M1,
+    B = M2 and C = AB - BA = X - 2 BA.  These are identities between
+    finite matrices, so every row equals the definition's; on a clean
+    family r3 and r4 are zero, r1 and r2 hold at most the cut block's row,
+    and products with no stored row on one side form nothing."""
     lcb = BandedOperator.lincomb
     r1, r2, r3, r4 = r
     ar4, r4a, br3, r3b = a @ r4, r4 @ a, b @ r3, r3 @ b
@@ -360,9 +341,9 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
         JR2 = -eps2 + [K, eps1] + 2s r4 + sigma K + K sigma - s sigma,
         sigma = 2d r3 + 2s r4 + K eps2 + eps2 K - s eps2 - [Y, eps1].
 
-    These hold only while the table has the shape r3 and r4 take here
-    (e = -c for M1, c = s + 1 for M2); otherwise every check is formed
-    from its definition.
+    They read s and d as the table's c of {K, M1} and e of {K, M2}, and
+    take r3 and r4 in the table's shape (e = -c for M1, c = s + 1 for
+    M2), which ``relation_constants`` has at every (alpha, beta).
 
     Functional side.  R and zR make r1 and r2 zero, and [X, M1] reads no
     K and is formed directly.  The family holds r3, r4 on each monomial
@@ -384,13 +365,12 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     formed (``_central_matrix_derived``) from the family's held r1 .. r4
     at this size (``matrix_relation_residuals``, which
     ``verify_relations_matrix`` reports): the same matrices as the
-    definitions (``_central_matrix``), row for row.  Each
-    check reads the valid rows its residual carries, which ``@`` and
-    ``lincomb`` propagate by ``product_valid_rows`` through the expansion
-    as through the definition.  The two counts agree at every size: each
-    is the size less a constant that depends on its parity alone once the
-    size passes the smallest ones, and the tests compare them through
-    size 120.
+    definitions, row for row.  Each check reads the valid rows its
+    residual carries, which ``@`` and ``lincomb`` propagate by
+    ``product_valid_rows`` through the expansion as through the
+    definition.  The two counts agree at every size: each is the size
+    less a constant that depends on its parity alone once the size passes
+    the smallest ones, and the tests compare them through size 120.
     """
     p = require_params(fam)
     rep = VerificationReport(
@@ -399,11 +379,10 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
         params=family_params(fam, monomial_range=d, matrix_size=matrix_size),
     )
     # s = a+b+1 and delta = a-b, the d of the expansions (d here is the
-    # monomial range), and whether the table has the expansions' shape;
-    # JR2's constants (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1), read by both
-    # realizations
-    (s, e1), (c2, delta) = relation_constants(p.alpha, p.beta)
-    shaped = e1 == -s and c2 == s + 1
+    # monomial range), read by both realizations; JR2's constants
+    # (a+b)(a+b+2), 2(b-a) and 2(a-b)(a+b+1), read by the functional
+    # definitions
+    (s, _), (_, delta) = relation_constants(p.alpha, p.beta)
     jr2 = ((s - 1) * (s + 1), -2 * delta, 2 * delta * s)
     lc = LaurentPoly.lincomb
 
@@ -413,7 +392,7 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
         return not any(relation_residuals(fam, j)) and (
             not kz or max(kz.max_exp, -kz.min_exp) <= abs(j))
 
-    clean = shaped and all(holds(j) for j in range(-d - 2, d + 3))
+    clean = all(holds(j) for j in range(-d - 2, d + 3))
 
     def derived(f):
         return (_ZERO_POLY,) * 3 if clean else _central_residuals(p, s, jr2, f)
@@ -432,13 +411,9 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     lcb = BandedOperator.lincomb
     ab, ba = m1 @ m2, m2 @ m1
     x, y = lcb([(1, ba), (1, ab)]), lcb([(1, k @ k), (-s, k)])
-    if shaped:
-        held = matrix_relation_residuals(fam, matrix_size)
-        residuals = _central_matrix_derived(m1, m2, k, x, y, ba, held, s, delta)
-    else:
-        residuals = _central_matrix(m1, x, y, BandedOperator.identity(matrix_size), jr2)
+    held = matrix_relation_residuals(fam, matrix_size)
     for label, res in zip(("[X,M1] matrix", "[Y,M1] matrix", "JR1 matrix", "JR2 matrix"),
-                          residuals):
+                          _central_matrix_derived(m1, m2, k, x, y, ba, held, s, delta)):
         _rows_match(rep, label, res)
 
     # the matrix rows reproduce the functional action on the psi basis;

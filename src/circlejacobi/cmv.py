@@ -112,19 +112,26 @@ class BandedOperator:
             min(a.valid_rows for _, a in terms),
         )
 
-    def _diagonal(self) -> LaurentPoly:
-        """sum_i d_i z^i over the entries of a bandwidth-0 operator; a
-        stored entry off the diagonal raises ValueError."""
+    def _check_diagonal(self) -> None:
+        """A bandwidth-0 operator that stores an entry off the diagonal
+        raises ValueError."""
         for i, row in self.rows.items():
             if row.min_exp != i or row.max_exp != i:
                 raise ValueError(f"bandwidth-0 operator holds an off-diagonal entry in row {i}")
+
+    def _diagonal(self) -> LaurentPoly:
+        """sum_i d_i z^i over the entries of a bandwidth-0 operator."""
         return LaurentPoly.lincomb([(1, row) for row in self.rows.values()])
 
     def __matmul__(self, other: "BandedOperator") -> "BandedOperator":
         self._check_size(other)
         # row i of the product is row i applied to the right factor's rows.
-        # A diagonal factor scales row i by d_i on the left, and the entry
-        # in column j by d_j on the right
+        # A diagonal factor, checked to be one, scales row i by d_i on the
+        # left, and the entry in column j by d_j on the right; a factor
+        # that stores no row leaves nothing to form
+        for op in (self, other):
+            if op.bandwidth == 0:
+                op._check_diagonal()
         if not (self.rows and other.rows):
             rows = {}
         elif self.bandwidth == 0:

@@ -91,6 +91,14 @@ class TestRelationTable:
         # raw values: the derivation reads points JacobiParams rejects
         assert algebra.relation_constants(F(-1, 2), F(-3, 2)) == ((-1, 1), (0, 1))
 
+    def test_shape_the_expansions_take(self):
+        # the central extension's expansions read s as the c of {K, M1}
+        # and d as the e of {K, M2}, and take e = -s for M1 and c = s + 1
+        # for M2
+        for alpha, beta in [*GRID, (F(3, 7), F(-2, 5)), (F(-1, 2), F(-3, 2)), (0, 0)]:
+            (c1, e1), (c2, e2) = algebra.relation_constants(alpha, beta)
+            assert (c1, e1, c2, e2) == (alpha + beta + 1, -c1, c1 + 1, alpha - beta)
+
     def test_every_report_reads_the_table(self, monkeypatch):
         # a wrong M2 entry in the one table fails exactly the checks that
         # read it in all four reports, so none keeps its own copy of the
@@ -338,24 +346,17 @@ class TestComplexity:
         assert calls[0] == 2 * (41 + p_top(40) + 1 + q_top(40) + 1), calls[0]
 
     def test_central_extension_forms_xy_and_yx_once(self, monkeypatch):
-        # a table whose {K, M1} entry has e != -c sends the matrix side
-        # down the path that forms the checks from their definitions:
-        # 3 products build X and Y, 4 the commutators with M1, 2 form XY
-        # and YX, 2 each the outer commutators of JR1 and JR2, and 1 X^2.
-        # Forming XY and YX again for [Y,X] and {X,Y} costs 4 more.
-        table = algebra.relation_constants
-
-        def wrong(alpha, beta):
-            (c, e), m2_rel = table(alpha, beta)
-            return (c, e + F(1, 100)), m2_rel
-
-        monkeypatch.setattr(algebra, "relation_constants", wrong)
+        # the matrix side reads the held r1 .. r4, so no product of X and
+        # Y is formed at all.  Of the products whose factors both store a
+        # row, 3 build X and Y, 6 the held residuals, and with the last
+        # block of M2 cut at size 21, 2 form M1 r2 M1 and 2 multiply H by
+        # K in JR1.  Forming XY and YX costs 2 more.
         calls = [0]
         orig = BandedOperator.__matmul__
 
-        def counted(*args):
-            calls[0] += 1
-            return orig(*args)
+        def counted(a, b):
+            calls[0] += bool(a.rows and b.rows)
+            return orig(a, b)
 
         monkeypatch.setattr(BandedOperator, "__matmul__", counted)
         fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)

@@ -755,9 +755,6 @@ class TestEntryPoint:
         "opuc.per_family": "runs at import, when each memoized build is decorated",
         "algebra._central_residuals":
             "runs only when K breaks a defining relation; tests/test_derived.py drives it",
-        "algebra._central_matrix":
-            "runs only when the relation table lacks the shape the expansions assume; "
-            "tests/test_derived.py and tests/test_algebra.py drive it",
     }
 
     @staticmethod

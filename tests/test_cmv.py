@@ -241,6 +241,13 @@ class TestDiagonalFactor:
             bad @ m1
         with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
             m1 @ bad
+        # the check runs on both factors, also beside a diagonal or an
+        # empty factor, which leaves no row to form
+        for other in (BandedOperator.identity(3), BandedOperator(3, {}, 1, 3)):
+            with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
+                bad @ other
+            with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
+                other @ bad
 
 
 class TestSpectrum:
