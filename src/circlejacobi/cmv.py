@@ -21,14 +21,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import BadVerblunsky, ConvergenceFailure
-from .laurent import LaurentPoly
+from .laurent import _ZERO_POLY, LaurentPoly
 from .opuc import OPUCFamily, family_params, per_family, verblunsky
 from .report import VerificationReport
 
 if TYPE_CHECKING:
     import numpy as np
-
-_ZERO_ROW = LaurentPoly.zero()
 
 
 class BandedOperator:
@@ -40,6 +38,10 @@ class BandedOperator:
     matrix identity holds on row i exactly when row i of its residual
     ``lincomb`` is absent.  ``entries`` reads the entries back as
     ``Fraction``.
+
+    ``bandwidth`` bounds how far past its index a row reaches.  It is
+    metadata that the constructors, ``lincomb`` and ``@`` set by
+    construction; ``@`` forms every product by one rule whatever it says.
 
     ``valid_rows`` counts the leading rows whose entries coincide with
     the semi-infinite operator the truncation approximates, including
@@ -102,7 +104,7 @@ class BandedOperator:
             first._check_size(a)
         live = [(c, a) for c, a in terms if c]
         rows = {
-            i: LaurentPoly.lincomb([(c, a.rows.get(i, _ZERO_ROW)) for c, a in live])
+            i: LaurentPoly.lincomb([(c, a.rows.get(i, _ZERO_POLY)) for c, a in live])
             for i in sorted(set().union(*(a.rows for _, a in live)))
         }
         return BandedOperator(
@@ -112,41 +114,20 @@ class BandedOperator:
             min(a.valid_rows for _, a in terms),
         )
 
-    def _check_diagonal(self) -> None:
-        """A bandwidth-0 operator that stores an entry off the diagonal
-        raises ValueError."""
-        for i, row in self.rows.items():
-            if row.min_exp != i or row.max_exp != i:
-                raise ValueError(f"bandwidth-0 operator holds an off-diagonal entry in row {i}")
-
-    def _diagonal(self) -> LaurentPoly:
-        """sum_i d_i z^i over the entries of a bandwidth-0 operator."""
-        return LaurentPoly.lincomb([(1, row) for row in self.rows.values()])
-
     def __matmul__(self, other: "BandedOperator") -> "BandedOperator":
+        """Row i of the product is sum_j self[i, j] * (row j of other), one
+        ``LaurentPoly.lincomb`` over the stored rows of other that row i
+        reaches, formed only when it reaches one: a factor that stores no
+        row leaves nothing to form, and a diagonal factor costs one term
+        per row.  The bandwidths add; ``product_valid_rows`` gives the
+        valid rows."""
         self._check_size(other)
-        # row i of the product is row i applied to the right factor's rows.
-        # A diagonal factor, checked to be one, scales row i by d_i on the
-        # left, and the entry in column j by d_j on the right; a factor
-        # that stores no row leaves nothing to form
-        for op in (self, other):
-            if op.bandwidth == 0:
-                op._check_diagonal()
-        if not (self.rows and other.rows):
-            rows = {}
-        elif self.bandwidth == 0:
-            diag = self._diagonal()
-            rows = {i: LaurentPoly.lincomb([(diag.coeff(i), row)])
-                    for i, row in other.rows.items()}
-        elif other.bandwidth == 0:
-            diag = other._diagonal()
-            rows = {i: row.hadamard(diag) for i, row in self.rows.items()}
-        else:
-            # row i is formed only when it reaches a stored row of other
-            stored = other.rows
-            right = [stored.get(k, _ZERO_ROW) for k in range(other.size)]
-            rows = {i: self.apply_row(i, right) for i, row in self.rows.items()
-                    if any(j in stored for j in row.support)}
+        stored = other.rows
+        rows = {}
+        for i, row in self.rows.items():
+            terms = [(v, stored[j]) for j, v in row.items() if j in stored]
+            if terms:
+                rows[i] = LaurentPoly.lincomb(terms)
         return BandedOperator(
             self.size, rows, self.bandwidth + other.bandwidth, self.product_valid_rows(other)
         )
@@ -163,7 +144,7 @@ class BandedOperator:
     ) -> list[tuple[Fraction, LaurentPoly]]:
         """The pairs (sign * M[i, j], vectors[j]) of row i, as terms of
         ``LaurentPoly.lincomb``."""
-        row = self.rows.get(i, _ZERO_ROW).items()
+        row = self.rows.get(i, _ZERO_POLY).items()
         if sign < 0:
             return [(-v, vectors[j]) for j, v in row]
         return [(v, vectors[j]) for j, v in row]

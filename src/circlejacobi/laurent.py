@@ -103,11 +103,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _ZERO_POLY
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _make(0, (1,), 1)
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
@@ -164,7 +164,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return _make(0, (other.numerator,), other.denominator) if other else _make(0, (), 1)
+            return _make(0, (other.numerator,), other.denominator) if other else _ZERO_POLY
         return None
 
     def __eq__(self, other) -> bool:
@@ -223,25 +223,12 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            nums, den = self._num, self._den
-            if not p or not nums:
-                return _make(0, (), 1)
-            # gcd(den, nums) = 1 and gcd(p, q) = 1, so the product's common
-            # factor is gcd(den, p) * gcd(q, nums): two gcds against the
-            # scalar, which is usually far shorter than the polynomial
-            g = gcd(den, p)
-            if g > 1:
-                p, den = p // g, den // g
-            g = gcd(q, *nums)
-            if g > 1:
-                q, nums = q // g, [v // g for v in nums]
-            return _make(self._lo, tuple([v * p for v in nums]), den * q)
+            return LaurentPoly.lincomb([(other, self)])
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._num, other._num
         if not a or not b:
-            return _make(0, (), 1)
+            return _ZERO_POLY
         if len(a) < len(b):
             a, b = b, a
         n = len(a)
@@ -252,12 +239,6 @@ class LaurentPoly:
         return _normal(self._lo + other._lo, out, self._den * other._den)
 
     __rmul__ = __mul__
-
-    def hadamard(self, other: "LaurentPoly") -> "LaurentPoly":
-        """sum(a_k * b_k * z^k): the coefficientwise product, normalized once."""
-        lo = max(self._lo, other._lo)
-        nums = zip(self._num[lo - self._lo:], other._num[lo - other._lo:])
-        return _normal(lo, [a * b for a, b in nums], self._den * other._den)
 
     def __truediv__(self, other) -> "LaurentPoly":
         """Division by a nonzero scalar only; use div_exact for polynomials."""
@@ -404,8 +385,9 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()})"
 
 
-#: The zero polynomial that every zero sum shares (_normal, lincomb):
-#: instances are immutable, and a family holds hundreds of zero residuals.
+#: The zero polynomial that every zero result shares (``zero``, _normal,
+#: lincomb): instances are immutable, and a family holds hundreds of zero
+#: residuals.
 _ZERO_POLY = _make(0, (), 1)
 
 #: The monomial z, for building expressions.

@@ -30,7 +30,9 @@ FORMATS = ("text", "json", "csv")
 
 def _invocations() -> list[list[str]]:
     runs = []
-    for n in (16, 40):
+    # the algebra's matrix size, max(7, min(n + 1, 21)), is even at 7 and
+    # 11, where M1's last block is cut, and odd at 16 and 40, where M2's is
+    for n in (7, 11, 16, 40):
         runs += [["verify", "--grid-file", GRID_FILE, "--n", str(n), "--format", fmt]
                  for fmt in FORMATS]
     for n in (*range(3, 10), 21, 160):
@@ -43,7 +45,9 @@ def _invocations() -> list[list[str]]:
                      "--suite", "algebra", "--format", "text"])
     for command in ("gen", "moments"):
         runs += [[command, *OFF_GRID, "--n", "21", "--format", fmt] for fmt in FORMATS]
-    runs += [["spectrum", *OFF_GRID, "--n", "9", "--matrix", m] for m in ("c", "m1", "m2")]
+    # the spectrum's matrix size is n: odd at 9, even at 10
+    runs += [["spectrum", *OFF_GRID, "--n", str(n), "--matrix", m]
+             for n in (9, 10) for m in ("c", "m1", "m2")]
     # exit status 2: bad usage, caught before any verification
     runs += [
         ["verify", "--alpha", "1/2", "--n", "8"],

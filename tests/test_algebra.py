@@ -364,25 +364,36 @@ class TestComplexity:
         assert calls[0] <= 14, calls[0]
 
     def test_central_extension_matrix_side_forms_few_rows(self, monkeypatch):
-        # with the held r1 .. r4 (built by the matrix relations), the
-        # matrix side forms by general products only the 42 rows of M1 M2
-        # and M2 M1, which X and the psi-row tie-in read, and the 2 + 2
-        # rows of M1 r2 M1 that reach the cut block of M2 at size 21; r1,
-        # r3 and r4 are zero.  Forming the checks from their definitions
-        # costs 147 rows.
+        # with the held r1 .. r4 (built by the matrix relations), every
+        # product forms one row per row of its left factor that reaches a
+        # stored row of its right factor.  At size 21 that is the 42 rows
+        # of M1 M2 and M2 M1, which X and the psi-row tie-in read; the 20
+        # rows of K K, which Y reads (lambda_0 = 0 leaves row 0 of K
+        # unstored); the 2 + 2 rows of M1 r2 M1 that reach the cut block
+        # of M2; and the 2 + 2 rows of H K and K H, as H stores only rows
+        # 19 and 20.  r1, r3 and r4 are zero, so no other product forms a
+        # row.  Forming the checks from their definitions costs 147 rows
+        # in the products with no diagonal factor alone.
         fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
         assert verify_relations_matrix(fam, 21).ok
-        rows = [0]
-        orig = BandedOperator.apply_row
+        rows, inside = [0], [False]
+        orig_matmul, orig_lincomb = BandedOperator.__matmul__, LaurentPoly.lincomb
 
-        def counted(self, i, vectors):
-            if vectors is not fam.psi:  # the tie-in applies rows to psi
-                rows[0] += 1
-            return orig(self, i, vectors)
+        def matmul(a, b):
+            inside[0] = True
+            try:
+                return orig_matmul(a, b)
+            finally:
+                inside[0] = False
 
-        monkeypatch.setattr(BandedOperator, "apply_row", counted)
+        def lincomb(terms):
+            rows[0] += inside[0]
+            return orig_lincomb(terms)
+
+        monkeypatch.setattr(BandedOperator, "__matmul__", matmul)
+        monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(lincomb))
         assert verify_central_extension(fam, d=10, matrix_size=21).ok
-        assert rows[0] == 42 + 4, rows[0]
+        assert rows[0] == 42 + 20 + 4 + 4, rows[0]
 
     def test_relations_functional_applies_k_once_per_monomial(self, monkeypatch):
         # K z^-k and K z^(1-k) meet other monomials' K images: at d = 10

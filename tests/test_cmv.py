@@ -234,21 +234,6 @@ class TestDiagonalFactor:
             self._same(diag @ op, _general_product(diag, op))
             self._same(op @ diag, _general_product(op, diag))
 
-    def test_off_diagonal_entry_raises(self):
-        bad = BandedOperator(3, {0: L.monomial(0), 1: L({1: 2, 2: 1})}, 0, 3)
-        m1 = build_m1(SM, 3)
-        with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
-            bad @ m1
-        with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
-            m1 @ bad
-        # the check runs on both factors, also beside a diagonal or an
-        # empty factor, which leaves no row to form
-        for other in (BandedOperator.identity(3), BandedOperator(3, {}, 1, 3)):
-            with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
-                bad @ other
-            with pytest.raises(ValueError, match="off-diagonal entry in row 1"):
-                other @ bad
-
 
 class TestSpectrum:
     def test_size_one_is_a0(self):

@@ -874,13 +874,13 @@ class TestSparseKernel:
         rng = random.Random(seed)
         size = rng.randint(1, 9)
         formed = [0]
-        orig = BandedOperator.apply_row
+        orig = LaurentPoly.lincomb
 
-        def counted(self, i, vectors):
+        def counted(terms):
             formed[0] += 1
-            return orig(self, i, vectors)
+            return orig(terms)
 
-        monkeypatch.setattr(BandedOperator, "apply_row", counted)
+        monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(counted))
         for left in KINDS:
             for right in KINDS:
                 a, b = _random_banded(rng, size, left), _random_banded(rng, size, right)
@@ -893,11 +893,10 @@ class TestSparseKernel:
                 assert sorted(prod.rows) == [i for i, row in enumerate(want) if any(row)]
                 assert (prod.size, prod.bandwidth, prod.valid_rows) == (
                     size, a.bandwidth + b.bandwidth, a.product_valid_rows(b))
-                # the general path forms only the rows of a that reach a
-                # stored row of b
+                # every pair of kinds, diagonal factors included, forms
+                # one lincomb per row of a that reaches a stored row of b
                 reach = [i for i, row in a.rows.items() if set(row.support) & set(b.rows)]
-                general = a.bandwidth and b.bandwidth
-                assert formed[0] == (len(reach) if general else 0), (left, right)
+                assert formed[0] == len(reach), (left, right)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_lincombs_equal_dense(self, seed):

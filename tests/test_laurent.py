@@ -277,12 +277,6 @@ class TestStructureMaps:
     def test_theta_leibniz(self, f, g):
         assert (f * g).theta() == f.theta() * g + f * g.theta()
 
-    @given(laurents(), laurents())
-    def test_hadamard_multiplies_coefficients(self, f, g):
-        want = LaurentPoly({k: c * g.coeff(k) for k, c in f.items()})
-        got = f.hadamard(g)
-        assert got == want and got == g.hadamard(f)
-
     @given(laurents())
     def test_theta_is_z_deriv(self, f):
         assert f.theta() == f.deriv().shift(1)
