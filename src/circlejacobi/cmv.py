@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import BadVerblunsky, ConvergenceFailure
-from .laurent import _ZERO_POLY, LaurentPoly
+from .laurent import _ZERO_POLY, LaurentPoly, _normal
 from .opuc import OPUCFamily, family_params, per_family, verblunsky
 from .report import VerificationReport
 
@@ -174,22 +174,22 @@ def _reflection_blocks(
     a: Sequence[Fraction], size: int, first_row: int
 ) -> BandedOperator:
     """Identity rows before first_row, then the 2x2 blocks
-    [[a_r, 1], [1 - a_r^2, -a_r]] at rows r = first_row, first_row + 2, ...
-    A block cut by the truncation keeps only its diagonal entry, and its
-    row is not valid."""
+    [[a_r, 1], [1 - a_r^2, -a_r]] = [[p, q] / q, [q^2 - p^2, -pq] / q^2] for
+    a_r = p/q at rows r = first_row, first_row + 2, ...  A block cut by the
+    truncation keeps only its diagonal entry, and its row is not valid."""
     if size < 1:
         raise ValueError("size must be >= 1")
     last = size - 1 - (size - 1 - first_row) % 2  # row of the last block
     _check_coeffs(a, last + 1)
     rows = {r: LaurentPoly.monomial(r) for r in range(first_row)}
     for r in range(first_row, size, 2):
-        av = Fraction(a[r])
+        p, q = Fraction(a[r]).as_integer_ratio()
         if r + 1 < size:
-            rows[r] = LaurentPoly({r: av, r + 1: 1})
-            rows[r + 1] = LaurentPoly({r: 1 - av * av, r + 1: -av})
+            rows[r] = _normal(r, (p, q), q)
+            rows[r + 1] = _normal(r, (q * q - p * p, -p * q), q * q)
         else:
             # cut block: partner column truncated away
-            rows[r] = LaurentPoly.monomial(r, av)
+            rows[r] = _normal(r, (p,), q)
     cut = (size - first_row) % 2 == 1
     return BandedOperator(size, rows, 1, size - 1 if cut else size)
 

@@ -21,20 +21,21 @@ weight (1 - cos t)/(2 pi) is the point (1/2, -1/2) of the family and
 Lebesgue measure the point (-1/2, -1/2); their closed-form moments live
 in ``tests/circle_oracle.py``, as independent oracles for the sum.
 
-A ``MomentSeq`` keeps each sigma_k of one parameter point once, and also
-as integer numerators over one common denominator, so ``inner_product``
-is an integer dot product followed by one ``Fraction``.  The moments
-suite reads one ``MomentSeq`` per family (``family_moments``), at the
-family's own (alpha, beta).
+A ``MomentSeq`` keeps each sigma_k of one parameter point once, also over
+one common denominator, with one Bareiss elimination of their Toeplitz
+matrix for every Delta_n and determinantal phi_n, and one integer pairing
+vector per polynomial for inner products: O(N^3) exact work at size N.
+The suite reads one per family (``family_moments``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .errors import NonPositive
-from .laurent import LaurentPoly
+from .errors import NonPositive, NotDivisible
+from .laurent import LaurentPoly, _normal
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
@@ -68,14 +69,18 @@ def sigma(p: JacobiParams, n: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _check_delta(n: int, pivot: int, den: int) -> None:
+    if pivot <= 0:  # Delta_n = pivot / den^n, positive for every genuine weight
+        raise NonPositive(f"Delta_{n} = {Fraction(pivot, den ** n)} <= 0")
+
+
 class MomentSeq:
     """The moments of the weight at one parameter point, each computed once.
 
     ``value(k)`` is sigma_k as a ``Fraction``.  ``integer_view(top)`` is
     sigma_0..sigma_top as integer numerators over one common denominator,
-    the lcm of theirs, built from ``value`` and extended on demand.  Both
-    are write-once per index, so sharing a MomentSeq across verifications
-    is safe.
+    the lcm of theirs, extended on demand.  It and what ``elimination``
+    and ``pairing`` hold only grow, so a MomentSeq can be shared.
     """
 
     def __init__(self, params: JacobiParams):
@@ -83,6 +88,9 @@ class MomentSeq:
         self._cache: dict[int, Fraction] = {}
         self._nums: tuple[int, ...] = ()
         self._den = 1
+        self._rows: list[list[int]] = []
+        self._rows_den = 1
+        self._pairings: dict[LaurentPoly, tuple[int, list[int], int]] = {}
 
     def value(self, n: int) -> Fraction:
         k = abs(n)
@@ -104,6 +112,53 @@ class MomentSeq:
             self._den = den
         return self._nums, self._den
 
+    def elimination(self, cols: int) -> tuple[list[list[int]], int]:
+        """(rows, den): Bareiss elimination (Math. Comp. 22, 1968) of the
+        symmetric T = den * [sigma_{k-j}] over columns 0..cols-1 or more,
+        Delta_1..Delta_{cols-1} checked positive.  rows[k][j - k] = U[k][j],
+        the minor of T on rows 0..k, columns 0..k-1, j: U[k][k] = den^(k+1)
+        Delta_{k+1}."""
+        nums, den = self.integer_view(cols - 1)
+        if den != self._rows_den:  # a minor of order k + 1 scales by s^(k+1)
+            s = den // self._rows_den
+            self._rows = [[u * s ** (k + 1) for u in row] for k, row in enumerate(self._rows)]
+            self._rows_den = den
+        while len(self._rows) < cols:
+            self._border(nums)
+        return self._rows, den
+
+    def _border(self, nums: tuple[int, ...]) -> None:
+        """Column n = len(rows) through every step, then pivot row n.  Step k
+        maps t_i to (t_i U[k][k] - m_i t_k) / U[k-1][k-1] for i > k, where
+        by symmetry the multiplier m_i is U[k][i], and t_k for i = n."""
+        rows = self._rows
+        n = len(rows)
+        if n:
+            _check_delta(n, rows[-1][0], self._rows_den)
+        col, prev = [nums[n - i] for i in range(n + 1)], 1
+        for k, row in enumerate(rows):
+            pk, ck = row[0], col[k]
+            row.append(ck)
+            for i in range(k + 1, n + 1):
+                col[i] = (col[i] * pk - row[i - k] * ck) // prev
+            prev = pk
+        rows.append([col[n]])
+
+    def pairing(self, f: LaurentPoly, lo: int, hi: int) -> tuple[int, list[int], int]:
+        """(start, vec, den): <f, z^k>_w = sum_j f_j sigma_{j-k} is
+        vec[k - start] / den for lo <= k <= hi, f nonzero.  Held per f over
+        f's span and [lo, hi], formed again only for a call past them."""
+        held = self._pairings.get(f)
+        if held is None or held[0] > lo or held[0] + len(held[1]) <= hi:
+            flo = f._lo
+            lo, hi = min(lo, flo), max(hi, flo + len(f._num) - 1)
+            top = hi - lo
+            sig, den = self.integer_view(top)
+            two = sig[top:0:-1] + sig[:top + 1]  # two[t + top] = sigma_|t|
+            vec = [sum(map(mul, f._num, two[flo - k + top:])) for k in range(lo, hi + 1)]
+            held = self._pairings[f] = (lo, vec, f._den * den)
+        return held
+
 
 @per_family("moments")
 def family_moments(fam: OPUCFamily) -> MomentSeq:
@@ -112,115 +167,68 @@ def family_moments(fam: OPUCFamily) -> MomentSeq:
     return MomentSeq(require_params(fam))
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination.
-
-    Each row is first scaled to integers by the lcm of its denominators;
-    Bareiss elimination (Math. Comp. 22, 1968) then keeps every entry an
-    integer minor of the scaled matrix, so each division by the previous
-    pivot is exact, and the scales are divided back out at the end.
-    """
-    n = len(rows)
-    scale = 1
-    m: list[list[int]] = []
-    for row in rows:
-        d = lcm(*(v.denominator for v in row))
-        scale *= d
-        m.append([v.numerator * (d // v.denominator) for v in row])
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot is None:
-                return _ZERO
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk, row_k = m[k][k], m[k]
-        for row in m[k + 1:]:
-            rk = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - rk * row_k[j]) // prev
-        prev = pk
-    return Fraction(sign * m[-1][-1], scale)
-
-
-def _positive_delta(n: int, det: Fraction) -> Fraction:
-    """det as Delta_n, which must be positive."""
-    if det <= 0:
-        raise NonPositive(f"Delta_{n} = {det} <= 0")
-    return det
-
-
 def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction:
-    """Delta_n = det[sigma_{k-j}]_{j,k=0..n-1}, with Delta_0 = 1.
-
-    Raises NonPositive when the determinant fails the positivity every
-    genuine probability weight guarantees.
+    """Delta_n = det[sigma_{k-j}]_{j,k=0..n-1}, with Delta_0 = 1: the pivot
+    U[n-1][n-1] of ``ms.elimination(n)`` over den^n.  NonPositive names the
+    first of Delta_1..Delta_n that is not positive; no later one is formed.
     """
     if n < 0:
         raise ValueError("order must be >= 0")
     if n == 0:
         return _ONE
-    det = _det_fraction([[ms.value(k - j) for k in range(n)] for j in range(n)])
-    return _positive_delta(n, det)
+    rows, den = ms.elimination(n)
+    _check_delta(n, rows[n - 1][0], den)
+    return Fraction(rows[n - 1][0], den ** n)
 
 
 def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
     """phi_n from the bordered Toeplitz determinant divided by Delta_n.
 
-    The bordered matrix stacks rows [sigma_{k-j}]_{k=0..n} for
-    j = 0..n-1 on top of the monomial row (1, z, ..., z^n); expansion
-    runs along that last row.  The minor of column n is Delta_n's
-    Toeplitz matrix, so its cofactor is Delta_n itself and z^n gets
-    coefficient 1.
+    Rows [sigma_{k-j}]_{k=0..n}, j < n, on (1, z, ..., z^n), expanded along
+    that last row: c_k = cofactor of z^k / Delta_n, c_n = 1.  Row j in its
+    place repeats a row, so sum_k c_k sigma_{k-j} = 0 for j < n, as for the
+    rows 0..n-1 of ``ms.elimination``, invertible triangular combinations
+    of them.  x_k = D c_k, D = U[n-1][n-1] = den^n Delta_n, is an integer
+    cofactor, so back substitution x_n = D, x_k = -(sum_{j>k} U[k][j] x_j)
+    / U[k][k] divides exactly; a remainder raises NotDivisible.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     if n == 0:
         return LaurentPoly.one()
-    top = [[ms.value(k - j) for k in range(n + 1)] for j in range(n)]
-    delta = _positive_delta(n, _det_fraction([row[:n] for row in top]))
-    coeffs: dict[int, Fraction] = {n: _ONE}
-    for col in range(n):
-        minor = [row[:col] + row[col + 1:] for row in top]
-        sign = -1 if (n + col) % 2 else 1
-        c = sign * _det_fraction(minor) / delta
-        if c:
-            coeffs[col] = c
-    return LaurentPoly(coeffs)
+    rows, _ = ms.elimination(n + 1)
+    x = [0] * n + [rows[n - 1][0]]
+    for k in range(n - 1, -1, -1):
+        q, r = divmod(-sum(map(mul, rows[k][1:n + 1 - k], x[k + 1:])), rows[k][0])
+        if r:
+            raise NotDivisible(f"back substitution for phi_{n} leaves {r} in row {k}")
+        x[k] = q
+    return _normal(0, x, x[n])
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction:
-    """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1, exact.
-
-    The coefficient of z^m in f(z) g(1/z) is sum_{j-k=m} f_j g_k, so the
-    double sum is one Laurent product paired with the moments: the
-    product's integer numerators dotted with the moment numerators of
-    ``ms.integer_view``, over the product of the two denominators."""
-    prod = f * g.reflect()
-    nums, lo = prod._num, prod._lo
-    if not nums:
+    """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1, exact:
+    sum_k g_k <f, z^k>_w, g's integer numerators dotted with f's held
+    ``ms.pairing`` vector, and one ``Fraction``."""
+    if not f or not g:
         return _ZERO
-    sig, den = ms.integer_view(max(-lo, lo + len(nums) - 1))
-    return Fraction(sum(c * sig[abs(m)] for m, c in enumerate(nums, lo)), prod._den * den)
+    start, vec, den = ms.pairing(f, g._lo, g._lo + len(g._num) - 1)
+    return Fraction(sum(map(mul, g._num, vec[g._lo - start:])), g._den * den)
 
 
-def _family_moments_to(fam: OPUCFamily, n_max: int) -> MomentSeq:
-    """``family_moments(fam)``, for a report that reads the family's
-    phi_n and h_n up to n_max."""
+def _report(fam: OPUCFamily, n_max: int, identity: str, relation: str):
+    """(MomentSeq, empty report) for a report that reads the family's phi_n
+    and h_n up to n_max."""
     if n_max > fam.size:
         raise ValueError("family too short for requested range")
-    return family_moments(fam)
+    ms = family_moments(fam)
+    return ms, VerificationReport(
+        identity, relation, family_params(fam, weight="jacobi", n_max=n_max))
 
 
 def orthogonality_check(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """<phi_n, phi_m>_w = h_n delta_{nm} for all m <= n <= n_max, exactly."""
-    ms = _family_moments_to(fam, n_max)
-    rep = VerificationReport(
-        identity="orthogonality",
-        relation="<phi_n, phi_m>_w = h_n delta_nm",
-        params=family_params(fam, weight="jacobi", n_max=n_max),
-    )
+    ms, rep = _report(fam, n_max, "orthogonality", "<phi_n, phi_m>_w = h_n delta_nm")
     for n in range(n_max + 1):
         for m in range(n + 1):
             v = inner_product(fam.phi[n], fam.phi[m], ms)
@@ -232,12 +240,8 @@ def orthogonality_check(fam: OPUCFamily, n_max: int) -> VerificationReport:
 
 def verify_toeplitz_h(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """Delta_{n+1}/Delta_n = h_n, exact."""
-    ms = _family_moments_to(fam, n_max)
-    rep = VerificationReport(
-        identity="toeplitz-h",
-        relation="Delta_{n+1} / Delta_n = h_n = prod_{k<n} (1 - a_k^2)",
-        params=family_params(fam, weight="jacobi", n_max=n_max),
-    )
+    ms, rep = _report(fam, n_max, "toeplitz-h",
+                      "Delta_{n+1} / Delta_n = h_n = prod_{k<n} (1 - a_k^2)")
     deltas = [toeplitz_delta(ms, n) for n in range(n_max + 2)]
     for n in range(n_max + 1):
         ratio = deltas[n + 1] / deltas[n]
@@ -248,12 +252,8 @@ def verify_toeplitz_h(fam: OPUCFamily, n_max: int) -> VerificationReport:
 
 def verify_determinantal_match(fam: OPUCFamily, n_max: int) -> VerificationReport:
     """Determinantal phi_n equals the Szego-recurrence phi_n, exact."""
-    ms = _family_moments_to(fam, n_max)
-    rep = VerificationReport(
-        identity="determinantal-match",
-        relation="bordered-Toeplitz phi_n = recurrence phi_n",
-        params=family_params(fam, weight="jacobi", n_max=n_max),
-    )
+    ms, rep = _report(fam, n_max, "determinantal-match",
+                      "bordered-Toeplitz phi_n = recurrence phi_n")
     for n in range(n_max + 1):
         res = LaurentPoly.lincomb([(1, determinantal_phi(ms, n)), (-1, fam.phi[n])])
         rep.residual(f"n={n}", res)

@@ -43,6 +43,13 @@ def _invocations() -> list[list[str]]:
                          "--format", "json"])
         runs.append(["verify", *OFF_GRID, "--n", str(n), "--corrupt-a", "1",
                      "--suite", "algebra", "--format", "text"])
+    # the moments suite alone, and corrupted a_k inside its reach past a_1
+    for n in (5, 12):
+        runs += [["verify", "--grid-file", GRID_FILE, "--n", str(n), "--suite", "moments",
+                  "--format", fmt] for fmt in FORMATS]
+    for n in (12, 20):
+        runs += [["verify", *OFF_GRID, "--n", str(n), "--corrupt-a", str(k), "--suite",
+                  "moments", "--format", fmt] for k in (5, 11) for fmt in FORMATS]
     for command in ("gen", "moments"):
         runs += [[command, *OFF_GRID, "--n", "21", "--format", fmt] for fmt in FORMATS]
     # the spectrum's matrix size is n: odd at 9, even at 10

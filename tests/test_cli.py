@@ -832,3 +832,17 @@ class TestEntryPoint:
         doc = json.loads(proc.stdout)
         failing = {r["identity"] for r in doc["suite_results"] if r["failures"]}
         assert {"classical-match", "hypergeometric-ode"} <= failing
+
+    def test_moments_detection_survives_optimize_flag(self):
+        # the held elimination, its back substitution and the pairing
+        # vectors check without assert too
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "circlejacobi.cli", "verify", "--alpha", "3/7",
+             "--beta", "-2/5", "--n", "20", "--corrupt-a", "3", "--suite", "moments",
+             "--format", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        failing = {r["identity"] for r in doc["suite_results"] if r["failures"]}
+        assert failing == {"orthogonality", "toeplitz-h", "determinantal-match"}

@@ -200,6 +200,37 @@ class TestReferenceModel:
             assert all(m.rows.values())
 
 
+def _reference_blocks(a, size: int, first_row: int) -> BandedOperator:
+    """The reflection blocks built entry by entry as Fraction-keyed
+    LaurentPoly rows: the reference for ``cmv._reflection_blocks``."""
+    rows = {r: LaurentPoly.monomial(r) for r in range(first_row)}
+    for r in range(first_row, size, 2):
+        av = Fraction(a[r])
+        if r + 1 < size:
+            rows[r] = LaurentPoly({r: av, r + 1: 1})
+            rows[r + 1] = LaurentPoly({r: 1 - av * av, r + 1: -av})
+        else:
+            rows[r] = LaurentPoly.monomial(r, av)
+    cut = (size - first_row) % 2 == 1
+    return BandedOperator(size, rows, 1, size - 1 if cut else size)
+
+
+class TestReflectionBlocksFromIntegerParts:
+    # the grid holds the Lebesgue point, where every a_r is 0
+    @pytest.mark.parametrize("alpha, beta", [
+        *GRID, (F(3, 7), F(-2, 5)), (F(-99, 100), F(100)), (F(5, 2), F(-999, 1000))])
+    def test_rows_match_the_fraction_build(self, alpha, beta):
+        p = JacobiParams(alpha, beta)
+        a = [verblunsky(p, k) for k in range(41)]
+        for size in range(1, 42):
+            for first_row, build in ((1, build_m1), (0, build_m2)):
+                got, want = build(a, size), _reference_blocks(a, size, first_row)
+                assert got.rows == want.rows, (size, first_row)
+                assert all(type(r) is LaurentPoly for r in got.rows.values())
+                assert (got.size, got.valid_rows, got.bandwidth) == (
+                    want.size, want.valid_rows, want.bandwidth)
+
+
 def _general_product(a: BandedOperator, b: BandedOperator) -> BandedOperator:
     """a @ b by the general rule: row i of a applied to the rows of b."""
     right = [b.rows.get(k, LaurentPoly.zero()) for k in range(b.size)]

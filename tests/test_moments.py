@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlejacobi import moments, suites
-from circlejacobi.errors import NonPositive, ParamOutOfRange
+from circlejacobi.errors import NonPositive, NotDivisible, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.moments import (
     MomentSeq,
-    _det_fraction,
     determinantal_phi,
     family_moments,
     inner_product,
@@ -24,8 +23,10 @@ from circlejacobi.moments import (
 )
 from circlejacobi.opuc import JacobiParams, build_family, family_from_verblunsky
 
+import moments_oracle as ref
 from circle_oracle import LEBESGUE, SINGLE_MOMENT, lebesgue_sigma, single_moment_sigma
-from conftest import PARAM
+from conftest import GRID, PARAM
+from moments_oracle import _det_fraction
 from test_laurent import laurents
 
 F = Fraction
@@ -228,20 +229,27 @@ class TestMomentSeq:
         assert family_moments(fam).params is fam.params
 
     def test_moments_suite_computes_each_delta_once(self, monkeypatch):
-        # Toeplitz-h computes Delta_0 .. Delta_9; the determinantal phi_n,
-        # n = 1 .. 8, reads Delta_n as the cofactor of its last column, so
-        # its n + 1 minors are all the determinants it needs.  Calling
-        # toeplitz_delta again costs 8 more calls of each.
-        calls = {"toeplitz_delta": 0, "_det_fraction": 0}
-        for name in calls:
-            def counted(*args, _orig=getattr(moments, name), _name=name):
+        # Toeplitz-h computes Delta_0 .. Delta_9 and the determinantal phi_n,
+        # n = 1 .. 8, reads columns 0 .. n: all of them come from one 9 x 9
+        # elimination, each column bordered once, and no cofactor minor is
+        # formed.  An elimination per Delta or per phi_n borders columns
+        # again; the cofactor form took 9 + sum(range(2, 10)) determinants.
+        owners = {"toeplitz_delta": moments, "_border": MomentSeq}
+        calls = dict.fromkeys(owners, 0)
+        for name, owner in owners.items():
+            def counted(*args, _orig=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _orig(*args)
 
-            monkeypatch.setattr(moments, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
         assert all(rep.ok for rep in suites.run("moments", fam))
-        assert calls == {"toeplitz_delta": 10, "_det_fraction": 9 + sum(range(2, 10))}
+        assert calls == {"toeplitz_delta": 10, "_border": 9}
+        # read again, the held elimination borders nothing
+        rows, _ = family_moments(fam).elimination(9)
+        assert [len(row) for row in rows] == list(range(9, 0, -1))
+        assert calls["_border"] == 9
+        assert not hasattr(moments, "_det_fraction")
 
 
 def _cofactor_det(m: list) -> Fraction:
@@ -440,3 +448,110 @@ class TestRandomRationalPoints:
         fam = build_family(JacobiParams(alpha, beta), 6)
         assert orthogonality_check(fam, 6).ok
         assert verify_toeplitz_h(fam, 6).ok
+
+
+# the grid, an off-grid point with larger heights, and one within 1/1000 of
+# the endpoint beta = -1
+REFERENCE_POINTS = [*GRID, (F(3, 7), F(-2, 5)), (F(5, 2), F(-999, 1000))]
+
+
+def _orthogonality_details(fam, ms, n_max: int) -> list:
+    """(label, ok, detail) of each orthogonality check, from the
+    reference product-form inner product."""
+    out = []
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            v = ref.inner_product(fam.phi[n], fam.phi[m], ms)
+            target = fam.h[n] if m == n else F(0)
+            ok = v == target
+            out.append((f"n={n},m={m}", ok, "" if ok else f"<{n},{m}> = {v}, expected {target}"))
+    return out
+
+
+def _first_non_positive(delta) -> str:
+    """The NonPositive message of delta(0), delta(1), ... in Toeplitz-h's
+    order, which must raise one before n = 14."""
+    with pytest.raises(NonPositive) as exc:
+        for n in range(14):
+            delta(n)
+    return str(exc.value)
+
+
+class TestHeldEliminationMatchesReference:
+    """The held elimination and pairing vectors against the per-call
+    cofactor and product forms of ``tests/moments_oracle.py``."""
+
+    @pytest.mark.parametrize("alpha, beta", REFERENCE_POINTS)
+    def test_deltas_and_determinantal_phi(self, alpha, beta):
+        p = JacobiParams(alpha, beta)
+        ms, ref_ms = MomentSeq(p), MomentSeq(p)
+        for n in range(11):
+            got = toeplitz_delta(ms, n)
+            assert type(got) is Fraction and got == ref.toeplitz_delta(ref_ms, n), n
+        for n in range(10):
+            assert determinantal_phi(ms, n) == ref.determinantal_phi(ref_ms, n), n
+
+    @pytest.mark.parametrize("alpha, beta", REFERENCE_POINTS)
+    @pytest.mark.parametrize("corrupt", [None, 0, 1, 5, 11])
+    def test_pairings_and_failure_details(self, alpha, beta, corrupt):
+        p = JacobiParams(alpha, beta)
+        fam = suites.family(p, 12, corrupt_a=corrupt)
+        ref_ms = MomentSeq(p)
+        ms = family_moments(fam)
+        for n in range(13):
+            for m in range(13):
+                got = inner_product(fam.phi[n], fam.phi[m], ms)
+                assert type(got) is Fraction
+                assert got == ref.inner_product(fam.phi[n], fam.phi[m], ref_ms), (n, m)
+        rep = orthogonality_check(fam, 12)
+        want = _orthogonality_details(fam, ref_ms, 12)
+        assert [(c.label, c.ok, c.detail) for c in rep.checks] == want
+        assert rep.ok == (corrupt is None)
+        for report in (verify_toeplitz_h, verify_determinantal_match):
+            assert report(fam, 8).ok == (corrupt is None or corrupt > 8), report.__name__
+
+    def test_uneven_growth_rescales_the_held_elimination(self):
+        # the elimination is bordered over sigma_0..sigma_2, then the
+        # common denominator grows under it: every later read is rescaled
+        p = JacobiParams(F(3, 7), F(-2, 5))
+        ms, ref_ms = MomentSeq(p), MomentSeq(p)
+        assert toeplitz_delta(ms, 2) == ref.toeplitz_delta(ref_ms, 2)
+        small = ms.elimination(2)[1]
+        fam = build_family(p, 12)
+        assert inner_product(fam.phi[12], fam.phi[12], ms) == fam.h[12]
+        assert ms.integer_view(0)[1] != small
+        for n in (9, 3, 10):
+            assert determinantal_phi(ms, n) == ref.determinantal_phi(ref_ms, n)
+            assert toeplitz_delta(ms, n) == ref.toeplitz_delta(ref_ms, n)
+        assert ms.elimination(1)[1] == ms.integer_view(0)[1]
+
+    @pytest.mark.parametrize("k, bump", [
+        (1, 2), (1, F(-3, 2)), (2, 3), (3, -5), (4, F(7, 3)), (5, 10), (11, 50)])
+    def test_patched_moments_raise_as_the_reference(self, k, bump):
+        def patched() -> MomentSeq:
+            ms = MomentSeq(JacobiParams(F(3, 7), F(-2, 5)))
+            ms._cache[k] = ms.value(k) + bump
+            return ms
+
+        ms, ref_ms = patched(), patched()
+        msg = _first_non_positive(lambda n: toeplitz_delta(ms, n))
+        assert msg == _first_non_positive(lambda n: ref.toeplitz_delta(ref_ms, n))
+        bad = int(msg.split()[0].removeprefix("Delta_"))
+        # phi_bad divides by the same Delta; below it nothing raises, on a
+        # fresh MomentSeq too, since no elimination reaches past its size
+        for m in (ms, patched()):
+            with pytest.raises(NonPositive) as exc:
+                determinantal_phi(m, bad)
+            assert str(exc.value) == msg
+        fresh = patched()
+        assert toeplitz_delta(fresh, bad - 1) == ref.toeplitz_delta(ref_ms, bad - 1)
+        assert determinantal_phi(fresh, bad - 1) == ref.determinantal_phi(ref_ms, bad - 1)
+
+    def test_back_substitution_remainder_raises(self):
+        ms = MomentSeq(JacobiParams(F(3, 7), F(-2, 5)))
+        want = determinantal_phi(ms, 3)
+        ms._rows[0][1] += 1  # no longer a minor of the Toeplitz matrix
+        with pytest.raises(NotDivisible, match=r"^back substitution for phi_3 leaves"):
+            determinantal_phi(ms, 3)
+        ms._rows[0][1] -= 1
+        assert determinantal_phi(ms, 3) == want
