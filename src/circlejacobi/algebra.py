@@ -20,7 +20,7 @@ defining relations, so on monomials it is the zero polynomial whenever
 the relation residuals vanish and K keeps each level, and only
 otherwise is it formed, from its definition; as truncated matrices it
 is formed from the held relation residuals M1^2 - I, M2^2 - I and the
-two anticommutator residuals (``verify_central_extension``).
+two anticommutator residuals, forming no X or Y (``verify_central_extension``).
 """
 
 from __future__ import annotations
@@ -191,18 +191,20 @@ def op_m2(f: LaurentPoly) -> LaurentPoly:
     return f.reflect().shift(1)
 
 
-def _y_psi_terms(fam: OPUCFamily, n: int, shift: Fraction | int = 0) -> list:
-    """Y psi_n - shift psi_n as terms of ``LaurentPoly.lincomb``, out of
-    r_n = ``k_residual(fam, n)``.  K is linear and K psi_n = lambda_n
-    psi_n + r_n, so
+def _y_psi_terms(fam: OPUCFamily, n: int) -> list:
+    """Y psi_n - Lambda_n psi_n, the "Y psi n" residual, as terms of
+    ``LaurentPoly.lincomb``, out of r_n = ``k_residual(fam, n)``.  K is
+    linear and K psi_n = lambda_n psi_n + r_n, so
 
         Y psi_n = (lambda_n^2 - s lambda_n) psi_n + (lambda_n - s) r_n + K r_n
 
     with s = alpha + beta + 1, for every psi_n; on an eigenfunction r_n
-    is zero and K r_n costs nothing."""
+    is zero and K r_n costs nothing.  lambda_n^2 - s lambda_n = Lambda_n
+    at every (alpha, beta) ("Lambda coherence"), so psi_n's coefficient is 0."""
     p = fam.params
     lam, r = lambda_n(p, n), k_residual(fam, n)
-    return [(lam * lam - p.s * lam - shift, fam.psi[n]), (lam - p.s, r), (1, apply_k(r, p))]
+    return [(lam * lam - p.s * lam - big_lambda(p, n), fam.psi[n]), (lam - p.s, r),
+            (1, apply_k(r, p))]
 
 
 @per_family("K z")
@@ -278,33 +280,34 @@ def _central_residuals(p: JacobiParams, s: Fraction, jr2: tuple,
 
 
 def _central_matrix_derived(a: BandedOperator, b: BandedOperator, k: BandedOperator,
-                            x: BandedOperator, y: BandedOperator, ba: BandedOperator,
                             r: tuple, s: Fraction, d: Fraction) -> list[BandedOperator]:
     """[X,M1], [Y,M1], JR1 and JR2 as truncated matrices, out of the held
     residuals r = (r1, r2, r3, r4) (``matrix_relation_residuals``) by the
-    free-algebra expansions of ``verify_central_extension``, with A = M1,
-    B = M2 and C = AB - BA = X - 2 BA.  These are identities between
-    finite matrices, so every row equals the definition's; on a clean
-    family r3 and r4 are zero, r1 and r2 hold at most the cut block's row,
-    and products with no stored row on one side form nothing."""
+    free-algebra expansions of ``verify_central_extension``, with A = M1
+    and B = M2.  No X, C or Y is formed: X eps1 = A (B eps1) + B (A eps1),
+    eps1 Y = (eps1 K) K - s eps1 K and the like are the same finite
+    matrices, with the same valid rows.  On a clean family r3 and r4 are
+    zero, r1 and r2 hold at most the cut block's row, and products with
+    no stored row on one side form nothing."""
     lcb = BandedOperator.lincomb
     r1, r2, r3, r4 = r
     ar4, r4a, br3, r3b = a @ r4, r4 @ a, b @ r3, r3 @ b
     eps1 = lcb([(1, ar4), (-1, r4a), (1, br3), (-1, r3b)])
     eps2 = lcb([(1, ar4), (1, r4a), (-1, br3), (-1, r3b)])
     ar2a, br1b = a @ r2 @ a, b @ r1 @ b
-    xe, ex = x @ eps1, eps1 @ x
-    h = lcb([(-2, r1), (2, r2), (-2, ar2a), (2, br1b), (1, xe), (-1, ex)])
+    # AB eps1, BA eps1, eps1 AB, eps1 BA: sums for X, differences for C
+    abe, bae, eab, eba = a @ (b @ eps1), b @ (a @ eps1), eps1 @ a @ b, eps1 @ b @ a
+    ke, ek = k @ eps1, eps1 @ k
+    h = lcb([(-2, r1), (2, r2), (-2, ar2a), (2, br1b), (1, abe), (1, bae), (-1, eab),
+             (-1, eba)])
     sigma = lcb([(2 * d, r3), (2 * s, r4), (1, k @ eps2), (1, eps2 @ k), (-s, eps2),
-                 (-1, y @ eps1), (1, eps1 @ y)])
+                 (-1, k @ ke), (s, ke), (1, ek @ k), (-s, ek)])
     return [
         lcb([(1, b @ r1), (-1, r1 @ b)]),
         lcb([(1, k @ r3), (-1, r3 @ k)]),
-        # C eps1 + eps1 C = X eps1 + eps1 X - 2 (BA eps1 + eps1 BA)
-        lcb([(-4, r1), (-4, r2), (-4, ar2a), (-4, br1b), (2, xe), (2, ex),
-             (-4, ba @ eps1), (-4, eps1 @ ba), (2, eps1 @ eps1), (1, h @ k), (1, k @ h),
-             (-s, h)]),
-        lcb([(-1, eps2), (1, k @ eps1), (-1, eps1 @ k), (2 * s, r4),
+        lcb([(-4, r1), (-4, r2), (-4, ar2a), (-4, br1b), (2, abe), (-2, bae), (2, eab),
+             (-2, eba), (2, eps1 @ eps1), (1, h @ k), (1, k @ h), (-s, h)]),
+        lcb([(-1, eps2), (1, ke), (-1, ek), (2 * s, r4),
              (1, sigma @ k), (1, k @ sigma), (-s, sigma)]),
     ]
 
@@ -319,16 +322,13 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     checked both functionally on monomials z^k, |k| <= d, and as banded
     matrix identities at the given truncation size, with the two
     realizations tied together on the Laurent eigenfunctions: row n of X
-    and Y applied to psi must equal X psi_n = (z + 1/z) psi_n and
-    Y psi_n = (lambda_n^2 - s lambda_n) psi_n + (lambda_n - s) r_n + K r_n,
-    the latter formed from r_n = K psi_n - lambda_n psi_n
-    (``_y_psi_terms``).
+    and Y applied to psi must equal X psi_n = (z + 1/z) psi_n and Y psi_n.
 
     Both realizations read their constants from ``relation_constants``:
     s = a+b+1, the c of {K, M1}, and d = a-b, the e of {K, M2};
-    Y = K^2 - s K, and JR2's constants are (s-1)(s+1), -2d and 2ds.  With A = M1, B = M2, X = AB + BA,
-    C = AB - BA, the residuals r1 = A^2 - I, r2 = B^2 - I,
-    r3 = {K, A} - s A + s I and r4 = {K, B} - (s+1) B - d I,
+    Y = K^2 - s K, and JR2's constants are (s-1)(s+1), -2d and 2ds.  With
+    A = M1, B = M2, X = AB + BA, C = AB - BA, the residuals r1 = A^2 - I,
+    r2 = B^2 - I, r3 = {K, A} - s A + s I and r4 = {K, B} - (s+1) B - d I,
     eps1 = A r4 - r4 A + B r3 - r3 B and eps2 = A r4 + r4 A - B r3 - r3 B,
     the free algebra on A, B, K gives [X, K] = C + eps1,
     [C, K] = X + 2d A + 2s B + eps2, and
@@ -371,6 +371,12 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     definition.  The two counts agree at every size: each is the size
     less a constant that depends on its parity alone once the size passes
     the smallest ones, and the tests compare them through size 120.
+
+    The tie-in forms no X or Y: by associativity, row n of X on psi is row
+    n of M1 on M2 psi plus row n of M2 on M1 psi, on the rows where M1 M2
+    and M2 M1 are valid and reach psi_N at most; Y's truncation is
+    diag(lambda_n^2 - s lambda_n) = diag(Lambda_n), so its row n on psi
+    misses Y psi_n by the "Y psi n" residual (``_y_psi_terms``).
     """
     p = require_params(fam)
     rep = VerificationReport(
@@ -408,22 +414,19 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
     # matrix side
     m1, m2, k = family_representation(fam, matrix_size)
-    lcb = BandedOperator.lincomb
-    ab, ba = m1 @ m2, m2 @ m1
-    x, y = lcb([(1, ba), (1, ab)]), lcb([(1, k @ k), (-s, k)])
     held = matrix_relation_residuals(fam, matrix_size)
     for label, res in zip(("[X,M1] matrix", "[Y,M1] matrix", "JR1 matrix", "JR2 matrix"),
-                          _central_matrix_derived(m1, m2, k, x, y, ba, held, s, delta)):
+                          _central_matrix_derived(m1, m2, k, held, s, delta)):
         _rows_match(rep, label, res)
 
-    # the matrix rows reproduce the functional action on the psi basis;
-    # a row may reach bandwidth columns past its index
-    top = min(fam.size + 1 - x.bandwidth, x.valid_rows, y.valid_rows)
+    # the matrix rows reproduce the functional action on the psi basis
+    top = min(fam.size - 1, m1.product_valid_rows(m2), m2.product_valid_rows(m1))
+    m1_psi, m2_psi = ([m.apply_row(j, fam.psi) for j in range(top + 1)] for m in (m1, m2))
     bad = [
         n
         for n in range(top)
-        if x.apply_row(n, fam.psi) != lc(_x_terms(fam.psi[n]))
-        or y.apply_row(n, fam.psi) != lc(_y_psi_terms(fam, n))
+        if lc([*m1.row_terms(n, m2_psi), *m2.row_terms(n, m1_psi)]) != lc(_x_terms(fam.psi[n]))
+        or lc(_y_psi_terms(fam, n))
     ]
     rep.add(
         "matrix rows match functional action on psi",
@@ -508,7 +511,7 @@ def y_eigencheck(fam: OPUCFamily) -> VerificationReport:
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
     # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n
-    y_psi = [lc(_y_psi_terms(fam, n, big_lambda(p, n))) for n in range(fam.size + 1)]
+    y_psi = [lc(_y_psi_terms(fam, n)) for n in range(fam.size + 1)]
     for n, res in enumerate(y_psi):
         rep.residual(f"Y psi n={n}", res)
     e = psi_pq_residuals(fam)

@@ -162,27 +162,23 @@ class BandedOperator:
         return arr
 
 
-def _check_coeffs(a: Sequence[Fraction], needed: int) -> None:
-    if len(a) < needed:
-        raise ValueError(f"need Verblunsky coefficients up to index {needed - 1}")
-    for n in range(needed):
-        if not -1 < a[n] < 1:
-            raise BadVerblunsky(f"a_{n} = {a[n]} lies outside (-1, 1)")
-
-
 def _reflection_blocks(
     a: Sequence[Fraction], size: int, first_row: int
 ) -> BandedOperator:
     """Identity rows before first_row, then the 2x2 blocks
     [[a_r, 1], [1 - a_r^2, -a_r]] = [[p, q] / q, [q^2 - p^2, -pq] / q^2] for
     a_r = p/q at rows r = first_row, first_row + 2, ...  A block cut by the
-    truncation keeps only its diagonal entry, and its row is not valid."""
+    truncation keeps only its diagonal entry, and its row is not valid.
+    Each a_r is checked as its block reads it; no other a_k is checked."""
     if size < 1:
         raise ValueError("size must be >= 1")
     last = size - 1 - (size - 1 - first_row) % 2  # row of the last block
-    _check_coeffs(a, last + 1)
+    if len(a) <= last:
+        raise ValueError(f"need Verblunsky coefficients up to index {last}")
     rows = {r: LaurentPoly.monomial(r) for r in range(first_row)}
     for r in range(first_row, size, 2):
+        if not -1 < a[r] < 1:
+            raise BadVerblunsky(f"a_{r} = {a[r]} lies outside (-1, 1)")
         p, q = Fraction(a[r]).as_integer_ratio()
         if r + 1 < size:
             rows[r] = _normal(r, (p, q), q)
@@ -196,13 +192,13 @@ def _reflection_blocks(
 
 def build_m1(a: Sequence[Fraction], size: int) -> BandedOperator:
     """Truncation of M1: a leading 1x1 block [1], then 2x2 blocks with
-    parameters a_1, a_3, a_5, ... starting at row 1."""
+    parameters a_1, a_3, a_5, ... (the only ones read) from row 1."""
     return _reflection_blocks(a, size, 1)
 
 
 def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
     """Truncation of M2: 2x2 blocks with parameters a_0, a_2, a_4, ...
-    starting at row 0."""
+    (the only ones read) starting at row 0."""
     return _reflection_blocks(a, size, 0)
 
 

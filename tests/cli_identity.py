@@ -43,6 +43,17 @@ def _invocations() -> list[list[str]]:
                          "--format", "json"])
         runs.append(["verify", *OFF_GRID, "--n", str(n), "--corrupt-a", "1",
                      "--suite", "algebra", "--format", "text"])
+    # the algebra suite alone at both cuts and at its size cap, and
+    # corrupted a_k whose psi rows its central extension reads or passes
+    for n in (7, 11, 40):
+        runs += [["verify", "--grid-file", GRID_FILE, "--n", str(n), "--suite", "algebra",
+                  "--format", fmt] for fmt in FORMATS]
+    runs += [["verify", *OFF_GRID, "--n", "40", "--corrupt-a", str(k), "--suite", "algebra",
+              "--format", fmt] for k in (3, 17) for fmt in FORMATS]
+    # the Szego suite's reach at n = 16 is a_14: inside it, and past it
+    runs += [["verify", *OFF_GRID, "--n", "16", "--corrupt-a", str(k), "--suite", "szego",
+              "--format", fmt] for k in (1, 14) for fmt in FORMATS]
+    runs.append(["verify", *OFF_GRID, "--n", "16", "--corrupt-a", "15", "--suite", "szego"])
     # the moments suite alone, and corrupted a_k inside its reach past a_1
     for n in (5, 12):
         runs += [["verify", "--grid-file", GRID_FILE, "--n", str(n), "--suite", "moments",
@@ -55,6 +66,7 @@ def _invocations() -> list[list[str]]:
     # the spectrum's matrix size is n: odd at 9, even at 10
     runs += [["spectrum", *OFF_GRID, "--n", str(n), "--matrix", m]
              for n in (9, 10) for m in ("c", "m1", "m2")]
+    runs += [["spectrum", *OFF_GRID, "--n", "10", "--format", fmt] for fmt in FORMATS[1:]]
     # exit status 2: bad usage, caught before any verification
     runs += [
         ["verify", "--alpha", "1/2", "--n", "8"],

@@ -346,11 +346,11 @@ class TestComplexity:
         assert calls[0] == 2 * (41 + p_top(40) + 1 + q_top(40) + 1), calls[0]
 
     def test_central_extension_forms_xy_and_yx_once(self, monkeypatch):
-        # the matrix side reads the held r1 .. r4, so no product of X and
-        # Y is formed at all.  Of the products whose factors both store a
-        # row, 3 build X and Y, 6 the held residuals, and with the last
-        # block of M2 cut at size 21, 2 form M1 r2 M1 and 2 multiply H by
-        # K in JR1.  Forming XY and YX costs 2 more.
+        # the matrix side reads the held r1 .. r4 and forms no X, Y or
+        # M2 M1, so of the products whose factors both store a row, 6
+        # build the held residuals, and with the last block of M2 cut at
+        # size 21, 2 form M1 r2 M1 and 2 multiply H by K in JR1.  Building
+        # X and Y costs 3 more, and forming XY and YX 2 more again.
         calls = [0]
         orig = BandedOperator.__matmul__
 
@@ -361,19 +361,20 @@ class TestComplexity:
         monkeypatch.setattr(BandedOperator, "__matmul__", counted)
         fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
         assert verify_central_extension(fam, d=10, matrix_size=21).ok
-        assert calls[0] <= 14, calls[0]
+        assert calls[0] == 6 + 2 + 2, calls[0]
 
     def test_central_extension_matrix_side_forms_few_rows(self, monkeypatch):
         # with the held r1 .. r4 (built by the matrix relations), every
         # product forms one row per row of its left factor that reaches a
-        # stored row of its right factor.  At size 21 that is the 42 rows
-        # of M1 M2 and M2 M1, which X and the psi-row tie-in read; the 20
-        # rows of K K, which Y reads (lambda_0 = 0 leaves row 0 of K
-        # unstored); the 2 + 2 rows of M1 r2 M1 that reach the cut block
-        # of M2; and the 2 + 2 rows of H K and K H, as H stores only rows
-        # 19 and 20.  r1, r3 and r4 are zero, so no other product forms a
-        # row.  Forming the checks from their definitions costs 147 rows
-        # in the products with no diagonal factor alone.
+        # stored row of its right factor.  At size 21 that is the 2 + 2
+        # rows of M1 r2 M1 that reach the cut block of M2 (rows 19 and 20
+        # of M1 r2, then of M1 r2 M1), and the 2 + 2 rows of H K and K H,
+        # as H stores only rows 19 and 20.  r1, r3 and r4 are zero, so no
+        # other product forms a row; the tie-in reads M1 psi and M2 psi
+        # and forms no product.  Building X and Y costs the 42 rows of
+        # M1 M2 and M2 M1 and the 20 of K K, and forming the checks from
+        # their definitions 147 rows in the products with no diagonal
+        # factor alone.
         fam = build_family(JacobiParams(F(3, 2), F(1, 2)), 40)
         assert verify_relations_matrix(fam, 21).ok
         rows, inside = [0], [False]
@@ -393,7 +394,7 @@ class TestComplexity:
         monkeypatch.setattr(BandedOperator, "__matmul__", matmul)
         monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(lincomb))
         assert verify_central_extension(fam, d=10, matrix_size=21).ok
-        assert rows[0] == 42 + 20 + 4 + 4, rows[0]
+        assert rows[0] == (2 + 2) + (2 + 2), rows[0]
 
     def test_relations_functional_applies_k_once_per_monomial(self, monkeypatch):
         # K z^-k and K z^(1-k) meet other monomials' K images: at d = 10

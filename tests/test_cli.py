@@ -846,3 +846,19 @@ class TestEntryPoint:
         doc = json.loads(proc.stdout)
         failing = {r["identity"] for r in doc["suite_results"] if r["failures"]}
         assert failing == {"orthogonality", "toeplitz-h", "determinantal-match"}
+
+    def test_central_extension_tie_in_survives_optimize_flag(self):
+        # a corrupted a_3 moves psi_4 onwards, which the tie-in reads
+        # through M1 psi and M2 psi from row 2 on; the matrix and monomial
+        # checks read only (alpha, beta) and still pass
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "circlejacobi.cli", "verify", "--alpha", "3/7",
+             "--beta", "-2/5", "--n", "40", "--corrupt-a", "3", "--suite", "algebra",
+             "--format", "json"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        doc = json.loads(proc.stdout)
+        [central] = [r for r in doc["suite_results"] if r["identity"] == "central-extension"]
+        assert central["failures"] == [{"label": "matrix rows match functional action on psi",
+                                        "status": "fail", "detail": "rows [2, 3, 4, 5]"}]

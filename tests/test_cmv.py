@@ -78,6 +78,17 @@ class TestBuilders:
     def test_bad_coefficient(self):
         with pytest.raises(BadVerblunsky):
             build_m2([F(1)], 2)
+        # each factor checks the coefficients its blocks read, and only
+        # those: M2 reads a_0, M1 reads a_1, and C reads both
+        bad_a0, bad_a1 = [F(1), *SM[1:8]], [SM[0], F(-3, 2), *SM[2:8]]
+        for build in (build_m2, cmv_matrix):
+            with pytest.raises(BadVerblunsky, match=r"^a_0 = 1 lies outside \(-1, 1\)$"):
+                build(bad_a0, 8)
+        assert build_m1(bad_a0, 8).rows == build_m1(SM, 8).rows
+        for build in (build_m1, cmv_matrix):
+            with pytest.raises(BadVerblunsky, match=r"^a_1 = -3/2 lies outside \(-1, 1\)$"):
+                build(bad_a1, 8)
+        assert build_m2(bad_a1, 8).rows == build_m2(SM, 8).rows
 
 
 class TestOperatorAlgebra:

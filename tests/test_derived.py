@@ -455,6 +455,22 @@ class TestReferenceModel:
             rep = algebra.verify_central_extension(fam, d=2, matrix_size=9)
             assert rep.checks[-1] == direct_tie_in(fam, 9)
 
+    @pytest.mark.parametrize("n", [3, 7, 11, 16, 40])
+    @pytest.mark.parametrize("alpha,beta", [(F(3, 7), F(-2, 5)), (F(1), F(1))])
+    def test_central_extension_tie_in_on_suite_families(self, alpha, beta, n):
+        # the algebra suite's matrix size, max(7, min(n + 1, 21)), cuts
+        # M1's last block at n = 7 and 11 and M2's at n = 16 and 40, and
+        # passes N + 1 at n = 3; a corrupted a_k moves psi_(k+1) onwards
+        p, size = JacobiParams(alpha, beta), max(7, min(n + 1, 21))
+        verdicts = []
+        for k in [None, *sorted({0, 3, 17, 18, n - 1} & set(range(n)))]:
+            fam = suites.family(p, n, k)
+            want = direct_tie_in(fam, size)
+            assert algebra.verify_central_extension(fam, d=2, matrix_size=size).checks[-1] \
+                == want, k
+            verdicts.append(want.ok)
+        assert verdicts[0] and not all(verdicts)
+
     def test_perturbed_families_exercise_every_rewrite(self):
         # the comparison above shows something only if the base residuals
         # and the checks formed from them are nonzero on these families;
@@ -820,10 +836,8 @@ class TestMatrixSideEqualsDefinitions:
             r = (lcb([(1, m1 @ m1), (-1, eye)]), lcb([(1, m2 @ m2), (-1, eye)]),
                  lcb([(1, k @ m1), (1, m1 @ k), (-s, m1), (s, eye)]),
                  lcb([(1, k @ m2), (1, m2 @ k), (-s - 1, m2), (-d, eye)]))
-            ba = m2 @ m1
-            x, y = lcb([(1, ba), (1, m1 @ m2)]), lcb([(1, k @ k), (-s, k)])
             definitions = central_definitions(m1, m2, k, eye, s, d).values()
-            expansions = algebra._central_matrix_derived(m1, m2, k, x, y, ba, r, s, d)
+            expansions = algebra._central_matrix_derived(m1, m2, k, r, s, d)
             assert ([res.valid_rows for res in expansions]
                     == [res.valid_rows for res in definitions]), size
 
