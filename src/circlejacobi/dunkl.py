@@ -50,8 +50,6 @@ def apply_k(f: LaurentPoly, p: JacobiParams) -> LaurentPoly:
     m = max(hi, -lo)
     c = [0] * (lo + m) + list(nums) + [0] * (m - hi)
     r = [a - b for a, b in zip(reversed(c), c)]
-    if not any(r):
-        return f.theta()
     s, d = p.s, p.d
     e = lcm(s.denominator, d.denominator)
     big_s, big_d = s.numerator * (e // s.denominator), d.numerator * (e // d.denominator)

@@ -122,11 +122,6 @@ class LaurentPoly:
         return not self._num
 
     @property
-    def support(self) -> tuple[int, ...]:
-        """Exponents carrying a nonzero coefficient, ascending."""
-        return tuple(k for k, c in enumerate(self._num, self._lo) if c)
-
-    @property
     def min_exp(self) -> int:
         if not self._num:
             raise ValueError("the zero polynomial has no support")

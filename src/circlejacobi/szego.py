@@ -161,47 +161,28 @@ def _need_pair(fam: OPUCFamily) -> None:
 
 
 def _a(fam: OPUCFamily, k: int) -> Fraction:
-    """Extended coefficient accessor: a_{-1} = -1 by convention.
+    """Extended coefficient accessor: a_k = -1 for every k < 0.
 
-    Indices <= -2 only ever appear multiplied by 1 + a_{-1} = 0, so
-    reading one is a bug, not a case to define."""
-    if k >= 0:
-        return fam.a[k]
-    if k == -1:
-        return BOUNDARY_A
-    raise AssertionError(f"a_{k} must never be read")
-
-
-def _weight(n: int, w: Fraction) -> Fraction:
-    """w as the recurrence weight at n >= 1, which must be positive."""
-    if w <= 0:
-        raise AssertionError(f"recurrence weight at n={n} is not positive")
-    return w
+    An a_k with k <= -2 only ever multiplies 1 + a_{-1} = 0, so the
+    closed forms below hold at n = 0 as written."""
+    return fam.a[k] if k >= 0 else BOUNDARY_A
 
 
 def u_coeff(fam: OPUCFamily, n: int) -> Fraction:
-    """u_n = (1 + a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) > 0; u_0 = 0."""
-    if n == 0:  # the factor 1 + a_{-1} = 0
-        return _ZERO
-    lead = 1 + _a(fam, 2 * n - 1)
-    return _weight(n, lead * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2))
+    """u_n = (1 + a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) > 0 for n >= 1; u_0 = 0."""
+    return (1 + _a(fam, 2 * n - 1)) * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
 
 
 def b_coeff(fam: OPUCFamily, n: int) -> Fraction:
     """b_n = a_{2n}(1 - a_{2n-1}) - a_{2n-2}(1 + a_{2n-1}); b_0 = 2 a_0."""
-    lead = 1 + _a(fam, 2 * n - 1)
-    first = _a(fam, 2 * n) * (1 - _a(fam, 2 * n - 1))
-    if lead == 0:
-        return first
-    return first - _a(fam, 2 * n - 2) * lead
+    return _a(fam, 2 * n) * (1 - _a(fam, 2 * n - 1)) - _a(fam, 2 * n - 2) * (
+        1 + _a(fam, 2 * n - 1)
+    )
 
 
 def ut_coeff(fam: OPUCFamily, n: int) -> Fraction:
-    """u~_n = (1 + a_{2n-1})(1 - a_{2n+1})(1 - a_{2n}^2) > 0; u~_0 = 0."""
-    if n == 0:  # the factor 1 + a_{-1} = 0
-        return _ZERO
-    lead = 1 + _a(fam, 2 * n - 1)
-    return _weight(n, lead * (1 - _a(fam, 2 * n + 1)) * (1 - _a(fam, 2 * n) ** 2))
+    """u~_n = (1 + a_{2n-1})(1 - a_{2n+1})(1 - a_{2n}^2) > 0 for n >= 1; u~_0 = 0."""
+    return (1 + _a(fam, 2 * n - 1)) * (1 - _a(fam, 2 * n + 1)) * (1 - _a(fam, 2 * n) ** 2)
 
 
 def bt_coeff(fam: OPUCFamily, n: int) -> Fraction:
@@ -529,7 +510,8 @@ def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     n = 1 .. p_top(N), built once per family: the Jacobi raising relation
     (Szego, Orthogonal Polynomials, 1939, sec. 4.21) with D = z - 1/z,
     sigma = alpha + beta + 2, delta = 2(alpha - beta) and
-    mu_n = n + alpha + beta + 1.
+    mu_n = n + alpha + beta + 1.  For symmetric Q_{n-1} it is K acting on
+    F_n = D Q_{n-1}: H_n = (K - s) F_n - mu_n P_n, s = alpha + beta + 1.
 
     H_1 is formed directly.  With L f = D theta f + (sigma x + delta) f,
     L(x f) = x L f + D^2 f, so the Q three-term step, C'_n
@@ -593,6 +575,9 @@ def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
             + n (z^2 - 1) H_n,
 
     the same Laurent polynomial as the direct formula for any chains.
+    For symmetric P_n it is (z^2 - 1)(Y - Lambda_{2n}) P_n, the Y
+    eigenproblem on P_n (``algebra.y_eigencheck``), with
+    (Y - Lambda_{2n}) P_n = (K - s) G_n + n H_n, s = a + b + 1.
     """
     p = require_params(fam)
     al, be = p.alpha, p.beta

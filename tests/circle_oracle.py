@@ -7,8 +7,8 @@ measure dt/(2 pi) is the point (-1/2, -1/2).  At those points the
 Verblunsky coefficients, phi_n, the eigenvalues of K, K itself and the
 moments have closed forms that share no code with the general formulas
 of the package, so the tests check those formulas against them.  Also
-here: the inverse of the chi ordering, and the symmetry of K in the
-weighted inner product.
+here: the chi ordering and its inverse, the support of a Laurent
+polynomial, and the symmetry of K in the weighted inner product.
 """
 
 from fractions import Fraction
@@ -71,6 +71,20 @@ def lebesgue_sigma(n: int) -> Fraction:
     return Fraction(int(n == 0))
 
 
+def support(f: LaurentPoly) -> tuple[int, ...]:
+    """Exponents carrying a nonzero coefficient, ascending."""
+    return tuple(k for k, _ in f.items())
+
+
+def chi_basis(n: int) -> LaurentPoly:
+    """The reordered monomial basis: chi_0 = 1, chi_{2k-1} = z^k, chi_{2k} = z^-k."""
+    if n < 0:
+        raise ValueError("basis index must be >= 0")
+    if n % 2:
+        return LaurentPoly.monomial((n + 1) // 2)
+    return LaurentPoly.monomial(-(n // 2))
+
+
 def chi_index(exponent: int) -> int:
     """Position of the monomial z^exponent in the chi ordering."""
     return 2 * exponent - 1 if exponent >= 1 else -2 * exponent
@@ -80,7 +94,7 @@ def max_chi_index(f: LaurentPoly) -> int:
     """Largest chi position present in f (-1 for the zero polynomial)."""
     if f.is_zero:
         return -1
-    return max(chi_index(k) for k in f.support)
+    return max(chi_index(k) for k in support(f))
 
 
 def selfadjoint_residual(f: LaurentPoly, g: LaurentPoly, p: JacobiParams) -> Fraction:

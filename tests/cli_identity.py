@@ -7,9 +7,12 @@ Usage:
 OLD_SRC and NEW_SRC are ``src/`` directories, each holding the
 ``circlejacobi`` package.  Every invocation of ``INVOCATIONS`` runs once
 per tree, as ``python -m circlejacobi.cli ...`` in a fresh interpreter
-with that tree first on ``PYTHONPATH``.  Each difference in stdout,
-stderr or exit status is printed, with the first line where the two
-outputs part.  The exit status is 1 if any invocation differs, else 0.
+with that tree first on ``PYTHONPATH``.  An invocation that names the
+file ``OUT`` writes it with ``--out``; each tree gets its own temporary
+file there, and its bytes are compared as a fourth stream.  Each
+difference in stdout, stderr, exit status or the ``--out`` file is
+printed, with the first line where the two outputs part.  The exit
+status is 1 if any invocation differs, else 0.
 
 This is a script, not a test: a change that claims byte-identical output
 runs it against a checkout of its parent.
@@ -21,11 +24,13 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 GRID_FILE = str(Path(__file__).resolve().parent / "golden" / "grid.json")
 OFF_GRID = ["--alpha", "3/7", "--beta", "-2/5"]
 FORMATS = ("text", "json", "csv")
+OUT = "{out}"  # replaced by a temporary file of each tree's own
 
 
 def _invocations() -> list[list[str]]:
@@ -67,6 +72,15 @@ def _invocations() -> list[list[str]]:
     runs += [["spectrum", *OFF_GRID, "--n", str(n), "--matrix", m]
              for n in (9, 10) for m in ("c", "m1", "m2")]
     runs += [["spectrum", *OFF_GRID, "--n", "10", "--format", fmt] for fmt in FORMATS[1:]]
+    # the benchmark's shapes, written with --out as the benchmark writes them
+    bench = ["--format", "json", "--out", OUT]
+    runs += [["verify", "--grid-file", GRID_FILE, "--n", "40", "--suite", "all", *bench],
+             ["verify", *OFF_GRID, "--n", "160", "--suite", "all", *bench]]
+    runs += [["verify", *OFF_GRID, "--n", "80", "--corrupt-a", "2", "--suite", suite, *bench]
+             for suite in ("bispectral", "cmv", "algebra", "szego")]
+    # the smallest families and CMV matrices
+    runs += [["spectrum", *OFF_GRID, "--n", str(n), "--matrix", "c"] for n in (1, 2)]
+    runs += [["gen", *OFF_GRID, "--n", str(n), "--format", fmt] for n in (1, 2) for fmt in FORMATS]
     # exit status 2: bad usage, caught before any verification
     runs += [
         ["verify", "--alpha", "1/2", "--n", "8"],
@@ -84,16 +98,24 @@ def _invocations() -> list[list[str]]:
 INVOCATIONS = _invocations()
 
 
-def run(src: str, argv: list[str]) -> tuple[str, str, int]:
-    """(stdout, stderr, exit status) of the CLI from the tree src."""
+def run(src: str, argv: list[str]) -> tuple[str, str, int, bytes | None]:
+    """(stdout, stderr, exit status, --out file or None) of the CLI from
+    the tree src."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.abspath(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-m", "circlejacobi.cli", *argv],
-                          capture_output=True, text=True, env=env)
-    return proc.stdout, proc.stderr, proc.returncode
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "circlejacobi.cli",
+             *(str(out) if arg == OUT else arg for arg in argv)],
+            capture_output=True, text=True, env=env)
+        written = out.read_bytes() if out.exists() else None
+    return proc.stdout, proc.stderr, proc.returncode, written
 
 
-def _first_difference(old: str, new: str) -> str:
+def _first_difference(old: str | bytes, new: str | bytes) -> str:
+    if isinstance(old, bytes):
+        old, new = old.decode(errors="replace"), new.decode(errors="replace")
     old_lines, new_lines = old.splitlines(), new.splitlines()
     for i, (a, b) in enumerate(zip(old_lines, new_lines)):
         if a != b:
@@ -109,13 +131,16 @@ def main(argv=None) -> int:
     differing = 0
     for cli_argv in INVOCATIONS:
         old, new = run(args.old_src, cli_argv), run(args.new_src, cli_argv)
-        diffs = [(name, a, b) for name, a, b in zip(("stdout", "stderr", "exit"), old, new)
-                 if a != b]
+        streams = ("stdout", "stderr", "exit", "--out")
+        diffs = [(name, a, b) for name, a, b in zip(streams, old, new) if a != b]
         if diffs:
             differing += 1
             print("DIFFERS:", " ".join(cli_argv))
             for name, a, b in diffs:
-                detail = f"{a} vs {b}" if name == "exit" else _first_difference(a, b)
+                if name == "exit" or None in (a, b):
+                    detail = f"{a} vs {b}"
+                else:
+                    detail = _first_difference(a, b)
                 print(f"  {name}: {detail}")
     print(f"{len(INVOCATIONS)} invocations, {differing} differ")
     return 1 if differing else 0

@@ -26,6 +26,18 @@ PARAM = st.one_of(
     st.integers(min_value=51, max_value=500).map(lambda q: F(1, q) - 1),
 )
 
+# A Verblunsky coefficient: any rational strictly inside (-1, 1) with a
+# small denominator, endpoints' neighbours included.
+VERBLUNSKY_A = st.fractions(min_value=-1, max_value=1, max_denominator=50).filter(
+    lambda v: abs(v) < 1
+)
+
+
+def verblunsky_lists(max_size: int):
+    """Coefficient lists a_0..a_N, N + 1 between 1 and max_size."""
+    return st.lists(VERBLUNSKY_A, min_size=1, max_size=max_size)
+
+
 _cache: dict = {}
 
 # One line per acceptance criterion, filled in by test_acceptance.py and

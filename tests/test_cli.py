@@ -740,6 +740,20 @@ class TestEntryPoint:
                 found += [f"{path.name}:{node.lineno} {name}" for name in sorted(names & banned)]
         assert found == []
 
+    def test_no_assertion_error_in_package(self):
+        # an invariant that construction guarantees is pinned by a test; a
+        # run-time re-check would only add a path that ends in a traceback,
+        # since the CLI's per-point handler never catches AssertionError
+        src = Path(suites.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+            or (isinstance(node, ast.Name) and node.id == "AssertionError")
+        ]
+        assert found == []
+
     # Functions no CLI run reaches, each with the reason it stays in src/.
     NOT_ON_A_CLI_PATH = {
         **{

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from circlejacobi import algebra, cmv, dunkl, moments, suites, szego
 from circlejacobi.cmv import (
@@ -20,7 +21,7 @@ from circlejacobi.errors import BadVerblunsky
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 
-from conftest import GRID
+from conftest import GRID, verblunsky_lists
 
 F = Fraction
 
@@ -68,8 +69,14 @@ class TestBuilders:
 
     def test_pentadiagonal(self):
         c = cmv_matrix(SM, 12)
-        assert c.max_band() <= 2
+        assert max(abs(i - j) for i, j, _ in c.entries()) <= 2
         assert c.bandwidth == 2
+
+    @settings(deadline=None)
+    @given(verblunsky_lists(12))
+    def test_pentadiagonal_for_any_coefficients(self, a):
+        c = cmv_matrix(a, len(a))
+        assert all(abs(i - j) <= 2 for i, j, _ in c.entries())
 
     def test_too_few_coefficients(self):
         with pytest.raises(ValueError):

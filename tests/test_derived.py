@@ -37,6 +37,7 @@ from circlejacobi.opuc import (
 from circlejacobi.report import Check
 from circlejacobi.szego import build_p, build_q, p_top, q_top
 from algebra_oracle import build_xy_matrix
+from circle_oracle import support
 from classical_oracle import classical_jacobi_chain
 from conftest import GRID
 
@@ -389,19 +390,20 @@ def _families(seed):
 # --------------------------------------------------------------------------
 
 
+def _verdict(label, res):
+    """The check a report records for res under label."""
+    if isinstance(res, Check):
+        return res
+    return Check(label, res.is_zero, "" if res.is_zero else res.text())
+
+
 def _with_direct(rep, direct):
     """rep with every check named in direct replaced by the direct verdict."""
     labels = [c.label for c in rep.checks]
     assert set(direct) <= set(labels)
-
-    def verdict(label):
-        res = direct[label]
-        if isinstance(res, Check):
-            return res
-        return Check(label, res.is_zero, "" if res.is_zero else res.text())
-
     want = copy.deepcopy(rep)
-    want.checks = [verdict(c.label) if c.label in direct else c for c in rep.checks]
+    want.checks = [_verdict(c.label, direct[c.label]) if c.label in direct else c
+                   for c in rep.checks]
     return want
 
 
@@ -542,6 +544,99 @@ class TestReferenceModel:
                 assert_matches_direct(verify, direct, fam)
                 if fam.size:
                     assert verify(fam).ok
+
+
+# --------------------------------------------------------------------------
+# The algebra-Szego dictionary
+# --------------------------------------------------------------------------
+
+
+def _dictionary_families():
+    """A high-height point, clean and with a_k corrupted inside and past the
+    Szego suite's reach, and every tagged family kind above for ten seeds."""
+    point = JacobiParams(F(3, 7), F(-2, 5))
+    out = [pytest.param(partial(suites.family, point, 12, corrupt_a=k), id=f"a_{k} corrupt")
+           for k in (2, 11)]
+    out.append(pytest.param(partial(suites.family, point, 12), id="clean"))
+    for name, make in (("corrupted", corrupted_family), ("perturbed", perturbed_family),
+                       ("perturbed odd", partial(perturbed_family, odd=True)),
+                       ("shifted", shifted_family)):
+        out += [pytest.param(partial(make, seed), id=f"{name} {seed}") for seed in range(10)]
+    return out
+
+
+@pytest.mark.parametrize("make", _dictionary_families())
+class TestAlgebraSzegoDictionary:
+    """The Szego residuals and the algebra's residuals in terms of each
+    other.  With F_n = (z - 1/z) Q_{n-1}, G_n = theta P_n - n F_n (the
+    "theta-PQ n" residual), H_n the raising residuals, mu_n = n + s,
+    E_k the psi(P,Q) residuals and r_k = K psi_k - lambda_k psi_k:
+
+        H_n = (K - s) F_n - mu_n P_n,
+        Y P_n - Lambda_2n P_n = (K - s) G_n + n H_n,
+        Y F_n - Lambda_2n F_n = K H_n + mu_n G_n,
+        ODE_n = (z^2 - 1)(Y P_n - Lambda_2n P_n),
+        r_{2n-1} = (G_n + H_n) / 2 + (K - lambda_{2n-1}) E_{2n-1},
+        r_2n = ((1 - a) G_n - (1 + a) H_n) / 2 - (s + a (2n + s))(F_n + P_n) / 2
+               + (K + n) E_2n,
+
+    a = a_{2n-1}.  They hold for any psi_n and any reflection-symmetric
+    P_n and Q_n, so on corrupted and perturbed families too, where the
+    residuals are not zero."""
+
+    @staticmethod
+    def _parts(fam):
+        """p, K, and n -> (P_n, F_n, G_n, H_n); F_0 and H_0 are zero."""
+        p, zero = fam.params, LaurentPoly.zero()
+        raising = szego.raising_residuals(fam)
+        out = {}
+        for n in range(p_top(fam.size) + 1):
+            pn = build_p(fam, n)
+            fn = Z_MINUS_ZINV * build_q(fam, n - 1) if n else zero
+            out[n] = (pn, fn, lc([(1, pn.theta()), (-n, fn)]), raising.get(n, zero))
+        return p, partial(apply_k, p=p), out
+
+    def test_raising_is_k_on_f(self, make):
+        p, k, parts = self._parts(make())
+        for n, (pn, fn, _, h) in parts.items():
+            if n:
+                assert h == lc([(1, k(fn)), (-p.s, fn), (-(n + p.s), pn)])
+
+    def test_y_p_and_ode(self, make):
+        fam = make()
+        p, k, parts = self._parts(fam)
+        y_checks = {c.label: c for c in algebra.y_eigencheck(fam).checks}
+        ode_checks = {c.label: c for c in szego.verify_dep_and_pq_identity(fam).checks}
+        z2_minus_1 = LaurentPoly({2: 1, 0: -1})
+        for n, (_, _, g, h) in parts.items():
+            y_p = lc([(1, k(g)), (-p.s, g), (n, h)])
+            assert y_checks[f"Y P n={n}"] == _verdict(f"Y P n={n}", y_p)
+            assert ode_checks[f"ODE n={n}"] == _verdict(f"ODE n={n}", z2_minus_1 * y_p)
+
+    def test_y_f(self, make):
+        fam = make()
+        p, k, parts = self._parts(fam)
+        y_checks = {c.label: c for c in algebra.y_eigencheck(fam).checks}
+        for n in range(1, q_top(fam.size) + 2):
+            _, _, g, h = parts[n]
+            assert y_checks[f"Y F n={n}"] == _verdict(f"Y F n={n}", lc([(1, k(h)), (n + p.s, g)]))
+
+    def test_k_residual_from_szego(self, make):
+        fam = make()
+        p, k, parts = self._parts(fam)
+        e, s = szego.psi_pq_residuals(fam), p.s
+        for n, (pn, fn, g, h) in parts.items():
+            if not n:
+                continue
+            odd = 2 * n - 1
+            assert dunkl.k_residual(fam, odd) == lc(
+                [(F(1, 2), g), (F(1, 2), h), (1, k(e[odd])), (-lambda_n(p, odd), e[odd])])
+            if 2 * n <= fam.size:
+                a = fam.a[odd]
+                c = -(s + a * (2 * n + s)) / 2
+                assert dunkl.k_residual(fam, 2 * n) == lc(
+                    [((1 - a) / 2, g), (-(1 + a) / 2, h), (c, fn), (c, pn),
+                     (1, k(e[2 * n])), (n, e[2 * n])])
 
 
 # --------------------------------------------------------------------------
@@ -909,7 +1004,7 @@ class TestSparseKernel:
                     size, a.bandwidth + b.bandwidth, a.product_valid_rows(b))
                 # every pair of kinds, diagonal factors included, forms
                 # one lincomb per row of a that reaches a stored row of b
-                reach = [i for i, row in a.rows.items() if set(row.support) & set(b.rows)]
+                reach = [i for i, row in a.rows.items() if set(support(row)) & set(b.rows)]
                 assert formed[0] == len(reach), (left, right)
 
     @pytest.mark.parametrize("seed", range(30))

@@ -7,11 +7,12 @@ from hypothesis import example, given, strategies as st
 
 from circlejacobi.dunkl import apply_k, lambda_n, verify_bispectral
 from circlejacobi.laurent import ONE_MINUS_Z2, LaurentPoly
-from circlejacobi.opuc import JacobiParams, chi_basis, family_from_verblunsky
+from circlejacobi.opuc import JacobiParams, family_from_verblunsky
 
 from circle_oracle import (
     SINGLE_MOMENT as P_SM,
     apply_k_single_moment,
+    chi_basis,
     constant,
     lambda_single_moment,
     max_chi_index,

@@ -87,7 +87,7 @@ def assert_normal(f: LaurentPoly) -> None:
 class TestConstruction:
     def test_zero_coefficients_are_not_stored(self):
         f = LaurentPoly({0: 1, 2: 0, 5: F(0)})
-        assert f.support == (0,)
+        assert list(f.items()) == [(0, 1)]
         assert len(f) == 1
 
     def test_duplicate_exponents_accumulate(self):
@@ -132,7 +132,7 @@ class TestArithmetic:
 
     def test_pow(self):
         assert Z_PLUS_ZINV**2 == LaurentPoly({-2: 1, 0: 2, 2: 1})
-        assert (Z**5).support == (5,)
+        assert list((Z**5).items()) == [(5, 1)]
         assert Z**0 == LaurentPoly.one()
         with pytest.raises(ValueError):
             Z**-1
@@ -190,7 +190,7 @@ class TestNormalForm:
         h = f + g
         for k in range(-14, 15):
             assert h.coeff(k) == model_add(mf, mg).get(k, 0)
-        assert list(h.support) == sorted(model_add(mf, mg))
+        assert [k for k, _ in h.items()] == sorted(model_add(mf, mg))
         assert len(h) == len(model_add(mf, mg))
 
 

@@ -3,14 +3,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circlejacobi.errors import BadSupport, BadVerblunsky, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.opuc import (
     JacobiParams,
     build_family,
-    chi_basis,
     family_from_verblunsky,
     per_family,
     star,
@@ -18,8 +17,14 @@ from circlejacobi.opuc import (
     verblunsky,
 )
 
-from circle_oracle import chi_index, single_moment_phi, single_moment_verblunsky
-from conftest import GRID
+from circle_oracle import (
+    chi_basis,
+    chi_index,
+    single_moment_phi,
+    single_moment_verblunsky,
+    support,
+)
+from conftest import GRID, verblunsky_lists
 
 F = Fraction
 
@@ -136,15 +141,17 @@ class TestFamily:
             assert phi.max_exp == n
             assert phi.min_exp >= 0
 
-    def test_psi_laurent_window(self, family):
-        fam = family(F(1), F(2), 12)
-        for n in range(13):
+    @settings(deadline=None)
+    @given(verblunsky_lists(20))
+    @example([verblunsky(JacobiParams(1, 2), n) for n in range(13)])
+    def test_psi_laurent_window(self, a):
+        fam = family_from_verblunsky(a)
+        for n, psi in enumerate(fam.psi):
             lo = -(n // 2)
             hi = lo + n
-            psi = fam.psi[n]
             assert psi.min_exp >= lo and psi.max_exp <= hi
-            # the leading chi coefficient never vanishes
-            assert psi.coeff(hi if n % 2 else lo) != 0
+            # the leading chi coefficient is phi_n's leading one
+            assert psi.coeff(hi if n % 2 else lo) == 1
 
     def test_szego_advance_step(self):
         phi1 = LaurentPoly({1: 1, 0: F(1, 2)})
@@ -173,7 +180,7 @@ class TestChiBasis:
 
     def test_chi_index_inverts(self):
         for n in range(12):
-            exp = chi_basis(n).support[0]
+            [exp] = support(chi_basis(n))
             assert chi_index(exp) == n
 
 

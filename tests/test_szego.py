@@ -1,14 +1,14 @@
 """The symmetrization map to [-2, 2] and its exact closure."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 from circlejacobi import suites
 from circlejacobi.errors import ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly, Z_PLUS_ZINV
-from circlejacobi.opuc import JacobiParams, build_family
+from circlejacobi.opuc import JacobiParams, build_family, family_from_verblunsky
 from circlejacobi.szego import (
     b_coeff,
     bt_coeff,
@@ -27,7 +27,7 @@ from circlejacobi.szego import (
 )
 
 from classical_oracle import classical_jacobi_chain, classical_jacobi_oracle
-from conftest import GRID
+from conftest import GRID, verblunsky_lists
 
 F = Fraction
 x = Z_PLUS_ZINV  # x(z) = z + 1/z
@@ -157,17 +157,18 @@ class TestRecurrenceCoefficients:
         assert top == 2  # the last P step; b~_2 reads a_6, b~_3 would need a_8
         assert all(u_coeff(fam, n) > 0 and ut_coeff(fam, n) > 0 for n in range(1, top + 1))
 
-    def test_weight_not_positive_raises(self):
-        # a_0 = 2 makes u_1 = (1 + a_1) 2 (1 - a_0^2) negative, and a_2 = 2
-        # does the same to u~_1; no Verblunsky family can hold either value
-        stub = SimpleNamespace(a=[F(2), F(0), F(0), F(0)])
-        with pytest.raises(AssertionError, match="weight at n=1 is not positive"):
-            u_coeff(stub, 1)
-        assert u_coeff(stub, 0) == ut_coeff(stub, 0) == 0
-        stub = SimpleNamespace(a=[F(0), F(0), F(2), F(0)])
-        with pytest.raises(AssertionError, match="weight at n=1 is not positive"):
-            ut_coeff(stub, 1)
-        assert u_coeff(stub, 1) == 2
+    @settings(deadline=None)
+    @given(verblunsky_lists(20))
+    def test_weights_positive_for_any_coefficients(self, a):
+        # |a_k| < 1 makes every factor of u_n and u~_n positive for n >= 1,
+        # and a_k = -1 for k < 0 gives u_0 = u~_0 = 0 and b_0 = 2 a_0
+        fam = family_from_verblunsky(a)
+        u = [u_coeff(fam, n) for n in range(p_top(fam.size) + 1)]  # u_n reads a_{2n-1}
+        ut = [ut_coeff(fam, n) for n in range(q_top(fam.size) + 1)]  # u~_n reads a_{2n+1}
+        for w in (u, ut):
+            assert w[:1] in ([], [0])
+            assert all(v > 0 for v in w[1:])
+        assert b_coeff(fam, 0) == 2 * fam.a[0]
 
     def test_pair_requires_size(self, family):
         fam = family(F(0), F(0), 2)
