@@ -9,9 +9,9 @@ CMV Laurent functions psi_n obtained by reordering the monomial basis as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 
 from .errors import BadSupport, BadVerblunsky, ParamOutOfRange
 from .laurent import LaurentPoly
@@ -22,36 +22,26 @@ from .laurent import LaurentPoly
 BOUNDARY_A = Fraction(-1)
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(namedtuple("JacobiParams", "alpha beta")):
     """Exact parameter pair (alpha, beta), each > -1.
 
     The bound keeps the weight integrable and (with the per-index check
     in :func:`verblunsky`) every Verblunsky coefficient inside (-1, 1).
+    The pair is read-only, and ``==``, ``hash`` and ``repr`` read it
+    alone.  The constructor also forms s = alpha + beta + 1, the
+    combination entering most formulas, and d = alpha - beta.
     """
 
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        if self.alpha <= -1 or self.beta <= -1:
+    def __new__(cls, alpha, beta):
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        if alpha <= -1 or beta <= -1:
             raise ParamOutOfRange(
-                f"need alpha > -1 and beta > -1, got ({self.alpha}, {self.beta})"
+                f"need alpha > -1 and beta > -1, got ({alpha}, {beta})"
             )
-
-    # cached_property writes __dict__ directly, which a frozen dataclass
-    # allows; ==, hash and repr still read the two fields alone
-    @cached_property
-    def s(self) -> Fraction:
-        """alpha + beta + 1, the combination entering most formulas."""
-        return self.alpha + self.beta + 1
-
-    @cached_property
-    def d(self) -> Fraction:
-        """alpha - beta."""
-        return self.alpha - self.beta
+        self = super().__new__(cls, alpha, beta)
+        self.s = alpha + beta + 1
+        self.d = alpha - beta
+        return self
 
 
 def verblunsky(p: JacobiParams, n: int) -> Fraction:
@@ -59,7 +49,7 @@ def verblunsky(p: JacobiParams, n: int) -> Fraction:
 
     The numerator is s = alpha + beta + 1 for odd n and d = alpha - beta
     for even n, and the denominator is n + s + 1, so a_n costs two
-    operations on the cached ``p.s`` and ``p.d``."""
+    operations on ``p.s`` and ``p.d``."""
     if n < 0:
         raise ValueError("Verblunsky index must be >= 0")
     a = (p.s if n % 2 else p.d) / (-1 - n - p.s)
@@ -89,18 +79,20 @@ def szego_advance(phi: LaurentPoly, a: Fraction, n: int) -> LaurentPoly:
     return LaurentPoly.lincomb([(1, phi.shift(1)), (-a, star(phi, n))])
 
 
-@dataclass
 class OPUCFamily:
     """A finite slice of an OPUC family in exact arithmetic.
 
     Holds phi_0..phi_N (monic), the Verblunsky coefficients a_0..a_N,
     the squared norms h_0..h_N (h_0 = 1, h_n = prod_{k<n} (1 - a_k^2)),
     and the CMV Laurent functions psi_0..psi_N.  Treat instances as
-    immutable: nothing in the package mutates a built family.
+    immutable: nothing in the package mutates a built family.  ``==``
+    compares these five fields and nothing else, and a family is
+    unhashable.
 
-    ``derived`` keeps objects computed from this instance on first use,
-    so every check that reads them shares one build.  Only
-    :func:`per_family` reads or writes it; its keys are:
+    ``derived``, an empty dict the constructor creates, keeps objects
+    computed from this instance on first use, so every check that reads
+    them shares one build.  Only :func:`per_family` reads or writes it;
+    its keys are:
 
     - ``("P", n)`` and ``("Q", n)``: the Szego chains (``szego.build_p``,
       ``szego.build_q``);
@@ -137,12 +129,21 @@ class OPUCFamily:
     family tagged with the clean family's params has its own.
     """
 
-    params: JacobiParams | None
-    a: tuple[Fraction, ...]
-    phi: tuple[LaurentPoly, ...]
-    h: tuple[Fraction, ...]
-    psi: tuple[LaurentPoly, ...]
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, params: JacobiParams | None, a: tuple[Fraction, ...],
+                 phi: tuple[LaurentPoly, ...], h: tuple[Fraction, ...],
+                 psi: tuple[LaurentPoly, ...]) -> None:
+        self.params = params
+        self.a = a
+        self.phi = phi
+        self.h = h
+        self.psi = psi
+        self.derived = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.a, self.phi, self.h, self.psi) == (
+            other.params, other.a, other.phi, other.h, other.psi)
 
     @property
     def size(self) -> int:

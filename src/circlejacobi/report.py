@@ -7,18 +7,26 @@ is always distinguishable from "nothing was checked".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .laurent import LaurentPoly
 
 
-@dataclass
 class Check:
     """Outcome of one identity instance (one index, row, or monomial)."""
 
-    label: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("label", "ok", "detail")  # thousands per run: no __dict__ each
+
+    def __init__(self, label: str, ok: bool, detail: str = ""):
+        self.label = label
+        self.ok = ok
+        self.detail = detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.ok, self.detail) == (other.label, other.ok, other.detail)
+
+    def __repr__(self) -> str:
+        return f"Check(label={self.label!r}, ok={self.ok!r}, detail={self.detail!r})"
 
     def to_dict(self) -> dict:
         d: dict = {"label": self.label, "status": "pass" if self.ok else "fail"}
@@ -27,13 +35,22 @@ class Check:
         return d
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    relation: str
-    params: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+    """The checks of one identity, with the params it was checked at and
+    the rows a truncation skipped; ``==`` compares all five fields."""
+
+    def __init__(self, identity: str, relation: str, params: dict | None = None,
+                 checks: list[Check] | None = None, skipped: list[str] | None = None):
+        self.identity = identity
+        self.relation = relation
+        self.params = {} if params is None else params
+        self.checks = [] if checks is None else checks
+        self.skipped = [] if skipped is None else skipped
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.checks.append(Check(label, ok, detail))

@@ -249,6 +249,21 @@ class TestReflectionBlocksFromIntegerParts:
                     want.size, want.valid_rows, want.bandwidth)
 
 
+class TestReflectionBlocksShortestList:
+    # a_last is the highest coefficient the blocks read, with last the
+    # largest row first_row + 2j below size; M1 at size 1 reads none
+    @pytest.mark.parametrize("first_row", [0, 1])
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_exactly_last_plus_one_coefficients(self, size, first_row):
+        last = max(range(first_row, size, 2), default=-1)
+        a = SM[:last + 1]
+        got = cmv._reflection_blocks(a, size, first_row)
+        assert got.rows == _reference_blocks(a, size, first_row).rows
+        if last >= 0:
+            with pytest.raises(ValueError, match=f"up to index {last}$"):
+                cmv._reflection_blocks(a[:-1], size, first_row)
+
+
 def _general_product(a: BandedOperator, b: BandedOperator) -> BandedOperator:
     """a @ b by the general rule: row i of a applied to the rows of b."""
     right = [b.rows.get(k, LaurentPoly.zero()) for k in range(b.size)]

@@ -9,6 +9,7 @@ from circlejacobi.errors import BadSupport, BadVerblunsky, ParamOutOfRange
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.opuc import (
     JacobiParams,
+    OPUCFamily,
     build_family,
     family_from_verblunsky,
     per_family,
@@ -24,7 +25,7 @@ from circle_oracle import (
     single_moment_verblunsky,
     support,
 )
-from conftest import GRID, verblunsky_lists
+from conftest import GRID, PARAM, verblunsky_lists
 
 F = Fraction
 
@@ -49,6 +50,20 @@ class TestParams:
         assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
         assert repr(p) == "JacobiParams(alpha=Fraction(3, 2), beta=Fraction(1, 2))"
         assert p != JacobiParams(F(3, 2), F(-1, 2))
+
+    def test_fields_are_read_only(self):
+        p = JacobiParams(F(3, 2), F(1, 2))
+        for name in ("alpha", "beta"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, F(0))
+        assert (p.alpha, p.beta) == (F(3, 2), F(1, 2))
+
+    @given(PARAM, PARAM)
+    def test_sums_exact_and_equal_points_alike(self, alpha, beta):
+        p, q = JacobiParams(alpha, beta), JacobiParams(str(alpha), str(beta))
+        assert (p.s, p.d) == (alpha + beta + 1, alpha - beta)
+        assert all(type(v) is Fraction for v in (p.alpha, p.beta, p.s, p.d))
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
 
 
 class TestVerblunsky:
@@ -159,6 +174,11 @@ class TestFamily:
         phi2 = szego_advance(phi1, a1, 1)
         assert phi2 == LaurentPoly({2: 1, 1: F(2, 3), 0: F(1, 3)})
 
+    @pytest.mark.parametrize("a", [F(1), F(-1)])
+    def test_szego_advance_refuses_a_unit_coefficient(self, a):
+        with pytest.raises(BadVerblunsky):
+            szego_advance(LaurentPoly({1: 1, 0: F(1, 2)}), a, 1)
+
     def test_bad_verblunsky_rejected(self):
         with pytest.raises(BadVerblunsky):
             family_from_verblunsky([F(1)])
@@ -168,6 +188,34 @@ class TestFamily:
     def test_build_family_requires_positive_size(self):
         with pytest.raises(ValueError):
             build_family(JacobiParams(0, 0), 0)
+
+
+class TestFamilyRecord:
+    def test_equality_ignores_the_memo(self):
+        p = JacobiParams(F(1), F(2))
+        fam, twin = build_family(p, 6), build_family(p, 6)
+        fam.derived["probe"] = fam.a[0]
+        assert fam == twin and fam.derived != twin.derived
+
+    def test_each_field_takes_part(self):
+        fam = build_family(JacobiParams(F(1), F(2)), 6)
+        fields = {"params": fam.params, "a": fam.a, "phi": fam.phi, "h": fam.h, "psi": fam.psi}
+        assert OPUCFamily(**fields) == fam
+        for name, value in fields.items():
+            changed = None if name == "params" else value[:-1]
+            assert OPUCFamily(**{**fields, name: changed}) != fam, name
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_one_different_coefficient_is_unequal(self, k):
+        fam = build_family(JacobiParams(F(1), F(2)), 6)
+        a = list(fam.a)
+        a[k] += F(1, 100)
+        bad = OPUCFamily(fam.params, tuple(a), fam.phi, fam.h, fam.psi)
+        assert bad != fam and not bad == fam
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(build_family(JacobiParams(0, 0), 3))
 
 
 class TestChiBasis:
