@@ -25,12 +25,10 @@ two anticommutator residuals, forming no X or Y (``verify_central_extension``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cmv import BandedOperator, family_operators
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate
-from .laurent import _ZERO_POLY, LaurentPoly
+from .laurent import _ZERO_POLY, LaurentPoly, Rational
 from .opuc import (JacobiParams, OPUCFamily, family_params, per_family, require_params,
                    verblunsky)
 from .report import VerificationReport
@@ -42,13 +40,13 @@ from .szego import _x_terms, build_p, build_q, p_top, psi_pq_residuals, q_top
 # --------------------------------------------------------------------------
 
 
-def relation_constants(alpha, beta) -> tuple[tuple[Fraction, Fraction], ...]:
+def relation_constants(alpha, beta) -> tuple[tuple[Rational, Rational], ...]:
     """(c, e) of {K, M1} and of {K, M2}, each relation written as
     {K, M} = c M + e I: (s, -s) and (s + 1, alpha - beta), with
     s = alpha + beta + 1.  The one home of the defining relations'
     constants; it takes raw (alpha, beta), because
     ``derive_representation`` accepts points ``JacobiParams`` rejects."""
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = Rational(alpha), Rational(beta)
     s = alpha + beta + 1
     return (s, -s), (s + 1, alpha - beta)
 
@@ -70,8 +68,8 @@ def derive_representation(alpha, beta, n_max: int):
     Returns (lam, a), two tuples of Fractions of length n_max + 1.
     """
     m1_rel, m2_rel = relation_constants(alpha, beta)
-    lam: list[Fraction] = [Fraction(0)]
-    a: list[Fraction] = []
+    lam: list[Rational] = [Rational(0)]
+    a: list[Rational] = []
     for n in range(n_max + 1):
         # rows (n, n+1) hold the block of M2 (n even) or M1 (n odd), with
         # diagonal (a_n, -a_n) and off-diagonal 1; its relation
@@ -254,7 +252,7 @@ def verify_relations_functional(fam: OPUCFamily, d: int) -> VerificationReport:
     return rep
 
 
-def _central_residuals(p: JacobiParams, s: Fraction, jr2: tuple,
+def _central_residuals(p: JacobiParams, s: Rational, jr2: tuple,
                        f: LaurentPoly) -> tuple[LaurentPoly, ...]:
     """([Y, M1] f, JR1 f, JR2 f) formed from their definitions, with
     K = ``apply_k``, Y = K^2 - s K, X the product by z + 1/z and JR2's
@@ -280,7 +278,7 @@ def _central_residuals(p: JacobiParams, s: Fraction, jr2: tuple,
 
 
 def _central_matrix_derived(a: BandedOperator, b: BandedOperator, k: BandedOperator,
-                            r: tuple, s: Fraction, d: Fraction) -> list[BandedOperator]:
+                            r: tuple, s: Rational, d: Rational) -> list[BandedOperator]:
     """[X,M1], [Y,M1], JR1 and JR2 as truncated matrices, out of the held
     residuals r = (r1, r2, r3, r4) (``matrix_relation_residuals``) by the
     free-algebra expansions of ``verify_central_extension``, with A = M1
@@ -441,7 +439,7 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 # --------------------------------------------------------------------------
 
 
-def big_lambda(p: JacobiParams, n: int) -> Fraction:
+def big_lambda(p: JacobiParams, n: int) -> Rational:
     """Y-eigenvalue of psi_n: pairs to m(alpha+beta+m+1), m = ceil(n/2)."""
     m = (n + 1) // 2
     return m * (p.alpha + p.beta + m + 1)

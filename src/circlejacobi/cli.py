@@ -25,23 +25,23 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import suites
 from .cmv import build_m1, build_m2, cmv_matrix, truncated_spectrum
 from .errors import CircleJacobiError, ConvergenceFailure, ParamOutOfRange
+from .laurent import Rational
 from .moments import MomentSeq
 from .opuc import JacobiParams, build_family, verblunsky
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
-def rational(text: str) -> Fraction:
+def rational(text: str) -> Rational:
     if not _RATIONAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"expected an integer or p/q rational, got {text!r}"
         )
-    return Fraction(text)
+    return Rational(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,7 +185,7 @@ def cmd_gen(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _read_grid(path: str) -> list[tuple[Fraction, Fraction]]:
+def _read_grid(path: str) -> list[tuple[Rational, Rational]]:
     """Parse a grid file: a JSON list of [alpha, beta] rational-string pairs."""
     with open(path) as fh:
         raw = json.load(fh)

@@ -17,11 +17,10 @@ formulas for any psi, and zero at no arithmetic cost on a clean family.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import BadVerblunsky, ConvergenceFailure
-from .laurent import _ZERO_POLY, LaurentPoly, _normal
+from .laurent import _ZERO_POLY, LaurentPoly, Rational, _normal
 from .opuc import OPUCFamily, family_params, per_family, verblunsky
 from .report import VerificationReport
 
@@ -37,7 +36,7 @@ class BandedOperator:
     polynomial's normal form makes that representation unique, so a
     matrix identity holds on row i exactly when row i of its residual
     ``lincomb`` is absent.  ``entries`` reads the entries back as
-    ``Fraction``.
+    ``Rational``.
 
     ``bandwidth`` bounds how far past its index a row reaches.  It is
     metadata that the constructors, ``lincomb`` and ``@`` set by
@@ -70,7 +69,7 @@ class BandedOperator:
         return cls.diagonal([1] * size)
 
     @classmethod
-    def diagonal(cls, values: Sequence[Fraction]) -> "BandedOperator":
+    def diagonal(cls, values: Sequence[Rational]) -> "BandedOperator":
         rows = {i: LaurentPoly.monomial(i, v) for i, v in enumerate(values)}
         return cls(len(values), rows, 0, len(values))
 
@@ -88,7 +87,7 @@ class BandedOperator:
             raise ValueError("operator size mismatch")
 
     @staticmethod
-    def lincomb(terms: Sequence[tuple[Fraction | int, "BandedOperator"]]) -> "BandedOperator":
+    def lincomb(terms: Sequence[tuple[Rational | int, "BandedOperator"]]) -> "BandedOperator":
         """sum(c * A for c, A in terms), one ``LaurentPoly.lincomb`` per row
         that some term with c != 0 stores, in ascending order.
 
@@ -137,7 +136,7 @@ class BandedOperator:
 
     def row_terms(
         self, i: int, vectors: Sequence[LaurentPoly], sign: int = 1
-    ) -> list[tuple[Fraction, LaurentPoly]]:
+    ) -> list[tuple[Rational, LaurentPoly]]:
         """The pairs (sign * M[i, j], vectors[j]) of row i, as terms of
         ``LaurentPoly.lincomb``."""
         row = self.rows.get(i, _ZERO_POLY).items()
@@ -159,7 +158,7 @@ class BandedOperator:
 
 
 def _reflection_blocks(
-    a: Sequence[Fraction], size: int, first_row: int
+    a: Sequence[Rational], size: int, first_row: int
 ) -> BandedOperator:
     """Identity rows before first_row, then the 2x2 blocks
     [[a_r, 1], [1 - a_r^2, -a_r]] = [[p, q] / q, [q^2 - p^2, -pq] / q^2] for
@@ -175,7 +174,7 @@ def _reflection_blocks(
     for r in range(first_row, size, 2):
         if not -1 < a[r] < 1:
             raise BadVerblunsky(f"a_{r} = {a[r]} lies outside (-1, 1)")
-        p, q = Fraction(a[r]).as_integer_ratio()
+        p, q = a[r].as_integer_ratio()
         if r + 1 < size:
             rows[r] = _normal(r, (p, q), q)
             rows[r + 1] = _normal(r, (q * q - p * p, -p * q), q * q)
@@ -186,26 +185,26 @@ def _reflection_blocks(
     return BandedOperator(size, rows, 1, size - 1 if cut else size)
 
 
-def build_m1(a: Sequence[Fraction], size: int) -> BandedOperator:
+def build_m1(a: Sequence[Rational], size: int) -> BandedOperator:
     """Truncation of M1: a leading 1x1 block [1], then 2x2 blocks with
     parameters a_1, a_3, a_5, ... (the only ones read) from row 1."""
     return _reflection_blocks(a, size, 1)
 
 
-def build_m2(a: Sequence[Fraction], size: int) -> BandedOperator:
+def build_m2(a: Sequence[Rational], size: int) -> BandedOperator:
     """Truncation of M2: 2x2 blocks with parameters a_0, a_2, a_4, ...
     (the only ones read) starting at row 0."""
     return _reflection_blocks(a, size, 0)
 
 
-def cmv_matrix(a: Sequence[Fraction], size: int) -> BandedOperator:
+def cmv_matrix(a: Sequence[Rational], size: int) -> BandedOperator:
     """C = M1 M2 from the coefficients a, pentadiagonal by construction:
     each factor's rows reach one column on either side, so the product's
     reach two, and ``@`` sets bandwidth 1 + 1."""
     return build_m1(a, size) @ build_m2(a, size)
 
 
-def _reference_a(fam: OPUCFamily, count: int) -> list[Fraction]:
+def _reference_a(fam: OPUCFamily, count: int) -> list[Rational]:
     """Coefficients the verification matrices are built from.
 
     A family that carries its parameter point is checked against the

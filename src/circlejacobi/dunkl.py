@@ -19,12 +19,11 @@ independent oracles.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
 from .errors import NotDivisible
-from .laurent import LaurentPoly, _normal
+from .laurent import LaurentPoly, Rational, _normal
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
@@ -75,13 +74,13 @@ def k_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
     return LaurentPoly.lincomb([(1, apply_k(psi, p)), (-lambda_n(p, n), psi)])
 
 
-def lambda_n(p: JacobiParams, n: int) -> Fraction:
+def lambda_n(p: JacobiParams, n: int) -> Rational:
     """Eigenvalue of K on psi_n."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if n % 2 == 0:
-        return Fraction(-n, 2)
-    return Fraction(n + 1, 2) + p.s
+        return Rational(-n, 2)
+    return Rational(n + 1, 2) + p.s
 
 
 def verify_bispectral(fam: OPUCFamily) -> VerificationReport:

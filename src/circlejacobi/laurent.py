@@ -10,8 +10,10 @@ FLINT's ``fmpq_poly`` uses the same layout).  The form is unique, so
 equality and hashing compare plain tuples and a zero-residual test is an
 emptiness test.  Arithmetic runs on Python ints with one gcd per result,
 and exact division is integer long division; ``coeff``, ``items`` and
-``evaluate`` hand out reduced ``Fraction`` values.  Instances are
-immutable: arithmetic always returns new objects.
+``evaluate`` hand out reduced ``Rational`` values (the package's one
+scalar type, a ``Fraction`` whose arithmetic skips the generic dispatch
+of ``fractions``).  Instances are immutable: arithmetic always returns
+new objects.
 
 An identity residual is a short linear combination sum c_j f_j with
 rational scalars.  ``LaurentPoly.lincomb`` forms it in one pass: every
@@ -30,18 +32,115 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NotDivisible, ZeroArgument
 
-# The scalar type of the whole package: every coefficient read out of a
-# polynomial, and every structural constant, is a reduced Fraction.
-Rational = Fraction
+_new = object.__new__
+
+
+def _rational(n: int, d: int) -> "Rational":
+    """n/d from parts already in lowest terms, d > 0."""
+    r = _new(Rational)
+    r._numerator, r._denominator = n, d
+    return r
+
+
+def _parts(x) -> "tuple[int, int] | None":
+    """(numerator, denominator) of an int or Fraction operand, else None."""
+    t = type(x)
+    if t is Rational or t is Fraction:
+        return x._numerator, x._denominator
+    return (x, 1) if isinstance(x, int) else None
+
+
+def _add(na: int, da: int, nb: int, db: int) -> "Rational":
+    # the gcd steps of fractions.Fraction._add (Knuth, TAOCP vol. 2, 4.5.1)
+    g = gcd(da, db)
+    if g == 1:
+        return _rational(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return _rational(t // g2, s * (db // g2))
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> "Rational":
+    g1, g2 = gcd(na, db), gcd(nb, da)
+    return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+
+class Rational(Fraction):
+    """The package's one scalar type: every coefficient read out of a
+    polynomial, and every structural constant, is a reduced Rational.
+
+    With an int or Fraction operand, each operator below runs the gcd
+    steps of ``fractions`` and stores the reduced parts directly; any
+    other operand, and division by zero, go to Fraction's own method.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        if denominator is None and type(numerator) is Rational:
+            return numerator
+        return Fraction.__new__(cls, numerator, denominator)
+
+    def __add__(a, b):
+        p = _parts(b)
+        return _add(a._numerator, a._denominator, *p) if p else Fraction.__add__(a, b)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        p = _parts(b)
+        return _add(a._numerator, a._denominator, -p[0], p[1]) if p else Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        p = _parts(b)
+        return _add(*p, -a._numerator, a._denominator) if p else Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        p = _parts(b)
+        return _mul(a._numerator, a._denominator, *p) if p else Fraction.__mul__(a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        p = _parts(b)
+        if p and p[0]:
+            sign = -1 if p[0] < 0 else 1
+            return _mul(sign * a._numerator, a._denominator, p[1], sign * p[0])
+        return Fraction.__truediv__(a, b)
+
+    def __neg__(a):
+        return _rational(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if type(b) is not int:
+            return Fraction.__pow__(a, b)
+        r = _rational(a._numerator ** abs(b), a._denominator ** abs(b))
+        return r if b >= 0 else _ONE / r
+
+    def __eq__(a, b):
+        p = _parts(b)
+        return a._numerator == p[0] and a._denominator == p[1] if p else Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__
+
+    def __lt__(a, b):
+        p = _parts(b)
+        return a._numerator * p[1] < p[0] * a._denominator if p else Fraction.__lt__(a, b)
+
+    def __gt__(a, b):
+        p = _parts(b)
+        return a._numerator * p[1] > p[0] * a._denominator if p else Fraction.__gt__(a, b)
+
+    def __le__(a, b):
+        p = _parts(b)
+        return a._numerator * p[1] <= p[0] * a._denominator if p else Fraction.__le__(a, b)
+
 
 Scalar = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _fraction(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+_ZERO = _rational(0, 1)
+_ONE = _rational(1, 1)
 
 
 def _make(lo: int, nums: tuple[int, ...], den: int) -> "LaurentPoly":
@@ -81,9 +180,9 @@ class LaurentPoly:
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rational] = {}
         for exp, val in items:
-            c = _fraction(val)
+            c = Rational(val)
             if c:
                 k = int(exp)
                 acc[k] = acc.get(k, _ZERO) + c
@@ -112,7 +211,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
         """c * z^exponent (the exponent may be negative)."""
-        c = _fraction(coeff)
+        c = Rational(coeff)
         return _make(exponent, (c.numerator,), c.denominator) if c else _ZERO_POLY
 
     # ---------------------------------------------------------------- inspection
@@ -133,19 +232,22 @@ class LaurentPoly:
             raise ValueError("the zero polynomial has no support")
         return self._lo + len(self._num) - 1
 
-    def coeff(self, exponent: int) -> Fraction:
+    def coeff(self, exponent: int) -> Rational:
         """Coefficient of z^exponent (0 if absent)."""
         i = exponent - self._lo
         if 0 <= i < len(self._num) and self._num[i]:
-            return Fraction(self._num[i], self._den)
+            c, den = self._num[i], self._den
+            g = gcd(c, den)
+            return _rational(c // g, den // g)
         return _ZERO
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
+    def items(self) -> Iterator[tuple[int, Rational]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
         den = self._den
         for k, c in enumerate(self._num, self._lo):
             if c:
-                yield k, Fraction(c, den)
+                g = gcd(c, den)
+                yield k, _rational(c // g, den // g)
 
     def __len__(self) -> int:
         return len(self._num) - self._num.count(0)
@@ -238,7 +340,7 @@ class LaurentPoly:
     def __truediv__(self, other) -> "LaurentPoly":
         """Division by a nonzero scalar only; use div_exact for polynomials."""
         if isinstance(other, (int, Fraction)):
-            return self * (_ONE / _fraction(other))
+            return self * (_ONE / other)
         return NotImplemented
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -331,9 +433,9 @@ class LaurentPoly:
 
     # ---------------------------------------------------------------- evaluation
 
-    def evaluate(self, z0: Scalar) -> Fraction:
+    def evaluate(self, z0: Scalar) -> Rational:
         """Exact evaluation at a nonzero rational point."""
-        x = _fraction(z0)
+        x = Rational(z0)
         if not x:
             raise ZeroArgument("Laurent polynomials cannot be evaluated at z = 0")
         total = _ZERO

@@ -30,20 +30,17 @@ The suite reads one per family (``family_moments``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
 from .errors import NonPositive, NotDivisible
-from .laurent import LaurentPoly, _normal
+from .laurent import _ONE, _ZERO, LaurentPoly, Rational, _normal
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-def sigma(p: JacobiParams, n: int) -> Fraction:
+def sigma(p: JacobiParams, n: int) -> Rational:
     """The n-th trigonometric moment of the weight at p, normalized so
     sigma_0 = 1.
 
@@ -66,18 +63,18 @@ def sigma(p: JacobiParams, n: int) -> Fraction:
         rn = 2 * (j - k) * (j + k) * (j * q1 + p1) * q2
         rd = (2 * j + 1) * (j + 1) * (j * q2 + p2) * q1
         num, den = rd * den + rn * num, rd * den
-    return Fraction(num, den)
+    return Rational(num, den)
 
 
 def _check_delta(n: int, pivot: int, den: int) -> None:
     if pivot <= 0:  # Delta_n = pivot / den^n, positive for every genuine weight
-        raise NonPositive(f"Delta_{n} = {Fraction(pivot, den ** n)} <= 0")
+        raise NonPositive(f"Delta_{n} = {Rational(pivot, den ** n)} <= 0")
 
 
 class MomentSeq:
     """The moments of the weight at one parameter point, each computed once.
 
-    ``value(k)`` is sigma_k as a ``Fraction``.  ``integer_view(top)`` is
+    ``value(k)`` is sigma_k as a ``Rational``.  ``integer_view(top)`` is
     sigma_0..sigma_top as integer numerators over one common denominator,
     the lcm of theirs, extended on demand.  It and what ``elimination``
     and ``pairing`` hold only grow, so a MomentSeq can be shared.
@@ -85,14 +82,14 @@ class MomentSeq:
 
     def __init__(self, params: JacobiParams):
         self.params = params
-        self._cache: dict[int, Fraction] = {}
+        self._cache: dict[int, Rational] = {}
         self._nums: tuple[int, ...] = ()
         self._den = 1
         self._rows: list[list[int]] = []
         self._rows_den = 1
         self._pairings: dict[LaurentPoly, tuple[int, list[int], int]] = {}
 
-    def value(self, n: int) -> Fraction:
+    def value(self, n: int) -> Rational:
         k = abs(n)
         if k not in self._cache:
             self._cache[k] = sigma(self.params, k)
@@ -167,7 +164,7 @@ def family_moments(fam: OPUCFamily) -> MomentSeq:
     return MomentSeq(require_params(fam))
 
 
-def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction:
+def toeplitz_delta(ms: MomentSeq, n: int) -> Rational:
     """Delta_n = det[sigma_{k-j}]_{j,k=0..n-1}, with Delta_0 = 1: the pivot
     U[n-1][n-1] of ``ms.elimination(n)`` over den^n.  NonPositive names the
     first of Delta_1..Delta_n that is not positive; no later one is formed.
@@ -178,7 +175,7 @@ def toeplitz_delta(ms: MomentSeq, n: int) -> Fraction:
         return _ONE
     rows, den = ms.elimination(n)
     _check_delta(n, rows[n - 1][0], den)
-    return Fraction(rows[n - 1][0], den ** n)
+    return Rational(rows[n - 1][0], den ** n)
 
 
 def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
@@ -206,14 +203,14 @@ def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
     return _normal(0, x, x[n])
 
 
-def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Fraction:
+def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Rational:
     """<f, g>_w = sum_{j,k} f_j g_k sigma_{j-k} with sigma_0 = 1, exact:
     sum_k g_k <f, z^k>_w, g's integer numerators dotted with f's held
-    ``ms.pairing`` vector, and one ``Fraction``."""
+    ``ms.pairing`` vector, and one ``Rational``."""
     if not f or not g:
         return _ZERO
     start, vec, den = ms.pairing(f, g._lo, g._lo + len(g._num) - 1)
-    return Fraction(sum(map(mul, g._num, vec[g._lo - start:])), g._den * den)
+    return Rational(sum(map(mul, g._num, vec[g._lo - start:])), g._den * den)
 
 
 def _report(fam: OPUCFamily, n_max: int, identity: str, relation: str):

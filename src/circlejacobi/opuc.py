@@ -10,20 +10,20 @@ CMV Laurent functions psi_n obtained by reordering the monomial basis as
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import wraps
 
 from .errors import BadSupport, BadVerblunsky, ParamOutOfRange
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Rational
 
 #: Boundary convention a_k = -1 for every k < 0 (Simon's alpha_{-1} = -1),
 #: read by the recurrence seeds of the real-line map.  An a_k with k <= -2
 #: only ever multiplies 1 + a_{-1} = 0.
-BOUNDARY_A = Fraction(-1)
+BOUNDARY_A = Rational(-1)
 
 
 class JacobiParams(namedtuple("JacobiParams", "alpha beta")):
-    """Exact parameter pair (alpha, beta), each > -1.
+    """Exact parameter pair (alpha, beta), each > -1 and each converted to
+    a ``Rational``, the package's scalar type.
 
     The bound keeps the weight integrable and (with the per-index check
     in :func:`verblunsky`) every Verblunsky coefficient inside (-1, 1).
@@ -33,7 +33,7 @@ class JacobiParams(namedtuple("JacobiParams", "alpha beta")):
     """
 
     def __new__(cls, alpha, beta):
-        alpha, beta = Fraction(alpha), Fraction(beta)
+        alpha, beta = Rational(alpha), Rational(beta)
         if alpha <= -1 or beta <= -1:
             raise ParamOutOfRange(
                 f"need alpha > -1 and beta > -1, got ({alpha}, {beta})"
@@ -44,7 +44,7 @@ class JacobiParams(namedtuple("JacobiParams", "alpha beta")):
         return self
 
 
-def verblunsky(p: JacobiParams, n: int) -> Fraction:
+def verblunsky(p: JacobiParams, n: int) -> Rational:
     """a_n = -(alpha + 1/2 + (-1)^(n+1) (beta + 1/2)) / (n + alpha + beta + 2).
 
     The numerator is s = alpha + beta + 1 for odd n and d = alpha - beta
@@ -70,7 +70,7 @@ def star(f: LaurentPoly, n: int) -> LaurentPoly:
     return f.reflect().shift(n)
 
 
-def szego_advance(phi: LaurentPoly, a: Fraction, n: int) -> LaurentPoly:
+def szego_advance(phi: LaurentPoly, a: Rational, n: int) -> LaurentPoly:
     """One recurrence step: phi_{n+1} = z phi_n - a_n phi_n^*."""
     if phi.is_zero or phi.max_exp != n or phi.coeff(n) != 1:
         raise ValueError(f"phi must be monic of degree {n}")
@@ -129,8 +129,8 @@ class OPUCFamily:
     family tagged with the clean family's params has its own.
     """
 
-    def __init__(self, params: JacobiParams | None, a: tuple[Fraction, ...],
-                 phi: tuple[LaurentPoly, ...], h: tuple[Fraction, ...],
+    def __init__(self, params: JacobiParams | None, a: tuple[Rational, ...],
+                 phi: tuple[LaurentPoly, ...], h: tuple[Rational, ...],
                  psi: tuple[LaurentPoly, ...]) -> None:
         self.params = params
         self.a = a
@@ -197,7 +197,7 @@ def _psi_from_phi(phi: LaurentPoly, n: int) -> LaurentPoly:
 
 
 def family_from_verblunsky(
-    a: list[Fraction] | tuple[Fraction, ...],
+    a: list[Rational] | tuple[Rational, ...],
     params: JacobiParams | None = None,
 ) -> OPUCFamily:
     """Build a family from an explicit coefficient list a_0..a_N.
@@ -207,7 +207,7 @@ def family_from_verblunsky(
     against the supplied coefficients, which lets callers probe how the
     verifications respond to corrupted input.
     """
-    coeffs = tuple(Fraction(v) for v in a)
+    coeffs = tuple(Rational(v) for v in a)
     if not coeffs:
         raise ValueError("need at least a_0")
     for n, v in enumerate(coeffs):
@@ -217,7 +217,7 @@ def family_from_verblunsky(
     phi: list[LaurentPoly] = [LaurentPoly.one()]
     for n in range(top):
         phi.append(szego_advance(phi[n], coeffs[n], n))
-    h: list[Fraction] = [Fraction(1)]
+    h: list[Rational] = [Rational(1)]
     for n in range(top):
         h.append(h[-1] * (1 - coeffs[n] ** 2))
     psi = tuple(_psi_from_phi(phi[n], n) for n in range(top + 1))

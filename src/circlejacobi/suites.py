@@ -10,9 +10,8 @@ swaps those names in their modules (a tracer, a test double) is seen here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import algebra, cmv, dunkl, moments, szego
+from .laurent import Rational
 from .opuc import (
     JacobiParams,
     OPUCFamily,
@@ -24,9 +23,9 @@ from .opuc import (
 from .report import VerificationReport
 
 
-def corrupted_a(p: JacobiParams, k: int) -> Fraction:
+def corrupted_a(p: JacobiParams, k: int) -> Rational:
     """a_k at p after the negative-control shift a_k += 1/100."""
-    return verblunsky(p, k) + Fraction(1, 100)
+    return verblunsky(p, k) + Rational(1, 100)
 
 
 def family(p: JacobiParams, n: int, corrupt_a: int | None = None) -> OPUCFamily:

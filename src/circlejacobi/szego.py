@@ -45,14 +45,11 @@ reflection-invariant: ``algebra.y_eigencheck`` checks their parity
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .laurent import LaurentPoly, Z_MINUS_ZINV
+from .laurent import _ZERO, Z_MINUS_ZINV, LaurentPoly, Rational
 from .opuc import BOUNDARY_A, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
-_ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
+_HALF = Rational(1, 2)
 
 
 # --------------------------------------------------------------------------
@@ -83,7 +80,7 @@ def _d2_terms(f: LaurentPoly) -> list:
 # --------------------------------------------------------------------------
 
 
-def jacobi_b(alpha: Fraction, beta: Fraction, k: int) -> Fraction:
+def jacobi_b(alpha: Rational, beta: Rational, k: int) -> Rational:
     """beta_k of the monic Jacobi recurrence O_{k+1} = (x - beta_k) O_k -
     upsilon_k O_{k-1} at (alpha, beta), rescaled from [-1, 1] to [-2, 2]
     (argument x/2): 2(beta^2 - alpha^2) / ((2k + s)(2k + s + 2)) with
@@ -95,7 +92,7 @@ def jacobi_b(alpha: Fraction, beta: Fraction, k: int) -> Fraction:
     return 2 * (beta**2 - alpha**2) / ((2 * k + s) * (2 * k + s + 2))
 
 
-def jacobi_u(alpha: Fraction, beta: Fraction, k: int) -> Fraction:
+def jacobi_u(alpha: Rational, beta: Rational, k: int) -> Rational:
     """upsilon_k (k >= 1) of the same recurrence:
     16 k (k + alpha)(k + beta)(k + s) / ((2k + s)^2 (2k + s + 1)(2k + s - 1)),
     taken at k = 1 in its cancelled form so s = -1 stays well-defined."""
@@ -160,7 +157,7 @@ def _need_pair(fam: OPUCFamily) -> None:
         raise ValueError("need a family of size >= 3")
 
 
-def _a(fam: OPUCFamily, k: int) -> Fraction:
+def _a(fam: OPUCFamily, k: int) -> Rational:
     """Extended coefficient accessor: a_k = -1 for every k < 0.
 
     An a_k with k <= -2 only ever multiplies 1 + a_{-1} = 0, so the
@@ -168,24 +165,24 @@ def _a(fam: OPUCFamily, k: int) -> Fraction:
     return fam.a[k] if k >= 0 else BOUNDARY_A
 
 
-def u_coeff(fam: OPUCFamily, n: int) -> Fraction:
+def u_coeff(fam: OPUCFamily, n: int) -> Rational:
     """u_n = (1 + a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) > 0 for n >= 1; u_0 = 0."""
     return (1 + _a(fam, 2 * n - 1)) * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
 
 
-def b_coeff(fam: OPUCFamily, n: int) -> Fraction:
+def b_coeff(fam: OPUCFamily, n: int) -> Rational:
     """b_n = a_{2n}(1 - a_{2n-1}) - a_{2n-2}(1 + a_{2n-1}); b_0 = 2 a_0."""
     return _a(fam, 2 * n) * (1 - _a(fam, 2 * n - 1)) - _a(fam, 2 * n - 2) * (
         1 + _a(fam, 2 * n - 1)
     )
 
 
-def ut_coeff(fam: OPUCFamily, n: int) -> Fraction:
+def ut_coeff(fam: OPUCFamily, n: int) -> Rational:
     """u~_n = (1 + a_{2n-1})(1 - a_{2n+1})(1 - a_{2n}^2) > 0 for n >= 1; u~_0 = 0."""
     return (1 + _a(fam, 2 * n - 1)) * (1 - _a(fam, 2 * n + 1)) * (1 - _a(fam, 2 * n) ** 2)
 
 
-def bt_coeff(fam: OPUCFamily, n: int) -> Fraction:
+def bt_coeff(fam: OPUCFamily, n: int) -> Rational:
     """b~_n = a_{2n}(1 - a_{2n+1}) - a_{2n+2}(1 + a_{2n+1})."""
     return _a(fam, 2 * n) * (1 - _a(fam, 2 * n + 1)) - _a(fam, 2 * n + 2) * (
         1 + _a(fam, 2 * n + 1)
@@ -207,7 +204,7 @@ def recurrence_coefficients(fam: OPUCFamily, name: str) -> tuple[tuple, tuple]:
     return tuple(b_of(fam, n) for n in steps), tuple(u_of(fam, n) for n in steps)
 
 
-def _c2(fam: OPUCFamily, n: int) -> Fraction:
+def _c2(fam: OPUCFamily, n: int) -> Rational:
     """2(1 - a_{2n-3})(1 - a_{2n-2}^2), the P_{n-1} weight of C'_n."""
     return 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
 
@@ -276,8 +273,8 @@ def fit_recurrence(chain: list[LaurentPoly] | tuple[LaurentPoly, ...]):
     for n, p in enumerate(chain):
         if p.coeff(n) != 1 or p.max_exp != n:
             raise ValueError(f"chain element {n} is not monic of degree {n}")
-    b: list[Fraction] = []
-    u: list[Fraction] = [_ZERO]
+    b: list[Rational] = []
+    u: list[Rational] = [_ZERO]
     for n in range(len(chain) - 1):
         pn, nxt = chain[n], chain[n + 1]
         bn = pn.coeff(n - 1) - nxt.coeff(n)
@@ -457,7 +454,7 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
-def _oracle_gaps(fam: OPUCFamily, name: str, alpha: Fraction, beta: Fraction) -> list:
+def _oracle_gaps(fam: OPUCFamily, name: str, alpha: Rational, beta: Rational) -> list:
     """D_n = chain_n - O_n for every member of the P chain (name "P") or
     the Q chain ("Q"), with O_n the monic Jacobi polynomial at
     (alpha, beta) on [-2, 2].  O_n obeys O_{n+1} = (x - beta_n) O_n -
@@ -530,7 +527,7 @@ def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     al, be = p.alpha, p.beta
     sigma, delta = al + be + 2, 2 * (al - be)
 
-    def mu(n: int) -> Fraction:
+    def mu(n: int) -> Rational:
         return n + al + be + 1
 
     def raise_terms(f: LaurentPoly) -> list:

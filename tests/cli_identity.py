@@ -78,6 +78,12 @@ def _invocations() -> list[list[str]]:
              ["verify", *OFF_GRID, "--n", "160", "--suite", "all", *bench]]
     runs += [["verify", *OFF_GRID, "--n", "80", "--corrupt-a", "2", "--suite", suite, *bench]
              for suite in ("bispectral", "cmv", "algebra", "szego")]
+    # and the benchmark's traffic in every format
+    runs += [["verify", *OFF_GRID, "--n", "160", "--suite", "all", "--format", fmt]
+             for fmt in FORMATS]
+    runs += [["verify", *OFF_GRID, "--n", "80", "--corrupt-a", "1", "--suite", suite,
+              "--format", fmt] for suite in ("bispectral", "cmv", "algebra", "szego")
+             for fmt in FORMATS]
     # the smallest families and CMV matrices
     runs += [["spectrum", *OFF_GRID, "--n", str(n), "--matrix", "c"] for n in (1, 2)]
     runs += [["gen", *OFF_GRID, "--n", str(n), "--format", fmt] for n in (1, 2) for fmt in FORMATS]

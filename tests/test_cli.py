@@ -897,3 +897,23 @@ class TestEntryPoint:
         [central] = [r for r in doc["suite_results"] if r["identity"] == "central-extension"]
         assert central["failures"] == [{"label": "matrix rows match functional action on psi",
                                         "status": "fail", "detail": "rows [2, 3, 4, 5]"}]
+
+
+class TestComplexity:
+    def test_verify_runs_no_plain_fraction_arithmetic(self, monkeypatch, capsys):
+        # every scalar the package hands out is a laurent.Rational, whose
+        # operators skip the generic dispatch of fractions.Fraction; one
+        # plain Fraction in a hot path shows up here as Fraction calls
+        calls = [0]
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__"):
+            def counted(*args, _orig=getattr(Fraction, name)):
+                calls[0] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        for points in (["--alpha", "3/7", "--beta", "-2/5"],
+                       ["--grid-file", str(GOLDEN / "grid.json")]):
+            assert main(["verify", *points, "--n", "16", "--suite", "all"]) == 0
+        capsys.readouterr()
+        assert calls[0] == 0, calls[0]

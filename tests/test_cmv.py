@@ -18,7 +18,7 @@ from circlejacobi.cmv import (
     verify_reflection_rows,
 )
 from circlejacobi.errors import BadVerblunsky
-from circlejacobi.laurent import LaurentPoly
+from circlejacobi.laurent import LaurentPoly, Rational
 from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 
 from conftest import GRID, verblunsky_lists
@@ -165,7 +165,7 @@ class TestReferenceModel:
         assert list(op.entries()) == [
             (i, j, v) for i, row in enumerate(want) for j, v in enumerate(row) if v
         ]
-        assert all(type(v) is Fraction for _, _, v in op.entries())
+        assert all(type(v) is Rational for _, _, v in op.entries())
 
     @pytest.mark.parametrize("seed", range(40))
     def test_operations_match_dense_lists(self, seed):

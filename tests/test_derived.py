@@ -26,7 +26,7 @@ from circlejacobi import algebra, cmv, dunkl, suites, szego
 from circlejacobi.cmv import BandedOperator
 from circlejacobi.dunkl import apply_k, lambda_n
 from circlejacobi.errors import NotDivisible
-from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV, Z_PLUS_ZINV
+from circlejacobi.laurent import LaurentPoly, Rational, Z_MINUS_ZINV, Z_PLUS_ZINV
 from circlejacobi.opuc import (
     JacobiParams,
     OPUCFamily,
@@ -1050,7 +1050,7 @@ class TestVerblunskyClosedForm:
         p = JacobiParams(alpha, beta)
         for n in range(201):
             a = verblunsky(p, n)
-            assert type(a) is Fraction and a == paper_verblunsky(alpha, beta, n), n
+            assert type(a) is Rational and a == paper_verblunsky(alpha, beta, n), n
 
     def test_guards(self):
         with pytest.raises(ValueError, match="Verblunsky index must be >= 0"):

@@ -1,5 +1,6 @@
 """Exact Laurent arithmetic: frozen examples and algebraic properties."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -10,6 +11,7 @@ from circlejacobi.errors import NotDivisible, ZeroArgument
 from circlejacobi.laurent import (
     LaurentPoly,
     ONE_MINUS_Z2,
+    Rational,
     Z,
     Z_MINUS_ZINV,
     Z_PLUS_ZINV,
@@ -405,3 +407,89 @@ class TestText:
         assert LaurentPoly({1: 1, -1: -1}).text() == "-z^-1 + z"
         assert LaurentPoly({0: -2, 2: 1}).text() == "-2 + z^2"
         assert str(Z) == "z"
+
+
+# Operands of the Rational tests: 0, +-1, small and about 600-bit ints, as
+# an int, a Fraction or a Rational.
+BIG = st.integers(2**599, 2**600) | st.integers(-(2**600), -(2**599))
+INTS = st.sampled_from((0, 1, -1)) | st.integers(-9, 9) | BIG
+NONZERO = INTS.filter(bool)
+RATIONALS = st.builds(Rational, INTS, NONZERO)
+OPERANDS = INTS | st.builds(F, INTS, NONZERO) | RATIONALS
+SMALL = st.builds(Rational, st.integers(-50, 50), st.integers(1, 50))
+
+
+def assert_reduced(v) -> None:
+    assert type(v) is Rational
+    assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+class TestRational:
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+    @given(RATIONALS, OPERANDS)
+    def test_binary_operators_match_fraction(self, op, r, x):
+        if op is operator.truediv and x == 0:
+            with pytest.raises(ZeroDivisionError):
+                op(r, x)
+            return
+        got = op(r, x)
+        assert got == op(F(r), F(x))
+        assert_reduced(got)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @given(RATIONALS, OPERANDS)
+    def test_reflected_operators_match_fraction(self, op, r, x):
+        got = op(x, r)
+        assert got == op(F(x), F(r))
+        assert_reduced(got)
+
+    @given(RATIONALS, st.integers(-5, 5))
+    def test_negation_and_int_powers(self, r, k):
+        assert -r == -F(r)
+        assert_reduced(-r)
+        if r == 0 and k < 0:
+            with pytest.raises(ZeroDivisionError):
+                r ** k
+            return
+        assert r ** k == F(r) ** k
+        assert_reduced(r ** k)
+
+    @given(RATIONALS)
+    def test_division_by_zero_raises(self, r):
+        for zero in (0, F(0), Rational(0)):
+            with pytest.raises(ZeroDivisionError):
+                r / zero
+
+    @given(RATIONALS, OPERANDS)
+    def test_comparisons_match_fraction(self, r, x):
+        f = F(r)
+        for op in (operator.eq, operator.lt, operator.gt, operator.le):
+            assert op(r, x) == op(f, x) and op(x, r) == op(x, f)
+
+    @given(RATIONALS)
+    def test_hash_str_and_identity(self, r):
+        f = F(r)
+        assert r == f and hash(r) == hash(f) and str(r) == str(f)
+        if r.denominator == 1:
+            assert r == r.numerator and hash(r) == hash(r.numerator)
+        assert Rational(r) is r
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv, operator.pow])
+    @given(SMALL, st.floats(-100, 100).filter(bool))
+    def test_float_operands_give_fractions_result(self, op, r, x):
+        def outcome(a, b):
+            try:
+                return op(a, b)
+            except (ZeroDivisionError, OverflowError) as exc:
+                return type(exc)
+
+        for got, want in ((outcome(r, x), outcome(F(r), x)), (outcome(x, r), outcome(x, F(r)))):
+            assert type(got) is type(want) and got == want
+
+    @given(laurents())
+    def test_polynomials_hand_out_rationals(self, f):
+        for k, c in f.items():
+            assert_reduced(c)
+            assert f.coeff(k) == c and type(f.coeff(k)) is Rational
+        assert type(f.coeff(99)) is Rational and type(f(F(3, 2))) is Rational
