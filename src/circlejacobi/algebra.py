@@ -28,7 +28,7 @@ from __future__ import annotations
 from .cmv import BandedOperator, family_operators
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate
-from .laurent import _ZERO_POLY, LaurentPoly, Rational
+from .laurent import _ZERO, _ZERO_POLY, LaurentPoly, Rational
 from .opuc import (JacobiParams, OPUCFamily, family_params, per_family, require_params,
                    verblunsky)
 from .report import VerificationReport
@@ -68,7 +68,7 @@ def derive_representation(alpha, beta, n_max: int):
     Returns (lam, a), two tuples of Fractions of length n_max + 1.
     """
     m1_rel, m2_rel = relation_constants(alpha, beta)
-    lam: list[Rational] = [Rational(0)]
+    lam: list[Rational] = [_ZERO]
     a: list[Rational] = []
     for n in range(n_max + 1):
         # rows (n, n+1) hold the block of M2 (n even) or M1 (n odd), with
@@ -419,13 +419,15 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
     # the matrix rows reproduce the functional action on the psi basis
     top = min(fam.size - 1, m1.product_valid_rows(m2), m2.product_valid_rows(m1))
-    m1_psi, m2_psi = ([m.apply_row(j, fam.psi) for j in range(top + 1)] for m in (m1, m2))
-    bad = [
-        n
-        for n in range(top)
-        if lc([*m1.row_terms(n, m2_psi), *m2.row_terms(n, m1_psi)]) != lc(_x_terms(fam.psi[n]))
-        or lc(_y_psi_terms(fam, n))
-    ]
+    m1_psi, m2_psi = ([lc(*m.row_parts(j, fam.psi)) for j in range(top + 1)] for m in (m1, m2))
+
+    def x_psi_misses(n: int) -> LaurentPoly:
+        """(row n of X on psi - x psi_n) times the two rows' denominators."""
+        t1, d1 = m1.row_parts(n, m2_psi)
+        t2, d2 = m2.row_parts(n, m1_psi, d1)
+        return lc([*((d2 * c, f) for c, f in t1), *t2, *_x_terms(fam.psi[n], -d1 * d2)])
+
+    bad = [n for n in range(top) if x_psi_misses(n) or lc(_y_psi_terms(fam, n))]
     rep.add(
         "matrix rows match functional action on psi",
         not bad,
@@ -442,7 +444,7 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 def big_lambda(p: JacobiParams, n: int) -> Rational:
     """Y-eigenvalue of psi_n: pairs to m(alpha+beta+m+1), m = ceil(n/2)."""
     m = (n + 1) // 2
-    return m * (p.alpha + p.beta + m + 1)
+    return m * (p.s + m)
 
 
 def _y_pair_residual(fam: OPUCFamily, n: int, sign: int, f_terms: list,

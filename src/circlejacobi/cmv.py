@@ -114,15 +114,16 @@ class BandedOperator:
         ``LaurentPoly.lincomb`` over the stored rows of other that row i
         reaches, formed only when it reaches one: a factor that stores no
         row leaves nothing to form, and a diagonal factor costs one term
-        per row.  The bandwidths add; ``product_valid_rows`` gives the
-        valid rows."""
+        per row.  The scalars are row i's integer numerators and its
+        denominator is applied once, as lincomb's ``den``.  The bandwidths
+        add; ``product_valid_rows`` gives the valid rows."""
         self._check_size(other)
         stored = other.rows
         rows = {}
         for i, row in self.rows.items():
-            terms = [(v, stored[j]) for j, v in row.items() if j in stored]
+            terms = [(c, stored[j]) for j, c in enumerate(row._num, row._lo) if c and j in stored]
             if terms:
-                rows[i] = LaurentPoly.lincomb(terms)
+                rows[i] = LaurentPoly.lincomb(terms, row._den)
         return BandedOperator(
             self.size, rows, self.bandwidth + other.bandwidth, self.product_valid_rows(other)
         )
@@ -134,19 +135,15 @@ class BandedOperator:
 
     # ------------------------------------------------------------- actions
 
-    def row_terms(
-        self, i: int, vectors: Sequence[LaurentPoly], sign: int = 1
-    ) -> list[tuple[Rational, LaurentPoly]]:
-        """The pairs (sign * M[i, j], vectors[j]) of row i, as terms of
-        ``LaurentPoly.lincomb``."""
-        row = self.rows.get(i, _ZERO_POLY).items()
-        if sign < 0:
-            return [(-v, vectors[j]) for j, v in row]
-        return [(v, vectors[j]) for j, v in row]
-
-    def apply_row(self, i: int, vectors: Sequence[LaurentPoly]) -> LaurentPoly:
-        """sum_j M[i, j] * vectors[j], normalized once."""
-        return LaurentPoly.lincomb(self.row_terms(i, vectors))
+    def row_parts(
+        self, i: int, vectors: Sequence[LaurentPoly], scale: int = 1
+    ) -> tuple[list[tuple[int, LaurentPoly]], int]:
+        """(terms, den) with ``LaurentPoly.lincomb(terms, den)`` equal to
+        scale * sum_j M[i, j] * vectors[j]: terms pairs scale times each
+        nonzero integer numerator of row i with its vector, and den is the
+        row's denominator."""
+        row = self.rows.get(i, _ZERO_POLY)
+        return [(scale * c, vectors[j]) for j, c in enumerate(row._num, row._lo) if c], row._den
 
     def to_float(self) -> np.ndarray:
         import numpy as np  # only the float spectrum needs numpy
@@ -231,12 +228,15 @@ def reflection_residuals(fam: OPUCFamily) -> tuple[list[LaurentPoly], list[Laure
     and B_n = z psi_n(1/z) - (M2 psi)_n on the valid rows of M2, built
     once per family."""
     m1, m2 = family_operators(fam, fam.size + 1)
-    psi, lc = fam.psi, LaurentPoly.lincomb
+    psi = fam.psi
+
+    def residual(m: BandedOperator, n: int, image: LaurentPoly) -> LaurentPoly:
+        terms, den = m.row_parts(n, psi, -1)
+        return LaurentPoly.lincomb([(den, image), *terms], den)
+
     return (
-        [lc([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
-         for n in range(m1.valid_rows)],
-        [lc([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
-         for n in range(m2.valid_rows)],
+        [residual(m1, n, psi[n].reflect()) for n in range(m1.valid_rows)],
+        [residual(m2, n, psi[n].reflect().shift(1)) for n in range(m2.valid_rows)],
     )
 
 
@@ -295,8 +295,8 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
         else:
             rep.skip(f"pencil row {n} (boundary)")
         if n < c_rows:
-            res = lc([(-1, res_m1[n].reflect().shift(1)), *m1.row_terms(n, res_m2, -1)])
-            rep.residual(f"C row {n}", res)
+            terms, den = m1.row_parts(n, res_m2, -1)
+            rep.residual(f"C row {n}", lc([(-den, res_m1[n].reflect().shift(1)), *terms], den))
         else:
             rep.skip(f"C row {n} (boundary)")
     return rep

@@ -19,27 +19,28 @@ independent oracles.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, count
 from math import lcm
 
 from .errors import NotDivisible
-from .laurent import LaurentPoly, Rational, _normal
+from .laurent import LaurentPoly, Rational, _normal, _rational
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
 
-def apply_k(f: LaurentPoly, p: JacobiParams) -> LaurentPoly:
-    """Apply K at parameters p in one pass over f's integer parts.
+def apply_k(f: LaurentPoly, p: JacobiParams, lam: Rational | int = 0) -> LaurentPoly:
+    """K f - lam f at parameters p, in one pass over f's integer parts.
 
     With f = sum c_k z^k over its denominator, padded to exponents
     -m..m, the reflected difference r_k = c_{-k} - c_k is multiplied by
     S z^2 + D z, where S/E = alpha + beta + 1 and D/E = alpha - beta
     share the denominator E.  Division by 1 - z^2 is the running sum
-    q_k = numer_k + q_{k-2}, taken separately over even and odd k.
-    E k c_k (theta f) is added and the sum is normalized once over E
-    times f's denominator.  r vanishes at z = +-1, so the division is
-    exact; should the two top partial sums not vanish, NotDivisible is
-    raised and no remainder is ever discarded.
+    q_k = numer_k + q_{k-2}, taken separately over even and odd k.  For
+    lam = ln/ld, S and D are taken ld times, so out_k = E (ld k - ln) c_k
+    + ld q_k, E k c_k (theta f) less ln E c_k, is normalized once over
+    E ld times f's denominator; lam = 0 gives K f itself.  r vanishes at
+    z = +-1, so the division is exact; should the two top partial sums
+    not vanish, NotDivisible is raised and no remainder is ever discarded.
     """
     nums = f._num
     if not nums:
@@ -50,37 +51,37 @@ def apply_k(f: LaurentPoly, p: JacobiParams) -> LaurentPoly:
     c = [0] * (lo + m) + list(nums) + [0] * (m - hi)
     r = [a - b for a, b in zip(reversed(c), c)]
     s, d = p.s, p.d
-    e = lcm(s.denominator, d.denominator)
-    big_s, big_d = s.numerator * (e // s.denominator), d.numerator * (e // d.denominator)
-    # numer_k = S r_{k-2} + D r_{k-1} on exponents -m..m+2
+    ln, ld = lam.as_integer_ratio()
+    e = lcm(s._denominator, d._denominator)
+    big_s, big_d = s._numerator * e // s._denominator * ld, d._numerator * e // d._denominator * ld
+    # numer_k = ld (S r_{k-2} + D r_{k-1}) on exponents -m..m+2
     numer = [big_s * a + big_d * b for a, b in zip([0, 0, *r], [0, *r, 0])]
     q = numer[:]
     q[0::2] = accumulate(numer[0::2])
     q[1::2] = accumulate(numer[1::2])
     if q[-1] or q[-2]:
         raise NotDivisible(f"(1 - z^2) does not divide the K numerator of ({f.text()}) exactly")
-    out = [ek * a + b for ek, a, b in zip(range(-m * e, m * e + 1, e), c, q)]
-    return _normal(-m, out, f._den * e)
+    step = e * ld  # the weight E (ld k - ln) of c_k, from k = -m on
+    out = [w * a + b for w, a, b in zip(count(-e * (m * ld + ln), step), c, q)]
+    return _normal(-m, out, f._den * step)
 
 
 @per_family("K")
 def k_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
-    """r_n = K psi_n - lambda_n psi_n at the family's parameters.
-
-    Built once per family: the bispectral check reports it, and the Y
-    eigencheck and the central extension form Y psi_n out of it, since
-    K psi_n = lambda_n psi_n + r_n."""
-    p, psi = fam.params, fam.psi[n]
-    return LaurentPoly.lincomb([(1, apply_k(psi, p)), (-lambda_n(p, n), psi)])
+    """r_n = K psi_n - lambda_n psi_n at the family's parameters, in one
+    ``apply_k`` pass.  Built once per family: the bispectral check
+    reports it, and the Y eigencheck and the central extension form
+    Y psi_n out of it, since K psi_n = lambda_n psi_n + r_n."""
+    return apply_k(fam.psi[n], fam.params, lambda_n(fam.params, n))
 
 
 def lambda_n(p: JacobiParams, n: int) -> Rational:
-    """Eigenvalue of K on psi_n."""
+    """Eigenvalue of K on psi_n: -n/2 for even n, (n+1)/2 + s for odd n."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if n % 2 == 0:
-        return Rational(-n, 2)
-    return Rational(n + 1, 2) + p.s
+        return _rational(-(n // 2), 1)
+    return p.s + (n + 1) // 2
 
 
 def verify_bispectral(fam: OPUCFamily) -> VerificationReport:

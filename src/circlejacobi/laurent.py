@@ -16,18 +16,19 @@ of ``fractions``).  Instances are immutable: arithmetic always returns
 new objects.
 
 An identity residual is a short linear combination sum c_j f_j with
-rational scalars.  ``LaurentPoly.lincomb`` forms it in one pass: every
-term is brought over one common denominator, the integer numerators are
-summed in one dense list, and the result is normalized once, so a zero
-residual costs no gcd at all.  Multiplying by a small fixed polynomial
-such as z - 1/z or z + 1/z becomes shifted terms, since ``shift`` and
-``reflect`` are O(1).  ``+``, ``-`` and ``*`` normalize after each step.
+rational scalars.  ``LaurentPoly.lincomb`` forms it in one walk over the
+terms' integer parts: one common denominator (an lcm only if they differ),
+one dense list of numerators and one normalization, so a zero residual
+costs no gcd.  Multiplying by a fixed polynomial such as z - 1/z becomes
+shifted terms, since ``shift`` and ``reflect`` are O(1).  ``+``, ``-``
+and ``*`` normalize after each step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, index, sub
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import NotDivisible, ZeroArgument
@@ -40,6 +41,12 @@ def _rational(n: int, d: int) -> "Rational":
     r = _new(Rational)
     r._numerator, r._denominator = n, d
     return r
+
+
+def _reduced(n: int, d: int) -> "Rational":
+    """n/d in lowest terms, for ints n and d > 0."""
+    g = gcd(n, d)
+    return _rational(n // g, d // g)
 
 
 def _parts(x) -> "tuple[int, int] | None":
@@ -210,9 +217,10 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
-        """c * z^exponent (the exponent may be negative)."""
-        c = Rational(coeff)
-        return _make(exponent, (c.numerator,), c.denominator) if c else _ZERO_POLY
+        """c * z^exponent (the exponent may be negative); an int c is
+        stored as it is, any other c read through ``Rational``."""
+        n, d = (coeff, 1) if type(coeff) is int else Rational(coeff).as_integer_ratio()
+        return _make(exponent, (n,), d) if n else _ZERO_POLY
 
     # ---------------------------------------------------------------- inspection
 
@@ -276,24 +284,52 @@ class LaurentPoly:
     # ---------------------------------------------------------------- ring operations
 
     @staticmethod
-    def lincomb(terms: Iterable[tuple[int | Fraction, "LaurentPoly"]]) -> "LaurentPoly":
-        """sum(c * f for c, f in terms), with int or Fraction scalars c.
+    def lincomb(
+        terms: Iterable[tuple[int | Fraction, "LaurentPoly"]], den: int = 1
+    ) -> "LaurentPoly":
+        """sum(c * f for c, f in terms) / den, with int or Fraction scalars c.
 
-        The terms share one common denominator, the lcm of their distinct
-        denominators; their integer numerators are summed in one dense
-        list, which is normalized once.
+        One walk over the terms reads each scalar's integer parts (c over 1
+        for an int), drops zero scalars and zero polynomials, and collects
+        the support and the distinct denominators, whose lcm is taken only
+        when there are two or more.  The integer numerators are summed in
+        one dense list, a multiplier of 1 or -1 as a plain add or subtract,
+        and normalized once.  ``den`` serves the banded row products, whose
+        scalars are a row's integer numerators over its one denominator.
         """
-        live = [(c.numerator, c.denominator * f._den, f) for c, f in terms if c and f._num]
+        live, dens, lo, hi = [], set(), 0, 0
+        for c, f in terms:
+            t, nums = type(c), f._num
+            if t is int:
+                p, q = c, 1
+            elif t is Rational or isinstance(c, Fraction):
+                p, q = c._numerator, c._denominator
+            else:
+                p, q = index(c), 1
+            if p and nums:
+                flo, q = f._lo, q * f._den
+                if flo < lo or not live:
+                    lo = flo
+                if flo + len(nums) > hi or not live:
+                    hi = flo + len(nums)
+                dens.add(q)
+                live.append((p, q, flo, nums))
         if not live:
             return _ZERO_POLY
-        den = lcm(*{d for _, d, _ in live})
-        lo = min(f._lo for _, _, f in live)
-        out = [0] * (max(f._lo + len(f._num) for _, _, f in live) - lo)
-        for p, d, f in live:
-            m = p if d == den else p * (den // d)
-            i, nums = f._lo - lo, f._num
-            out[i:i + len(nums)] = [x + m * y for x, y in zip(out[i:i + len(nums)], nums)]
-        return _normal(lo, out, den)
+        common = dens.pop() if len(dens) == 1 else lcm(*dens)
+        out = [0] * (hi - lo)
+        for p, q, i, nums in live:
+            if q != common:
+                p *= common // q
+            i -= lo
+            j = i + len(nums)
+            if p == 1:
+                out[i:j] = map(add, out[i:j], nums)
+            elif p == -1:
+                out[i:j] = map(sub, out[i:j], nums)
+            else:
+                out[i:j] = [x + p * y for x, y in zip(out[i:j], nums)]
+        return _normal(lo, out, common * den)
 
     def __add__(self, other) -> "LaurentPoly":
         o = self._coerce(other)

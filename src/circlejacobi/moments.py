@@ -34,7 +34,7 @@ from math import lcm
 from operator import mul
 
 from .errors import NonPositive, NotDivisible
-from .laurent import _ONE, _ZERO, LaurentPoly, Rational, _normal
+from .laurent import _ONE, _ZERO, LaurentPoly, Rational, _normal, _reduced
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
@@ -63,7 +63,7 @@ def sigma(p: JacobiParams, n: int) -> Rational:
         rn = 2 * (j - k) * (j + k) * (j * q1 + p1) * q2
         rd = (2 * j + 1) * (j + 1) * (j * q2 + p2) * q1
         num, den = rd * den + rn * num, rd * den
-    return Rational(num, den)
+    return _reduced(num, den)
 
 
 def _check_delta(n: int, pivot: int, den: int) -> None:
@@ -175,7 +175,7 @@ def toeplitz_delta(ms: MomentSeq, n: int) -> Rational:
         return _ONE
     rows, den = ms.elimination(n)
     _check_delta(n, rows[n - 1][0], den)
-    return Rational(rows[n - 1][0], den ** n)
+    return _reduced(rows[n - 1][0], den ** n)
 
 
 def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
@@ -210,7 +210,7 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Rational:
     if not f or not g:
         return _ZERO
     start, vec, den = ms.pairing(f, g._lo, g._lo + len(g._num) - 1)
-    return Rational(sum(map(mul, g._num, vec[g._lo - start:])), g._den * den)
+    return _reduced(sum(map(mul, g._num, vec[g._lo - start:])), g._den * den)
 
 
 def _report(fam: OPUCFamily, n_max: int, identity: str, relation: str):

@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import wraps
 
 from .errors import BadSupport, BadVerblunsky, ParamOutOfRange
-from .laurent import LaurentPoly, Rational
+from .laurent import _ONE, LaurentPoly, Rational
 
 #: Boundary convention a_k = -1 for every k < 0 (Simon's alpha_{-1} = -1),
 #: read by the recurrence seeds of the real-line map.  An a_k with k <= -2
@@ -217,7 +217,7 @@ def family_from_verblunsky(
     phi: list[LaurentPoly] = [LaurentPoly.one()]
     for n in range(top):
         phi.append(szego_advance(phi[n], coeffs[n], n))
-    h: list[Rational] = [Rational(1)]
+    h: list[Rational] = [_ONE]
     for n in range(top):
         h.append(h[-1] * (1 - coeffs[n] ** 2))
     psi = tuple(_psi_from_phi(phi[n], n) for n in range(top + 1))

@@ -8,7 +8,8 @@ Verblunsky coefficients, phi_n, the eigenvalues of K, K itself and the
 moments have closed forms that share no code with the general formulas
 of the package, so the tests check those formulas against them.  Also
 here: the chi ordering and its inverse, the support of a Laurent
-polynomial, and the symmetry of K in the weighted inner product.
+polynomial, a banded row applied to vectors through its reduced entries,
+and the symmetry of K in the weighted inner product.
 """
 
 from fractions import Fraction
@@ -74,6 +75,18 @@ def lebesgue_sigma(n: int) -> Fraction:
 def support(f: LaurentPoly) -> tuple[int, ...]:
     """Exponents carrying a nonzero coefficient, ascending."""
     return tuple(k for k, _ in f.items())
+
+
+def row_terms(op, i: int, vectors, sign: int = 1) -> list:
+    """The pairs (sign * M[i, j], vectors[j]) of row i of the
+    ``BandedOperator`` op, its entries read one by one as reduced
+    scalars through ``items()``, as terms of ``LaurentPoly.lincomb``."""
+    return [(sign * v, vectors[j]) for j, v in op.rows.get(i, LaurentPoly.zero()).items()]
+
+
+def apply_row(op, i: int, vectors) -> LaurentPoly:
+    """sum_j M[i, j] * vectors[j] for row i of the ``BandedOperator`` op."""
+    return LaurentPoly.lincomb(row_terms(op, i, vectors))
 
 
 def chi_basis(n: int) -> LaurentPoly:

@@ -31,6 +31,9 @@ GRID_FILE = str(Path(__file__).resolve().parent / "golden" / "grid.json")
 OFF_GRID = ["--alpha", "3/7", "--beta", "-2/5"]
 FORMATS = ("text", "json", "csv")
 OUT = "{out}"  # replaced by a temporary file of each tree's own
+# the benchmark's off-grid points other than OFF_GRID
+BENCH_POINTS = (("5/7", "-2/5"), ("-2/7", "3/5"), ("10/7", "-1/5"), ("4/7", "2/5"),
+                ("5/7", "2/5"), ("9/7", "2/5"), ("3/7", "1/5"))
 
 
 def _invocations() -> list[list[str]]:
@@ -78,6 +81,12 @@ def _invocations() -> list[list[str]]:
              ["verify", *OFF_GRID, "--n", "160", "--suite", "all", *bench]]
     runs += [["verify", *OFF_GRID, "--n", "80", "--corrupt-a", "2", "--suite", suite, *bench]
              for suite in ("bispectral", "cmv", "algebra", "szego")]
+    # the benchmark's other off-grid points, whose denominators 7 and 5
+    # meet other prime factors in the integer kernels
+    runs += [["verify", "--alpha", a, "--beta", b, "--n", "160", "--suite", "all", *bench]
+             for a, b in BENCH_POINTS]
+    runs += [["verify", "--alpha", a, "--beta", b, "--n", "80", "--corrupt-a", "3", "--suite",
+              "algebra", *bench] for a, b in (("10/7", "-1/5"), ("-2/7", "3/5"))]
     # and the benchmark's traffic in every format
     runs += [["verify", *OFF_GRID, "--n", "160", "--suite", "all", "--format", fmt]
              for fmt in FORMATS]

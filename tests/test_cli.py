@@ -899,11 +899,34 @@ class TestEntryPoint:
                                         "status": "fail", "detail": "rows [2, 3, 4, 5]"}]
 
 
+def _called_from(code, frame) -> bool:
+    """Whether code runs in frame or in a comprehension frame right under it."""
+    return frame.f_code is code or (
+        frame.f_code.co_name.startswith("<") and frame.f_back.f_code is code)
+
+
+def _on_stack(code) -> bool:
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code is not code:
+        frame = frame.f_back
+    return frame is not None
+
+
 class TestComplexity:
+    @staticmethod
+    def _verify_two_points(capsys) -> None:
+        for points in (["--alpha", "3/7", "--beta", "-2/5"],
+                       ["--grid-file", str(GOLDEN / "grid.json")]):
+            assert main(["verify", *points, "--n", "16", "--suite", "all"]) == 0
+        capsys.readouterr()
+
     def test_verify_runs_no_plain_fraction_arithmetic(self, monkeypatch, capsys):
         # every scalar the package hands out is a laurent.Rational, whose
         # operators skip the generic dispatch of fractions.Fraction; one
-        # plain Fraction in a hot path shows up here as Fraction calls
+        # plain Fraction in a hot path shows up here as Fraction calls.
+        # Every scalar is built from reduced integer parts, so
+        # Fraction.__new__, which parses and reduces, runs only where the
+        # CLI parses alpha and beta: at (3/7, -2/5) and the six grid points
         calls = [0]
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                      "__truediv__", "__rtruediv__"):
@@ -912,8 +935,38 @@ class TestComplexity:
                 return _orig(*args)
 
             monkeypatch.setattr(Fraction, name, counted)
-        for points in (["--alpha", "3/7", "--beta", "-2/5"],
-                       ["--grid-file", str(GOLDEN / "grid.json")]):
-            assert main(["verify", *points, "--n", "16", "--suite", "all"]) == 0
-        capsys.readouterr()
+        made = []
+
+        def new(cls, *args, _orig=Fraction.__new__):
+            made.append(_on_stack(rational.__code__))
+            return _orig(cls, *args)
+
+        monkeypatch.setattr(Fraction, "__new__", new)
+        self._verify_two_points(capsys)
         assert calls[0] == 0, calls[0]
+        assert made == [True] * (2 + 2 * 6), (len(made), made.count(True))
+
+    def test_residuals_read_no_fraction_properties(self, monkeypatch, capsys):
+        # LaurentPoly.lincomb reads a scalar's stored parts and @ a row's
+        # integer numerators, so neither calls the Python-level __bool__,
+        # numerator or denominator of fractions.Fraction
+        from circlejacobi.cmv import BandedOperator
+        from circlejacobi.laurent import LaurentPoly
+
+        kernels = (LaurentPoly.lincomb.__code__, BandedOperator.__matmul__.__code__)
+        reads = {}
+
+        def counting(name, read):
+            def counted(self):
+                frame = sys._getframe(1)
+                if any(_called_from(code, frame) for code in kernels):
+                    reads[name] = reads.get(name, 0) + 1
+                return read(self)
+            return counted
+
+        monkeypatch.setattr(Fraction, "__bool__", counting("__bool__", Fraction.__bool__))
+        for name in ("numerator", "denominator"):
+            read = getattr(Fraction, name).fget
+            monkeypatch.setattr(Fraction, name, property(counting(name, read)))
+        self._verify_two_points(capsys)
+        assert reads == {}

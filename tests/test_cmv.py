@@ -21,6 +21,7 @@ from circlejacobi.errors import BadVerblunsky
 from circlejacobi.laurent import LaurentPoly, Rational
 from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 
+from circle_oracle import apply_row
 from conftest import GRID, verblunsky_lists
 
 F = Fraction
@@ -128,8 +129,11 @@ class TestOperatorAlgebra:
     def test_apply_row(self):
         m2 = build_m2(SM, 3)
         vecs = [LaurentPoly.one(), LaurentPoly({1: 1}), LaurentPoly({-1: 1})]
-        out = m2.apply_row(0, vecs)  # -1/2 * 1 + 1 * z
+        terms, den = m2.row_parts(0, vecs)  # (-1 * 1 + 2 * z) / 2
+        assert (terms, den) == ([(-1, vecs[0]), (2, vecs[1])], 2)
+        out = LaurentPoly.lincomb(terms, den)  # -1/2 * 1 + 1 * z
         assert out == LaurentPoly({0: F(-1, 2), 1: 1})
+        assert LaurentPoly.lincomb(*m2.row_parts(0, vecs, -3)) == out * -3
 
 
 def _random_dense(rng: random.Random, size: int) -> list[list[Fraction]]:
@@ -267,7 +271,7 @@ class TestReflectionBlocksShortestList:
 def _general_product(a: BandedOperator, b: BandedOperator) -> BandedOperator:
     """a @ b by the general rule: row i of a applied to the rows of b."""
     right = [b.rows.get(k, LaurentPoly.zero()) for k in range(b.size)]
-    rows = {i: a.apply_row(i, right) for i in a.rows}
+    rows = {i: apply_row(a, i, right) for i in a.rows}
     valid = max(min(a.valid_rows, b.valid_rows - a.bandwidth), 0)
     return BandedOperator(a.size, rows, a.bandwidth + b.bandwidth, valid)
 

@@ -37,7 +37,7 @@ from circlejacobi.opuc import (
 from circlejacobi.report import Check
 from circlejacobi.szego import build_p, build_q, p_top, q_top
 from algebra_oracle import build_xy_matrix
-from circle_oracle import support
+from circle_oracle import apply_row, row_terms, support
 from classical_oracle import classical_jacobi_chain
 from conftest import GRID
 
@@ -83,8 +83,8 @@ def direct_tie_in(fam, matrix_size):
     x, y = build_xy_matrix(p, matrix_size)
     top = min(fam.size + 1 - x.bandwidth, x.valid_rows, y.valid_rows)
     bad = [n for n in range(top)
-           if x.apply_row(n, fam.psi) != Z_PLUS_ZINV * fam.psi[n]
-           or y.apply_row(n, fam.psi) != lc(_y_direct(fam.psi[n], p))]
+           if apply_row(x, n, fam.psi) != Z_PLUS_ZINV * fam.psi[n]
+           or apply_row(y, n, fam.psi) != lc(_y_direct(fam.psi[n], p))]
     return Check("matrix rows match functional action on psi", not bad,
                  f"rows {bad[:4]}" if bad else f"{top} rows agree")
 
@@ -184,9 +184,9 @@ def direct_reflection(fam):
     m1, m2 = cmv.family_operators(fam, fam.size + 1)
     psi, out = fam.psi, {}
     for n in range(m1.valid_rows):
-        out[f"M1 row {n}"] = lc([(1, psi[n].reflect()), *m1.row_terms(n, psi, -1)])
+        out[f"M1 row {n}"] = lc([(1, psi[n].reflect()), *row_terms(m1, n, psi, -1)])
     for n in range(m2.valid_rows):
-        out[f"M2 row {n}"] = lc([(1, psi[n].reflect().shift(1)), *m2.row_terms(n, psi, -1)])
+        out[f"M2 row {n}"] = lc([(1, psi[n].reflect().shift(1)), *row_terms(m2, n, psi, -1)])
     return out
 
 
@@ -197,9 +197,9 @@ def direct_cmv_rows(fam):
     z_psi = [f.shift(1) for f in psi]
     out = {}
     for n in range(min(m1.valid_rows, m2.valid_rows)):
-        out[f"pencil row {n}"] = lc([*m2.row_terms(n, psi), *m1.row_terms(n, z_psi, -1)])
+        out[f"pencil row {n}"] = lc([*row_terms(m2, n, psi), *row_terms(m1, n, z_psi, -1)])
     for n in range(c.valid_rows):
-        out[f"C row {n}"] = lc([*c.row_terms(n, psi), (-1, z_psi[n])])
+        out[f"C row {n}"] = lc([*row_terms(c, n, psi), (-1, z_psi[n])])
     return out
 
 
@@ -444,6 +444,21 @@ class TestReferenceModel:
         for fam in _families(seed):
             if fam.params is not None or not needs_params:
                 assert_matches_direct(verify, direct, fam)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fused_k_residual_equals_direct(self, seed):
+        # k_residual forms K psi_n - lambda_n psi_n inside apply_k's one
+        # integer pass; direct_bispectral takes apply_k(psi_n) and
+        # lambda_n psi_n through a separate lincomb
+        rng = random.Random(seed)
+        clean = build_family(_point(rng), rng.randint(3, 30))
+        moved = [corrupted_family(seed), perturbed_family(seed),
+                 perturbed_family(seed, odd=True), shifted_family(seed)]
+        for fam in [clean, *moved]:
+            got = {f"n={n}": dunkl.k_residual(fam, n) for n in range(fam.size + 1)}
+            assert got == direct_bispectral(fam)
+        assert not any(dunkl.k_residual(clean, n) for n in range(clean.size + 1))
+        assert any(dunkl.k_residual(moved[1], n) for n in range(moved[1].size + 1))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_raising_residuals_equal_direct(self, seed):
@@ -985,9 +1000,9 @@ class TestSparseKernel:
         formed = [0]
         orig = LaurentPoly.lincomb
 
-        def counted(terms):
+        def counted(terms, den=1):
             formed[0] += 1
-            return orig(terms)
+            return orig(terms, den)
 
         monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(counted))
         for left in KINDS:
@@ -1063,10 +1078,10 @@ def live_lincomb_terms(monkeypatch):
     live = []
     orig = LaurentPoly.lincomb
 
-    def counted(terms):
+    def counted(terms, den=1):
         terms = list(terms)
         live.extend(f for c, f in terms if c and f)
-        return orig(terms)
+        return orig(terms, den)
 
     monkeypatch.setattr(LaurentPoly, "lincomb", staticmethod(counted))
     return live
@@ -1093,10 +1108,10 @@ class TestCleanFamilyCost:
         images = set(fam.psi[2:]) | {apply_k(f, fam.params) for f in fam.psi[2:]}
         seen = []
 
-        def counted(f, p):
+        def counted(f, p, lam=0):
             if f in images:
                 seen.append(f)
-            return apply_k(f, p)
+            return apply_k(f, p, lam)
 
         for module in (dunkl, algebra):
             monkeypatch.setattr(module, "apply_k", counted)

@@ -493,3 +493,62 @@ class TestRational:
             assert_reduced(c)
             assert f.coeff(k) == c and type(f.coeff(k)) is Rational
         assert type(f.coeff(99)) is Rational and type(f(F(3, 2))) is Rational
+
+
+# Scalars of the lincomb reference model: ints (0, +-1 and True among
+# them), plain Fractions and Rationals, small and about 600 bits.
+LINCOMB_SCALARS = INTS | st.just(True) | st.builds(F, INTS, NONZERO) | RATIONALS
+DENOMINATORS = st.integers(1, 12) | BIG.map(abs)
+
+
+@st.composite
+def mixed_denominator_terms(draw):
+    """(scalar, polynomial) pairs whose polynomials are zero, stored over
+    one shared denominator, or stored over a denominator of their own."""
+    shared = draw(DENOMINATORS)
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("zero", "shared", "own")))
+        if kind == "zero":
+            f = LaurentPoly.zero()
+        else:
+            den = shared if kind == "shared" else draw(DENOMINATORS)
+            lo = draw(st.integers(-5, 5))
+            # a leading numerator 1 keeps den the stored denominator
+            nums = [1, *draw(st.lists(INTS, max_size=4))]
+            f = LaurentPoly({lo + i: F(c, den) for i, c in enumerate(nums)})
+            assert f._den == den
+        terms.append((draw(LINCOMB_SCALARS), f))
+    return terms
+
+
+def model_lincomb(terms, den=1) -> dict:
+    """sum(c * f) / den as a dict exponent -> nonzero Fraction."""
+    out: dict = {}
+    for c, f in terms:
+        for k, v in f.items():
+            out[k] = out.get(k, F(0)) + F(c) * F(v)
+    return {k: v / den for k, v in out.items() if v}
+
+
+class TestLincombReference:
+    @given(mixed_denominator_terms())
+    def test_matches_fraction_sum(self, terms):
+        got = LaurentPoly.lincomb(terms)
+        assert model(got) == model_lincomb(terms)
+        assert_normal(got)
+        assert type(got._den) is int and all(type(c) is int for c in got._num)
+
+    @given(mixed_denominator_terms(), DENOMINATORS)
+    def test_divisor_divides_the_sum(self, terms, den):
+        got = LaurentPoly.lincomb(iter(terms), den)
+        assert model(got) == model_lincomb(terms, den)
+        assert_normal(got)
+        assert got == LaurentPoly.lincomb(terms) * F(1, den)
+
+    def test_int_subclass_and_unit_scalars(self):
+        f = LaurentPoly({-1: F(1, 3), 2: 5})
+        assert LaurentPoly.lincomb([(True, f), (False, f.shift(1))]) == f
+        assert LaurentPoly.lincomb([(-1, f), (True, f.shift(1))], 2) == (f.shift(1) - f) * F(1, 2)
+        with pytest.raises(TypeError):
+            LaurentPoly.lincomb([(1.5, f)])
