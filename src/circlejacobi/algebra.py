@@ -25,10 +25,10 @@ two anticommutator residuals, forming no X or Y (``verify_central_extension``).
 
 from __future__ import annotations
 
-from .cmv import BandedOperator, family_operators
+from .cmv import BandedOperator, family_operators, reflection_residual
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate
-from .laurent import _ZERO, _ZERO_POLY, LaurentPoly, Rational
+from .laurent import _ZERO, _ZERO_POLY, LaurentPoly, Rational, _pair, _rational, _signed
 from .opuc import (JacobiParams, OPUCFamily, family_params, per_family, require_params,
                    verblunsky)
 from .report import VerificationReport
@@ -45,10 +45,12 @@ def relation_constants(alpha, beta) -> tuple[tuple[Rational, Rational], ...]:
     {K, M} = c M + e I: (s, -s) and (s + 1, alpha - beta), with
     s = alpha + beta + 1.  The one home of the defining relations'
     constants; it takes raw (alpha, beta), because
-    ``derive_representation`` accepts points ``JacobiParams`` rejects."""
-    alpha, beta = Rational(alpha), Rational(beta)
-    s = alpha + beta + 1
-    return (s, -s), (s + 1, alpha - beta)
+    ``derive_representation`` accepts points ``JacobiParams`` rejects.
+    Formed on the parts alpha = A/Q, beta = B/Q, with two reductions."""
+    a, b, q = _pair(Rational(alpha), Rational(beta))
+    s = _signed(a + b + q, q)
+    sn, sd = s._numerator, s._denominator
+    return (s, _rational(-sn, sd)), (_rational(sn + sd, sd), _signed(a - b, q))
 
 
 def derive_representation(alpha, beta, n_max: int):
@@ -189,10 +191,12 @@ def op_m2(f: LaurentPoly) -> LaurentPoly:
     return f.reflect().shift(1)
 
 
-def _y_psi_terms(fam: OPUCFamily, n: int) -> list:
-    """Y psi_n - Lambda_n psi_n, the "Y psi n" residual, as terms of
-    ``LaurentPoly.lincomb``, out of r_n = ``k_residual(fam, n)``.  K is
-    linear and K psi_n = lambda_n psi_n + r_n, so
+@per_family("Y psi")
+def y_psi_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
+    """Y psi_n - Lambda_n psi_n, the "Y psi n" residual, built once per
+    family out of r_n = ``k_residual(fam, n)``: the Y eigencheck reports
+    it, and the central extension's tie-in reads it.  K is linear and
+    K psi_n = lambda_n psi_n + r_n, so
 
         Y psi_n = (lambda_n^2 - s lambda_n) psi_n + (lambda_n - s) r_n + K r_n
 
@@ -201,8 +205,8 @@ def _y_psi_terms(fam: OPUCFamily, n: int) -> list:
     at every (alpha, beta) ("Lambda coherence"), so psi_n's coefficient is 0."""
     p = fam.params
     lam, r = lambda_n(p, n), k_residual(fam, n)
-    return [(lam * lam - p.s * lam - big_lambda(p, n), fam.psi[n]), (lam - p.s, r),
-            (1, apply_k(r, p))]
+    return LaurentPoly.lincomb([(lam * lam - p.s * lam - big_lambda(p, n), fam.psi[n]),
+                                (lam - p.s, r), (1, apply_k(r, p))])
 
 
 @per_family("K z")
@@ -310,6 +314,18 @@ def _central_matrix_derived(a: BandedOperator, b: BandedOperator, k: BandedOpera
     ]
 
 
+def x_psi_residual(m1: BandedOperator, m2: BandedOperator, a, b, n: int) -> LaurentPoly:
+    """Row n of X = M1 M2 + M2 M1 on psi minus x psi_n, for any psi where
+    M1 M2 and M2 M1 are valid, out of the reflection residuals A_m = a[m]
+    and B_m = b[m] (``cmv.reflection_residual``), as (M1 psi)_n(1/z) =
+    psi_n - A_n(1/z) and the like give: -z A_n(1/z) - B_n(1/z)
+    - sum_m (M1)_{nm} B_m - sum_m (M2)_{nm} A_m."""
+    t1, d1 = m1.row_parts(n, b, -1)
+    t2, d2 = m2.row_parts(n, a, -d1)
+    own = [(-d1 * d2, a[n].reflect().shift(1)), (-d1 * d2, b[n].reflect())]
+    return LaurentPoly.lincomb([*((d2 * c, f) for c, f in t1), *t2, *own], d1 * d2)
+
+
 def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> VerificationReport:
     """The closure of X and Y into the extended quadratic algebra:
 
@@ -372,9 +388,11 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
     The tie-in forms no X or Y: by associativity, row n of X on psi is row
     n of M1 on M2 psi plus row n of M2 on M1 psi, on the rows where M1 M2
-    and M2 M1 are valid and reach psi_N at most; Y's truncation is
+    and M2 M1 are valid and reach psi_N at most, which misses x psi_n by
+    the reflection residuals of the rows read, one build per row shared
+    with the CMV rows (``x_psi_residual``); Y's truncation is
     diag(lambda_n^2 - s lambda_n) = diag(Lambda_n), so its row n on psi
-    misses Y psi_n by the "Y psi n" residual (``_y_psi_terms``).
+    misses Y psi_n by the held "Y psi n" residual (``y_psi_residual``).
     """
     p = require_params(fam)
     rep = VerificationReport(
@@ -419,15 +437,9 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
     # the matrix rows reproduce the functional action on the psi basis
     top = min(fam.size - 1, m1.product_valid_rows(m2), m2.product_valid_rows(m1))
-    m1_psi, m2_psi = ([lc(*m.row_parts(j, fam.psi)) for j in range(top + 1)] for m in (m1, m2))
-
-    def x_psi_misses(n: int) -> LaurentPoly:
-        """(row n of X on psi - x psi_n) times the two rows' denominators."""
-        t1, d1 = m1.row_parts(n, m2_psi)
-        t2, d2 = m2.row_parts(n, m1_psi, d1)
-        return lc([*((d2 * c, f) for c, f in t1), *t2, *_x_terms(fam.psi[n], -d1 * d2)])
-
-    bad = [n for n in range(top) if x_psi_misses(n) or lc(_y_psi_terms(fam, n))]
+    a, b = ([reflection_residual(fam, k, j, op=op) for j in range(top + 1)]
+            for k, op in ((1, m1), (2, m2)))
+    bad = [n for n in range(top) if x_psi_residual(m1, m2, a, b, n) or y_psi_residual(fam, n)]
     rep.add(
         "matrix rows match functional action on psi",
         not bad,
@@ -442,9 +454,10 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
 
 def big_lambda(p: JacobiParams, n: int) -> Rational:
-    """Y-eigenvalue of psi_n: pairs to m(alpha+beta+m+1), m = ceil(n/2)."""
+    """Y-eigenvalue of psi_n: pairs to m(alpha+beta+m+1), m = ceil(n/2),
+    formed as m (S + m Q)/Q on the parts s = S/Q and reduced once."""
     m = (n + 1) // 2
-    return m * (p.s + m)
+    return _signed(m * (p.s._numerator + m * p.s._denominator), p.s._denominator)
 
 
 def _y_pair_residual(fam: OPUCFamily, n: int, sign: int, f_terms: list,
@@ -511,7 +524,7 @@ def y_eigencheck(fam: OPUCFamily) -> VerificationReport:
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
     # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n
-    y_psi = [lc(_y_psi_terms(fam, n)) for n in range(fam.size + 1)]
+    y_psi = [y_psi_residual(fam, n) for n in range(fam.size + 1)]
     for n, res in enumerate(y_psi):
         rep.residual(f"Y psi n={n}", res)
     e = psi_pq_residuals(fam)

@@ -8,8 +8,8 @@ how many leading rows agree with the semi-infinite matrix
 rest as skipped.
 
 The reflection residuals A_n = psi_n(1/z) - (M1 psi)_n and
-B_n = z psi_n(1/z) - (M2 psi)_n are built once per family
-(``reflection_residuals``).  The pencil and the five-term recurrence
+B_n = z psi_n(1/z) - (M2 psi)_n are built once per family and row
+(``reflection_residual``).  The pencil and the five-term recurrence
 follow from them by ring algebra, so their rows are formed as short
 combinations of A and B: the same Laurent polynomials as the direct
 formulas for any psi, and zero at no arithmetic cost on a clean family.
@@ -105,7 +105,7 @@ class BandedOperator:
         return BandedOperator(
             first.size,
             rows,
-            max((a.bandwidth for c, a in terms if c), default=0),
+            max((a.bandwidth for _, a in live), default=0),
             min(a.valid_rows for _, a in terms),
         )
 
@@ -223,30 +223,23 @@ def family_operators(fam: OPUCFamily, size: int) -> tuple[BandedOperator, Banded
 
 
 @per_family("reflection")
-def reflection_residuals(fam: OPUCFamily) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """(A, B) with A_n = psi_n(1/z) - (M1 psi)_n on the valid rows of M1
-    and B_n = z psi_n(1/z) - (M2 psi)_n on the valid rows of M2, built
-    once per family."""
-    m1, m2 = family_operators(fam, fam.size + 1)
+def reflection_residual(fam: OPUCFamily, m: int, n: int, *, op: BandedOperator) -> LaurentPoly:
+    """A_n = psi_n(1/z) - (M1 psi)_n (m = 1, op = M1) or B_n = z psi_n(1/z)
+    - (M2 psi)_n (m = 2, op = M2), once per family and row, from row n of
+    op, a valid row: the same at every size, so the CMV rows at size N + 1
+    and the central extension's tie-in at the algebra's size share one build."""
     psi = fam.psi
-
-    def residual(m: BandedOperator, n: int, image: LaurentPoly) -> LaurentPoly:
-        terms, den = m.row_parts(n, psi, -1)
-        return LaurentPoly.lincomb([(den, image), *terms], den)
-
-    return (
-        [residual(m1, n, psi[n].reflect()) for n in range(m1.valid_rows)],
-        [residual(m2, n, psi[n].reflect().shift(1)) for n in range(m2.valid_rows)],
-    )
+    terms, den = op.row_parts(n, psi, -1)
+    image = psi[n].reflect() if m == 1 else psi[n].reflect().shift(1)
+    return LaurentPoly.lincomb([(den, image), *terms], den)
 
 
 def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     """Row-wise checks psi_n(1/z) = sum_m (M1)_{nm} psi_m and
     z psi_n(1/z) = sum_m (M2)_{nm} psi_m on rows with complete blocks:
-    the residuals A_n and B_n of ``reflection_residuals``."""
+    the residuals A_n and B_n of ``reflection_residual``."""
     size = fam.size + 1
     m1, m2 = family_operators(fam, size)
-    res_m1, res_m2 = reflection_residuals(fam)
     rep = VerificationReport(
         identity="reflection-rows",
         relation="psi(1/z) = M1 psi(z) ; z psi(1/z) = M2 psi(z)",
@@ -254,11 +247,11 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     )
     for n in range(size):
         if n < m1.valid_rows:
-            rep.residual(f"M1 row {n}", res_m1[n])
+            rep.residual(f"M1 row {n}", reflection_residual(fam, 1, n, op=m1))
         else:
             rep.skip(f"M1 row {n} (cut block)")
         if n < m2.valid_rows:
-            rep.residual(f"M2 row {n}", res_m2[n])
+            rep.residual(f"M2 row {n}", reflection_residual(fam, 2, n, op=m2))
         else:
             rep.skip(f"M2 row {n} (cut block)")
     return rep
@@ -267,7 +260,7 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
 def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     """Row-wise checks of M2 psi = z M1 psi and of the five-term
     recurrence C psi = z psi on interior rows, formed from the reflection
-    residuals A, B of ``reflection_residuals``:
+    residuals A, B of ``reflection_residual``:
 
         (M2 psi)_n - z (M1 psi)_n = z A_n - B_n,
         (C psi)_n - z psi_n = -z A_n(1/z) - sum_m (M1)_{nm} B_m.
@@ -280,7 +273,8 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     is a valid row of M2."""
     size = fam.size + 1
     m1, m2 = family_operators(fam, size)
-    res_m1, res_m2 = reflection_residuals(fam)
+    res_m1, res_m2 = ([reflection_residual(fam, k, n, op=op) for n in range(op.valid_rows)]
+                      for k, op in ((1, m1), (2, m2)))
     c_rows = m1.product_valid_rows(m2)
     rep = VerificationReport(
         identity="cmv-rows",

@@ -76,12 +76,13 @@ def k_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
 
 
 def lambda_n(p: JacobiParams, n: int) -> Rational:
-    """Eigenvalue of K on psi_n: -n/2 for even n, (n+1)/2 + s for odd n."""
+    """Eigenvalue of K on psi_n: -n/2 for even n, (n+1)/2 + s for odd n,
+    formed as (S + Q (n+1)/2)/Q on s = S/Q, in lowest terms as s is."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if n % 2 == 0:
         return _rational(-(n // 2), 1)
-    return p.s + (n + 1) // 2
+    return _rational(p.s._numerator + (n + 1) // 2 * p.s._denominator, p.s._denominator)
 
 
 def verify_bispectral(fam: OPUCFamily) -> VerificationReport:

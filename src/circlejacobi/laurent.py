@@ -43,10 +43,17 @@ def _rational(n: int, d: int) -> "Rational":
     return r
 
 
-def _reduced(n: int, d: int) -> "Rational":
-    """n/d in lowest terms, for ints n and d > 0."""
-    g = gcd(n, d)
+def _signed(n: int, d: int) -> "Rational":
+    """n/d in lowest terms, for ints n and d != 0: one gcd, the sign moved to n."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d) if d else 0  # d = 0: n // 0 raises
     return _rational(n // g, d // g)
+
+
+def _pair(x, y) -> tuple[int, int, int]:
+    """(X, Y, Q) with x = X/Q, y = Y/Q over the lcm Q of the Rationals' denominators."""
+    xd, yd = x._denominator, y._denominator
+    q = lcm(xd, yd)
+    return x._numerator * (q // xd), y._numerator * (q // yd), q
 
 
 def _parts(x) -> "tuple[int, int] | None":
@@ -57,29 +64,37 @@ def _parts(x) -> "tuple[int, int] | None":
     return (x, 1) if isinstance(x, int) else None
 
 
-def _add(na: int, da: int, nb: int, db: int) -> "Rational":
-    # the gcd steps of fractions.Fraction._add (Knuth, TAOCP vol. 2, 4.5.1)
-    g = gcd(da, db)
-    if g == 1:
-        return _rational(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    return _rational(t // g2, s * (db // g2))
+def _additive(sa: int, sb: int, fallback):
+    """sa a + sb b (sa, sb = +-1) for a Rational a in one frame: an int b needs no gcd, others
+    the gcd steps of Fraction._add (Knuth, TAOCP vol. 2, 4.5.1)."""
 
+    def op(a, b):
+        t, da = type(b), a._denominator
+        if t is Rational or t is Fraction:
+            nb, db = b._numerator * sb, b._denominator
+        elif isinstance(b, int):  # gcd(n + k d, d) = gcd(n, d) = 1
+            return _rational(sa * a._numerator + sb * b * da, da)
+        else:
+            return fallback(a, b)
+        na = a._numerator * sa
+        g = gcd(da, db)
+        if g == 1:
+            return _rational(na * db + da * nb, da * db)
+        s = da // g
+        n = na * (db // g) + nb * s
+        g2 = gcd(n, g)
+        return _rational(n // g2, s * (db // g2))
 
-def _mul(na: int, da: int, nb: int, db: int) -> "Rational":
-    g1, g2 = gcd(na, db), gcd(nb, da)
-    return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+    return op
 
 
 class Rational(Fraction):
     """The package's one scalar type: every coefficient read out of a
     polynomial, and every structural constant, is a reduced Rational.
 
-    With an int or Fraction operand, each operator below runs the gcd
-    steps of ``fractions`` and stores the reduced parts directly; any
-    other operand, and division by zero, go to Fraction's own method.
+    With an int or Fraction operand, each operator below reads its parts
+    in one frame and stores the reduced parts directly; any other
+    operand, and division by zero, go to Fraction's own method.
     """
 
     __slots__ = ()
@@ -89,32 +104,28 @@ class Rational(Fraction):
             return numerator
         return Fraction.__new__(cls, numerator, denominator)
 
-    def __add__(a, b):
-        p = _parts(b)
-        return _add(a._numerator, a._denominator, *p) if p else Fraction.__add__(a, b)
-
-    __radd__ = __add__
-
-    def __sub__(a, b):
-        p = _parts(b)
-        return _add(a._numerator, a._denominator, -p[0], p[1]) if p else Fraction.__sub__(a, b)
-
-    def __rsub__(a, b):
-        p = _parts(b)
-        return _add(*p, -a._numerator, a._denominator) if p else Fraction.__rsub__(a, b)
+    __add__ = __radd__ = _additive(1, 1, Fraction.__add__)
+    __sub__ = _additive(1, -1, Fraction.__sub__)
+    __rsub__ = _additive(-1, 1, Fraction.__rsub__)
 
     def __mul__(a, b):
-        p = _parts(b)
-        return _mul(a._numerator, a._denominator, *p) if p else Fraction.__mul__(a, b)
+        t, na, da = type(b), a._numerator, a._denominator
+        if t is Rational or t is Fraction:
+            nb, db = b._numerator, b._denominator
+            g1, g2 = gcd(na, db), gcd(nb, da)
+            return _rational((na // g1) * (nb // g2), (da // g2) * (db // g1))
+        if isinstance(b, int):
+            g = gcd(b, da)
+            return _rational(na * (b // g), da // g)
+        return Fraction.__mul__(a, b)
 
     __rmul__ = __mul__
 
     def __truediv__(a, b):
         p = _parts(b)
-        if p and p[0]:
-            sign = -1 if p[0] < 0 else 1
-            return _mul(sign * a._numerator, a._denominator, p[1], sign * p[0])
-        return Fraction.__truediv__(a, b)
+        if not (p and p[0]):
+            return Fraction.__truediv__(a, b)
+        return _signed(a._numerator * p[1], a._denominator * p[0])
 
     def __neg__(a):
         return _rational(-a._numerator, a._denominator)

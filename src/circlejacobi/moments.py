@@ -34,7 +34,7 @@ from math import lcm
 from operator import mul
 
 from .errors import NonPositive, NotDivisible
-from .laurent import _ONE, _ZERO, LaurentPoly, Rational, _normal, _reduced
+from .laurent import _ONE, _ZERO, LaurentPoly, Rational, _normal, _signed
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
@@ -54,16 +54,14 @@ def sigma(p: JacobiParams, n: int) -> Rational:
     # r_j = (j-k)(j+k)(j+alpha+1) / ((j+1/2)(j+1)(j+alpha+beta+2)) = rn/rd
     # in integers, summed innermost first as num/den; the factor (j - k)
     # ends the series after j = k - 1
-    a1 = p.alpha + 1
-    b2 = p.alpha + p.beta + 2
-    p1, q1 = a1.numerator, a1.denominator
-    p2, q2 = b2.numerator, b2.denominator
+    q1, q2 = p.alpha._denominator, p.s._denominator  # alpha + 1 = p1/q1, s + 1 = p2/q2
+    p1, p2 = p.alpha._numerator + q1, p.s._numerator + q2
     num = den = 1
     for j in range(k - 1, -1, -1):
         rn = 2 * (j - k) * (j + k) * (j * q1 + p1) * q2
         rd = (2 * j + 1) * (j + 1) * (j * q2 + p2) * q1
         num, den = rd * den + rn * num, rd * den
-    return _reduced(num, den)
+    return _signed(num, den)
 
 
 def _check_delta(n: int, pivot: int, den: int) -> None:
@@ -100,11 +98,11 @@ class MomentSeq:
         and len(nums) > top."""
         if len(self._nums) <= top:
             new = [self.value(k) for k in range(len(self._nums), top + 1)]
-            den = lcm(self._den, *(v.denominator for v in new))
+            den = lcm(self._den, *(v._denominator for v in new))
             scale = den // self._den
             self._nums = (
                 *(c * scale for c in self._nums),
-                *(v.numerator * (den // v.denominator) for v in new),
+                *(v._numerator * (den // v._denominator) for v in new),
             )
             self._den = den
         return self._nums, self._den
@@ -175,7 +173,7 @@ def toeplitz_delta(ms: MomentSeq, n: int) -> Rational:
         return _ONE
     rows, den = ms.elimination(n)
     _check_delta(n, rows[n - 1][0], den)
-    return _reduced(rows[n - 1][0], den ** n)
+    return _signed(rows[n - 1][0], den ** n)
 
 
 def determinantal_phi(ms: MomentSeq, n: int) -> LaurentPoly:
@@ -210,7 +208,7 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, ms: MomentSeq) -> Rational:
     if not f or not g:
         return _ZERO
     start, vec, den = ms.pairing(f, g._lo, g._lo + len(g._num) - 1)
-    return _reduced(sum(map(mul, g._num, vec[g._lo - start:])), g._den * den)
+    return _signed(sum(map(mul, g._num, vec[g._lo - start:])), g._den * den)
 
 
 def _report(fam: OPUCFamily, n_max: int, identity: str, relation: str):

@@ -13,7 +13,7 @@ from collections import namedtuple
 from functools import wraps
 
 from .errors import BadSupport, BadVerblunsky, ParamOutOfRange
-from .laurent import _ONE, LaurentPoly, Rational
+from .laurent import _ONE, LaurentPoly, Rational, _signed
 
 #: Boundary convention a_k = -1 for every k < 0 (Simon's alpha_{-1} = -1),
 #: read by the recurrence seeds of the real-line map.  An a_k with k <= -2
@@ -25,8 +25,8 @@ class JacobiParams(namedtuple("JacobiParams", "alpha beta")):
     """Exact parameter pair (alpha, beta), each > -1 and each converted to
     a ``Rational``, the package's scalar type.
 
-    The bound keeps the weight integrable and (with the per-index check
-    in :func:`verblunsky`) every Verblunsky coefficient inside (-1, 1).
+    The bound keeps the weight integrable and every Verblunsky
+    coefficient inside (-1, 1) (:func:`verblunsky`).
     The pair is read-only, and ``==``, ``hash`` and ``repr`` read it
     alone.  The constructor also forms s = alpha + beta + 1, the
     combination entering most formulas, and d = alpha - beta.
@@ -47,15 +47,15 @@ class JacobiParams(namedtuple("JacobiParams", "alpha beta")):
 def verblunsky(p: JacobiParams, n: int) -> Rational:
     """a_n = -(alpha + 1/2 + (-1)^(n+1) (beta + 1/2)) / (n + alpha + beta + 2).
 
-    The numerator is s = alpha + beta + 1 for odd n and d = alpha - beta
-    for even n, and the denominator is n + s + 1, so a_n costs two
-    operations on ``p.s`` and ``p.d``."""
+    With x = s = alpha + beta + 1 for odd n and x = d = alpha - beta for
+    even n, a_n = -x/(n + s + 1) = -X Q / (E ((n + 1) Q + S)) on the parts
+    s = S/Q and x = X/E, reduced once.  |a_n| < 1 for all alpha, beta > -1,
+    so no range check: n + s + 1 - |x| is n + 1 or n + 1 + 2s for odd n
+    and n + 2(beta + 1) or n + 2(alpha + 1) for even n, all positive."""
     if n < 0:
         raise ValueError("Verblunsky index must be >= 0")
-    a = (p.s if n % 2 else p.d) / (-1 - n - p.s)
-    if not -1 < a < 1:
-        raise ParamOutOfRange(f"a_{n} = {a} has modulus >= 1")
-    return a
+    x, s, q = p.s if n % 2 else p.d, p.s._numerator, p.s._denominator
+    return _signed(-x._numerator * q, x._denominator * ((n + 1) * q + s))
 
 
 def star(f: LaurentPoly, n: int) -> LaurentPoly:
@@ -112,6 +112,8 @@ class OPUCFamily:
     - ``("K z", j)``: the image K z^j of a monomial (``algebra.k_monomial``);
     - ``("relations", j)``: the defining-relation residuals (r3 z^j, r4 z^j)
       of the functional realization (``algebra.relation_residuals``);
+    - ``("Y psi", n)``: the residual Y psi_n - Lambda_n psi_n, formed
+      from the ``K`` residual (``algebra.y_psi_residual``);
     - ``("matrix relations", size)``: the residuals r1 = M1^2 - I,
       r2 = M2^2 - I and r3, r4 of the two defining relations on the
       truncated representation at that size
@@ -120,8 +122,9 @@ class OPUCFamily:
     - ``("cmv", size)``: M1 and M2 at that size (``cmv.family_operators``),
       read at size N + 1 by the row checks and at the algebra's own size
       by ``algebra.family_representation``;
-    - ``"reflection"``: the reflection residuals A_n and B_n of M1 and
-      M2 (``cmv.reflection_residuals``);
+    - ``("reflection", m, n)``: the reflection residual A_n (m = 1) or
+      B_n (m = 2) of M1 or M2 (``cmv.reflection_residual``), read by the
+      CMV rows and the central extension's tie-in;
     - ``"moments"``: the ``MomentSeq`` at the family's (alpha, beta)
       (``moments.family_moments``).
 
@@ -154,15 +157,17 @@ class OPUCFamily:
 def per_family(name: str):
     """Decorator: build(fam, *args) is computed once per family instance
     and kept in ``fam.derived`` under the key (name, *args), or under
-    name alone when build takes nothing but the family."""
+    name alone when build takes nothing but the family.  Keyword
+    arguments reach build but not the key: inputs the caller holds that
+    give the same value whichever caller hands them over."""
 
     def decorate(build):
         @wraps(build)
-        def memo(fam: OPUCFamily, *args):
+        def memo(fam: OPUCFamily, *args, **given):
             key = (name, *args) if args else name
             derived = fam.derived
             if key not in derived:
-                derived[key] = build(fam, *args)
+                derived[key] = build(fam, *args, **given)
             return derived[key]
 
         return memo

@@ -45,8 +45,8 @@ reflection-invariant: ``algebra.y_eigencheck`` checks their parity
 
 from __future__ import annotations
 
-from .laurent import _ZERO, Z_MINUS_ZINV, LaurentPoly, Rational
-from .opuc import BOUNDARY_A, OPUCFamily, family_params, per_family, require_params
+from .laurent import _ZERO, Z_MINUS_ZINV, LaurentPoly, Rational, _pair, _rational, _signed
+from .opuc import BOUNDARY_A, JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
 
 _HALF = Rational(1, 2)
@@ -85,24 +85,27 @@ def jacobi_b(alpha: Rational, beta: Rational, k: int) -> Rational:
     upsilon_k O_{k-1} at (alpha, beta), rescaled from [-1, 1] to [-2, 2]
     (argument x/2): 2(beta^2 - alpha^2) / ((2k + s)(2k + s + 2)) with
     s = alpha + beta, taken at k = 0 in its cancelled form so s = 0
-    stays well-defined."""
-    s = alpha + beta
+    stays well-defined.  On alpha = A/Q, beta = B/Q and T = (2k + s) Q it
+    is 2(B^2 - A^2) / (T (T + 2Q)), at k = 0 2(B - A) / (T + 2Q)."""
+    a, b, q = _pair(alpha, beta)
+    t = a + b + 2 * k * q
     if k == 0:
-        return 2 * (beta - alpha) / (s + 2)
-    return 2 * (beta**2 - alpha**2) / ((2 * k + s) * (2 * k + s + 2))
+        return _signed(2 * (b - a), t + 2 * q)
+    return _signed(2 * (b * b - a * a), t * (t + 2 * q))
 
 
 def jacobi_u(alpha: Rational, beta: Rational, k: int) -> Rational:
     """upsilon_k (k >= 1) of the same recurrence:
     16 k (k + alpha)(k + beta)(k + s) / ((2k + s)^2 (2k + s + 1)(2k + s - 1)),
-    taken at k = 1 in its cancelled form so s = -1 stays well-defined."""
-    s = alpha + beta
+    taken at k = 1 in its cancelled form so s = -1 stays well-defined.  On
+    alpha = A/Q, beta = B/Q and T = (2k + s) Q it is
+    16 k (kQ + A)(kQ + B)(kQ + A + B) Q / (T^2 (T + Q)(T - Q))."""
+    a, b, q = _pair(alpha, beta)
+    kq = k * q
+    t = a + b + 2 * kq
     if k == 1:
-        return 16 * (alpha + 1) * (beta + 1) / ((s + 2) ** 2 * (s + 3))
-    return (
-        16 * k * (k + alpha) * (k + beta) * (k + s)
-        / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
-    )
+        return _signed(16 * (a + q) * (b + q) * q, t * t * (t + q))
+    return _signed(16 * k * (kq + a) * (kq + b) * (kq + a + b) * q, t * t * (t + q) * (t - q))
 
 
 # --------------------------------------------------------------------------
@@ -165,28 +168,36 @@ def _a(fam: OPUCFamily, k: int) -> Rational:
     return fam.a[k] if k >= 0 else BOUNDARY_A
 
 
+def _ratios(fam: OPUCFamily, *ks: int) -> list[int]:
+    """[p_k, q_k, ...] with a_k = p_k/q_k for each k in turn (``_a``): each
+    closed form below is one integer quotient on them, reduced once, with
+    1 + a_i = (q_i + p_i)/q_i and 1 - a_k^2 = (q_k^2 - p_k^2)/q_k^2."""
+    xs = [_a(fam, k) for k in ks]
+    return [v for x in xs for v in (x._numerator, x._denominator)]
+
+
 def u_coeff(fam: OPUCFamily, n: int) -> Rational:
     """u_n = (1 + a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) > 0 for n >= 1; u_0 = 0."""
-    return (1 + _a(fam, 2 * n - 1)) * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
+    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n - 1, 2 * n - 3, 2 * n - 2)
+    return _signed((qi + pi) * (qj - pj) * (qk * qk - pk * pk), qi * qj * qk * qk)
 
 
 def b_coeff(fam: OPUCFamily, n: int) -> Rational:
     """b_n = a_{2n}(1 - a_{2n-1}) - a_{2n-2}(1 + a_{2n-1}); b_0 = 2 a_0."""
-    return _a(fam, 2 * n) * (1 - _a(fam, 2 * n - 1)) - _a(fam, 2 * n - 2) * (
-        1 + _a(fam, 2 * n - 1)
-    )
+    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n, 2 * n - 1, 2 * n - 2)
+    return _signed(pi * (qj - pj) * qk - pk * (qj + pj) * qi, qi * qj * qk)
 
 
 def ut_coeff(fam: OPUCFamily, n: int) -> Rational:
     """u~_n = (1 + a_{2n-1})(1 - a_{2n+1})(1 - a_{2n}^2) > 0 for n >= 1; u~_0 = 0."""
-    return (1 + _a(fam, 2 * n - 1)) * (1 - _a(fam, 2 * n + 1)) * (1 - _a(fam, 2 * n) ** 2)
+    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n - 1, 2 * n + 1, 2 * n)
+    return _signed((qi + pi) * (qj - pj) * (qk * qk - pk * pk), qi * qj * qk * qk)
 
 
 def bt_coeff(fam: OPUCFamily, n: int) -> Rational:
     """b~_n = a_{2n}(1 - a_{2n+1}) - a_{2n+2}(1 + a_{2n+1})."""
-    return _a(fam, 2 * n) * (1 - _a(fam, 2 * n + 1)) - _a(fam, 2 * n + 2) * (
-        1 + _a(fam, 2 * n + 1)
-    )
+    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n, 2 * n + 1, 2 * n + 2)
+    return _signed(pi * (qj - pj) * qk - pk * (qj + pj) * qi, qi * qj * qk)
 
 
 _CLOSED_FORMS = {"P": (b_coeff, u_coeff, p_top), "Q": (bt_coeff, ut_coeff, q_top)}
@@ -206,7 +217,8 @@ def recurrence_coefficients(fam: OPUCFamily, name: str) -> tuple[tuple, tuple]:
 
 def _c2(fam: OPUCFamily, n: int) -> Rational:
     """2(1 - a_{2n-3})(1 - a_{2n-2}^2), the P_{n-1} weight of C'_n."""
-    return 2 * (1 - _a(fam, 2 * n - 3)) * (1 - _a(fam, 2 * n - 2) ** 2)
+    pj, qj, pk, qk = _ratios(fam, 2 * n - 3, 2 * n - 2)
+    return _signed(2 * (qj - pj) * (qk * qk - pk * pk), qj * qk * qk)
 
 
 # --------------------------------------------------------------------------
@@ -501,6 +513,11 @@ def verify_classical_match(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
+def _mu(p: JacobiParams, n: int) -> Rational:
+    """mu_n = n + alpha + beta + 1, as (S + n Q)/Q on s = S/Q, in lowest terms as s is."""
+    return _rational(p.s._numerator + n * p.s._denominator, p.s._denominator)
+
+
 @per_family("raising")
 def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     """H_n = D theta Q_{n-1} + (sigma x + delta) Q_{n-1} - mu_n P_n for
@@ -524,11 +541,7 @@ def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     mu_n come from (alpha, beta).
     """
     p = require_params(fam)
-    al, be = p.alpha, p.beta
-    sigma, delta = al + be + 2, 2 * (al - be)
-
-    def mu(n: int) -> Rational:
-        return n + al + be + 1
+    sigma, delta = p.s + 1, 2 * p.d
 
     def raise_terms(f: LaurentPoly) -> list:
         return [*_d_terms(f.theta()), *_x_terms(f, sigma), (delta, f)]
@@ -537,17 +550,17 @@ def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     if top < 1:
         return {}
     lc = LaurentPoly.lincomb
-    out = {1: lc([*raise_terms(build_q(fam, 0)), (-mu(1), build_p(fam, 1))])}
+    out = {1: lc([*raise_terms(build_q(fam, 0)), (-_mu(p, 1), build_p(fam, 1))])}
     b, u = recurrence_coefficients(fam, "P")
     bt, ut = recurrence_coefficients(fam, "Q")
     t, tt = three_term_residuals(fam, "P"), three_term_residuals(fam, "Q")
     cp = christoffel_prime_residuals(fam)
     for n in range(1, top):
-        f3 = 2 * _a(fam, 2 * n - 2) - mu(n) * bt[n - 1] + mu(n + 1) * b[n]
-        f4 = -_c2(fam, n) - mu(n - 1) * ut[n - 1] + mu(n + 1) * u[n]
+        f3 = 2 * _a(fam, 2 * n - 2) - _mu(p, n) * bt[n - 1] + _mu(p, n + 1) * b[n]
+        f4 = -_c2(fam, n) - _mu(p, n - 1) * ut[n - 1] + _mu(p, n + 1) * u[n]
         h = out[n]
         terms = [*_x_terms(h), (-bt[n - 1], h), *raise_terms(tt[n - 1]), (1, cp[n]),
-                 (-mu(n + 1), t[n]), (f3, build_p(fam, n)), (f4, build_p(fam, n - 1))]
+                 (-_mu(p, n + 1), t[n]), (f3, build_p(fam, n)), (f4, build_p(fam, n - 1))]
         if n >= 2:  # u~_0 = 0
             terms.append((-ut[n - 1], out[n - 1]))
         out[n + 1] = lc(terms)
@@ -577,7 +590,6 @@ def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
     (Y - Lambda_{2n}) P_n = (K - s) G_n + n H_n, s = a + b + 1.
     """
     p = require_params(fam)
-    al, be = p.alpha, p.beta
     top = p_top(fam.size)
     rep = VerificationReport(
         identity="hypergeometric-ode",
@@ -592,7 +604,7 @@ def verify_dep_and_pq_identity(fam: OPUCFamily) -> VerificationReport:
             terms += _d_terms(build_q(fam, n - 1), -n)
         theta_pq.append(lc(terms))
     raising = raising_residuals(fam)
-    s1, delta = al + be + 1, 2 * (al - be)
+    s1, delta = p.s, 2 * p.d
     for n, g in enumerate(theta_pq):
         tg = g.theta()
         terms = [(1, tg.shift(2)), (-1, tg), (s1, g.shift(2)), (s1, g), (delta, g.shift(1))]

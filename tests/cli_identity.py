@@ -34,6 +34,10 @@ OUT = "{out}"  # replaced by a temporary file of each tree's own
 # the benchmark's off-grid points other than OFF_GRID
 BENCH_POINTS = (("5/7", "-2/5"), ("-2/7", "3/5"), ("10/7", "-1/5"), ("4/7", "2/5"),
                 ("5/7", "2/5"), ("9/7", "2/5"), ("3/7", "1/5"))
+# alpha + beta = -1, where jacobi_u takes its cancelled k = 1 form (the Q
+# chain's oracle at (alpha + 1, beta + 1) then has alpha + beta = 1); integer
+# parameters; alpha = beta over one denominator; unequal denominators near -1
+EDGE_POINTS = (("-3/4", "-1/4"), ("2", "5"), ("1/3", "1/3"), ("-9/10", "7/3"))
 
 
 def _invocations() -> list[list[str]]:
@@ -93,6 +97,12 @@ def _invocations() -> list[list[str]]:
     runs += [["verify", *OFF_GRID, "--n", "80", "--corrupt-a", "1", "--suite", suite,
               "--format", fmt] for suite in ("bispectral", "cmv", "algebra", "szego")
              for fmt in FORMATS]
+    # the closed forms' edge cases: every suite, a corrupted a_k, and the a_k
+    for a, b in EDGE_POINTS:
+        point = ["--alpha", a, "--beta", b]
+        runs += [["verify", *point, "--n", "16", "--suite", "all", *bench],
+                 ["verify", *point, "--n", "12", "--corrupt-a", "3", "--format", "text"],
+                 ["gen", *point, "--n", "9", "--format", "text"]]
     # the smallest families and CMV matrices
     runs += [["spectrum", *OFF_GRID, "--n", str(n), "--matrix", "c"] for n in (1, 2)]
     runs += [["gen", *OFF_GRID, "--n", str(n), "--format", fmt] for n in (1, 2) for fmt in FORMATS]

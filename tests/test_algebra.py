@@ -174,6 +174,18 @@ class TestFunctionalRealization:
         assert sizes == [21]
         assert algebra.family_representation(fam, 21)[:2] == fam.derived[("cmv", 21)]
 
+    def test_tie_in_and_cmv_rows_share_the_reflection_rows(self):
+        # the tie-in builds A_j and B_j only for the rows j <= top it
+        # reads; the CMV suite then reuses them and builds the rest
+        fam = build_family(JacobiParams(F(1), F(2)), 24)
+        assert all(rep.ok for rep in suites.run("algebra", fam))
+        held = {k: v for k, v in fam.derived.items() if k[0] == "reflection"}
+        assert set(held) == {("reflection", m, j) for m in (1, 2) for j in range(20)}
+        assert all(rep.ok for rep in suites.run("cmv", fam))
+        assert all(fam.derived[k] is v for k, v in held.items())
+        assert {k for k in fam.derived if k[0] == "reflection"} == {
+            ("reflection", m, j) for m, rows in ((1, 25), (2, 24)) for j in range(rows)}
+
 
 class TestMatrixIdentityFailures:
     """A moved eigenvalue lambda_5 breaks exactly the matrix identities

@@ -783,6 +783,7 @@ class TestEntryPoint:
         "laurent.LaurentPoly.__repr__": "Python protocol, for interactive use",
         "laurent.LaurentPoly.__str__": "Python protocol, for interactive use",
         "opuc.per_family": "runs at import, when each memoized build is decorated",
+        "laurent._additive": "runs at import, when Rational's +, - and reflected - are made",
         **{
             f"{name}.__eq__": "Python protocol, field-wise == for comparing records"
             for name in ("opuc.OPUCFamily", "report.Check", "report.VerificationReport")
@@ -949,11 +950,14 @@ class TestComplexity:
     def test_residuals_read_no_fraction_properties(self, monkeypatch, capsys):
         # LaurentPoly.lincomb reads a scalar's stored parts and @ a row's
         # integer numerators, so neither calls the Python-level __bool__,
-        # numerator or denominator of fractions.Fraction
+        # numerator or denominator of fractions.Fraction; nor do the
+        # moments' sum and integer view
         from circlejacobi.cmv import BandedOperator
         from circlejacobi.laurent import LaurentPoly
+        from circlejacobi.moments import sigma
 
-        kernels = (LaurentPoly.lincomb.__code__, BandedOperator.__matmul__.__code__)
+        kernels = (LaurentPoly.lincomb.__code__, BandedOperator.__matmul__.__code__,
+                   sigma.__code__, MomentSeq.integer_view.__code__)
         reads = {}
 
         def counting(name, read):
@@ -970,3 +974,32 @@ class TestComplexity:
             monkeypatch.setattr(Fraction, name, property(counting(name, read)))
         self._verify_two_points(capsys)
         assert reads == {}
+
+    def test_closed_forms_make_no_rational_operator_call(self, monkeypatch, capsys):
+        # every closed form is one integer numerator and denominator reduced
+        # once, so none of them calls an operator of laurent.Rational; the
+        # algebra's derivation, which solves for lambda_n and a_n with them,
+        # shows that the count sees such calls
+        from circlejacobi import algebra, dunkl, opuc, szego
+        from circlejacobi.laurent import Rational
+
+        forms = {f.__code__: f.__name__ for f in (
+            opuc.verblunsky, dunkl.lambda_n, algebra.big_lambda, algebra.relation_constants,
+            szego.jacobi_b, szego.jacobi_u, szego.b_coeff, szego.u_coeff, szego.bt_coeff,
+            szego.ut_coeff, szego._c2, szego._mu, szego._ratios)}
+        forms[algebra.derive_representation.__code__] = "derive_representation"
+        calls = {}
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__neg__", "__pow__", "__eq__", "__lt__", "__gt__",
+                     "__le__"):
+            def counted(*args, _orig=getattr(Rational, name)):
+                frame = sys._getframe(1)
+                for code, form in forms.items():
+                    if _called_from(code, frame):
+                        calls[form] = calls.get(form, 0) + 1
+                return _orig(*args)
+
+            monkeypatch.setattr(Rational, name, counted)
+        self._verify_two_points(capsys)
+        assert calls.pop("derive_representation") > 0
+        assert calls == {}

@@ -472,6 +472,53 @@ class TestReferenceModel:
             rep = algebra.verify_central_extension(fam, d=2, matrix_size=9)
             assert rep.checks[-1] == direct_tie_in(fam, 9)
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tie_in_rows_from_reflection_residuals_equal_direct(self, seed):
+        def reflection_rows(fam):
+            # A_j and B_j for j < N, from M1 and M2 at size N + 1
+            ops = cmv.family_operators(fam, fam.size + 1)
+            return ([cmv.reflection_residual(fam, k, j, op=op) for j in range(fam.size)]
+                    for k, op in zip((1, 2), ops))
+
+        # row n of X = M1 M2 + M2 M1 on psi minus x psi_n, formed from the
+        # held reflection residuals, is the Laurent polynomial the product
+        # X applied to psi gives, on every row the tie-in reads: clean,
+        # corrupted and perturbed families, at sizes below, at and past N + 1
+        rng = random.Random(seed)
+        clean = build_family(_point(rng), rng.randint(3, 30))
+        for fam in [clean, *_families(seed)[:4]]:
+            a, b = reflection_rows(fam)
+            # an untagged family has no a_k past a_N to build larger sizes from
+            sizes = {3, 9, fam.size + 1, fam.size + 4} if fam.params else {3, fam.size + 1}
+            for size in sorted(sizes):
+                m1, m2 = cmv.family_operators(fam, size)
+                x = BandedOperator.lincomb([(1, m1 @ m2), (1, m2 @ m1)])
+                top = min(fam.size - 1, m1.product_valid_rows(m2), m2.product_valid_rows(m1))
+                for n in range(top):
+                    want = apply_row(x, n, fam.psi) - Z_PLUS_ZINV * fam.psi[n]
+                    assert algebra.x_psi_residual(m1, m2, a, b, n) == want, (size, n)
+        a, b = reflection_rows(clean)
+        m1, m2 = cmv.family_operators(clean, clean.size + 1)
+        assert not any(algebra.x_psi_residual(m1, m2, a, b, n)
+                       for n in range(min(clean.size - 1, 8)))
+
+    def test_tie_in_reads_the_held_y_psi_residuals(self, monkeypatch):
+        # after the Y eigencheck, the central extension's psi rows take no
+        # r_n through K: "Y psi" is one build that both reports read
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), 40)
+        y_psi = algebra.y_eigencheck(fam).checks
+        calls = [0]
+        orig = algebra.apply_k
+
+        def counted(*args):
+            calls[0] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(algebra, "apply_k", counted)
+        rep = algebra.verify_central_extension(fam, d=10, matrix_size=21)
+        assert rep.ok and y_psi and calls[0] == 26  # K z^j for j = -12 .. 13 only
+        assert [fam.derived[("Y psi", n)] for n in range(41)] == [LaurentPoly.zero()] * 41
+
     @pytest.mark.parametrize("n", [3, 7, 11, 16, 40])
     @pytest.mark.parametrize("alpha,beta", [(F(3, 7), F(-2, 5)), (F(1), F(1))])
     def test_central_extension_tie_in_on_suite_families(self, alpha, beta, n):
@@ -1211,7 +1258,7 @@ class TestMemo:
         kinds = {k[0] if isinstance(k, tuple) else k for k in fam.derived}
         assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term", "psi(P,Q)",
                          "moments", "coefficients", "christoffel'", "raising", "K z",
-                         "relations", "matrix relations"}
+                         "relations", "matrix relations", "Y psi"}
         for key in fam.derived:
             shown = f'``("{key[0]}",' if isinstance(key, tuple) else f'``"{key}"``'
             assert shown in doc, key

@@ -2,7 +2,7 @@
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +15,8 @@ from circlejacobi.laurent import (
     Z,
     Z_MINUS_ZINV,
     Z_PLUS_ZINV,
+    _pair,
+    _signed,
 )
 
 from circle_oracle import constant
@@ -424,6 +426,15 @@ def assert_reduced(v) -> None:
     assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
 
 
+@st.composite
+def same_denominator(draw):
+    """Two reduced Rationals over one denominator: 1 (so 0 and +-1 are
+    reachable), small or about 600 bits."""
+    d = draw(st.just(1) | st.integers(2, 12) | BIG.map(abs))
+    m, n = (draw(INTS.filter(lambda k: gcd(k, d) == 1)) for _ in range(2))
+    return Rational(m, d), Rational(n, d)
+
+
 class TestRational:
     @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
     @given(RATIONALS, OPERANDS)
@@ -442,6 +453,41 @@ class TestRational:
         got = op(x, r)
         assert got == op(F(x), F(r))
         assert_reduced(got)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @given(same_denominator())
+    def test_equal_denominators_match_fraction(self, op, pair):
+        # + and - over one denominator go through the general gcd steps,
+        # which reduce n/d with g = d; both orders and r op r
+        a, b = pair
+        assert a.denominator == b.denominator
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = op(x, y)
+            assert got == op(F(x), F(y))
+            assert_reduced(got)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    @given(RATIONALS, INTS | st.just(True))
+    def test_int_operands_match_fraction(self, op, r, k):
+        # the int path: + and - keep r's denominator, * takes one gcd
+        for got, want in ((op(r, k), op(F(r), k)), (op(k, r), op(k, F(r)))):
+            assert got == want
+            assert_reduced(got)
+            if op is not operator.mul:
+                assert got.denominator == r.denominator
+
+    @given(INTS, NONZERO, INTS, NONZERO)
+    def test_signed_and_pair(self, n, d, m, e):
+        # _signed reduces n/d with one gcd and moves the sign onto n, and
+        # _pair puts two scalars over the lcm of their denominators
+        got = _signed(n, d)
+        assert got == F(n, d)
+        assert_reduced(got)
+        x, y = Rational(n, d), F(m, e)
+        xn, yn, q = _pair(x, y)
+        assert q == lcm(x.denominator, y.denominator) and (F(xn, q), F(yn, q)) == (x, y)
+        with pytest.raises(ZeroDivisionError):
+            _signed(n, 0)
 
     @given(RATIONALS, st.integers(-5, 5))
     def test_negation_and_int_powers(self, r, k):
