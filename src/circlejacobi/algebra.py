@@ -96,18 +96,11 @@ def verify_representation_derivation(p: JacobiParams, n_max: int) -> Verificatio
         params={"alpha": p.alpha, "beta": p.beta, "n_max": n_max},
     )
     lam, a = derive_representation(p.alpha, p.beta, n_max)
-    for n in range(n_max + 1):
-        want = lambda_n(p, n)
-        rep.add(
-            f"lambda n={n}", lam[n] == want,
-            "" if lam[n] == want else f"derived {lam[n]} != {want}",
-        )
-    for n in range(n_max + 1):
-        want = verblunsky(p, n)
-        rep.add(
-            f"a n={n}", a[n] == want,
-            "" if a[n] == want else f"derived {a[n]} != {want}",
-        )
+    for sym, derived, closed in (("lambda", lam, lambda_n), ("a", a, verblunsky)):
+        for n in range(n_max + 1):
+            want = closed(p, n)
+            ok = derived[n] == want
+            rep.add(f"{sym} n={n}", ok, "" if ok else f"derived {derived[n]} != {want}")
     return rep
 
 

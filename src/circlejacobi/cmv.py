@@ -246,14 +246,11 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
         params=family_params(fam, size=size),
     )
     for n in range(size):
-        if n < m1.valid_rows:
-            rep.residual(f"M1 row {n}", reflection_residual(fam, 1, n, op=m1))
-        else:
-            rep.skip(f"M1 row {n} (cut block)")
-        if n < m2.valid_rows:
-            rep.residual(f"M2 row {n}", reflection_residual(fam, 2, n, op=m2))
-        else:
-            rep.skip(f"M2 row {n} (cut block)")
+        for k, op in ((1, m1), (2, m2)):
+            if n < op.valid_rows:
+                rep.residual(f"M{k} row {n}", reflection_residual(fam, k, n, op=op))
+            else:
+                rep.skip(f"M{k} row {n} (cut block)")
     return rep
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from itertools import accumulate, count
 from math import lcm
 
-from .errors import NotDivisible
 from .laurent import LaurentPoly, Rational, _normal, _rational
 from .opuc import JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
@@ -38,9 +37,12 @@ def apply_k(f: LaurentPoly, p: JacobiParams, lam: Rational | int = 0) -> Laurent
     q_k = numer_k + q_{k-2}, taken separately over even and odd k.  For
     lam = ln/ld, S and D are taken ld times, so out_k = E (ld k - ln) c_k
     + ld q_k, E k c_k (theta f) less ln E c_k, is normalized once over
-    E ld times f's denominator; lam = 0 gives K f itself.  r vanishes at
-    z = +-1, so the division is exact; should the two top partial sums
-    not vanish, NotDivisible is raised and no remainder is ever discarded.
+    E ld times f's denominator; lam = 0 gives K f itself.
+
+    The division is exact for every f and every (S, D): r_{-k} = -r_k,
+    so r(1) = sum r_k = 0 and r(-1) = sum (-1)^k r_k = 0, hence 1 - z^2
+    divides r and (S z^2 + D z) r: the two top partial sums, the
+    remainder, are zero, and the zip with c below leaves them out.
     """
     nums = f._num
     if not nums:
@@ -59,8 +61,6 @@ def apply_k(f: LaurentPoly, p: JacobiParams, lam: Rational | int = 0) -> Laurent
     q = numer[:]
     q[0::2] = accumulate(numer[0::2])
     q[1::2] = accumulate(numer[1::2])
-    if q[-1] or q[-2]:
-        raise NotDivisible(f"(1 - z^2) does not divide the K numerator of ({f.text()}) exactly")
     step = e * ld  # the weight E (ld k - ln) of c_k, from k = -m on
     out = [w * a + b for w, a, b in zip(count(-e * (m * ld + ln), step), c, q)]
     return _normal(-m, out, f._den * step)

@@ -18,8 +18,8 @@ class BadSupport(CircleJacobiError):
 
 
 class ParamOutOfRange(CircleJacobiError):
-    """Parameters outside the admissible domain, or an induced
-    Verblunsky coefficient with modulus >= 1."""
+    """Parameters outside the admissible domain alpha, beta > -1
+    (``opuc.JacobiParams``)."""
 
 
 class BadVerblunsky(CircleJacobiError):

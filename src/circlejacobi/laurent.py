@@ -191,30 +191,17 @@ class LaurentPoly:
 
     The zero polynomial has empty support (lo = 0, no numerators, den = 1).
     Coefficients are real rationals, so conjugation is the identity
-    throughout the package.
+    throughout the package.  The constructor takes (exponent, value)
+    items, a repeated exponent adding up, and is one ``lincomb`` of
+    monomials, so ``_normal`` makes its normal form as it does every other.
     """
 
     __slots__ = ("_lo", "_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, Rational] = {}
-        for exp, val in items:
-            c = Rational(val)
-            if c:
-                k = int(exp)
-                acc[k] = acc.get(k, _ZERO) + c
-        acc = {k: c for k, c in acc.items() if c}
-        self._lo, self._num, self._den = 0, (), 1
-        if acc:
-            # over the lcm of the reduced denominators the numerators
-            # already have no common factor with it
-            den = lcm(*(c.denominator for c in acc.values()))
-            lo = min(acc)
-            nums = [0] * (max(acc) - lo + 1)
-            for k, c in acc.items():
-                nums[k - lo] = c.numerator * (den // c.denominator)
-            self._lo, self._num, self._den = lo, tuple(nums), den
+        f = LaurentPoly.lincomb([(Rational(v), _make(int(k), (1,), 1)) for k, v in items])
+        self._lo, self._num, self._den = f._lo, f._num, f._den
 
     # ---------------------------------------------------------------- constructors
 
@@ -438,9 +425,9 @@ class LaurentPoly:
         integer polynomial F over the rationals only if the quotient has
         integer coefficients, so integer long division by P decides it:
         each leading numerator must be an exact multiple of P's leading
-        coefficient (always so for the package's divisors z - 1/z and
-        1 - z, whose leading coefficient is 1 or -1), and the
-        remainder must vanish.  No fraction arises on the way.
+        coefficient (a leading 1, as in the package's divisor z - 1/z,
+        needs no divmod), and the remainder must vanish.  No fraction
+        arises on the way.
         """
         if not isinstance(divisor, LaurentPoly):
             raise TypeError("divisor must be a LaurentPoly")
@@ -462,8 +449,6 @@ class LaurentPoly:
                 continue
             if lead == 1:
                 q = r
-            elif lead == -1:
-                q = -r
             else:
                 q, left = divmod(r, lead)
                 if left:

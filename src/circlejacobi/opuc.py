@@ -98,9 +98,9 @@ class OPUCFamily:
       ``szego.build_q``);
     - ``("three-term", "P")`` and ``("three-term", "Q")``: the P and Q
       three-term residuals (``szego.three_term_residuals``);
-    - ``("coefficients", "P")`` and ``("coefficients", "Q")``: the
-      closed-form (b_n, u_n) and (b~_n, u~_n) of both recurrences
-      (``szego.recurrence_coefficients``);
+    - ``("recurrence", "P")`` and ``("recurrence", "Q")``: each chain
+      with the closed-form (b_n, u_n) or (b~_n, u~_n) of its recurrence
+      (``szego.recurrence``);
     - ``"psi(P,Q)"``: the residuals E_k of psi_k out of (P, Q)
       (``szego.psi_pq_residuals``);
     - ``"christoffel'"``: the residuals C'_n of (z - 1/z)^2 Q_{n-1} out

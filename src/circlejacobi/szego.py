@@ -11,8 +11,8 @@ recurrence, whose coefficients (``jacobi_b``, ``jacobi_u``) read only
 (alpha, beta).
 
 Five families of residuals and coefficients are built once per family
-(``opuc.per_family``): the closed-form recurrence coefficients of both
-chains (``recurrence_coefficients``), their three-term residuals T_n
+(``opuc.per_family``): each chain with the closed-form coefficients of
+its recurrence (``recurrence``), their three-term residuals T_n
 and T~_n (``three_term_residuals``), the residuals E_k of psi_k out of
 (P, Q) (``psi_pq_residuals``), the christoffel' residuals C'_n
 (``christoffel_prime_residuals``) and the raising residuals H_n
@@ -146,14 +146,6 @@ def build_q(fam: OPUCFamily, n: int) -> LaurentPoly:
     return num.div_exact(Z_MINUS_ZINV)
 
 
-def _chains(fam: OPUCFamily) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """P_0..P_{p_top} and Q_0..Q_{q_top} of the family, out of its memo."""
-    return (
-        [build_p(fam, n) for n in range(p_top(fam.size) + 1)],
-        [build_q(fam, n) for n in range(q_top(fam.size) + 1)],
-    )
-
-
 def _need_pair(fam: OPUCFamily) -> None:
     """The three-term, closure and transforms reports need size >= 3."""
     if fam.size < 3:
@@ -200,19 +192,18 @@ def bt_coeff(fam: OPUCFamily, n: int) -> Rational:
     return _signed(pi * (qj - pj) * qk - pk * (qj + pj) * qi, qi * qj * qk)
 
 
-_CLOSED_FORMS = {"P": (b_coeff, u_coeff, p_top), "Q": (bt_coeff, ut_coeff, q_top)}
-
-
-@per_family("coefficients")
-def recurrence_coefficients(fam: OPUCFamily, name: str) -> tuple[tuple, tuple]:
-    """(b_0..b_m, u_0..u_m) of the P recurrence (name "P", m = p_top(N) - 1)
-    or (b~, u~) of the Q recurrence ("Q", m = q_top(N) - 1), the closed
-    forms of every step that reads its chain's last member, computed once
-    per family: every recurrence, transform, classical and raising
-    residual reads them."""
-    b_of, u_of, top = _CLOSED_FORMS[name]
+@per_family("recurrence")
+def recurrence(fam: OPUCFamily, name: str) -> tuple[tuple, tuple, tuple]:
+    """(chain, b, u) of the P recurrence (name "P"): P_0..P_m out of the
+    ``build_p`` memo, m = p_top(N), and the closed forms b_0..b_{m-1},
+    u_0..u_{m-1} of every step that reads the chain's last member; or
+    Q_0..Q_m, m = q_top(N), with (b~, u~) ("Q").  Built once per family:
+    every recurrence, transform, classical and raising residual reads it."""
+    build, b_of, u_of, top = {"P": (build_p, b_coeff, u_coeff, p_top),
+                              "Q": (build_q, bt_coeff, ut_coeff, q_top)}[name]
     steps = range(top(fam.size))
-    return tuple(b_of(fam, n) for n in steps), tuple(u_of(fam, n) for n in steps)
+    chain = tuple(build(fam, n) for n in range(len(steps) + 1))
+    return chain, tuple(b_of(fam, n) for n in steps), tuple(u_of(fam, n) for n in steps)
 
 
 def _c2(fam: OPUCFamily, n: int) -> Rational:
@@ -226,16 +217,6 @@ def _c2(fam: OPUCFamily, n: int) -> Rational:
 # --------------------------------------------------------------------------
 
 
-def _recurrences(fam: OPUCFamily) -> dict:
-    """name -> (label tilde, chain, b, u) of the P and the Q recurrence:
-    each stops one short of its chain's end."""
-    p, q = _chains(fam)
-    return {
-        "P": ("", p, *recurrence_coefficients(fam, "P")),
-        "Q": ("~", q, *recurrence_coefficients(fam, "Q")),
-    }
-
-
 @per_family("three-term")
 def three_term_residuals(fam: OPUCFamily, name: str) -> list[LaurentPoly]:
     """T_n = P_{n+1} + b_n P_n + u_n P_{n-1} - x P_n for n = 0 ..
@@ -244,7 +225,7 @@ def three_term_residuals(fam: OPUCFamily, name: str) -> list[LaurentPoly]:
     three-term check reports them, and the Christoffel transform, the
     closure's span test, the classical match and the raising residuals
     are formed from them."""
-    _, chain, b, u = _recurrences(fam)[name]
+    chain, b, u = recurrence(fam, name)
     out = []
     for n in range(len(b)):
         terms = [(1, chain[n + 1]), (b[n], chain[n]), *_x_terms(chain[n], -1)]
@@ -316,7 +297,8 @@ def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
         relation="fitted (b_n, u_n) and (b~_n, u~_n) = closed forms in a_k",
         params=family_params(fam),
     )
-    for name, (tilde, chain, want_b, want_u) in _recurrences(fam).items():
+    for name, tilde in (("P", ""), ("Q", "~")):
+        chain, want_b, want_u = recurrence(fam, name)
         fit_b, fit_u = fit_recurrence(chain)
         top = len(want_b) - 1
         three_term = three_term_residuals(fam, name)
@@ -408,7 +390,7 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
         params=family_params(fam),
     )
     lc = LaurentPoly.lincomb
-    p, q = _chains(fam)
+    p, q = recurrence(fam, "P")[0], recurrence(fam, "Q")[0]
     size = fam.size
     # (z - 1/z)^2 Q_{n-1} = (x + 2 a_{2n-2}) P_n - 2(1 - a_{2n-3})(1 - a_{2n-2}^2) P_{n-1}
     christoffel_prime = christoffel_prime_residuals(fam)
@@ -479,7 +461,7 @@ def _oracle_gaps(fam: OPUCFamily, name: str, alpha: Rational, beta: Rational) ->
     from D_0 = chain_0 - 1; the upsilon terms drop at n = 0.  That is the
     same Laurent polynomial as chain_n minus the oracle for any chain.
     """
-    _, chain, b, u = _recurrences(fam)[name]
+    chain, b, u = recurrence(fam, name)
     gaps = [LaurentPoly.lincomb([(1, chain[0]), (-1, LaurentPoly.one())])]
     for n, res in enumerate(three_term_residuals(fam, name)):
         gap, cb = gaps[n], jacobi_b(alpha, beta, n)
@@ -551,8 +533,8 @@ def raising_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
         return {}
     lc = LaurentPoly.lincomb
     out = {1: lc([*raise_terms(build_q(fam, 0)), (-_mu(p, 1), build_p(fam, 1))])}
-    b, u = recurrence_coefficients(fam, "P")
-    bt, ut = recurrence_coefficients(fam, "Q")
+    _, b, u = recurrence(fam, "P")
+    _, bt, ut = recurrence(fam, "Q")
     t, tt = three_term_residuals(fam, "P"), three_term_residuals(fam, "Q")
     cp = christoffel_prime_residuals(fam)
     for n in range(1, top):

@@ -1257,7 +1257,7 @@ class TestMemo:
         doc = OPUCFamily.__doc__
         kinds = {k[0] if isinstance(k, tuple) else k for k in fam.derived}
         assert kinds == {"P", "Q", "K", "cmv", "reflection", "three-term", "psi(P,Q)",
-                         "moments", "coefficients", "christoffel'", "raising", "K z",
+                         "moments", "recurrence", "christoffel'", "raising", "K z",
                          "relations", "matrix relations", "Y psi"}
         for key in fam.derived:
             shown = f'``("{key[0]}",' if isinstance(key, tuple) else f'``"{key}"``'

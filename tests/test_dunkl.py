@@ -103,12 +103,19 @@ class TestApplyK:
         assert apply_k(f + g, p) == apply_k(f, p) + apply_k(g, p)
         assert apply_k(f * F(2, 7), p) == apply_k(f, p) * F(2, 7)
 
-    @given(laurents(max_terms=5))
-    def test_division_always_exact(self, f):
+    @given(laurents(max_terms=5).filter(lambda f: f.reflect() != f), st.integers(0, 12))
+    def test_division_always_exact(self, f, n):
         """(R - I)f vanishes at z = +-1, so the divided term never
-        leaves a remainder, for any Laurent input."""
+        leaves a remainder, for any Laurent input: apply_k equals the
+        composed formula, whose div_exact raises on a remainder, at
+        lam = 0 and lam = lambda_n."""
         for alpha, beta in ((F(1, 2), F(-1, 2)), (F(1), F(2))):
-            apply_k(f, JacobiParams(alpha, beta))  # must not raise
+            p = JacobiParams(alpha, beta)
+            divided = (LaurentPoly({2: p.s, 1: p.d}) * (f.reflect() - f)).div_exact(
+                ONE_MINUS_Z2
+            )
+            for lam in (0, lambda_n(p, n)):
+                assert apply_k(f, p, lam) == f.theta() - f * lam + divided
         apply_k_single_moment(f)
 
     @given(laurents(max_terms=5))

@@ -88,7 +88,36 @@ def assert_normal(f: LaurentPoly) -> None:
         assert gcd(f._den, *f._num) == 1
 
 
+@st.composite
+def constructor_items(draw):
+    """(exponent, value) items: exponents in [-3, 3], so they repeat, and
+    values n/d, zero among them, as an int, an unreduced "n/d" string, a
+    Fraction or a Rational."""
+    items = []
+    for _ in range(draw(st.integers(0, 8))):
+        n, d = draw(st.integers(-9, 9)), draw(st.integers(1, 9))
+        items.append((draw(st.integers(-3, 3)),
+                      draw(st.sampled_from([n, f"{n}/{d}", F(n, d), Rational(n, d)]))))
+    return items
+
+
 class TestConstruction:
+    @given(constructor_items())
+    def test_items_match_fraction_model(self, items):
+        """Repeated exponents add up, zero sums are dropped, every value
+        type is read exactly, and the result is in normal form; a mapping
+        is read as its items."""
+        want: dict = {}
+        for k, v in items:
+            want[k] = want.get(k, F(0)) + F(v)
+        f = LaurentPoly(items)
+        assert model(f) == {k: c for k, c in want.items() if c}
+        assert_normal(f)
+        last = dict(items)
+        g = LaurentPoly(last)
+        assert model(g) == {k: F(v) for k, v in last.items() if F(v)}
+        assert_normal(g)
+
     def test_zero_coefficients_are_not_stored(self):
         f = LaurentPoly({0: 1, 2: 0, 5: F(0)})
         assert list(f.items()) == [(0, 1)]

@@ -17,6 +17,7 @@ from circlejacobi.szego import (
     fit_recurrence,
     p_top,
     q_top,
+    recurrence,
     u_coeff,
     ut_coeff,
     verify_classical_match,
@@ -115,8 +116,8 @@ class TestBuildPQ:
         assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
         assert set(fam.derived) == {("P", n) for n in range(p_top(11) + 1)} | {
             ("Q", n) for n in range(q_top(11) + 1)
-        } | {("three-term", "P"), ("three-term", "Q"), "psi(P,Q)", ("coefficients", "P"),
-             ("coefficients", "Q"), "christoffel'", "raising"}
+        } | {("three-term", "P"), ("three-term", "Q"), "psi(P,Q)", ("recurrence", "P"),
+             ("recurrence", "Q"), "christoffel'", "raising"}
 
     def test_memo_is_per_family_not_per_params(self, family):
         # a corrupted family carries the clean family's params; it must
@@ -169,6 +170,25 @@ class TestRecurrenceCoefficients:
             assert w[:1] in ([], [0])
             assert all(v > 0 for v in w[1:])
         assert b_coeff(fam, 0) == 2 * fam.a[0]
+
+    @pytest.mark.parametrize("size", range(3, 13))
+    def test_recurrence_is_one_build(self, size):
+        """recurrence(fam, name) holds the chain's own memo entries and
+        the four closed forms of every step, on clean, corrupted and
+        untagged families; sizes 3..12 give both parities of p_top and
+        q_top."""
+        clean = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
+        bad = suites.family(clean.params, size, corrupt_a=size // 2)
+        for fam in (clean, bad, family_from_verblunsky(bad.a)):
+            for name, build, top, b_of, u_of in (("P", build_p, p_top, b_coeff, u_coeff),
+                                                 ("Q", build_q, q_top, bt_coeff, ut_coeff)):
+                chain, b, u = rec = recurrence(fam, name)
+                assert recurrence(fam, name) is rec
+                m = top(size)
+                assert len(chain) == m + 1
+                assert all(chain[n] is build(fam, n) for n in range(m + 1))
+                assert b == tuple(b_of(fam, n) for n in range(m))
+                assert u == tuple(u_of(fam, n) for n in range(m))
 
     def test_pair_requires_size(self, family):
         fam = family(F(0), F(0), 2)
