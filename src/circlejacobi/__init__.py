@@ -5,8 +5,8 @@ coefficients, the monic circle polynomials and their Laurent
 companions, the pentadiagonal one-sided recurrence, the Dunkl-type
 differential operator and its eigenvalues, the reflection-based algebra
 those operators generate, the map down to monic Jacobi polynomials on
-[-2, 2], and the trigonometric moment functionals.  Floating point only
-enters for the eigenvalues of truncated matrices.
+[-2, 2], and the trigonometric moment functionals; only the printed
+zeros of Phi_n are floats.
 """
 
 from .algebra import (
@@ -22,8 +22,7 @@ from .cmv import (
     BandedOperator,
     build_m1,
     build_m2,
-    cmv_matrix,
-    truncated_spectrum,
+    spectrum,
     verify_gevp_and_five_term,
     verify_reflection_rows,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "build_m2",
     "build_p",
     "build_q",
-    "cmv_matrix",
     "derive_representation",
     "determinantal_phi",
     "family_from_verblunsky",
@@ -88,9 +86,9 @@ __all__ = [
     "lambda_n",
     "orthogonality_check",
     "sigma",
+    "spectrum",
     "star",
     "toeplitz_delta",
-    "truncated_spectrum",
     "verblunsky",
     "verify_bispectral",
     "verify_central_extension",

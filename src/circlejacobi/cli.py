@@ -4,7 +4,7 @@ Subcommands:
 
   gen       tabulate a family: a_n, lambda_n, h_n, phi_n, psi_n
   verify    run verification suites, one summary line per identity
-  spectrum  eigenvalues of the truncated one-sided matrix
+  spectrum  eigenvalues of a truncation: M1, M2 exact, C from phi_n
   moments   trigonometric moments of the orthogonality weight
 
 Rational arguments are written as integers or quotients ("3/2",
@@ -12,9 +12,9 @@ Rational arguments are written as integers or quotients ("3/2",
 quantity downstream is exact, and a float argument would silently
 poison that.
 
-Exit status: 0 all checks passed, 1 verification failures (or a
-computation error at some grid point, reported with the results of the
-other points), 2 bad usage.
+Exit status: 0 all checks passed, 1 verification failures, a
+computation error at some grid point (reported with the results of the
+other points) or unconverged spectrum zeros, 2 bad usage.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ import re
 import sys
 
 from . import suites
-from .cmv import build_m1, build_m2, cmv_matrix, truncated_spectrum
+from .cmv import spectrum
 from .errors import CircleJacobiError, ConvergenceFailure, ParamOutOfRange
 from .laurent import Rational
 from .moments import MomentSeq
-from .opuc import JacobiParams, build_family, verblunsky
+from .opuc import JacobiParams, build_family
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
@@ -332,10 +332,8 @@ def cmd_spectrum(args) -> int:
     if args.n < 1:
         print("spectrum: --n must be >= 1", file=sys.stderr)
         return 2
-    a = [verblunsky(p, k) for k in range(args.n)]
-    builder = {"c": cmv_matrix, "m1": build_m1, "m2": build_m2}[args.matrix]
     try:
-        evs = truncated_spectrum(builder(a, args.n))
+        evs = spectrum(p, args.n, args.matrix)
     except ConvergenceFailure as exc:
         print(f"spectrum: {exc}", file=sys.stderr)
         return 1
@@ -352,11 +350,8 @@ def cmd_spectrum(args) -> int:
         rows = [(ev.real, ev.imag, abs(ev)) for ev in evs]
         _emit(args, _csv_text(rows, ("re", "im", "abs")))
     else:
-        lines = [
-            f"truncated matrix {args.matrix} alpha={p.alpha} beta={p.beta} size={args.n}"
-        ]
-        for ev in evs:
-            lines.append(f"{ev.real:+.12f} {ev.imag:+.12f}i  |.|={abs(ev):.12f}")
+        lines = [f"truncated matrix {args.matrix} alpha={p.alpha} beta={p.beta} size={args.n}"]
+        lines += [f"{ev.real:+.12f} {ev.imag:+.12f}i  |.|={abs(ev):.12f}" for ev in evs]
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

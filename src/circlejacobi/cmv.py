@@ -13,19 +13,18 @@ B_n = z psi_n(1/z) - (M2 psi)_n are built once per family and row
 follow from them by ring algebra, so their rows are formed as short
 combinations of A and B: the same Laurent polynomials as the direct
 formulas for any psi, and zero at no arithmetic cost on a clean family.
+``spectrum`` reads eigenvalues off the blocks and off phi_n, no matrix formed.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import math
+from typing import Sequence
 
 from .errors import BadVerblunsky, ConvergenceFailure
 from .laurent import _ZERO_POLY, LaurentPoly, Rational, _normal
-from .opuc import OPUCFamily, family_params, per_family, verblunsky
+from .opuc import JacobiParams, OPUCFamily, build_family, family_params, per_family, verblunsky
 from .report import VerificationReport
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class BandedOperator:
@@ -35,8 +34,7 @@ class BandedOperator:
     ``LaurentPoly`` keyed by i, and zero rows are not stored; the
     polynomial's normal form makes that representation unique, so a
     matrix identity holds on row i exactly when row i of its residual
-    ``lincomb`` is absent.  ``entries`` reads the entries back as
-    ``Rational``.
+    ``lincomb`` is absent.
 
     ``bandwidth`` bounds how far past its index a row reaches.  It is
     metadata that the constructors, ``lincomb`` and ``@`` set by
@@ -72,13 +70,6 @@ class BandedOperator:
     def diagonal(cls, values: Sequence[Rational]) -> "BandedOperator":
         rows = {i: LaurentPoly.monomial(i, v) for i, v in enumerate(values)}
         return cls(len(values), rows, 0, len(values))
-
-    # ------------------------------------------------------------- inspection
-
-    def entries(self):
-        for i, row in sorted(self.rows.items()):
-            for j, v in row.items():
-                yield i, j, v
 
     # ------------------------------------------------------------- arithmetic
 
@@ -145,14 +136,6 @@ class BandedOperator:
         row = self.rows.get(i, _ZERO_POLY)
         return [(scale * c, vectors[j]) for j, c in enumerate(row._num, row._lo) if c], row._den
 
-    def to_float(self) -> np.ndarray:
-        import numpy as np  # only the float spectrum needs numpy
-
-        arr = np.zeros((self.size, self.size), dtype=float)
-        for i, j, v in self.entries():
-            arr[i, j] = float(v)
-        return arr
-
 
 def _reflection_blocks(
     a: Sequence[Rational], size: int, first_row: int
@@ -192,13 +175,6 @@ def build_m2(a: Sequence[Rational], size: int) -> BandedOperator:
     """Truncation of M2: 2x2 blocks with parameters a_0, a_2, a_4, ...
     (the only ones read) starting at row 0."""
     return _reflection_blocks(a, size, 0)
-
-
-def cmv_matrix(a: Sequence[Rational], size: int) -> BandedOperator:
-    """C = M1 M2 from the coefficients a, pentadiagonal by construction:
-    each factor's rows reach one column on either side, so the product's
-    reach two, and ``@`` sets bandwidth 1 + 1."""
-    return build_m1(a, size) @ build_m2(a, size)
 
 
 def _reference_a(fam: OPUCFamily, count: int) -> list[Rational]:
@@ -293,17 +269,74 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     return rep
 
 
-def truncated_spectrum(op: BandedOperator) -> list[complex]:
-    """Eigenvalues of the float image, sorted by argument then modulus.
+def spectrum(p: JacobiParams, size: int, matrix: str = "c") -> list[complex]:
+    """Eigenvalues of the size x size truncation of C = M1 M2, M1 or M2
+    (matrix "c", "m1" or "m2") at p, sorted by argument in (-pi, pi], then
+    modulus; a real one has imaginary part +0.0, so a negative one sorts at
+    pi.  A complete reflection block has trace 0 and determinant -1, so 1
+    and -1; a cut block has its entry a_{size-1}.  det(z - C) = phi_size
+    (Simon, *OPUC* 4.2): 0 as often as its lowest exponent, then ``_zeros``."""
+    if matrix != "c":
+        first = {"m1": 1, "m2": 0}[matrix]
+        evs = [1.0] * first + [1.0, -1.0] * ((size - first) // 2)
+        evs += [float(verblunsky(p, size - 1))] * ((size - first) % 2)
+    else:
+        phi = build_family(p, size).phi[size]
+        evs = [0.0] * phi._lo + _zeros(phi._num)
+    return sorted(map(complex, evs), key=lambda v: (math.atan2(v.imag, v.real), abs(v)))
 
-    This is the single floating-point route in the operator layer and is
-    informational only; no exact verification consumes it, so numpy is
-    imported here and not when the package loads.
-    """
-    import numpy as np
 
-    try:
-        vals = np.linalg.eigvals(op.to_float())
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise ConvergenceFailure(str(exc)) from exc
-    return sorted(vals.tolist(), key=lambda v: (np.angle(v), abs(v)))
+def _zeros(nums: Sequence[int]) -> list[complex]:
+    """The zeros of the real q(z) = sum nums[k] z^k, q(0) != 0: Aberth sweeps
+    (Aberth, *Math. Comp.* 27, 1973) from fixed points on |z| = |q(0)/lead|^(1/deg)
+    by q/q' in complex floats until each |q(z)| is within Horner's rounding
+    bound, then by the exact ``_newton`` step, final once within 2^-30 max(1, |z|).
+    Those on or above the real axis are kept, with their conjugates."""
+    deg = len(nums) - 1
+    c = [(x / nums[-1], abs(x / nums[-1])) for x in reversed(nums)]
+    z = [c[-1][1] ** (1 / deg) * math.e ** (2j * math.pi * j / deg + 0.4j) for j in range(deg)]
+    final, exact = {}, False
+    for _ in range(500):
+        moved = False
+        for j, zj in enumerate(z):
+            if j in final:
+                continue
+            if exact:
+                zn = _newton(nums, zj)
+                w = zj - zn
+                if abs(w) <= 2**-30 * max(1, abs(zj)):
+                    final[j] = zn
+                    continue
+            else:
+                p, dp, bound, r = 0j, 0j, 0.0, abs(zj)
+                for ck, sk in c:
+                    dp, p, bound = dp * zj + p, p * zj + ck, bound * r + sk
+                if abs(p) <= 4 * deg * 2**-53 * bound:
+                    continue
+                w = p / dp
+            w /= 1 - w * sum([1 / (zj - zk) for k, zk in enumerate(z) if k != j])
+            if abs(w) < math.inf:
+                z[j], moved = zj - w, True
+        evs = [v for v in final.values() if v.imag >= 0]
+        evs += [v.conjugate() for v in evs if v.imag]
+        if len(final) == deg == len(evs):
+            return evs
+        exact = exact or not moved
+    raise ConvergenceFailure(f"no {deg} zeros closed under conjugation in 500 sweeps")
+
+
+def _newton(nums: Sequence[int], z: complex) -> complex:
+    """z - q(z)/q'(z), exact, rounded once and made real within 2^-52 max(1, |z|)
+    of the axis: (Z D - P)/(D E) for z = Z/E, E = 2^t, from Horner on Gaussian
+    integers, Z = X + iY, P = E^deg q(z) and D = E^(deg-1) q'(z)."""
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    e = max(xd, yd)
+    x, y, t = xn * (e // xd), yn * (e // yd), e.bit_length() - 1
+    pr, pj, dr, dj = nums[-1], 0, 0, 0
+    for k, ck in enumerate(reversed(nums[:-1]), 1):
+        dr, dj = dr * x - dj * y + pr, dr * y + dj * x + pj
+        pr, pj = pr * x - pj * y + (ck << t * k), pr * y + pj * x
+    nr, nj = x * dr - y * dj - pr, x * dj + y * dr - pj
+    norm = (dr * dr + dj * dj) * e
+    re, im = (nr * dr + nj * dj) / norm, (nj * dr - nr * dj) / norm
+    return complex(re, 0.0 if abs(im) <= 2**-52 * max(1, abs(complex(re, im))) else im)

@@ -36,4 +36,4 @@ class NonPositive(CircleJacobiError):
 
 
 class ConvergenceFailure(CircleJacobiError):
-    """The dense eigenvalue routine did not converge."""
+    """The Aberth iteration of ``cmv.spectrum`` did not converge."""

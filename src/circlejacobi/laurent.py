@@ -192,15 +192,15 @@ class LaurentPoly:
     The zero polynomial has empty support (lo = 0, no numerators, den = 1).
     Coefficients are real rationals, so conjugation is the identity
     throughout the package.  The constructor takes (exponent, value)
-    items, a repeated exponent adding up, and is one ``lincomb`` of
-    monomials, so ``_normal`` makes its normal form as it does every other.
+    items, exponents read by ``operator.index`` and repeats adding up, as
+    one ``lincomb`` of monomials, so ``_normal`` makes its normal form.
     """
 
     __slots__ = ("_lo", "_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        f = LaurentPoly.lincomb([(Rational(v), _make(int(k), (1,), 1)) for k, v in items])
+        f = LaurentPoly.lincomb([(Rational(v), _make(index(k), (1,), 1)) for k, v in items])
         self._lo, self._num, self._den = f._lo, f._num, f._den
 
     # ---------------------------------------------------------------- constructors

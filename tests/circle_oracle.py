@@ -9,11 +9,13 @@ moments have closed forms that share no code with the general formulas
 of the package, so the tests check those formulas against them.  Also
 here: the chi ordering and its inverse, the support of a Laurent
 polynomial, a banded row applied to vectors through its reduced entries,
-and the symmetry of K in the weighted inner product.
+the entries of a banded operator, the CMV matrix C = M1 M2, and the
+symmetry of K in the weighted inner product.
 """
 
 from fractions import Fraction
 
+from circlejacobi.cmv import build_m1, build_m2
 from circlejacobi.dunkl import apply_k
 from circlejacobi.laurent import LaurentPoly
 from circlejacobi.moments import MomentSeq, inner_product
@@ -87,6 +89,21 @@ def row_terms(op, i: int, vectors, sign: int = 1) -> list:
 def apply_row(op, i: int, vectors) -> LaurentPoly:
     """sum_j M[i, j] * vectors[j] for row i of the ``BandedOperator`` op."""
     return LaurentPoly.lincomb(row_terms(op, i, vectors))
+
+
+def entries(op):
+    """(i, j, M[i, j]) for the nonzero entries of the ``BandedOperator``
+    op, row by row, each read as a reduced ``Rational``."""
+    for i, row in sorted(op.rows.items()):
+        for j, v in row.items():
+            yield i, j, v
+
+
+def cmv_matrix(a, size: int):
+    """C = M1 M2 from the coefficients a, pentadiagonal by construction:
+    each factor's rows reach one column on either side, so the product's
+    reach two, and ``@`` sets bandwidth 1 + 1."""
+    return build_m1(a, size) @ build_m2(a, size)
 
 
 def chi_basis(n: int) -> LaurentPoly:

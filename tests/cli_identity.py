@@ -106,6 +106,9 @@ def _invocations() -> list[list[str]]:
     # the smallest families and CMV matrices
     runs += [["spectrum", *OFF_GRID, "--n", str(n), "--matrix", "c"] for n in (1, 2)]
     runs += [["gen", *OFF_GRID, "--n", str(n), "--format", fmt] for n in (1, 2) for fmt in FORMATS]
+    # the help text of the program and of every subcommand
+    runs += [["--help"], *([command, "--help"] for command in ("gen", "verify", "spectrum",
+                                                               "moments"))]
     # exit status 2: bad usage, caught before any verification
     runs += [
         ["verify", "--alpha", "1/2", "--n", "8"],

@@ -25,6 +25,7 @@ from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 from circlejacobi.szego import p_top, q_top
 
 from algebra_oracle import AlgebraParams, CanonicalForm, build_xy_matrix, canonicalize
+from circle_oracle import entries
 from conftest import GRID, PARAM
 
 F = Fraction
@@ -263,8 +264,8 @@ class TestCentralExtension:
     def test_xy_matrix_shapes(self):
         x, y = build_xy_matrix(JacobiParams(F(1, 2), F(-1, 2)), 9)
         assert x.size == y.size == 9
-        assert max(abs(i - j) for i, j, _ in x.entries()) <= 2
-        assert all(i == j for i, j, _ in y.entries())  # diagonal in the eigenbasis
+        assert max(abs(i - j) for i, j, _ in entries(x)) <= 2
+        assert all(i == j for i, j, _ in entries(y))  # diagonal in the eigenbasis
 
 
 class TestYEigen:
@@ -306,6 +307,21 @@ class TestYEigen:
                 if (label, k) != ("P", 1):
                     want.add(f"Y {label} n={k}")
                 assert {c.label for c in y_eigencheck(fam).failures} == want
+
+    @pytest.mark.parametrize("alpha, beta", [(F(3, 7), F(-2, 5)), (F(1), F(2))])
+    def test_blind_spot_of_a_corrupted_odd_coefficient(self, alpha, beta):
+        # corrupting a_k moves psi_{k+1} by -(1/100) psi_k.  For odd k that
+        # is still an eigenfunction of Y with eigenvalue Lambda_{k+1}, since
+        # Lambda_{2m-1} = Lambda_{2m}, so "Y psi n=k+1" passes; a fact about
+        # Y, not a defect, and "Y psi n=k+2" sees every k
+        p = JacobiParams(alpha, beta)
+        for k in range(15):
+            ok = {c.label: c.ok for c in y_eigencheck(suites.family(p, 16, k)).checks}
+            assert ok[f"Y psi n={k + 1}"] is (k % 2 == 1), k
+            assert ok[f"Y psi n={k + 2}"] is False, k
+        # at k = n - 1 no later row is left: blind at odd k, not at even k
+        assert y_eigencheck(suites.family(p, 16, 15)).ok
+        assert not y_eigencheck(suites.family(p, 15, 14)).ok
 
 
 class TestAsVerblunskySource:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from circlejacobi import suites
+from circlejacobi import cmv, suites
 from circlejacobi.errors import BadVerblunsky
 from circlejacobi.cli import main, rational
 from circlejacobi.moments import MomentSeq
@@ -453,10 +453,7 @@ class TestSpectrum:
             "--format", "json",
         )
         assert code == 0
-        evs = json.loads(out)["eigenvalues"]
-        assert len(evs) == 1
-        assert evs[0][0] == pytest.approx(0.2, abs=1e-15)  # a_0 = 1/5
-        assert evs[0][1] == pytest.approx(0.0, abs=1e-15)
+        assert json.loads(out)["eigenvalues"] == [[0.2, 0.0]]  # a_0 = 1/5, rounded once
 
     def test_truncations_are_contractions(self, capsys):
         code, out, _ = run(
@@ -467,31 +464,28 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["matrix"] == "c" and len(doc["eigenvalues"]) == 21
         for re_, im in doc["eigenvalues"]:
-            assert (re_ * re_ + im * im) ** 0.5 <= 1 + 1e-10
+            assert abs(complex(re_, im)) <= 1
 
     def test_free_complete_block_factor_is_unitary(self, capsys):
         # at the free point the size-4 second factor is two complete
-        # antidiagonal blocks, so all four eigenvalues sit on the circle
+        # antidiagonal blocks, so the eigenvalues are 1, 1, -1, -1 exactly
         code, out, _ = run(
             capsys, "spectrum", "--alpha", "-1/2", "--beta", "-1/2",
             "--n", "4", "--matrix", "m2", "--format", "json",
         )
         assert code == 0
-        evs = json.loads(out)["eigenvalues"]
-        assert len(evs) == 4
-        for re_, im in evs:
-            assert abs((re_ * re_ + im * im) ** 0.5 - 1) < 1e-12
+        assert json.loads(out)["eigenvalues"] == [[1.0, 0.0]] * 2 + [[-1.0, 0.0]] * 2
 
     def test_free_product_truncation_is_nilpotent(self, capsys):
         # the product truncation always carries one cut block, so the
-        # free-point eigenvalues collapse to zero instead of the circle
+        # free-point eigenvalues collapse to zero instead of the circle:
+        # phi_4 = z^4, and each zero prints as an exact 0
         code, out, _ = run(
             capsys, "spectrum", "--alpha", "-1/2", "--beta", "-1/2",
             "--n", "4", "--format", "json",
         )
         assert code == 0
-        for re_, im in json.loads(out)["eigenvalues"]:
-            assert abs(re_) < 1e-12 and abs(im) < 1e-12
+        assert json.loads(out)["eigenvalues"] == [[0.0, 0.0]] * 4
 
     def test_text_and_csv(self, capsys):
         code, out, _ = run(
@@ -509,6 +503,14 @@ class TestSpectrum:
             capsys, "spectrum", "--alpha", "0", "--beta", "0", "--n", "0",
         )
         assert code == 2
+
+    def test_unconverged_zeros_exit_1(self, capsys, monkeypatch):
+        # a Newton step that never settles: the iteration gives up, and
+        # the command says so and exits 1 with no output
+        monkeypatch.setattr(cmv, "_newton", lambda nums, z: z + 1)
+        code, out, err = run(capsys, "spectrum", "--alpha", "1", "--beta", "2", "--n", "5")
+        assert (code, out) == (1, "")
+        assert err == "spectrum: no 5 zeros closed under conjugation in 500 sweeps\n"
 
 
 class TestMoments:
@@ -671,8 +673,8 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["a"] == ["-1/2", "-1/3", "-1/4", "-1/5"]
 
     def test_cli_import_leaves_scipy_out(self):
-        # numpy too: only `spectrum` needs it, and it imports it on use;
-        # and dataclasses, whose import pulls in inspect, ast and dis
+        # numpy too, which no command needs; and dataclasses, whose
+        # import pulls in inspect, ast and dis
         proc = subprocess.run(
             [sys.executable, "-c",
              "import circlejacobi.cli, sys; "
@@ -681,6 +683,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False False False False"
+
+    def test_package_module_invocation(self):
+        # python -m circlejacobi runs the same command line as circlejacobi.cli
+        argv = ["verify", "--alpha", "1", "--beta", "2", "--n", "8"]
+        procs = [subprocess.run([sys.executable, "-m", module, *argv],
+                                capture_output=True, text=True)
+                 for module in ("circlejacobi", "circlejacobi.cli")]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert procs[0].stdout == procs[1].stdout
+        assert procs[0].stdout.endswith("PASS: 378 checks, 0 failures, 12 skipped\n")
+
+    def test_every_command_runs_without_numpy(self, tmp_path):
+        # numpy is no dependency: with its import blocked, every command
+        # and every spectrum matrix still runs to exit 0
+        point = ["--alpha", "3/7", "--beta", "-2/5", "--n", "10"]
+        runs = [["gen", *point], ["verify", *point], ["moments", *point],
+                *(["spectrum", *point, "--matrix", m] for m in ("c", "m1", "m2"))]
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from circlejacobi.cli import main\n"
+            f"codes = [main(argv + ['--out', {str(tmp_path / 'out')!r}]) for argv in {runs!r}]\n"
+            "print(codes, 'numpy' in sys.modules and sys.modules['numpy'] is None)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[0, 0, 0, 0, 0, 0] True\n"
 
     def test_cli_import_runs_every_suite_module(self):
         # the import is cheaper because less is loaded, not because a
@@ -694,7 +723,8 @@ class TestEntryPoint:
         assert proc.returncode == 0
         src = Path(suites.__file__).parent
         assert proc.stdout.split() == sorted(
-            f"circlejacobi.{info.name}" for info in pkgutil.iter_modules([str(src)]))
+            f"circlejacobi.{info.name}" for info in pkgutil.iter_modules([str(src)])
+            if info.name != "__main__")  # the `python -m circlejacobi` entry point
 
     def test_module_invocation_failure_code(self):
         proc = subprocess.run(
@@ -777,6 +807,8 @@ class TestEntryPoint:
                 "a ring operator the benchmark tracer wraps (perfbench/spans.py)"
             for attr in literal("LAURENT_METHODS").values()
         },
+        "laurent.LaurentPoly.items": "reads coefficients out as Rational; the benchmark "
+                                     "tracer reads bit heights through it (perfbench/spans.py)",
         "laurent.LaurentPoly.__hash__": "Python protocol, kept with __eq__ so equal "
                                         "polynomials hash alike",
         "laurent.LaurentPoly.__len__": "Python protocol, for interactive use",

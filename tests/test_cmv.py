@@ -1,6 +1,10 @@
 """Block reflection matrices, the pentadiagonal product, truncations."""
 
+import cmath
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,17 +15,16 @@ from circlejacobi.cmv import (
     BandedOperator,
     build_m1,
     build_m2,
-    cmv_matrix,
     family_operators,
-    truncated_spectrum,
+    spectrum,
     verify_gevp_and_five_term,
     verify_reflection_rows,
 )
-from circlejacobi.errors import BadVerblunsky
+from circlejacobi.errors import BadVerblunsky, ConvergenceFailure
 from circlejacobi.laurent import LaurentPoly, Rational
 from circlejacobi.opuc import JacobiParams, build_family, verblunsky
 
-from circle_oracle import apply_row
+from circle_oracle import LEBESGUE, SINGLE_MOMENT, apply_row, cmv_matrix, entries
 from conftest import GRID, verblunsky_lists
 
 F = Fraction
@@ -70,14 +73,14 @@ class TestBuilders:
 
     def test_pentadiagonal(self):
         c = cmv_matrix(SM, 12)
-        assert max(abs(i - j) for i, j, _ in c.entries()) <= 2
+        assert max(abs(i - j) for i, j, _ in entries(c)) <= 2
         assert c.bandwidth == 2
 
     @settings(deadline=None)
     @given(verblunsky_lists(12))
     def test_pentadiagonal_for_any_coefficients(self, a):
         c = cmv_matrix(a, len(a))
-        assert all(abs(i - j) <= 2 for i, j, _ in c.entries())
+        assert all(abs(i - j) <= 2 for i, j, _ in entries(c))
 
     def test_too_few_coefficients(self):
         with pytest.raises(ValueError):
@@ -166,10 +169,10 @@ class TestReferenceModel:
         # only nonzero rows are stored, each as its generating polynomial
         assert sorted(op.rows) == [i for i, row in enumerate(want) if any(row)]
         assert all(type(r) is LaurentPoly for r in op.rows.values())
-        assert list(op.entries()) == [
+        assert list(entries(op)) == [
             (i, j, v) for i, row in enumerate(want) for j, v in enumerate(row) if v
         ]
-        assert all(type(v) is Rational for _, _, v in op.entries())
+        assert all(type(v) is Rational for _, _, v in entries(op))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_operations_match_dense_lists(self, seed):
@@ -218,7 +221,7 @@ class TestReferenceModel:
         eye = BandedOperator.identity(size)
         for m in (build_m1(zeros, size), build_m2(zeros, size), cmv_matrix(zeros, size)):
             assert m.rows == (m @ eye).rows == (eye @ m).rows
-            assert all(v for _, _, v in m.entries())
+            assert all(v for _, _, v in entries(m))
             assert all(m.rows.values())
 
 
@@ -303,43 +306,156 @@ class TestDiagonalFactor:
             self._same(op @ diag, _general_product(op, diag))
 
 
+def _bareiss_det(rows: list[list[Fraction]]) -> Fraction:
+    """The determinant of a square matrix of rationals: its entries scaled
+    to integers, then Bareiss's fraction-free elimination (Bareiss,
+    *Math. Comp.* 22, 1968), with a row swap on a zero pivot."""
+    size = len(rows)
+    scale = math.lcm(*(F(v).denominator for row in rows for v in row))
+    m = [[int(F(v) * scale) for v in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return F(0)
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return F(sign * m[-1][-1], scale ** size)
+
+
+def _char_poly_at(op: BandedOperator, z: Fraction) -> Fraction:
+    """det(z I - M) for the dense image of op, exact."""
+    dense = _dense(op)
+    return _bareiss_det([[(z if i == j else 0) - v for j, v in enumerate(row)]
+                         for i, row in enumerate(dense)])
+
+
+def _newton_step_within_tolerance(phi: LaurentPoly, z: complex) -> bool:
+    """|phi(z) / phi'(z)| <= 2^-52 max(1, |z|), decided in exact rationals
+    at the float point z, compared squared so no root is taken."""
+    x, y = F(z.real), F(z.imag)
+    pr = pj = dr = dj = F(0)
+    for k in range(phi.max_exp, -1, -1):
+        dr, dj = dr * x - dj * y + pr, dr * y + dj * x + pj
+        pr, pj = pr * x - pj * y + phi.coeff(k), pr * y + pj * x
+    return (pr * pr + pj * pj) <= F(1, 2**104) * max(1, x * x + y * y) * (dr * dr + dj * dj)
+
+
+SPECTRUM_POINTS = [*GRID, (F(3, 7), F(-2, 5))]
+
+
+class TestCharacteristicPolynomial:
+    @pytest.mark.parametrize("alpha, beta", SPECTRUM_POINTS)
+    def test_det_of_the_cmv_truncation_is_phi_n(self, alpha, beta):
+        """det(z - C^(n)) = Phi_n(z), the identity ``spectrum`` rests on,
+        with C^(n) = M1 M2 formed as a matrix and its determinant taken by
+        elimination, for n = 1..12."""
+        p = JacobiParams(alpha, beta)
+        fam = build_family(p, 12)
+        for n in range(1, 13):
+            c = cmv_matrix(fam.a[:n], n)
+            for z in (F(2), F(-1, 3), F(5, 7)):
+                assert _char_poly_at(c, z) == fam.phi[n].evaluate(z), (n, z)
+
+    def test_bareiss_against_a_permutation_expansion(self):
+        rng = random.Random(7)
+        for size in range(1, 5):
+            for _ in range(20):
+                m = _random_dense(rng, size)
+                want = F(0)
+                for perm in itertools.permutations(range(size)):
+                    inv = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+                    want += (-1) ** inv * math.prod(m[i][perm[i]] for i in range(size))
+                assert _bareiss_det(m) == want
+
+
 class TestSpectrum:
     def test_size_one_is_a0(self):
         for alpha, beta in GRID:
             p = JacobiParams(alpha, beta)
-            a = [verblunsky(p, 0)]
-            evs = truncated_spectrum(cmv_matrix(a, 1))
-            assert len(evs) == 1
-            assert abs(evs[0] - complex(float(a[0]))) < 1e-14
+            assert spectrum(p, 1) == [complex(float(verblunsky(p, 0)))]
 
     def test_free_truncation_is_nilpotent(self):
         """With vanishing coefficients the one-sided matrix is a shift
         chain that leaves every finite window, so all its eigenvalues
-        collapse to zero at every size."""
+        collapse to zero at every size: phi_n = z^n, and each prints as
+        an exact 0."""
         for size in (2, 3, 4, 6, 9):
-            zeros = [F(0)] * size
-            c = cmv_matrix(zeros, size)
-            evs = truncated_spectrum(c)
-            assert max(abs(ev) for ev in evs) < 1e-8
+            assert spectrum(LEBESGUE, size) == [0j] * size
             # exact nilpotency: some power has no nonzero entry at all
+            c = cmv_matrix([F(0)] * size, size)
             power = BandedOperator.identity(size)
             for _ in range(size + 1):
                 power = power @ c
-            assert not list(power.entries())
+            assert not list(entries(power))
 
     @pytest.mark.parametrize("alpha,beta", GRID)
     def test_truncations_are_contractions(self, alpha, beta):
         """Truncated one-sided matrices have spectrum in the closed unit
         disk (they are corners of a unitary)."""
-        p = JacobiParams(alpha, beta)
-        a = [verblunsky(p, n) for n in range(21)]
-        evs = truncated_spectrum(cmv_matrix(a, 21))
+        evs = spectrum(JacobiParams(alpha, beta), 21)
         assert len(evs) == 21
-        assert max(abs(ev) for ev in evs) <= 1 + 1e-10
+        assert max(abs(ev) for ev in evs) <= 1
+
+    @pytest.mark.parametrize("alpha, beta", SPECTRUM_POINTS)
+    def test_zeros_of_phi_n(self, alpha, beta):
+        """n eigenvalues with multiplicity; 0 exactly as often as phi_n's
+        lowest exponent says; at every other one z, the Newton step of
+        phi_n, evaluated exactly, is at most 2^-52 max(1, |z|)."""
+        p = JacobiParams(alpha, beta)
+        fam = build_family(p, 40)
+        for n in (1, 2, 9, 10, 21, 40):
+            phi = fam.phi[n]
+            evs = spectrum(p, n)
+            assert len(evs) == n
+            zeros = [ev for ev in evs if not ev]
+            assert len(zeros) == phi.min_exp
+            assert all(str(ev) == "0j" for ev in zeros)  # +0.0 in both parts
+            assert all(_newton_step_within_tolerance(phi, ev) for ev in evs if ev)
+
+    @pytest.mark.parametrize("alpha, beta", SPECTRUM_POINTS)
+    def test_order_and_real_zeros(self, alpha, beta):
+        """Sorted by argument in (-pi, pi], then modulus; closed under
+        conjugation; a real eigenvalue has imaginary part +0.0, and a
+        nonzero part of odd degree has one."""
+        p = JacobiParams(alpha, beta)
+        fam = build_family(p, 21)
+        for n in (9, 10, 21):
+            for matrix in ("c", "m1", "m2"):
+                evs = spectrum(p, n, matrix)
+                assert evs == sorted(evs, key=lambda v: (cmath.phase(v), abs(v)))
+                assert Counter(evs) == Counter(v.conjugate() for v in evs)
+                assert all(math.copysign(1, v.imag) == 1 for v in evs if not v.imag)
+            if (n - fam.phi[n].min_exp) % 2:
+                assert any(v and not v.imag for v in spectrum(p, n))
+
+    @pytest.mark.parametrize("matrix, build, first", [("m1", build_m1, 1), ("m2", build_m2, 0)])
+    @pytest.mark.parametrize("alpha, beta", SPECTRUM_POINTS)
+    def test_reflection_factors_are_exact(self, matrix, build, first, alpha, beta):
+        """Each reported eigenvalue is exactly 1, -1 or the cut block's
+        a_{size-1}, and those values are the zeros of det(z - M)."""
+        p = JacobiParams(alpha, beta)
+        a = [verblunsky(p, k) for k in range(12)]
+        for size in range(1, 13):
+            blocks, cut = divmod(size - first, 2)
+            exact = [1] * first + [1, -1] * blocks + a[size - 1:size] * cut
+            assert Counter(spectrum(p, size, matrix)) == Counter(complex(v) for v in exact)
+            op = build(a, size)
+            for z in (F(2), F(-1, 3), F(5, 7)):
+                assert _char_poly_at(op, z) == math.prod(z - v for v in exact)
 
     def test_sorted_deterministically(self):
-        c = cmv_matrix(SM, 10)
-        assert truncated_spectrum(c) == truncated_spectrum(c)
+        assert spectrum(SINGLE_MOMENT, 10) == spectrum(SINGLE_MOMENT, 10)
+
+    def test_unconverged_iteration_raises(self, monkeypatch):
+        # a Newton step that never settles leaves every zero open
+        monkeypatch.setattr(cmv, "_newton", lambda nums, z: z + 1)
+        with pytest.raises(ConvergenceFailure, match="in 500 sweeps$"):
+            spectrum(JacobiParams(F(3, 7), F(-2, 5)), 4)
 
 
 class TestRowVerifications:

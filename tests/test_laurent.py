@@ -131,6 +131,20 @@ class TestConstruction:
         f = LaurentPoly([(2, 1), (2, -1)])
         assert f.is_zero
 
+    @pytest.mark.parametrize("exponent", [1.5, F(3, 2), 2.0, F(2)])
+    def test_non_integer_exponents_are_rejected(self, exponent):
+        # operator.index, not int: int(1.5) and int(Fraction(3, 2)) are 1,
+        # which used to turn both into z without a word
+        with pytest.raises(TypeError):
+            LaurentPoly({exponent: 1})
+        with pytest.raises(TypeError):
+            LaurentPoly([(exponent, 1)])
+
+    def test_int_and_bool_exponents(self):
+        assert LaurentPoly({True: 2, False: 1, -3: 1}) == LaurentPoly({1: 2, 0: 1, -3: 1})
+        f = LaurentPoly([(-2, 1), (7, F(1, 2))])
+        assert list(f.items()) == [(-2, 1), (7, F(1, 2))]
+
     def test_string_scalars_are_exact(self):
         f = LaurentPoly({-1: "1/3"})
         assert f.coeff(-1) == F(1, 3)
