@@ -9,10 +9,12 @@ rest as skipped.
 
 The reflection residuals A_n = psi_n(1/z) - (M1 psi)_n and
 B_n = z psi_n(1/z) - (M2 psi)_n are built once per family and row
-(``reflection_residual``).  The pencil and the five-term recurrence
-follow from them by ring algebra, so their rows are formed as short
-combinations of A and B: the same Laurent polynomials as the direct
-formulas for any psi, and zero at no arithmetic cost on a clean family.
+(``reflection_residual``): the upper row of each 2x2 block from psi,
+the lower row from the upper one, since each block is an involution.
+The pencil and the five-term recurrence follow from them by ring
+algebra, so their rows are formed as short combinations of A and B: the
+same Laurent polynomials as the direct formulas for any psi, and zero
+at no arithmetic cost on a clean family.
 ``spectrum`` reads eigenvalues off the blocks and off phi_n, no matrix formed.
 """
 
@@ -202,8 +204,24 @@ def family_operators(fam: OPUCFamily, size: int) -> tuple[BandedOperator, Banded
 def reflection_residual(fam: OPUCFamily, m: int, n: int, *, op: BandedOperator) -> LaurentPoly:
     """A_n = psi_n(1/z) - (M1 psi)_n (m = 1, op = M1) or B_n = z psi_n(1/z)
     - (M2 psi)_n (m = 2, op = M2), once per family and row, from row n of
-    op, a valid row: the same at every size, so the CMV rows at size N + 1
-    and the central extension's tie-in at the algebra's size share one build."""
+    op, a valid row: the same at every size, so the CMV rows at size N + 1,
+    the central extension's tie-in at the algebra's size and the psi(P,Q)
+    rows (``szego.psi_pq_residuals``) share one build.
+
+    An upper block row (n - first_row even, first_row = 1 for M1 and 0
+    for M2) is formed from psi.  The lower row of the block is formed from
+    it: with a = a_{n-1} read off row n - 1 of op and f*(z) = f(1/z), the
+    block [[a, 1], [1 - a^2, -a]] gives, for any psi,
+
+        A_n = -A_{n-1}* - a A_{n-1},    B_n = -z B_{n-1}* - a B_{n-1},
+
+    zero with no nonzero term when the upper row is zero.  Since a^2 < 1
+    the lower row is zero exactly when the upper row is."""
+    first = 2 - m
+    if n > first and (n - first) % 2:
+        up = reflection_residual(fam, m, n - 1, op=op)
+        star = up.reflect() if m == 1 else up.reflect().shift(1)
+        return LaurentPoly.lincomb([(-1, star), (-op.rows[n - 1].coeff(n - 1), up)])
     psi = fam.psi
     terms, den = op.row_parts(n, psi, -1)
     image = psi[n].reflect() if m == 1 else psi[n].reflect().shift(1)

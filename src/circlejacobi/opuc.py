@@ -120,11 +120,12 @@ class OPUCFamily:
       (``algebra.matrix_relation_residuals``), reported by the matrix
       relations and read by the central extension's matrix side;
     - ``("cmv", size)``: M1 and M2 at that size (``cmv.family_operators``),
-      read at size N + 1 by the row checks and at the algebra's own size
-      by ``algebra.family_representation``;
+      read at size N + 1 by the row checks and the psi(P,Q) rows and at
+      the algebra's own size by ``algebra.family_representation``;
     - ``("reflection", m, n)``: the reflection residual A_n (m = 1) or
       B_n (m = 2) of M1 or M2 (``cmv.reflection_residual``), read by the
-      CMV rows and the central extension's tie-in;
+      CMV rows, the central extension's tie-in and, for the odd rows
+      A_{2n-1} of M1, by the even psi(P,Q) rows;
     - ``"moments"``: the ``MomentSeq`` at the family's (alpha, beta)
       (``moments.family_moments``).
 

@@ -20,15 +20,17 @@ and T~_n (``three_term_residuals``), the residuals E_k of psi_k out of
 algebra are formed out of them, the same Laurent polynomial as the
 direct formula for any input: the recurrence closure's span test
 (-T_n + (b^_n - b_n) p_n + (u^_n - u_n) p_{n-1}, with the fitted and the
-closed-form coefficients), the Christoffel row, P and Q from psi, the
-psi(P,P) rows (E_k plus a multiple of C'_n / (z - 1/z)), the classical
-match (P_n - O_n from T_n and the two coefficient sets), H_n from
-T_n, T~_{n-1} and C'_n, and the ODE from the direct theta-PQ residual
-and H_n; so are Y P_n and Y F_n in ``algebra.y_eigencheck``.  On a
-clean family these residuals are zero and the combinations cost next
-to nothing.  The classical match and the ODE still fail under a
-corrupted a_k: the oracle's (beta_n, upsilon_n), and mu_n, f3 and f4 of
-H_n, come from (alpha, beta), not from the family.
+closed-form coefficients), the even rows E_2n out of E_{2n-1} and the M1
+reflection residual A_{2n-1} (``cmv.reflection_residual``), the
+Christoffel row, P and Q from psi, the psi(P,P) rows (E_k plus a
+multiple of C'_n / (z - 1/z)), the classical match (P_n - O_n from T_n
+and the two coefficient sets), H_n from T_n, T~_{n-1} and C'_n, and the
+ODE from the direct theta-PQ residual and H_n; so are Y P_n and Y F_n
+in ``algebra.y_eigencheck``.  On a clean family these residuals are
+zero and the combinations cost next to nothing.  The classical match
+and the ODE still fail under a corrupted a_k: the oracle's
+(beta_n, upsilon_n), and mu_n, f3 and f4 of H_n, come from
+(alpha, beta), not from the family.
 
 Since P_n reads phi_{2n-1} and Q_n reads phi_{2n+1}, a family of size N
 carries P_0..P_{p_top(N)} and Q_0..Q_{q_top(N)}.  Each three-term
@@ -45,6 +47,7 @@ reflection-invariant: ``algebra.y_eigencheck`` checks their parity
 
 from __future__ import annotations
 
+from .cmv import family_operators, reflection_residual
 from .laurent import _ZERO, Z_MINUS_ZINV, LaurentPoly, Rational, _pair, _rational, _signed
 from .opuc import BOUNDARY_A, JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
@@ -319,22 +322,45 @@ def verify_recurrence_closure(fam: OPUCFamily) -> VerificationReport:
 def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     """E_k, the residual of psi_k out of (P, Q), for k = 0 .. N:
 
-        E_{2n-1} = psi_{2n-1} - (P_n + (z - 1/z) Q_{n-1}) / 2,
-        E_2n = psi_2n - ((1 - a) P_n - (1 + a)(z - 1/z) Q_{n-1}) / 2,
+        E_{2n-1} = psi_{2n-1} - (P_n + D Q_{n-1}) / 2,
+        E_2n = psi_2n - ((1 - a') P_n - (1 + a') D Q_{n-1}) / 2,
 
-    a = a_{2n-1}, and E_0 = psi_0 - P_0 (the Q term carries
+    D = z - 1/z, a' = a_{2n-1}, and E_0 = psi_0 - P_0 (the Q term carries
     1 + a_{-1} = 0).  Built once per family: the transforms report them
     and form P and Q from psi and the psi(P,P) rows out of them, and the
     Y eigencheck forms Y P_n and Y F_n out of them.
+
+    E_0 and E_{2n-1} are formed directly.  psi_2n is the other psi of
+    the M1 block at rows 2n - 1, 2n, so with A = A_{2n-1}, the held M1
+    reflection residual (``cmv.reflection_residual``, M1 at size N + 1),
+    a the reference a_{2n-1} that M1 reads, and f*(z) = f(1/z),
+
+        E_2n = E_{2n-1}* - a E_{2n-1} - A
+               + [(P_n* - P_n) - D (Q_{n-1}* - Q_{n-1}) + (a' - a)(P_n + D Q_{n-1})] / 2,
+
+    the same Laurent polynomial as the direct formula for any psi, P and
+    Q.  Each bracket term is formed only when its factor is nonzero, so
+    on a clean family E_2n passes no nonzero term to ``lincomb``.
     """
     lc, psi = LaurentPoly.lincomb, fam.psi
+    m1 = family_operators(fam, fam.size + 1)[0]
     out = {0: lc([(1, psi[0]), (-1, build_p(fam, 0))])}
     for n in range(1, p_top(fam.size) + 1):
         pn, q = build_p(fam, n), build_q(fam, n - 1)
-        out[2 * n - 1] = lc([(1, psi[2 * n - 1]), (-_HALF, pn), *_d_terms(q, -_HALF)])
+        out[2 * n - 1] = odd = lc([(1, psi[2 * n - 1]), (-_HALF, pn), *_d_terms(q, -_HALF)])
         if 2 * n <= fam.size:
-            am = _a(fam, 2 * n - 1)
-            out[2 * n] = lc([(1, psi[2 * n]), ((am - 1) / 2, pn), *_d_terms(q, (1 + am) / 2)])
+            a = m1.rows[2 * n - 1].coeff(2 * n - 1)
+            terms = [(1, odd.reflect()), (-a, odd),
+                     (-1, reflection_residual(fam, 1, 2 * n - 1, op=m1))]
+            p_star, q_star = pn.reflect(), q.reflect()
+            if p_star != pn:
+                terms += [(_HALF, p_star), (-_HALF, pn)]
+            if q_star != q:
+                terms += [*_d_terms(q_star, -_HALF), *_d_terms(q, _HALF)]
+            drift = _a(fam, 2 * n - 1) - a
+            if drift:
+                terms += [(drift / 2, pn), *_d_terms(q, drift / 2)]
+            out[2 * n] = lc(terms)
     return out
 
 

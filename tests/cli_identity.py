@@ -66,6 +66,13 @@ def _invocations() -> list[list[str]]:
     runs += [["verify", *OFF_GRID, "--n", "16", "--corrupt-a", str(k), "--suite", "szego",
               "--format", fmt] for k in (1, 14) for fmt in FORMATS]
     runs.append(["verify", *OFF_GRID, "--n", "16", "--corrupt-a", "15", "--suite", "szego"])
+    # the reflection blocks' lower rows and the even psi(P,Q) rows, formed
+    # from other residuals, under a corrupted a_k at an upper row of M1
+    # (odd k), of M2 (even k), and at k = n - 1 (past the Szego reach at
+    # n = 16), at both parities of the truncation size n + 1
+    runs += [["verify", *OFF_GRID, "--n", str(n), "--corrupt-a", str(k), "--suite", suite,
+              "--format", "json"]
+             for n in (16, 17) for k in (5, 8, n - 1) for suite in ("cmv", "szego")]
     # the moments suite alone, and corrupted a_k inside its reach past a_1
     for n in (5, 12):
         runs += [["verify", "--grid-file", GRID_FILE, "--n", str(n), "--suite", "moments",

@@ -161,7 +161,9 @@ class TestFunctionalRealization:
 
     def test_algebra_suite_builds_one_representation(self, monkeypatch):
         # the matrix relations and the central extension read one build of
-        # M1 and M2 out of the family, the one cmv.family_operators keeps
+        # M1 and M2 out of the family, the one cmv.family_operators keeps;
+        # the Y eigencheck's psi(P,Q) rows read M1 at size N + 1, the CMV
+        # rows' size
         sizes = []
         orig = cmv.build_m1
 
@@ -172,16 +174,19 @@ class TestFunctionalRealization:
         monkeypatch.setattr(cmv, "build_m1", counted)
         fam = build_family(JacobiParams(F(1), F(2)), 24)
         assert all(rep.ok for rep in suites.run("algebra", fam))
-        assert sizes == [21]
+        assert sizes == [21, 25]
         assert algebra.family_representation(fam, 21)[:2] == fam.derived[("cmv", 21)]
+        assert {k for k in fam.derived if k[0] == "cmv"} == {("cmv", 21), ("cmv", 25)}
 
     def test_tie_in_and_cmv_rows_share_the_reflection_rows(self):
         # the tie-in builds A_j and B_j only for the rows j <= top it
-        # reads; the CMV suite then reuses them and builds the rest
+        # reads, and the psi(P,Q) rows read the odd M1 rows A_{2n-1},
+        # 2n <= N; the CMV suite then reuses them and builds the rest
         fam = build_family(JacobiParams(F(1), F(2)), 24)
         assert all(rep.ok for rep in suites.run("algebra", fam))
         held = {k: v for k, v in fam.derived.items() if k[0] == "reflection"}
-        assert set(held) == {("reflection", m, j) for m in (1, 2) for j in range(20)}
+        assert set(held) == {("reflection", m, j) for m in (1, 2) for j in range(20)} | {
+            ("reflection", 1, j) for j in (21, 23)}
         assert all(rep.ok for rep in suites.run("cmv", fam))
         assert all(fam.derived[k] is v for k, v in held.items())
         assert {k for k in fam.derived if k[0] == "reflection"} == {

@@ -217,11 +217,25 @@ def direct_three_term(fam):
     return out
 
 
+def direct_psi_pq(fam):
+    """E_k = psi_k minus its formula in (P, Q), each row from psi_k itself."""
+    psi = fam.psi
+    out = {0: psi[0] - build_p(fam, 0)}
+    for n in range(1, p_top(fam.size) + 1):
+        pn, dq = build_p(fam, n), Z_MINUS_ZINV * build_q(fam, n - 1)
+        out[2 * n - 1] = psi[2 * n - 1] - (pn + dq) / 2
+        if 2 * n <= fam.size:
+            am = szego._a(fam, 2 * n - 1)
+            out[2 * n] = psi[2 * n] - ((1 - am) * pn - (1 + am) * dq) / 2
+    return out
+
+
 def direct_transforms(fam):
     if fam.size < 3:
         raise ValueError("need a family of size >= 3")
     a = szego._a
-    psi, out = fam.psi, {}
+    psi = fam.psi
+    out = {f"psi(P,Q) n={k}": e for k, e in direct_psi_pq(fam).items()}
     P = [build_p(fam, n) for n in range(p_top(fam.size) + 1)]
     Q = [build_q(fam, n) for n in range(q_top(fam.size) + 1)]
     for n in range(1, q_top(fam.size) + 1):
@@ -286,6 +300,11 @@ def direct_classical(fam):
     return out
 
 
+def _deriv(f):
+    """d/dz, z^k -> k z^(k-1), on the (exponent, coefficient) items."""
+    return LaurentPoly({k - 1: k * c for k, c in f.items()})
+
+
 def direct_ode(fam):
     """The z-form ODE from P_n' and P_n'', and theta P_n - n (z - 1/z) Q_{n-1}."""
     al, be = fam.params.alpha, fam.params.beta
@@ -294,9 +313,9 @@ def direct_ode(fam):
     out = {}
     for n in range(p_top(fam.size) + 1):
         f = build_p(fam, n)
-        f1 = f.deriv()
+        f1 = _deriv(f)
         ev = n * (n + al + be + 1)
-        out[f"ODE n={n}"] = (z2 - 1) * z2 * f1.deriv() + drift * f1 - ev * (z2 - 1) * f
+        out[f"ODE n={n}"] = (z2 - 1) * z2 * _deriv(f1) + drift * f1 - ev * (z2 - 1) * f
         theta = f.theta()
         out[f"theta-PQ n={n}"] = theta - n * Z_MINUS_ZINV * build_q(fam, n - 1) if n else theta
     return out
@@ -444,6 +463,36 @@ class TestReferenceModel:
         for fam in _families(seed):
             if fam.params is not None or not needs_params:
                 assert_matches_direct(verify, direct, fam)
+
+    @pytest.mark.parametrize("move", ["a", "P", "Q"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_even_psi_pq_rows_reach_each_bracket_term(self, move, seed):
+        # E_2n is formed from E_{2n-1}, the M1 row A_{2n-1} and three bracket
+        # terms, each formed only when its factor is nonzero: a corrupted
+        # odd a_k moves a' = a_k off the reference a that M1 reads, and an
+        # asymmetric P_n or Q_{n-1} patched into the memo moves P_n* - P_n
+        # or Q_{n-1}* - Q_{n-1} off zero
+        rng = random.Random(seed)
+        size = rng.randint(4, 14)
+        n = rng.randint(1, size // 2)
+        p = _point(rng)
+        fam = suites.family(p, size, corrupt_a=2 * n - 1 if move == "a" else None)
+        bump = LaurentPoly.monomial(rng.choice([-2, -1, 1, 2]), _rational(rng) or 1)
+        if move == "P":
+            fam.derived[("P", n)] = build_p(fam, n) + bump
+        elif move == "Q":
+            fam.derived[("Q", n - 1)] = build_q(fam, n - 1) + bump
+        factor = {"a": fam.a[2 * n - 1] - verblunsky(p, 2 * n - 1),
+                  "P": build_p(fam, n).reflect() - build_p(fam, n),
+                  "Q": build_q(fam, n - 1).reflect() - build_q(fam, n - 1)}[move]
+        got = szego.psi_pq_residuals(fam)
+        assert factor and got == direct_psi_pq(fam)
+        if move == "a":
+            # psi_2n moves off the reference M1 row, and the a' - a term
+            # cancels A_{2n-1}: E_2n, read off fam.a, stays zero
+            assert fam.derived[("reflection", 1, 2 * n - 1)] and not got[2 * n]
+        else:
+            assert got[2 * n]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fused_k_residual_equals_direct(self, seed):
@@ -1221,6 +1270,33 @@ class TestCleanFamilyCost:
         monkeypatch.setattr(LaurentPoly, "div_exact", counted)
         assert szego.verify_transforms(fam).ok
         assert len(dividends) == p_top(size) and not any(dividends)
+
+    @pytest.mark.parametrize("size", [24, 25])
+    def test_lower_block_rows_pass_no_nonzero_term(self, size, monkeypatch):
+        # once the upper row of every reflection block is held, the lower
+        # rows of a clean family are combinations of zero residuals, and so
+        # are the even psi(P,Q) rows, formed from the odd ones and the upper
+        # M1 rows: only E_0 and the odd rows E_{2n-1} take psi, P and Q
+        fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
+        ops = dict(zip((1, 2), cmv.family_operators(fam, size + 1)))
+        lower = []
+        for m, op in ops.items():
+            first = 2 - m  # the first block row: 1 for M1, 0 for M2
+            for n in range(op.valid_rows):
+                if n > first and (n - first) % 2:
+                    lower.append((m, n))
+                else:
+                    assert not cmv.reflection_residual(fam, m, n, op=op)
+        p, q = (szego.recurrence(fam, name)[0] for name in ("P", "Q"))
+        live = live_lincomb_terms(monkeypatch)
+        assert not any(cmv.reflection_residual(fam, m, n, op=ops[m]) for m, n in lower)
+        assert len(lower) == size and live == []
+        e = szego.psi_pq_residuals(fam)
+        assert sorted(e) == list(range(size + 1)) and not any(e.values())
+        odd_terms = [fam.psi[0], p[0]]
+        for n in range(1, p_top(size) + 1):
+            odd_terms += [fam.psi[2 * n - 1], p[n], q[n - 1].shift(1), q[n - 1].shift(-1)]
+        assert live == odd_terms
 
     @pytest.mark.parametrize("size", [24, 25])
     def test_closure_passes_no_nonzero_term(self, size, monkeypatch):

@@ -109,7 +109,8 @@ class TestBuildPQ:
         p3, q2 = build_p(fam, 3), build_q(fam, 2)
         assert build_p(fam, 3) is p3 and build_q(fam, 2) is q2
         # the verifiers read the same memo, and it holds every P and Q the
-        # family carries, no more
+        # family carries, no more; psi(P,Q) adds M1 at size N + 1 and the
+        # odd M1 reflection rows A_{2n-1}, 2n <= N, its even rows read
         for verify in (verify_three_term, verify_recurrence_closure, verify_transforms,
                        verify_classical_match, verify_dep_and_pq_identity):
             assert verify(fam).ok
@@ -117,7 +118,8 @@ class TestBuildPQ:
         assert set(fam.derived) == {("P", n) for n in range(p_top(11) + 1)} | {
             ("Q", n) for n in range(q_top(11) + 1)
         } | {("three-term", "P"), ("three-term", "Q"), "psi(P,Q)", ("recurrence", "P"),
-             ("recurrence", "Q"), "christoffel'", "raising"}
+             ("recurrence", "Q"), "christoffel'", "raising", ("cmv", 12)} | {
+            ("reflection", 1, 2 * n - 1) for n in range(1, 6)}
 
     def test_memo_is_per_family_not_per_params(self, family):
         # a corrupted family carries the clean family's params; it must
