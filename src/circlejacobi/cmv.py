@@ -228,6 +228,16 @@ def reflection_residual(fam: OPUCFamily, m: int, n: int, *, op: BandedOperator) 
     return LaurentPoly.lincomb([(den, image), *terms], den)
 
 
+def m1_upper_row(fam: OPUCFamily, n: int) -> tuple[Rational, LaurentPoly]:
+    """(a_n, A_n) for the upper row n = 1, 3, 5, ... of a complete M1 block
+    at size N + 1: the reference coefficient M1 reads there and the held
+    reflection residual, for ``szego.psi_pq_residuals``."""
+    m1 = family_operators(fam, fam.size + 1)[0]
+    if n % 2 == 0 or not 0 < n < m1.valid_rows - 1:
+        raise ValueError(f"row {n} is not the upper row of a complete M1 block")
+    return m1.rows[n].coeff(n), reflection_residual(fam, 1, n, op=m1)
+
+
 def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     """Row-wise checks psi_n(1/z) = sum_m (M1)_{nm} psi_m and
     z psi_n(1/z) = sum_m (M2)_{nm} psi_m on rows with complete blocks:

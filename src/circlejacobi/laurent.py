@@ -408,6 +408,11 @@ class LaurentPoly:
         nums = [c * k for k, c in enumerate(self._num, self._lo)]
         return _normal(self._lo, nums, self._den)
 
+    def deriv(self) -> "LaurentPoly":
+        """d/dz, valid on Laurent polynomials: z^k -> k z^(k-1)."""
+        nums = [c * k for k, c in enumerate(self._num, self._lo)]
+        return _normal(self._lo - 1, nums, self._den)
+
     # ---------------------------------------------------------------- division
 
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":

@@ -21,7 +21,7 @@ algebra are formed out of them, the same Laurent polynomial as the
 direct formula for any input: the recurrence closure's span test
 (-T_n + (b^_n - b_n) p_n + (u^_n - u_n) p_{n-1}, with the fitted and the
 closed-form coefficients), the even rows E_2n out of E_{2n-1} and the M1
-reflection residual A_{2n-1} (``cmv.reflection_residual``), the
+reflection residual A_{2n-1} (``cmv.m1_upper_row``), the
 Christoffel row, P and Q from psi, the psi(P,P) rows (E_k plus a
 multiple of C'_n / (z - 1/z)), the classical match (P_n - O_n from T_n
 and the two coefficient sets), H_n from T_n, T~_{n-1} and C'_n, and the
@@ -47,7 +47,7 @@ reflection-invariant: ``algebra.y_eigencheck`` checks their parity
 
 from __future__ import annotations
 
-from .cmv import family_operators, reflection_residual
+from .cmv import m1_upper_row
 from .laurent import _ZERO, Z_MINUS_ZINV, LaurentPoly, Rational, _pair, _rational, _signed
 from .opuc import BOUNDARY_A, JacobiParams, OPUCFamily, family_params, per_family, require_params
 from .report import VerificationReport
@@ -332,8 +332,8 @@ def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
 
     E_0 and E_{2n-1} are formed directly.  psi_2n is the other psi of
     the M1 block at rows 2n - 1, 2n, so with A = A_{2n-1}, the held M1
-    reflection residual (``cmv.reflection_residual``, M1 at size N + 1),
-    a the reference a_{2n-1} that M1 reads, and f*(z) = f(1/z),
+    reflection residual, a the reference a_{2n-1} that M1 reads (both
+    from ``cmv.m1_upper_row``, M1 at size N + 1) and f*(z) = f(1/z),
 
         E_2n = E_{2n-1}* - a E_{2n-1} - A
                + [(P_n* - P_n) - D (Q_{n-1}* - Q_{n-1}) + (a' - a)(P_n + D Q_{n-1})] / 2,
@@ -343,15 +343,13 @@ def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     on a clean family E_2n passes no nonzero term to ``lincomb``.
     """
     lc, psi = LaurentPoly.lincomb, fam.psi
-    m1 = family_operators(fam, fam.size + 1)[0]
     out = {0: lc([(1, psi[0]), (-1, build_p(fam, 0))])}
     for n in range(1, p_top(fam.size) + 1):
         pn, q = build_p(fam, n), build_q(fam, n - 1)
         out[2 * n - 1] = odd = lc([(1, psi[2 * n - 1]), (-_HALF, pn), *_d_terms(q, -_HALF)])
         if 2 * n <= fam.size:
-            a = m1.rows[2 * n - 1].coeff(2 * n - 1)
-            terms = [(1, odd.reflect()), (-a, odd),
-                     (-1, reflection_residual(fam, 1, 2 * n - 1, op=m1))]
+            a, upper = m1_upper_row(fam, 2 * n - 1)
+            terms = [(1, odd.reflect()), (-a, odd), (-1, upper)]
             p_star, q_star = pn.reflect(), q.reflect()
             if p_star != pn:
                 terms += [(_HALF, p_star), (-_HALF, pn)]

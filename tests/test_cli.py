@@ -21,7 +21,7 @@ from circlejacobi.cli import main, rational
 from circlejacobi.moments import MomentSeq
 from circlejacobi.opuc import JacobiParams, build_family
 
-from test_perfbench import STALE_METHODS, literal
+from test_perfbench import literal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -805,7 +805,7 @@ class TestEntryPoint:
         **{
             f"laurent.LaurentPoly.{attr}":
                 "a ring operator the benchmark tracer wraps (perfbench/spans.py)"
-            for span, attr in literal("LAURENT_METHODS").items() if span not in STALE_METHODS
+            for attr in literal("LAURENT_METHODS").values()
         },
         "laurent.LaurentPoly.items": "reads coefficients out as Rational; the benchmark "
                                      "tracer reads bit heights through it (perfbench/spans.py)",

@@ -551,6 +551,25 @@ class TestOneBuildPerFamily:
         assert calls == {"build_m1": 1, "build_m2": 1, "__matmul__": 0}
 
     @pytest.mark.parametrize("size", [6, 7])
+    def test_m1_upper_row_reads_the_held_block(self, size):
+        # (a_n, A_n) for the upper rows of the complete M1 blocks at size
+        # n + 1: the reference a_n, not the corrupted one, and the memo entry
+        p = JacobiParams(F(3, 7), F(-2, 5))
+        bad = suites.family(p, size, corrupt_a=1)
+        m1 = family_operators(bad, size + 1)[0]
+        for n in range(1, size, 2):
+            a, upper = cmv.m1_upper_row(bad, n)
+            assert a == verblunsky(p, n)
+            assert upper is bad.derived[("reflection", 1, n)]
+            assert upper == cmv.reflection_residual(bad, 1, n, op=m1)
+        assert cmv.m1_upper_row(bad, 1)[1]  # psi_1 moved off the reference row
+        # the leading 1x1 block, a lower row, and the cut block (size 7) or
+        # past the last row (size 6)
+        for n in (0, 2, size + 1 - size % 2):
+            with pytest.raises(ValueError, match="not the upper row"):
+                cmv.m1_upper_row(bad, n)
+
+    @pytest.mark.parametrize("size", [6, 7])
     def test_operators_come_from_the_parameter_point(self, size):
         # a corrupted family tagged with p is checked against the matrices
         # p dictates, built at size n + 1; C is not built, and its rows are

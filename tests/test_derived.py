@@ -300,11 +300,6 @@ def direct_classical(fam):
     return out
 
 
-def _deriv(f):
-    """d/dz, z^k -> k z^(k-1), on the (exponent, coefficient) items."""
-    return LaurentPoly({k - 1: k * c for k, c in f.items()})
-
-
 def direct_ode(fam):
     """The z-form ODE from P_n' and P_n'', and theta P_n - n (z - 1/z) Q_{n-1}."""
     al, be = fam.params.alpha, fam.params.beta
@@ -313,9 +308,9 @@ def direct_ode(fam):
     out = {}
     for n in range(p_top(fam.size) + 1):
         f = build_p(fam, n)
-        f1 = _deriv(f)
+        f1 = f.deriv()
         ev = n * (n + al + be + 1)
-        out[f"ODE n={n}"] = (z2 - 1) * z2 * _deriv(f1) + drift * f1 - ev * (z2 - 1) * f
+        out[f"ODE n={n}"] = (z2 - 1) * z2 * f1.deriv() + drift * f1 - ev * (z2 - 1) * f
         theta = f.theta()
         out[f"theta-PQ n={n}"] = theta - n * Z_MINUS_ZINV * build_q(fam, n - 1) if n else theta
     return out

@@ -13,9 +13,6 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 # Spans whose function the program no longer has; the tracer reports them
 # ABSENT until the benchmark itself drops them.
 STALE = {"moments.quad", "szego.build_szego_pair"}
-# LaurentPoly methods the tracer still names that the class no longer
-# defines; it reports them ABSENT in the same way.
-STALE_METHODS = {"laurent.deriv"}
 
 
 def literal(name: str):
@@ -43,7 +40,7 @@ def test_laurent_methods_are_defined_on_the_class():
     module, cls_name = literal("LAURENT_CLASS")
     cls = getattr(importlib.import_module(module), cls_name)
     # the tracer wraps what the class itself defines, not what it inherits
-    missing = {
+    missing = sorted(
         span for span, attr in literal("LAURENT_METHODS").items() if attr not in vars(cls)
-    }
-    assert missing <= STALE_METHODS, sorted(missing - STALE_METHODS)
+    )
+    assert not missing, missing
