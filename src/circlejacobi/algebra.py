@@ -25,14 +25,14 @@ two anticommutator residuals, forming no X or Y (``verify_central_extension``).
 
 from __future__ import annotations
 
-from .cmv import BandedOperator, family_operators, reflection_residual
+from .cmv import BandedOperator, family_operators, product_residual, reflection
 from .dunkl import apply_k, k_residual, lambda_n
 from .errors import Degenerate
 from .laurent import _ZERO, _ZERO_POLY, LaurentPoly, Rational, _pair, _rational, _signed
 from .opuc import (JacobiParams, OPUCFamily, family_params, per_family, require_params,
                    verblunsky)
 from .report import VerificationReport
-from .szego import _x_terms, build_p, build_q, p_top, psi_pq_residuals, q_top
+from .szego import _a, _d_terms, _x_terms, build_p, build_q, from_psi_residual, p_top, q_top
 
 
 # --------------------------------------------------------------------------
@@ -176,14 +176,6 @@ def verify_relations_matrix(fam: OPUCFamily, size: int) -> VerificationReport:
 # --------------------------------------------------------------------------
 
 
-def op_m1(f: LaurentPoly) -> LaurentPoly:
-    return f.reflect()
-
-
-def op_m2(f: LaurentPoly) -> LaurentPoly:
-    return f.reflect().shift(1)
-
-
 @per_family("Y psi")
 def y_psi_residual(fam: OPUCFamily, n: int) -> LaurentPoly:
     """Y psi_n - Lambda_n psi_n, the "Y psi n" residual, built once per
@@ -223,9 +215,10 @@ def relation_residuals(fam: OPUCFamily, j: int) -> tuple[LaurentPoly, LaurentPol
     p, lc = fam.params, LaurentPoly.lincomb
     f, kf = LaurentPoly.monomial(j), k_monomial(fam, j)
     residuals = []
-    for op, (c, e) in zip((op_m1, op_m2), relation_constants(p.alpha, p.beta)):
-        mf = op(f)  # the monomial z^m
-        residuals.append(lc([(1, k_monomial(fam, mf.max_exp)), (1, op(kf)), (-c, mf), (-e, f)]))
+    for m, (c, e) in enumerate(relation_constants(p.alpha, p.beta), 1):
+        mf = reflection(f, m)  # the monomial z^m
+        residuals.append(lc([(1, k_monomial(fam, mf.max_exp)), (1, reflection(kf, m)),
+                             (-c, mf), (-e, f)]))
     return tuple(residuals)
 
 
@@ -242,7 +235,7 @@ def verify_relations_functional(fam: OPUCFamily, d: int) -> VerificationReport:
     lc = LaurentPoly.lincomb
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
-        involutions = [lc([(1, op(op(f))), (-1, f)]) for op in (op_m1, op_m2)]
+        involutions = [lc([(1, reflection(reflection(f, m), m)), (-1, f)]) for m in (1, 2)]
         for name, res in zip(("M1^2", "M2^2", "M1 rel", "M2 rel"),
                              (*involutions, *relation_residuals(fam, k))):
             rep.residual(f"{name} k={k}", res)
@@ -266,12 +259,12 @@ def _central_residuals(p: JacobiParams, s: Rational, jr2: tuple,
     c_x, c_m1, c_i = jr2
     xf, yf = x_op(f), y_op(f)
     xxf, xyf, yxf = x_op(xf), x_op(yf), y_op(xf)
-    return (lc([(1, y_op(op_m1(f))), (-1, op_m1(yf))]),
+    return (lc([(1, y_op(reflection(f, 1))), (-1, reflection(yf, 1))]),
             # [X, [X, Y]] = XXY - 2 XYX + YXX
             lc([(1, x_op(xyf)), (-2, x_op(yxf)), (1, y_op(xxf)), (-2, xxf), (8, f)]),
             # [Y, [Y, X]] = YYX - 2 YXY + XYY, {X, Y} = XY + YX
             lc([(1, y_op(yxf)), (-2, y_op(xyf)), (1, x_op(y_op(yf))), (-2, xyf), (-2, yxf),
-                (-c_x, xf), (-c_m1, op_m1(f)), (-c_i, f)]))
+                (-c_x, xf), (-c_m1, reflection(f, 1)), (-c_i, f)]))
 
 
 def _central_matrix_derived(a: BandedOperator, b: BandedOperator, k: BandedOperator,
@@ -305,18 +298,6 @@ def _central_matrix_derived(a: BandedOperator, b: BandedOperator, k: BandedOpera
         lcb([(-1, eps2), (1, ke), (-1, ek), (2 * s, r4),
              (1, sigma @ k), (1, k @ sigma), (-s, sigma)]),
     ]
-
-
-def x_psi_residual(m1: BandedOperator, m2: BandedOperator, a, b, n: int) -> LaurentPoly:
-    """Row n of X = M1 M2 + M2 M1 on psi minus x psi_n, for any psi where
-    M1 M2 and M2 M1 are valid, out of the reflection residuals A_m = a[m]
-    and B_m = b[m] (``cmv.reflection_residual``), as (M1 psi)_n(1/z) =
-    psi_n - A_n(1/z) and the like give: -z A_n(1/z) - B_n(1/z)
-    - sum_m (M1)_{nm} B_m - sum_m (M2)_{nm} A_m."""
-    t1, d1 = m1.row_parts(n, b, -1)
-    t2, d2 = m2.row_parts(n, a, -d1)
-    own = [(-d1 * d2, a[n].reflect().shift(1)), (-d1 * d2, b[n].reflect())]
-    return LaurentPoly.lincomb([*((d2 * c, f) for c, f in t1), *t2, *own], d1 * d2)
 
 
 def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> VerificationReport:
@@ -382,8 +363,8 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     The tie-in forms no X or Y: by associativity, row n of X on psi is row
     n of M1 on M2 psi plus row n of M2 on M1 psi, on the rows where M1 M2
     and M2 M1 are valid and reach psi_N at most, which misses x psi_n by
-    the reflection residuals of the rows read, one build per row shared
-    with the CMV rows (``x_psi_residual``); Y's truncation is
+    the sum of the two ``cmv.product_residual`` rows, formed from the
+    reflection residuals the CMV rows share; Y's truncation is
     diag(lambda_n^2 - s lambda_n) = diag(Lambda_n), so its row n on psi
     misses Y psi_n by the held "Y psi n" residual (``y_psi_residual``).
     """
@@ -414,7 +395,7 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
     for k in range(-d, d + 1):
         f = LaurentPoly.monomial(k)
-        x_m1 = lc([*_x_terms(op_m1(f)), (-1, op_m1(lc(_x_terms(f))))])
+        x_m1 = lc([*_x_terms(reflection(f, 1)), (-1, reflection(lc(_x_terms(f)), 1))])
         for name, res in zip(("[X,M1]", "[Y,M1]", "JR1", "JR2"), (x_m1, *derived(f))):
             rep.residual(f"{name} k={k}", res)
     if p.alpha == p.beta:
@@ -430,9 +411,8 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
     # the matrix rows reproduce the functional action on the psi basis
     top = min(fam.size - 1, m1.product_valid_rows(m2), m2.product_valid_rows(m1))
-    a, b = ([reflection_residual(fam, k, j, op=op) for j in range(top + 1)]
-            for k, op in ((1, m1), (2, m2)))
-    bad = [n for n in range(top) if x_psi_residual(m1, m2, a, b, n) or y_psi_residual(fam, n)]
+    bad = [n for n in range(top)
+           if lc([(1, product_residual(fam, m, n)) for m in (1, 2)]) or y_psi_residual(fam, n)]
     rep.add(
         "matrix rows match functional action on psi",
         not bad,
@@ -453,36 +433,28 @@ def big_lambda(p: JacobiParams, n: int) -> Rational:
     return _signed(m * (p.s._numerator + m * p.s._denominator), p.s._denominator)
 
 
-def _y_pair_residual(fam: OPUCFamily, n: int, sign: int, f_terms: list,
-                     y_psi: list[LaurentPoly], e: dict[int, LaurentPoly]) -> LaurentPoly:
-    """(Y - Lambda_2n) f for f = P_n (sign 1) or F_n (sign -1), given as
-    terms of ``LaurentPoly.lincomb``, out of the "Y psi" residuals y_psi
-    and the psi(P,Q) residuals E_k = e[k] (``szego.psi_pq_residuals``).
+def _y_pair_residual(fam: OPUCFamily, n: int, sign: int) -> LaurentPoly:
+    """(Y - Lambda_2n) f for f = P_n (sign 1) or F_n (sign -1), out of the
+    held y_k = Y psi_k - Lambda_k psi_k (``y_psi_residual``) and the "P from
+    psi" or "Q from psi" residual g (``szego.from_psi_residual``).  With
+    c = 1 + sign a_{2n-1} (0 at n = 0, where a_{-1} = -1), f = sign psi_2n
+    + c psi_{2n-1} + g; Lambda_2n = Lambda_{2n-1} and Y is linear, so
 
-    With c = 1 + sign a_{2n-1} (c = 0 at n = 0, where a_{-1} = -1),
-    f = sign psi_2n + c psi_{2n-1} + g with g = -sign E_2n - c E_{2n-1},
-    the "P from psi" or "Q from psi" residual.  Lambda_2n = Lambda_{2n-1}
-    and Y is linear, so
+        (Y - Lambda_2n) f = sign y_2n + c y_{2n-1} + (Y - Lambda_2n) g
 
-        (Y - Lambda_2n) f = sign y_psi[2n] + c y_psi[2n-1] + (Y - Lambda_2n) g,
-
-    for any psi, P and Q; on a clean family g is zero and K never meets
-    f.  At odd N the top n has no psi_2n, and g = f - c psi_{2n-1}."""
-    p = fam.params
-    terms, g_terms = [], []
+    for any psi, P and Q; on a clean family g is zero and K never meets f.
+    At odd N the top n has no psi_2n, and g = f - c psi_{2n-1}."""
+    p, lc = fam.params, LaurentPoly.lincomb
+    c = 1 + sign * _a(fam, 2 * n - 1)
     if 2 * n <= fam.size:
-        terms.append((sign, y_psi[2 * n]))
-        g_terms.append((-sign, e[2 * n]))
+        terms, g = [(sign, y_psi_residual(fam, 2 * n))], from_psi_residual(fam, n, sign)
     else:
-        g_terms.extend(f_terms)
+        f = [(1, build_p(fam, n))] if sign == 1 else _d_terms(build_q(fam, n - 1))
+        terms, g = [], lc([*f, (-c, fam.psi[2 * n - 1])])
     if n:
-        c = 1 + sign * fam.a[2 * n - 1]
-        terms.append((c, y_psi[2 * n - 1]))
-        g_terms.append((-c, e[2 * n - 1] if 2 * n <= fam.size else fam.psi[2 * n - 1]))
-    g = LaurentPoly.lincomb(g_terms)
+        terms.append((c, y_psi_residual(fam, 2 * n - 1)))
     kg = apply_k(g, p)  # Y g = K(K g) - s K g
-    return LaurentPoly.lincomb(
-        [*terms, (1, apply_k(kg, p)), (-p.s, kg), (-big_lambda(p, 2 * n), g)])
+    return lc([*terms, (1, apply_k(kg, p)), (-p.s, kg), (-big_lambda(p, 2 * n), g)])
 
 
 def y_eigencheck(fam: OPUCFamily) -> VerificationReport:
@@ -500,9 +472,9 @@ def y_eigencheck(fam: OPUCFamily) -> VerificationReport:
     s = alpha + beta + 1, the same Laurent polynomial as the direct
     K(K psi_n) - s K psi_n - Lambda_n psi_n for any psi_n.  "Y P n" and
     "Y F n" follow in turn from the "Y psi" residuals at 2n and 2n - 1
-    and the psi(P,Q) residuals (``_y_pair_residual``).  P_n and Q_{n-1}
-    are plain Laurent polynomials, so "R P n" and "R F n" certify their
-    parity.  "R F n" reads Q_{n-1} = Q_{n-1}(1/z), the same verdict as
+    and "P from psi" or "Q from psi" (``_y_pair_residual``).  P_n and
+    Q_{n-1} are plain Laurent polynomials, so "R P n" and "R F n" certify
+    their parity.  "R F n" reads Q_{n-1} = Q_{n-1}(1/z), the same verdict as
     F_n(1/z) = -F_n, since z - 1/z reflects to its negative and is no
     zero divisor."""
     p = require_params(fam)
@@ -517,17 +489,14 @@ def y_eigencheck(fam: OPUCFamily) -> VerificationReport:
         ok = lam * lam - p.s * lam == big_lambda(p, n)
         rep.add(f"Lambda coherence n={n}", ok)
     # Y f - Lambda f, one normalization each; Y psi_n is formed from r_n
-    y_psi = [y_psi_residual(fam, n) for n in range(fam.size + 1)]
-    for n, res in enumerate(y_psi):
-        rep.residual(f"Y psi n={n}", res)
-    e = psi_pq_residuals(fam)
+    for n in range(fam.size + 1):
+        rep.residual(f"Y psi n={n}", y_psi_residual(fam, n))
     for n in range(p_top(fam.size) + 1):
         pn = build_p(fam, n)
-        rep.residual(f"Y P n={n}", _y_pair_residual(fam, n, 1, [(1, pn)], y_psi, e))
+        rep.residual(f"Y P n={n}", _y_pair_residual(fam, n, 1))
         rep.add(f"R P n={n}", pn.reflect() == pn)
     for n in range(1, q_top(fam.size) + 2):
         q = build_q(fam, n - 1)
-        fn = [(1, q.shift(1)), (-1, q.shift(-1))]  # (z - 1/z) Q_{n-1}
-        rep.residual(f"Y F n={n}", _y_pair_residual(fam, n, -1, fn, y_psi, e))
+        rep.residual(f"Y F n={n}", _y_pair_residual(fam, n, -1))
         rep.add(f"R F n={n}", q.reflect() == q)
     return rep

@@ -21,7 +21,7 @@ at no arithmetic cost on a clean family.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BadVerblunsky, ConvergenceFailure
 from .laurent import _ZERO_POLY, LaurentPoly, Rational, _normal
@@ -129,14 +129,14 @@ class BandedOperator:
     # ------------------------------------------------------------- actions
 
     def row_parts(
-        self, i: int, vectors: Sequence[LaurentPoly], scale: int = 1
+        self, i: int, vector: Callable[[int], LaurentPoly], scale: int = 1
     ) -> tuple[list[tuple[int, LaurentPoly]], int]:
         """(terms, den) with ``LaurentPoly.lincomb(terms, den)`` equal to
-        scale * sum_j M[i, j] * vectors[j]: terms pairs scale times each
-        nonzero integer numerator of row i with its vector, and den is the
-        row's denominator."""
+        scale * sum_j M[i, j] * vector(j): terms pairs scale times each
+        nonzero integer numerator of row i with vector(j), called for those
+        j alone, and den is the row's denominator."""
         row = self.rows.get(i, _ZERO_POLY)
-        return [(scale * c, vectors[j]) for j, c in enumerate(row._num, row._lo) if c], row._den
+        return [(scale * c, vector(j)) for j, c in enumerate(row._num, row._lo) if c], row._den
 
 
 def _reflection_blocks(
@@ -200,32 +200,50 @@ def family_operators(fam: OPUCFamily, size: int) -> tuple[BandedOperator, Banded
     return build_m1(a, size), build_m2(a, size)
 
 
+def reflection(f: LaurentPoly, m: int) -> LaurentPoly:
+    """M1 f = f(1/z) (m = 1) or M2 f = z f(1/z) (m = 2), functionally."""
+    return f.reflect() if m == 1 else f.reflect().shift(1)
+
+
 @per_family("reflection")
-def reflection_residual(fam: OPUCFamily, m: int, n: int, *, op: BandedOperator) -> LaurentPoly:
-    """A_n = psi_n(1/z) - (M1 psi)_n (m = 1, op = M1) or B_n = z psi_n(1/z)
-    - (M2 psi)_n (m = 2, op = M2), once per family and row, from row n of
-    op, a valid row: the same at every size, so the CMV rows at size N + 1,
-    the central extension's tie-in at the algebra's size and the psi(P,Q)
-    rows (``szego.psi_pq_residuals``) share one build.
+def reflection_residual(fam: OPUCFamily, m: int, n: int) -> LaurentPoly:
+    """A_n = psi_n(1/z) - (M1 psi)_n (m = 1) or B_n = z psi_n(1/z)
+    - (M2 psi)_n (m = 2), once per family and row, from row n of M1 or M2
+    at size N + 1 (``family_operators``), where every row a caller reads is
+    valid, and ValueError on any other row: the reflection and CMV rows, the
+    tie-in and the psi(P,Q) rows (``szego.psi_pq_residuals``) share one build.
 
     An upper block row (n - first_row even, first_row = 1 for M1 and 0
     for M2) is formed from psi.  The lower row of the block is formed from
-    it: with a = a_{n-1} read off row n - 1 of op and f*(z) = f(1/z), the
-    block [[a, 1], [1 - a^2, -a]] gives, for any psi,
+    it: with a = a_{n-1} read off row n - 1 of the operator and
+    f*(z) = f(1/z), the block [[a, 1], [1 - a^2, -a]] gives, for any psi,
 
         A_n = -A_{n-1}* - a A_{n-1},    B_n = -z B_{n-1}* - a B_{n-1},
 
     zero with no nonzero term when the upper row is zero.  Since a^2 < 1
     the lower row is zero exactly when the upper row is."""
+    op = family_operators(fam, fam.size + 1)[m - 1]
+    if n >= op.valid_rows:
+        raise ValueError(f"row {n} of M{m} is not valid at size N + 1")
     first = 2 - m
     if n > first and (n - first) % 2:
-        up = reflection_residual(fam, m, n - 1, op=op)
-        star = up.reflect() if m == 1 else up.reflect().shift(1)
-        return LaurentPoly.lincomb([(-1, star), (-op.rows[n - 1].coeff(n - 1), up)])
-    psi = fam.psi
-    terms, den = op.row_parts(n, psi, -1)
-    image = psi[n].reflect() if m == 1 else psi[n].reflect().shift(1)
-    return LaurentPoly.lincomb([(den, image), *terms], den)
+        up = reflection_residual(fam, m, n - 1)
+        return LaurentPoly.lincomb([(-1, reflection(up, m)), (-op.rows[n - 1].coeff(n - 1), up)])
+    terms, den = op.row_parts(n, fam.psi.__getitem__, -1)
+    return LaurentPoly.lincomb([(den, reflection(fam.psi[n], m)), *terms], den)
+
+
+def product_residual(fam: OPUCFamily, m: int, n: int) -> LaurentPoly:
+    """Row n of M1 M2 psi - z psi_n (m = 1) or of M2 M1 psi - psi_n / z
+    (m = 2), on a row where that product is valid at size N + 1, out of the
+    reflection residuals R_1 = A, R_2 = B, k = 3 - m and M_k f functional
+    (``reflection``): -M_k R_m,n - sum_j (M_m)_{nj} R_k,j, since
+    (M_k psi)_j = M_k psi_j - R_k,j, (M_m psi)_n = M_m psi_n - R_m,n and
+    M_k M_m psi_n is z psi_n or psi_n / z (the CMV rows and the tie-in)."""
+    k, op = 3 - m, family_operators(fam, fam.size + 1)[m - 1]
+    terms, den = op.row_parts(n, lambda j: reflection_residual(fam, k, j), -1)
+    own = reflection(reflection_residual(fam, m, n), k)
+    return LaurentPoly.lincomb([(-den, own), *terms], den)
 
 
 def m1_upper_row(fam: OPUCFamily, n: int) -> tuple[Rational, LaurentPoly]:
@@ -235,7 +253,7 @@ def m1_upper_row(fam: OPUCFamily, n: int) -> tuple[Rational, LaurentPoly]:
     m1 = family_operators(fam, fam.size + 1)[0]
     if n % 2 == 0 or not 0 < n < m1.valid_rows - 1:
         raise ValueError(f"row {n} is not the upper row of a complete M1 block")
-    return m1.rows[n].coeff(n), reflection_residual(fam, 1, n, op=m1)
+    return m1.rows[n].coeff(n), reflection_residual(fam, 1, n)
 
 
 def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
@@ -243,16 +261,16 @@ def verify_reflection_rows(fam: OPUCFamily) -> VerificationReport:
     z psi_n(1/z) = sum_m (M2)_{nm} psi_m on rows with complete blocks:
     the residuals A_n and B_n of ``reflection_residual``."""
     size = fam.size + 1
-    m1, m2 = family_operators(fam, size)
+    ops = family_operators(fam, size)
     rep = VerificationReport(
         identity="reflection-rows",
         relation="psi(1/z) = M1 psi(z) ; z psi(1/z) = M2 psi(z)",
         params=family_params(fam, size=size),
     )
     for n in range(size):
-        for k, op in ((1, m1), (2, m2)):
+        for k, op in enumerate(ops, 1):
             if n < op.valid_rows:
-                rep.residual(f"M{k} row {n}", reflection_residual(fam, k, n, op=op))
+                rep.residual(f"M{k} row {n}", reflection_residual(fam, k, n))
             else:
                 rep.skip(f"M{k} row {n} (cut block)")
     return rep
@@ -264,34 +282,29 @@ def verify_gevp_and_five_term(fam: OPUCFamily) -> VerificationReport:
     residuals A, B of ``reflection_residual``:
 
         (M2 psi)_n - z (M1 psi)_n = z A_n - B_n,
-        (C psi)_n - z psi_n = -z A_n(1/z) - sum_m (M1)_{nm} B_m.
+        (C psi)_n - z psi_n = -z A_n(1/z) - sum_m (M1)_{nm} B_m,
 
-    The second holds because C = M1 M2: its row n is
-    sum_m (M1)_{nm} (M2 psi)_m, and sum_m (M1)_{nm} psi_m(1/z) is
-    (M1 psi)_n evaluated at 1/z.  C itself is never built.  Its rows are
-    checked where the product ``M1 @ M2`` would be valid, n <
-    ``M1.product_valid_rows(M2)``; every m that M1 row n reaches there
-    is a valid row of M2."""
+    the second being ``product_residual``'s row of C = M1 M2.  C itself
+    is never built.  Its rows are checked where the product ``M1 @ M2``
+    would be valid, n < ``M1.product_valid_rows(M2)``; every m that M1 row
+    n reaches there is a valid row of M2."""
     size = fam.size + 1
     m1, m2 = family_operators(fam, size)
-    res_m1, res_m2 = ([reflection_residual(fam, k, n, op=op) for n in range(op.valid_rows)]
-                      for k, op in ((1, m1), (2, m2)))
     c_rows = m1.product_valid_rows(m2)
     rep = VerificationReport(
         identity="cmv-rows",
         relation="M2 psi = z M1 psi ; (M1 M2) psi = z psi",
         params=family_params(fam, size=size),
     )
-    lc = LaurentPoly.lincomb
     pencil_rows = min(m1.valid_rows, m2.valid_rows)
     for n in range(size):
         if n < pencil_rows:
-            rep.residual(f"pencil row {n}", lc([(1, res_m1[n].shift(1)), (-1, res_m2[n])]))
+            a, b = reflection_residual(fam, 1, n), reflection_residual(fam, 2, n)
+            rep.residual(f"pencil row {n}", LaurentPoly.lincomb([(1, a.shift(1)), (-1, b)]))
         else:
             rep.skip(f"pencil row {n} (boundary)")
         if n < c_rows:
-            terms, den = m1.row_parts(n, res_m2, -1)
-            rep.residual(f"C row {n}", lc([(-den, res_m1[n].reflect().shift(1)), *terms], den))
+            rep.residual(f"C row {n}", product_residual(fam, 1, n))
         else:
             rep.skip(f"C row {n} (boundary)")
     return rep

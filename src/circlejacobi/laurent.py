@@ -215,8 +215,9 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
-        """c * z^exponent (the exponent may be negative); an int c is
-        stored as it is, any other c read through ``Rational``."""
+        """c * z^exponent, the exponent read by ``operator.index`` (it may be
+        negative); an int c is stored as it is, any other c read through ``Rational``."""
+        exponent = index(exponent)
         n, d = (coeff, 1) if type(coeff) is int else Rational(coeff).as_integer_ratio()
         return _make(exponent, (n,), d) if n else _ZERO_POLY
 
@@ -398,7 +399,8 @@ class LaurentPoly:
         return _make(1 - self._lo - len(self._num), self._num[::-1], self._den)
 
     def shift(self, power: int = 1) -> "LaurentPoly":
-        """Multiply by z^power (exponent shift)."""
+        """Multiply by z^power (exponent shift), power read by ``operator.index``."""
+        power = index(power)
         if not self._num:
             return self
         return _make(self._lo + power, self._num, self._den)

@@ -120,12 +120,14 @@ class OPUCFamily:
       (``algebra.matrix_relation_residuals``), reported by the matrix
       relations and read by the central extension's matrix side;
     - ``("cmv", size)``: M1 and M2 at that size (``cmv.family_operators``),
-      read at size N + 1 by the row checks and the psi(P,Q) rows and at
-      the algebra's own size by ``algebra.family_representation``;
+      read at size N + 1 by the reflection residuals, the row checks and
+      the psi(P,Q) rows, and at the algebra's own size by
+      ``algebra.family_representation``;
     - ``("reflection", m, n)``: the reflection residual A_n (m = 1) or
-      B_n (m = 2) of M1 or M2 (``cmv.reflection_residual``), read by the
-      CMV rows, the central extension's tie-in and, for the odd rows
-      A_{2n-1} of M1, by the even psi(P,Q) rows;
+      B_n (m = 2) of M1 or M2 at size N + 1 (``cmv.reflection_residual``),
+      read by the reflection and CMV rows, by the central extension's
+      tie-in (``cmv.product_residual``) and, for the odd rows A_{2n-1} of
+      M1, by the even psi(P,Q) rows;
     - ``"moments"``: the ``MomentSeq`` at the family's (alpha, beta)
       (``moments.family_moments``).
 
@@ -158,17 +160,16 @@ class OPUCFamily:
 def per_family(name: str):
     """Decorator: build(fam, *args) is computed once per family instance
     and kept in ``fam.derived`` under the key (name, *args), or under
-    name alone when build takes nothing but the family.  Keyword
-    arguments reach build but not the key: inputs the caller holds that
-    give the same value whichever caller hands them over."""
+    name alone when build takes nothing but the family, so the key
+    determines the value."""
 
     def decorate(build):
         @wraps(build)
-        def memo(fam: OPUCFamily, *args, **given):
+        def memo(fam: OPUCFamily, *args):
             key = (name, *args) if args else name
             derived = fam.derived
             if key not in derived:
-                derived[key] = build(fam, *args, **given)
+                derived[key] = build(fam, *args)
             return derived[key]
 
         return memo

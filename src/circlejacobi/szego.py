@@ -171,28 +171,36 @@ def _ratios(fam: OPUCFamily, *ks: int) -> list[int]:
     return [v for x in xs for v in (x._numerator, x._denominator)]
 
 
+def _u_form(fam: OPUCFamily, n: int, d: int) -> Rational:
+    """(1 + a_{2n-1})(1 - a_{2n-1+2d})(1 - a_{2n-1+d}^2): u_n at d = -1, u~_n at d = 1."""
+    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n - 1, 2 * n - 1 + 2 * d, 2 * n - 1 + d)
+    return _signed((qi + pi) * (qj - pj) * (qk * qk - pk * pk), qi * qj * qk * qk)
+
+
+def _b_form(fam: OPUCFamily, n: int, d: int) -> Rational:
+    """a_{2n}(1 - a_{2n+d}) - a_{2n+2d}(1 + a_{2n+d}): b_n at d = -1, b~_n at d = 1."""
+    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n, 2 * n + d, 2 * n + 2 * d)
+    return _signed(pi * (qj - pj) * qk - pk * (qj + pj) * qi, qi * qj * qk)
+
+
 def u_coeff(fam: OPUCFamily, n: int) -> Rational:
     """u_n = (1 + a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) > 0 for n >= 1; u_0 = 0."""
-    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n - 1, 2 * n - 3, 2 * n - 2)
-    return _signed((qi + pi) * (qj - pj) * (qk * qk - pk * pk), qi * qj * qk * qk)
+    return _u_form(fam, n, -1)
 
 
 def b_coeff(fam: OPUCFamily, n: int) -> Rational:
     """b_n = a_{2n}(1 - a_{2n-1}) - a_{2n-2}(1 + a_{2n-1}); b_0 = 2 a_0."""
-    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n, 2 * n - 1, 2 * n - 2)
-    return _signed(pi * (qj - pj) * qk - pk * (qj + pj) * qi, qi * qj * qk)
+    return _b_form(fam, n, -1)
 
 
 def ut_coeff(fam: OPUCFamily, n: int) -> Rational:
     """u~_n = (1 + a_{2n-1})(1 - a_{2n+1})(1 - a_{2n}^2) > 0 for n >= 1; u~_0 = 0."""
-    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n - 1, 2 * n + 1, 2 * n)
-    return _signed((qi + pi) * (qj - pj) * (qk * qk - pk * pk), qi * qj * qk * qk)
+    return _u_form(fam, n, 1)
 
 
 def bt_coeff(fam: OPUCFamily, n: int) -> Rational:
     """b~_n = a_{2n}(1 - a_{2n+1}) - a_{2n+2}(1 + a_{2n+1})."""
-    pi, qi, pj, qj, pk, qk = _ratios(fam, 2 * n, 2 * n + 1, 2 * n + 2)
-    return _signed(pi * (qj - pj) * qk - pk * (qj + pj) * qi, qi * qj * qk)
+    return _b_form(fam, n, 1)
 
 
 @per_family("recurrence")
@@ -362,6 +370,18 @@ def psi_pq_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     return out
 
 
+def from_psi_residual(fam: OPUCFamily, n: int, sign: int) -> LaurentPoly:
+    """The "P from psi" (sign 1) or "Q from psi" (sign -1) residual, 2n <= N,
+    -sign E_2n - (1 + sign a_{2n-1}) E_{2n-1} in the held E_k
+    (``psi_pq_residuals``); -E_0 at n = 0, where 1 + a_{-1} = 0.  The
+    transforms report it, and ``algebra.y_eigencheck`` reads it."""
+    e = psi_pq_residuals(fam)
+    terms = [(-sign, e[2 * n])]
+    if n:
+        terms.append((-1 - sign * _a(fam, 2 * n - 1), e[2 * n - 1]))
+    return LaurentPoly.lincomb(terms)
+
+
 @per_family("christoffel'")
 def christoffel_prime_residuals(fam: OPUCFamily) -> dict[int, LaurentPoly]:
     """C'_n = (z - 1/z)^2 Q_{n-1} - (x + 2 a_{2n-2}) P_n + c2_n P_{n-1}
@@ -395,10 +415,9 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
     and (1 - a_{2n-1})(1 - a_{2n-3})(1 - a_{2n-2}^2) of P_{n-1} equal
     2 a_{2n-2} + b_n and c2_n - u_n identically in the a's, with
     c2_n = 2(1 - a_{2n-3})(1 - a_{2n-2}^2).  With E_k the "psi(P,Q)"
-    residuals (``psi_pq_residuals``), a = a_{2n-1} and D = z - 1/z,
+    residuals (``psi_pq_residuals``), P and Q from psi are
+    ``from_psi_residual``, and with a = a_{2n-1} and D = z - 1/z,
 
-        P from psi_n = -E_{2n} - (1 + a) E_{2n-1},
-        Q from psi_n = E_{2n} + (a - 1) E_{2n-1},
         psi(P,P)_{2n-1} = E_{2n-1} + C'_n / (2 D),
         psi(P,P)_2n = E_2n - (1 + a) C'_n / (2 D).
 
@@ -461,14 +480,9 @@ def verify_transforms(fam: OPUCFamily) -> VerificationReport:
             lead = 1 + _a(fam, 2 * n - 1)
             rep.residual(f"psi(P,P) n={2 * n}", lc([(1, psi_pq[2 * n]), (-lead / 2, c)]))
 
-    # P_n = psi_2n + (1 + a_{2n-1}) psi_{2n-1}
-    # (z - 1/z) Q_{n-1} = -psi_2n + (1 - a_{2n-1}) psi_{2n-1}
-    # both inverting the psi(P,Q) pair, so formed from its residuals
     for n in range(1, size // 2 + 1):
-        am = _a(fam, 2 * n - 1)
-        even, odd = psi_pq[2 * n], psi_pq[2 * n - 1]
-        rep.residual(f"P from psi n={n}", lc([(-1, even), (-1 - am, odd)]))
-        rep.residual(f"Q from psi n={n}", lc([(1, even), (am - 1, odd)]))
+        rep.residual(f"P from psi n={n}", from_psi_residual(fam, n, 1))
+        rep.residual(f"Q from psi n={n}", from_psi_residual(fam, n, -1))
     return rep
 
 

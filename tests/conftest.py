@@ -1,4 +1,6 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -6,6 +8,11 @@ from hypothesis import strategies as st
 from circlejacobi import JacobiParams, build_family
 
 F = Fraction
+
+# pyproject's pythonpath puts src/ on sys.path; the interpreters the CLI
+# tests start read it from PYTHONPATH, so a fresh checkout runs them too
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
 
 # The six parameter points every cross-module check runs over: the
 # single-moment point, the free point, the symmetric point, an integer

@@ -9,15 +9,13 @@ from circlejacobi import algebra, cmv, dunkl, suites, szego
 from circlejacobi.algebra import (
     big_lambda,
     derive_representation,
-    op_m1,
-    op_m2,
     verify_central_extension,
     verify_relations_functional,
     verify_relations_matrix,
     verify_representation_derivation,
     y_eigencheck,
 )
-from circlejacobi.cmv import BandedOperator
+from circlejacobi.cmv import BandedOperator, reflection
 from circlejacobi.dunkl import lambda_n, verify_bispectral
 from circlejacobi.errors import Degenerate
 from circlejacobi.laurent import LaurentPoly, Z_MINUS_ZINV
@@ -128,15 +126,16 @@ class TestRelationTable:
 class TestFunctionalRealization:
     def test_m_ops(self):
         f = LaurentPoly({2: 1, -1: 3})
-        assert op_m1(f) == f.reflect()
-        assert op_m2(f) == f.reflect().shift(1)
-        assert op_m1(op_m1(f)) == f
-        assert op_m2(op_m2(f)) == f
+        assert reflection(f, 1) == f.reflect()
+        assert reflection(f, 2) == f.reflect().shift(1)
+        assert reflection(reflection(f, 1), 1) == f
+        assert reflection(reflection(f, 2), 2) == f
 
     def test_x_is_multiplication_by_x(self):
         # X = M2 M1 + M1 M2
         f = LaurentPoly({3: 2, 0: 1})
-        x_f = LaurentPoly.lincomb([(1, op_m2(op_m1(f))), (1, op_m1(op_m2(f)))])
+        x_f = LaurentPoly.lincomb([(1, reflection(reflection(f, 1), 2)),
+                                   (1, reflection(reflection(f, 2), 1))])
         assert x_f == f.shift(1) + f.shift(-1)
 
     def test_y_on_free_monomials(self):
@@ -179,14 +178,16 @@ class TestFunctionalRealization:
         assert {k for k in fam.derived if k[0] == "cmv"} == {("cmv", 21), ("cmv", 25)}
 
     def test_tie_in_and_cmv_rows_share_the_reflection_rows(self):
-        # the tie-in builds A_j and B_j only for the rows j <= top it
-        # reads, and the psi(P,Q) rows read the odd M1 rows A_{2n-1},
-        # 2n <= N; the CMV suite then reuses them and builds the rest
+        # the tie-in's product rows n < top = 19 build only the A_j and B_j
+        # they reach: A_n and B_n, the B_j of M1 row n and the A_j of M2
+        # row n, j <= n + 1, so A_19 but no B_19; the psi(P,Q) rows read
+        # the odd M1 rows A_{2n-1}, 2n <= N; the CMV suite then reuses them
+        # and builds the rest
         fam = build_family(JacobiParams(F(1), F(2)), 24)
         assert all(rep.ok for rep in suites.run("algebra", fam))
         held = {k: v for k, v in fam.derived.items() if k[0] == "reflection"}
-        assert set(held) == {("reflection", m, j) for m in (1, 2) for j in range(20)} | {
-            ("reflection", 1, j) for j in (21, 23)}
+        assert set(held) == {("reflection", m, j) for m, rows in ((1, 20), (2, 19))
+                             for j in range(rows)} | {("reflection", 1, j) for j in (21, 23)}
         assert all(rep.ok for rep in suites.run("cmv", fam))
         assert all(fam.derived[k] is v for k, v in held.items())
         assert {k for k in fam.derived if k[0] == "reflection"} == {

@@ -103,7 +103,7 @@ def direct_central_functional(fam, d):
         kf = algebra.apply_k(f, p)
         return lc([(1, algebra.apply_k(kf, p)), (-p.s, kf)])
 
-    m1 = algebra.op_m1
+    m1 = partial(cmv.reflection, m=1)
     c_x = (p.alpha + p.beta) * (p.alpha + p.beta + 2)
     c_m1 = 2 * (p.beta - p.alpha)
     c_i = 2 * p.d * p.s
@@ -518,33 +518,43 @@ class TestReferenceModel:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_tie_in_rows_from_reflection_residuals_equal_direct(self, seed):
-        def reflection_rows(fam):
-            # A_j and B_j for j < N, from M1 and M2 at size N + 1
-            ops = cmv.family_operators(fam, fam.size + 1)
-            return ([cmv.reflection_residual(fam, k, j, op=op) for j in range(fam.size)]
-                    for k, op in zip((1, 2), ops))
-
-        # row n of X = M1 M2 + M2 M1 on psi minus x psi_n, formed from the
-        # held reflection residuals, is the Laurent polynomial the product
-        # X applied to psi gives, on every row the tie-in reads: clean,
-        # corrupted and perturbed families, at sizes below, at and past N + 1
+        # row n of M1 M2 psi - z psi_n (m = 1) and of M2 M1 psi - psi_n / z
+        # (m = 2), formed from the held reflection residuals, is what the
+        # product matrices at N + 1 give applied to psi, on every row where
+        # the product is valid; the tie-in reads the sum of the two rows, and
+        # the CMV rows the first: clean, corrupted and perturbed families
         rng = random.Random(seed)
         clean = build_family(_point(rng), rng.randint(3, 30))
         for fam in [clean, *_families(seed)[:4]]:
-            a, b = reflection_rows(fam)
+            m1, m2 = cmv.family_operators(fam, fam.size + 1)
+            for m, prod, power in ((1, m1 @ m2, 1), (2, m2 @ m1, -1)):
+                for n in range(prod.valid_rows):
+                    want = apply_row(prod, n, fam.psi) - fam.psi[n].shift(power)
+                    assert cmv.product_residual(fam, m, n) == want, (m, n)
+        assert not any(cmv.product_residual(clean, m, n)
+                       for m in (1, 2) for n in range(clean.size - 1))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_reflection_rows_equal_direct_at_every_valid_size(self, seed):
+        # reflection_residual reads M1 and M2 at N + 1 alone, so its row n
+        # must be the direct row of M1 or M2 at every size where that row is
+        # valid and reaches psi_N at most: a valid row is the same at every size
+        rng = random.Random(seed)
+        clean = build_family(_point(rng), rng.randint(3, 30))
+        for fam in [clean, *_families(seed)[:4]]:
             # an untagged family has no a_k past a_N to build larger sizes from
-            sizes = {3, 9, fam.size + 1, fam.size + 4} if fam.params else {3, fam.size + 1}
-            for size in sorted(sizes):
-                m1, m2 = cmv.family_operators(fam, size)
-                x = BandedOperator.lincomb([(1, m1 @ m2), (1, m2 @ m1)])
-                top = min(fam.size - 1, m1.product_valid_rows(m2), m2.product_valid_rows(m1))
-                for n in range(top):
-                    want = apply_row(x, n, fam.psi) - Z_PLUS_ZINV * fam.psi[n]
-                    assert algebra.x_psi_residual(m1, m2, a, b, n) == want, (size, n)
-        a, b = reflection_rows(clean)
-        m1, m2 = cmv.family_operators(clean, clean.size + 1)
-        assert not any(algebra.x_psi_residual(m1, m2, a, b, n)
-                       for n in range(min(clean.size - 1, 8)))
+            top = fam.size + 4 if fam.params else fam.size + 1
+            for size in range(1, top + 1):
+                for m, op in enumerate(cmv.family_operators(fam, size), 1):
+                    for n in range(min(op.valid_rows, fam.size + 1)):
+                        if support(op.rows[n])[-1] <= fam.size:
+                            want = lc([(1, fam.psi[n].reflect().shift(m - 1)),
+                                       *row_terms(op, n, fam.psi, -1)])
+                            assert cmv.reflection_residual(fam, m, n) == want, (size, m, n)
+            # a row that is cut or absent at N + 1 is refused, not held
+            for m, op in enumerate(cmv.family_operators(fam, fam.size + 1), 1):
+                with pytest.raises(ValueError, match=f"row {op.valid_rows} of M{m} is not valid"):
+                    cmv.reflection_residual(fam, m, op.valid_rows)
 
     def test_tie_in_reads_the_held_y_psi_residuals(self, monkeypatch):
         # after the Y eigencheck, the central extension's psi rows take no
@@ -815,7 +825,7 @@ class TestFreeAlgebra:
 
     def test_functional_x_and_c(self):
         # X = M1 M2 + M2 M1 multiplies by z + 1/z, and C = M1 M2 - M2 M1 by 1/z - z
-        m1, m2 = algebra.op_m1, algebra.op_m2
+        m1, m2 = (partial(cmv.reflection, m=m) for m in (1, 2))
         f = LaurentPoly({-2: F(1, 3), 0: 2, 5: -1})
         assert lc([(1, m1(m2(f))), (1, m2(m1(f)))]) == Z_PLUS_ZINV * f
         assert lc([(1, m1(m2(f))), (-1, m2(m1(f)))]) == -Z_MINUS_ZINV * f
@@ -1273,18 +1283,17 @@ class TestCleanFamilyCost:
         # are the even psi(P,Q) rows, formed from the odd ones and the upper
         # M1 rows: only E_0 and the odd rows E_{2n-1} take psi, P and Q
         fam = build_family(JacobiParams(F(3, 7), F(-2, 5)), size)
-        ops = dict(zip((1, 2), cmv.family_operators(fam, size + 1)))
         lower = []
-        for m, op in ops.items():
+        for m, op in enumerate(cmv.family_operators(fam, size + 1), 1):
             first = 2 - m  # the first block row: 1 for M1, 0 for M2
             for n in range(op.valid_rows):
                 if n > first and (n - first) % 2:
                     lower.append((m, n))
                 else:
-                    assert not cmv.reflection_residual(fam, m, n, op=op)
+                    assert not cmv.reflection_residual(fam, m, n)
         p, q = (szego.recurrence(fam, name)[0] for name in ("P", "Q"))
         live = live_lincomb_terms(monkeypatch)
-        assert not any(cmv.reflection_residual(fam, m, n, op=ops[m]) for m, n in lower)
+        assert not any(cmv.reflection_residual(fam, m, n) for m, n in lower)
         assert len(lower) == size and live == []
         e = szego.psi_pq_residuals(fam)
         assert sorted(e) == list(range(size + 1)) and not any(e.values())

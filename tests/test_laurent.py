@@ -2,6 +2,7 @@
 
 import operator
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 import pytest
@@ -139,6 +140,16 @@ class TestConstruction:
             LaurentPoly({exponent: 1})
         with pytest.raises(TypeError):
             LaurentPoly([(exponent, 1)])
+
+    @pytest.mark.parametrize("exponent", [1.5, F(3, 2), 2.0, F(2)])
+    def test_monomial_and_shift_reject_non_integer_exponents(self, exponent):
+        # they read the exponent as the constructor does, at once, and not
+        # only in text(); the zero polynomial and a zero coefficient too
+        for make in (LaurentPoly.monomial, LaurentPoly.one().shift, LaurentPoly.zero().shift,
+                     partial(LaurentPoly.monomial, coeff=0)):
+            with pytest.raises(TypeError):
+                make(exponent)
+        assert LaurentPoly.monomial(True, 2) == LaurentPoly.one().shift(True) * 2
 
     def test_int_and_bool_exponents(self):
         assert LaurentPoly({True: 2, False: 1, -3: 1}) == LaurentPoly({1: 2, 0: 1, -3: 1})
