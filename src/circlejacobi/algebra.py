@@ -363,8 +363,8 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
     The tie-in forms no X or Y: by associativity, row n of X on psi is row
     n of M1 on M2 psi plus row n of M2 on M1 psi, on the rows where M1 M2
     and M2 M1 are valid and reach psi_N at most, which misses x psi_n by
-    the sum of the two ``cmv.product_residual`` rows, formed from the
-    reflection residuals the CMV rows share; Y's truncation is
+    the sum of the two ``cmv.product_residual`` rows (zero when one is the
+    other's negative, so no sum is formed); Y's truncation is
     diag(lambda_n^2 - s lambda_n) = diag(Lambda_n), so its row n on psi
     misses Y psi_n by the held "Y psi n" residual (``y_psi_residual``).
     """
@@ -411,8 +411,8 @@ def verify_central_extension(fam: OPUCFamily, d: int, matrix_size: int) -> Verif
 
     # the matrix rows reproduce the functional action on the psi basis
     top = min(fam.size - 1, m1.product_valid_rows(m2), m2.product_valid_rows(m1))
-    bad = [n for n in range(top)
-           if lc([(1, product_residual(fam, m, n)) for m in (1, 2)]) or y_psi_residual(fam, n)]
+    bad = [n for n in range(top) if product_residual(fam, 1, n) != -product_residual(fam, 2, n)
+           or y_psi_residual(fam, n)]
     rep.add(
         "matrix rows match functional action on psi",
         not bad,
