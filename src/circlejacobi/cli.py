@@ -14,7 +14,10 @@ poison that.
 
 Exit status: 0 all checks passed, 1 verification failures, a
 computation error at some grid point (reported with the results of the
-other points) or unconverged spectrum zeros, 2 bad usage.
+other points) or unconverged spectrum zeros, 2 bad usage.  A usage
+error that a command finds prints one "<command>: <message>" line on
+stderr, and ``main(argv)`` returns the status; only a parse error that
+argparse itself finds ends in SystemExit(2) instead.
 """
 
 from __future__ import annotations
@@ -99,11 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+class _UsageError(Exception):
+    """Bad usage that a command finds itself; ``main`` prints it and returns 2."""
+
+
 def _require_params(args) -> JacobiParams:
     if args.alpha is None or args.beta is None:
-        print(f"{args.command}: --alpha and --beta are required", file=sys.stderr)
-        raise SystemExit(2)
+        raise _UsageError("--alpha and --beta are required")
     return JacobiParams(args.alpha, args.beta)
+
+
+def _require_n(args, floor: int) -> None:
+    if args.n < floor:
+        raise _UsageError(f"--n must be >= {floor}")
 
 
 def _render_in_full() -> None:
@@ -115,7 +126,19 @@ def _render_in_full() -> None:
         sys.set_int_max_str_digits(0)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, doc, table, lines) -> None:
+    """Write the output in ``--format`` to ``--out`` or stdout.  doc, table
+    and lines take no arguments and give the JSON document, the CSV
+    (header, rows) and the text lines; only the one picked is called."""
+    if args.format == "json":
+        text = json.dumps(doc(), indent=2) + "\n"
+    elif args.format == "csv":
+        header, rows = table()
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines()) + "\n"
     if not args.out:
         sys.stdout.write(text)
         return
@@ -123,16 +146,7 @@ def _emit(args, text: str) -> None:
         with open(args.out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"{args.command}: cannot write --out: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _csv_text(rows, header) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+        raise _UsageError(f"cannot write --out: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -144,14 +158,13 @@ def cmd_gen(args) -> int:
     from .dunkl import lambda_n
 
     p = _require_params(args)
-    if args.n < 1:
-        print("gen: --n must be >= 1", file=sys.stderr)
-        return 2
+    _require_n(args, 1)
     _render_in_full()
     fam = build_family(p, args.n)
     lam = [lambda_n(p, k) for k in range(args.n + 1)]
-    if args.format == "json":
-        doc = {
+    _emit(
+        args,
+        doc=lambda: {
             "alpha": str(p.alpha),
             "beta": str(p.beta),
             "n": args.n,
@@ -160,23 +173,19 @@ def cmd_gen(args) -> int:
             "h": [str(x) for x in fam.h],
             "phi": [f.text() for f in fam.phi],
             "psi": [f.text() for f in fam.psi],
-        }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = [
-            (k, fam.a[k], lam[k], fam.h[k], fam.phi[k].text(), fam.psi[k].text())
-            for k in range(args.n + 1)
-        ]
-        _emit(args, _csv_text(rows, ("n", "a", "lambda", "h", "phi", "psi")))
-    else:
-        lines = [f"family alpha={p.alpha} beta={p.beta} size={args.n}"]
-        for k in range(args.n + 1):
-            lines.append(
-                f"n={k}: a={fam.a[k]}  lambda={lam[k]}  h={fam.h[k]}\n"
-                f"    phi = {fam.phi[k].text()}\n"
-                f"    psi = {fam.psi[k].text()}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        },
+        table=lambda: (
+            ("n", "a", "lambda", "h", "phi", "psi"),
+            [(k, fam.a[k], lam[k], fam.h[k], fam.phi[k].text(), fam.psi[k].text())
+             for k in range(args.n + 1)],
+        ),
+        lines=lambda: [
+            f"family alpha={p.alpha} beta={p.beta} size={args.n}",
+            *(f"n={k}: a={fam.a[k]}  lambda={lam[k]}  h={fam.h[k]}\n"
+              f"    phi = {fam.phi[k].text()}\n"
+              f"    psi = {fam.psi[k].text()}" for k in range(args.n + 1)),
+        ],
+    )
     return 0
 
 
@@ -203,70 +212,51 @@ def _read_grid(path: str) -> list[tuple[Rational, Rational]]:
 
 
 def cmd_verify(args) -> int:
-    if args.n < 3:
-        print("verify: --n must be >= 3", file=sys.stderr)
-        return 2
-    if args.corrupt_a is not None and not 0 <= args.corrupt_a < args.n:
-        print("verify: --corrupt-a index out of range", file=sys.stderr)
-        return 2
+    _require_n(args, 3)
+    k = args.corrupt_a
+    if k is not None and not 0 <= k < args.n:
+        raise _UsageError("--corrupt-a index out of range")
     top = suites.reach(args.suite, args.n)
-    if args.corrupt_a is not None and args.corrupt_a > top:
-        print(
-            f"verify: --corrupt-a {args.corrupt_a} is beyond suite {args.suite}, "
-            f"which reads only a_0..a_{top} at --n {args.n}",
-            file=sys.stderr,
-        )
-        return 2
+    if k is not None and k > top:
+        raise _UsageError(f"--corrupt-a {k} is beyond suite {args.suite}, "
+                          f"which reads only a_0..a_{top} at --n {args.n}")
     if args.grid_file:
         try:
             grid = _read_grid(args.grid_file)
         except (OSError, ValueError, RecursionError, argparse.ArgumentTypeError) as exc:
-            print(f"verify: bad grid file: {exc}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"bad grid file: {exc}")
+    elif args.alpha is None or args.beta is None:
+        raise _UsageError("--alpha and --beta (or --grid-file) required")
     else:
         grid = [(args.alpha, args.beta)]
-        if args.alpha is None or args.beta is None:
-            print("verify: --alpha and --beta (or --grid-file) required", file=sys.stderr)
-            return 2
     _render_in_full()
 
     try:
         points = [JacobiParams(alpha, beta) for alpha, beta in grid]
     except ParamOutOfRange as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc)
     # a corruption that moves a_k out of (-1, 1) leaves no family to
     # verify; every point is checked before any point runs
-    if args.corrupt_a is not None:
-        k = args.corrupt_a
+    if k is not None:
         for p in points:
             v = suites.corrupted_a(p, k)
             if not -1 < v < 1:
-                print(
-                    f"verify: --corrupt-a {k} moves a_{k} to {v} at alpha={p.alpha} "
-                    f"beta={p.beta}, outside (-1, 1)",
-                    file=sys.stderr,
-                )
-                return 2
+                raise _UsageError(f"--corrupt-a {k} moves a_{k} to {v} at alpha={p.alpha} "
+                                  f"beta={p.beta}, outside (-1, 1)")
 
     # A point that raises records one error, naming the stage that raised
     # ("family" or a suite), keeps the reports made before it, and the
     # run goes on with the next point.
-    reports = []
-    errors = []
+    reports, errors = [], []
     for p in points:
         stage = "family"
         try:
-            fam = suites.family(p, args.n, args.corrupt_a)
+            fam = suites.family(p, args.n, k)
             for stage in suites.names(args.suite):
                 reports.extend(suites.run(stage, fam))
         except (CircleJacobiError, ValueError) as exc:
-            errors.append({
-                "alpha": str(p.alpha),
-                "beta": str(p.beta),
-                "suite": stage,
-                "message": f"{type(exc).__name__}: {exc}",
-            })
+            errors.append({"alpha": str(p.alpha), "beta": str(p.beta), "suite": stage,
+                           "message": f"{type(exc).__name__}: {exc}"})
     error_lines = [
         f"alpha={e['alpha']} beta={e['beta']} suite={e['suite']}: {e['message']}"
         for e in errors
@@ -277,48 +267,44 @@ def cmd_verify(args) -> int:
     n_skip = sum(len(r.skipped) for r in reports)
     status = "error" if errors else ("pass" if n_fail == 0 else "fail")
 
-    if args.format == "json":
-        doc = {
-            "config": {
-                "suite": args.suite,
-                "n": args.n,
-                "grid": [[str(a), str(b)] for a, b in grid],
-                "corrupt_a": args.corrupt_a,
-            },
-            "suite_results": [r.to_dict() for r in reports],
-            "summary": {
-                "checks": n_checks,
-                "failures": n_fail,
-                "skipped": n_skip,
-                "status": status,
-            },
-        }
-        if errors:
-            doc["error"] = errors
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    elif args.format == "csv":
+    def table():
         rows = []
         for r in reports:
-            params = json.dumps(r.to_dict()["params"])
+            params = json.dumps({name: str(v) for name, v in r.params.items()})
             rows += [(r.identity, params, c.label, "pass" if c.ok else "fail", c.detail)
                      for c in r.checks]
             rows += [(r.identity, params, label, "skip", "") for label in r.skipped]
         rows += [(e["suite"], json.dumps({"alpha": e["alpha"], "beta": e["beta"]}), "",
                   "error", e["message"]) for e in errors]
-        _emit(args, _csv_text(rows, ("identity", "params", "check", "status", "detail")))
+        return ("identity", "params", "check", "status", "detail"), rows
+
+    def lines():
+        out = [r.summary_line() for r in reports]
+        out += [f"    FAIL {c.label}: {c.detail}" for r in reports for c in r.failures]
+        out += [f"ERROR {line}" for line in error_lines]
+        out.append(f"{status.upper()}: {n_checks} checks, {n_fail} failures, {n_skip} skipped")
+        return out
+
+    _emit(
+        args,
+        doc=lambda: {
+            "config": {
+                "suite": args.suite,
+                "n": args.n,
+                "grid": [[str(a), str(b)] for a, b in grid],
+                "corrupt_a": k,
+            },
+            "suite_results": [r.to_dict() for r in reports],
+            "summary": {"checks": n_checks, "failures": n_fail, "skipped": n_skip,
+                        "status": status},
+            **({"error": errors} if errors else {}),
+        },
+        table=table,
+        lines=lines,
+    )
+    if args.format == "csv":
         for line in error_lines:
             print(f"verify: {line}", file=sys.stderr)
-    else:
-        lines = [r.summary_line() for r in reports]
-        for r in reports:
-            for c in r.failures:
-                lines.append(f"    FAIL {c.label}: {c.detail}")
-        lines += [f"ERROR {line}" for line in error_lines]
-        lines.append(
-            f"{status.upper()}: {n_checks} checks, {n_fail} failures, {n_skip} skipped"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-
     return 0 if status == "pass" else 1
 
 
@@ -329,30 +315,27 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     p = _require_params(args)
-    if args.n < 1:
-        print("spectrum: --n must be >= 1", file=sys.stderr)
-        return 2
+    _require_n(args, 1)
     try:
         evs = spectrum(p, args.n, args.matrix)
     except ConvergenceFailure as exc:
         print(f"spectrum: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        doc = {
+    _emit(
+        args,
+        doc=lambda: {
             "alpha": str(p.alpha),
             "beta": str(p.beta),
             "matrix": args.matrix,
             "size": args.n,
             "eigenvalues": [[ev.real, ev.imag] for ev in evs],
-        }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = [(ev.real, ev.imag, abs(ev)) for ev in evs]
-        _emit(args, _csv_text(rows, ("re", "im", "abs")))
-    else:
-        lines = [f"truncated matrix {args.matrix} alpha={p.alpha} beta={p.beta} size={args.n}"]
-        lines += [f"{ev.real:+.12f} {ev.imag:+.12f}i  |.|={abs(ev):.12f}" for ev in evs]
-        _emit(args, "\n".join(lines) + "\n")
+        },
+        table=lambda: (("re", "im", "abs"), [(ev.real, ev.imag, abs(ev)) for ev in evs]),
+        lines=lambda: [
+            f"truncated matrix {args.matrix} alpha={p.alpha} beta={p.beta} size={args.n}",
+            *(f"{ev.real:+.12f} {ev.imag:+.12f}i  |.|={abs(ev):.12f}" for ev in evs),
+        ],
+    )
     return 0
 
 
@@ -363,28 +346,24 @@ def cmd_spectrum(args) -> int:
 
 def cmd_moments(args) -> int:
     p = _require_params(args)
-    if args.n < 0:
-        print("moments: --n must be >= 0", file=sys.stderr)
-        return 2
+    _require_n(args, 0)
     _render_in_full()
     ms = MomentSeq(p)
     vals = [ms.value(k) for k in range(args.n + 1)]
-    if args.format == "json":
-        doc = {
+    _emit(
+        args,
+        doc=lambda: {
             "alpha": str(p.alpha),
             "beta": str(p.beta),
             "weight": "jacobi",
             "moments": [{"n": k, "value": str(v)} for k, v in enumerate(vals)],
-        }
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    elif args.format == "csv":
-        rows = list(enumerate(vals))
-        _emit(args, _csv_text(rows, ("n", "sigma")))
-    else:
-        lines = [f"moments alpha={p.alpha} beta={p.beta} weight=jacobi"]
-        for k, v in enumerate(vals):
-            lines.append(f"sigma_{k} = {v}")
-        _emit(args, "\n".join(lines) + "\n")
+        },
+        table=lambda: (("n", "sigma"), list(enumerate(vals))),
+        lines=lambda: [
+            f"moments alpha={p.alpha} beta={p.beta} weight=jacobi",
+            *(f"sigma_{k} = {v}" for k, v in enumerate(vals)),
+        ],
+    )
     return 0
 
 
@@ -393,6 +372,9 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except CircleJacobiError as exc:
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

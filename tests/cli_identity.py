@@ -127,6 +127,18 @@ def _invocations() -> list[list[str]]:
         ["verify", "--grid-file", os.devnull, "--n", "8"],
         ["gen", "--alpha", "0", "--beta", "-3/2", "--n", "4"],
     ]
+    # every usage error that a command finds itself: a missing parameter,
+    # each --n floor, an unwritable --out, a point out of range, and a
+    # corruption out of range
+    runs += [[command, "--alpha", "1/2", "--n", "8"] for command in ("gen", "spectrum", "moments")]
+    runs += [[command, *OFF_GRID, "--n", n] for command, n in
+             (("gen", "0"), ("spectrum", "0"), ("moments", "-1"), ("verify", "2"))]
+    runs += [[command, *OFF_GRID, "--n", "4", "--out", "/nonexistent/x"]
+             for command in ("gen", "verify", "spectrum", "moments")]
+    runs += [[command, "--alpha", "-1", "--beta", "0", "--n", "4"]
+             for command in ("spectrum", "moments")]
+    runs += [["verify", *OFF_GRID, "--n", "8", "--corrupt-a", "-1"],
+             ["verify", "--alpha", "-99/100", "--beta", "100", "--n", "8", "--corrupt-a", "0"]]
     return runs
 
 

@@ -20,6 +20,7 @@ from circlejacobi.errors import BadVerblunsky
 from circlejacobi.cli import main, rational
 from circlejacobi.moments import MomentSeq
 from circlejacobi.opuc import JacobiParams, build_family
+from circlejacobi.report import VerificationReport
 
 from test_perfbench import literal
 
@@ -58,9 +59,37 @@ class TestArgumentParsing:
         assert json.loads(out)["alpha"] == "-1/2"
 
     def test_missing_params(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--n", "2"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "gen", "--n", "2")
+        assert (code, out, err) == (2, "", "gen: --alpha and --beta are required\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        *((f"{command} --n 8", f"{command}: --alpha and --beta are required")
+          for command in ("gen", "spectrum", "moments")),
+        ("verify --n 8", "verify: --alpha and --beta (or --grid-file) required"),
+        *((f"{command} --alpha 0 --beta 0 --n {n}", f"{command}: --n must be >= {floor}")
+          for command, n, floor in
+          (("gen", 0, 1), ("verify", 2, 3), ("spectrum", 0, 1), ("moments", -1, 0))),
+        *((f"{command} --alpha 0 --beta 0 --n 4 --out {{tmp}}/absent/x",
+           f"{command}: cannot write --out: [Errno 2] No such file or directory: "
+           f"'{{tmp}}/absent/x'")
+          for command in ("gen", "verify", "spectrum", "moments")),
+        ("verify --alpha 1 --beta 2 --n 8 --corrupt-a 8",
+         "verify: --corrupt-a index out of range"),
+        ("verify --alpha 1 --beta 2 --n 16 --suite szego --corrupt-a 15",
+         "verify: --corrupt-a 15 is beyond suite szego, which reads only a_0..a_14 at --n 16"),
+        ("verify --grid-file {tmp}/empty.json --n 8", "verify: bad grid file: no points"),
+        ("verify --alpha -1 --beta 0 --n 8",
+         "verify: need alpha > -1 and beta > -1, got (-1, 0)"),
+        ("verify --alpha -99/100 --beta 100 --n 8 --corrupt-a 0",
+         "verify: --corrupt-a 0 moves a_0 to 1020001/1010100 at alpha=-99/100 beta=100, "
+         "outside (-1, 1)"),
+    ])
+    def test_usage_error_returns_2(self, capsys, tmp_path, argv, message):
+        # each usage error a command finds itself: one line on stderr,
+        # nothing on stdout, and main returns 2 rather than raising
+        (tmp_path / "empty.json").write_text("[]")
+        code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
+        assert (code, out, err) == (2, "", message.format(tmp=tmp_path) + "\n")
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit) as exc:
@@ -136,11 +165,9 @@ class TestGen:
         assert json.loads(target.read_text())["n"] == 2
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--alpha", "0", "--beta", "0", "--n", "2",
-                  "--out", str(tmp_path / "absent" / "x.json")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
+        code, out, err = run(capsys, "gen", "--alpha", "0", "--beta", "0", "--n", "2",
+                             "--out", str(tmp_path / "absent" / "x.json"))
+        assert code == 2 and out == ""
         assert err.startswith("gen: cannot write --out: ") and "absent" in err
 
     def test_bad_n(self, capsys):
@@ -433,11 +460,25 @@ class TestVerify:
         ]
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--alpha", "0", "--beta", "0", "--n", "3",
-                  "--suite", "bispectral", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("verify: cannot write --out: ")
+        code, out, err = run(capsys, "verify", "--alpha", "0", "--beta", "0", "--n", "3",
+                             "--suite", "bispectral", "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("verify: cannot write --out: ")
+
+    @pytest.mark.parametrize("method, fmt", [
+        ("summary_line", "json"), ("summary_line", "csv"), ("to_dict", "text"), ("to_dict", "csv"),
+    ])
+    def test_only_the_picked_format_is_formed(self, capsys, monkeypatch, method, fmt):
+        # the JSON --out path pays for no text, and the text and CSV
+        # paths format no report dicts
+        argv = ["verify", "--alpha", "1", "--beta", "2", "--n", "8", "--format", fmt]
+        want = run(capsys, *argv)
+
+        def refuse(self):
+            raise RuntimeError(f"{method} formed for --format {fmt}")
+
+        monkeypatch.setattr(VerificationReport, method, refuse)
+        assert run(capsys, *argv) == want and want[0] == 0
 
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run(
